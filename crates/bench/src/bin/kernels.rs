@@ -1,7 +1,7 @@
 //! Kernel microbenchmark: Gflop/s sweep over the `calu-kernels`
 //! building blocks — square and rectangular GEMM, blocked TRSM, and
-//! recursive panel GETRF — emitting the same flat-JSON metric format as
-//! `perf_smoke` (timings as `*_secs`, rates and ratios as plain counts).
+//! recursive panel GETRF — emitted as a flat-JSON metric file (timings
+//! as `*_secs`, rates and ratios as plain counts).
 //!
 //! ```text
 //! kernels [--out PATH]   # metrics file (default KERNELS_pr.json)
@@ -12,8 +12,8 @@
 //! ([`calu::kernels::dgemm_jki`]) and reports the packed kernel's
 //! speedup over it — the before/after evidence for the BLIS-style
 //! rewrite. Timings are minima over several draws; the `calibration_secs`
-//! metric (the same fixed naive-matmul workload `perf_smoke` uses) makes
-//! the `_secs` values comparable across hosts.
+//! metric (a fixed naive-matmul workload) makes the `_secs` values
+//! comparable across hosts.
 
 use calu::kernels::{
     dgemm_jki, dgemm_packed, dgetrf_recursive_packed, dtrsm_left_lower_unit_packed,

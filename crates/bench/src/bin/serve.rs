@@ -1,10 +1,9 @@
 //! Service-layer throughput sweep: jobs/second through a warm
 //! [`calu::FactorService`] by priority-class mix, plus the submit-latency win
-//! of lazy generator sources, emitted as the same flat-JSON metric
-//! format as `perf_smoke` (rates as `*_per_sec`, record-only figures
-//! without a gated suffix). This file has no checked-in baseline — the
-//! CI gate for the service path lives in `perf_smoke`
-//! (`serve_jobs_per_sec`); this bin is the wider profile behind it.
+//! of lazy generator sources, emitted as a flat-JSON metric file
+//! (rates as `*_per_sec`). Record-only, no baseline: the service path
+//! is measured for keeps by `benchmark/`'s `serve_mix` workload; this
+//! bin is the wider class-mix profile behind it.
 //!
 //! ```text
 //! serve [--out PATH]   # metrics file (default SERVE_pr.json)

@@ -1,38 +1,18 @@
-//! Flat-JSON metric files for the CI perf-smoke gate.
+//! Flat-JSON metric files for the record-only metric bins (`kernels`,
+//! `serve`).
 //!
-//! The workspace builds hermetically (no serde), so the perf-smoke
-//! binary reads and writes the simplest JSON shape that round-trips a
-//! metric set: one object whose values are all numbers,
-//! `{"metric_name": 1.25, ...}`. [`write_flat_json`] emits it,
-//! [`parse_flat_json`] reads it back (accepting only that shape), and
-//! [`compare`] applies the regression rule the CI job enforces.
-//!
-//! ## The regression rule
-//!
+//! The workspace builds hermetically (no serde), so the bins write the
+//! simplest JSON shape that holds a metric set: one object whose values
+//! are all numbers, `{"metric_name": 1.25, ...}` ([`write_flat_json`]).
 //! Wall-clock numbers measured on different machines are not
-//! comparable, so the baseline and the current run each carry a
-//! `calibration_secs` metric: the time of a fixed single-threaded
-//! kernel workload on the same host. Every timing metric (key ending
-//! in `_secs`) is normalized by its run's calibration before
-//! comparison, which cancels the host's raw speed; a metric regresses
-//! when its normalized value exceeds the baseline's by more than the
-//! tolerance. Throughput metrics (key ending in `_per_sec`) gate the
-//! opposite direction: they are normalized by *multiplying* with the
-//! calibration and regress when the normalized rate *drops* past the
-//! tolerance. Anything else (counts, ratios) is recorded for
-//! inspection but never gates.
-//!
-//! One calibration cannot represent every workload profile: a host's
-//! FLOP throughput and its branchy/pointer-chasing speed don't move in
-//! lockstep across CPU generations. A metric class can therefore carry
-//! its own calibration, named `<prefix>_calibration_secs`: any gated
-//! metric whose first `_`-separated segment matches the prefix is
-//! normalized by it (in both files) instead of the global calibration.
-//! Calibration metrics themselves are never gated.
+//! comparable, so every file carries a `calibration_secs` metric — the
+//! time of a fixed single-threaded kernel workload on the same host —
+//! for whoever reads two files side by side. Nothing here gates: the
+//! repo's one ruler is the `benchmark/` package.
 
 use std::fmt::Write as _;
 
-/// The calibration metric every perf-smoke file must carry.
+/// The calibration metric every metric file carries.
 pub const CALIBRATION_KEY: &str = "calibration_secs";
 
 /// Minimum of `iters` timed draws of `f` — the estimator every metric
@@ -43,9 +23,8 @@ pub fn min_of<F: FnMut() -> f64>(iters: usize, mut f: F) -> f64 {
 
 /// The fixed single-threaded workload behind [`CALIBRATION_KEY`]:
 /// repeated *naive* 128×128 matmuls, minimum over several draws. One
-/// definition shared by every metric bin (`perf_smoke`, `kernels`), so
-/// their `_secs` values are normalized by the same workload and stay
-/// comparable across files and hosts.
+/// definition shared by every metric bin, so their `_secs` values can
+/// be normalized by the same workload across files and hosts.
 pub fn calibration_secs() -> f64 {
     use calu::matrix::{gen, ops};
     let a = gen::uniform(128, 128, 1);
@@ -58,20 +37,6 @@ pub fn calibration_secs() -> f64 {
         t0.elapsed().as_secs_f64()
     })
 }
-
-/// Suffix marking a metric as a gated timing (normalized comparison).
-pub const TIMING_SUFFIX: &str = "_secs";
-
-/// Suffix marking a metric as a gated *throughput* (higher is better):
-/// normalized by *multiplying* with the calibration (rate × host-speed
-/// proxy cancels raw core speed, mirroring the `_secs` division), and a
-/// regression is the normalized rate *dropping* more than the tolerance
-/// below the baseline.
-pub const RATE_SUFFIX: &str = "_per_sec";
-
-/// Suffix marking a per-class calibration (see module docs): normalizes
-/// its class's metrics, is never gated itself.
-pub const CLASS_CALIBRATION_SUFFIX: &str = "_calibration_secs";
 
 /// Serialize metrics as a flat JSON object, keys in the given order.
 pub fn write_flat_json(pairs: &[(String, f64)]) -> String {
@@ -87,332 +52,20 @@ pub fn write_flat_json(pairs: &[(String, f64)]) -> String {
     out
 }
 
-/// Parse a flat JSON object of numeric values, in file order.
-///
-/// Accepts exactly the shape [`write_flat_json`] emits (whitespace
-/// anywhere, string keys, numeric values); anything else is an error
-/// naming the offending position.
-pub fn parse_flat_json(s: &str) -> Result<Vec<(String, f64)>, String> {
-    let mut pairs = Vec::new();
-    let mut chars = s.char_indices().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::CharIndices>| {
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        other => return Err(format!("expected '{{' at start, got {other:?}")),
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some((_, '}')) => {
-                chars.next();
-                break;
-            }
-            Some((_, '"')) => {}
-            other => return Err(format!("expected '\"' or '}}', got {other:?}")),
-        }
-        chars.next(); // opening quote
-        let mut key = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => break,
-                Some((_, '\\')) => return Err(format!("escapes unsupported in key {key:?}")),
-                Some((_, c)) => key.push(c),
-                None => return Err("unterminated key".into()),
-            }
-        }
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            other => return Err(format!("expected ':' after key {key:?}, got {other:?}")),
-        }
-        skip_ws(&mut chars);
-        let mut num = String::new();
-        while matches!(chars.peek(), Some((_, c)) if "+-0123456789.eE".contains(*c)) {
-            num.push(chars.next().unwrap().1);
-        }
-        let value: f64 = num
-            .parse()
-            .map_err(|e| format!("bad number {num:?} for key {key:?}: {e}"))?;
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => {}
-            Some((_, '}')) => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    Ok(pairs)
-}
-
-/// Look up a metric by name.
-pub fn lookup(pairs: &[(String, f64)], key: &str) -> Option<f64> {
-    pairs.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-}
-
-/// Apply the regression rule (see module docs): every `*_secs` metric of
-/// `current` that also exists in `baseline` is compared after
-/// calibration normalization; returns one message per regression beyond
-/// `tolerance` (0.2 = fail when >20% slower). An empty vec means the
-/// gate passes.
-pub fn compare(
-    current: &[(String, f64)],
-    baseline: &[(String, f64)],
-    tolerance: f64,
-) -> Result<Vec<String>, String> {
-    compare_with(current, baseline, |_| tolerance)
-}
-
-/// [`compare`] with a per-metric tolerance: `tolerance_for` maps each
-/// gated key to its allowed slowdown. Calibration normalization cancels
-/// a host's single-core speed but not its parallel efficiency (core
-/// count, SMT, noisy neighbours on shared CI runners), so multi-thread
-/// wall-clock metrics need a looser bound than single-threaded ones.
-pub fn compare_with(
-    current: &[(String, f64)],
-    baseline: &[(String, f64)],
-    tolerance_for: impl Fn(&str) -> f64,
-) -> Result<Vec<String>, String> {
-    let cal_cur = lookup(current, CALIBRATION_KEY)
-        .ok_or_else(|| format!("current run lacks {CALIBRATION_KEY}"))?;
-    let cal_base = lookup(baseline, CALIBRATION_KEY)
-        .ok_or_else(|| format!("baseline lacks {CALIBRATION_KEY}"))?;
-    if cal_cur <= 0.0 || cal_base <= 0.0 {
-        return Err("calibration must be positive".into());
-    }
-    let mut regressions = Vec::new();
-    for (key, cur) in current {
-        let is_timing = key.ends_with(TIMING_SUFFIX)
-            && key != CALIBRATION_KEY
-            && !key.ends_with(CLASS_CALIBRATION_SUFFIX);
-        let is_rate = key.ends_with(RATE_SUFFIX);
-        if !is_timing && !is_rate {
-            continue;
-        }
-        let Some(base) = lookup(baseline, key) else {
-            continue; // new metric: no baseline yet, nothing to gate
-        };
-        // prefer the metric class's own calibration when both files
-        // carry it, so e.g. branchy heap drains aren't normalized by a
-        // FLOP-bound matmul whose host ratio moves independently
-        let class_key = format!(
-            "{}{CLASS_CALIBRATION_SUFFIX}",
-            key.split('_').next().unwrap_or_default()
-        );
-        let (ccal_cur, ccal_base) =
-            match (lookup(current, &class_key), lookup(baseline, &class_key)) {
-                (Some(c), Some(b)) if c > 0.0 && b > 0.0 => (c, b),
-                _ => (cal_cur, cal_base),
-            };
-        let tolerance = tolerance_for(key);
-        if is_timing {
-            let (cur_n, base_n) = (cur / ccal_cur, base / ccal_base);
-            if base_n > 0.0 && cur_n > base_n * (1.0 + tolerance) {
-                regressions.push(format!(
-                    "{key}: {:.1}% over baseline (normalized {cur_n:.3} vs {base_n:.3}, \
-                     tolerance {:.0}%)",
-                    (cur_n / base_n - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            }
-        } else {
-            // throughput: multiply by the calibration so a slow host's
-            // lower rate cancels, and fail when the normalized rate
-            // *drops* past the tolerance
-            let (cur_n, base_n) = (cur * ccal_cur, base * ccal_base);
-            if base_n > 0.0 && cur_n < base_n / (1.0 + tolerance) {
-                regressions.push(format!(
-                    "{key}: {:.1}% under baseline (normalized {cur_n:.3} vs {base_n:.3}, \
-                     tolerance {:.0}%)",
-                    (1.0 - cur_n / base_n) * 100.0,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    // a gated metric must not silently vanish: a baseline timing or rate
-    // with no current counterpart means the metric was dropped or
-    // renamed without refreshing the baseline, shrinking coverage
-    // unnoticed
-    for (key, _) in baseline {
-        let gated =
-            (key.ends_with(TIMING_SUFFIX) && key != CALIBRATION_KEY) || key.ends_with(RATE_SUFFIX);
-        if gated && lookup(current, key).is_none() {
-            regressions.push(format!(
-                "{key}: in the baseline but missing from the current run — \
-                 renamed or dropped? refresh the baseline"
-            ));
-        }
-    }
-    Ok(regressions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pairs(kv: &[(&str, f64)]) -> Vec<(String, f64)> {
-        kv.iter().map(|&(k, v)| (k.to_string(), v)).collect()
-    }
-
     #[test]
-    fn json_round_trips() {
-        let p = pairs(&[
-            ("calibration_secs", 0.015),
-            ("threaded_makespan_secs", 1.25e-2),
-            ("steals", 42.0),
-        ]);
-        let s = write_flat_json(&p);
-        assert_eq!(parse_flat_json(&s).unwrap(), p);
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_flat_json("").is_err());
-        assert!(parse_flat_json("[1, 2]").is_err());
-        assert!(parse_flat_json("{\"a\": }").is_err());
-        assert!(parse_flat_json("{\"a\" 1}").is_err());
-        assert!(parse_flat_json("{\"a\": \"str\"}").is_err());
-    }
-
-    #[test]
-    fn parser_accepts_empty_object_and_whitespace() {
-        assert_eq!(parse_flat_json("  { }  ").unwrap(), vec![]);
-        let p = parse_flat_json("{\n  \"a\"\n : \n 1e-3 \n}\n").unwrap();
-        assert_eq!(p, pairs(&[("a", 1e-3)]));
-    }
-
-    #[test]
-    fn compare_normalizes_by_calibration() {
-        // current host is 2x slower across the board: calibration absorbs it
-        let base = pairs(&[("calibration_secs", 1.0), ("run_secs", 10.0)]);
-        let cur = pairs(&[("calibration_secs", 2.0), ("run_secs", 20.0)]);
-        assert!(compare(&cur, &base, 0.2).unwrap().is_empty());
-        // a true 50% regression on the same host fails a 20% gate
-        let slow = pairs(&[("calibration_secs", 1.0), ("run_secs", 15.0)]);
-        let msgs = compare(&slow, &base, 0.2).unwrap();
-        assert_eq!(msgs.len(), 1);
-        assert!(msgs[0].contains("run_secs"), "{msgs:?}");
-        // ... and passes a generous 60% gate
-        assert!(compare(&slow, &base, 0.6).unwrap().is_empty());
-    }
-
-    #[test]
-    fn compare_with_applies_per_metric_tolerance() {
-        let base = pairs(&[
-            ("calibration_secs", 1.0),
-            ("threaded_secs", 10.0),
-            ("drain_secs", 10.0),
-        ]);
-        // both metrics 40% slower: loose-gated threaded passes, drain fails
-        let cur = pairs(&[
-            ("calibration_secs", 1.0),
-            ("threaded_secs", 14.0),
-            ("drain_secs", 14.0),
-        ]);
-        let tol = |key: &str| {
-            if key.starts_with("threaded_") {
-                0.6
-            } else {
-                0.2
-            }
-        };
-        let msgs = compare_with(&cur, &base, tol).unwrap();
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("drain_secs"), "{msgs:?}");
-    }
-
-    #[test]
-    fn compare_ignores_counts_and_new_metrics() {
-        let base = pairs(&[("calibration_secs", 1.0), ("old_secs", 1.0)]);
-        let cur = pairs(&[
-            ("calibration_secs", 1.0),
-            ("old_secs", 1.0),
-            ("steals", 1e9),          // count: never gates
-            ("brand_new_secs", 99.0), // no baseline: never gates
-        ]);
-        assert!(compare(&cur, &base, 0.2).unwrap().is_empty());
-    }
-
-    #[test]
-    fn rate_metrics_gate_on_drops_not_rises() {
-        let base = pairs(&[("calibration_secs", 1.0), ("batch_items_per_sec", 100.0)]);
-        // a faster rate never regresses
-        let faster = pairs(&[("calibration_secs", 1.0), ("batch_items_per_sec", 140.0)]);
-        assert!(compare(&faster, &base, 0.2).unwrap().is_empty());
-        // a 15% drop passes a 20% gate, a 40% drop fails it (the rule
-        // is multiplicative: fail below base / 1.2 ≈ 83.3)
-        let ok = pairs(&[("calibration_secs", 1.0), ("batch_items_per_sec", 85.0)]);
-        assert!(compare(&ok, &base, 0.2).unwrap().is_empty());
-        let slow = pairs(&[("calibration_secs", 1.0), ("batch_items_per_sec", 60.0)]);
-        let msgs = compare(&slow, &base, 0.2).unwrap();
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("batch_items_per_sec"), "{msgs:?}");
-        assert!(msgs[0].contains("under baseline"), "{msgs:?}");
-    }
-
-    #[test]
-    fn rate_normalization_cancels_host_speed() {
-        // current host is 2x slower: its calibration doubles and its
-        // rates halve — the normalized product is unchanged
-        let base = pairs(&[("calibration_secs", 1.0), ("batch_items_per_sec", 100.0)]);
-        let slow_host = pairs(&[("calibration_secs", 2.0), ("batch_items_per_sec", 50.0)]);
-        assert!(compare(&slow_host, &base, 0.2).unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_rate_metric_is_flagged() {
-        let base = pairs(&[("calibration_secs", 1.0), ("gone_per_sec", 10.0)]);
-        let cur = pairs(&[("calibration_secs", 1.0)]);
-        let msgs = compare(&cur, &base, 0.2).unwrap();
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("gone_per_sec"), "{msgs:?}");
-    }
-
-    #[test]
-    fn class_calibration_overrides_global() {
-        let base = pairs(&[
-            ("calibration_secs", 1.0),
-            ("drain_calibration_secs", 1.0),
-            ("drain_x_secs", 10.0),
-        ]);
-        // this host runs branchy code 2x slower but matmul at full
-        // speed: the class calibration absorbs the shift (and, being a
-        // calibration, its own 2x "regression" is never gated)
-        let cur = pairs(&[
-            ("calibration_secs", 1.0),
-            ("drain_calibration_secs", 2.0),
-            ("drain_x_secs", 20.0),
-        ]);
-        assert!(compare(&cur, &base, 0.2).unwrap().is_empty());
-        // without the class calibration the same shift fails the gate
-        let strip = |p: &[(String, f64)]| {
-            p.iter()
-                .filter(|(k, _)| k != "drain_calibration_secs")
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(compare(&strip(&cur), &strip(&base), 0.2).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn compare_flags_baseline_metrics_missing_from_current() {
-        let base = pairs(&[("calibration_secs", 1.0), ("renamed_away_secs", 1.0)]);
-        let cur = pairs(&[("calibration_secs", 1.0)]);
-        let msgs = compare(&cur, &base, 0.2).unwrap();
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("renamed_away_secs"), "{msgs:?}");
-        assert!(msgs[0].contains("missing"), "{msgs:?}");
-    }
-
-    #[test]
-    fn compare_requires_calibration() {
-        let base = pairs(&[("calibration_secs", 1.0)]);
-        assert!(compare(&pairs(&[("x_secs", 1.0)]), &base, 0.2).is_err());
-        assert!(compare(&base, &pairs(&[("x_secs", 1.0)]), 0.2).is_err());
+    fn writes_one_flat_object_in_the_given_order() {
+        let pairs = vec![
+            ("calibration_secs".to_string(), 0.015),
+            ("steals".to_string(), 42.0),
+        ];
+        assert_eq!(
+            write_flat_json(&pairs),
+            "{\n  \"calibration_secs\": 0.015,\n  \"steals\": 42\n}\n"
+        );
+        assert_eq!(write_flat_json(&[]), "{\n}\n");
     }
 }

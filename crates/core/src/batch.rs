@@ -1,68 +1,32 @@
-//! Batched many-matrix sweeps on one persistent worker pool.
+//! Batched many-matrix sweeps on one worker pool.
 //!
 //! Serving-style workloads factor *many small matrices*, where the
 //! per-call costs the solo driver happily amortizes over one large
 //! factorization — planning, thread spawn/join, queue construction —
-//! come to dominate. [`calu_factor_batch`] spawns the worker pool
-//! **once** and drains the whole batch through it:
-//!
-//! * each worker keeps one [`GemmScratch`] packing arena alive across
-//!   every item it touches, so the BLAS-3 path never allocates no
-//!   matter how many matrices flow through;
-//! * the dynamic section runs on one *batch-level* queue set (shared
-//!   queue, mutex shards, or Chase-Lev deques per
-//!   [`CaluConfig::queue`]) whose entries pack `(item, task)` into one
-//!   word — the deques live exactly as long as the pool, not one item;
-//! * **small** items (larger dimension ≤
-//!   [`CaluConfig::batch_small_cutoff`], with
-//!   [`CaluConfig::batch_threads_per_item`] `<` threads) are
-//!   *co-scheduled*: a pool worker claims the whole item and factors it
-//!   sequentially — items run in parallel with zero intra-item
-//!   synchronization, which beats splitting a tiny DAG across the pool;
-//! * **large** items run the full hybrid static/dynamic schedule
-//!   co-operatively: static tasks go to their block-cyclic owner's
-//!   queue, dynamic ones to the batch queue set, and because queue
-//!   entries carry their item, workers pipeline — one can start item
-//!   `j + 1` while another finishes the tail of item `j`.
-//!
-//! Work priority per worker: own static queue → own dynamic
-//! shard/deque → claim a whole small item → steal. An idle worker thus
-//! prefers a guaranteed-useful small item over a contended steal — the
-//! small items are the batch's load-balancing reservoir, exactly the
-//! role the paper's dynamic section plays within one factorization.
+//! come to dominate. [`factor_batch`] queues the whole sweep as jobs on
+//! one scoped engine (the crate-private `engine` module) and drains it:
+//! the pool is spawned **once**, each worker keeps one packing arena
+//! alive across every item it touches, **small** items (the co-schedule predicate,
+//! [`CaluConfig::co_schedules`]) are claimed whole by one worker and
+//! factored sequentially — items run in parallel with zero intra-item
+//! synchronization, which beats splitting a tiny DAG across the pool —
+//! and **large** items run the full hybrid static/dynamic schedule
+//! co-operatively, pipelined: a worker whose own queues ran dry starts
+//! item `j + 1` while the others finish the tail of item `j`.
 //!
 //! Scheduling never changes the math: every item factors
 //! bitwise-identically to a solo [`crate::calu_factor`] call with the
-//! same config (same DAG, same kernels, writes to each tile totally
-//! ordered by the exclusive-writer discipline) — the facade's
-//! backend-parity suite pins this down.
+//! same config — the facade's backend-parity suite pins this down.
 
-use std::borrow::Cow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-
-use calu_dag::{PaperKind, TaskGraph, TaskId};
-use calu_kernels::GemmScratch;
-use calu_matrix::{
-    gen, BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, TileStorage, TlbMatrix,
-};
-use calu_rand::Rng;
-use calu_sched::{
-    nstatic_for, steal_order, Deque, QueueDiscipline, QueueSource, Steal, StealOrder, StealTier,
-    StealTiers,
-};
-use calu_trace::{SpanKind, TaskSpan, Timeline};
+use calu_matrix::DenseMatrix;
+use calu_trace::Timeline;
 
 use crate::config::CaluConfig;
+use crate::engine::{run_jobs, Source};
 use crate::error::CaluError;
 use crate::factorization::Factorization;
-use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{
-    apply_left_swaps, host_topology, steal_sweep, ItemState, KernelSet, ThreadStats,
-};
+use crate::pool::PoolSource;
+use crate::threaded::{KernelSet, ThreadStats};
 
 /// What one batch item factors: either a caller-held dense matrix, or
 /// a *generator* whose tile data is built lazily on the worker that
@@ -104,22 +68,12 @@ impl BatchSource<'_> {
             BatchSource::SpdUniform { n, .. } => (*n, *n),
         }
     }
-
-    /// The element data: borrowed for [`BatchSource::Dense`], generated
-    /// on the calling thread for the generator variants.
-    pub fn materialize(&self) -> Cow<'_, DenseMatrix> {
-        match self {
-            BatchSource::Dense(a) => Cow::Borrowed(*a),
-            BatchSource::Uniform { m, n, seed } => Cow::Owned(gen::uniform(*m, *n, *seed)),
-            BatchSource::SpdUniform { n, seed } => Cow::Owned(gen::spd_uniform(*n, *seed)),
-        }
-    }
 }
 
 /// One item of a mixed-algorithm batch: the matrix source plus the
 /// [`KernelSet`] that factors it. [`factor_batch`] accepts any mix —
-/// CALU and Cholesky items share the pool, the queues and the per-worker
-/// scratch arenas; only the per-task kernels differ.
+/// CALU and Cholesky items share the pool and the per-worker scratch
+/// arenas; only the per-task kernels differ.
 #[derive(Debug, Clone)]
 pub struct BatchItem<'a> {
     /// What to factor.
@@ -155,9 +109,7 @@ pub struct BatchItemOutcome {
     /// Per-worker spans of this item, time-shifted so the item's first
     /// task starts at 0.
     pub timeline: Timeline,
-    /// Per-worker queue accounting for this item's tasks. Steal-sweep
-    /// *failures* are batch-level (a failed sweep probes every item's
-    /// work at once) and live in [`BatchOutcome::failed_steal_sweeps`].
+    /// Per-worker queue accounting for this item's tasks.
     pub stats: Vec<ThreadStats>,
     /// Wall-clock extent of this item inside the batch (first task
     /// start → last task end). Co-scheduled items overlap, so these do
@@ -178,593 +130,9 @@ pub struct BatchOutcome {
     /// Seconds until the last pool worker entered its work loop — the
     /// one-off spawn cost the batch amortizes over all items.
     pub pool_spawn_secs: f64,
-    /// Steal sweeps that probed every victim and found nothing,
-    /// batch-wide (stealing disciplines only).
+    /// Steal sweeps that probed every victim and found nothing, summed
+    /// over the items (stealing disciplines only).
     pub failed_steal_sweeps: u64,
-}
-
-/// Pack a (item, task) pair into one queue word.
-#[inline]
-fn pack(item: usize, t: TaskId) -> u64 {
-    debug_assert!(item < u32::MAX as usize, "batch larger than u32 items");
-    ((item as u64) << 32) | t.0 as u64
-}
-
-/// Inverse of [`pack`].
-#[inline]
-fn unpack(v: u64) -> (usize, TaskId) {
-    ((v >> 32) as usize, TaskId(v as u32))
-}
-
-/// Batch-level heap entry: items first (earlier items drain first),
-/// then the per-item priority key, then the task id as tiebreak.
-type BatchKey = (usize, u64, u32);
-type BatchHeap = Mutex<BinaryHeap<Reverse<BatchKey>>>;
-
-/// The batch-level dynamic section under each [`QueueDiscipline`] —
-/// the same three shapes as the solo executor's, holding packed
-/// `(item, task)` entries so one queue set serves the whole sweep.
-enum BatchDyn {
-    Global(BatchHeap),
-    Sharded(Vec<BatchHeap>),
-    LockFree(Vec<Deque>),
-}
-
-struct BatchShared<S: TileStorage> {
-    /// Per-item execution state — pre-built for co-operative (large)
-    /// items only. Co-scheduled items build theirs *inside* the
-    /// claiming worker, so their storage is allocated, used and freed
-    /// item-locally (the allocator hands consecutive items the same
-    /// hot memory, exactly like a loop of solo runs) instead of the
-    /// whole batch's working set sitting live at once.
-    items: Vec<Option<ItemState<S>>>,
-    /// Per-worker static queues, batch-keyed (large items only).
-    local: Vec<BatchHeap>,
-    dynamic: BatchDyn,
-    tiers: Vec<StealTiers>,
-    /// Direction of the tiered sweep (the adaptive steal-order knob).
-    steal_dir: StealOrder,
-    dyn_queued: AtomicUsize,
-    /// Next unclaimed co-scheduled item (index into `smalls`).
-    next_small: AtomicUsize,
-    smalls: Vec<usize>,
-    /// Remaining work units: one per large-item task + one per small
-    /// item. The pool exits when this hits zero.
-    work_left: AtomicUsize,
-    /// Remaining *large-item* tasks. Once zero (and every small item is
-    /// claimed), no new work can ever appear in the queues, so an idle
-    /// worker exits instead of spinning — on oversubscribed hosts a
-    /// spinning worker steals cycles from the one still computing.
-    large_left: AtomicUsize,
-}
-
-impl<S: TileStorage + Send> BatchShared<S> {
-    /// Queue a ready task of large item `it` (mirror of the solo
-    /// executor's `push_ready`, with batch-packed entries).
-    fn push_ready(&self, it: usize, t: TaskId, home: usize) {
-        let item = self.items[it].as_ref().expect("co-operative item state");
-        if item.is_static[t.idx()] {
-            let owner = item.owners.owner(t);
-            self.local[owner]
-                .lock()
-                .push(Reverse((it, item.static_keys[t.idx()], t.0)));
-        } else {
-            match &self.dynamic {
-                BatchDyn::Global(q) => {
-                    q.lock()
-                        .push(Reverse((it, item.dynamic_keys[t.idx()], t.0)))
-                }
-                BatchDyn::Sharded(shards) => {
-                    self.dyn_queued.fetch_add(1, Ordering::AcqRel);
-                    shards[home % shards.len()].lock().push(Reverse((
-                        it,
-                        item.dynamic_keys[t.idx()],
-                        t.0,
-                    )));
-                }
-                BatchDyn::LockFree(deques) => {
-                    self.dyn_queued.fetch_add(1, Ordering::AcqRel);
-                    deques[home % deques.len()]
-                        .push(pack(it, t))
-                        .expect("deque sized for every large task");
-                }
-            }
-        }
-    }
-
-    /// Pop co-operative work the worker can reach *without stealing*:
-    /// its own static queue, then its own share of the dynamic section
-    /// (the shared queue under the global discipline, the worker's own
-    /// shard or deque otherwise). Stealing is deliberately separate —
-    /// the worker loop tries to claim a whole small item first, so an
-    /// idle worker prefers guaranteed-useful work over a contended
-    /// sweep of other workers' queues.
-    fn pop_own(&self, me: usize) -> Option<(usize, TaskId, QueueSource)> {
-        if let Some(Reverse((it, _, t))) = self.local[me].lock().pop() {
-            return Some((it, TaskId(t), QueueSource::Local));
-        }
-        match &self.dynamic {
-            BatchDyn::Global(q) => q
-                .lock()
-                .pop()
-                .map(|Reverse((it, _, t))| (it, TaskId(t), QueueSource::Global)),
-            BatchDyn::Sharded(shards) => shards[me].lock().pop().map(|Reverse((it, _, t))| {
-                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                (it, TaskId(t), QueueSource::Shard)
-            }),
-            BatchDyn::LockFree(deques) => deques[me].pop().map(|v| {
-                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                let (it, t) = unpack(v);
-                (it, t, QueueSource::Shard)
-            }),
-        }
-    }
-
-    /// Steal from the other workers' dynamic shards/deques — attempted
-    /// only while dynamic work is queued somewhere, so idle spins on a
-    /// drained batch don't read as contention. Wholly empty sweeps
-    /// count once into `failed_sweeps` — batch-wide, since a sweep
-    /// probes every item's work at once.
-    fn steal(
-        &self,
-        me: usize,
-        rng: &mut Option<Rng>,
-        failed_sweeps: &mut u64,
-    ) -> Option<(usize, TaskId, QueueSource)> {
-        match &self.dynamic {
-            BatchDyn::Global(_) => None, // one shared queue: nothing to steal
-            BatchDyn::Sharded(shards) => {
-                if self.dyn_queued.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                let rng = rng.as_mut().expect("stealing workers carry an RNG");
-                let stolen = steal_sweep(
-                    steal_order(rng, me, shards.len()),
-                    |&victim| {
-                        shards[victim]
-                            .lock()
-                            .pop()
-                            .map(|Reverse((it, _, t))| (it, TaskId(t)))
-                    },
-                    failed_sweeps,
-                );
-                stolen.map(|((it, t), _)| {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    (it, t, QueueSource::Stolen)
-                })
-            }
-            BatchDyn::LockFree(deques) => {
-                if self.dyn_queued.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                let rng = rng.as_mut().expect("stealing workers carry an RNG");
-                let stolen = steal_sweep(
-                    self.tiers[me].sweep_ordered(self.steal_dir, rng),
-                    |&(victim, _)| loop {
-                        match deques[victim].steal() {
-                            Steal::Taken(v) => break Some(unpack(v)),
-                            Steal::Empty => break None,
-                            Steal::Retry => std::hint::spin_loop(),
-                        }
-                    },
-                    failed_sweeps,
-                );
-                stolen.map(|((it, t), (_, tier))| {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    let source = match tier {
-                        StealTier::Remote => QueueSource::StolenRemote,
-                        _ => QueueSource::Stolen,
-                    };
-                    (it, t, source)
-                })
-            }
-        }
-    }
-
-    /// Claim the next co-scheduled item, if any are left. The cheap
-    /// pre-check keeps idle workers from hammering the shared counter
-    /// once the small list is drained.
-    fn claim_small(&self) -> Option<usize> {
-        if self.next_small.load(Ordering::Acquire) >= self.smalls.len() {
-            return None;
-        }
-        let i = self.next_small.fetch_add(1, Ordering::AcqRel);
-        self.smalls.get(i).copied()
-    }
-
-    /// Whether work could still appear for an idle worker: large tasks
-    /// are outstanding (their successors will be queued) or small items
-    /// remain unclaimed. When false, an idle worker leaves the pool.
-    fn more_work_possible(&self) -> bool {
-        self.large_left.load(Ordering::Acquire) > 0
-            || self.next_small.load(Ordering::Acquire) < self.smalls.len()
-    }
-}
-
-/// Map a task kind onto its timeline span kind.
-pub(crate) fn span_kind(g: &TaskGraph, t: TaskId) -> SpanKind {
-    match g.kind(t).paper_kind() {
-        PaperKind::P => SpanKind::Panel,
-        PaperKind::L => SpanKind::LFactor,
-        PaperKind::U => SpanKind::UFactor,
-        PaperKind::S => SpanKind::Update,
-    }
-}
-
-/// What each worker brings home from the pool.
-pub(crate) struct WorkerHaul {
-    /// `(item, span)` for every task this worker ran.
-    pub(crate) spans: Vec<(u32, TaskSpan)>,
-    /// Per-item queue accounting (indexed like the batch).
-    pub(crate) stats: Vec<ThreadStats>,
-    /// When this worker entered its work loop (batch clock).
-    pub(crate) start_offset: f64,
-    /// Wholly empty steal sweeps (batch-level, not per item).
-    pub(crate) failed_sweeps: u64,
-}
-
-/// Factor a co-scheduled item sequentially on the calling worker: a
-/// plain ready-stack drain of the item's DAG, most-critical-first by
-/// the dynamic priority key. No queues, no cross-worker contention —
-/// the DAG and kernels are identical to the co-operative path, so the
-/// bits are too.
-///
-/// `interrupt` is polled between tasks (fault injection in the service
-/// pool): returning `true` abandons the drain mid-item, and the
-/// function reports `false` — the item did **not** complete and its
-/// state must be discarded (the pool requeues the whole item; its claim
-/// was atomic, so a fresh claimant rebuilds from the source). Batch
-/// callers pass `None` and always get `true`.
-pub(crate) fn run_item_sequential<S: TileStorage + Send>(
-    item: &ItemState<S>,
-    idx: usize,
-    me: usize,
-    scratch: &mut GemmScratch,
-    t0: &Instant,
-    haul: &mut WorkerHaul,
-    mut interrupt: Option<&mut dyn FnMut() -> bool>,
-) -> bool {
-    let mut stack = item.g.initial_ready();
-    // descending key order so `pop` serves the smallest (most critical)
-    // key first; freshly enabled successors are re-sorted the same way
-    stack.sort_unstable_by_key(|t| Reverse(item.dynamic_keys[t.idx()]));
-    let mut buf: Vec<TaskId> = Vec::new();
-    while let Some(t) = stack.pop() {
-        if let Some(stop) = interrupt.as_deref_mut() {
-            if stop() {
-                return false;
-            }
-        }
-        let start = t0.elapsed().as_secs_f64();
-        item.execute(t, scratch);
-        let end = t0.elapsed().as_secs_f64();
-        haul.spans.push((
-            idx as u32,
-            TaskSpan {
-                core: me,
-                start,
-                end,
-                kind: span_kind(&item.g, t),
-            },
-        ));
-        item.complete_into(t, &mut buf);
-        if buf.len() > 1 {
-            buf.sort_unstable_by_key(|t| Reverse(item.dynamic_keys[t.idx()]));
-        }
-        stack.extend(buf.iter().copied());
-        haul.stats[idx].local_pops += 1;
-    }
-    debug_assert_eq!(item.done.load(Ordering::Acquire), item.g.len());
-    true
-}
-
-/// Build, drain and finish one co-scheduled item entirely on the
-/// calling worker: source materialization and storage conversion in,
-/// sequential DAG drain, factors out. Keeping the item's whole
-/// lifecycle worker-local means the allocator hands consecutive items
-/// the same hot memory and the batch's peak footprint stays at "items
-/// in flight", not "items in batch" — and on multicore hosts both the
-/// generator fills and the conversions run in parallel instead of
-/// serializing on the caller.
-#[allow(clippy::too_many_arguments)]
-fn run_small_item<S: TileStorage + Send>(
-    src: &BatchSource<'_>,
-    g: &Arc<TaskGraph>,
-    grid: ProcessGrid,
-    cfg: &CaluConfig,
-    make: &(impl Fn(&DenseMatrix) -> S + Sync),
-    into_dense: &(impl Fn(S) -> DenseMatrix + Sync),
-    idx: usize,
-    me: usize,
-    scratch: &mut GemmScratch,
-    t0: &Instant,
-    haul: &mut WorkerHaul,
-) -> Factorization {
-    let a = src.materialize();
-    let item = ItemState::new(
-        make(&a),
-        Arc::clone(g),
-        grid,
-        nstatic_for(cfg.dratio, g.num_panels()),
-    );
-    drop(a); // tile data is converted; free the generator fill early
-    run_item_sequential(&item, idx, me, scratch, t0, haul, None);
-    let (s, perm, singular_at) = item.finish();
-    let mut lu = into_dense(s);
-    apply_left_swaps(&mut lu, g, &perm, cfg.b);
-    Factorization {
-        lu,
-        perm,
-        singular_at,
-    }
-}
-
-/// The generic pool: matrices and graphs are per item, everything else
-/// is shared. Returns per-item `(factorization, timeline, stats,
-/// makespan)` plus the batch-level accounting.
-#[allow(clippy::type_complexity)]
-fn batch_tiled<S: TileStorage + Send>(
-    sources: &[BatchSource<'_>],
-    graphs: &[Arc<TaskGraph>],
-    small: &[bool],
-    grid: ProcessGrid,
-    cfg: &CaluConfig,
-    make: &(impl Fn(&DenseMatrix) -> S + Sync),
-    into_dense: &(impl Fn(S) -> DenseMatrix + Sync),
-) -> (
-    Vec<(Factorization, Timeline, Vec<ThreadStats>, f64)>,
-    f64,
-    f64,
-    u64,
-) {
-    let threads = grid.size();
-    let queue = cfg.queue;
-    let topo = host_topology();
-    // co-operative items are pre-built (their state is shared by every
-    // worker); co-scheduled ones stay None — their source is
-    // materialized and their state built at claim time, on the worker
-    let items: Vec<Option<ItemState<S>>> = sources
-        .iter()
-        .zip(graphs)
-        .zip(small)
-        .map(|((src, g), &is_small)| {
-            (!is_small).then(|| {
-                let a = src.materialize();
-                ItemState::new(
-                    make(&a),
-                    Arc::clone(g),
-                    grid,
-                    nstatic_for(cfg.dratio, g.num_panels()),
-                )
-            })
-        })
-        .collect();
-    let smalls: Vec<usize> = (0..items.len()).filter(|&i| small[i]).collect();
-    let larges: Vec<usize> = (0..items.len()).filter(|&i| !small[i]).collect();
-    let large_tasks: usize = larges.iter().map(|&i| graphs[i].len()).sum();
-    let small_results: Vec<Mutex<Option<Factorization>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-
-    let shared = BatchShared {
-        local: (0..threads)
-            .map(|_| Mutex::new(BinaryHeap::new()))
-            .collect(),
-        dynamic: match queue {
-            QueueDiscipline::Global => BatchDyn::Global(Mutex::new(BinaryHeap::new())),
-            QueueDiscipline::Sharded { .. } => BatchDyn::Sharded(
-                (0..threads)
-                    .map(|_| Mutex::new(BinaryHeap::new()))
-                    .collect(),
-            ),
-            QueueDiscipline::LockFree { .. } => BatchDyn::LockFree(
-                // sized for every co-operative task in the whole batch:
-                // pushes can never fail, and the deques persist across
-                // items instead of being rebuilt per factorization
-                (0..threads)
-                    .map(|_| Deque::with_capacity(large_tasks.max(1)))
-                    .collect(),
-            ),
-        },
-        tiers: match queue {
-            QueueDiscipline::LockFree { .. } => (0..threads)
-                .map(|me| StealTiers::for_worker(topo, me, threads))
-                .collect(),
-            _ => Vec::new(),
-        },
-        steal_dir: cfg.steal_order,
-        dyn_queued: AtomicUsize::new(0),
-        next_small: AtomicUsize::new(0),
-        smalls,
-        work_left: AtomicUsize::new(large_tasks + small.iter().filter(|&&s| s).count()),
-        large_left: AtomicUsize::new(large_tasks),
-        items,
-    };
-
-    // scatter the co-operative items' initially ready tasks round-robin
-    // (same policy as the solo executor, item-major so earlier items
-    // drain first; descending priority per item for the LIFO deques)
-    let mut home = 0usize;
-    for &it in &larges {
-        let mut initial = graphs[it].initial_ready();
-        if matches!(queue, QueueDiscipline::LockFree { .. }) {
-            let keys = &shared.items[it].as_ref().expect("co-op item").dynamic_keys;
-            initial.sort_unstable_by_key(|t| Reverse(keys[t.idx()]));
-        }
-        for t in initial {
-            shared.push_ready(it, t, home);
-            home = home.wrapping_add(1);
-        }
-    }
-
-    let t0 = Instant::now();
-    let n_items = shared.items.len();
-    let mut hauls: Vec<WorkerHaul> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        let small_results = &small_results;
-        for me in 0..threads {
-            let shared = &shared;
-            let t0 = &t0;
-            handles.push(scope.spawn(move || {
-                if cfg.pin_workers {
-                    pin_current_thread(topo.cpu_for_worker(me));
-                }
-                let mut haul = WorkerHaul {
-                    spans: Vec::new(),
-                    stats: vec![ThreadStats::default(); n_items],
-                    start_offset: t0.elapsed().as_secs_f64(),
-                    failed_sweeps: 0,
-                };
-                let mut scratch = GemmScratch::sized_for(cfg.b, cfg.b, cfg.b);
-                let mut rng = queue
-                    .seed()
-                    .map(|seed| Rng::seed_from_u64(seed.wrapping_add(me as u64)));
-                let mut ready_buf: Vec<TaskId> = Vec::new();
-                let mut idle_spins = 0u32;
-                #[derive(Clone, Copy)]
-                enum Work {
-                    Coop(usize, TaskId, QueueSource),
-                    Small(usize),
-                }
-                while shared.work_left.load(Ordering::Acquire) > 0 {
-                    // the documented priority: own static queue → own
-                    // dynamic shard/deque → claim a whole small item →
-                    // only then a contended sweep of other workers'
-                    // queues (a small item is guaranteed-useful work;
-                    // a steal may come home empty)
-                    let work = shared
-                        .pop_own(me)
-                        .map(|(it, t, src)| Work::Coop(it, t, src))
-                        .or_else(|| shared.claim_small().map(Work::Small))
-                        .or_else(|| {
-                            shared
-                                .steal(me, &mut rng, &mut haul.failed_sweeps)
-                                .map(|(it, t, src)| Work::Coop(it, t, src))
-                        });
-                    if let Some(Work::Coop(it, t, source)) = work {
-                        idle_spins = 0;
-                        let stats = &mut haul.stats[it];
-                        match source {
-                            QueueSource::Local => stats.local_pops += 1,
-                            QueueSource::Stolen => stats.steal_pops += 1,
-                            QueueSource::StolenRemote => {
-                                stats.steal_pops += 1;
-                                stats.remote_steal_pops += 1;
-                            }
-                            _ => stats.global_pops += 1,
-                        }
-                        let item = shared.items[it].as_ref().expect("co-op item state");
-                        let start = t0.elapsed().as_secs_f64();
-                        item.execute(t, &mut scratch);
-                        let end = t0.elapsed().as_secs_f64();
-                        haul.spans.push((
-                            it as u32,
-                            TaskSpan {
-                                core: me,
-                                start,
-                                end,
-                                kind: span_kind(&item.g, t),
-                            },
-                        ));
-                        item.complete_into(t, &mut ready_buf);
-                        if matches!(shared.dynamic, BatchDyn::LockFree(_)) && ready_buf.len() > 1 {
-                            ready_buf.sort_unstable_by_key(|s| Reverse(item.dynamic_keys[s.idx()]));
-                        }
-                        for &s in ready_buf.iter() {
-                            shared.push_ready(it, s, me);
-                        }
-                        shared.large_left.fetch_sub(1, Ordering::AcqRel);
-                        shared.work_left.fetch_sub(1, Ordering::AcqRel);
-                    } else if let Some(Work::Small(it)) = work {
-                        idle_spins = 0;
-                        let f = run_small_item(
-                            &sources[it],
-                            &graphs[it],
-                            grid,
-                            cfg,
-                            make,
-                            into_dense,
-                            it,
-                            me,
-                            &mut scratch,
-                            t0,
-                            &mut haul,
-                        );
-                        *small_results[it].lock() = Some(f);
-                        shared.work_left.fetch_sub(1, Ordering::AcqRel);
-                    } else if !shared.more_work_possible() {
-                        // every small item is claimed and every large
-                        // task retired: nothing can reach this worker
-                        // any more, so leave instead of burning cycles
-                        // the still-working claimants could use
-                        break;
-                    } else {
-                        idle_spins += 1;
-                        if idle_spins > 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                haul
-            }));
-        }
-        for h in handles {
-            hauls.push(h.join().expect("batch worker panicked"));
-        }
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let pool_spawn = hauls.iter().map(|h| h.start_offset).fold(0.0, f64::max);
-    let failed_sweeps: u64 = hauls.iter().map(|h| h.failed_sweeps).sum();
-
-    // reassemble per item: spans shifted so each item's clock starts at
-    // its first task, stats merged across workers
-    let mut spans_by_item: Vec<Vec<TaskSpan>> = vec![Vec::new(); n_items];
-    for haul in &hauls {
-        for &(it, span) in &haul.spans {
-            spans_by_item[it as usize].push(span);
-        }
-    }
-    let results = shared
-        .items
-        .into_iter()
-        .enumerate()
-        .map(|(it, item)| {
-            let factorization = match item {
-                // co-operative items are finished here, after the pool
-                Some(item) => {
-                    let (s, perm, singular_at) = item.finish();
-                    let mut lu = into_dense(s);
-                    apply_left_swaps(&mut lu, &graphs[it], &perm, cfg.b);
-                    Factorization {
-                        lu,
-                        perm,
-                        singular_at,
-                    }
-                }
-                // co-scheduled items were finished by their claimant
-                None => small_results[it]
-                    .lock()
-                    .take()
-                    .expect("claimed small item left its factors"),
-            };
-            let spans = &spans_by_item[it];
-            let t_start = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
-            let mut tl = Timeline::new(threads);
-            for s in spans {
-                tl.push(TaskSpan {
-                    start: s.start - t_start,
-                    end: s.end - t_start,
-                    ..*s
-                });
-            }
-            let stats: Vec<ThreadStats> = (0..threads).map(|w| hauls[w].stats[it]).collect();
-            let makespan = tl.makespan();
-            (factorization, tl, stats, makespan)
-        })
-        .collect();
-    (results, wall, pool_spawn, failed_sweeps)
 }
 
 /// Factor every matrix in `mats` with CALU on one persistent worker
@@ -794,89 +162,58 @@ pub fn calu_factor_batch_from(
 }
 
 /// Factor a mixed-algorithm batch: each [`BatchItem`] names its own
-/// [`KernelSet`], so one sweep — one pool spawn, one batch-level queue
-/// set, one scratch arena per worker — can interleave CALU and tiled
-/// Cholesky factorizations. Per item the result is bitwise-identical to
-/// the matching solo call ([`crate::calu_factor`] /
-/// [`crate::cholesky_factor`]) with the same config.
+/// [`KernelSet`], so one sweep — one pool spawn, one scratch arena per
+/// worker — can interleave CALU and tiled Cholesky factorizations. Per
+/// item the result is bitwise-identical to the matching solo call
+/// ([`crate::calu_factor`] / [`crate::cholesky_factor`]) with the same
+/// config. An armed [`CaluConfig::fault`] plan is honoured like
+/// anywhere else: survivors rescue a lost worker's static backlog and
+/// redo the small item it died in.
 pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOutcome, CaluError> {
-    let grid = cfg.validate()?;
-    if !cfg.fault.is_off() {
-        return Err(CaluError::InvalidConfig(
-            "fault injection is not supported on the scoped batch executor; \
-             inject through a solo run (calu_factor) or a long-running \
-             service pool (ServicePool / FactorService), which carry the \
-             rescue and requeue machinery"
-                .into(),
-        ));
-    }
     if items.is_empty() {
         return Err(CaluError::InvalidConfig(
             "a batch needs at least one matrix".into(),
         ));
     }
-    let sources: Vec<BatchSource<'_>> = items.iter().map(|it| it.source.clone()).collect();
-    let dims: Vec<(usize, usize)> = sources.iter().map(BatchSource::dims).collect();
-    if dims.iter().any(|&(m, n)| m == 0 || n == 0) {
+    if items.iter().any(|it| {
+        let (m, n) = it.source.dims();
+        m == 0 || n == 0
+    }) {
         return Err(CaluError::EmptyMatrix);
     }
-    let leaf_stride = cfg.leaf_stride.unwrap_or_else(|| grid.pr());
-    let graphs: Vec<Arc<TaskGraph>> = items
-        .iter()
-        .zip(&dims)
-        .map(|(it, &(m, n))| {
-            it.kernels
-                .build_graph(m, n, cfg.b, leaf_stride)
-                .map(Arc::new)
-        })
-        .collect::<Result<_, _>>()?;
-    // co-scheduling applies to items at or under the cutoff, and only
-    // while co-scheduled items use fewer workers than the pool has
-    let co_schedule = cfg.batch_threads_per_item < cfg.threads;
-    let small: Vec<bool> = dims
-        .iter()
-        .map(|&(m, n)| co_schedule && m.max(n) <= cfg.batch_small_cutoff)
-        .collect();
-
-    macro_rules! run_layout {
-        ($make:expr, $into:expr) => {{
-            let (results, wall, spawn, failed) =
-                batch_tiled(&sources, &graphs, &small, grid, cfg, &$make, &$into);
-            let items = results
-                .into_iter()
-                .enumerate()
-                .map(
-                    |(i, (factorization, timeline, stats, makespan))| BatchItemOutcome {
-                        factorization,
-                        timeline,
-                        stats,
-                        makespan,
-                        co_scheduled: small[i],
-                    },
-                )
-                .collect();
-            BatchOutcome {
-                items,
-                wall_secs: wall,
-                pool_spawn_secs: spawn,
-                failed_steal_sweeps: failed,
+    let jobs = items.iter().map(|it| {
+        let source = match it.source {
+            BatchSource::Dense(a) => Source::Borrowed(a),
+            BatchSource::Uniform { m, n, seed } => {
+                Source::Owned(PoolSource::Uniform { m, n, seed })
             }
-        }};
-    }
-
-    Ok(match cfg.layout {
-        Layout::ColumnMajor => run_layout!(
-            |a: &DenseMatrix| CmTiles::from_dense(a, cfg.b),
-            |s: CmTiles| s.to_dense()
-        ),
-        Layout::BlockCyclic => run_layout!(
-            |a: &DenseMatrix| BclMatrix::from_dense(a, cfg.b, grid),
-            |s: BclMatrix| s.to_dense()
-        ),
-        Layout::TwoLevelBlock => run_layout!(
-            |a: &DenseMatrix| TlbMatrix::from_dense(a, cfg.b, grid),
-            |s: TlbMatrix| s.to_dense()
-        ),
+            BatchSource::SpdUniform { n, seed } => {
+                Source::Owned(PoolSource::SpdUniform { n, seed })
+            }
+        };
+        (it.kernels, source)
+    });
+    let drained = run_jobs(cfg.clone(), jobs)?;
+    let items: Vec<BatchItemOutcome> = drained
+        .outcomes
+        .into_iter()
+        .map(|out| BatchItemOutcome {
+            factorization: out.factorization,
+            timeline: out.timeline,
+            stats: out.stats,
+            makespan: out.makespan,
+            co_scheduled: out.co_scheduled,
+        })
+        .collect();
+    Ok(BatchOutcome {
+        failed_steal_sweeps: items
+            .iter()
+            .flat_map(|it| &it.stats)
+            .map(|s| s.failed_steals)
+            .sum(),
+        items,
+        wall_secs: drained.wall_secs,
+        pool_spawn_secs: drained.spawn_secs,
     })
 }
 
@@ -884,7 +221,9 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
 mod tests {
     use super::*;
     use crate::threaded::calu_factor;
+    use calu_dag::TaskGraph;
     use calu_matrix::gen;
+    use calu_sched::QueueDiscipline;
 
     fn cfg4() -> CaluConfig {
         CaluConfig::new(16).with_threads(4).with_dratio(0.5)

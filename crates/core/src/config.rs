@@ -228,6 +228,15 @@ impl CaluConfig {
             1
         }
     }
+
+    /// The co-schedule predicate: whether a job of `dims` is *small* —
+    /// claimed whole by one worker and factored sequentially — rather
+    /// than run co-operatively by the pool under the hybrid schedule.
+    /// True while co-scheduled items use fewer workers than the pool
+    /// has and the job's larger dimension is within the cutoff.
+    pub fn co_schedules(&self, dims: (usize, usize)) -> bool {
+        self.batch_threads_per_item < self.threads && dims.0.max(dims.1) <= self.batch_small_cutoff
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,1449 @@
+//! The one executor engine: solo runs, batched sweeps and the service
+//! pool are the same worker loop over the same ready-queue set.
+//!
+//! The paper's scheduler is one loop — "own static queue first, else
+//! the dynamic section" (Algorithms 1 and 2). This module is that loop,
+//! written once, plus the minimum around it to feed it *jobs*:
+//!
+//! * a **job** is `(KernelSet, matrix source, sink)`, queued in
+//!   [`ClassLanes`];
+//! * a claimed **small** job (the co-schedule predicate,
+//!   [`CaluConfig::co_schedules`]) is materialized, factored by a
+//!   sequential DAG drain and delivered entirely on the claiming worker
+//!   — whole items run in parallel with zero intra-item
+//!   synchronization;
+//! * a claimed **large** job becomes a [`Run`]: one `ItemState` (tiles,
+//!   dependence counters, panels) + one [`ReadyQueues`] value (static
+//!   heaps + the dynamic section under the configured
+//!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one span/stat
+//!   slot per worker + the job's sink, published for every worker to
+//!   pull from.
+//!
+//! ## The loop
+//!
+//! Each worker ([`Engine::worker_loop`]) repeats, in this order:
+//!
+//! 1. **fault tick** — consult its [`FaultClock`] (a no-op without an
+//!    armed plan): stall, die (rescuing its static backlog), or latch
+//!    an injected panic for the next piece of work;
+//! 2. **own queues** of each active run, higher job class first — its
+//!    static heap, then its own share of the dynamic section;
+//! 3. **claim** a queued job (small: drain it whole; large: publish a
+//!    run);
+//! 4. **steal** from the other workers' dynamic shards/deques of each
+//!    active run — after claiming, because a queued job is
+//!    guaranteed-useful work and a steal may come home empty;
+//! 5. **exit or idle** — spin/yield while any run is active (new tasks
+//!    appear at kernel granularity), otherwise leave if the engine is
+//!    draining and nothing is queued or in flight, otherwise park on a
+//!    condition variable with a 1 ms timed wait, so a notification lost
+//!    to a race costs one tick, never a hang.
+//!
+//! ## Who spawns threads
+//!
+//! Nobody here owns threads; callers lend them. [`run_jobs`] (behind
+//! `calu_factor*`, `cholesky_factor*` and `factor_batch`) queues its
+//! jobs, marks the engine draining and runs the loop on
+//! `std::thread::scope` threads, so borrowed inputs are never copied
+//! and the threads are gone when it returns. [`ServicePool`] runs the
+//! same loop on persistent `'static` threads until drained.
+//!
+//! ## The hot path takes no shared lock
+//!
+//! Workers keep a private snapshot of the active-run list and refresh
+//! it only when the run-epoch counter moves (publish / retire). A task
+//! is logged into the worker's *own* slot of its run. Condition
+//! variables are signalled on job submit, run publish and job end —
+//! never per task.
+//!
+//! Scheduling never changes the math: every job factors
+//! bitwise-identically however it was routed (same DAG, same kernels,
+//! writes to each tile totally ordered by the exclusive-writer
+//! discipline) — the facade's backend-parity suite pins this down.
+//!
+//! [`ServicePool`]: crate::pool::ServicePool
+
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar};
+use std::time::{Duration, Instant};
+
+use calu_dag::{PaperKind, TaskGraph, TaskId};
+use calu_kernels::GemmScratch;
+use calu_matrix::storage::TileLoc;
+use calu_matrix::{
+    BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, Tiling, TlbMatrix,
+};
+use calu_rand::Rng;
+use calu_sched::{nstatic_for, ClassLanes, JobClass, QueueSource, ReadyQueues};
+use calu_trace::{SpanKind, TaskSpan, Timeline};
+
+use crate::config::CaluConfig;
+use crate::error::CaluError;
+use crate::factorization::Factorization;
+use crate::fault::{FaultAction, FaultClock, FaultKind};
+use crate::pool::{ExtractedJob, JobSink, PoolOutcome, PoolSource};
+use crate::sync::{pin_current_thread, Mutex};
+use crate::threaded::{apply_left_swaps, host_topology, ItemState, KernelSet, ThreadStats};
+
+/// How long a parked worker sleeps between wakeup checks: long enough
+/// to cost nothing, short enough that a lost notification is harmless.
+const IDLE_TICK: Duration = Duration::from_millis(1);
+
+/// The tiled storage of one job under the configured [`Layout`] — the
+/// one place a layout becomes a type. `build` picks the variant; the
+/// [`TileStorage`] impl forwards to it.
+pub(crate) enum PoolStorage {
+    Cm(CmTiles),
+    Bcl(BclMatrix),
+    Tlb(TlbMatrix),
+}
+
+impl PoolStorage {
+    fn build(a: &DenseMatrix, layout: Layout, b: usize, grid: ProcessGrid) -> Self {
+        match layout {
+            Layout::ColumnMajor => PoolStorage::Cm(CmTiles::from_dense(a, b)),
+            Layout::BlockCyclic => PoolStorage::Bcl(BclMatrix::from_dense(a, b, grid)),
+            Layout::TwoLevelBlock => PoolStorage::Tlb(TlbMatrix::from_dense(a, b, grid)),
+        }
+    }
+}
+
+macro_rules! forward {
+    ($self:expr, $s:ident => $body:expr) => {
+        match $self {
+            PoolStorage::Cm($s) => $body,
+            PoolStorage::Bcl($s) => $body,
+            PoolStorage::Tlb($s) => $body,
+        }
+    };
+}
+
+impl TileStorage for PoolStorage {
+    fn tiling(&self) -> Tiling {
+        forward!(self, s => s.tiling())
+    }
+    fn layout(&self) -> Layout {
+        forward!(self, s => s.layout())
+    }
+    fn grid(&self) -> ProcessGrid {
+        forward!(self, s => s.grid())
+    }
+    #[inline]
+    fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
+        forward!(self, s => s.tile_loc(ti, tj))
+    }
+    fn buffer(&self) -> &[f64] {
+        forward!(self, s => s.buffer())
+    }
+    #[inline]
+    fn buffer_mut(&mut self) -> &mut [f64] {
+        forward!(self, s => s.buffer_mut())
+    }
+    fn to_dense(&self) -> DenseMatrix {
+        forward!(self, s => s.to_dense())
+    }
+}
+
+/// What one job factors: dense data borrowed from a scoped caller, or
+/// an owned [`PoolSource`] (moved-in dense data or a seeded generator
+/// materialized lazily on the claiming worker).
+#[derive(Clone)]
+pub(crate) enum Source<'a> {
+    Borrowed(&'a DenseMatrix),
+    Owned(PoolSource),
+}
+
+impl<'a> Source<'a> {
+    fn dims(&self) -> (usize, usize) {
+        match self {
+            Source::Borrowed(a) => (a.rows(), a.cols()),
+            Source::Owned(p) => p.dims(),
+        }
+    }
+
+    fn materialize(self) -> Cow<'a, DenseMatrix> {
+        match self {
+            Source::Borrowed(a) => Cow::Borrowed(a),
+            Source::Owned(p) => Cow::Owned(p.materialize()),
+        }
+    }
+
+    fn into_owned(self) -> PoolSource {
+        match self {
+            Source::Borrowed(a) => PoolSource::Dense(a.clone()),
+            Source::Owned(p) => p,
+        }
+    }
+}
+
+/// A job waiting in the lanes.
+struct Job<'a> {
+    id: u64,
+    kernels: KernelSet,
+    source: Source<'a>,
+    sink: Box<dyn JobSink>,
+}
+
+/// Map a task kind onto its timeline span kind.
+fn span_kind(g: &TaskGraph, t: TaskId) -> SpanKind {
+    match g.kind(t).paper_kind() {
+        PaperKind::P => SpanKind::Panel,
+        PaperKind::L => SpanKind::LFactor,
+        PaperKind::U => SpanKind::UFactor,
+        PaperKind::S => SpanKind::Update,
+    }
+}
+
+/// Best-effort panic payload → job error. `panic!` carries a `&str` or
+/// a formatted `String`; anything else keeps only the fact.
+fn panic_error(payload: Box<dyn std::any::Any + Send>) -> CaluError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into());
+    CaluError::TaskPanic(msg)
+}
+
+fn injected_panic(me: usize) -> ! {
+    panic!("injected kernel panic on worker {me} (fault plan)")
+}
+
+/// What one worker recorded about one job: engine-clock spans and
+/// queue accounting.
+#[derive(Default)]
+struct WorkerLog {
+    spans: Vec<TaskSpan>,
+    stats: ThreadStats,
+}
+
+/// One worker's log of one run. Only that worker locks it while the run
+/// is live (the finisher collects every slot once all tasks are done),
+/// so the lock never contends; the alignment keeps neighbouring
+/// workers' lock words off each other's cache lines.
+#[repr(align(128))]
+#[derive(Default)]
+struct Slot(Mutex<WorkerLog>);
+
+/// One co-operative (large) job in flight. Runs are shared by `Arc`
+/// between the engine's active list, the workers' snapshots of it and
+/// whichever workers are mid-task, which is why results are extracted
+/// by reference (`finish_by_ref`/`storage_ref`) instead of by value.
+struct Run {
+    /// The job id — the key `fail_active`/`progress_of` find this run
+    /// by (the watchdog's handle on a running job).
+    id: u64,
+    item: ItemState<PoolStorage>,
+    queues: ReadyQueues,
+    slots: Vec<Slot>,
+    sink: Mutex<Option<Box<dyn JobSink>>>,
+    /// The input, kept only when the engine verifies results.
+    a: Option<DenseMatrix>,
+    /// First finisher (or failer) wins; everyone else moves on.
+    finishing: AtomicBool,
+    /// `active` is kept sorted by `(class_rank, seq)` so workers serve
+    /// higher-class runs first.
+    class_rank: usize,
+    seq: u64,
+}
+
+impl Run {
+    /// Queue freshly enabled tasks: static ones on their block-cyclic
+    /// owner's heap, the rest in the dynamic section on `home`'s side.
+    /// The batch goes in *descending* key order (least critical first):
+    /// the heaps don't care, and a lock-free owner's LIFO pop then
+    /// serves the batch most-critical first while a FIFO thief takes
+    /// its least critical leftover — the victim keeps its critical-path
+    /// work. `home` maps a batch index to the dynamic home.
+    fn push_ready(&self, ready: &mut [TaskId], home: impl Fn(usize) -> usize) {
+        let item = &self.item;
+        if ready.len() > 1 {
+            ready.sort_unstable_by_key(|&t| Reverse(item.dynamic_key(t)));
+        }
+        for (i, &t) in ready.iter().enumerate() {
+            let dynamic_key = item.dynamic_key(t);
+            if item.is_static(t) {
+                let owner = item.owners.owner(t);
+                self.queues
+                    .push_static(t.0, owner, item.static_key(t), dynamic_key, home(i));
+            } else {
+                self.queues.push_dynamic(t.0, dynamic_key, home(i));
+            }
+        }
+    }
+
+    fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
+        self.slots[me].0.lock()
+    }
+}
+
+struct State<'a> {
+    lanes: ClassLanes<Job<'a>>,
+    /// In-flight co-operative runs, sorted by `(class_rank, seq)`.
+    active: Vec<Arc<Run>>,
+    /// Workers that no longer take static work: lost, or persistently
+    /// slow (pre-marked, so their block-cyclic share rides the dynamic
+    /// section from the first panel). Written and read under this
+    /// state's lock — see `publish` for why that closes the race
+    /// between a dying worker and a run being published.
+    degraded: Vec<bool>,
+    /// Claimed-but-unfinished jobs (small and large).
+    in_flight: usize,
+    draining: bool,
+    /// A panic escaped a worker's catch-unwind perimeter (e.g. inside a
+    /// sink callback): the engine is dead; `wait_idle` fails fast
+    /// instead of waiting for jobs that will never finish.
+    poisoned: bool,
+    /// `Some` on a scoped engine: drained runs wait here for the
+    /// calling thread to extract their results (see `drain_scoped`).
+    parked: Option<Vec<Arc<Run>>>,
+    workers_started: usize,
+    /// Latest moment (engine clock) a worker entered its loop.
+    spawn_secs: f64,
+    next_seq: u64,
+}
+
+/// See the module docs.
+pub(crate) struct Engine<'a> {
+    cfg: CaluConfig,
+    grid: ProcessGrid,
+    leaf_stride: usize,
+    verify: bool,
+    epoch: Instant,
+    /// `cfg.fault` is armed; the no-fault hot path never pays more than
+    /// this flag's check.
+    armed: bool,
+    /// Workers that exited after an injected loss.
+    lost_workers: AtomicUsize,
+    /// Static tasks republished into dynamic sections, over every
+    /// retired run.
+    rescued: AtomicU64,
+    state: Mutex<State<'a>>,
+    /// Bumped (under the state lock) whenever `active` changes; workers
+    /// compare it against their snapshot's instead of locking per task.
+    run_epoch: AtomicU64,
+    /// `lanes.len()`, mirrored so workers check for queued jobs without
+    /// the state lock.
+    queued_jobs: AtomicUsize,
+    /// Signalled when work may be available: submit, run publish, job
+    /// end.
+    work: Condvar,
+    /// Signalled when the engine may have gone idle (job ended, worker
+    /// started or retired) — what `wait_idle`/`wait_started` wait on.
+    idle: Condvar,
+}
+
+impl<'a> Engine<'a> {
+    /// Validate `cfg` and build an idle engine. `verify` makes every
+    /// job compute a residual (and, for LU, a growth factor) against
+    /// its input; `starvation_limit` bounds how many higher-class
+    /// claims may pass over a waiting lower-class job.
+    pub(crate) fn new(
+        cfg: CaluConfig,
+        verify: bool,
+        starvation_limit: usize,
+    ) -> Result<Self, CaluError> {
+        let grid = cfg.validate()?;
+        let mut degraded = vec![false; cfg.threads];
+        for wf in cfg.fault.faults() {
+            if matches!(wf.kind, FaultKind::Slow { .. }) {
+                degraded[wf.worker] = true;
+            }
+        }
+        Ok(Engine {
+            grid,
+            leaf_stride: cfg.leaf_stride.unwrap_or_else(|| grid.pr()),
+            verify,
+            epoch: Instant::now(),
+            armed: !cfg.fault.is_off(),
+            lost_workers: AtomicUsize::new(0),
+            rescued: AtomicU64::new(0),
+            state: Mutex::new(State {
+                lanes: ClassLanes::new(starvation_limit),
+                active: Vec::new(),
+                degraded,
+                in_flight: 0,
+                draining: false,
+                poisoned: false,
+                parked: None,
+                workers_started: 0,
+                spawn_secs: 0.0,
+                next_seq: 0,
+            }),
+            run_epoch: AtomicU64::new(0),
+            queued_jobs: AtomicUsize::new(0),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            cfg,
+        })
+    }
+
+    pub(crate) fn threads(&self) -> usize {
+        self.cfg.threads
+    }
+
+    pub(crate) fn config(&self) -> &CaluConfig {
+        &self.cfg
+    }
+
+    /// Enqueue a job. After `close` the job is refused and the sink is
+    /// handed back **uncalled**: callers may hold their own locks
+    /// across `submit` (the service holds its admission lock so drain
+    /// cannot slip between its check and ours), and a synchronous sink
+    /// callback here could re-enter them — the caller decides how to
+    /// fail the job.
+    pub(crate) fn submit(
+        &self,
+        id: u64,
+        class: JobClass,
+        kernels: KernelSet,
+        source: Source<'a>,
+        sink: Box<dyn JobSink>,
+    ) -> Result<(), Box<dyn JobSink>> {
+        let mut st = self.state.lock();
+        if st.draining {
+            return Err(sink);
+        }
+        st.lanes.push(
+            class,
+            Job {
+                id,
+                kernels,
+                source,
+                sink,
+            },
+        );
+        self.queued_jobs.store(st.lanes.len(), Ordering::Release);
+        drop(st);
+        self.work.notify_all();
+        Ok(())
+    }
+
+    /// Remove a still-queued job, returning its sink uncalled.
+    pub(crate) fn cancel(&self, id: u64) -> Option<Box<dyn JobSink>> {
+        let mut st = self.state.lock();
+        let removed = st.lanes.remove_where(|j| j.id == id);
+        self.queued_jobs.store(st.lanes.len(), Ordering::Release);
+        removed.map(|(_, job)| job.sink)
+    }
+
+    /// Stop admission and hand back every queued-but-unclaimed job.
+    pub(crate) fn extract_queued(&self) -> Vec<ExtractedJob> {
+        let jobs = {
+            let mut st = self.state.lock();
+            // stop admission first, under the same lock the pop runs
+            // under: nothing can slip into the lanes after the sweep,
+            // so the handover is exact — every unclaimed job leaves
+            // here, every claimed one finishes on this engine's workers
+            st.draining = true;
+            let mut jobs = Vec::with_capacity(st.lanes.len());
+            while let Some((class, j)) = st.lanes.pop() {
+                jobs.push(ExtractedJob {
+                    id: j.id,
+                    class,
+                    kernels: j.kernels,
+                    source: j.source.into_owned(),
+                    sink: j.sink,
+                });
+            }
+            self.queued_jobs.store(0, Ordering::Release);
+            jobs
+        };
+        self.work.notify_all();
+        self.idle.notify_all();
+        jobs
+    }
+
+    /// Stop admitting: workers leave once nothing is queued or in
+    /// flight.
+    pub(crate) fn close(&self) {
+        self.state.lock().draining = true;
+        self.work.notify_all();
+    }
+
+    /// Finish everything queued on scoped threads: close, run the
+    /// worker loop on `threads` borrowed threads, return when the last
+    /// one left. Jobs may borrow from the caller's stack.
+    ///
+    /// The calling thread outlives those workers and consumes the
+    /// results, so the big buffers are its to allocate: it builds every
+    /// large job's run before lending threads and extracts their
+    /// factors after the last worker left. (A short-lived thread's
+    /// allocator arena hands freed pages back to the OS, so tile
+    /// storage built and dropped there is page-faulted in afresh on
+    /// every call — a fifth of the wall time of a 1024² factorization
+    /// at b = 16.) Small jobs stay worker-local end to end.
+    ///
+    /// Returns the seconds until the last worker entered its loop — the
+    /// one-off spawn cost.
+    pub(crate) fn drain_scoped(&self) -> f64 {
+        self.close();
+        self.state.lock().parked = Some(Vec::new());
+        while let Some((class, seq, job)) = self.claim(true) {
+            self.start_run(class, seq, job, 0, false);
+        }
+        let spawn_from = self.now();
+        std::thread::scope(|scope| {
+            for me in 0..self.threads() {
+                scope.spawn(move || self.worker_loop(me));
+            }
+        });
+        let (parked, started) = {
+            let mut st = self.state.lock();
+            (st.parked.take(), st.spawn_secs)
+        };
+        for run in parked.expect("parking was switched on above") {
+            self.deliver(&run);
+        }
+        started - spawn_from
+    }
+
+    /// Block until `done(state)`, re-checking on every `idle` signal
+    /// (and every tick, in case one was lost).
+    fn wait_until(
+        &self,
+        done: impl Fn(&State<'a>) -> bool,
+    ) -> std::sync::MutexGuard<'_, State<'a>> {
+        let mut st = self.state.lock();
+        while !done(&st) {
+            st = self
+                .idle
+                .wait_timeout(st, IDLE_TICK)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        st
+    }
+
+    /// Block until every worker entered its loop; returns the seconds
+    /// (engine clock) the last one took — the one-off spawn cost.
+    pub(crate) fn wait_started(&self) -> f64 {
+        let threads = self.threads();
+        self.wait_until(|st| st.workers_started >= threads)
+            .spawn_secs
+    }
+
+    /// Block until nothing is queued or in flight (or the engine is
+    /// poisoned and never will be).
+    pub(crate) fn wait_idle(&self) {
+        drop(self.wait_until(|st| st.poisoned || st.lanes.is_empty() && st.in_flight == 0));
+    }
+
+    pub(crate) fn queued(&self) -> usize {
+        self.state.lock().lanes.len()
+    }
+
+    pub(crate) fn queued_in(&self, class: JobClass) -> usize {
+        self.state.lock().lanes.len_in(class)
+    }
+
+    pub(crate) fn in_flight(&self) -> usize {
+        self.state.lock().in_flight
+    }
+
+    fn active_run(&self, id: u64) -> Option<Arc<Run>> {
+        self.state
+            .lock()
+            .active
+            .iter()
+            .find(|r| r.id == id)
+            .cloned()
+    }
+
+    /// Fail the active run with job id `id`; `false` when none carries
+    /// it or a concurrent normal finish won the race.
+    pub(crate) fn fail_active(&self, id: u64, err: CaluError) -> bool {
+        self.active_run(id)
+            .is_some_and(|run| self.fail_run(&run, err))
+    }
+
+    /// Tasks retired so far by the active run with job id `id`.
+    pub(crate) fn progress_of(&self, id: u64) -> Option<u64> {
+        self.active_run(id)
+            .map(|run| run.item.done.load(Ordering::Acquire) as u64)
+    }
+
+    pub(crate) fn lost_workers(&self) -> usize {
+        self.lost_workers.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn rescued_tasks(&self) -> u64 {
+        self.rescued.load(Ordering::Acquire)
+    }
+
+    fn now(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Serve a fault-plan stall; when it hit in the middle of `run`,
+    /// it shows in that run's timeline as noise.
+    fn stall(&self, d: Duration, me: usize, run: Option<&Run>) {
+        let start = self.now();
+        std::thread::sleep(d);
+        if let Some(run) = run {
+            run.log(me).spans.push(TaskSpan {
+                core: me,
+                start,
+                end: self.now(),
+                kind: SpanKind::Noise,
+            });
+        }
+    }
+
+    /// Shape one finished job's raw pieces into its [`PoolOutcome`]:
+    /// spans shifted so the job's first task starts at 0, tiles
+    /// densified (after the logs are folded and freed, to keep the peak
+    /// footprint down), deferred left swaps, optional verification
+    /// against `a`.
+    #[allow(clippy::too_many_arguments)]
+    fn outcome(
+        &self,
+        g: &TaskGraph,
+        tiles: &PoolStorage,
+        perm: RowPerm,
+        singular_at: Option<usize>,
+        logs: Vec<WorkerLog>,
+        a: Option<&DenseMatrix>,
+        co_scheduled: bool,
+    ) -> PoolOutcome {
+        let t_start = logs
+            .iter()
+            .flat_map(|l| &l.spans)
+            .map(|s| s.start)
+            .fold(f64::INFINITY, f64::min);
+        let mut timeline = Timeline::new(self.threads());
+        let mut stats = Vec::with_capacity(self.threads());
+        for log in logs {
+            for s in log.spans {
+                timeline.push(TaskSpan {
+                    start: s.start - t_start,
+                    end: s.end - t_start,
+                    ..s
+                });
+            }
+            stats.push(log.stats);
+        }
+        let mut lu = tiles.to_dense();
+        apply_left_swaps(&mut lu, g, &perm, self.cfg.b);
+        let factorization = Factorization {
+            lu,
+            perm,
+            singular_at,
+        };
+        let kernels = KernelSet::for_graph(g);
+        // each kernel set's own residual, plus element growth for
+        // pivoted LU only (Cholesky does not pivot, so the figure is
+        // meaningless there)
+        let (residual, growth_factor) = match (a, kernels) {
+            (None, _) => (None, None),
+            (Some(a), KernelSet::CaluLu) => (
+                Some(factorization.residual(a)),
+                Some(factorization.growth_factor(a)),
+            ),
+            (Some(a), KernelSet::Cholesky) => (Some(factorization.cholesky_residual(a)), None),
+        };
+        PoolOutcome {
+            factorization,
+            kernels,
+            makespan: timeline.makespan(),
+            timeline,
+            stats,
+            co_scheduled,
+            queue: self.cfg.queue,
+            dims: (g.rows(), g.cols()),
+            residual,
+            growth_factor,
+        }
+    }
+
+    /// One claimed job reached a terminal state: release its in-flight
+    /// slot and wake whoever waits for the engine to go idle — parked
+    /// workers included, once a draining engine has nothing left for
+    /// them to wait for.
+    fn job_ended(&self) {
+        let last = {
+            let mut st = self.state.lock();
+            st.in_flight -= 1;
+            st.draining && st.in_flight == 0
+        };
+        self.idle.notify_all();
+        if last {
+            self.work.notify_all();
+        }
+    }
+
+    /// Deliver a terminal result, with no engine lock held: sinks may
+    /// take service locks.
+    fn end_job(&self, sink: Box<dyn JobSink>, res: Result<PoolOutcome, CaluError>) {
+        sink.finished(res);
+        self.job_ended();
+    }
+
+    /// Take `run` off the active list (workers stop pulling from it at
+    /// their next epoch check) and fold its rescue count into the
+    /// engine's.
+    fn retire(&self, run: &Arc<Run>) {
+        {
+            let mut st = self.state.lock();
+            st.active.retain(|r| !Arc::ptr_eq(r, run));
+            self.run_epoch.fetch_add(1, Ordering::Release);
+        }
+        let rescued: u64 = (0..self.threads()).map(|w| run.queues.rescued(w)).sum();
+        self.rescued.fetch_add(rescued, Ordering::AcqRel);
+    }
+
+    /// A task body panicked (or the watchdog condemned the run): fail
+    /// the whole run, once (`finishing` arbitrates against a concurrent
+    /// normal finish — `false` means that race was lost and the run
+    /// finished normally). Peers already executing one of its tasks may
+    /// finish or panic harmlessly — the sink is gone and `done` can no
+    /// longer trigger `finish_run`.
+    fn fail_run(&self, run: &Arc<Run>, err: CaluError) -> bool {
+        if run.finishing.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        self.retire(run);
+        let sink = run.sink.lock().take().expect("run finishes once");
+        self.end_job(sink, Err(err));
+        true
+    }
+
+    /// Every task of `run` is done: retire it and deliver its results —
+    /// or, on a scoped engine, park it for the calling thread to
+    /// deliver. Called by exactly one worker (the `finishing` flag).
+    fn finish_run(&self, run: &Arc<Run>) {
+        self.retire(run);
+        let parked = match &mut self.state.lock().parked {
+            Some(parked) => {
+                parked.push(Arc::clone(run));
+                true
+            }
+            None => false,
+        };
+        if !parked {
+            self.deliver(run);
+        }
+        self.job_ended();
+    }
+
+    /// Extract a drained run's results and hand them to its sink.
+    fn deliver(&self, run: &Run) {
+        let (perm, singular_at) = run.item.finish_by_ref();
+        let logs = (0..self.threads())
+            .map(|w| {
+                let mut log = std::mem::take(&mut *run.log(w));
+                log.stats.rescued = run.queues.rescued(w);
+                log
+            })
+            .collect();
+        // SAFETY: done == total was observed through the AcqRel counter
+        // every completion bumps, so every task body's writes are
+        // visible and no worker holds a tile pointer into this run.
+        let tiles = unsafe { run.item.storage_ref() };
+        let out = self.outcome(
+            &run.item.g,
+            tiles,
+            perm,
+            singular_at,
+            logs,
+            run.a.as_ref(),
+            false,
+        );
+        let sink = run.sink.lock().take().expect("run finishes once");
+        sink.finished(Ok(out));
+    }
+
+    /// Execute one co-operative task and queue its successors; the
+    /// worker whose completion retires the run's last task finishes it.
+    /// The body runs under `catch_unwind`: a panicking kernel fails its
+    /// own job instead of killing the worker (which would strand the
+    /// in-flight count and hang drain and the job's waiter).
+    #[allow(clippy::too_many_arguments)]
+    fn run_task(
+        &self,
+        run: &Arc<Run>,
+        t: TaskId,
+        source: QueueSource,
+        me: usize,
+        scratch: &mut GemmScratch,
+        ready_buf: &mut Vec<TaskId>,
+        clock: &mut FaultClock,
+        inject_panic: bool,
+    ) {
+        let start = self.now();
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                injected_panic(me);
+            }
+            run.item.execute(t, scratch)
+        })) {
+            self.fail_run(run, panic_error(p));
+            return;
+        }
+        let end = self.now();
+        {
+            let mut log = run.log(me);
+            log.spans.push(TaskSpan {
+                core: me,
+                start,
+                end,
+                kind: span_kind(&run.item.g, t),
+            });
+            log.stats.count(source);
+        }
+        let done = run.item.complete_into(t, ready_buf);
+        run.push_ready(ready_buf, |_| me);
+        if done == run.item.g.len() && !run.finishing.swap(true, Ordering::AcqRel) {
+            self.finish_run(run);
+        }
+        if self.armed {
+            // duty-cycle slowdown: stall in proportion to the task just
+            // run, like the sim's noise model stretches compute
+            if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
+                self.stall(d, me, Some(run));
+            }
+        }
+    }
+
+    /// Claim the next queued job — or, with `large_only`, the next one
+    /// the co-schedule predicate routes to the whole pool.
+    fn claim(&self, large_only: bool) -> Option<(JobClass, u64, Job<'a>)> {
+        let mut st = self.state.lock();
+        let (class, job) = if large_only {
+            st.lanes
+                .remove_where(|j| !self.cfg.co_schedules(j.source.dims()))?
+        } else {
+            st.lanes.pop()?
+        };
+        self.queued_jobs.store(st.lanes.len(), Ordering::Release);
+        st.in_flight += 1;
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        Some((class, seq, job))
+    }
+
+    /// Materialize a claimed job's input and build its execution state.
+    /// Runs under `catch_unwind`, like task bodies: a panicking build
+    /// fails its own job instead of killing the worker.
+    fn build(
+        &self,
+        kernels: KernelSet,
+        source: Source<'a>,
+        me: usize,
+        inject_panic: bool,
+    ) -> Result<(ItemState<PoolStorage>, Cow<'a, DenseMatrix>), CaluError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                injected_panic(me);
+            }
+            let (m, n) = source.dims();
+            let a = source.materialize();
+            let g = Arc::new(kernels.build_graph(m, n, self.cfg.b, self.leaf_stride)?);
+            let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
+            let tiles = PoolStorage::build(&a, self.cfg.layout, self.cfg.b, self.grid);
+            Ok((ItemState::new(tiles, g, self.grid, nstatic), a))
+        }))
+        .unwrap_or_else(|p| Err(panic_error(p)))
+    }
+
+    /// Run one claimed job: a small one completes entirely on this
+    /// worker, a large one is published as a [`Run`] for every worker.
+    ///
+    /// Returns `false` when an injected worker loss fired mid-way
+    /// through a co-scheduled item: the whole item has been requeued
+    /// (its claim was atomic, so redoing it from the source is exact)
+    /// and the calling worker must retire.
+    #[allow(clippy::too_many_arguments)]
+    fn start_job(
+        &self,
+        class: JobClass,
+        seq: u64,
+        job: Job<'a>,
+        me: usize,
+        scratch: &mut GemmScratch,
+        clock: &mut FaultClock,
+        inject_panic: bool,
+    ) -> bool {
+        if !self.cfg.co_schedules(job.source.dims()) {
+            self.start_run(class, seq, job, me, inject_panic);
+            return true;
+        }
+        let Job {
+            id,
+            kernels,
+            source,
+            sink,
+        } = job;
+        sink.started();
+        // a mid-item worker loss has no partial-state recovery path:
+        // keep the source so the whole item can be requeued
+        let backup = self.armed.then(|| source.clone());
+        let res = self
+            .build(kernels, source, me, inject_panic)
+            .and_then(|(item, a)| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    self.run_small(item, a, me, scratch, clock)
+                }))
+                .map_err(panic_error)
+            });
+        match res {
+            Ok(Some(out)) => self.end_job(sink, Ok(out)),
+            Ok(None) => {
+                // worker lost mid-item: discard the partial state and
+                // put the whole job back in its lane for a surviving
+                // worker; the sink stays attached (its `started` is
+                // idempotent on the service side)
+                let job = Job {
+                    id,
+                    kernels,
+                    source: backup.expect("interrupts need an armed fault plan"),
+                    sink,
+                };
+                let mut st = self.state.lock();
+                st.lanes.push(class, job);
+                self.queued_jobs.store(st.lanes.len(), Ordering::Release);
+                st.in_flight -= 1;
+                drop(st);
+                self.work.notify_all();
+                return false;
+            }
+            Err(e) => self.end_job(sink, Err(e)),
+        }
+        true
+    }
+
+    /// The co-operative (large) route: build the job's [`Run`] and
+    /// publish it.
+    fn start_run(&self, class: JobClass, seq: u64, job: Job<'a>, me: usize, inject_panic: bool) {
+        job.sink.started();
+        let (item, a) = match self.build(job.kernels, job.source, me, inject_panic) {
+            Ok(built) => built,
+            Err(e) => return self.end_job(job.sink, Err(e)),
+        };
+        let threads = self.threads();
+        // the dynamic section holds the non-static tasks — plus, once a
+        // fault plan can degrade a worker, any rescued static one
+        let dynamic_tasks = if self.armed {
+            item.g.len()
+        } else {
+            item.g.ids().filter(|&t| !item.is_static(t)).count()
+        };
+        let run = Arc::new(Run {
+            id: job.id,
+            queues: ReadyQueues::new(
+                threads,
+                dynamic_tasks,
+                self.cfg.queue,
+                self.cfg.steal_order,
+                host_topology(),
+            ),
+            slots: (0..threads).map(|_| Slot::default()).collect(),
+            sink: Mutex::new(Some(job.sink)),
+            // only a verifying engine keeps the input past the tile
+            // build (a borrowed one is never copied otherwise)
+            a: self.verify.then(|| a.into_owned()),
+            finishing: AtomicBool::new(false),
+            class_rank: class.lane(),
+            seq,
+            item,
+        });
+        self.publish(&run);
+    }
+
+    /// Make `run` visible to every worker. Under one hold of the state
+    /// lock: copy the engine's degraded set into the run's queues,
+    /// scatter the initially ready tasks round-robin (no worker has
+    /// "enabled" them yet), insert the run. A worker retiring
+    /// concurrently flags itself and snapshots `active` under the same
+    /// lock, so either this run is in its snapshot (its heap there gets
+    /// drained) or the flag was copied before the first push (every
+    /// push reroutes). Scattering before the insert also keeps the
+    /// lock-free deques single-owner: nobody can pop them yet.
+    fn publish(&self, run: &Arc<Run>) {
+        let mut initial = run.item.g.initial_ready();
+        {
+            let mut st = self.state.lock();
+            for w in (0..self.threads()).filter(|&w| st.degraded[w]) {
+                run.queues.mark_degraded(w);
+            }
+            run.push_ready(&mut initial, |i| i);
+            let key = (run.class_rank, run.seq);
+            let pos = st.active.partition_point(|r| (r.class_rank, r.seq) <= key);
+            st.active.insert(pos, Arc::clone(run));
+            self.run_epoch.fetch_add(1, Ordering::Release);
+        }
+        self.work.notify_all();
+    }
+
+    /// The co-scheduled (small) route: drain the whole DAG on this
+    /// worker — no queues, no cross-worker contention; the DAG and
+    /// kernels are identical to the co-operative path, so the bits are
+    /// too. Keeping the item's whole lifecycle worker-local means the
+    /// allocator hands consecutive items the same hot memory and the
+    /// footprint stays at "items in flight", not "items queued".
+    ///
+    /// Under an armed fault plan this worker's [`FaultClock`] ticks per
+    /// task (stalls and slowdowns sleep in place; an injected panic
+    /// unwinds into the caller's perimeter) and a fired loss abandons
+    /// the item, returning `None` so the caller can requeue it whole.
+    fn run_small(
+        &self,
+        item: ItemState<PoolStorage>,
+        a: Cow<'_, DenseMatrix>,
+        me: usize,
+        scratch: &mut GemmScratch,
+        clock: &mut FaultClock,
+    ) -> Option<PoolOutcome> {
+        let a = self.verify.then_some(a); // else: free a generator fill early
+        let mut log = WorkerLog::default();
+        let mut stack = item.g.initial_ready();
+        // descending key order so `pop` serves the smallest (most
+        // critical) key first; freshly enabled successors are re-sorted
+        // the same way
+        let by_key = |t: &TaskId| Reverse(item.dynamic_key(*t));
+        stack.sort_unstable_by_key(by_key);
+        let mut buf: Vec<TaskId> = Vec::new();
+        while let Some(t) = stack.pop() {
+            if self.armed {
+                match clock.before_task() {
+                    FaultAction::None => {}
+                    FaultAction::Stall(d) => std::thread::sleep(d),
+                    FaultAction::Lose => return None,
+                    FaultAction::Panic => injected_panic(me),
+                }
+            }
+            let start = self.now();
+            item.execute(t, scratch);
+            let end = self.now();
+            log.spans.push(TaskSpan {
+                core: me,
+                start,
+                end,
+                kind: span_kind(&item.g, t),
+            });
+            log.stats.local_pops += 1;
+            item.complete_into(t, &mut buf);
+            if buf.len() > 1 {
+                buf.sort_unstable_by_key(by_key);
+            }
+            stack.extend(buf.iter().copied());
+            if self.armed {
+                if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
+                    std::thread::sleep(d);
+                }
+            }
+        }
+        debug_assert_eq!(item.done.load(Ordering::Acquire), item.g.len());
+        let g = Arc::clone(&item.g);
+        let (tiles, perm, singular_at) = item.finish();
+        let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::default()).collect();
+        logs[me] = log;
+        Some(self.outcome(&g, &tiles, perm, singular_at, logs, a.as_deref(), true))
+    }
+
+    /// An injected loss fired on worker `me`: mark it degraded so
+    /// future static assignments reroute at publish time, republish
+    /// every static task queued to it across all active runs into those
+    /// runs' dynamic sections (rescue), and count the loss. The caller
+    /// returns from the worker loop afterwards — `PanicGuard` does not
+    /// poison a clean exit, so the engine keeps serving with one worker
+    /// fewer.
+    fn retire_worker(&self, me: usize) {
+        let runs: Vec<Arc<Run>> = {
+            // flag and snapshot under one state lock — see `publish`
+            let mut st = self.state.lock();
+            st.degraded[me] = true;
+            st.active.clone()
+        };
+        self.lost_workers.fetch_add(1, Ordering::AcqRel);
+        for run in runs {
+            run.queues
+                .drain_static(me, |t| run.item.dynamic_key(TaskId(t)));
+            run.log(me).stats.lost = true;
+        }
+        self.work.notify_all();
+        self.idle.notify_all();
+    }
+
+    /// The worker loop — see the module docs for the order and why.
+    pub(crate) fn worker_loop(&self, me: usize) {
+        // topology-aware pinning: worker `me` onto the CPU the detected
+        // topology maps it to — best effort, a refusal (sandbox,
+        // cgroup) leaves the worker floating
+        if self.cfg.pin_workers {
+            pin_current_thread(host_topology().cpu_for_worker(me));
+        }
+        let _guard = PanicGuard(self);
+        // per-worker packing arena, sized once from the tile dimension
+        // and reused by every kernel this worker runs — the task loop
+        // performs no GEMM-path allocation
+        let b = self.cfg.b;
+        let mut scratch = GemmScratch::sized_for(b, b, b);
+        let mut ready_buf: Vec<TaskId> = Vec::new();
+        // per-worker victim-selection stream: SplitMix64 seeding
+        // decorrelates the nearby seeds, so workers sweep victims in
+        // unrelated orders
+        let seed = self.cfg.queue.seed().unwrap_or(0);
+        let mut rng = Rng::seed_from_u64(seed.wrapping_add(me as u64));
+        let mut clock = if self.armed {
+            FaultClock::new(&self.cfg.fault, me)
+        } else {
+            FaultClock::disarmed()
+        };
+        // an injected panic latches until the next piece of work, where
+        // it unwinds inside that job's containment perimeter
+        let mut panic_pending = false;
+        let mut runs: Vec<Arc<Run>> = Vec::new();
+        let mut seen_epoch = 0u64;
+        let mut idle_spins = 0u32;
+        {
+            let mut st = self.state.lock();
+            st.workers_started += 1;
+            st.spawn_secs = st.spawn_secs.max(self.now());
+        }
+        self.idle.notify_all();
+        loop {
+            if self.armed {
+                match clock.before_task() {
+                    FaultAction::None => {}
+                    FaultAction::Stall(d) => self.stall(d, me, runs.first().map(Arc::as_ref)),
+                    FaultAction::Lose => {
+                        self.retire_worker(me);
+                        return;
+                    }
+                    FaultAction::Panic => panic_pending = true,
+                }
+            }
+            if self.run_epoch.load(Ordering::Acquire) != seen_epoch {
+                let st = self.state.lock();
+                runs.clone_from(&st.active);
+                seen_epoch = self.run_epoch.load(Ordering::Acquire);
+            }
+            let mut work = runs
+                .iter()
+                .find_map(|run| run.queues.pop_own(me).map(|(t, src)| (run, t, src)));
+            if work.is_none() && self.queued_jobs.load(Ordering::Acquire) > 0 {
+                if let Some((class, seq, job)) = self.claim(false) {
+                    idle_spins = 0;
+                    let inject = std::mem::take(&mut panic_pending);
+                    if !self.start_job(class, seq, job, me, &mut scratch, &mut clock, inject) {
+                        // a loss fired mid-way through a co-scheduled
+                        // item; the item is already back in its lane
+                        self.retire_worker(me);
+                        return;
+                    }
+                    continue;
+                }
+            }
+            if work.is_none() {
+                work = runs.iter().find_map(|run| {
+                    let mut failed = 0u64;
+                    let hit = run.queues.steal(me, &mut rng, &mut failed);
+                    if failed > 0 {
+                        run.log(me).stats.failed_steals += failed;
+                    }
+                    hit.map(|(t, src)| (run, t, src))
+                });
+            }
+            if let Some((run, t, source)) = work {
+                idle_spins = 0;
+                let inject = std::mem::take(&mut panic_pending);
+                self.run_task(
+                    run,
+                    TaskId(t),
+                    source,
+                    me,
+                    &mut scratch,
+                    &mut ready_buf,
+                    &mut clock,
+                    inject,
+                );
+                continue;
+            }
+            if !runs.is_empty() {
+                // a run is live: its next ready task is a kernel away
+                idle_spins += 1;
+                if idle_spins > 64 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                continue;
+            }
+            let st = self.state.lock();
+            if self.run_epoch.load(Ordering::Acquire) != seen_epoch || !st.lanes.is_empty() {
+                continue;
+            }
+            // Gating the exit on in_flight (not on `active`) matters: a
+            // peer that claimed a large job but has not yet published
+            // its run still holds an in-flight slot, and that run will
+            // assign static tasks to *this* worker's heap by
+            // block-cyclic ownership; leaving early would strand them.
+            // A poisoned engine's claimed jobs can never finish, so
+            // leave and let the join fail fast.
+            if st.draining && (st.in_flight == 0 || st.poisoned) {
+                return;
+            }
+            let _ = self
+                .work
+                .wait_timeout(st, IDLE_TICK)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// Belt-and-braces behind the catch-unwind perimeters: if a panic still
+/// escapes a worker (a sink callback, the outcome-shaping code), mark
+/// the engine poisoned on the way down so nobody waits for progress
+/// that will never come.
+struct PanicGuard<'e, 'a>(&'e Engine<'a>);
+
+impl Drop for PanicGuard<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().poisoned = true;
+            self.0.idle.notify_all();
+            self.0.work.notify_all();
+        }
+    }
+}
+
+/// What [`run_jobs`] hands back.
+pub(crate) struct Drained {
+    /// Per-job outcomes, in submission order.
+    pub(crate) outcomes: Vec<PoolOutcome>,
+    /// First queue → last worker gone.
+    pub(crate) wall_secs: f64,
+    /// Seconds until the last worker entered its loop.
+    pub(crate) spawn_secs: f64,
+}
+
+impl<'a> Engine<'a> {
+    /// Queue `jobs` and finish them on scoped threads. The first failed
+    /// job, in submission order, fails the call.
+    fn run_to_completion(
+        &self,
+        jobs: impl IntoIterator<Item = (KernelSet, Source<'a>)>,
+    ) -> Result<Drained, CaluError> {
+        struct Collect(usize, mpsc::Sender<(usize, Result<PoolOutcome, CaluError>)>);
+        impl JobSink for Collect {
+            fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+                let _ = self.1.send((self.0, res));
+            }
+        }
+
+        let t0 = Instant::now();
+        let (tx, rx) = mpsc::channel();
+        let mut n = 0;
+        for (kernels, source) in jobs {
+            let sink = Box::new(Collect(n, tx.clone()));
+            let admitted = self.submit(n as u64, JobClass::Batch, kernels, source, sink);
+            assert!(admitted.is_ok(), "an engine admits until closed");
+            n += 1;
+        }
+        drop(tx);
+        let spawn_secs = self.drain_scoped();
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let mut slots: Vec<Option<Result<PoolOutcome, CaluError>>> = (0..n).map(|_| None).collect();
+        for (i, res) in rx {
+            slots[i] = Some(res);
+        }
+        let outcomes = slots
+            .into_iter()
+            .map(|r| r.expect("a drained engine delivered every job"))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Drained {
+            outcomes,
+            wall_secs,
+            spawn_secs,
+        })
+    }
+}
+
+/// Run `jobs` to completion on a fresh scoped engine: the shared body
+/// of the solo entry points (one job, co-scheduling switched off by the
+/// caller's config) and `factor_batch` (N jobs).
+pub(crate) fn run_jobs<'a>(
+    cfg: CaluConfig,
+    jobs: impl IntoIterator<Item = (KernelSet, Source<'a>)>,
+) -> Result<Drained, CaluError> {
+    Engine::new(cfg, false, usize::MAX)?.run_to_completion(jobs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{factor_batch, BatchItem, BatchSource};
+    use crate::fault::FaultPlan;
+    use crate::pool::ServicePool;
+    use crate::threaded::{calu_factor_report, cholesky_factor_report};
+    use calu_matrix::gen;
+    use calu_sched::QueueDiscipline;
+
+    const DISCIPLINES: [QueueDiscipline; 3] = [
+        QueueDiscipline::Global,
+        QueueDiscipline::Sharded { seed: 5 },
+        QueueDiscipline::LockFree { seed: 5 },
+    ];
+
+    fn cfg4(queue: QueueDiscipline) -> CaluConfig {
+        CaluConfig::new(16)
+            .with_threads(4)
+            .with_dratio(0.5)
+            .with_queue(queue)
+    }
+
+    /// Every task ran on exactly one worker and came from exactly one
+    /// queue source: per worker, pops by source add up to its spans.
+    fn assert_attributed_once(tl: &Timeline, stats: &[ThreadStats], tasks: usize, ctx: &str) {
+        assert_eq!(tl.spans().len(), tasks, "one span per task, {ctx}");
+        for (w, s) in stats.iter().enumerate() {
+            let spans = tl.spans().iter().filter(|sp| sp.core == w).count() as u64;
+            assert_eq!(
+                s.local_pops + s.global_pops + s.steal_pops,
+                spans,
+                "worker {w}: one queue source per task, {ctx}"
+            );
+            assert!(s.shard_pops <= s.global_pops && s.remote_steal_pops <= s.steal_pops);
+        }
+    }
+
+    struct ChanSink(mpsc::Sender<Result<PoolOutcome, CaluError>>);
+
+    impl JobSink for ChanSink {
+        fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+            let _ = self.0.send(res);
+        }
+    }
+
+    #[test]
+    fn solo_batch_and_pool_agree_bitwise_under_every_discipline() {
+        // {solo, batch, pool} × {Global, Sharded, LockFree} × {LU,
+        // Cholesky}: one engine, so one set of bits — and one honest
+        // account of where every task came from
+        let n = 192;
+        for kernels in [KernelSet::CaluLu, KernelSet::Cholesky] {
+            let a = match kernels {
+                KernelSet::CaluLu => gen::uniform(n, n, 71),
+                KernelSet::Cholesky => gen::spd_uniform(n, 72),
+            };
+            let tasks = kernels.build_graph(n, n, 16, 2).unwrap().len();
+            let mut reference: Option<Factorization> = None;
+            for queue in DISCIPLINES {
+                let cfg = cfg4(queue).with_batch_small_cutoff(0);
+                let (solo, solo_tl, solo_stats) = match kernels {
+                    KernelSet::CaluLu => calu_factor_report(&a, &cfg).unwrap(),
+                    KernelSet::Cholesky => cholesky_factor_report(&a, &cfg).unwrap(),
+                };
+                let item = BatchItem {
+                    source: BatchSource::Dense(&a),
+                    kernels,
+                };
+                let batch = factor_batch(&[item], &cfg).unwrap().items.remove(0);
+                let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+                let (tx, rx) = mpsc::channel();
+                let admitted = pool.submit(
+                    1,
+                    JobClass::Batch,
+                    kernels,
+                    PoolSource::Dense(a.clone()),
+                    Box::new(ChanSink(tx)),
+                );
+                assert!(admitted.is_ok());
+                let served = rx.recv().unwrap().unwrap();
+                pool.drain();
+                assert!(!batch.co_scheduled && !served.co_scheduled);
+                assert_eq!(served.queue, queue, "the pool reports what it ran");
+
+                let reference = reference.get_or_insert_with(|| solo.clone());
+                for (who, f, tl, stats) in [
+                    ("solo", &solo, &solo_tl, &solo_stats),
+                    ("batch", &batch.factorization, &batch.timeline, &batch.stats),
+                    (
+                        "pool",
+                        &served.factorization,
+                        &served.timeline,
+                        &served.stats,
+                    ),
+                ] {
+                    let ctx = format!("{who} {kernels:?} {queue}");
+                    assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
+                    assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
+                    assert_attributed_once(tl, stats, tasks, &ctx);
+                    let shard: u64 = stats.iter().map(|s| s.shard_pops).sum();
+                    let steals: u64 = stats.iter().map(|s| s.steal_pops + s.failed_steals).sum();
+                    if queue.steals() {
+                        // the served job included: it used to run on a
+                        // global heap whatever the config said
+                        assert!(shard > 0, "own shard/deque pops, {ctx}");
+                    } else {
+                        assert_eq!((shard, steals), (0, 0), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lost_worker_never_changes_a_mixed_batch() {
+        // small (co-scheduled) and large (co-operative) items of both
+        // kernel sets, and worker 1 dies five tasks in: the survivors
+        // rescue its static backlog, redo any small item it died in,
+        // and the batch comes out bit for bit like the clean one
+        let lu: Vec<DenseMatrix> = [(300usize, 81u64), (64, 82), (48, 83)]
+            .iter()
+            .map(|&(n, seed)| gen::uniform(n, n, seed))
+            .collect();
+        let spd: Vec<DenseMatrix> = [(256usize, 84u64), (80, 85)]
+            .iter()
+            .map(|&(n, seed)| gen::spd_uniform(n, seed))
+            .collect();
+        let items: Vec<BatchItem<'_>> = vec![
+            BatchItem::lu(BatchSource::Dense(&lu[0])),
+            BatchItem::cholesky(BatchSource::Dense(&spd[0])),
+            BatchItem::lu(BatchSource::Dense(&lu[1])),
+            BatchItem::cholesky(BatchSource::Dense(&spd[1])),
+            BatchItem::lu(BatchSource::Dense(&lu[2])),
+        ];
+        let jobs = || {
+            items.iter().map(|it| match it.source {
+                BatchSource::Dense(a) => (it.kernels, Source::Borrowed(a)),
+                _ => unreachable!("dense items only"),
+            })
+        };
+        for queue in DISCIPLINES {
+            let cfg = cfg4(queue).with_batch_small_cutoff(100);
+            let clean = factor_batch(&items, &cfg).unwrap();
+            let plan = FaultPlan::off().with_seed(9).lose_worker(1, 5);
+            let engine = Engine::new(cfg.with_fault(plan), false, 1).unwrap();
+            let faulted = engine.run_to_completion(jobs()).unwrap();
+            assert_eq!(engine.lost_workers(), 1, "{queue}");
+            for (i, (c, f)) in clean.items.iter().zip(&faulted.outcomes).enumerate() {
+                let (c, f) = (&c.factorization, &f.factorization);
+                assert_eq!(c.lu.as_slice(), f.lu.as_slice(), "item {i}, {queue}");
+                assert_eq!(c.perm.pivots(), f.perm.pivots(), "item {i}, {queue}");
+            }
+            let rescued: u64 = faulted
+                .outcomes
+                .iter()
+                .flat_map(|o| &o.stats)
+                .map(|s| s.rescued)
+                .sum();
+            assert!(rescued > 0, "worker 1's static share was rescued, {queue}");
+            assert_eq!(rescued, engine.rescued_tasks(), "{queue}");
+            for (w, s) in faulted
+                .outcomes
+                .iter()
+                .flat_map(|o| o.stats.iter().enumerate())
+            {
+                assert!(
+                    w == 1 || (!s.lost && s.rescued == 0),
+                    "only worker 1 died, {queue}"
+                );
+            }
+        }
+    }
+}

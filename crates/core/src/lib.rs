@@ -7,14 +7,22 @@
 //!   GEPP on row chunks and merged up a binary reduction tree (§2);
 //! * [`simple::calu_simple`] — a plain dense reference implementation
 //!   (the numerical oracle for everything else);
-//! * [`threaded`] — the multithreaded tiled executor implementing
-//!   Algorithm 1/2: the first `Nstatic` panels are scheduled statically
-//!   by block-cyclic ownership, the rest through the dynamic section,
-//!   and idle threads pull dynamic tasks while waiting on the panel;
-//! * [`batch`] — batched many-matrix sweeps on one persistent worker
-//!   pool ([`calu_factor_batch`]): spawned once, per-worker scratch and
-//!   deques alive across items, small items co-scheduled
+//! * the **engine** (crate-private) — the one worker loop implementing
+//!   Algorithm 1/2 over one `calu_sched::ReadyQueues` value per run:
+//!   the first `Nstatic` panels are scheduled statically by
+//!   block-cyclic ownership, the rest through the dynamic section, and
+//!   idle threads pull dynamic tasks while waiting on the panel. It
+//!   executes *jobs*; the three modules below only differ in whose
+//!   threads they lend it and how many jobs they queue;
+//! * [`threaded`] — the tile-task layer (per-item state, kernel sets,
+//!   task bodies) and the solo entry points: one job on scoped threads,
+//!   co-scheduling off;
+//! * [`batch`] — many-matrix sweeps ([`factor_batch`]): N jobs on
+//!   scoped threads spawned once, small items co-scheduled
 //!   whole-per-worker, large ones on the full hybrid schedule;
+//! * [`pool`] — [`ServicePool`], the same loop on persistent threads
+//!   behind class lanes and result sinks (the substrate of
+//!   `calu-serve`);
 //! * [`gepp`] — blocked Gaussian elimination with partial pivoting (the
 //!   MKL `dgetrf` stand-in);
 //! * [`incpiv`] — tiled LU with incremental (block pairwise) pivoting
@@ -35,11 +43,13 @@
 //! docs; the one guarantee to remember here is that **the discipline
 //! never changes the math**: writes to every tile are totally ordered
 //! by the DAG's exclusive-writer rule, so all three disciplines — and
-//! the batch executor's co-scheduled and co-operative paths — produce
-//! bitwise-identical factors for the same input and config.
+//! the engine's co-scheduled and co-operative routes, solo, batched or
+//! served — produce bitwise-identical factors for the same input and
+//! config.
 
 pub mod batch;
 pub mod config;
+mod engine;
 pub mod error;
 pub mod factorization;
 pub mod fault;

@@ -1,78 +1,53 @@
-//! The multithreaded tiled CALU executor — Algorithms 1 and 2 for real.
+//! The tile-task layer of the threaded executor: what one factorization
+//! *is* — its `ItemState`, its [`KernelSet`] — and the solo entry
+//! points.
 //!
-//! Worker threads share:
+//! How tasks are queued, popped, stolen and rescued is the engine's
+//! business (the crate-private `engine` module: one worker loop over one
+//! `calu_sched::ReadyQueues` value per run). This module owns the part
+//! the engine treats as opaque: per-item tile storage behind
+//! [`SharedTiles`], one atomic dependence counter per task, the
+//! tournament-panel slots, the priority keys, and the task bodies. Each
+//! worker brings its own [`GemmScratch`] packing arena, sized from the
+//! tile dimension and reused across tasks, so the packed BLAS-3 kernels
+//! (trailing updates and triangular solves) run without per-task heap
+//! allocation.
 //!
-//! * per-thread **static queues** holding ready tasks whose output tiles
-//!   they own under the 2D block-cyclic distribution, ordered by the
-//!   static priority (P ≻ L ≻ U ≻ S, look-ahead on early panels);
-//! * a **dynamic section** holding ready tasks of the last
-//!   `N − Nstatic` panels, ordered by Algorithm 2's left-to-right DFS —
-//!   either one shared queue ([`QueueDiscipline::Global`], the paper's
-//!   implementation) or per-worker shards with randomized stealing
-//!   ([`QueueDiscipline::Sharded`], which removes the single lock the
-//!   global queue serializes every dequeue through).
-//!
-//! A worker always serves its own queue first ("each thread executes in
-//! priority tasks from the static part"); when it has nothing it pulls
-//! from the dynamic section instead of idling — the load-balancing
-//! reservoir that removes Figure 1's idle pockets. Under the sharded
-//! discipline a worker pops its own shard, and only when that is empty
-//! sweeps the other shards in the seeded-random victim order of
-//! [`calu_sched::steal_order`] — the same policy the simulator's
-//! sharded hybrid runs. Under the lock-free discipline
-//! ([`QueueDiscipline::LockFree`]) the shards are Chase-Lev deques
-//! ([`calu_sched::Deque`]): the owner pushes each completion's newly
-//! ready successors in descending DAG-priority order and pops LIFO
-//! (most critical of the cache-hottest batch first), thieves steal FIFO
-//! from the cold end, sweeping victims in the locality-tiered order of
-//! [`calu_sched::StealTiers`] (SMT sibling → same socket → remote) over
-//! the detected host topology. With [`CaluConfig::pin_workers`] set,
-//! each worker is additionally pinned to the CPU that topology maps it
-//! to, so "same socket" in the sweep means the same socket in silicon.
-//! Dependence tracking is a single atomic counter per task; tile data
-//! flows through [`SharedTiles`] under the DAG's exclusive-writer
-//! discipline.
-//!
-//! Each worker owns a [`GemmScratch`] packing arena sized from the
-//! configured tile dimension and reused across tasks, so the packed
-//! BLAS-3 kernels (trailing updates and triangular solves) run without
-//! per-task heap allocation.
+//! [`calu_factor_report`] and [`cholesky_factor_report`] are the solo
+//! entry points: one job on a scoped engine, co-scheduling off.
 //!
 //! ## The kernel-set layer
 //!
-//! Everything above — the static/dynamic split, the queues, the steal
-//! tiers, the scratch arenas, the dependence counters — is
-//! **algorithm-blind**: it schedules opaque task IDs. What a task
-//! *does* is decided by the [`KernelSet`] the item derives from its
-//! graph's [`DagVariant`]: the CALU set runs tournament-pivoted panels,
-//! `A·U⁻¹` / `L⁻¹·A` solves and GEMM updates, while the tiled-Cholesky
-//! set ([`TaskGraph::build_cholesky`]) runs `dpotrf` panels,
-//! `A·L⁻ᵀ` solves and SYRK / `A·Bᵀ` GEMM updates over the lower
-//! triangle — no pivoting at all. Because the graph carries both the
-//! dependency shape and the kernel identity, the solo, batch and
-//! service-pool executors all pick the right kernels by simply building
-//! the right graph; [`cholesky_factor_report`] is `calu_factor_report`
-//! with a different graph constructor.
+//! Everything the engine does — the static/dynamic split, the queues,
+//! the steal tiers, the dependence counters — is **algorithm-blind**:
+//! it schedules opaque task IDs. What a task *does* is decided by the
+//! [`KernelSet`] the item derives from its graph's [`DagVariant`]: the
+//! CALU set runs tournament-pivoted panels, `A·U⁻¹` / `L⁻¹·A` solves
+//! and GEMM updates, while the tiled-Cholesky set
+//! ([`TaskGraph::build_cholesky`]) runs `dpotrf` panels, `A·L⁻ᵀ` solves
+//! and SYRK / `A·Bᵀ` GEMM updates over the lower triangle — no pivoting
+//! at all. Because the graph carries both the dependency shape and the
+//! kernel identity, every caller of the engine picks the right kernels
+//! by simply naming the kernel set; [`cholesky_factor_report`] is
+//! `calu_factor_report` with a different one.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
-use calu_dag::{DagVariant, PaperKind, TaskGraph, TaskId, TaskKind};
+use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
-use calu_matrix::{
-    BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, TlbMatrix,
-};
-use calu_rand::Rng;
-use calu_sched::{
-    nstatic_for, priority, steal_order, CpuTopology, Deque, OwnerMap, QueueDiscipline, QueueSource,
-    Steal, StealOrder, StealTier, StealTiers,
-};
-use calu_trace::{SpanKind, TaskSpan, Timeline};
+use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
+use calu_sched::{priority, CpuTopology, OwnerMap, QueueSource};
+use calu_trace::Timeline;
 
-use crate::sync::{pin_current_thread, Mutex};
+use crate::config::CaluConfig;
+use crate::engine::{run_jobs, Source};
+use crate::error::CaluError;
+use crate::factorization::Factorization;
+use crate::pivot::swaps_for_selection;
+use crate::shared::SharedTiles;
+use crate::sync::Mutex;
+use crate::tslu::{Candidate, TreePlan};
 
 /// Per-worker queue accounting from one threaded run: where this
 /// worker's tasks came from, plus steal/contention counters for the
@@ -84,8 +59,13 @@ pub struct ThreadStats {
     /// Tasks popped from the dynamic section without stealing (the
     /// shared queue, or the worker's own shard).
     pub global_pops: u64,
+    /// The subset of `global_pops` that came off the worker's *own*
+    /// shard or deque (stealing disciplines only; always zero under
+    /// [`QueueDiscipline::Global`](calu_sched::QueueDiscipline), whose
+    /// dynamic pops all hit the one shared queue).
+    pub shard_pops: u64,
     /// Tasks stolen from another worker's shard or deque (stealing
-    /// disciplines only; always zero under [`QueueDiscipline::Global`]).
+    /// disciplines only; always zero under the global discipline).
     pub steal_pops: u64,
     /// The subset of `steal_pops` whose victim sat on a *different
     /// socket* (lock-free discipline's tiered sweep only; the flat
@@ -112,46 +92,23 @@ pub struct ThreadStats {
     pub lost: bool,
 }
 
-use crate::config::CaluConfig;
-use crate::error::CaluError;
-use crate::factorization::Factorization;
-use crate::fault::{FaultAction, FaultClock, FaultKind, FaultPlan};
-use crate::pivot::swaps_for_selection;
-use crate::shared::SharedTiles;
-use crate::tslu::{Candidate, TreePlan};
-
-type ReadyQueue = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
-
-/// The dynamic section's queues under each [`QueueDiscipline`].
-pub(crate) enum DynQueues {
-    /// One shared lock-protected queue (the paper's Algorithm 2).
-    Global(ReadyQueue),
-    /// One shard per worker; workers push/pop their own and steal from
-    /// the rest when empty.
-    Sharded(Vec<ReadyQueue>),
-    /// One Chase-Lev deque per worker, each sized for the whole graph
-    /// so a push can never fail: owners push/pop the bottom, thieves
-    /// steal the top in the locality-tiered sweep order.
-    LockFree(Vec<Deque>),
-}
-
-/// One steal sweep over `victims`, probing each with `probe` until one
-/// yields a task. A *wholly empty* sweep counts as exactly one
-/// contention failure — not one per probed victim — so
-/// `ContentionStats::failure_rate` reads the same whether the sweep
-/// visits p − 1 flat victims or the tiered order's fewer-per-tier ones.
-pub(crate) fn steal_sweep<V, T>(
-    victims: impl Iterator<Item = V>,
-    mut probe: impl FnMut(&V) -> Option<T>,
-    failed_sweeps: &mut u64,
-) -> Option<(T, V)> {
-    for v in victims {
-        if let Some(t) = probe(&v) {
-            return Some((t, v));
+impl ThreadStats {
+    /// Attribute one executed task to the queue it was popped from.
+    pub(crate) fn count(&mut self, source: QueueSource) {
+        match source {
+            QueueSource::Local => self.local_pops += 1,
+            QueueSource::Global => self.global_pops += 1,
+            QueueSource::Shard => {
+                self.global_pops += 1;
+                self.shard_pops += 1;
+            }
+            QueueSource::Stolen => self.steal_pops += 1,
+            QueueSource::StolenRemote => {
+                self.steal_pops += 1;
+                self.remote_steal_pops += 1;
+            }
         }
     }
-    *failed_sweeps += 1;
-    None
 }
 
 struct PanelState {
@@ -165,8 +122,7 @@ struct PanelState {
 /// tiers, dependence counters — is shared across kernel sets; only the
 /// per-task math differs. Internally it is derived from the graph's
 /// [`DagVariant`], so the dependency shape and the kernels can never
-/// disagree; batched ([`crate::batch`]) and pooled ([`crate::pool`])
-/// submissions name the kernel set per item and the executor builds the
+/// disagree; every job names its kernel set and the engine builds the
 /// matching graph via the crate-internal `KernelSet::build_graph`, the
 /// single validated constructor (Cholesky rejects non-square there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,21 +175,19 @@ const NOT_SINGULAR: usize = usize::MAX;
 
 /// Per-item execution state: everything one factorization's task bodies
 /// touch — tiled storage, dependence counters, tournament panels,
-/// priority keys — with *no queues attached*. The solo executor
-/// ([`factor_tiled`]) wraps exactly one `ItemState` in its queue set;
-/// the batch executor (`crate::batch`) drives many of them through one
-/// persistent worker pool and one batch-level queue set; the service
-/// pool (`crate::pool`) keeps them alive across requests, which is why
-/// the graph is held by [`Arc`] rather than borrowed — service workers
-/// are `'static` threads with no scope to borrow from.
+/// priority keys — with *no queues attached*. The engine pairs one
+/// `ItemState` with one queue set per co-operative run and drains a
+/// co-scheduled item's state with no queues at all. The graph is held
+/// by [`Arc`] rather than borrowed because service workers are
+/// `'static` threads with no scope to borrow from.
 pub(crate) struct ItemState<S: TileStorage> {
     pub(crate) g: Arc<TaskGraph>,
     tiles: SharedTiles<S>,
     deps: Vec<AtomicU32>,
     pub(crate) owners: OwnerMap,
-    pub(crate) is_static: Vec<bool>,
-    pub(crate) static_keys: Vec<u64>,
-    pub(crate) dynamic_keys: Vec<u64>,
+    /// Leading tile columns scheduled statically (the `dratio` split
+    /// resolved against this item's panel count).
+    nstatic: usize,
     pub(crate) done: AtomicUsize,
     singular: AtomicUsize,
     panels: Vec<PanelState>,
@@ -246,16 +200,13 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// number of leading tile columns scheduled statically (the `dratio`
     /// split already resolved against this item's panel count).
     pub(crate) fn new(storage: S, g: Arc<TaskGraph>, grid: ProcessGrid, nstatic: usize) -> Self {
-        let kinds: Vec<TaskKind> = g.ids().map(|t| g.kind(t)).collect();
         let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
         Self {
             tiles: SharedTiles::new(storage),
             deps: g.ids().map(|t| AtomicU32::new(g.dep_count(t))).collect(),
             owners: OwnerMap::new(&g, grid),
-            is_static: kinds.iter().map(|k| k.writes_col() < nstatic).collect(),
-            static_keys: kinds.iter().map(priority::static_key).collect(),
-            dynamic_keys: kinds.iter().map(priority::dynamic_key).collect(),
+            nstatic,
             done: AtomicUsize::new(0),
             singular: AtomicUsize::new(NOT_SINGULAR),
             // tournament-panel state exists only for pivoted kernel sets;
@@ -281,18 +232,34 @@ impl<S: TileStorage + Send> ItemState<S> {
         }
     }
 
+    /// Whether `t` belongs to the static section (its output tile's
+    /// column is one of the first `Nstatic`).
+    pub(crate) fn is_static(&self, t: TaskId) -> bool {
+        self.g.kind(t).writes_col() < self.nstatic
+    }
+
+    /// `t`'s priority in its owner's static heap (P ≻ L ≻ U ≻ S).
+    pub(crate) fn static_key(&self, t: TaskId) -> u64 {
+        priority::static_key(&self.g.kind(t))
+    }
+
+    /// `t`'s priority in the dynamic section (Algorithm 2's DFS order).
+    pub(crate) fn dynamic_key(&self, t: TaskId) -> u64 {
+        priority::dynamic_key(&self.g.kind(t))
+    }
+
     /// Mark `t` done and collect its newly enabled successors into
-    /// `ready_buf` (cleared first). Queueing the successors is the
-    /// caller's business — the solo executor pushes them into its own
-    /// queue set, the batch executor into the batch-level one.
-    pub(crate) fn complete_into(&self, t: TaskId, ready_buf: &mut Vec<TaskId>) {
+    /// `ready_buf` (cleared first); returns how many of the item's
+    /// tasks are done now. Queueing the successors is the caller's
+    /// business.
+    pub(crate) fn complete_into(&self, t: TaskId, ready_buf: &mut Vec<TaskId>) -> usize {
         ready_buf.clear();
         for &s in self.g.successors(t) {
             if self.deps[s.idx()].fetch_sub(1, Ordering::AcqRel) == 1 {
                 ready_buf.push(s);
             }
         }
-        self.done.fetch_add(1, Ordering::AcqRel);
+        self.done.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Consume the state once every task ran: the tiled storage, the
@@ -304,10 +271,10 @@ impl<S: TileStorage + Send> ItemState<S> {
 
     /// [`finish`](Self::finish) without consuming the state: the
     /// permutation and singular flag by value, the storage via
-    /// [`storage_ref`](Self::storage_ref). The service pool needs this
-    /// split because its items live in `Arc`s shared with in-flight
-    /// workers — the finishing worker extracts results by reference and
-    /// the `Arc` drops whenever the last clone does.
+    /// [`storage_ref`](Self::storage_ref). Co-operative runs need this
+    /// split because they live in `Arc`s shared with in-flight workers
+    /// — the finishing worker extracts results by reference and the
+    /// `Arc` drops whenever the last clone does.
     pub(crate) fn finish_by_ref(&self) -> (RowPerm, Option<usize>) {
         let mut perm = RowPerm::identity();
         // unpivoted kernel sets (Cholesky) build no panel state: the
@@ -329,224 +296,6 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// so no worker holds a mutable tile pointer.
     pub(crate) unsafe fn storage_ref(&self) -> &S {
         self.tiles.inner()
-    }
-}
-
-/// Shared fault-injection state of one run — allocated only when the
-/// config carries an armed [`FaultPlan`], so the no-fault hot path
-/// branches on one `Option` and touches nothing else.
-pub(crate) struct FaultShared {
-    /// Worker `w` no longer executes its static backlog (dead, or
-    /// flagged persistently slow): static tasks owned by `w` are
-    /// rerouted to the dynamic section instead. Read and written under
-    /// the `local[w]` mutex, so a reroute can never race a drain and
-    /// strand a task in a queue nobody serves.
-    pub(crate) degraded: Vec<AtomicBool>,
-    /// Static tasks owned by worker `w` republished into the dynamic
-    /// queues (folded into [`ThreadStats::rescued`] after the join).
-    pub(crate) rescued: Vec<AtomicU64>,
-    /// A worker hit an unrecoverable fault (injected kernel panic):
-    /// everyone stops, the run fails with `fail`'s error.
-    pub(crate) abort: AtomicBool,
-    /// First unrecoverable error, kept by the first worker to fail.
-    pub(crate) fail: Mutex<Option<CaluError>>,
-}
-
-impl FaultShared {
-    pub(crate) fn new(threads: usize) -> Self {
-        Self {
-            degraded: (0..threads).map(|_| AtomicBool::new(false)).collect(),
-            rescued: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            abort: AtomicBool::new(false),
-            fail: Mutex::new(None),
-        }
-    }
-
-    /// Record the run's first unrecoverable error and tell every worker
-    /// to stop.
-    pub(crate) fn fail_with(&self, e: CaluError) {
-        let mut slot = self.fail.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::Release);
-    }
-}
-
-struct Shared<S: TileStorage> {
-    item: ItemState<S>,
-    local: Vec<ReadyQueue>,
-    dynamic: DynQueues,
-    /// Per-worker locality-tiered victim orders (lock-free discipline
-    /// only; empty otherwise).
-    tiers: Vec<StealTiers>,
-    /// Direction the tiered sweep probes its tiers in — the adaptive
-    /// controller's steal-order knob (nearest-first by default).
-    steal_dir: StealOrder,
-    /// Dynamic-section tasks currently queued (sharded discipline only:
-    /// incremented before push, decremented after pop), so idle workers
-    /// can tell "nothing to steal anywhere" from "a victim shard I
-    /// probed was empty" — only the latter is contention. Stays zero
-    /// under the global discipline, which never reads it.
-    dyn_queued: AtomicUsize,
-    /// Fault-injection state; `None` (and never consulted) without an
-    /// armed plan.
-    fault: Option<FaultShared>,
-}
-
-impl<S: TileStorage + Send> Shared<S> {
-    /// Queue a ready task. `home` is the worker that enabled it (or a
-    /// round-robin index for initially ready tasks): under the sharded
-    /// discipline, dynamic tasks land on the enabler's shard so they
-    /// tend to run where their inputs are warm.
-    ///
-    /// With fault injection armed, a static task whose owner is
-    /// *degraded* (dead, or flagged persistently slow) is rescued into
-    /// the dynamic section instead — checked under the owner's local
-    /// lock, the same lock a dying owner holds while draining, so no
-    /// task can slip into a queue nobody will ever serve.
-    fn push_ready(&self, t: TaskId, home: usize) {
-        let item = &self.item;
-        if item.is_static[t.idx()] {
-            let owner = item.owners.owner(t);
-            let mut q = self.local[owner].lock();
-            if let Some(f) = &self.fault {
-                if f.degraded[owner].load(Ordering::Acquire) {
-                    drop(q);
-                    f.rescued[owner].fetch_add(1, Ordering::Relaxed);
-                    self.push_dynamic(t, home);
-                    return;
-                }
-            }
-            q.push(Reverse((item.static_keys[t.idx()], t.0)));
-        } else {
-            self.push_dynamic(t, home);
-        }
-    }
-
-    /// Queue a task into the dynamic section (the non-static arm of
-    /// [`push_ready`](Self::push_ready), also the landing strip for
-    /// rescued static tasks).
-    fn push_dynamic(&self, t: TaskId, home: usize) {
-        let item = &self.item;
-        {
-            match &self.dynamic {
-                DynQueues::Global(q) => q.lock().push(Reverse((item.dynamic_keys[t.idx()], t.0))),
-                DynQueues::Sharded(shards) => {
-                    // counter first, push second: the count
-                    // over-approximates, so a successful pop's decrement
-                    // can never underflow. Stealing disciplines only —
-                    // the global discipline never reads it, so the
-                    // paper-verbatim path pays no extra shared-line RMWs.
-                    self.dyn_queued.fetch_add(1, Ordering::AcqRel);
-                    shards[home % shards.len()]
-                        .lock()
-                        .push(Reverse((item.dynamic_keys[t.idx()], t.0)));
-                }
-                DynQueues::LockFree(deques) => {
-                    self.dyn_queued.fetch_add(1, Ordering::AcqRel);
-                    // only the owner pushes its own deque at runtime
-                    // (`complete` passes home = the completing worker);
-                    // the pre-spawn initial scatter is single-threaded
-                    deques[home % deques.len()]
-                        .push(t.0 as u64)
-                        .expect("deque sized for the whole graph");
-                }
-            }
-        }
-    }
-
-    /// Algorithm 1's pop order: own static queue first, then the dynamic
-    /// section (Algorithm 2's DFS order is baked into its keys). Under
-    /// the stealing disciplines the dynamic section is the worker's own
-    /// shard/deque first, then a steal sweep (seeded-random victims for
-    /// the sharded discipline, the locality-tiered order for the
-    /// lock-free one) — attempted, and counted into
-    /// `stats.failed_steals` when wholly empty, only while dynamic tasks
-    /// are actually queued somewhere, so idle spins on a drained DAG
-    /// don't read as contention.
-    fn pop(
-        &self,
-        me: usize,
-        rng: &mut Option<Rng>,
-        stats: &mut ThreadStats,
-    ) -> Option<(TaskId, QueueSource)> {
-        if let Some(Reverse((_, t))) = self.local[me].lock().pop() {
-            return Some((TaskId(t), QueueSource::Local));
-        }
-        match &self.dynamic {
-            DynQueues::Global(q) => q
-                .lock()
-                .pop()
-                .map(|Reverse((_, t))| (TaskId(t), QueueSource::Global)),
-            DynQueues::Sharded(shards) => {
-                if let Some(Reverse((_, t))) = shards[me].lock().pop() {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    return Some((TaskId(t), QueueSource::Shard));
-                }
-                if self.dyn_queued.load(Ordering::Acquire) == 0 {
-                    return None; // nothing queued anywhere: idle, not contention
-                }
-                let rng = rng.as_mut().expect("stealing workers carry an RNG");
-                let stolen = steal_sweep(
-                    steal_order(rng, me, shards.len()),
-                    |&victim| shards[victim].lock().pop().map(|Reverse((_, t))| TaskId(t)),
-                    &mut stats.failed_steals,
-                );
-                stolen.map(|(t, _)| {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    (t, QueueSource::Stolen)
-                })
-            }
-            DynQueues::LockFree(deques) => {
-                if let Some(v) = deques[me].pop() {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    return Some((TaskId(v as u32), QueueSource::Shard));
-                }
-                if self.dyn_queued.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
-                let rng = rng.as_mut().expect("stealing workers carry an RNG");
-                let stolen = steal_sweep(
-                    self.tiers[me].sweep_ordered(self.steal_dir, rng),
-                    |&(victim, _)| loop {
-                        match deques[victim].steal() {
-                            Steal::Taken(v) => break Some(TaskId(v as u32)),
-                            Steal::Empty => break None,
-                            // a lost race means someone else made
-                            // progress; re-probe the same victim
-                            Steal::Retry => std::hint::spin_loop(),
-                        }
-                    },
-                    &mut stats.failed_steals,
-                );
-                stolen.map(|(t, (_, tier))| {
-                    self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                    let source = match tier {
-                        StealTier::Remote => QueueSource::StolenRemote,
-                        _ => QueueSource::Stolen,
-                    };
-                    (t, source)
-                })
-            }
-        }
-    }
-
-    /// Mark `t` done and queue its newly enabled successors.
-    /// `ready_buf` is the worker's reusable scratch: under the lock-free
-    /// discipline the batch is pushed in *descending* key order (least
-    /// critical first), so the owner's LIFO pop serves the batch
-    /// most-critical first while a FIFO thief takes its *least*
-    /// critical leftover — the victim keeps its critical-path work.
-    fn complete(&self, t: TaskId, me: usize, ready_buf: &mut Vec<TaskId>) {
-        self.item.complete_into(t, ready_buf);
-        if matches!(self.dynamic, DynQueues::LockFree(_)) && ready_buf.len() > 1 {
-            ready_buf.sort_unstable_by_key(|s| Reverse(self.item.dynamic_keys[s.idx()]));
-        }
-        for &s in ready_buf.iter() {
-            self.push_ready(s, me);
-        }
     }
 }
 
@@ -792,264 +541,6 @@ pub(crate) fn host_topology() -> &'static CpuTopology {
     TOPO.get_or_init(CpuTopology::detect)
 }
 
-/// What the tiled executor hands back: the factored storage, the
-/// combined row permutation, the first singular column (if any), the
-/// execution timeline, and per-thread queue/rescue accounting.
-type Factored<S> = (S, RowPerm, Option<usize>, Timeline, Vec<ThreadStats>);
-
-/// Factor a tiled storage in place with `threads` workers; returns the
-/// combined permutation, the singular flag and the execution trace.
-/// `fault` is the run's injection plan ([`FaultPlan::off`] for every
-/// production caller): an armed plan can make the run fail with a typed
-/// error (injected kernel panic), which is the only `Err` this returns.
-#[allow(clippy::too_many_arguments)]
-fn factor_tiled<S: TileStorage + Send>(
-    storage: S,
-    g: &Arc<TaskGraph>,
-    grid: ProcessGrid,
-    dratio: f64,
-    queue: QueueDiscipline,
-    steal_dir: StealOrder,
-    pin: bool,
-    fault: &FaultPlan,
-) -> Result<Factored<S>, CaluError> {
-    let threads = grid.size();
-    let nstatic = nstatic_for(dratio, g.num_panels());
-    let topo = host_topology();
-
-    let fault_shared = (!fault.is_off()).then(|| FaultShared::new(threads));
-    if let Some(fs) = &fault_shared {
-        // a persistently slow worker is degraded from the start: its
-        // static backlog routes to the dynamic section, where healthy
-        // workers load-balance it (the worker itself keeps executing
-        // dynamic tasks at its reduced rate)
-        for wf in fault.faults() {
-            if matches!(wf.kind, FaultKind::Slow { .. }) {
-                fs.degraded[wf.worker].store(true, Ordering::Release);
-            }
-        }
-    }
-
-    let shared = Shared {
-        item: ItemState::new(storage, Arc::clone(g), grid, nstatic),
-        local: (0..threads)
-            .map(|_| Mutex::new(BinaryHeap::new()))
-            .collect(),
-        dynamic: match queue {
-            QueueDiscipline::Global => DynQueues::Global(Mutex::new(BinaryHeap::new())),
-            QueueDiscipline::Sharded { .. } => DynQueues::Sharded(
-                (0..threads)
-                    .map(|_| Mutex::new(BinaryHeap::new()))
-                    .collect(),
-            ),
-            QueueDiscipline::LockFree { .. } => DynQueues::LockFree(
-                // each deque sized for the whole graph: a worker can at
-                // most hold every task, so pushes never see "full"
-                (0..threads)
-                    .map(|_| Deque::with_capacity(g.len()))
-                    .collect(),
-            ),
-        },
-        tiers: match queue {
-            QueueDiscipline::LockFree { .. } => (0..threads)
-                .map(|me| StealTiers::for_worker(topo, me, threads))
-                .collect(),
-            _ => Vec::new(),
-        },
-        steal_dir,
-        dyn_queued: AtomicUsize::new(0),
-        fault: fault_shared,
-    };
-
-    // scatter initially ready tasks round-robin over the shards (no
-    // worker has "enabled" them yet); the Global queue ignores `home`.
-    // For the lock-free deques, scatter in descending priority so each
-    // deque's LIFO owner pops its share most-critical first.
-    let mut initial = g.initial_ready();
-    if matches!(queue, QueueDiscipline::LockFree { .. }) {
-        initial.sort_unstable_by_key(|t| Reverse(shared.item.dynamic_keys[t.idx()]));
-    }
-    for (i, t) in initial.into_iter().enumerate() {
-        shared.push_ready(t, i);
-    }
-
-    let total = g.len();
-    let t0 = Instant::now();
-    let mut timeline = Timeline::new(threads);
-    let mut thread_stats = vec![ThreadStats::default(); threads];
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for me in 0..threads {
-            let shared = &shared;
-            handles.push(scope.spawn(move || {
-                // topology-aware pinning: worker `me` onto the CPU the
-                // detected topology maps it to — best effort, a refusal
-                // (sandbox, cgroup) leaves the worker floating
-                if pin {
-                    pin_current_thread(topo.cpu_for_worker(me));
-                }
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                let mut stats = ThreadStats::default();
-                // per-worker packing arena, sized once from the config's
-                // tile dimension and reused by every kernel this worker
-                // runs — the task loop performs no GEMM-path allocation
-                let mut scratch =
-                    GemmScratch::sized_for(shared.item.b, shared.item.b, shared.item.b);
-                // per-worker victim-selection stream: SplitMix64 seeding
-                // decorrelates the nearby seeds, so workers sweep
-                // victims in unrelated orders
-                let mut rng = queue
-                    .seed()
-                    .map(|seed| Rng::seed_from_u64(seed.wrapping_add(me as u64)));
-                // fault clock: disarmed (and never ticked) without a plan
-                let mut clock = if shared.fault.is_some() {
-                    FaultClock::new(fault, me)
-                } else {
-                    FaultClock::disarmed()
-                };
-                let mut ready_buf: Vec<TaskId> = Vec::new();
-                let mut idle_spins = 0u32;
-                while shared.item.done.load(Ordering::Acquire) < total {
-                    if let Some(f) = &shared.fault {
-                        if f.abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match clock.before_task() {
-                            FaultAction::None => {}
-                            FaultAction::Stall(d) => {
-                                let start = t0.elapsed().as_secs_f64();
-                                std::thread::sleep(d);
-                                spans.push(TaskSpan {
-                                    core: me,
-                                    start,
-                                    end: t0.elapsed().as_secs_f64(),
-                                    kind: SpanKind::Noise,
-                                });
-                            }
-                            FaultAction::Lose => {
-                                // static-task rescue: flag ourselves
-                                // degraded and drain our static backlog
-                                // *under our local lock* (the same lock
-                                // push_ready's reroute checks under), then
-                                // republish it into the dynamic section
-                                // for the survivors. The exclusive-writer
-                                // DAG keeps the factors bitwise-identical
-                                // no matter who ends up running them.
-                                let drained: Vec<u32> = {
-                                    let mut q = shared.local[me].lock();
-                                    f.degraded[me].store(true, Ordering::Release);
-                                    std::iter::from_fn(|| q.pop().map(|Reverse((_, t))| t))
-                                        .collect()
-                                };
-                                f.rescued[me].fetch_add(drained.len() as u64, Ordering::Relaxed);
-                                for t in drained {
-                                    shared.push_dynamic(TaskId(t), me);
-                                }
-                                stats.lost = true;
-                                break;
-                            }
-                            FaultAction::Panic => {
-                                // a real unwind, really contained: the
-                                // injected kernel panic must exercise the
-                                // same containment a genuine kernel bug
-                                // would
-                                let caught = std::panic::catch_unwind(|| {
-                                    panic!("injected kernel panic on worker {me} (fault plan)")
-                                });
-                                debug_assert!(caught.is_err());
-                                f.fail_with(CaluError::TaskPanic(format!(
-                                    "injected kernel panic on worker {me} (fault plan)"
-                                )));
-                                break;
-                            }
-                        }
-                    }
-                    match shared.pop(me, &mut rng, &mut stats) {
-                        Some((t, source)) => {
-                            idle_spins = 0;
-                            match source {
-                                QueueSource::Local => stats.local_pops += 1,
-                                QueueSource::Stolen => stats.steal_pops += 1,
-                                QueueSource::StolenRemote => {
-                                    stats.steal_pops += 1;
-                                    stats.remote_steal_pops += 1;
-                                }
-                                _ => stats.global_pops += 1,
-                            }
-                            let start = t0.elapsed().as_secs_f64();
-                            shared.item.execute(t, &mut scratch);
-                            let end = t0.elapsed().as_secs_f64();
-                            let kind = match shared.item.g.kind(t).paper_kind() {
-                                PaperKind::P => SpanKind::Panel,
-                                PaperKind::L => SpanKind::LFactor,
-                                PaperKind::U => SpanKind::UFactor,
-                                PaperKind::S => SpanKind::Update,
-                            };
-                            spans.push(TaskSpan {
-                                core: me,
-                                start,
-                                end,
-                                kind,
-                            });
-                            shared.complete(t, me, &mut ready_buf);
-                            if shared.fault.is_none() {
-                                continue;
-                            }
-                            if let Some(stall) =
-                                clock.after_task(std::time::Duration::from_secs_f64(end - start))
-                            {
-                                // duty-cycle slowdown: stall in proportion
-                                // to the task just run, like the sim's
-                                // noise model stretches compute
-                                let s0 = t0.elapsed().as_secs_f64();
-                                std::thread::sleep(stall);
-                                spans.push(TaskSpan {
-                                    core: me,
-                                    start: s0,
-                                    end: t0.elapsed().as_secs_f64(),
-                                    kind: SpanKind::Noise,
-                                });
-                            }
-                        }
-                        None => {
-                            idle_spins += 1;
-                            if idle_spins > 64 {
-                                std::thread::yield_now();
-                            } else {
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
-                (spans, stats)
-            }));
-        }
-        for (me, h) in handles.into_iter().enumerate() {
-            let (spans, stats) = h.join().expect("worker panicked");
-            for span in spans {
-                timeline.push(span);
-            }
-            thread_stats[me] = stats;
-        }
-    });
-
-    if let Some(f) = &shared.fault {
-        if let Some(e) = f.fail.lock().take() {
-            return Err(e);
-        }
-        // attribute rescues to the worker whose static backlog was
-        // republished (counted both by its own dying drain and by other
-        // workers' rerouted pushes)
-        for (w, stat) in thread_stats.iter_mut().enumerate() {
-            stat.rescued = f.rescued[w].load(Ordering::Acquire);
-        }
-    }
-
-    let (storage, perm, singular) = shared.item.finish();
-    Ok((storage, perm, singular, timeline, thread_stats))
-}
-
 /// Apply the deferred "left swaps" (Algorithm 1, line 43): each panel's
 /// permutation is applied to the L columns strictly left of it.
 pub(crate) fn apply_left_swaps(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowPerm, b: usize) {
@@ -1069,90 +560,31 @@ pub(crate) fn apply_left_swaps(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowP
     }
 }
 
-/// Run `factor_tiled` on `a` under the config's layout, returning the
-/// factored matrix densified — the layout dispatch shared by every
-/// kernel set's solo entry point.
-fn factor_report_for_graph(
+/// One job on a scoped engine with co-scheduling off: the whole pool
+/// runs the hybrid static/dynamic schedule on `a`, however small.
+fn factor_solo(
     a: &DenseMatrix,
     cfg: &CaluConfig,
-    g: &Arc<TaskGraph>,
-    grid: ProcessGrid,
-) -> Result<Factored<DenseMatrix>, CaluError> {
-    match cfg.layout {
-        Layout::ColumnMajor => {
-            let s = CmTiles::from_dense(a, cfg.b);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
-        Layout::BlockCyclic => {
-            let s = BclMatrix::from_dense(a, cfg.b, grid);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
-        Layout::TwoLevelBlock => {
-            let s = TlbMatrix::from_dense(a, cfg.b, grid);
-            let (s, p, sing, tl, st) = factor_tiled(
-                s,
-                g,
-                grid,
-                cfg.dratio,
-                cfg.queue,
-                cfg.steal_order,
-                cfg.pin_workers,
-                &cfg.fault,
-            )?;
-            Ok((s.to_dense(), p, sing, tl, st))
-        }
+    kernels: KernelSet,
+) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
+    if a.rows() == 0 || a.cols() == 0 {
+        return Err(CaluError::EmptyMatrix);
     }
+    let cfg = cfg.clone().with_batch_small_cutoff(0);
+    let mut drained = run_jobs(cfg, [(kernels, Source::Borrowed(a))])?;
+    let out = drained.outcomes.pop().expect("one job in, one outcome out");
+    Ok((out.factorization, out.timeline, out.stats))
 }
 
 /// Factor `a` with CALU and return the factorization, the per-thread
-/// execution trace, and the per-thread queue-source accounting — the
-/// full report the `calu` facade's `ThreadedBackend` builds on.
+/// execution trace (its clock starts at the first task), and the
+/// per-thread queue-source accounting — the full report the `calu`
+/// facade's `ThreadedBackend` builds on.
 pub fn calu_factor_report(
     a: &DenseMatrix,
     cfg: &CaluConfig,
 ) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
-    let grid = cfg.validate()?;
-    if a.rows() == 0 || a.cols() == 0 {
-        return Err(CaluError::EmptyMatrix);
-    }
-    let leaf_stride = cfg.leaf_stride.unwrap_or_else(|| grid.pr());
-    let g = Arc::new(TaskGraph::build_calu(
-        a.rows(),
-        a.cols(),
-        cfg.b,
-        leaf_stride,
-    ));
-    let (mut lu, perm, singular_at, timeline, stats) = factor_report_for_graph(a, cfg, &g, grid)?;
-    apply_left_swaps(&mut lu, &g, &perm, cfg.b);
-    Ok((
-        Factorization {
-            lu,
-            perm,
-            singular_at,
-        },
-        timeline,
-        stats,
-    ))
+    factor_solo(a, cfg, KernelSet::CaluLu)
 }
 
 /// Factor the symmetric positive-definite `a` as `A = L·Lᵀ` with the
@@ -1168,22 +600,7 @@ pub fn cholesky_factor_report(
     a: &DenseMatrix,
     cfg: &CaluConfig,
 ) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
-    let grid = cfg.validate()?;
-    if a.rows() == 0 || a.cols() == 0 {
-        return Err(CaluError::EmptyMatrix);
-    }
-    let g = Arc::new(KernelSet::Cholesky.build_graph(a.rows(), a.cols(), cfg.b, 1)?);
-    let (lu, perm, singular_at, timeline, stats) = factor_report_for_graph(a, cfg, &g, grid)?;
-    // no pivoting: perm is the identity and there are no left swaps
-    Ok((
-        Factorization {
-            lu,
-            perm,
-            singular_at,
-        },
-        timeline,
-        stats,
-    ))
+    factor_solo(a, cfg, KernelSet::Cholesky)
 }
 
 /// [`cholesky_factor_report`] returning only the factorization.
@@ -1209,8 +626,10 @@ pub fn calu_factor(a: &DenseMatrix, cfg: &CaluConfig) -> Result<Factorization, C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::simple::calu_simple;
-    use calu_matrix::gen;
+    use calu_matrix::{gen, Layout};
+    use calu_sched::QueueDiscipline;
 
     fn check(a: &DenseMatrix, cfg: &CaluConfig, tol: f64) {
         let f = calu_factor(a, cfg).expect("factor");
@@ -1433,34 +852,6 @@ mod tests {
         assert!(f1.residual(&a) < 1e-12 && f2.residual(&a) < 1e-12);
         assert_eq!(f1.perm.pivots(), f2.perm.pivots());
         assert!(f1.lu.approx_eq(&f2.lu, 0.0));
-    }
-
-    #[test]
-    fn steal_sweep_counts_whole_sweeps_not_victims() {
-        // the contention-thermometer regression: an empty sweep over
-        // many victims is ONE failure, so failure_rate stays comparable
-        // between the flat (p − 1 probes) and tiered victim orders
-        let mut failed = 0u64;
-        let all_empty = steal_sweep([0usize, 1, 2].into_iter(), |_| None::<TaskId>, &mut failed);
-        assert!(all_empty.is_none());
-        assert_eq!(failed, 1, "three empty victims, one failed sweep");
-
-        // a sweep that succeeds late counts no failure at all
-        let hit = steal_sweep(
-            [0usize, 1, 2].into_iter(),
-            |&v| (v == 2).then_some(TaskId(7)),
-            &mut failed,
-        );
-        assert_eq!(hit, Some((TaskId(7), 2)));
-        assert_eq!(failed, 1, "successful sweep adds no failure");
-
-        // pinned ratio: 1 steal + 1 failed sweep = 50% failure rate,
-        // identical whether the sweep visited 3 victims or 30
-        let mut failed_wide = 0u64;
-        steal_sweep(0..30usize, |_| None::<TaskId>, &mut failed_wide);
-        assert_eq!(failed_wide, 1);
-        let rate = failed as f64 / (1 + failed) as f64;
-        assert!((rate - 0.5).abs() < 1e-12);
     }
 
     #[test]

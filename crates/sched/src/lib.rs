@@ -37,7 +37,7 @@
 //! |---|---|---|---|---|
 //! | [`QueueDiscipline::Global`] | one shared mutex'd priority heap in Algorithm 2's DFS order | the **simulator** (paper-verbatim, keeps the reproduced figures faithful) and any plan without a dynamic section | none (never steals) | reproducing the paper's numbers; low thread counts where one lock never contends |
 //! | [`QueueDiscipline::Sharded`] | per-worker mutex'd priority shards; seeded randomized victim sweep ([`steal_order`]) | opt-in | `stolen_pops`, `failed_steals` | the **parity oracle**: simple invariants (each shard keeps DFS priority, steals take the victim's most critical task) for debugging the lock-free path against |
-//! | [`QueueDiscipline::LockFree`] | per-worker Chase-Lev deques ([`Deque`], owner-LIFO / thief-FIFO) swept in the locality-tiered order of [`StealTiers`] (SMT sibling → same socket → remote) | the **threaded backend** whenever a dynamic section exists (it won the perf-smoke gate) | `stolen_pops`, `failed_steals`, plus `remote_steal_pops` — the only discipline that classifies steal locality | production throughput, NUMA machines, high thread counts |
+//! | [`QueueDiscipline::LockFree`] | per-worker Chase-Lev deques ([`Deque`], owner-LIFO / thief-FIFO) swept in the locality-tiered order of [`StealTiers`] (SMT sibling → same socket → remote) | the **threaded backend** whenever a dynamic section exists | `stolen_pops`, `failed_steals`, plus `remote_steal_pops` — the only discipline that classifies steal locality | production throughput, NUMA machines, high thread counts |
 //!
 //! Guarantees shared by the stealing disciplines: a steal sweep visits
 //! every victim once, so work is found whenever any shard is non-empty;
@@ -55,6 +55,7 @@ pub mod lanes;
 pub mod owner;
 pub mod policy;
 pub mod priority;
+pub mod ready;
 pub mod topology;
 
 mod dynamic_policy;
@@ -73,6 +74,7 @@ pub use hybrid::HybridPolicy;
 pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;
 pub use policy::{Policy, Popped, QueueSource};
+pub use ready::ReadyQueues;
 pub use static_policy::StaticPolicy;
 pub use topology::{CpuTopology, StealOrder, StealTier, StealTiers};
 pub use work_stealing::WorkStealingPolicy;

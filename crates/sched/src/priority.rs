@@ -15,6 +15,7 @@
 use calu_dag::TaskKind;
 
 /// Rank of the paper kind in the static order (P < L < U < S).
+#[inline]
 fn kind_rank(k: &TaskKind) -> u64 {
     match k {
         TaskKind::PanelLeaf { .. } => 0,
@@ -26,6 +27,7 @@ fn kind_rank(k: &TaskKind) -> u64 {
     }
 }
 
+#[inline]
 fn indices(k: &TaskKind) -> (u64, u64, u64) {
     match *k {
         TaskKind::PanelLeaf { k, i } => (k as u64, k as u64, i as u64),
@@ -41,6 +43,7 @@ fn indices(k: &TaskKind) -> (u64, u64, u64) {
 
 /// Static-section priority: `(kind, panel, column, row)` — any ready P
 /// task beats any L, which beats U, which beats S.
+#[inline]
 pub fn static_key(kind: &TaskKind) -> u64 {
     let (k, j, i) = indices(kind);
     // bits: kind(3) | panel(20) | col(20) | row(20)
@@ -49,6 +52,7 @@ pub fn static_key(kind: &TaskKind) -> u64 {
 
 /// Dynamic-section priority: `(column, panel, kind, row)` — the DFS
 /// left-to-right column order of Algorithm 2.
+#[inline]
 pub fn dynamic_key(kind: &TaskKind) -> u64 {
     let (k, j, i) = indices(kind);
     (j.min(0xFFFFF) << 43) | (k.min(0xFFFFF) << 23) | (kind_rank(kind) << 20) | i.min(0xFFFFF)

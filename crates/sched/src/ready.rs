@@ -1,0 +1,438 @@
+//! The concurrent ready-queue set of one factorization run — the real
+//! executor's counterpart of [`HybridPolicy`](crate::HybridPolicy)'s
+//! single-threaded decision procedure.
+//!
+//! A [`ReadyQueues`] value holds Algorithm 1's two halves for one task
+//! graph: a **static heap per worker** (tasks whose output tile the
+//! worker owns under the block-cyclic distribution, ordered by the
+//! static priority key) and the **dynamic section**, organized by a
+//! [`QueueDiscipline`]:
+//!
+//! * [`QueueDiscipline::Global`] — one shared mutex'd heap in
+//!   Algorithm 2's DFS order (the paper's implementation);
+//! * [`QueueDiscipline::Sharded`] — one mutex'd heap per worker, pushed
+//!   by the worker that enabled the task, popped locally, stolen in the
+//!   seeded-random order of [`steal_order`];
+//! * [`QueueDiscipline::LockFree`] — one Chase-Lev [`Deque`] per worker
+//!   (owner LIFO, thieves FIFO), stolen in the locality-tiered order of
+//!   [`StealTiers`].
+//!
+//! The queues schedule opaque `u32` task ids with caller-supplied keys;
+//! they know nothing about tiles or kernels. Everything an executor
+//! needs from them is written here once: [`push_static`] (with the
+//! degraded-owner reroute), [`push_dynamic`], [`pop_own`], [`steal`]
+//! and [`drain_static`] (a lost worker's static-task rescue).
+//!
+//! ## Single-owner contract of the lock-free deques
+//!
+//! `home` in the push calls names the deque a dynamic task lands on.
+//! While workers are running, worker `w` may only pass `home = w` (its
+//! own deque; [`Deque::push`] is owner-only). Any `home` is allowed
+//! while no worker can reach the queues yet — the initial scatter of a
+//! run that has not been published.
+//!
+//! [`push_static`]: ReadyQueues::push_static
+//! [`push_dynamic`]: ReadyQueues::push_dynamic
+//! [`pop_own`]: ReadyQueues::pop_own
+//! [`steal`]: ReadyQueues::steal
+//! [`drain_static`]: ReadyQueues::drain_static
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+use calu_rand::Rng;
+
+use crate::deque::{Deque, Steal};
+use crate::discipline::{steal_order, QueueDiscipline};
+use crate::policy::QueueSource;
+use crate::topology::{CpuTopology, StealOrder, StealTier, StealTiers};
+
+type Heap = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
+
+/// Lock a heap, ignoring poisoning: a heap is valid after every push
+/// and pop, so a panicking holder leaves nothing half-updated.
+fn lock(heap: &Heap) -> MutexGuard<'_, BinaryHeap<Reverse<(u64, u32)>>> {
+    heap.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn heaps(n: usize) -> Vec<Heap> {
+    (0..n).map(|_| Mutex::new(BinaryHeap::new())).collect()
+}
+
+/// The dynamic section under each [`QueueDiscipline`].
+enum Dynamic {
+    Global(Heap),
+    Sharded(Vec<Heap>),
+    /// Each deque is sized for every dynamic task, so a push never
+    /// fails.
+    LockFree {
+        deques: Vec<Deque>,
+        tiers: Vec<StealTiers>,
+    },
+}
+
+/// One steal sweep over `victims`, probing each with `probe` until one
+/// yields a task. A *wholly empty* sweep counts as exactly one
+/// contention failure — not one per probed victim — so
+/// `ContentionStats::failure_rate` reads the same whether the sweep
+/// visits p − 1 flat victims or the tiered order's fewer-per-tier ones.
+fn steal_sweep<V, T>(
+    victims: impl Iterator<Item = V>,
+    mut probe: impl FnMut(&V) -> Option<T>,
+    failed_sweeps: &mut u64,
+) -> Option<(T, V)> {
+    for v in victims {
+        if let Some(t) = probe(&v) {
+            return Some((t, v));
+        }
+    }
+    *failed_sweeps += 1;
+    None
+}
+
+/// See the module docs.
+pub struct ReadyQueues {
+    local: Vec<Heap>,
+    dynamic: Dynamic,
+    /// Direction the tiered sweep probes its tiers in — the adaptive
+    /// controller's steal-order knob.
+    steal_dir: StealOrder,
+    /// Dynamic tasks currently queued (stealing disciplines only:
+    /// incremented before push, decremented after pop), so idle workers
+    /// can tell "nothing to steal anywhere" from "a victim I probed was
+    /// empty" — only the latter is contention. Stays zero under the
+    /// global discipline, which never reads it.
+    dyn_queued: AtomicUsize,
+    /// Worker `w` no longer serves its static heap (dead, or flagged
+    /// persistently slow): static tasks it owns reroute to the dynamic
+    /// section. Read and written under the `local[w]` mutex, so a
+    /// reroute can never race a drain and strand a task in a heap
+    /// nobody serves.
+    degraded: Vec<AtomicBool>,
+    /// Static tasks owned by worker `w` that were republished into the
+    /// dynamic section (by its own dying drain and by other workers'
+    /// rerouted pushes).
+    rescued: Vec<AtomicU64>,
+}
+
+impl ReadyQueues {
+    /// Empty queues for `workers` workers. `dynamic_tasks` bounds how
+    /// many tasks the dynamic section can hold at once (the lock-free
+    /// deques are fixed-capacity); `topo` shapes the lock-free
+    /// discipline's victim tiers and `steal_dir` their sweep direction.
+    /// The other disciplines ignore all three.
+    pub fn new(
+        workers: usize,
+        dynamic_tasks: usize,
+        queue: QueueDiscipline,
+        steal_dir: StealOrder,
+        topo: &CpuTopology,
+    ) -> Self {
+        Self {
+            local: heaps(workers),
+            dynamic: match queue {
+                QueueDiscipline::Global => Dynamic::Global(Mutex::new(BinaryHeap::new())),
+                QueueDiscipline::Sharded { .. } => Dynamic::Sharded(heaps(workers)),
+                QueueDiscipline::LockFree { .. } => Dynamic::LockFree {
+                    deques: (0..workers)
+                        .map(|_| Deque::with_capacity(dynamic_tasks))
+                        .collect(),
+                    tiers: (0..workers)
+                        .map(|me| StealTiers::for_worker(topo, me, workers))
+                        .collect(),
+                },
+            },
+            steal_dir,
+            dyn_queued: AtomicUsize::new(0),
+            degraded: (0..workers).map(|_| AtomicBool::new(false)).collect(),
+            rescued: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Queue a ready static task on its owner's heap — or, when the
+    /// owner is degraded, rescue it into the dynamic section instead
+    /// (counted against the owner). The flag is checked under the
+    /// owner's heap lock, the same lock [`drain_static`] holds while
+    /// draining, so no task can slip into a heap nobody will serve.
+    ///
+    /// [`drain_static`]: Self::drain_static
+    pub fn push_static(
+        &self,
+        task: u32,
+        owner: usize,
+        static_key: u64,
+        dynamic_key: u64,
+        home: usize,
+    ) {
+        let mut q = lock(&self.local[owner]);
+        if self.degraded[owner].load(Ordering::Acquire) {
+            drop(q);
+            self.rescued[owner].fetch_add(1, Ordering::Relaxed);
+            self.push_dynamic(task, dynamic_key, home);
+            return;
+        }
+        q.push(Reverse((static_key, task)));
+    }
+
+    /// Queue a ready task into the dynamic section. Under the stealing
+    /// disciplines it lands on `home`'s shard/deque — the worker that
+    /// enabled it, so it tends to run where its inputs are warm (see
+    /// the module docs for the lock-free single-owner contract).
+    pub fn push_dynamic(&self, task: u32, dynamic_key: u64, home: usize) {
+        match &self.dynamic {
+            Dynamic::Global(q) => lock(q).push(Reverse((dynamic_key, task))),
+            Dynamic::Sharded(shards) => {
+                // counter first, push second: the count
+                // over-approximates, so a successful pop's decrement can
+                // never underflow
+                self.dyn_queued.fetch_add(1, Ordering::AcqRel);
+                lock(&shards[home % shards.len()]).push(Reverse((dynamic_key, task)));
+            }
+            Dynamic::LockFree { deques, .. } => {
+                self.dyn_queued.fetch_add(1, Ordering::AcqRel);
+                deques[home % deques.len()]
+                    .push(task as u64)
+                    .expect("deque sized for every dynamic task");
+            }
+        }
+    }
+
+    /// Algorithm 1's pop order without stealing: worker `me`'s static
+    /// heap first, then its own share of the dynamic section (the
+    /// shared queue under the global discipline, its own shard or deque
+    /// otherwise; Algorithm 2's DFS order is baked into the keys).
+    pub fn pop_own(&self, me: usize) -> Option<(u32, QueueSource)> {
+        if let Some(Reverse((_, t))) = lock(&self.local[me]).pop() {
+            return Some((t, QueueSource::Local));
+        }
+        match &self.dynamic {
+            Dynamic::Global(q) => lock(q)
+                .pop()
+                .map(|Reverse((_, t))| (t, QueueSource::Global)),
+            Dynamic::Sharded(shards) => lock(&shards[me]).pop().map(|Reverse((_, t))| {
+                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
+                (t, QueueSource::Shard)
+            }),
+            Dynamic::LockFree { deques, .. } => deques[me].pop().map(|v| {
+                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
+                (v as u32, QueueSource::Shard)
+            }),
+        }
+    }
+
+    /// Steal from the other workers' dynamic shards/deques: seeded-
+    /// random victims for the sharded discipline, the locality-tiered
+    /// order for the lock-free one; the global discipline has nothing
+    /// to steal. Attempted — and counted into `failed_sweeps` when
+    /// wholly empty — only while dynamic tasks are actually queued
+    /// somewhere, so idle spins on a drained DAG don't read as
+    /// contention.
+    pub fn steal(
+        &self,
+        me: usize,
+        rng: &mut Rng,
+        failed_sweeps: &mut u64,
+    ) -> Option<(u32, QueueSource)> {
+        // (always zero under the global discipline, which never counts)
+        if self.dyn_queued.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let stolen = match &self.dynamic {
+            Dynamic::Global(_) => None,
+            Dynamic::Sharded(shards) => steal_sweep(
+                steal_order(rng, me, shards.len()),
+                |&victim| lock(&shards[victim]).pop().map(|Reverse((_, t))| t),
+                failed_sweeps,
+            )
+            .map(|(t, _)| (t, QueueSource::Stolen)),
+            Dynamic::LockFree { deques, tiers } => steal_sweep(
+                tiers[me].sweep_ordered(self.steal_dir, rng),
+                |&(victim, _)| loop {
+                    match deques[victim].steal() {
+                        Steal::Taken(v) => break Some(v as u32),
+                        Steal::Empty => break None,
+                        // a lost race means someone else made progress;
+                        // re-probe the same victim
+                        Steal::Retry => std::hint::spin_loop(),
+                    }
+                },
+                failed_sweeps,
+            )
+            .map(|(t, (_, tier))| match tier {
+                StealTier::Remote => (t, QueueSource::StolenRemote),
+                _ => (t, QueueSource::Stolen),
+            }),
+        };
+        if stolen.is_some() {
+            self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
+        }
+        stolen
+    }
+
+    /// Static-task rescue, called by worker `me` when it stops serving
+    /// its static heap (it is dying): flag it degraded and drain its
+    /// heap *under the heap lock* (the lock [`push_static`]'s reroute
+    /// checks under), then republish the backlog into the dynamic
+    /// section for the survivors, keyed by `dynamic_key`. Returns how
+    /// many tasks moved. The exclusive-writer DAG keeps the factors
+    /// bitwise-identical no matter who ends up running them.
+    ///
+    /// [`push_static`]: Self::push_static
+    pub fn drain_static(&self, me: usize, dynamic_key: impl Fn(u32) -> u64) -> u64 {
+        let drained: Vec<u32> = {
+            let mut q = lock(&self.local[me]);
+            self.degraded[me].store(true, Ordering::Release);
+            std::iter::from_fn(|| q.pop().map(|Reverse((_, t))| t)).collect()
+        };
+        self.rescued[me].fetch_add(drained.len() as u64, Ordering::Relaxed);
+        for &t in &drained {
+            self.push_dynamic(t, dynamic_key(t), me);
+        }
+        drained.len() as u64
+    }
+
+    /// Flag `worker` degraded without draining: every later
+    /// [`push_static`](Self::push_static) for it reroutes. For queues
+    /// nothing has been pushed into yet (a run published after the
+    /// worker was lost, or a persistently slow worker).
+    pub fn mark_degraded(&self, worker: usize) {
+        let _q = lock(&self.local[worker]);
+        self.degraded[worker].store(true, Ordering::Release);
+    }
+
+    /// Static tasks owned by `worker` that were rescued into the
+    /// dynamic section so far.
+    pub fn rescued(&self, worker: usize) -> u64 {
+        self.rescued[worker].load(Ordering::Acquire)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queues(workers: usize, queue: QueueDiscipline) -> ReadyQueues {
+        ReadyQueues::new(
+            workers,
+            64,
+            queue,
+            StealOrder::default(),
+            &CpuTopology::flat(workers),
+        )
+    }
+
+    const ALL: [QueueDiscipline; 3] = [
+        QueueDiscipline::Global,
+        QueueDiscipline::Sharded { seed: 3 },
+        QueueDiscipline::LockFree { seed: 3 },
+    ];
+
+    #[test]
+    fn steal_sweep_counts_whole_sweeps_not_victims() {
+        // the contention-thermometer regression: an empty sweep over
+        // many victims is ONE failure, so failure_rate stays comparable
+        // between the flat (p − 1 probes) and tiered victim orders
+        let mut failed = 0u64;
+        let all_empty = steal_sweep([0usize, 1, 2].into_iter(), |_| None::<u32>, &mut failed);
+        assert!(all_empty.is_none());
+        assert_eq!(failed, 1, "three empty victims, one failed sweep");
+
+        // a sweep that succeeds late counts no failure at all
+        let hit = steal_sweep(
+            [0usize, 1, 2].into_iter(),
+            |&v| (v == 2).then_some(7u32),
+            &mut failed,
+        );
+        assert_eq!(hit, Some((7, 2)));
+        assert_eq!(failed, 1, "successful sweep adds no failure");
+
+        // pinned ratio: 1 steal + 1 failed sweep = 50% failure rate,
+        // identical whether the sweep visited 3 victims or 30
+        let mut failed_wide = 0u64;
+        steal_sweep(0..30usize, |_| None::<u32>, &mut failed_wide);
+        assert_eq!(failed_wide, 1);
+        let rate = failed as f64 / (1 + failed) as f64;
+        assert!((rate - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn own_static_heap_is_served_before_the_dynamic_section() {
+        for queue in ALL {
+            let q = queues(2, queue);
+            q.push_dynamic(10, 1, 0);
+            q.push_static(20, 0, 9, 9, 0);
+            q.push_static(21, 0, 5, 5, 0);
+            assert_eq!(q.pop_own(0), Some((21, QueueSource::Local)), "{queue}");
+            assert_eq!(q.pop_own(0), Some((20, QueueSource::Local)), "{queue}");
+            let (t, src) = q.pop_own(0).unwrap();
+            assert_eq!(t, 10);
+            assert_ne!(src, QueueSource::Local, "{queue}");
+            assert_eq!(q.pop_own(0), None);
+        }
+    }
+
+    #[test]
+    fn every_dynamic_task_is_reachable_by_every_worker() {
+        // worker 1 never pushed anything: under Global it pops the
+        // shared heap, under the stealing disciplines it steals
+        for queue in ALL {
+            let q = queues(2, queue);
+            for t in 0..4u32 {
+                q.push_dynamic(t, t as u64, 0);
+            }
+            let mut rng = Rng::seed_from_u64(1);
+            let mut failed = 0u64;
+            let mut got = Vec::new();
+            while let Some((t, src)) = q.pop_own(1).or_else(|| q.steal(1, &mut rng, &mut failed)) {
+                assert_eq!(src.is_stolen(), queue.steals(), "{queue}");
+                got.push(t);
+            }
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1, 2, 3], "{queue}");
+            // drained: no sweep is attempted, so none is counted failed
+            assert_eq!(q.steal(1, &mut rng, &mut failed), None);
+            assert_eq!(failed, 0, "{queue}");
+        }
+    }
+
+    #[test]
+    fn drained_and_rerouted_static_tasks_reach_the_survivor() {
+        for queue in ALL {
+            let q = queues(2, queue);
+            q.push_static(1, 0, 1, 1, 0);
+            q.push_static(2, 0, 2, 2, 0);
+            assert_eq!(q.drain_static(0, |t| t as u64), 2, "{queue}");
+            // worker 0 is degraded now: a later static publish for it
+            // is rescued at push time, by the pusher
+            q.push_static(3, 0, 3, 3, 1);
+            assert_eq!(q.rescued(0), 3, "{queue}");
+            assert_eq!(q.rescued(1), 0);
+            // nothing is left in the dead worker's static heap: what it
+            // can still reach came back through the dynamic section
+            let (_, src) = q.pop_own(0).expect("the drain republished its backlog");
+            assert_ne!(src, QueueSource::Local, "{queue}");
+            let mut rng = Rng::seed_from_u64(2);
+            let mut failed = 0u64;
+            let mut got = 1; // the pop above took one rescued task
+            while q
+                .pop_own(1)
+                .or_else(|| q.steal(1, &mut rng, &mut failed))
+                .is_some()
+            {
+                got += 1;
+            }
+            assert_eq!(got, 3, "{queue}: every rescued task was served");
+        }
+    }
+
+    #[test]
+    fn mark_degraded_reroutes_from_the_first_push() {
+        let q = queues(2, QueueDiscipline::Global);
+        q.mark_degraded(1);
+        q.push_static(5, 1, 0, 0, 0);
+        assert_eq!(q.rescued(1), 1);
+        assert_eq!(q.pop_own(0), Some((5, QueueSource::Global)));
+    }
+}

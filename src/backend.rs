@@ -4,8 +4,8 @@
 //! implementations ship with the crate:
 //!
 //! * [`ThreadedBackend`] — real execution: worker threads, real kernels,
-//!   real pivoting, wall-clock schedule metrics (via
-//!   `calu_core::threaded`);
+//!   real pivoting, wall-clock schedule metrics (via `calu_core`'s
+//!   one executor engine);
 //! * [`SimulatedBackend`] — a discrete-event run of the same DAG under
 //!   the same scheduling policies on a modelled machine (via
 //!   `calu_sim::engine`), including NUMA costs and OS noise.
@@ -18,8 +18,9 @@ use std::time::Instant;
 
 use calu_core::{
     calu_factor_report, cholesky_factor_report, factor_batch, gepp_factor, incpiv_factor,
-    BatchItem, BatchSource, ThreadStats,
+    BatchItem, BatchSource, Factorization, ThreadStats,
 };
+use calu_matrix::DenseMatrix;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
 use calu_trace::Timeline;
 
@@ -39,8 +40,8 @@ pub trait Backend {
 
     /// Queue discipline to use when the caller leaves it unset *and*
     /// the plan has a dynamic section. `None` means the paper's shared
-    /// global queue. The threaded backend prefers the lock-free deques
-    /// (they won the perf-smoke gate); the simulator stays on the
+    /// global queue. The threaded backend prefers the lock-free deques;
+    /// the simulator stays on the
     /// paper-verbatim global queue so the reproduced figures keep their
     /// meaning.
     fn preferred_queue(&self) -> Option<calu_sched::QueueDiscipline> {
@@ -74,16 +75,12 @@ pub trait Backend {
 /// The loop-over-`run` batch fallback: execute each plan on its own
 /// (fresh thread pool per item on the threaded backend). This is both
 /// the default [`Backend::run_batch`] and the baseline the pooled path
-/// is gated against in `perf_smoke`.
+/// is measured against (`core.batch_over_loop` in `benchmark/`).
 pub(crate) fn run_batch_loop<B: Backend + ?Sized>(
     backend: &B,
     plans: &[Plan<'_>],
 ) -> Result<BatchReport, Error> {
-    if plans.is_empty() {
-        return Err(Error::Config(
-            "a batch needs at least one matrix source".into(),
-        ));
-    }
+    non_empty(plans)?;
     let t0 = Instant::now();
     let items = plans
         .iter()
@@ -99,6 +96,16 @@ pub(crate) fn run_batch_loop<B: Backend + ?Sized>(
         pool_reused: false,
         co_scheduled: 0,
     })
+}
+
+/// `Backend::run_batch` is public, so an empty slice can reach it.
+fn non_empty(plans: &[Plan<'_>]) -> Result<(), Error> {
+    if plans.is_empty() {
+        return Err(Error::Config(
+            "a batch needs at least one matrix source".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Check that every plan of a batch carries the same validated config
@@ -129,12 +136,9 @@ fn batch_shared_config(plans: &[Plan<'_>]) -> Result<calu_core::CaluConfig, Erro
 /// Fold a span timeline plus per-worker queue stats into the unified
 /// schedule metrics — one pass over the span list (it can hold tens of
 /// thousands of entries on large runs).
-pub(crate) fn threaded_schedule_metrics(
-    threads: usize,
-    makespan: f64,
-    tl: &Timeline,
-    stats: &[ThreadStats],
-) -> ScheduleMetrics {
+fn threaded_schedule_metrics(tl: &Timeline, stats: &[ThreadStats]) -> ScheduleMetrics {
+    let threads = stats.len();
+    let makespan = tl.makespan();
     let mut work = vec![0.0f64; threads];
     let mut busy = vec![0.0f64; threads];
     let mut count = vec![0u64; threads];
@@ -165,6 +169,121 @@ pub(crate) fn threaded_schedule_metrics(
     }
 }
 
+/// A report carrying a job's identity and nothing measured yet — the
+/// header every backend fills in.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn blank_report(
+    backend: &str,
+    algorithm: Algorithm,
+    scheduler: calu_sched::SchedulerKind,
+    queue_discipline: calu_sched::QueueDiscipline,
+    layout: calu_matrix::Layout,
+    dims: (usize, usize),
+    b: usize,
+    threads: usize,
+) -> Report {
+    Report {
+        backend: backend.into(),
+        algorithm,
+        scheduler,
+        queue_discipline,
+        layout,
+        dims,
+        b,
+        threads,
+        tasks: 0,
+        makespan: 0.0,
+        nominal_flops: nominal_flops(algorithm, dims.0, dims.1),
+        factorization: None,
+        residual: None,
+        growth_factor: None,
+        schedule: ScheduleMetrics::default(),
+        timeline: None,
+        adaptation: None,
+    }
+}
+
+fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
+    blank_report(
+        backend,
+        plan.algorithm,
+        plan.scheduler,
+        plan.queue(),
+        plan.layout(),
+        plan.source.dims(),
+        plan.b(),
+        plan.threads(),
+    )
+}
+
+/// Fill `report` from what the executor engine hands back for one job —
+/// solo, batched or served: the factors, the per-worker timeline (its
+/// clock starts at the job's first task) and queue accounting. The
+/// thread count is the engine's, one `ThreadStats` per worker.
+pub(crate) fn fill_from_engine(
+    report: &mut Report,
+    factorization: Factorization,
+    timeline: Timeline,
+    stats: &[ThreadStats],
+    record_trace: bool,
+) {
+    report.threads = stats.len();
+    report.tasks = timeline.spans().len();
+    report.makespan = timeline.makespan();
+    report.schedule = threaded_schedule_metrics(&timeline, stats);
+    report.timeline = record_trace.then_some(timeline);
+    report.factorization = Some(factorization);
+}
+
+/// The numerical checks of a `.verify()` run on the engine's factors:
+/// each algorithm's own residual, plus element growth for pivoted LU
+/// (Cholesky has no pivoting, so the figure stays `None`).
+fn verify_into(report: &mut Report, f: &Factorization, a: &DenseMatrix) {
+    if report.algorithm == Algorithm::Cholesky {
+        report.residual = Some(f.cholesky_residual(a));
+    } else {
+        report.residual = Some(f.residual(a));
+        report.growth_factor = Some(f.growth_factor(a));
+    }
+}
+
+/// What no real executor runs, refused rather than silently ignored:
+/// the Cilk-deque baseline and an *explicit* `.grouping(k > 1)`.
+pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<(), Error> {
+    if matches!(
+        plan.scheduler,
+        calu_sched::SchedulerKind::WorkStealing { .. }
+    ) {
+        return Err(Error::Unsupported {
+            backend: backend.into(),
+            what: "the real executor implements the paper's static/dynamic \
+                   queues, not the Cilk-deque baseline; use SimulatedBackend, \
+                   or a Dynamic/Hybrid scheduler with \
+                   .queue_discipline(QueueDiscipline::sharded()) for real \
+                   randomized stealing in DFS priority order"
+                .into(),
+        });
+    }
+    if plan.grouping_requested() && plan.group() > 1 {
+        return Err(Error::Unsupported {
+            backend: backend.into(),
+            what: "the real executor does not implement grouped BLAS-3 \
+                   updates; grouping is a simulator knob — use \
+                   SimulatedBackend or drop .grouping()"
+                .into(),
+        });
+    }
+    Ok(())
+}
+
+/// Real executors factor real data: the error for a shape-only source.
+pub(crate) fn shape_only_source(who: &str) -> Error {
+    Error::Config(format!(
+        "{who} factors real data: provide a DenseMatrix or a seeded \
+         generator source, not MatrixSource::Shape"
+    ))
+}
+
 /// Real multithreaded execution (Algorithms 1 and 2 of the paper).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedBackend;
@@ -178,18 +297,13 @@ impl Backend for ThreadedBackend {
         Some(calu_sched::QueueDiscipline::lock_free())
     }
 
-    /// Persistent-pool batching for CALU and Cholesky plans (they share
-    /// the pool's kernel-set dispatch, so a batch may mix the two);
-    /// anything the pool does not cover (reference drivers, the
-    /// rejected Cilk baseline) falls back to the loop-over-`run`
-    /// default, which reports the same per-item errors a solo run
-    /// would.
+    /// One-pool batching for CALU and Cholesky plans (every item names
+    /// its own kernel set, so a batch may mix the two); anything the
+    /// engine does not cover (reference drivers, the rejected Cilk
+    /// baseline) falls back to the loop-over-`run` default, which
+    /// reports the same per-item errors a solo run would.
     fn run_batch(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
-        if plans.is_empty() {
-            return Err(Error::Config(
-                "a batch needs at least one matrix source".into(),
-            ));
-        }
+        non_empty(plans)?;
         let pooled = plans.iter().all(|p| {
             matches!(p.algorithm, Algorithm::Calu | Algorithm::Cholesky)
                 && !matches!(p.scheduler, calu_sched::SchedulerKind::WorkStealing { .. })
@@ -202,32 +316,9 @@ impl Backend for ThreadedBackend {
     }
 
     fn execute(&self, plan: &Plan<'_>) -> Result<Report, Error> {
-        if matches!(
-            plan.scheduler,
-            calu_sched::SchedulerKind::WorkStealing { .. }
-        ) {
-            return Err(Error::Unsupported {
-                backend: self.name().into(),
-                what: "the real executor implements the paper's static/dynamic \
-                       queues, not the Cilk-deque baseline; use SimulatedBackend, \
-                       or a Dynamic/Hybrid scheduler with \
-                       .queue_discipline(QueueDiscipline::sharded()) for real \
-                       randomized stealing in DFS priority order"
-                    .into(),
-            });
-        }
-        if plan.grouping_requested() && plan.group() > 1 {
-            return Err(Error::Unsupported {
-                backend: self.name().into(),
-                what: "the real executor does not implement grouped BLAS-3 \
-                       updates; grouping is a simulator knob — use \
-                       SimulatedBackend or drop .grouping()"
-                    .into(),
-            });
-        }
-        if !plan.calu_config().fault.is_off()
-            && !matches!(plan.algorithm, Algorithm::Calu | Algorithm::Cholesky)
-        {
+        reject_sim_only_knobs(self.name(), plan)?;
+        let on_engine = matches!(plan.algorithm, Algorithm::Calu | Algorithm::Cholesky);
+        if !plan.calu_config().fault.is_off() && !on_engine {
             return Err(Error::Unsupported {
                 backend: self.name().into(),
                 what: format!(
@@ -238,116 +329,60 @@ impl Backend for ThreadedBackend {
                 ),
             });
         }
-        let a = plan.source.materialize().ok_or_else(|| {
-            Error::Config(
-                "the threaded backend factors real data: provide a DenseMatrix \
-                 or a seeded generator source, not MatrixSource::Shape"
-                    .into(),
-            )
-        })?;
-        let (m, n) = plan.source.dims();
-        let mut report = Report {
-            backend: self.name().into(),
-            algorithm: plan.algorithm,
-            scheduler: plan.scheduler,
-            queue_discipline: plan.queue(),
-            layout: plan.layout(),
-            dims: (m, n),
-            b: plan.b(),
-            threads: plan.threads(),
-            tasks: 0,
-            makespan: 0.0,
-            nominal_flops: nominal_flops(plan.algorithm, m, n),
-            factorization: None,
-            residual: None,
-            growth_factor: None,
-            schedule: ScheduleMetrics::default(),
-            timeline: None,
-            adaptation: None,
-        };
-        match plan.algorithm {
-            Algorithm::Calu => {
-                let cfg = plan.calu_config();
-                let (f, tl, stats) = calu_factor_report(&a, &cfg)?;
-                if plan.verify {
-                    report.residual = Some(f.residual(&a));
-                    report.growth_factor = Some(f.growth_factor(&a));
-                }
-                report.makespan = tl.makespan();
-                report.tasks = tl.spans().len();
-                report.schedule =
-                    threaded_schedule_metrics(plan.threads(), tl.makespan(), &tl, &stats);
-                report.timeline = plan.record_trace.then_some(tl);
-                report.factorization = Some(f);
+        let a = plan
+            .source
+            .materialize()
+            .ok_or_else(|| shape_only_source("the threaded backend"))?;
+        let mut report = plan_report(self.name(), plan);
+        if on_engine {
+            let cfg = plan.calu_config();
+            let (f, tl, stats) = if plan.algorithm == Algorithm::Cholesky {
+                cholesky_factor_report(&a, &cfg)?
+            } else {
+                calu_factor_report(&a, &cfg)?
+            };
+            if plan.verify {
+                verify_into(&mut report, &f, &a);
             }
-            Algorithm::Gepp => {
-                let t0 = Instant::now();
-                let f = gepp_factor(a.as_ref(), plan.b());
-                let dt = t0.elapsed().as_secs_f64();
-                if plan.verify {
-                    report.residual = Some(f.residual(&a));
-                    report.growth_factor = Some(f.growth_factor(&a));
-                }
-                report.makespan = dt;
-                // the reference drivers are sequential regardless of the
-                // requested thread count; report what actually ran
-                report.threads = 1;
-                report.schedule = sequential_metrics(dt);
-                report.factorization = Some(f);
+            fill_from_engine(&mut report, f, tl, &stats, plan.record_trace);
+            return Ok(report);
+        }
+        // the reference drivers are sequential regardless of the
+        // requested thread count; report what actually ran
+        report.threads = 1;
+        let t0 = Instant::now();
+        if plan.algorithm == Algorithm::Gepp {
+            let f = gepp_factor(a.as_ref(), plan.b());
+            report.makespan = t0.elapsed().as_secs_f64();
+            if plan.verify {
+                verify_into(&mut report, &f, &a);
             }
-            Algorithm::IncPiv => {
-                let t0 = Instant::now();
-                let f = incpiv_factor(a.as_ref(), plan.b());
-                let dt = t0.elapsed().as_secs_f64();
-                // incremental pivoting keeps per-tile factors; expose the
-                // numerical checks, not a packed Factorization
-                if plan.verify {
-                    report.residual = Some(f.residual_via_solve(&a, 0));
-                    report.growth_factor = Some(f.growth_factor(&a));
-                }
-                report.makespan = dt;
-                report.threads = 1;
-                report.schedule = sequential_metrics(dt);
-            }
-            Algorithm::Cholesky => {
-                let cfg = plan.calu_config();
-                let (f, tl, stats) = cholesky_factor_report(&a, &cfg)?;
-                if plan.verify {
-                    report.residual = Some(f.cholesky_residual(&a));
-                    // growth factor is an LU pivoting figure; Cholesky
-                    // has no pivoting, so the field stays None
-                }
-                report.makespan = tl.makespan();
-                report.tasks = tl.spans().len();
-                report.schedule =
-                    threaded_schedule_metrics(plan.threads(), tl.makespan(), &tl, &stats);
-                report.timeline = plan.record_trace.then_some(tl);
-                report.factorization = Some(f);
+            report.factorization = Some(f);
+        } else {
+            let f = incpiv_factor(a.as_ref(), plan.b());
+            report.makespan = t0.elapsed().as_secs_f64();
+            // incremental pivoting keeps per-tile factors; expose the
+            // numerical checks, not a packed Factorization
+            if plan.verify {
+                report.residual = Some(f.residual_via_solve(&a, 0));
+                report.growth_factor = Some(f.growth_factor(&a));
             }
         }
+        report.schedule = sequential_metrics(report.makespan);
         Ok(report)
     }
 }
 
 impl ThreadedBackend {
-    /// Batched factorization on one persistent worker pool
+    /// Batched factorization on one worker pool
     /// (`calu_core::factor_batch`): spawned once, per-worker scratch
-    /// arenas and deques alive across items, small items co-scheduled
+    /// arenas alive across items, small items co-scheduled
     /// whole-per-worker, large ones on the full hybrid schedule. Each
     /// item carries its own kernel set, so a batch may mix CALU and
-    /// Cholesky plans. See the `calu_core::batch` module docs for the
-    /// scheduling model.
+    /// Cholesky plans.
     fn run_batch_pooled(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
         for plan in plans {
-            if plan.grouping_requested() && plan.group() > 1 {
-                return Err(Error::Unsupported {
-                    backend: self.name().into(),
-                    what: "the real executor does not implement grouped BLAS-3 \
-                           updates; grouping is a simulator knob — use \
-                           SimulatedBackend or drop .grouping()"
-                        .into(),
-                });
-            }
+            reject_sim_only_knobs(self.name(), plan)?;
         }
         let cfg = batch_shared_config(plans)?;
         // what the loop fallback pays per item — measured once per
@@ -373,11 +408,7 @@ impl ThreadedBackend {
                         BatchSource::SpdUniform { n: *n, seed: *seed }
                     }
                     MatrixSource::Shape { .. } => {
-                        return Err(Error::Config(
-                            "the threaded backend factors real data: provide a DenseMatrix \
-                             or a seeded generator source, not MatrixSource::Shape"
-                                .into(),
-                        ))
+                        return Err(shape_only_source("the threaded backend"))
                     }
                 };
                 Ok(match p.algorithm {
@@ -392,31 +423,7 @@ impl ThreadedBackend {
             .iter()
             .zip(outcome.items)
             .map(|(plan, item)| {
-                let (m, n) = plan.source.dims();
-                let mut report = Report {
-                    backend: self.name().into(),
-                    algorithm: plan.algorithm,
-                    scheduler: plan.scheduler,
-                    queue_discipline: plan.queue(),
-                    layout: plan.layout(),
-                    dims: (m, n),
-                    b: plan.b(),
-                    threads: plan.threads(),
-                    tasks: item.timeline.spans().len(),
-                    makespan: item.makespan,
-                    nominal_flops: nominal_flops(plan.algorithm, m, n),
-                    factorization: None,
-                    residual: None,
-                    growth_factor: None,
-                    schedule: threaded_schedule_metrics(
-                        plan.threads(),
-                        item.makespan,
-                        &item.timeline,
-                        &item.stats,
-                    ),
-                    timeline: plan.record_trace.then_some(item.timeline),
-                    adaptation: None,
-                };
+                let mut report = plan_report(self.name(), plan);
                 if plan.verify {
                     // generator items re-materialize here, on demand —
                     // only verifying sweeps pay for reference copies
@@ -424,14 +431,15 @@ impl ThreadedBackend {
                         .source
                         .materialize()
                         .expect("shape-only sources were rejected above");
-                    if plan.algorithm == Algorithm::Cholesky {
-                        report.residual = Some(item.factorization.cholesky_residual(&a));
-                    } else {
-                        report.residual = Some(item.factorization.residual(&a));
-                        report.growth_factor = Some(item.factorization.growth_factor(&a));
-                    }
+                    verify_into(&mut report, &item.factorization, &a);
                 }
-                report.factorization = Some(item.factorization);
+                fill_from_engine(
+                    &mut report,
+                    item.factorization,
+                    item.timeline,
+                    &item.stats,
+                    plan.record_trace,
+                );
                 report
             })
             .collect();
@@ -519,6 +527,40 @@ impl SimulatedBackend {
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
     }
+
+    /// One discrete-event run of `plan`'s DAG on `machine` (the whole
+    /// model, or a co-scheduling core group carved out of it).
+    fn simulate(
+        &self,
+        plan: &Plan<'_>,
+        machine: MachineConfig,
+        grid: calu_matrix::ProcessGrid,
+    ) -> Result<SimResult, Error> {
+        let cores = self.machine.cores();
+        if plan.threads() != cores {
+            return Err(Error::Config(format!(
+                "thread count {} does not match the simulated machine's {} \
+                 cores ({}); drop .threads() to use the machine size, or pick \
+                 a machine model with {} cores",
+                plan.threads(),
+                cores,
+                self.machine.name,
+                plan.threads()
+            )));
+        }
+        let cfg = SimConfig {
+            machine,
+            layout: plan.layout(),
+            sched: plan.scheduler,
+            queue: plan.queue(),
+            steal_order: plan.steal_order(),
+            grid,
+            group_max: plan.group(),
+            column_granular: self.column_granular,
+            record_trace: plan.record_trace,
+        };
+        Ok(calu_sim::run(&plan.build_graph(), &cfg))
+    }
 }
 
 impl Backend for SimulatedBackend {
@@ -537,33 +579,8 @@ impl Backend for SimulatedBackend {
     }
 
     fn execute(&self, plan: &Plan<'_>) -> Result<Report, Error> {
-        let cores = self.machine.cores();
-        if plan.threads() != cores {
-            return Err(Error::Config(format!(
-                "thread count {} does not match the simulated machine's {} \
-                 cores ({}); drop .threads() to use the machine size, or pick \
-                 a machine model with {} cores",
-                plan.threads(),
-                cores,
-                self.machine.name,
-                plan.threads()
-            )));
-        }
-        let cfg = SimConfig {
-            machine: self.machine.clone(),
-            layout: plan.layout(),
-            sched: plan.scheduler,
-            queue: plan.queue(),
-            steal_order: plan.steal_order(),
-            grid: plan.grid,
-            group_max: plan.group(),
-            column_granular: self.column_granular,
-            record_trace: plan.record_trace,
-        };
-        let g = plan.build_graph();
-        let r = calu_sim::run(&g, &cfg);
-        let (m, n) = plan.source.dims();
-        Ok(sim_report(self.name(), plan, (m, n), cores, r))
+        let r = self.simulate(plan, self.machine.clone(), plan.grid)?;
+        Ok(sim_report(self.name(), plan, self.machine.cores(), r))
     }
 
     /// Model the batch semantics of the threaded pool on the machine
@@ -574,15 +591,10 @@ impl Backend for SimulatedBackend {
     /// classification the threaded pool applies, so backend-parity
     /// sweeps cover the batch path too.
     fn run_batch(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
-        if plans.is_empty() {
-            return Err(Error::Config(
-                "a batch needs at least one matrix source".into(),
-            ));
-        }
+        non_empty(plans)?;
         let cores = self.machine.cores();
         let cfg = batch_shared_config(plans)?;
         let k = cfg.batch_threads_per_item.min(cores);
-        let co_schedule = k < cores;
         let groups = (cores / k).max(1);
         let sub_machine = MachineConfig {
             sockets: 1,
@@ -597,35 +609,13 @@ impl Backend for SimulatedBackend {
         let mut co_scheduled = 0usize;
         let mut items = Vec::with_capacity(plans.len());
         for plan in plans {
-            if plan.threads() != cores {
-                return Err(Error::Config(format!(
-                    "thread count {} does not match the simulated machine's {} \
-                     cores ({}); drop .threads() to use the machine size",
-                    plan.threads(),
-                    cores,
-                    self.machine.name
-                )));
-            }
-            let (m, n) = plan.source.dims();
-            let small = co_schedule && m.max(n) <= cfg.batch_small_cutoff;
-            let g = plan.build_graph();
+            let small = cfg.co_schedules(plan.source.dims());
             let (machine, grid, threads) = if small {
                 (sub_machine.clone(), sub_grid, k)
             } else {
                 (self.machine.clone(), plan.grid, cores)
             };
-            let scfg = SimConfig {
-                machine,
-                layout: plan.layout(),
-                sched: plan.scheduler,
-                queue: plan.queue(),
-                steal_order: plan.steal_order(),
-                grid,
-                group_max: plan.group(),
-                column_granular: self.column_granular,
-                record_trace: plan.record_trace,
-            };
-            let r = calu_sim::run(&g, &scfg);
+            let r = self.simulate(plan, machine, grid)?;
             if small {
                 co_scheduled += 1;
                 group_time[next_group] += r.makespan;
@@ -633,7 +623,7 @@ impl Backend for SimulatedBackend {
             } else {
                 wall_large += r.makespan;
             }
-            items.push(sim_report(self.name(), plan, (m, n), threads, r));
+            items.push(sim_report(self.name(), plan, threads, r));
         }
         let wall = wall_large + group_time.iter().copied().fold(0.0f64, f64::max);
         Ok(BatchReport {
@@ -652,13 +642,7 @@ impl Backend for SimulatedBackend {
 /// Map a `SimResult` into the unified report shape. `threads` is the
 /// core count the run actually used (the whole machine for solo runs,
 /// the co-scheduling group size for small batch items).
-fn sim_report(
-    backend: &str,
-    plan: &Plan<'_>,
-    dims: (usize, usize),
-    threads: usize,
-    r: SimResult,
-) -> Report {
+fn sim_report(backend: &str, plan: &Plan<'_>, threads: usize, r: SimResult) -> Report {
     let per_core = r
         .cores
         .iter()
@@ -685,28 +669,17 @@ fn sim_report(
             }
         })
         .collect();
-    Report {
-        backend: backend.into(),
-        algorithm: plan.algorithm,
-        scheduler: plan.scheduler,
-        queue_discipline: plan.queue(),
-        layout: plan.layout(),
-        dims,
-        b: plan.b(),
-        threads,
-        tasks: r.tasks,
+    let mut report = plan_report(backend, plan);
+    report.threads = threads;
+    report.tasks = r.tasks;
+    report.makespan = r.makespan;
+    report.nominal_flops = r.nominal_flops;
+    report.schedule = ScheduleMetrics {
         makespan: r.makespan,
-        nominal_flops: r.nominal_flops,
-        factorization: None,
-        residual: None,
-        growth_factor: None,
-        schedule: ScheduleMetrics {
-            makespan: r.makespan,
-            threads: per_core,
-        },
-        timeline: r.timeline,
-        adaptation: None,
-    }
+        threads: per_core,
+    };
+    report.timeline = r.timeline;
+    report
 }
 
 #[cfg(test)]

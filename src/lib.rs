@@ -137,9 +137,9 @@
 //! * [`sim`] — discrete-event multicore/NUMA machine simulator;
 //! * [`trace`] — execution timelines and idle-time metrics;
 //! * [`model`] — the paper's §6 performance model (Theorem 1);
-//! * [`core`] — CALU with tournament pivoting, the threaded hybrid
-//!   executor, the persistent-pool batch executor, and the GEPP /
-//!   incremental-pivoting baselines.
+//! * [`core`] — CALU with tournament pivoting, the one hybrid
+//!   executor engine behind solo runs, batched sweeps and the service
+//!   pool, and the GEPP / incremental-pivoting baselines.
 
 pub mod backend;
 pub mod error;

@@ -29,11 +29,11 @@
 //! The solver builder is the service's *plan*: tile size, threads,
 //! layout, scheduler and verification all validate once through
 //! [`Solver::plan`], exactly like a solo run; jobs then only vary in
-//! their matrix ([`JobSpec`]). Inside the pool each job's dynamic
-//! section runs on the paper's shared global queue — the exclusive-
-//! writer discipline of the task DAG makes the factors independent of
-//! execution order, which is what lets a served job reproduce a solo
-//! run bit for bit.
+//! their matrix ([`JobSpec`]). The pool runs the same executor engine
+//! as a solo run — including the builder's queue discipline — and the
+//! exclusive-writer discipline of the task DAG makes the factors
+//! independent of execution order, which is what lets a served job
+//! reproduce a solo run bit for bit.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -41,7 +41,6 @@ use std::time::{Duration, Instant};
 use calu_core::pool::PoolOutcome;
 use calu_core::KernelSet;
 use calu_rand::Rng;
-use calu_sched::{QueueDiscipline, SchedulerKind};
 
 pub use calu_serve::{
     DrainSummary, Events, FactorService, JobClass, JobEvent, JobHandle, JobId, JobInfo, JobSpec,
@@ -49,9 +48,11 @@ pub use calu_serve::{
     ServiceEvent,
 };
 
-use crate::backend::{cold_spawn_secs, threaded_schedule_metrics};
+use crate::backend::{
+    blank_report, cold_spawn_secs, fill_from_engine, reject_sim_only_knobs, shape_only_source,
+};
 use crate::error::Error;
-use crate::report::{nominal_flops, BatchReport, Report};
+use crate::report::{BatchReport, Report};
 use crate::solver::{Algorithm, MatrixSource, Solver};
 
 /// A [`FactorService`] whose jobs resolve to the facade's [`Report`] —
@@ -93,13 +94,7 @@ fn spec_for(source: MatrixSource, kernels: Option<KernelSet>) -> Result<JobSpec,
         MatrixSource::Dense(a) => JobSpec::dense(a),
         MatrixSource::Uniform { m, n, seed } => JobSpec::uniform(m, n, seed),
         MatrixSource::SpdUniform { n, seed } => JobSpec::spd_uniform(n, seed),
-        MatrixSource::Shape { .. } => {
-            return Err(Error::Config(
-                "the factorization service factors real data: provide a DenseMatrix \
-                 or a seeded generator source, not MatrixSource::Shape"
-                    .into(),
-            ))
-        }
+        MatrixSource::Shape { .. } => return Err(shape_only_source("the factorization service")),
     };
     Ok(match kernels {
         Some(k) => spec.with_kernels(k),
@@ -127,10 +122,10 @@ impl Solver {
     /// Restrictions mirror the threaded backend's: CALU and Cholesky
     /// only (every job carries its own [`KernelSet`],
     /// so one service can mix the two), no work-stealing baseline, no
-    /// explicit BLAS-3 grouping. Inside the pool each job's dynamic
-    /// section uses the paper's shared global queue (reported as
-    /// [`QueueDiscipline::Global`]); the factors are bitwise-independent
-    /// of that choice.
+    /// explicit BLAS-3 grouping. Large jobs run their dynamic section
+    /// under the builder's queue discipline, exactly like a solo run;
+    /// each report names the discipline of the pool generation that ran
+    /// its job.
     pub fn serve_with(&self, mut svc: ServiceConfig) -> Result<ReportService, Error> {
         let plan = self.plan()?;
         if !matches!(plan.algorithm, Algorithm::Calu | Algorithm::Cholesky) {
@@ -144,74 +139,56 @@ impl Solver {
                 ),
             });
         }
-        if matches!(plan.scheduler, SchedulerKind::WorkStealing { .. }) {
-            return Err(Error::Unsupported {
-                backend: "serve".into(),
-                what: "the service pool implements the paper's static/dynamic \
-                       queues, not the Cilk-deque baseline; use a Dynamic or \
-                       Hybrid scheduler"
-                    .into(),
-            });
-        }
-        if plan.grouping_requested() && plan.group() > 1 {
-            return Err(Error::Unsupported {
-                backend: "serve".into(),
-                what: "the real executor does not implement grouped BLAS-3 \
-                       updates; grouping is a simulator knob — drop .grouping()"
-                    .into(),
-            });
-        }
+        reject_sim_only_knobs("serve", &plan)?;
         svc.verify = plan.verify;
         let cfg = plan.calu_config();
         let scheduler = plan.scheduler;
         let record_trace = plan.record_trace;
-        let make_cfg = cfg.clone();
+        let (layout, b) = (cfg.layout, cfg.b);
         // adaptive solvers keep learning while they serve: every
-        // completed job's pool outcome is distilled into an Observation
-        // and fed to the shared controller, so a later
+        // completed job's schedule metrics are distilled into an
+        // Observation and fed to the shared controller, so a later
         // Solver::reconfigure (same builder) re-plans under the adapted
         // split — a service on a degraded machine converges across jobs
         let feedback = self.adaptive_controller();
         let make = move |_info: &JobInfo, out: PoolOutcome| -> Report {
-            // the pool that ran the job reports one ThreadStats per
-            // worker; a live reconfigure may have changed the width
-            // since this closure captured the original config, so the
-            // outcome — not the captured knobs — is authoritative
-            let schedule =
-                threaded_schedule_metrics(out.stats.len(), out.makespan, &out.timeline, &out.stats);
-            // the job's own kernel set, not the builder's algorithm: one
-            // service can serve LU and Cholesky jobs side by side
+            // the outcome — not the captured knobs — is authoritative
+            // for what a live reconfigure may have changed since this
+            // closure was built (pool width, queue discipline), and the
+            // job's own kernel set decides the algorithm: one service
+            // serves LU and Cholesky jobs side by side
             let algorithm = match out.kernels {
                 KernelSet::CaluLu => Algorithm::Calu,
                 KernelSet::Cholesky => Algorithm::Cholesky,
             };
-            if let Some(ctl) = &feedback {
-                if let Some(ctl) = ctl.lock().unwrap().as_mut() {
-                    ctl.observe(&out.observation());
-                }
-            }
-            Report {
-                backend: "serve".into(),
+            let mut report = blank_report(
+                "serve",
                 algorithm,
                 scheduler,
-                queue_discipline: QueueDiscipline::Global,
-                layout: make_cfg.layout,
-                dims: out.dims,
-                b: make_cfg.b,
-                threads: out.stats.len(),
-                tasks: out.timeline.spans().len(),
-                makespan: out.makespan,
-                nominal_flops: nominal_flops(algorithm, out.dims.0, out.dims.1),
-                factorization: Some(out.factorization),
-                residual: out.residual,
-                growth_factor: out.growth_factor,
-                schedule,
-                timeline: record_trace.then_some(out.timeline),
-                // service jobs run under their pool generation's fixed
-                // split; the controller's evolving state is read through
-                // Solver::adaptive_split and applied by reconfigure
-                adaptation: None,
+                out.queue,
+                layout,
+                out.dims,
+                b,
+                out.stats.len(),
+            );
+            report.residual = out.residual;
+            report.growth_factor = out.growth_factor;
+            // service jobs run under their pool generation's fixed
+            // split; the controller's evolving state is read through
+            // Solver::adaptive_split and applied by reconfigure
+            fill_from_engine(
+                &mut report,
+                out.factorization,
+                out.timeline,
+                &out.stats,
+                record_trace,
+            );
+            if let Some(ctl) = &feedback {
+                if let Some(ctl) = ctl.lock().unwrap().as_mut() {
+                    ctl.observe(&report.schedule.observation(report.dims));
+                }
             }
+            report
         };
         FactorService::with_report(&cfg, svc, make).map_err(Error::from)
     }

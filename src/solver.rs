@@ -351,7 +351,7 @@ impl Solver {
     /// Set the dynamic-section queue discipline explicitly. Unset, the
     /// backend chooses: the threaded backend defaults to
     /// [`QueueDiscipline::LockFree`] (per-worker Chase-Lev deques with
-    /// locality-tiered stealing — it won the perf-smoke gate), the
+    /// locality-tiered stealing), the
     /// simulated backend to [`QueueDiscipline::Global`] (the paper's
     /// single shared queue, keeping the reproduced figures faithful);
     /// schedulers without a dynamic section always get `Global`.

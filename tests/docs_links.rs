@@ -88,7 +88,7 @@ fn front_door_covers_the_advertised_entry_points() {
         "ThreadedBackend",
         "SimulatedBackend",
         "cargo test",
-        "perf_smoke",
+        "benchmark/",
         "QueueDiscipline",
         "FaultPlan",
     ] {
