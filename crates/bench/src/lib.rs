@@ -1,7 +1,9 @@
 //! Shared harness for the figure/table binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index). They all go through the
+//! paper (the "Where the paper lives" table of `docs/ARCHITECTURE.md` is
+//! the index). Timing lives elsewhere — the `benchmark/` package is the
+//! repo's one performance ruler. The binaries all go through the
 //! unified [`Solver`] facade with a
 //! [`SimulatedBackend`], so the experimental
 //! setup is identical across figures: same seeds, same block-size rule,
@@ -12,9 +14,6 @@ use calu::matrix::Layout;
 use calu::sched::SchedulerKind;
 use calu::sim::{MachineConfig, NoiseConfig};
 use calu::{Algorithm, MatrixSource, Report, SimulatedBackend, Solver};
-
-pub mod perf;
-pub mod timing;
 
 /// The seed every figure uses for OS noise (determinism across runs).
 pub const NOISE_SEED: u64 = 42;

@@ -18,157 +18,37 @@
 //! bitwise-identically to a solo [`crate::calu_factor`] call with the
 //! same config — the facade's backend-parity suite pins this down.
 
-use calu_matrix::DenseMatrix;
-use calu_trace::Timeline;
-
 use crate::config::CaluConfig;
-use crate::engine::{run_jobs, Source};
+use crate::engine::{run_jobs, BatchItem, Outcome};
 use crate::error::CaluError;
-use crate::factorization::Factorization;
-use crate::pool::PoolSource;
-use crate::threaded::{KernelSet, ThreadStats};
 
-/// What one batch item factors: either a caller-held dense matrix, or
-/// a *generator* whose tile data is built lazily on the worker that
-/// claims the item. Lazy sources keep submission O(1) per item — the
-/// caller thread never touches element data, and for co-scheduled
-/// items the materialized matrix lives only on the claiming worker.
-#[derive(Debug, Clone)]
-pub enum BatchSource<'a> {
-    /// Borrowed dense data, materialized by the caller.
-    Dense(&'a DenseMatrix),
-    /// A seeded uniform generator matrix (`calu_matrix::gen::uniform`),
-    /// materialized on the worker that claims the item.
-    Uniform {
-        /// Rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-    /// A seeded symmetric positive-definite generator matrix
-    /// (`calu_matrix::gen::spd_uniform`) — the natural source for
-    /// [`KernelSet::Cholesky`] items, materialized on the worker that
-    /// claims the item.
-    SpdUniform {
-        /// Order (the matrix is `n×n`).
-        n: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-}
-
-impl BatchSource<'_> {
-    /// `(rows, cols)` without materializing.
-    pub fn dims(&self) -> (usize, usize) {
-        match self {
-            BatchSource::Dense(a) => (a.rows(), a.cols()),
-            BatchSource::Uniform { m, n, .. } => (*m, *n),
-            BatchSource::SpdUniform { n, .. } => (*n, *n),
-        }
-    }
-}
-
-/// One item of a mixed-algorithm batch: the matrix source plus the
-/// [`KernelSet`] that factors it. [`factor_batch`] accepts any mix —
-/// CALU and Cholesky items share the pool and the per-worker scratch
-/// arenas; only the per-task kernels differ.
-#[derive(Debug, Clone)]
-pub struct BatchItem<'a> {
-    /// What to factor.
-    pub source: BatchSource<'a>,
-    /// Which algorithm's tile kernels factor it.
-    pub kernels: KernelSet,
-}
-
-impl<'a> BatchItem<'a> {
-    /// A CALU (LU) item.
-    pub fn lu(source: BatchSource<'a>) -> Self {
-        BatchItem {
-            source,
-            kernels: KernelSet::CaluLu,
-        }
-    }
-
-    /// A tiled-Cholesky item (its source must be square).
-    pub fn cholesky(source: BatchSource<'a>) -> Self {
-        BatchItem {
-            source,
-            kernels: KernelSet::Cholesky,
-        }
-    }
-}
-
-/// One factored batch item, in input order.
-#[derive(Debug)]
-pub struct BatchItemOutcome {
-    /// The factors, exactly as a solo [`crate::calu_factor`] with the
-    /// same config would produce them.
-    pub factorization: Factorization,
-    /// Per-worker spans of this item, time-shifted so the item's first
-    /// task starts at 0.
-    pub timeline: Timeline,
-    /// Per-worker queue accounting for this item's tasks.
-    pub stats: Vec<ThreadStats>,
-    /// Wall-clock extent of this item inside the batch (first task
-    /// start → last task end). Co-scheduled items overlap, so these do
-    /// not sum to the batch wall time.
-    pub makespan: f64,
-    /// Whether the item was co-scheduled (claimed whole by one worker)
-    /// rather than run co-operatively by the pool.
-    pub co_scheduled: bool,
-}
-
-/// Result of one [`calu_factor_batch`] sweep.
+/// Result of one [`factor_batch`] sweep.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// Per-item outcomes, in input order.
-    pub items: Vec<BatchItemOutcome>,
-    /// End-to-end wall time of the sweep (pool spawn → last join).
+    pub items: Vec<Outcome>,
+    /// End-to-end wall time of the sweep (first queue → last join).
     pub wall_secs: f64,
     /// Seconds until the last pool worker entered its work loop — the
     /// one-off spawn cost the batch amortizes over all items.
     pub pool_spawn_secs: f64,
-    /// Steal sweeps that probed every victim and found nothing, summed
-    /// over the items (stealing disciplines only).
-    pub failed_steal_sweeps: u64,
 }
 
-/// Factor every matrix in `mats` with CALU on one persistent worker
-/// pool (see the module docs for the scheduling model). All items share
-/// one [`CaluConfig`] — the batch knobs
-/// ([`CaluConfig::batch_threads_per_item`],
+/// Factor a batch on one worker pool (see the module docs for the
+/// scheduling model). All items share one [`CaluConfig`] — the batch
+/// knobs ([`CaluConfig::batch_threads_per_item`],
 /// [`CaluConfig::batch_small_cutoff`]) choose which items are
-/// co-scheduled. Every item's factors are bitwise-identical to a solo
-/// [`crate::calu_factor`] call with the same config.
-pub fn calu_factor_batch(
-    mats: &[&DenseMatrix],
-    cfg: &CaluConfig,
-) -> Result<BatchOutcome, CaluError> {
-    let sources: Vec<BatchSource<'_>> = mats.iter().map(|a| BatchSource::Dense(a)).collect();
-    calu_factor_batch_from(&sources, cfg)
-}
-
-/// [`calu_factor_batch`] over [`BatchSource`]s: generator items are
-/// materialized lazily on the worker that claims them, so submitting a
-/// sweep of seeded matrices costs the caller thread nothing per item.
-pub fn calu_factor_batch_from(
-    sources: &[BatchSource<'_>],
-    cfg: &CaluConfig,
-) -> Result<BatchOutcome, CaluError> {
-    let items: Vec<BatchItem<'_>> = sources.iter().cloned().map(BatchItem::lu).collect();
-    factor_batch(&items, cfg)
-}
-
-/// Factor a mixed-algorithm batch: each [`BatchItem`] names its own
-/// [`KernelSet`], so one sweep — one pool spawn, one scratch arena per
-/// worker — can interleave CALU and tiled Cholesky factorizations. Per
-/// item the result is bitwise-identical to the matching solo call
-/// ([`crate::calu_factor`] / [`crate::cholesky_factor`]) with the same
-/// config. An armed [`CaluConfig::fault`] plan is honoured like
-/// anywhere else: survivors rescue a lost worker's static backlog and
-/// redo the small item it died in.
+/// co-scheduled — and each [`BatchItem`] names its own
+/// [`KernelSet`](crate::KernelSet), so one sweep — one pool spawn, one
+/// scratch arena per worker — can interleave CALU and tiled Cholesky
+/// factorizations. Per item the factors are bitwise-identical to the
+/// matching solo call ([`crate::calu_factor`] /
+/// [`crate::cholesky_factor`]) with the same config. An armed
+/// [`CaluConfig::fault`] plan is honoured like anywhere else: survivors
+/// rescue a lost worker's static backlog and redo the small item it
+/// died in. Items are cloned into the engine — free for borrowed and
+/// generator sources; lend dense data as [`Source::Dense`](crate::Source)
+/// rather than moving it in.
 pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOutcome, CaluError> {
     if items.is_empty() {
         return Err(CaluError::InvalidConfig(
@@ -181,52 +61,27 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
     }) {
         return Err(CaluError::EmptyMatrix);
     }
-    let jobs = items.iter().map(|it| {
-        let source = match it.source {
-            BatchSource::Dense(a) => Source::Borrowed(a),
-            BatchSource::Uniform { m, n, seed } => {
-                Source::Owned(PoolSource::Uniform { m, n, seed })
-            }
-            BatchSource::SpdUniform { n, seed } => {
-                Source::Owned(PoolSource::SpdUniform { n, seed })
-            }
-        };
-        (it.kernels, source)
-    });
-    let drained = run_jobs(cfg.clone(), jobs)?;
-    let items: Vec<BatchItemOutcome> = drained
-        .outcomes
-        .into_iter()
-        .map(|out| BatchItemOutcome {
-            factorization: out.factorization,
-            timeline: out.timeline,
-            stats: out.stats,
-            makespan: out.makespan,
-            co_scheduled: out.co_scheduled,
-        })
-        .collect();
-    Ok(BatchOutcome {
-        failed_steal_sweeps: items
-            .iter()
-            .flat_map(|it| &it.stats)
-            .map(|s| s.failed_steals)
-            .sum(),
-        items,
-        wall_secs: drained.wall_secs,
-        pool_spawn_secs: drained.spawn_secs,
-    })
+    run_jobs(cfg.clone(), items.iter().cloned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Source;
     use crate::threaded::calu_factor;
     use calu_dag::TaskGraph;
-    use calu_matrix::gen;
+    use calu_matrix::{gen, DenseMatrix};
     use calu_sched::QueueDiscipline;
 
     fn cfg4() -> CaluConfig {
         CaluConfig::new(16).with_threads(4).with_dratio(0.5)
+    }
+
+    /// One CALU item per borrowed matrix.
+    fn lu_items<'a>(mats: &[&'a DenseMatrix]) -> Vec<BatchItem<'a>> {
+        mats.iter()
+            .map(|a| BatchItem::lu(Source::Dense(a)))
+            .collect()
     }
 
     #[test]
@@ -238,7 +93,7 @@ mod tests {
             .collect();
         let refs: Vec<&DenseMatrix> = mats.iter().collect();
         let cfg = cfg4().with_batch_small_cutoff(100);
-        let out = calu_factor_batch(&refs, &cfg).unwrap();
+        let out = factor_batch(&lu_items(&refs), &cfg).unwrap();
         assert_eq!(out.items.len(), 4);
         assert!(out.wall_secs > 0.0 && out.pool_spawn_secs >= 0.0);
         for (i, (a, item)) in mats.iter().zip(&out.items).enumerate() {
@@ -262,7 +117,7 @@ mod tests {
         for cutoff in [0usize, 1000] {
             // cutoff 0: all co-operative; cutoff 1000: all co-scheduled
             let cfg = cfg4().with_batch_small_cutoff(cutoff);
-            let out = calu_factor_batch(&refs, &cfg).unwrap();
+            let out = factor_batch(&lu_items(&refs), &cfg).unwrap();
             for (item, g) in out.items.iter().zip(&mats) {
                 let expected = TaskGraph::build_calu(g.rows(), g.cols(), 16, 2).len();
                 let popped: u64 = item
@@ -288,7 +143,7 @@ mod tests {
             QueueDiscipline::lock_free(),
         ] {
             let cfg = cfg4().with_queue(queue).with_batch_small_cutoff(0);
-            let out = calu_factor_batch(&refs, &cfg).unwrap();
+            let out = factor_batch(&lu_items(&refs), &cfg).unwrap();
             packed.push(out.items[0].factorization.lu.as_slice().to_vec());
             for item in &out.items {
                 assert!(!item.co_scheduled);
@@ -301,12 +156,12 @@ mod tests {
     #[test]
     fn empty_batch_and_empty_matrices_are_rejected() {
         assert!(matches!(
-            calu_factor_batch(&[], &cfg4()),
+            factor_batch(&[], &cfg4()),
             Err(CaluError::InvalidConfig(_))
         ));
         let z = DenseMatrix::zeros(0, 4);
         assert!(matches!(
-            calu_factor_batch(&[&z], &cfg4()),
+            factor_batch(&lu_items(&[&z]), &cfg4()),
             Err(CaluError::EmptyMatrix)
         ));
     }
@@ -322,13 +177,13 @@ mod tests {
             .map(|&(n, seed)| gen::uniform(n, n, seed))
             .collect();
         let refs: Vec<&DenseMatrix> = mats.iter().collect();
-        let lazy: Vec<BatchSource<'_>> = dims_seeds
+        let lazy: Vec<BatchItem<'_>> = dims_seeds
             .iter()
-            .map(|&(n, seed)| BatchSource::Uniform { m: n, n, seed })
+            .map(|&(n, seed)| BatchItem::lu(Source::Uniform { m: n, n, seed }))
             .collect();
         let cfg = cfg4().with_batch_small_cutoff(100);
-        let dense_out = calu_factor_batch(&refs, &cfg).unwrap();
-        let lazy_out = calu_factor_batch_from(&lazy, &cfg).unwrap();
+        let dense_out = factor_batch(&lu_items(&refs), &cfg).unwrap();
+        let lazy_out = factor_batch(&lazy, &cfg).unwrap();
         for (i, (d, l)) in dense_out.items.iter().zip(&lazy_out.items).enumerate() {
             assert_eq!(
                 d.factorization.lu.as_slice(),
@@ -353,10 +208,10 @@ mod tests {
             .map(|&(n, seed)| gen::spd_uniform(n, seed))
             .collect();
         let items: Vec<BatchItem<'_>> = vec![
-            BatchItem::lu(BatchSource::Dense(&lu_mats[0])),
-            BatchItem::cholesky(BatchSource::Dense(&spd_mats[0])),
-            BatchItem::lu(BatchSource::Dense(&lu_mats[1])),
-            BatchItem::cholesky(BatchSource::Dense(&spd_mats[1])),
+            BatchItem::lu(Source::Dense(&lu_mats[0])),
+            BatchItem::cholesky(Source::Dense(&spd_mats[0])),
+            BatchItem::lu(Source::Dense(&lu_mats[1])),
+            BatchItem::cholesky(Source::Dense(&spd_mats[1])),
         ];
         let cfg = cfg4().with_batch_small_cutoff(100);
         let out = factor_batch(&items, &cfg).unwrap();
@@ -392,11 +247,11 @@ mod tests {
             .collect();
         let dense: Vec<BatchItem<'_>> = mats
             .iter()
-            .map(|a| BatchItem::cholesky(BatchSource::Dense(a)))
+            .map(|a| BatchItem::cholesky(Source::Dense(a)))
             .collect();
         let lazy: Vec<BatchItem<'_>> = dims_seeds
             .iter()
-            .map(|&(n, seed)| BatchItem::cholesky(BatchSource::SpdUniform { n, seed }))
+            .map(|&(n, seed)| BatchItem::cholesky(Source::SpdUniform { n, seed }))
             .collect();
         let cfg = cfg4().with_batch_small_cutoff(100);
         let d = factor_batch(&dense, &cfg).unwrap();
@@ -412,7 +267,7 @@ mod tests {
 
     #[test]
     fn cholesky_batch_item_rejects_rectangular_source() {
-        let items = [BatchItem::cholesky(BatchSource::Uniform {
+        let items = [BatchItem::cholesky(Source::Uniform {
             m: 40,
             n: 32,
             seed: 1,
@@ -429,7 +284,7 @@ mod tests {
     fn single_item_batch_matches_solo() {
         let a = gen::uniform(72, 72, 9);
         let cfg = cfg4();
-        let out = calu_factor_batch(&[&a], &cfg).unwrap();
+        let out = factor_batch(&lu_items(&[&a]), &cfg).unwrap();
         let solo = calu_factor(&a, &cfg).unwrap();
         assert_eq!(out.items[0].factorization.lu.as_slice(), solo.lu.as_slice());
         assert_eq!(out.items[0].factorization.perm.pivots(), solo.perm.pivots());

@@ -37,7 +37,7 @@ pub struct CaluConfig {
     /// oversubscribed ones. Best effort — an unpinnable CPU (sandbox,
     /// cgroup) leaves the worker floating.
     pub pin_workers: bool,
-    /// Batched sweeps only ([`crate::calu_factor_batch`]): the
+    /// Batched sweeps only ([`crate::factor_batch`]): the
     /// co-scheduling switch and modelled group width. Any value `<`
     /// `threads` enables co-scheduling; `threads` disables it (every
     /// item runs the full hybrid static/dynamic schedule on the whole

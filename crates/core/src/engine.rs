@@ -5,8 +5,10 @@
 //! the dynamic section" (Algorithms 1 and 2). This module is that loop,
 //! written once, plus the minimum around it to feed it *jobs*:
 //!
-//! * a **job** is `(KernelSet, matrix source, sink)`, queued in
-//!   [`ClassLanes`];
+//! * a **job** is a [`BatchItem`] — a matrix [`Source`], the
+//!   [`KernelSet`] that factors it, whether to verify the result — plus
+//!   a sink, queued in [`ClassLanes`]; every job comes back as one
+//!   [`Outcome`];
 //! * a claimed **small** job (the co-schedule predicate,
 //!   [`CaluConfig::co_schedules`]) is materialized, factored by a
 //!   sequential DAG drain and delivered entirely on the claiming worker
@@ -41,9 +43,9 @@
 //!
 //! ## Who spawns threads
 //!
-//! Nobody here owns threads; callers lend them. [`run_jobs`] (behind
-//! `calu_factor*`, `cholesky_factor*` and `factor_batch`) queues its
-//! jobs, marks the engine draining and runs the loop on
+//! Nobody here owns threads; callers lend them. [`run_jobs`] (which
+//! `factor_batch` is, and `calu_factor` / `cholesky_factor` are one job
+//! of) queues its jobs, marks the engine draining and runs the loop on
 //! `std::thread::scope` threads, so borrowed inputs are never copied
 //! and the threads are gone when it returns. [`ServicePool`] runs the
 //! same loop on persistent `'static` threads until drained.
@@ -72,19 +74,21 @@ use std::time::{Duration, Instant};
 
 use calu_dag::{PaperKind, TaskGraph, TaskId};
 use calu_kernels::GemmScratch;
+use calu_matrix::gen;
 use calu_matrix::storage::TileLoc;
 use calu_matrix::{
     BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, Tiling, TlbMatrix,
 };
 use calu_rand::Rng;
-use calu_sched::{nstatic_for, ClassLanes, JobClass, QueueSource, ReadyQueues};
+use calu_sched::{nstatic_for, ClassLanes, JobClass, QueueDiscipline, QueueSource, ReadyQueues};
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
+use crate::batch::BatchOutcome;
 use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
-use crate::pool::{ExtractedJob, JobSink, PoolOutcome, PoolSource};
+use crate::pool::{ExtractedJob, JobSink};
 use crate::sync::{pin_current_thread, Mutex};
 use crate::threaded::{apply_left_swaps, host_topology, ItemState, KernelSet, ThreadStats};
 
@@ -147,43 +151,145 @@ impl TileStorage for PoolStorage {
     }
 }
 
-/// What one job factors: dense data borrowed from a scoped caller, or
-/// an owned [`PoolSource`] (moved-in dense data or a seeded generator
-/// materialized lazily on the claiming worker).
-#[derive(Clone)]
-pub(crate) enum Source<'a> {
-    Borrowed(&'a DenseMatrix),
-    Owned(PoolSource),
+/// What one job factors — the one type that carries matrix data into the
+/// engine, for solo runs, batched sweeps and served jobs alike. Dense
+/// data is borrowed from a scoped caller (never copied) or moved in (a
+/// served job outlives its submitter, so it is `Source<'static>`); the
+/// generator variants are materialized lazily on the thread that claims
+/// the job, which keeps submission O(1) per item and, for co-scheduled
+/// items, the element data local to the claiming worker.
+#[derive(Debug, Clone)]
+pub enum Source<'a> {
+    /// Dense data borrowed from the caller.
+    Dense(&'a DenseMatrix),
+    /// Dense data moved into the job.
+    Owned(DenseMatrix),
+    /// A seeded uniform generator matrix (`calu_matrix::gen::uniform`).
+    Uniform {
+        /// Rows.
+        m: usize,
+        /// Columns.
+        n: usize,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// A seeded symmetric positive-definite generator matrix
+    /// (`calu_matrix::gen::spd_uniform`) — the natural source for
+    /// [`KernelSet::Cholesky`] jobs.
+    SpdUniform {
+        /// Order (the matrix is `n×n`).
+        n: usize,
+        /// Generator seed.
+        seed: u64,
+    },
 }
 
 impl<'a> Source<'a> {
-    fn dims(&self) -> (usize, usize) {
+    /// `(rows, cols)` without materializing.
+    pub fn dims(&self) -> (usize, usize) {
         match self {
-            Source::Borrowed(a) => (a.rows(), a.cols()),
-            Source::Owned(p) => p.dims(),
+            Source::Dense(a) => (a.rows(), a.cols()),
+            Source::Owned(a) => (a.rows(), a.cols()),
+            Source::Uniform { m, n, .. } => (*m, *n),
+            Source::SpdUniform { n, .. } => (*n, *n),
         }
     }
 
-    fn materialize(self) -> Cow<'a, DenseMatrix> {
+    /// The element data, generated on the calling thread for the
+    /// generator variants.
+    pub fn materialize(self) -> Cow<'a, DenseMatrix> {
         match self {
-            Source::Borrowed(a) => Cow::Borrowed(a),
-            Source::Owned(p) => Cow::Owned(p.materialize()),
+            Source::Dense(a) => Cow::Borrowed(a),
+            Source::Owned(a) => Cow::Owned(a),
+            Source::Uniform { m, n, seed } => Cow::Owned(gen::uniform(m, n, seed)),
+            Source::SpdUniform { n, seed } => Cow::Owned(gen::spd_uniform(n, seed)),
+        }
+    }
+}
+
+/// One job: what to factor, with which algorithm's tile kernels, and
+/// whether to check the result against the input. The same type is an
+/// item of a [`factor_batch`](crate::factor_batch) sweep (any mix of
+/// CALU and Cholesky items shares the pool and the per-worker scratch
+/// arenas; only the per-task kernels differ) and, as
+/// `BatchItem<'static>`, a job of a
+/// [`ServicePool`](crate::pool::ServicePool).
+#[derive(Debug, Clone)]
+pub struct BatchItem<'a> {
+    /// What to factor.
+    pub source: Source<'a>,
+    /// Which algorithm's tile kernels factor it.
+    pub kernels: KernelSet,
+    /// Compute the residual (and, for LU, the growth factor) against the
+    /// input on the thread that finishes the job. A verified job keeps
+    /// its input until then; an unverified one drops a generated or
+    /// moved-in input as soon as the tiles are built.
+    pub verify: bool,
+}
+
+impl<'a> BatchItem<'a> {
+    /// A CALU (LU) job, unverified.
+    pub fn lu(source: Source<'a>) -> Self {
+        BatchItem {
+            source,
+            kernels: KernelSet::CaluLu,
+            verify: false,
         }
     }
 
-    fn into_owned(self) -> PoolSource {
-        match self {
-            Source::Borrowed(a) => PoolSource::Dense(a.clone()),
-            Source::Owned(p) => p,
+    /// A tiled-Cholesky job (its source must be square), unverified.
+    pub fn cholesky(source: Source<'a>) -> Self {
+        BatchItem {
+            source,
+            kernels: KernelSet::Cholesky,
+            verify: false,
         }
     }
+
+    /// Switch result verification on or off.
+    pub fn verified(mut self, verify: bool) -> Self {
+        self.verify = verify;
+        self
+    }
+}
+
+/// Everything the engine knows about one completed job, however it was
+/// run — the raw material the facade shapes into its `Report`.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The factors: bitwise-identical for the same input and config
+    /// whether the job ran solo, in a batch or on a service pool.
+    pub factorization: Factorization,
+    /// Which algorithm's kernels factored the job.
+    pub kernels: KernelSet,
+    /// Per-worker spans, time-shifted so the job's first task starts
+    /// at 0.
+    pub timeline: Timeline,
+    /// Per-worker queue accounting for this job's tasks.
+    pub stats: Vec<ThreadStats>,
+    /// First task start → last task end. Co-scheduled jobs overlap, so
+    /// these do not sum to a sweep's wall time.
+    pub makespan: f64,
+    /// Whether the job was claimed whole by one worker (small route)
+    /// rather than run co-operatively by the pool.
+    pub co_scheduled: bool,
+    /// The dynamic-section queue discipline of the engine that ran the
+    /// job (co-scheduled jobs touch no queues at all).
+    pub queue: QueueDiscipline,
+    /// `(rows, cols)` of the input.
+    pub dims: (usize, usize),
+    /// `‖PA − LU‖ / ‖A‖` (LU jobs) or `‖A − LLᵀ‖ / ‖A‖` (Cholesky
+    /// jobs), when the job asked for verification.
+    pub residual: Option<f64>,
+    /// Element growth factor of a verified LU job (Cholesky does not
+    /// pivot, so the figure is meaningless there).
+    pub growth_factor: Option<f64>,
 }
 
 /// A job waiting in the lanes.
 struct Job<'a> {
     id: u64,
-    kernels: KernelSet,
-    source: Source<'a>,
+    item: BatchItem<'a>,
     sink: Box<dyn JobSink>,
 }
 
@@ -232,7 +338,7 @@ struct Slot(Mutex<WorkerLog>);
 /// between the engine's active list, the workers' snapshots of it and
 /// whichever workers are mid-task, which is why results are extracted
 /// by reference (`finish_by_ref`/`storage_ref`) instead of by value.
-struct Run {
+struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
     id: u64,
@@ -240,8 +346,9 @@ struct Run {
     queues: ReadyQueues,
     slots: Vec<Slot>,
     sink: Mutex<Option<Box<dyn JobSink>>>,
-    /// The input, kept only when the engine verifies results.
-    a: Option<DenseMatrix>,
+    /// The input, kept only when the job asked for verification (a
+    /// borrowed one stays borrowed).
+    a: Option<Cow<'a, DenseMatrix>>,
     /// First finisher (or failer) wins; everyone else moves on.
     finishing: AtomicBool,
     /// `active` is kept sorted by `(class_rank, seq)` so workers serve
@@ -250,7 +357,7 @@ struct Run {
     seq: u64,
 }
 
-impl Run {
+impl Run<'_> {
     /// Queue freshly enabled tasks: static ones on their block-cyclic
     /// owner's heap, the rest in the dynamic section on `home`'s side.
     /// The batch goes in *descending* key order (least critical first):
@@ -283,7 +390,7 @@ impl Run {
 struct State<'a> {
     lanes: ClassLanes<Job<'a>>,
     /// In-flight co-operative runs, sorted by `(class_rank, seq)`.
-    active: Vec<Arc<Run>>,
+    active: Vec<Arc<Run<'a>>>,
     /// Workers that no longer take static work: lost, or persistently
     /// slow (pre-marked, so their block-cyclic share rides the dynamic
     /// section from the first panel). Written and read under this
@@ -299,7 +406,7 @@ struct State<'a> {
     poisoned: bool,
     /// `Some` on a scoped engine: drained runs wait here for the
     /// calling thread to extract their results (see `drain_scoped`).
-    parked: Option<Vec<Arc<Run>>>,
+    parked: Option<Vec<Arc<Run<'a>>>>,
     workers_started: usize,
     /// Latest moment (engine clock) a worker entered its loop.
     spawn_secs: f64,
@@ -311,7 +418,6 @@ pub(crate) struct Engine<'a> {
     cfg: CaluConfig,
     grid: ProcessGrid,
     leaf_stride: usize,
-    verify: bool,
     epoch: Instant,
     /// `cfg.fault` is armed; the no-fault hot path never pays more than
     /// this flag's check.
@@ -337,15 +443,10 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Validate `cfg` and build an idle engine. `verify` makes every
-    /// job compute a residual (and, for LU, a growth factor) against
-    /// its input; `starvation_limit` bounds how many higher-class
-    /// claims may pass over a waiting lower-class job.
-    pub(crate) fn new(
-        cfg: CaluConfig,
-        verify: bool,
-        starvation_limit: usize,
-    ) -> Result<Self, CaluError> {
+    /// Validate `cfg` and build an idle engine. `starvation_limit`
+    /// bounds how many higher-class claims may pass over a waiting
+    /// lower-class job.
+    pub(crate) fn new(cfg: CaluConfig, starvation_limit: usize) -> Result<Self, CaluError> {
         let grid = cfg.validate()?;
         let mut degraded = vec![false; cfg.threads];
         for wf in cfg.fault.faults() {
@@ -356,7 +457,6 @@ impl<'a> Engine<'a> {
         Ok(Engine {
             grid,
             leaf_stride: cfg.leaf_stride.unwrap_or_else(|| grid.pr()),
-            verify,
             epoch: Instant::now(),
             armed: !cfg.fault.is_off(),
             lost_workers: AtomicUsize::new(0),
@@ -399,23 +499,14 @@ impl<'a> Engine<'a> {
         &self,
         id: u64,
         class: JobClass,
-        kernels: KernelSet,
-        source: Source<'a>,
+        item: BatchItem<'a>,
         sink: Box<dyn JobSink>,
     ) -> Result<(), Box<dyn JobSink>> {
         let mut st = self.state.lock();
         if st.draining {
             return Err(sink);
         }
-        st.lanes.push(
-            class,
-            Job {
-                id,
-                kernels,
-                source,
-                sink,
-            },
-        );
+        st.lanes.push(class, Job { id, item, sink });
         self.queued_jobs.store(st.lanes.len(), Ordering::Release);
         drop(st);
         self.work.notify_all();
@@ -428,33 +519,6 @@ impl<'a> Engine<'a> {
         let removed = st.lanes.remove_where(|j| j.id == id);
         self.queued_jobs.store(st.lanes.len(), Ordering::Release);
         removed.map(|(_, job)| job.sink)
-    }
-
-    /// Stop admission and hand back every queued-but-unclaimed job.
-    pub(crate) fn extract_queued(&self) -> Vec<ExtractedJob> {
-        let jobs = {
-            let mut st = self.state.lock();
-            // stop admission first, under the same lock the pop runs
-            // under: nothing can slip into the lanes after the sweep,
-            // so the handover is exact — every unclaimed job leaves
-            // here, every claimed one finishes on this engine's workers
-            st.draining = true;
-            let mut jobs = Vec::with_capacity(st.lanes.len());
-            while let Some((class, j)) = st.lanes.pop() {
-                jobs.push(ExtractedJob {
-                    id: j.id,
-                    class,
-                    kernels: j.kernels,
-                    source: j.source.into_owned(),
-                    sink: j.sink,
-                });
-            }
-            self.queued_jobs.store(0, Ordering::Release);
-            jobs
-        };
-        self.work.notify_all();
-        self.idle.notify_all();
-        jobs
     }
 
     /// Stop admitting: workers leave once nothing is queued or in
@@ -544,7 +608,7 @@ impl<'a> Engine<'a> {
         self.state.lock().in_flight
     }
 
-    fn active_run(&self, id: u64) -> Option<Arc<Run>> {
+    fn active_run(&self, id: u64) -> Option<Arc<Run<'a>>> {
         self.state
             .lock()
             .active
@@ -580,7 +644,7 @@ impl<'a> Engine<'a> {
 
     /// Serve a fault-plan stall; when it hit in the middle of `run`,
     /// it shows in that run's timeline as noise.
-    fn stall(&self, d: Duration, me: usize, run: Option<&Run>) {
+    fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
         let start = self.now();
         std::thread::sleep(d);
         if let Some(run) = run {
@@ -593,11 +657,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Shape one finished job's raw pieces into its [`PoolOutcome`]:
-    /// spans shifted so the job's first task starts at 0, tiles
-    /// densified (after the logs are folded and freed, to keep the peak
-    /// footprint down), deferred left swaps, optional verification
-    /// against `a`.
+    /// Shape one finished job's raw pieces into its [`Outcome`]: spans
+    /// shifted so the job's first task starts at 0, tiles densified
+    /// (after the logs are folded and freed, to keep the peak footprint
+    /// down), deferred left swaps, and — the one place an engine job is
+    /// verified — the residual and growth factor against `a`, present
+    /// when the job asked for them.
     #[allow(clippy::too_many_arguments)]
     fn outcome(
         &self,
@@ -608,7 +673,7 @@ impl<'a> Engine<'a> {
         logs: Vec<WorkerLog>,
         a: Option<&DenseMatrix>,
         co_scheduled: bool,
-    ) -> PoolOutcome {
+    ) -> Outcome {
         let t_start = logs
             .iter()
             .flat_map(|l| &l.spans)
@@ -645,7 +710,7 @@ impl<'a> Engine<'a> {
             ),
             (Some(a), KernelSet::Cholesky) => (Some(factorization.cholesky_residual(a)), None),
         };
-        PoolOutcome {
+        Outcome {
             factorization,
             kernels,
             makespan: timeline.makespan(),
@@ -677,7 +742,7 @@ impl<'a> Engine<'a> {
 
     /// Deliver a terminal result, with no engine lock held: sinks may
     /// take service locks.
-    fn end_job(&self, sink: Box<dyn JobSink>, res: Result<PoolOutcome, CaluError>) {
+    fn end_job(&self, sink: Box<dyn JobSink>, res: Result<Outcome, CaluError>) {
         sink.finished(res);
         self.job_ended();
     }
@@ -685,7 +750,7 @@ impl<'a> Engine<'a> {
     /// Take `run` off the active list (workers stop pulling from it at
     /// their next epoch check) and fold its rescue count into the
     /// engine's.
-    fn retire(&self, run: &Arc<Run>) {
+    fn retire(&self, run: &Arc<Run<'a>>) {
         {
             let mut st = self.state.lock();
             st.active.retain(|r| !Arc::ptr_eq(r, run));
@@ -701,7 +766,7 @@ impl<'a> Engine<'a> {
     /// finished normally). Peers already executing one of its tasks may
     /// finish or panic harmlessly — the sink is gone and `done` can no
     /// longer trigger `finish_run`.
-    fn fail_run(&self, run: &Arc<Run>, err: CaluError) -> bool {
+    fn fail_run(&self, run: &Arc<Run<'a>>, err: CaluError) -> bool {
         if run.finishing.swap(true, Ordering::AcqRel) {
             return false;
         }
@@ -714,7 +779,7 @@ impl<'a> Engine<'a> {
     /// Every task of `run` is done: retire it and deliver its results —
     /// or, on a scoped engine, park it for the calling thread to
     /// deliver. Called by exactly one worker (the `finishing` flag).
-    fn finish_run(&self, run: &Arc<Run>) {
+    fn finish_run(&self, run: &Arc<Run<'a>>) {
         self.retire(run);
         let parked = match &mut self.state.lock().parked {
             Some(parked) => {
@@ -730,7 +795,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Extract a drained run's results and hand them to its sink.
-    fn deliver(&self, run: &Run) {
+    fn deliver(&self, run: &Run<'a>) {
         let (perm, singular_at) = run.item.finish_by_ref();
         let logs = (0..self.threads())
             .map(|w| {
@@ -749,7 +814,7 @@ impl<'a> Engine<'a> {
             perm,
             singular_at,
             logs,
-            run.a.as_ref(),
+            run.a.as_deref(),
             false,
         );
         let sink = run.sink.lock().take().expect("run finishes once");
@@ -764,7 +829,7 @@ impl<'a> Engine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn run_task(
         &self,
-        run: &Arc<Run>,
+        run: &Arc<Run<'a>>,
         t: TaskId,
         source: QueueSource,
         me: usize,
@@ -814,7 +879,7 @@ impl<'a> Engine<'a> {
         let mut st = self.state.lock();
         let (class, job) = if large_only {
             st.lanes
-                .remove_where(|j| !self.cfg.co_schedules(j.source.dims()))?
+                .remove_where(|j| !self.cfg.co_schedules(j.item.source.dims()))?
         } else {
             st.lanes.pop()?
         };
@@ -825,25 +890,30 @@ impl<'a> Engine<'a> {
         Some((class, seq, job))
     }
 
-    /// Materialize a claimed job's input and build its execution state.
+    /// Materialize a claimed job's input and build its execution state;
+    /// the input comes back only for a job that asked for verification
+    /// (anything else frees a generator fill or moved-in data here).
     /// Runs under `catch_unwind`, like task bodies: a panicking build
     /// fails its own job instead of killing the worker.
     fn build(
         &self,
-        kernels: KernelSet,
-        source: Source<'a>,
+        item: BatchItem<'a>,
         me: usize,
         inject_panic: bool,
-    ) -> Result<(ItemState<PoolStorage>, Cow<'a, DenseMatrix>), CaluError> {
+    ) -> Result<(ItemState<PoolStorage>, Option<Cow<'a, DenseMatrix>>), CaluError> {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 injected_panic(me);
             }
-            let (m, n) = source.dims();
-            let a = source.materialize();
-            let g = Arc::new(kernels.build_graph(m, n, self.cfg.b, self.leaf_stride)?);
+            let (m, n) = item.source.dims();
+            let a = item.source.materialize();
+            let g = Arc::new(
+                item.kernels
+                    .build_graph(m, n, self.cfg.b, self.leaf_stride)?,
+            );
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
             let tiles = PoolStorage::build(&a, self.cfg.layout, self.cfg.b, self.grid);
+            let a = item.verify.then_some(a);
             Ok((ItemState::new(tiles, g, self.grid, nstatic), a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
@@ -867,28 +937,21 @@ impl<'a> Engine<'a> {
         clock: &mut FaultClock,
         inject_panic: bool,
     ) -> bool {
-        if !self.cfg.co_schedules(job.source.dims()) {
+        if !self.cfg.co_schedules(job.item.source.dims()) {
             self.start_run(class, seq, job, me, inject_panic);
             return true;
         }
-        let Job {
-            id,
-            kernels,
-            source,
-            sink,
-        } = job;
+        let Job { id, item, sink } = job;
         sink.started();
         // a mid-item worker loss has no partial-state recovery path:
-        // keep the source so the whole item can be requeued
-        let backup = self.armed.then(|| source.clone());
-        let res = self
-            .build(kernels, source, me, inject_panic)
-            .and_then(|(item, a)| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.run_small(item, a, me, scratch, clock)
-                }))
-                .map_err(panic_error)
-            });
+        // keep the job so the whole item can be requeued
+        let backup = self.armed.then(|| item.clone());
+        let res = self.build(item, me, inject_panic).and_then(|(state, a)| {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.run_small(state, a, me, scratch, clock)
+            }))
+            .map_err(panic_error)
+        });
         match res {
             Ok(Some(out)) => self.end_job(sink, Ok(out)),
             Ok(None) => {
@@ -898,8 +961,7 @@ impl<'a> Engine<'a> {
                 // idempotent on the service side)
                 let job = Job {
                     id,
-                    kernels,
-                    source: backup.expect("interrupts need an armed fault plan"),
+                    item: backup.expect("interrupts need an armed fault plan"),
                     sink,
                 };
                 let mut st = self.state.lock();
@@ -919,7 +981,7 @@ impl<'a> Engine<'a> {
     /// publish it.
     fn start_run(&self, class: JobClass, seq: u64, job: Job<'a>, me: usize, inject_panic: bool) {
         job.sink.started();
-        let (item, a) = match self.build(job.kernels, job.source, me, inject_panic) {
+        let (item, a) = match self.build(job.item, me, inject_panic) {
             Ok(built) => built,
             Err(e) => return self.end_job(job.sink, Err(e)),
         };
@@ -942,9 +1004,7 @@ impl<'a> Engine<'a> {
             ),
             slots: (0..threads).map(|_| Slot::default()).collect(),
             sink: Mutex::new(Some(job.sink)),
-            // only a verifying engine keeps the input past the tile
-            // build (a borrowed one is never copied otherwise)
-            a: self.verify.then(|| a.into_owned()),
+            a,
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
@@ -962,7 +1022,7 @@ impl<'a> Engine<'a> {
     /// drained) or the flag was copied before the first push (every
     /// push reroutes). Scattering before the insert also keeps the
     /// lock-free deques single-owner: nobody can pop them yet.
-    fn publish(&self, run: &Arc<Run>) {
+    fn publish(&self, run: &Arc<Run<'a>>) {
         let mut initial = run.item.g.initial_ready();
         {
             let mut st = self.state.lock();
@@ -992,12 +1052,11 @@ impl<'a> Engine<'a> {
     fn run_small(
         &self,
         item: ItemState<PoolStorage>,
-        a: Cow<'_, DenseMatrix>,
+        a: Option<Cow<'_, DenseMatrix>>,
         me: usize,
         scratch: &mut GemmScratch,
         clock: &mut FaultClock,
-    ) -> Option<PoolOutcome> {
-        let a = self.verify.then_some(a); // else: free a generator fill early
+    ) -> Option<Outcome> {
         let mut log = WorkerLog::default();
         let mut stack = item.g.initial_ready();
         // descending key order so `pop` serves the smallest (most
@@ -1052,7 +1111,7 @@ impl<'a> Engine<'a> {
     /// poison a clean exit, so the engine keeps serving with one worker
     /// fewer.
     fn retire_worker(&self, me: usize) {
-        let runs: Vec<Arc<Run>> = {
+        let runs: Vec<Arc<Run<'a>>> = {
             // flag and snapshot under one state lock — see `publish`
             let mut st = self.state.lock();
             st.degraded[me] = true;
@@ -1096,7 +1155,7 @@ impl<'a> Engine<'a> {
         // an injected panic latches until the next piece of work, where
         // it unwinds inside that job's containment perimeter
         let mut panic_pending = false;
-        let mut runs: Vec<Arc<Run>> = Vec::new();
+        let mut runs: Vec<Arc<Run<'a>>> = Vec::new();
         let mut seen_epoch = 0u64;
         let mut idle_spins = 0u32;
         {
@@ -1211,26 +1270,45 @@ impl Drop for PanicGuard<'_, '_> {
     }
 }
 
-/// What [`run_jobs`] hands back.
-pub(crate) struct Drained {
-    /// Per-job outcomes, in submission order.
-    pub(crate) outcomes: Vec<PoolOutcome>,
-    /// First queue → last worker gone.
-    pub(crate) wall_secs: f64,
-    /// Seconds until the last worker entered its loop.
-    pub(crate) spawn_secs: f64,
+impl Engine<'static> {
+    /// Stop admission and hand back every queued-but-unclaimed job.
+    pub(crate) fn extract_queued(&self) -> Vec<ExtractedJob> {
+        let jobs = {
+            let mut st = self.state.lock();
+            // stop admission first, under the same lock the pop runs
+            // under: nothing can slip into the lanes after the sweep,
+            // so the handover is exact — every unclaimed job leaves
+            // here, every claimed one finishes on this engine's workers
+            st.draining = true;
+            let mut jobs = Vec::with_capacity(st.lanes.len());
+            while let Some((class, j)) = st.lanes.pop() {
+                jobs.push(ExtractedJob {
+                    id: j.id,
+                    class,
+                    job: j.item,
+                    sink: j.sink,
+                });
+            }
+            self.queued_jobs.store(0, Ordering::Release);
+            jobs
+        };
+        self.work.notify_all();
+        self.idle.notify_all();
+        jobs
+    }
 }
 
 impl<'a> Engine<'a> {
-    /// Queue `jobs` and finish them on scoped threads. The first failed
-    /// job, in submission order, fails the call.
+    /// Queue `jobs` and finish them on scoped threads, one [`Outcome`]
+    /// per job in submission order. The first failed job, in submission
+    /// order, fails the call.
     fn run_to_completion(
         &self,
-        jobs: impl IntoIterator<Item = (KernelSet, Source<'a>)>,
-    ) -> Result<Drained, CaluError> {
-        struct Collect(usize, mpsc::Sender<(usize, Result<PoolOutcome, CaluError>)>);
+        jobs: impl IntoIterator<Item = BatchItem<'a>>,
+    ) -> Result<BatchOutcome, CaluError> {
+        struct Collect(usize, mpsc::Sender<(usize, Result<Outcome, CaluError>)>);
         impl JobSink for Collect {
-            fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+            fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
                 let _ = self.1.send((self.0, res));
             }
         }
@@ -1238,48 +1316,49 @@ impl<'a> Engine<'a> {
         let t0 = Instant::now();
         let (tx, rx) = mpsc::channel();
         let mut n = 0;
-        for (kernels, source) in jobs {
+        for job in jobs {
             let sink = Box::new(Collect(n, tx.clone()));
-            let admitted = self.submit(n as u64, JobClass::Batch, kernels, source, sink);
+            let admitted = self.submit(n as u64, JobClass::Batch, job, sink);
             assert!(admitted.is_ok(), "an engine admits until closed");
             n += 1;
         }
         drop(tx);
-        let spawn_secs = self.drain_scoped();
+        let pool_spawn_secs = self.drain_scoped();
         let wall_secs = t0.elapsed().as_secs_f64();
-        let mut slots: Vec<Option<Result<PoolOutcome, CaluError>>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<Result<Outcome, CaluError>>> = (0..n).map(|_| None).collect();
         for (i, res) in rx {
             slots[i] = Some(res);
         }
-        let outcomes = slots
+        let items = slots
             .into_iter()
             .map(|r| r.expect("a drained engine delivered every job"))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Drained {
-            outcomes,
+        Ok(BatchOutcome {
+            items,
             wall_secs,
-            spawn_secs,
+            pool_spawn_secs,
         })
     }
 }
 
-/// Run `jobs` to completion on a fresh scoped engine: the shared body
-/// of the solo entry points (one job, co-scheduling switched off by the
-/// caller's config) and `factor_batch` (N jobs).
+/// Run `jobs` to completion on a fresh scoped engine — the one path
+/// every scoped caller takes: `factor_batch` is this function, the solo
+/// entry points are one job of it with co-scheduling switched off in
+/// `cfg`.
 pub(crate) fn run_jobs<'a>(
     cfg: CaluConfig,
-    jobs: impl IntoIterator<Item = (KernelSet, Source<'a>)>,
-) -> Result<Drained, CaluError> {
-    Engine::new(cfg, false, usize::MAX)?.run_to_completion(jobs)
+    jobs: impl IntoIterator<Item = BatchItem<'a>>,
+) -> Result<BatchOutcome, CaluError> {
+    Engine::new(cfg, usize::MAX)?.run_to_completion(jobs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{factor_batch, BatchItem, BatchSource};
+    use crate::batch::factor_batch;
     use crate::fault::FaultPlan;
     use crate::pool::ServicePool;
-    use crate::threaded::{calu_factor_report, cholesky_factor_report};
+    use crate::threaded::factor_one;
     use calu_matrix::gen;
     use calu_sched::QueueDiscipline;
 
@@ -1311,10 +1390,10 @@ mod tests {
         }
     }
 
-    struct ChanSink(mpsc::Sender<Result<PoolOutcome, CaluError>>);
+    struct ChanSink(mpsc::Sender<Result<Outcome, CaluError>>);
 
     impl JobSink for ChanSink {
-        fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+        fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
             let _ = self.0.send(res);
         }
     }
@@ -1334,24 +1413,26 @@ mod tests {
             let mut reference: Option<Factorization> = None;
             for queue in DISCIPLINES {
                 let cfg = cfg4(queue).with_batch_small_cutoff(0);
-                let (solo, solo_tl, solo_stats) = match kernels {
-                    KernelSet::CaluLu => calu_factor_report(&a, &cfg).unwrap(),
-                    KernelSet::Cholesky => cholesky_factor_report(&a, &cfg).unwrap(),
-                };
                 let item = BatchItem {
-                    source: BatchSource::Dense(&a),
+                    source: Source::Dense(&a),
                     kernels,
+                    verify: false,
                 };
+                let Outcome {
+                    factorization: solo,
+                    timeline: solo_tl,
+                    stats: solo_stats,
+                    ..
+                } = factor_one(item.clone(), &cfg).unwrap();
                 let batch = factor_batch(&[item], &cfg).unwrap().items.remove(0);
-                let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+                let pool = ServicePool::spawn(&cfg, 4).unwrap();
                 let (tx, rx) = mpsc::channel();
-                let admitted = pool.submit(
-                    1,
-                    JobClass::Batch,
+                let owned = BatchItem {
+                    source: Source::Owned(a.clone()),
                     kernels,
-                    PoolSource::Dense(a.clone()),
-                    Box::new(ChanSink(tx)),
-                );
+                    verify: false,
+                };
+                let admitted = pool.submit(1, JobClass::Batch, owned, Box::new(ChanSink(tx)));
                 assert!(admitted.is_ok());
                 let served = rx.recv().unwrap().unwrap();
                 pool.drain();
@@ -1402,32 +1483,26 @@ mod tests {
             .map(|&(n, seed)| gen::spd_uniform(n, seed))
             .collect();
         let items: Vec<BatchItem<'_>> = vec![
-            BatchItem::lu(BatchSource::Dense(&lu[0])),
-            BatchItem::cholesky(BatchSource::Dense(&spd[0])),
-            BatchItem::lu(BatchSource::Dense(&lu[1])),
-            BatchItem::cholesky(BatchSource::Dense(&spd[1])),
-            BatchItem::lu(BatchSource::Dense(&lu[2])),
+            BatchItem::lu(Source::Dense(&lu[0])),
+            BatchItem::cholesky(Source::Dense(&spd[0])),
+            BatchItem::lu(Source::Dense(&lu[1])),
+            BatchItem::cholesky(Source::Dense(&spd[1])),
+            BatchItem::lu(Source::Dense(&lu[2])),
         ];
-        let jobs = || {
-            items.iter().map(|it| match it.source {
-                BatchSource::Dense(a) => (it.kernels, Source::Borrowed(a)),
-                _ => unreachable!("dense items only"),
-            })
-        };
         for queue in DISCIPLINES {
             let cfg = cfg4(queue).with_batch_small_cutoff(100);
             let clean = factor_batch(&items, &cfg).unwrap();
             let plan = FaultPlan::off().with_seed(9).lose_worker(1, 5);
-            let engine = Engine::new(cfg.with_fault(plan), false, 1).unwrap();
-            let faulted = engine.run_to_completion(jobs()).unwrap();
+            let engine = Engine::new(cfg.with_fault(plan), 1).unwrap();
+            let faulted = engine.run_to_completion(items.iter().cloned()).unwrap();
             assert_eq!(engine.lost_workers(), 1, "{queue}");
-            for (i, (c, f)) in clean.items.iter().zip(&faulted.outcomes).enumerate() {
+            for (i, (c, f)) in clean.items.iter().zip(&faulted.items).enumerate() {
                 let (c, f) = (&c.factorization, &f.factorization);
                 assert_eq!(c.lu.as_slice(), f.lu.as_slice(), "item {i}, {queue}");
                 assert_eq!(c.perm.pivots(), f.perm.pivots(), "item {i}, {queue}");
             }
             let rescued: u64 = faulted
-                .outcomes
+                .items
                 .iter()
                 .flat_map(|o| &o.stats)
                 .map(|s| s.rescued)
@@ -1435,7 +1510,7 @@ mod tests {
             assert!(rescued > 0, "worker 1's static share was rescued, {queue}");
             assert_eq!(rescued, engine.rescued_tasks(), "{queue}");
             for (w, s) in faulted
-                .outcomes
+                .items
                 .iter()
                 .flat_map(|o| o.stats.iter().enumerate())
             {

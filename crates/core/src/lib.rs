@@ -12,14 +12,16 @@
 //!   the first `Nstatic` panels are scheduled statically by
 //!   block-cyclic ownership, the rest through the dynamic section, and
 //!   idle threads pull dynamic tasks while waiting on the panel. It
-//!   executes *jobs*; the three modules below only differ in whose
-//!   threads they lend it and how many jobs they queue;
+//!   executes *jobs*: one [`BatchItem`] (a matrix [`Source`], a
+//!   [`KernelSet`], whether to verify) in, one [`Outcome`] out, for
+//!   every caller; the three modules below only differ in whose threads
+//!   they lend it and how many jobs they queue;
+//! * [`batch`] — [`factor_batch`]: N jobs on scoped threads spawned
+//!   once, small items co-scheduled whole-per-worker, large ones on the
+//!   full hybrid schedule;
 //! * [`threaded`] — the tile-task layer (per-item state, kernel sets,
-//!   task bodies) and the solo entry points: one job on scoped threads,
-//!   co-scheduling off;
-//! * [`batch`] — many-matrix sweeps ([`factor_batch`]): N jobs on
-//!   scoped threads spawned once, small items co-scheduled
-//!   whole-per-worker, large ones on the full hybrid schedule;
+//!   task bodies) and the solo entry points, a `factor_batch` of one
+//!   with co-scheduling off;
 //! * [`pool`] — [`ServicePool`], the same loop on persistent threads
 //!   behind class lanes and result sinks (the substrate of
 //!   `calu-serve`);
@@ -29,8 +31,8 @@
 //!   (the PLASMA `dgetrf_incpiv` stand-in);
 //! * [`verify`] — residuals, growth factors, triangular solves.
 //!
-//! Entry points: [`calu_factor`] for one matrix, [`calu_factor_batch`]
-//! for a sweep (see [`CaluConfig`]).
+//! Entry points: [`calu_factor`] for one matrix, [`factor_batch`] for a
+//! sweep (see [`CaluConfig`]).
 //!
 //! ## How the dynamic section is queued
 //!
@@ -64,19 +66,17 @@ pub mod threaded;
 pub mod tslu;
 pub mod verify;
 
-pub use batch::{
-    calu_factor_batch, calu_factor_batch_from, factor_batch, BatchItem, BatchItemOutcome,
-    BatchOutcome, BatchSource,
-};
+pub use batch::{factor_batch, BatchOutcome};
 pub use config::{CaluConfig, DEFAULT_BATCH_SMALL_CUTOFF};
+pub use engine::{BatchItem, Outcome, Source};
+// The name `benchmark/` — the frozen ruler — imports the job source
+// under; new code says `Source`.
+pub use engine::Source as BatchSource;
 pub use error::CaluError;
 pub use factorization::Factorization;
 pub use fault::{FaultKind, FaultPlan, WorkerFault};
 pub use gepp::gepp_factor;
 pub use incpiv::{incpiv_factor, IncPivFactors};
-pub use pool::{JobSink, PoolOutcome, PoolSource, PoolSplit, ServicePool};
+pub use pool::{JobSink, PoolSplit, ServicePool};
 pub use simple::calu_simple;
-pub use threaded::{
-    calu_factor, calu_factor_report, calu_factor_traced, cholesky_factor, cholesky_factor_report,
-    KernelSet, ThreadStats,
-};
+pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet, ThreadStats};

@@ -9,8 +9,10 @@
 //! ([`CaluConfig::co_schedules`]) are claimed whole by one worker,
 //! large ones run the hybrid static/dynamic schedule co-operatively on
 //! the dynamic-section [`QueueDiscipline`] the config names, and every
-//! job's factors are bitwise-identical to the matching solo call. This module is the pool's public face: the
-//! owned job source, the outcome, the sink trait and the handle.
+//! job's factors are bitwise-identical to the matching solo call. Jobs
+//! go in as `BatchItem<'static>` and come out as [`Outcome`], the same
+//! types a scoped sweep uses; this module adds the sink trait and the
+//! handle.
 //!
 //! Job ordering is delegated to [`ClassLanes`](calu_sched::ClassLanes):
 //! workers prefer higher-priority classes with bounded starvation of
@@ -21,99 +23,12 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use calu_matrix::{gen, DenseMatrix};
 use calu_sched::{JobClass, QueueDiscipline};
-use calu_trace::Timeline;
 
 use crate::config::CaluConfig;
-use crate::engine::{Engine, Source};
+use crate::engine::{BatchItem, Engine, Outcome};
 use crate::error::CaluError;
-use crate::factorization::Factorization;
 use crate::sync::Mutex;
-use crate::threaded::{KernelSet, ThreadStats};
-
-/// What one service job factors. Owned (`'static`) so a job can outlive
-/// its submitter: either dense data moved in, or a seeded generator
-/// materialized lazily on the worker that claims the job.
-#[derive(Debug, Clone)]
-pub enum PoolSource {
-    /// Dense data, moved into the job.
-    Dense(DenseMatrix),
-    /// A seeded uniform generator matrix, materialized on the claiming
-    /// worker (`calu_matrix::gen::uniform`).
-    Uniform {
-        /// Rows.
-        m: usize,
-        /// Columns.
-        n: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-    /// A seeded symmetric positive-definite generator matrix,
-    /// materialized on the claiming worker
-    /// (`calu_matrix::gen::spd_uniform`) — the natural source for
-    /// [`KernelSet::Cholesky`] jobs.
-    SpdUniform {
-        /// Order (the matrix is `n×n`).
-        n: usize,
-        /// Generator seed.
-        seed: u64,
-    },
-}
-
-impl PoolSource {
-    /// `(rows, cols)` without materializing.
-    pub fn dims(&self) -> (usize, usize) {
-        match self {
-            PoolSource::Dense(a) => (a.rows(), a.cols()),
-            PoolSource::Uniform { m, n, .. } => (*m, *n),
-            PoolSource::SpdUniform { n, .. } => (*n, *n),
-        }
-    }
-
-    /// The element data, generated on the calling thread for the
-    /// generator variants.
-    pub fn materialize(self) -> DenseMatrix {
-        match self {
-            PoolSource::Dense(a) => a,
-            PoolSource::Uniform { m, n, seed } => gen::uniform(m, n, seed),
-            PoolSource::SpdUniform { n, seed } => gen::spd_uniform(n, seed),
-        }
-    }
-}
-
-/// Everything the pool knows about one completed job — the raw
-/// material the service's report builder shapes into a facade `Report`.
-#[derive(Debug)]
-pub struct PoolOutcome {
-    /// The factors, bitwise-identical to a solo `calu_factor` /
-    /// `cholesky_factor` with the same config.
-    pub factorization: Factorization,
-    /// Which algorithm's kernels factored the job — the service's
-    /// report builder keys its residual/flops shaping on this.
-    pub kernels: KernelSet,
-    /// Per-worker spans, time-shifted so the job's first task starts
-    /// at 0.
-    pub timeline: Timeline,
-    /// Per-worker queue accounting for this job's tasks.
-    pub stats: Vec<ThreadStats>,
-    /// First task start → last task end.
-    pub makespan: f64,
-    /// Whether the job was claimed whole by one worker (small route)
-    /// rather than run co-operatively by the pool.
-    pub co_scheduled: bool,
-    /// The dynamic-section queue discipline of the pool generation that
-    /// ran the job (co-scheduled jobs touch no queues at all).
-    pub queue: QueueDiscipline,
-    /// `(rows, cols)` of the input.
-    pub dims: (usize, usize),
-    /// `‖PA − LU‖ / ‖A‖` (LU jobs) or `‖A − LLᵀ‖ / ‖A‖` (Cholesky
-    /// jobs), when the pool was spawned with verification.
-    pub residual: Option<f64>,
-    /// Element growth factor, when verification is on — LU jobs only
-    /// (Cholesky does not pivot, so the figure is meaningless there).
-    pub growth_factor: Option<f64>,
-}
 
 /// Where a job's result goes. The service layer implements this to
 /// route outcomes into handles and event streams; tests implement it
@@ -124,7 +39,7 @@ pub trait JobSink: Send + 'static {
     /// A worker claimed the job.
     fn started(&self) {}
     /// The job reached a terminal state.
-    fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>);
+    fn finished(self: Box<Self>, res: Result<Outcome, CaluError>);
 }
 
 /// One queued-but-unclaimed job handed back by
@@ -136,10 +51,8 @@ pub struct ExtractedJob {
     pub id: u64,
     /// The class the job was queued under.
     pub class: JobClass,
-    /// Which algorithm's kernels factor the job.
-    pub kernels: KernelSet,
-    /// The job's matrix source, unmaterialized.
-    pub source: PoolSource,
+    /// The job itself, its source unmaterialized.
+    pub job: BatchItem<'static>,
     /// The job's sink, never invoked by the extracting pool.
     pub sink: Box<dyn JobSink>,
 }
@@ -172,17 +85,11 @@ pub struct PoolSplit {
 }
 
 impl ServicePool {
-    /// Validate `cfg` and spawn its worker pool. `verify` makes every
-    /// job compute a residual and growth factor against its input;
-    /// `starvation_limit` bounds how many higher-class pops may pass
-    /// over a waiting lower-class job (see
-    /// [`ClassLanes`](calu_sched::ClassLanes)).
-    pub fn spawn(
-        cfg: &CaluConfig,
-        verify: bool,
-        starvation_limit: usize,
-    ) -> Result<ServicePool, CaluError> {
-        let engine = Arc::new(Engine::new(cfg.clone(), verify, starvation_limit)?);
+    /// Validate `cfg` and spawn its worker pool. `starvation_limit`
+    /// bounds how many higher-class pops may pass over a waiting
+    /// lower-class job (see [`ClassLanes`](calu_sched::ClassLanes)).
+    pub fn spawn(cfg: &CaluConfig, starvation_limit: usize) -> Result<ServicePool, CaluError> {
+        let engine = Arc::new(Engine::new(cfg.clone(), starvation_limit)?);
         let handles = (0..engine.threads())
             .map(|me| {
                 let eng = Arc::clone(&engine);
@@ -214,9 +121,9 @@ impl ServicePool {
     }
 
     /// Enqueue a job. `id` is the caller's correlation key (used by
-    /// [`cancel`](Self::cancel)); `kernels` names the algorithm's tile
-    /// kernels — one pool freely interleaves [`KernelSet::CaluLu`] and
-    /// [`KernelSet::Cholesky`] jobs; results leave through `sink`.
+    /// [`cancel`](Self::cancel)); the job names its own kernel set — one
+    /// pool freely interleaves CALU and Cholesky jobs — and whether to
+    /// verify its result; results leave through `sink`.
     /// After [`drain`](Self::drain) began the job is refused and the
     /// sink is handed back **uncalled** — never invoked synchronously,
     /// so callers may hold their own locks across `submit` without
@@ -226,12 +133,10 @@ impl ServicePool {
         &self,
         id: u64,
         class: JobClass,
-        kernels: KernelSet,
-        source: PoolSource,
+        job: BatchItem<'static>,
         sink: Box<dyn JobSink>,
     ) -> Result<(), Box<dyn JobSink>> {
-        self.engine
-            .submit(id, class, kernels, Source::Owned(source), sink)
+        self.engine.submit(id, class, job, sink)
     }
 
     /// Remove a still-queued job. Returns its sink (uncalled) when the
@@ -344,13 +249,16 @@ impl Drop for ServicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::calu_factor;
-    use std::sync::mpsc;
+    use crate::engine::Source;
+    use crate::threaded::{calu_factor, KernelSet};
+    use calu_matrix::gen;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
 
-    struct ChanSink(mpsc::Sender<Result<PoolOutcome, CaluError>>);
+    struct ChanSink(mpsc::Sender<Result<Outcome, CaluError>>);
 
     impl JobSink for ChanSink {
-        fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+        fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
             let _ = self.0.send(res);
         }
     }
@@ -368,18 +276,17 @@ mod tests {
     #[test]
     fn small_jobs_match_solo_runs_bitwise() {
         let cfg = cfg4().with_batch_small_cutoff(100);
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         for seed in 0..4u64 {
             accept(pool.submit(
                 seed,
                 JobClass::Batch,
-                KernelSet::CaluLu,
-                PoolSource::Uniform { m: 64, n: 64, seed },
+                BatchItem::lu(Source::Uniform { m: 64, n: 64, seed }),
                 Box::new(ChanSink(tx.clone())),
             ));
         }
-        let mut outcomes: Vec<PoolOutcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
+        let mut outcomes: Vec<Outcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
         pool.drain();
         outcomes.sort_by_key(|o| o.factorization.lu.as_slice().len()); // all same; stable no-op
         for o in &outcomes {
@@ -403,14 +310,13 @@ mod tests {
     fn large_jobs_match_solo_runs_bitwise() {
         // cutoff 0 forces the co-operative route
         let cfg = cfg4().with_batch_small_cutoff(0);
-        let pool = ServicePool::spawn(&cfg, true, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         let a = gen::uniform(192, 192, 7);
         accept(pool.submit(
             1,
             JobClass::Interactive,
-            KernelSet::CaluLu,
-            PoolSource::Dense(a.clone()),
+            BatchItem::lu(Source::Owned(a.clone())).verified(true),
             Box::new(ChanSink(tx)),
         ));
         let out = rx.recv().unwrap().unwrap();
@@ -428,48 +334,43 @@ mod tests {
     fn mixed_lu_and_cholesky_jobs_share_one_pool() {
         // one pool, both kernel sets, both routes (small + large)
         let cfg = cfg4().with_batch_small_cutoff(100);
-        let pool = ServicePool::spawn(&cfg, true, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
-        let jobs: [(u64, KernelSet, PoolSource); 4] = [
+        let jobs: [(u64, BatchItem<'static>); 4] = [
             (
                 1,
-                KernelSet::CaluLu,
-                PoolSource::Uniform {
+                BatchItem::lu(Source::Uniform {
                     m: 64,
                     n: 64,
                     seed: 1,
-                },
+                }),
             ),
             (
                 2,
-                KernelSet::Cholesky,
-                PoolSource::SpdUniform { n: 64, seed: 2 },
+                BatchItem::cholesky(Source::SpdUniform { n: 64, seed: 2 }),
             ),
             (
                 3,
-                KernelSet::CaluLu,
-                PoolSource::Uniform {
+                BatchItem::lu(Source::Uniform {
                     m: 192,
                     n: 192,
                     seed: 3,
-                },
+                }),
             ),
             (
                 4,
-                KernelSet::Cholesky,
-                PoolSource::SpdUniform { n: 192, seed: 4 },
+                BatchItem::cholesky(Source::SpdUniform { n: 192, seed: 4 }),
             ),
         ];
-        for (id, kernels, source) in jobs {
+        for (id, job) in jobs {
             accept(pool.submit(
                 id,
                 JobClass::Batch,
-                kernels,
-                source,
+                job.verified(true),
                 Box::new(ChanSink(tx.clone())),
             ));
         }
-        let outcomes: Vec<PoolOutcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
+        let outcomes: Vec<Outcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
         pool.drain();
         for n in [64usize, 192] {
             let lu_in = gen::uniform(n, n, if n == 64 { 1 } else { 3 });
@@ -497,18 +398,16 @@ mod tests {
     fn cholesky_job_with_rectangular_source_fails_typed() {
         for cutoff in [100usize, 0] {
             // both routes must refuse with InvalidConfig, not a panic
-            let pool =
-                ServicePool::spawn(&cfg4().with_batch_small_cutoff(cutoff), false, 4).unwrap();
+            let pool = ServicePool::spawn(&cfg4().with_batch_small_cutoff(cutoff), 4).unwrap();
             let (tx, rx) = mpsc::channel();
             accept(pool.submit(
                 1,
                 JobClass::Batch,
-                KernelSet::Cholesky,
-                PoolSource::Uniform {
+                BatchItem::cholesky(Source::Uniform {
                     m: 96,
                     n: 64,
                     seed: 1,
-                },
+                }),
                 Box::new(ChanSink(tx)),
             ));
             match rx.recv().unwrap() {
@@ -524,7 +423,7 @@ mod tests {
     #[test]
     fn drain_finishes_jobs_queued_in_every_class() {
         let cfg = cfg4().with_batch_small_cutoff(100).with_threads(2);
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         let n_jobs = 9;
         for i in 0..n_jobs {
@@ -532,12 +431,11 @@ mod tests {
             accept(pool.submit(
                 i as u64,
                 class,
-                KernelSet::CaluLu,
-                PoolSource::Uniform {
+                BatchItem::lu(Source::Uniform {
                     m: 48,
                     n: 48,
                     seed: i as u64,
-                },
+                }),
                 Box::new(ChanSink(tx.clone())),
             ));
         }
@@ -557,28 +455,26 @@ mod tests {
         // the race, which the assertion tolerates by checking either
         // outcome is consistent
         let cfg = cfg4().with_threads(1).with_batch_small_cutoff(0);
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         accept(pool.submit(
             1,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 256,
                 n: 256,
                 seed: 1,
-            },
+            }),
             Box::new(ChanSink(tx.clone())),
         ));
         accept(pool.submit(
             2,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 64,
                 n: 64,
                 seed: 2,
-            },
+            }),
             Box::new(ChanSink(tx.clone())),
         ));
         let cancelled = pool.cancel(2).is_some();
@@ -589,18 +485,17 @@ mod tests {
 
     #[test]
     fn submit_after_drain_returns_the_sink_uncalled() {
-        let pool = ServicePool::spawn(&cfg4(), false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg4(), 4).unwrap();
         pool.drain();
         let (tx, rx) = mpsc::channel();
         let rejected = pool.submit(
             1,
             JobClass::Interactive,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 8,
                 n: 8,
                 seed: 0,
-            },
+            }),
             Box::new(ChanSink(tx)),
         );
         let sink = match rejected {
@@ -631,17 +526,16 @@ mod tests {
         // worker around until the claimed job is done.
         let cfg = cfg4().with_batch_small_cutoff(0); // every job co-operative
         for round in 0..10u64 {
-            let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+            let pool = ServicePool::spawn(&cfg, 4).unwrap();
             let (tx, rx) = mpsc::channel();
             accept(pool.submit(
                 round,
                 JobClass::Batch,
-                KernelSet::CaluLu,
-                PoolSource::Uniform {
+                BatchItem::lu(Source::Uniform {
                     m: 128,
                     n: 128,
                     seed: round,
-                },
+                }),
                 Box::new(ChanSink(tx)),
             ));
             // drain immediately: workers observe `draining` while the
@@ -661,26 +555,51 @@ mod tests {
         // worker. The fix requeues the whole item (its claim was
         // atomic, so redoing it from the source is exact) and lets a
         // survivor redo it. `lose_worker(0, 3)` can only fire after 3
-        // task ticks, which only happen inside an item, so worker 0 is
-        // guaranteed to die mid-item.
+        // task ticks, which only happen inside an item, and the sinks
+        // hold the first two claims at a two-party rendezvous (`started`
+        // runs on the claiming worker with no engine lock held): both
+        // workers own an item before either factors a tile, so worker 0
+        // is guaranteed to die mid-item — however late it woke up.
         use crate::fault::FaultPlan;
+        struct Rendezvous {
+            tx: mpsc::Sender<Result<Outcome, CaluError>>,
+            claims: Arc<AtomicUsize>,
+            both_claimed: Arc<Barrier>,
+        }
+        impl JobSink for Rendezvous {
+            fn started(&self) {
+                // the requeued item is claimed a second time: only the
+                // first two claims meet
+                if self.claims.fetch_add(1, Ordering::SeqCst) < 2 {
+                    self.both_claimed.wait();
+                }
+            }
+            fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
+                let _ = self.tx.send(res);
+            }
+        }
+        let claims = Arc::new(AtomicUsize::new(0));
+        let both_claimed = Arc::new(Barrier::new(2));
         let cfg = cfg4()
             .with_threads(2)
             .with_batch_small_cutoff(100)
             .with_fault(FaultPlan::off().lose_worker(0, 3));
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         let n_jobs = 6u64;
         for seed in 0..n_jobs {
             accept(pool.submit(
                 seed,
                 JobClass::Batch,
-                KernelSet::CaluLu,
-                PoolSource::Uniform { m: 64, n: 64, seed },
-                Box::new(ChanSink(tx.clone())),
+                BatchItem::lu(Source::Uniform { m: 64, n: 64, seed }),
+                Box::new(Rendezvous {
+                    tx: tx.clone(),
+                    claims: Arc::clone(&claims),
+                    both_claimed: Arc::clone(&both_claimed),
+                }),
             ));
         }
-        let outcomes: Vec<PoolOutcome> = (0..n_jobs).map(|_| rx.recv().unwrap().unwrap()).collect();
+        let outcomes: Vec<Outcome> = (0..n_jobs).map(|_| rx.recv().unwrap().unwrap()).collect();
         pool.drain();
         assert_eq!(pool.lost_workers(), 1, "worker 0 must have died");
         // drain stranded nothing and every item matches an unfaulted
@@ -707,14 +626,13 @@ mod tests {
         let cfg = cfg4()
             .with_batch_small_cutoff(0)
             .with_fault(FaultPlan::off().lose_worker(1, 4));
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         let a = gen::uniform(192, 192, 11);
         accept(pool.submit(
             1,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Dense(a.clone()),
+            BatchItem::lu(Source::Owned(a.clone())),
             Box::new(ChanSink(tx)),
         ));
         let out = rx.recv().unwrap().unwrap();
@@ -735,33 +653,31 @@ mod tests {
         // on the claiming worker; the panic must be contained to the
         // job (sink failed with TaskPanic), not kill the worker
         let cfg = cfg4().with_batch_small_cutoff(100);
-        let pool = ServicePool::spawn(&cfg, false, 4).unwrap();
+        let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         accept(pool.submit(
             1,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 0,
                 n: 0,
                 seed: 0,
-            },
+            }),
             Box::new(ChanSink(tx.clone())),
         ));
         assert!(matches!(rx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
         // same through the co-operative route: cutoff 0 with one
         // non-zero dimension routes large, and the build still asserts
-        let large = ServicePool::spawn(&cfg4().with_batch_small_cutoff(0), false, 4).unwrap();
+        let large = ServicePool::spawn(&cfg4().with_batch_small_cutoff(0), 4).unwrap();
         let (ltx, lrx) = mpsc::channel();
         accept(large.submit(
             2,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 0,
                 n: 5,
                 seed: 0,
-            },
+            }),
             Box::new(ChanSink(ltx)),
         ));
         assert!(matches!(lrx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
@@ -769,12 +685,11 @@ mod tests {
         accept(pool.submit(
             3,
             JobClass::Batch,
-            KernelSet::CaluLu,
-            PoolSource::Uniform {
+            BatchItem::lu(Source::Uniform {
                 m: 48,
                 n: 48,
                 seed: 3,
-            },
+            }),
             Box::new(ChanSink(tx)),
         ));
         assert!(rx.recv().unwrap().is_ok());

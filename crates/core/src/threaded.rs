@@ -13,8 +13,8 @@
 //! (trailing updates and triangular solves) run without per-task heap
 //! allocation.
 //!
-//! [`calu_factor_report`] and [`cholesky_factor_report`] are the solo
-//! entry points: one job on a scoped engine, co-scheduling off.
+//! [`calu_factor`] and [`cholesky_factor`] are the solo entry points:
+//! a [`factor_batch`] of one job, co-scheduling off.
 //!
 //! ## The kernel-set layer
 //!
@@ -28,8 +28,8 @@
 //! and SYRK / `A·Bᵀ` GEMM updates over the lower triangle — no pivoting
 //! at all. Because the graph carries both the dependency shape and the
 //! kernel identity, every caller of the engine picks the right kernels
-//! by simply naming the kernel set; [`cholesky_factor_report`] is
-//! `calu_factor_report` with a different one.
+//! by simply naming the kernel set; [`cholesky_factor`] is
+//! [`calu_factor`] with a different one.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -38,10 +38,10 @@ use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
 use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
 use calu_sched::{priority, CpuTopology, OwnerMap, QueueSource};
-use calu_trace::Timeline;
 
+use crate::batch::factor_batch;
 use crate::config::CaluConfig;
-use crate::engine::{run_jobs, Source};
+use crate::engine::{BatchItem, Outcome, Source};
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::pivot::swaps_for_selection;
@@ -560,33 +560,6 @@ pub(crate) fn apply_left_swaps(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowP
     }
 }
 
-/// One job on a scoped engine with co-scheduling off: the whole pool
-/// runs the hybrid static/dynamic schedule on `a`, however small.
-fn factor_solo(
-    a: &DenseMatrix,
-    cfg: &CaluConfig,
-    kernels: KernelSet,
-) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return Err(CaluError::EmptyMatrix);
-    }
-    let cfg = cfg.clone().with_batch_small_cutoff(0);
-    let mut drained = run_jobs(cfg, [(kernels, Source::Borrowed(a))])?;
-    let out = drained.outcomes.pop().expect("one job in, one outcome out");
-    Ok((out.factorization, out.timeline, out.stats))
-}
-
-/// Factor `a` with CALU and return the factorization, the per-thread
-/// execution trace (its clock starts at the first task), and the
-/// per-thread queue-source accounting — the full report the `calu`
-/// facade's `ThreadedBackend` builds on.
-pub fn calu_factor_report(
-    a: &DenseMatrix,
-    cfg: &CaluConfig,
-) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
-    factor_solo(a, cfg, KernelSet::CaluLu)
-}
-
 /// Factor the symmetric positive-definite `a` as `A = L·Lᵀ` with the
 /// tiled Cholesky kernel set on the same hybrid static/dynamic executor
 /// as CALU — identical queues, steal tiers and scratch arenas, different
@@ -596,31 +569,23 @@ pub fn calu_factor_report(
 /// above it, the permutation is the identity, and `singular_at` flags
 /// the first column whose pivot was not positive (the input was not
 /// numerically SPD). Use [`Factorization::cholesky_residual`] to verify.
-pub fn cholesky_factor_report(
-    a: &DenseMatrix,
-    cfg: &CaluConfig,
-) -> Result<(Factorization, Timeline, Vec<ThreadStats>), CaluError> {
-    factor_solo(a, cfg, KernelSet::Cholesky)
-}
-
-/// [`cholesky_factor_report`] returning only the factorization.
 pub fn cholesky_factor(a: &DenseMatrix, cfg: &CaluConfig) -> Result<Factorization, CaluError> {
-    cholesky_factor_report(a, cfg).map(|(f, _, _)| f)
-}
-
-/// Factor `a` with CALU and return the factorization plus the per-thread
-/// execution trace.
-pub fn calu_factor_traced(
-    a: &DenseMatrix,
-    cfg: &CaluConfig,
-) -> Result<(Factorization, Timeline), CaluError> {
-    calu_factor_report(a, cfg).map(|(f, tl, _)| (f, tl))
+    factor_one(BatchItem::cholesky(Source::Dense(a)), cfg).map(|out| out.factorization)
 }
 
 /// Factor `a` with CALU: tournament pivoting + hybrid static/dynamic
 /// scheduling (Algorithm 1).
 pub fn calu_factor(a: &DenseMatrix, cfg: &CaluConfig) -> Result<Factorization, CaluError> {
-    calu_factor_report(a, cfg).map(|(f, _, _)| f)
+    factor_one(BatchItem::lu(Source::Dense(a)), cfg).map(|out| out.factorization)
+}
+
+/// A [`factor_batch`] of one with co-scheduling off — what "solo" means:
+/// the whole pool runs the hybrid static/dynamic schedule on the job,
+/// however small. The full [`Outcome`] (timeline, queue accounting,
+/// verification) behind [`calu_factor`] / [`cholesky_factor`].
+pub fn factor_one(job: BatchItem<'_>, cfg: &CaluConfig) -> Result<Outcome, CaluError> {
+    let mut out = factor_batch(&[job], &cfg.clone().with_batch_small_cutoff(0))?;
+    Ok(out.items.remove(0))
 }
 
 #[cfg(test)]
@@ -710,7 +675,11 @@ mod tests {
     fn trace_is_complete() {
         let a = gen::uniform(64, 64, 8);
         let cfg = CaluConfig::new(16).with_threads(4);
-        let (f, tl) = calu_factor_traced(&a, &cfg).unwrap();
+        let Outcome {
+            factorization: f,
+            timeline: tl,
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert!(f.residual(&a) < 1e-12);
         assert_eq!(tl.cores(), 4);
         let g = TaskGraph::build_calu(64, 64, 16, 2);
@@ -781,7 +750,7 @@ mod tests {
     fn global_discipline_never_steals() {
         let a = gen::uniform(64, 64, 14);
         let cfg = CaluConfig::new(16).with_threads(4).with_dratio(0.5);
-        let (_, _, stats) = calu_factor_report(&a, &cfg).unwrap();
+        let Outcome { stats, .. } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         for s in &stats {
             assert_eq!(s.steal_pops, 0, "no steal path under Global");
             assert_eq!(s.failed_steals, 0, "no steal probes under Global");
@@ -823,7 +792,12 @@ mod tests {
             .with_threads(4)
             .with_dratio(1.0)
             .with_queue(QueueDiscipline::LockFree { seed: 11 });
-        let (f, tl, stats) = calu_factor_report(&a, &cfg).unwrap();
+        let Outcome {
+            factorization: f,
+            timeline: tl,
+            stats,
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()
@@ -943,7 +917,11 @@ mod tests {
         let f0 = calu_factor(&a, &base).unwrap();
         let plan = FaultPlan::off().with_seed(5).lose_worker(2, 3);
         let cfg = base.clone().with_fault(plan);
-        let (f, _, stats) = calu_factor_report(&a, &cfg).unwrap();
+        let Outcome {
+            factorization: f,
+            stats,
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert_eq!(f0.perm.pivots(), f.perm.pivots());
         assert!(f0.lu.approx_eq(&f.lu, 0.0), "bitwise despite the loss");
         assert!(stats[2].lost, "worker 2 recorded as lost");
@@ -964,7 +942,11 @@ mod tests {
         let cfg = base
             .clone()
             .with_fault(FaultPlan::off().with_seed(9).slow_worker(1, 2.0));
-        let (f, _, stats) = calu_factor_report(&a, &cfg).unwrap();
+        let Outcome {
+            factorization: f,
+            stats,
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert_eq!(f0.perm.pivots(), f.perm.pivots());
         assert!(f0.lu.approx_eq(&f.lu, 0.0));
         assert!(!stats[1].lost, "slow is degraded, not dead");
@@ -1003,7 +985,12 @@ mod tests {
             .with_threads(4)
             .with_dratio(1.0)
             .with_queue(QueueDiscipline::Sharded { seed: 9 });
-        let (f, tl, stats) = calu_factor_report(&a, &cfg).unwrap();
+        let Outcome {
+            factorization: f,
+            timeline: tl,
+            stats,
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()

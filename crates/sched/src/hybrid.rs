@@ -28,7 +28,6 @@ use calu_dag::{TaskGraph, TaskId, TaskKind};
 use calu_matrix::ProcessGrid;
 use calu_rand::Rng;
 
-use crate::config::nstatic_for;
 use crate::discipline::{steal_order, QueueDiscipline};
 use crate::owner::OwnerMap;
 use crate::policy::{Policy, Popped, QueueSource};
@@ -82,60 +81,17 @@ pub struct HybridPolicy {
     /// Cores whose static queues were rescued ([`Policy::rescue`]):
     /// their future static publishes reroute to the dynamic section.
     lost: Vec<bool>,
+    name: &'static str,
 }
 
 impl HybridPolicy {
-    /// Build for graph `g` over `grid`, scheduling a `dratio` fraction of
-    /// the panels dynamically through one shared global queue.
-    pub fn new(g: &TaskGraph, grid: ProcessGrid, dratio: f64) -> Self {
-        Self::with_discipline(g, grid, dratio, QueueDiscipline::Global)
-    }
-
-    /// Build with an explicit dynamic-section queue discipline.
-    pub fn with_discipline(
-        g: &TaskGraph,
-        grid: ProcessGrid,
-        dratio: f64,
-        queue: QueueDiscipline,
-    ) -> Self {
-        let nstatic = nstatic_for(dratio, g.num_panels());
-        Self::with_nstatic_discipline(g, grid, nstatic, queue)
-    }
-
-    /// Build with an explicit static panel count.
-    pub fn with_nstatic(g: &TaskGraph, grid: ProcessGrid, nstatic: usize) -> Self {
-        Self::with_nstatic_discipline(g, grid, nstatic, QueueDiscipline::Global)
-    }
-
-    /// Build with an explicit static panel count and queue discipline,
-    /// with a flat (single-socket) topology for the lock-free tiers.
-    pub fn with_nstatic_discipline(
-        g: &TaskGraph,
-        grid: ProcessGrid,
-        nstatic: usize,
-        queue: QueueDiscipline,
-    ) -> Self {
-        Self::with_nstatic_discipline_on(g, grid, nstatic, queue, &CpuTopology::flat(grid.size()))
-    }
-
-    /// Build with an explicit static panel count, queue discipline, and
-    /// CPU topology (the topology shapes the lock-free discipline's
-    /// tiered victim sweeps; the other disciplines ignore it).
-    pub fn with_nstatic_discipline_on(
-        g: &TaskGraph,
-        grid: ProcessGrid,
-        nstatic: usize,
-        queue: QueueDiscipline,
-        topo: &CpuTopology,
-    ) -> Self {
-        Self::with_nstatic_discipline_ordered(g, grid, nstatic, queue, topo, StealOrder::default())
-    }
-
-    /// [`with_nstatic_discipline_on`](Self::with_nstatic_discipline_on)
-    /// with an explicit steal-sweep direction for the lock-free
-    /// discipline's tiered sweeps (the adaptive controller's knob; the
-    /// other disciplines ignore it).
-    pub fn with_nstatic_discipline_ordered(
+    /// Build for graph `g` over `grid` with the first `nstatic` tile
+    /// columns scheduled statically — the one constructor: `nstatic =
+    /// g.num_panels()` is fully static scheduling, `nstatic = 0` fully
+    /// dynamic (see [`crate::make_policy_ordered`]). `topo` and `order`
+    /// shape the lock-free discipline's tiered victim sweeps; the other
+    /// disciplines ignore them.
+    pub fn new(
         g: &TaskGraph,
         grid: ProcessGrid,
         nstatic: usize,
@@ -177,7 +133,19 @@ impl HybridPolicy {
             nstatic,
             queued: 0,
             lost: vec![false; cores],
+            name: match queue {
+                QueueDiscipline::Global => "hybrid",
+                QueueDiscipline::Sharded { .. } => "hybrid (sharded)",
+                QueueDiscipline::LockFree { .. } => "hybrid (lockfree)",
+            },
         }
+    }
+
+    /// Report under `name` — the [`SchedulerKind`](crate::SchedulerKind)
+    /// the policy was built for, when that is one of the split's ends.
+    pub(crate) fn named(mut self, name: &'static str) -> Self {
+        self.name = name;
+        self
     }
 
     /// The number of statically scheduled panels.
@@ -407,11 +375,7 @@ impl Policy for HybridPolicy {
     }
 
     fn name(&self) -> &'static str {
-        match self.dynamic {
-            DynSection::Global(_) => "hybrid",
-            DynSection::Sharded { .. } => "hybrid (sharded)",
-            DynSection::LockFree { .. } => "hybrid (lockfree)",
-        }
+        self.name
     }
 
     fn queued(&self) -> usize {
@@ -422,16 +386,40 @@ impl Policy for HybridPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{nstatic_for, SchedulerKind};
+    use crate::make_policy_ordered;
 
     fn graph() -> TaskGraph {
         TaskGraph::build(800, 800, 100) // 8x8 tiles
+    }
+
+    /// A `dratio` split under `queue` on a flat topology.
+    fn with_discipline(
+        g: &TaskGraph,
+        grid: ProcessGrid,
+        dratio: f64,
+        queue: QueueDiscipline,
+    ) -> HybridPolicy {
+        HybridPolicy::new(
+            g,
+            grid,
+            nstatic_for(dratio, g.num_panels()),
+            queue,
+            &CpuTopology::flat(grid.size()),
+            StealOrder::default(),
+        )
+    }
+
+    /// The paper's policy: one shared global dynamic queue.
+    fn hybrid(g: &TaskGraph, grid: ProcessGrid, dratio: f64) -> HybridPolicy {
+        with_discipline(g, grid, dratio, QueueDiscipline::Global)
     }
 
     #[test]
     fn split_follows_writes_col() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let p = HybridPolicy::new(&g, grid, 0.25); // nstatic = 6
+        let p = hybrid(&g, grid, 0.25); // nstatic = 6
         assert_eq!(p.nstatic(), 6);
         for t in g.ids() {
             assert_eq!(p.is_static[t.idx()], g.kind(t).writes_col() < 6);
@@ -442,7 +430,7 @@ mod tests {
     fn local_preferred_over_global() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5); // nstatic = 4
+        let mut p = hybrid(&g, grid, 0.5); // nstatic = 4
         let owners = OwnerMap::new(&g, grid);
         // a static task owned by core 0 and any dynamic task
         let stat = g
@@ -465,7 +453,7 @@ mod tests {
         // core 3 owns none of the queued static tasks: it must get dynamic work
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5);
+        let mut p = hybrid(&g, grid, 0.5);
         let owners = OwnerMap::new(&g, grid);
         let stat = g
             .ids()
@@ -483,9 +471,9 @@ mod tests {
     fn dratio_zero_is_all_static_dratio_one_all_dynamic() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let all_static = HybridPolicy::new(&g, grid, 0.0);
+        let all_static = hybrid(&g, grid, 0.0);
         assert!(all_static.is_static.iter().all(|&s| s));
-        let all_dynamic = HybridPolicy::new(&g, grid, 1.0);
+        let all_dynamic = hybrid(&g, grid, 1.0);
         assert!(all_dynamic.is_static.iter().all(|&s| !s));
     }
 
@@ -493,7 +481,7 @@ mod tests {
     fn drains_completely() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.2);
+        let mut p = hybrid(&g, grid, 0.2);
         let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
         for t in g.initial_ready() {
             p.on_ready(t, None);
@@ -522,7 +510,7 @@ mod tests {
     fn global_batch_groups_same_column_step_only() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5);
+        let mut p = hybrid(&g, grid, 0.5);
         // two dynamic S tasks in column 5 and one in column 6, all panel 0
         let pick = |i: u32, j: u32| {
             g.ids()
@@ -546,7 +534,7 @@ mod tests {
     fn batch_never_mixes_local_and_global() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5);
+        let mut p = hybrid(&g, grid, 0.5);
         let owners = OwnerMap::new(&g, grid);
         // one static update owned by core 0 and one dynamic update
         let stat = g
@@ -572,7 +560,7 @@ mod tests {
     fn rescue_moves_a_lost_cores_static_queue_into_the_dynamic_section() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5); // nstatic = 4
+        let mut p = hybrid(&g, grid, 0.5); // nstatic = 4
         let owners = OwnerMap::new(&g, grid);
         let mine: Vec<TaskId> = g
             .ids()
@@ -606,7 +594,7 @@ mod tests {
     fn rescue_is_a_noop_on_an_empty_queue_and_default_policies() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = HybridPolicy::new(&g, grid, 0.5);
+        let mut p = hybrid(&g, grid, 0.5);
         assert_eq!(p.rescue(2), 0);
         // the trait default rescues nothing
         struct Nothing;
@@ -628,7 +616,7 @@ mod tests {
     // ----- sharded discipline -----------------------------------------
 
     fn sharded(g: &TaskGraph, grid: ProcessGrid, dratio: f64) -> HybridPolicy {
-        HybridPolicy::with_discipline(g, grid, dratio, QueueDiscipline::Sharded { seed: 42 })
+        with_discipline(g, grid, dratio, QueueDiscipline::Sharded { seed: 42 })
     }
 
     #[test]
@@ -683,8 +671,7 @@ mod tests {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let run = |seed: u64| {
-            let mut p =
-                HybridPolicy::with_discipline(&g, grid, 0.3, QueueDiscipline::Sharded { seed });
+            let mut p = with_discipline(&g, grid, 0.3, QueueDiscipline::Sharded { seed });
             let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
             for t in g.initial_ready() {
                 p.on_ready(t, None);
@@ -740,7 +727,7 @@ mod tests {
     fn names_distinguish_disciplines() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
-        assert_eq!(HybridPolicy::new(&g, grid, 0.1).name(), "hybrid");
+        assert_eq!(hybrid(&g, grid, 0.1).name(), "hybrid");
         assert_eq!(sharded(&g, grid, 0.1).name(), "hybrid (sharded)");
         assert!(sharded(&g, grid, 0.1).discipline().is_sharded());
         assert_eq!(lockfree(&g, grid, 0.1).name(), "hybrid (lockfree)");
@@ -750,7 +737,7 @@ mod tests {
     // ----- lock-free discipline ---------------------------------------
 
     fn lockfree(g: &TaskGraph, grid: ProcessGrid, dratio: f64) -> HybridPolicy {
-        HybridPolicy::with_discipline(g, grid, dratio, QueueDiscipline::LockFree { seed: 42 })
+        with_discipline(g, grid, dratio, QueueDiscipline::LockFree { seed: 42 })
     }
 
     #[test]
@@ -783,12 +770,13 @@ mod tests {
         // 2 sockets × 2 cores: cores {0,1} on socket 0, {2,3} on socket 1
         let topo = CpuTopology::uniform(2, 2);
         let nstatic = 0;
-        let mut p = HybridPolicy::with_nstatic_discipline_on(
+        let mut p = HybridPolicy::new(
             &g,
             grid,
             nstatic,
             QueueDiscipline::LockFree { seed: 7 },
             &topo,
+            StealOrder::default(),
         );
         let late = g
             .ids()
@@ -817,8 +805,7 @@ mod tests {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let run = |seed: u64| {
-            let mut p =
-                HybridPolicy::with_discipline(&g, grid, 0.3, QueueDiscipline::LockFree { seed });
+            let mut p = with_discipline(&g, grid, 0.3, QueueDiscipline::LockFree { seed });
             let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
             for t in g.initial_ready() {
                 p.on_ready(t, None);
@@ -888,5 +875,160 @@ mod tests {
             .iter()
             .all(|pp| matches!(g.kind(pp.task), TaskKind::Update { j: 5, .. })));
         assert_eq!(p.pop_batch(0, 4).len(), 1);
+    }
+
+    // ----- the split's two ends ---------------------------------------
+    // (the cases of the former `static_policy.rs` / `dynamic_policy.rs`,
+    // built the way the simulator builds them)
+
+    fn end(kind: SchedulerKind, g: &TaskGraph, grid: ProcessGrid) -> Box<dyn Policy> {
+        make_policy_ordered(
+            kind,
+            QueueDiscipline::Global,
+            StealOrder::default(),
+            &CpuTopology::flat(grid.size()),
+            g,
+            grid,
+        )
+    }
+
+    fn setup() -> (TaskGraph, Box<dyn Policy>, ProcessGrid) {
+        let g = TaskGraph::build(400, 400, 100);
+        let grid = ProcessGrid::new(2, 2).unwrap();
+        let p = end(SchedulerKind::Static, &g, grid);
+        (g, p, grid)
+    }
+
+    fn dynamic(g: &TaskGraph, cores: usize) -> Box<dyn Policy> {
+        end(
+            SchedulerKind::Dynamic,
+            g,
+            ProcessGrid::new(1, cores).unwrap(),
+        )
+    }
+
+    #[test]
+    fn tasks_only_run_on_their_owner() {
+        let (g, mut p, grid) = setup();
+        let owners = OwnerMap::new(&g, grid);
+        let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
+        for t in g.initial_ready() {
+            p.on_ready(t, None);
+        }
+        let mut done = 0;
+        while done < g.len() {
+            let mut progressed = false;
+            for core in 0..grid.size() {
+                while let Some(popped) = p.pop(core) {
+                    assert_eq!(owners.owner(popped.task), core);
+                    assert_eq!(popped.source, QueueSource::Local);
+                    progressed = true;
+                    done += 1;
+                    for &s in g.successors(popped.task) {
+                        deps[s.idx()] -= 1;
+                        if deps[s.idx()] == 0 {
+                            p.on_ready(s, Some(core));
+                        }
+                    }
+                }
+            }
+            assert!(progressed, "static policy stuck at {done}/{}", g.len());
+        }
+    }
+
+    #[test]
+    fn panel_tasks_preempt_updates_in_queue_order() {
+        let (g, mut p, grid) = setup();
+        // core 3 owns (odd, odd) tiles on the 2x2 grid: it owns both
+        // panel-0 updates like (1,1) and panel-1 leaves like (3,1)
+        let owners = OwnerMap::new(&g, grid);
+        let s_task = g
+            .ids()
+            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, .. }) && owners.owner(t) == 3)
+            .unwrap();
+        let p_task = g
+            .ids()
+            .find(|&t| {
+                matches!(g.kind(t), TaskKind::PanelLeaf { k: 1, .. }) && owners.owner(t) == 3
+            })
+            .unwrap();
+        p.on_ready(s_task, None);
+        p.on_ready(p_task, None);
+        assert_eq!(p.pop(3).unwrap().task, p_task, "panel leaf must run first");
+        assert_eq!(p.pop(3).unwrap().task, s_task);
+    }
+
+    #[test]
+    fn batch_groups_same_panel_updates_only() {
+        let (g, mut p, grid) = setup();
+        let owners = OwnerMap::new(&g, grid);
+        // queue several panel-0 updates owned by core 3 (owns 4 of them)
+        let updates: Vec<TaskId> = g
+            .ids()
+            .filter(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, .. }) && owners.owner(t) == 3)
+            .collect();
+        assert!(updates.len() >= 2);
+        for &t in &updates {
+            p.on_ready(t, None);
+        }
+        let batch = p.pop_batch(3, 3);
+        assert!(batch.len() >= 2, "updates of one panel must group");
+        assert!(batch.len() <= 3);
+        for popped in &batch {
+            assert!(matches!(g.kind(popped.task), TaskKind::Update { k: 0, .. }));
+        }
+    }
+
+    #[test]
+    fn empty_queue_returns_none() {
+        let (_, mut p, _) = setup();
+        assert!(p.pop(0).is_none());
+        assert!(p.pop_batch(1, 4).is_empty());
+        assert_eq!(p.queued(), 0);
+    }
+
+    #[test]
+    fn any_core_can_pop() {
+        let g = TaskGraph::build(300, 300, 100);
+        let mut p = dynamic(&g, 4);
+        for t in g.initial_ready() {
+            p.on_ready(t, None);
+        }
+        let a = p.pop(3).unwrap();
+        let b = p.pop(0).unwrap();
+        assert_ne!(a.task, b.task);
+        assert_eq!(a.source, QueueSource::Global);
+    }
+
+    #[test]
+    fn pops_in_dfs_column_order() {
+        let g = TaskGraph::build(400, 400, 100);
+        let mut p = dynamic(&g, 2);
+        // insert one U of column 3 and one S of column 2 (both panel 0)
+        let u3 = g
+            .ids()
+            .find(|&t| matches!(g.kind(t), TaskKind::ComputeU { k: 0, j: 3 }))
+            .unwrap();
+        let s2 = g
+            .ids()
+            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, i: 1, j: 2 }))
+            .unwrap();
+        p.on_ready(u3, None);
+        p.on_ready(s2, None);
+        assert_eq!(p.pop(0).unwrap().task, s2, "leftmost column first");
+        assert_eq!(p.pop(0).unwrap().task, u3);
+    }
+
+    #[test]
+    fn queue_size_tracks() {
+        let g = TaskGraph::build(300, 300, 100);
+        let mut p = dynamic(&g, 1);
+        assert_eq!(p.queued(), 0);
+        for t in g.initial_ready() {
+            p.on_ready(t, None);
+        }
+        assert_eq!(p.queued(), g.initial_ready().len());
+        p.pop(0);
+        assert_eq!(p.queued(), g.initial_ready().len() - 1);
     }
 }

@@ -1,27 +1,34 @@
 //! Scheduling policies for the CALU task graph (§3 of the paper).
 //!
-//! Four policies cover the paper's design space plus the related-work
-//! baseline:
+//! The paper's design space is **one policy with one parameter**:
+//! `Nstatic = N·(1 − dratio)` (Algorithm 1). [`HybridPolicy`] schedules
+//! the tasks writing the first `Nstatic` tile columns statically — each
+//! on the thread that owns its output tile under the 2D block-cyclic
+//! distribution — and feeds the rest to the dynamic section, which a
+//! thread only turns to when its own queue is empty (Algorithm 1 + 2).
+//! The two classical strategies are its ends, not separate types:
 //!
-//! * [`StaticPolicy`] — fully static: every task runs on the thread that
-//!   owns its output tile under the 2D block-cyclic distribution; threads
-//!   with empty queues idle (perfect locality, zero dequeue overhead, no
-//!   load balancing).
-//! * [`DynamicPolicy`] — fully dynamic: one shared global queue ordered
-//!   left-to-right / top-to-bottom (the DFS order of Algorithm 2); any
-//!   free thread takes the head (perfect load balance, pays dequeue
-//!   contention and data migration).
-//! * [`HybridPolicy`] — the paper's contribution: tasks writing the first
-//!   `Nstatic` tile columns are scheduled statically, the rest feed the
-//!   global queue, and a thread only turns to the global queue when its
-//!   own queue is empty (Algorithm 1 + 2).
-//! * [`WorkStealingPolicy`] — Cilk-style randomized work stealing, the
-//!   §8 comparison point.
+//! * [`SchedulerKind::Static`] is `Nstatic = N`: perfect locality, zero
+//!   dequeue overhead, no load balancing — threads with empty queues
+//!   idle (until a lost core's backlog is [rescued](Policy::rescue));
+//! * [`SchedulerKind::Dynamic`] is `Nstatic = 0`: every task rides the
+//!   dynamic section in the left-to-right / top-to-bottom DFS order of
+//!   Algorithm 2 — perfect load balance, paid for in dequeue contention
+//!   and data migration.
+//!
+//! [`WorkStealingPolicy`] — Cilk-style randomized work stealing — is the
+//! §8 comparison point and the only other [`Policy`].
 //!
 //! Policies are *decision procedures*, not executors: both the
 //! discrete-event simulator (`calu-sim`) and the real threaded executor
 //! (`calu-core`) consult the same ownership map ([`OwnerMap`]) and
-//! priority orders ([`priority`]).
+//! priority orders ([`priority`]). They still queue through two types:
+//! the simulator drives the policy's sequential dynamic section, whose
+//! lock-free variant is a priority-sorted idealization of a deque, while
+//! the executor's workers share a concurrent [`ReadyQueues`] over real
+//! Chase-Lev [`Deque`]s (LIFO across completion batches). Merging them
+//! would change the simulated `lockfree` schedules, so it is a modelling
+//! decision, not a refactor.
 //!
 //! ## The `QueueDiscipline` matrix
 //!
@@ -58,9 +65,7 @@ pub mod priority;
 pub mod ready;
 pub mod topology;
 
-mod dynamic_policy;
 mod hybrid;
-mod static_policy;
 mod work_stealing;
 
 pub use adaptive::{
@@ -69,60 +74,40 @@ pub use adaptive::{
 pub use config::{nstatic_for, SchedulerKind};
 pub use deque::{Deque, Steal};
 pub use discipline::{steal_order, QueueDiscipline, DEFAULT_STEAL_SEED};
-pub use dynamic_policy::DynamicPolicy;
 pub use hybrid::HybridPolicy;
 pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;
 pub use policy::{Policy, Popped, QueueSource};
 pub use ready::ReadyQueues;
-pub use static_policy::StaticPolicy;
 pub use topology::{CpuTopology, StealOrder, StealTier, StealTiers};
 pub use work_stealing::WorkStealingPolicy;
 
 use calu_dag::TaskGraph;
 use calu_matrix::ProcessGrid;
 
-/// Build the policy described by `kind` for graph `g` over `p` cores,
-/// with the default [`QueueDiscipline::Global`] dynamic section.
-pub fn make_policy(kind: SchedulerKind, g: &TaskGraph, grid: ProcessGrid) -> Box<dyn Policy> {
-    make_policy_with(kind, QueueDiscipline::Global, g, grid)
-}
-
 /// Build the policy described by `kind` with an explicit dynamic-section
-/// [`QueueDiscipline`]. The discipline applies wherever a dynamic
-/// section exists: the hybrid policy's reservoir, or the whole queue
-/// under fully dynamic scheduling (`Dynamic` + `Sharded` is the hybrid
-/// machinery with `Nstatic = 0`). `Static` has no dynamic section and
-/// `WorkStealing` is already sharded by construction, so the discipline
-/// is a no-op there.
+/// [`QueueDiscipline`], on a flat (single-socket) topology with the
+/// default steal order — see [`make_policy_ordered`].
 pub fn make_policy_with(
     kind: SchedulerKind,
     queue: QueueDiscipline,
     g: &TaskGraph,
     grid: ProcessGrid,
 ) -> Box<dyn Policy> {
-    make_policy_on(kind, queue, &CpuTopology::flat(grid.size()), g, grid)
+    let topo = CpuTopology::flat(grid.size());
+    make_policy_ordered(kind, queue, StealOrder::default(), &topo, g, grid)
 }
 
-/// [`make_policy_with`] with an explicit CPU topology: the lock-free
-/// discipline's tiered victim sweeps (SMT sibling → same socket →
-/// remote) are computed from `topo`, so the simulator can pass its
-/// machine model's socket layout and the real executor the detected
-/// host topology — both then sweep victims in the same order.
-pub fn make_policy_on(
-    kind: SchedulerKind,
-    queue: QueueDiscipline,
-    topo: &CpuTopology,
-    g: &TaskGraph,
-    grid: ProcessGrid,
-) -> Box<dyn Policy> {
-    make_policy_ordered(kind, queue, StealOrder::default(), topo, g, grid)
-}
-
-/// [`make_policy_on`] with an explicit steal-sweep direction — the
-/// adaptive controller's steal-tier knob. Only the lock-free
-/// discipline's tiered sweep reads it; every other combination behaves
-/// exactly as [`make_policy_on`].
+/// Build the policy described by `kind`. `Static`, `Dynamic` and
+/// `Hybrid` are one [`HybridPolicy`] at `Nstatic = N`, `0` and
+/// [`nstatic_for`]`(dratio, N)`. The discipline applies wherever a
+/// dynamic section exists; `Static` has none to organize (its rescue
+/// reservoir is the paper's global queue) and `WorkStealing` is sharded
+/// by construction, so it is a no-op there. The lock-free discipline's
+/// tiered victim sweeps (SMT sibling → same socket → remote) are
+/// computed from `topo` — the simulator passes its machine model's
+/// socket layout — and walked in `order`, the adaptive controller's
+/// steal-tier knob; the other disciplines ignore both.
 pub fn make_policy_ordered(
     kind: SchedulerKind,
     queue: QueueDiscipline,
@@ -131,18 +116,18 @@ pub fn make_policy_ordered(
     g: &TaskGraph,
     grid: ProcessGrid,
 ) -> Box<dyn Policy> {
-    let nstatic = |dratio| nstatic_for(dratio, g.num_panels());
+    let hybrid = |nstatic, queue| HybridPolicy::new(g, grid, nstatic, queue, topo, order);
     match (kind, queue) {
-        (SchedulerKind::Static, _) => Box::new(StaticPolicy::new(g, grid)),
-        (SchedulerKind::Dynamic, QueueDiscipline::Global) => {
-            Box::new(DynamicPolicy::new(g, grid.size()))
+        (SchedulerKind::Static, _) => {
+            Box::new(hybrid(g.num_panels(), QueueDiscipline::Global).named("static"))
         }
-        (SchedulerKind::Dynamic, q) => Box::new(HybridPolicy::with_nstatic_discipline_ordered(
-            g, grid, 0, q, topo, order,
-        )),
-        (SchedulerKind::Hybrid { dratio }, q) => Box::new(
-            HybridPolicy::with_nstatic_discipline_ordered(g, grid, nstatic(dratio), q, topo, order),
-        ),
+        (SchedulerKind::Dynamic, QueueDiscipline::Global) => {
+            Box::new(hybrid(0, queue).named("dynamic"))
+        }
+        (SchedulerKind::Dynamic, _) => Box::new(hybrid(0, queue)),
+        (SchedulerKind::Hybrid { dratio }, _) => {
+            Box::new(hybrid(nstatic_for(dratio, g.num_panels()), queue))
+        }
         (SchedulerKind::WorkStealing { seed }, _) => {
             Box::new(WorkStealingPolicy::new(g, grid.size(), seed))
         }
@@ -223,7 +208,10 @@ mod tests {
         let g = TaskGraph::build(500, 500, 100);
         let grid = ProcessGrid::new(2, 2).unwrap();
         let kind = SchedulerKind::Hybrid { dratio: 0.5 };
-        assert_eq!(make_policy(kind, &g, grid).name(), "hybrid");
+        assert_eq!(
+            make_policy_with(kind, QueueDiscipline::Global, &g, grid).name(),
+            "hybrid"
+        );
         assert_eq!(
             make_policy_with(kind, QueueDiscipline::sharded(), &g, grid).name(),
             "hybrid (sharded)"
@@ -238,9 +226,10 @@ mod tests {
             "hybrid (lockfree)"
         );
         assert_eq!(
-            make_policy_on(
+            make_policy_ordered(
                 SchedulerKind::Dynamic,
                 QueueDiscipline::lock_free(),
+                StealOrder::default(),
                 &CpuTopology::uniform(2, 2),
                 &g,
                 grid

@@ -88,20 +88,20 @@ impl JournalRecord {
     /// The record for an accepted spec, or `None` when the spec is not
     /// journal-replayable (dense data).
     pub(crate) fn from_spec(id: JobId, class: JobClass, spec: &JobSpec) -> Option<Self> {
-        use calu_core::pool::PoolSource;
-        let source = match &spec.source {
-            PoolSource::Uniform { m, n, seed } => RecordSource::Uniform {
+        use calu_core::Source;
+        let source = match &spec.job.source {
+            Source::Uniform { m, n, seed } => RecordSource::Uniform {
                 m: *m,
                 n: *n,
                 seed: *seed,
             },
-            PoolSource::SpdUniform { n, seed } => RecordSource::Spd { n: *n, seed: *seed },
-            PoolSource::Dense(_) => return None,
+            Source::SpdUniform { n, seed } => RecordSource::Spd { n: *n, seed: *seed },
+            Source::Dense(_) | Source::Owned(_) => return None,
         };
         Some(JournalRecord {
             id,
             class,
-            kernels: spec.kernels,
+            kernels: spec.kernels(),
             source,
             deadline: spec.deadline,
         })

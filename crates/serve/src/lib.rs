@@ -50,7 +50,7 @@
 //!
 //! Everything is `std` — mutexes, condvars and one mpsc channel; no
 //! async runtime, no serde. The facade crate (`calu`) wraps this API as
-//! `Solver::serve()` / `Solver::listen()`, mapping [`PoolOutcome`]s
+//! `Solver::serve()` / `Solver::listen()`, mapping [`Outcome`]s
 //! into its `Report` type via the [`FactorService::with_report`] hook.
 
 pub mod journal;
@@ -62,9 +62,9 @@ use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use calu_core::pool::{JobSink, PoolOutcome, PoolSource, ServicePool};
+use calu_core::pool::{JobSink, ServicePool};
 use calu_core::sync::Mutex;
-use calu_core::{CaluConfig, CaluError, KernelSet};
+use calu_core::{BatchItem, CaluConfig, CaluError, KernelSet, Outcome, Source};
 use calu_matrix::DenseMatrix;
 pub use calu_sched::JobClass;
 
@@ -205,46 +205,34 @@ impl Default for ServiceConfig {
 /// knobs are validated once, when the service is built.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    source: PoolSource,
-    kernels: KernelSet,
+    /// The engine job; its `verify` flag is the service's
+    /// ([`ServiceConfig::verify`]), set at admission.
+    job: BatchItem<'static>,
     deadline: Option<Duration>,
 }
 
 impl JobSpec {
     /// A job over dense data.
     pub fn dense(a: DenseMatrix) -> Self {
-        JobSpec {
-            source: PoolSource::Dense(a),
-            kernels: KernelSet::CaluLu,
-            deadline: None,
-        }
+        Self::from_source(Source::Owned(a))
     }
 
     /// A job over a seeded uniform generator matrix, materialized on
     /// the worker that claims it.
     pub fn uniform(m: usize, n: usize, seed: u64) -> Self {
-        JobSpec {
-            source: PoolSource::Uniform { m, n, seed },
-            kernels: KernelSet::CaluLu,
-            deadline: None,
-        }
+        Self::from_source(Source::Uniform { m, n, seed })
     }
 
     /// A tiled-Cholesky job over a seeded SPD generator matrix,
     /// materialized on the worker that claims it.
     pub fn spd_uniform(n: usize, seed: u64) -> Self {
-        JobSpec {
-            source: PoolSource::SpdUniform { n, seed },
-            kernels: KernelSet::Cholesky,
-            deadline: None,
-        }
+        Self::from_source(Source::SpdUniform { n, seed }).with_kernels(KernelSet::Cholesky)
     }
 
-    /// A job over any [`PoolSource`], factored with CALU.
-    pub fn from_source(source: PoolSource) -> Self {
+    /// A job over any owned [`Source`], factored with CALU.
+    pub fn from_source(source: Source<'static>) -> Self {
         JobSpec {
-            source,
-            kernels: KernelSet::CaluLu,
+            job: BatchItem::lu(source),
             deadline: None,
         }
     }
@@ -253,7 +241,7 @@ impl JobSpec {
     /// freely interleaves [`KernelSet::CaluLu`] and
     /// [`KernelSet::Cholesky`] jobs on the same pool.
     pub fn with_kernels(mut self, kernels: KernelSet) -> Self {
-        self.kernels = kernels;
+        self.job.kernels = kernels;
         self
     }
 
@@ -276,12 +264,12 @@ impl JobSpec {
 
     /// `(rows, cols)` of the job's matrix.
     pub fn dims(&self) -> (usize, usize) {
-        self.source.dims()
+        self.job.source.dims()
     }
 
     /// Which algorithm's kernels factor the job.
     pub fn kernels(&self) -> KernelSet {
-        self.kernels
+        self.job.kernels
     }
 }
 
@@ -356,7 +344,7 @@ struct JobCell<R> {
 /// A claim on one submitted job: poll it with
 /// [`try_status`](Self::try_status), block on it with
 /// [`wait`](Self::wait).
-pub struct JobHandle<R = PoolOutcome> {
+pub struct JobHandle<R = Outcome> {
     id: JobId,
     class: JobClass,
     dims: (usize, usize),
@@ -462,7 +450,7 @@ struct Admission {
 
 /// The result constructor a service applies to every finished job's
 /// pool outcome (see [`FactorService::with_report`]).
-type MakeResult<R> = Box<dyn Fn(&JobInfo, PoolOutcome) -> R + Send + Sync>;
+type MakeResult<R> = Box<dyn Fn(&JobInfo, Outcome) -> R + Send + Sync>;
 
 /// One job the watchdog keeps an eye on: a deadline, a heartbeat
 /// history, or both.
@@ -591,7 +579,7 @@ impl<R: Send + 'static> JobSink for ServeSink<R> {
         }
     }
 
-    fn finished(self: Box<Self>, res: Result<PoolOutcome, CaluError>) {
+    fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
         // leave the watchdog's registry first (lock not held onward)
         self.shared
             .watch
@@ -749,10 +737,10 @@ fn watchdog_loop<R: Send + 'static>(shared: Arc<Inner<R>>, stall: Option<Duratio
 
 /// A long-running factorization job service over one persistent worker
 /// pool. Generic over the per-job report type `R`: the identity
-/// service ([`FactorService::new`]) returns raw [`PoolOutcome`]s, the
+/// service ([`FactorService::new`]) returns raw [`Outcome`]s, the
 /// `calu` facade injects a `Report` builder via
 /// [`FactorService::with_report`].
-pub struct FactorService<R = PoolOutcome> {
+pub struct FactorService<R = Outcome> {
     cfg: ServiceConfig,
     shared: Arc<Inner<R>>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
@@ -765,8 +753,8 @@ pub struct FactorService<R = PoolOutcome> {
     replayed: Mutex<Vec<JobHandle<R>>>,
 }
 
-impl FactorService<PoolOutcome> {
-    /// Spawn a service whose jobs resolve to raw [`PoolOutcome`]s.
+impl FactorService<Outcome> {
+    /// Spawn a service whose jobs resolve to raw [`Outcome`]s.
     /// `cfg` carries the solver knobs every job shares (tile size,
     /// threads, layout, dratio, small cutoff); it is validated here,
     /// once — jobs only vary in dims and data.
@@ -777,14 +765,14 @@ impl FactorService<PoolOutcome> {
 
 impl<R: Send + 'static> FactorService<R> {
     /// [`new`](FactorService::new) with a report hook: every completed
-    /// job's [`PoolOutcome`] is mapped through `make` (on the worker
+    /// job's [`Outcome`] is mapped through `make` (on the worker
     /// that finished it) before landing in the handle.
     pub fn with_report(
         cfg: &CaluConfig,
         svc: ServiceConfig,
-        make: impl Fn(&JobInfo, PoolOutcome) -> R + Send + Sync + 'static,
+        make: impl Fn(&JobInfo, Outcome) -> R + Send + Sync + 'static,
     ) -> Result<Self, CaluError> {
-        let pool = Arc::new(ServicePool::spawn(cfg, svc.verify, svc.starvation_limit)?);
+        let pool = Arc::new(ServicePool::spawn(cfg, svc.starvation_limit)?);
         // open the journal (compacting it to its incomplete tail) before
         // anything can be admitted; replay happens below, after the
         // watchdog is live, so replayed deadlines are enforced too
@@ -897,7 +885,7 @@ impl<R: Send + 'static> FactorService<R> {
         if dims.0 == 0 || dims.1 == 0 {
             return Err(ServeError::Invalid(CaluError::EmptyMatrix));
         }
-        if spec.kernels == KernelSet::Cholesky && dims.0 != dims.1 {
+        if spec.kernels() == KernelSet::Cholesky && dims.0 != dims.1 {
             return Err(ServeError::Invalid(CaluError::InvalidConfig(format!(
                 "tiled Cholesky factors a square SPD matrix, got {}×{}",
                 dims.0, dims.1
@@ -954,7 +942,7 @@ impl<R: Send + 'static> FactorService<R> {
             id,
             class,
             dims,
-            kernels: spec.kernels,
+            kernels: spec.kernels(),
         };
         let cell = Arc::new(JobCell {
             state: Mutex::new(CellState::Queued),
@@ -973,7 +961,8 @@ impl<R: Send + 'static> FactorService<R> {
         // rejection hands the sink back *uncalled*; a synchronous
         // `finished` callback here would re-enter this same admission
         // lock via `job_ended` and self-deadlock.
-        if let Err(sink) = pool.submit(id, class, spec.kernels, spec.source, Box::new(sink)) {
+        let job = spec.job.verified(self.cfg.verify);
+        if let Err(sink) = pool.submit(id, class, job, Box::new(sink)) {
             // unreachable while the invariant above holds (pool
             // draining implies we would have seen `adm.draining`), but
             // handled without relying on it: roll back the admission
@@ -1069,11 +1058,7 @@ impl<R: Send + 'static> FactorService<R> {
     /// old pool keeps serving untouched.
     pub fn reconfigure(&self, cfg: &CaluConfig) -> Result<u64, CaluError> {
         // spawn first, outside every lock: it validates and is slow
-        let successor = Arc::new(ServicePool::spawn(
-            cfg,
-            self.cfg.verify,
-            self.cfg.starvation_limit,
-        )?);
+        let successor = Arc::new(ServicePool::spawn(cfg, self.cfg.starvation_limit)?);
         let adm = self.shared.admission.lock();
         if adm.draining {
             successor.drain();
@@ -1086,9 +1071,7 @@ impl<R: Send + 'static> FactorService<R> {
         // holding the admission lock means no submit can race the swap
         let mut refused: Vec<Box<dyn JobSink>> = Vec::new();
         for job in old.extract_queued() {
-            if let Err(sink) =
-                successor.submit(job.id, job.class, job.kernels, job.source, job.sink)
-            {
+            if let Err(sink) = successor.submit(job.id, job.class, job.job, job.sink) {
                 // a fresh pool refuses nothing; kept non-fatal anyway —
                 // failed after the locks drop, never silently dropped
                 refused.push(sink);

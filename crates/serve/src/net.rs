@@ -60,8 +60,8 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use calu_core::pool::PoolOutcome;
 use calu_core::sync::Mutex;
+use calu_core::Outcome;
 
 use crate::{retry_hint, FactorService, JobClass, JobHandle, JobSpec, JobStatus, ServeError};
 
@@ -128,7 +128,7 @@ struct NetShared<R> {
 
 /// The TCP front door over one shared [`FactorService`]; see the
 /// [module docs](self) for the protocol.
-pub struct ServeListener<R = PoolOutcome> {
+pub struct ServeListener<R = Outcome> {
     shared: Arc<NetShared<R>>,
     local_addr: SocketAddr,
     threads: Mutex<Vec<JoinHandle<()>>>,

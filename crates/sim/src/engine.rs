@@ -496,6 +496,37 @@ mod tests {
         }
     }
 
+    /// The deletion of the separate static and dynamic policy types
+    /// rests on this: the two classical schedulers are the hybrid
+    /// policy's ends, bit for bit — under noise (so every stretch and
+    /// pop order matters) and with grouping on (so `pop_batch` is
+    /// exercised), on both machine presets.
+    #[test]
+    fn static_and_dynamic_are_the_hybrid_policys_two_ends() {
+        let g = TaskGraph::build_calu(1200, 1200, 100, 4);
+        for machine in [
+            MachineConfig::intel_xeon_16(NoiseConfig::os_daemons(7)),
+            MachineConfig::amd_opteron_48(NoiseConfig::os_daemons(7)),
+        ] {
+            let sim = |sched| {
+                let mut cfg = SimConfig::new(machine.clone(), Layout::BlockCyclic, sched);
+                assert!(cfg.group_max > 1, "BCL groups updates");
+                cfg.record_trace = true;
+                run(&g, &cfg)
+            };
+            for (end, dratio) in [(SchedulerKind::Static, 0.0), (SchedulerKind::Dynamic, 1.0)] {
+                let (a, b) = (sim(end), sim(SchedulerKind::Hybrid { dratio }));
+                assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{end:?}");
+                assert_eq!(a.cores, b.cores, "{end:?}");
+                assert_eq!(
+                    a.timeline.unwrap().spans(),
+                    b.timeline.unwrap().spans(),
+                    "{end:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn deterministic() {
         let g = TaskGraph::build(800, 800, 100);
@@ -696,67 +727,64 @@ mod slow_core_tests {
     #[test]
     fn lost_core_is_rescued_and_every_task_still_executes() {
         let g = TaskGraph::build_calu(2000, 2000, 100, 4);
-        let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
-        // crawl first so ready static work piles up in the doomed
-        // core's queue, then lose it: the rescue has something to move
-        mach.slow_core = Some((3, 0.05));
-        mach.lost_core = Some((3, 10));
-        let cfg = SimConfig::new(
-            mach,
-            Layout::BlockCyclic,
-            SchedulerKind::Hybrid { dratio: 0.2 },
-        );
-        let r = run(&g, &cfg);
-        let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
-        assert_eq!(total as usize, g.len(), "no task left behind");
-        assert!(r.cores[3].lost, "the lost core is flagged");
-        assert!(
-            r.cores[3].rescued > 0,
-            "a backlogged loss leaves queued static tasks to rescue"
-        );
-        assert!(
-            r.cores[3].overhead >= r.cores[3].rescued as f64 * cfg.machine.rescue_task_cost,
-            "each rescued task is priced as overhead"
-        );
-        assert!(
-            (10..10 + 3).contains(&r.cores[3].tasks),
-            "the core stops at the first completion boundary past its \
-             threshold (its last batch may overshoot by up to group_max), \
-             got {} tasks",
-            r.cores[3].tasks
-        );
-        assert!(r.cores.iter().enumerate().all(|(c, s)| s.lost == (c == 3)));
-        // degraded but correct: slower than the healthy run, and
-        // deterministic for replay
-        let healthy = run(
-            &g,
-            &SimConfig::new(
-                MachineConfig::intel_xeon_16(NoiseConfig::off()),
-                Layout::BlockCyclic,
-                SchedulerKind::Hybrid { dratio: 0.2 },
-            ),
-        );
-        assert!(r.makespan > healthy.makespan, "15 cores cannot beat 16");
-        let again = run(&g, &cfg);
-        assert_eq!(r.makespan, again.makespan);
-        assert_eq!(r.cores, again.cores);
+        // fully static scheduling is the hybrid policy's `Nstatic = N`
+        // end, so its lost core is rescued by the same code
+        for sched in [SchedulerKind::Hybrid { dratio: 0.2 }, SchedulerKind::Static] {
+            let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
+            // crawl first so ready static work piles up in the doomed
+            // core's queue, then lose it: the rescue has something to move
+            mach.slow_core = Some((3, 0.05));
+            mach.lost_core = Some((3, 10));
+            let cfg = SimConfig::new(mach, Layout::BlockCyclic, sched);
+            let r = run(&g, &cfg);
+            let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+            assert_eq!(total as usize, g.len(), "no task left behind");
+            assert!(r.cores[3].lost, "the lost core is flagged");
+            assert!(
+                r.cores[3].rescued > 0,
+                "a backlogged loss leaves queued static tasks to rescue"
+            );
+            assert!(
+                r.cores[3].overhead >= r.cores[3].rescued as f64 * cfg.machine.rescue_task_cost,
+                "each rescued task is priced as overhead"
+            );
+            assert!(
+                (10..10 + 3).contains(&r.cores[3].tasks),
+                "the core stops at the first completion boundary past its \
+                 threshold (its last batch may overshoot by up to group_max), \
+                 got {} tasks",
+                r.cores[3].tasks
+            );
+            assert!(r.cores.iter().enumerate().all(|(c, s)| s.lost == (c == 3)));
+            // degraded but correct: slower than the healthy run, and
+            // deterministic for replay
+            let healthy = run(
+                &g,
+                &SimConfig::new(
+                    MachineConfig::intel_xeon_16(NoiseConfig::off()),
+                    Layout::BlockCyclic,
+                    sched,
+                ),
+            );
+            assert!(r.makespan > healthy.makespan, "15 cores cannot beat 16");
+            let again = run(&g, &cfg);
+            assert_eq!(r.makespan, again.makespan);
+            assert_eq!(r.cores, again.cores);
+        }
     }
 
     #[test]
     fn a_core_lost_before_its_first_task_never_runs() {
         let g = TaskGraph::build_calu(1200, 1200, 100, 4);
-        let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
-        mach.lost_core = Some((0, 0));
-        let cfg = SimConfig::new(
-            mach,
-            Layout::BlockCyclic,
-            SchedulerKind::Hybrid { dratio: 0.2 },
-        );
-        let r = run(&g, &cfg);
-        assert_eq!(r.cores[0].tasks, 0);
-        assert!(r.cores[0].lost);
-        let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
-        assert_eq!(total as usize, g.len());
+        for sched in [SchedulerKind::Hybrid { dratio: 0.2 }, SchedulerKind::Static] {
+            let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
+            mach.lost_core = Some((0, 0));
+            let r = run(&g, &SimConfig::new(mach, Layout::BlockCyclic, sched));
+            assert_eq!(r.cores[0].tasks, 0, "{sched:?}");
+            assert!(r.cores[0].lost);
+            let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+            assert_eq!(total as usize, g.len(), "{sched:?}");
+        }
     }
 
     #[test]

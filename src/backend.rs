@@ -14,13 +14,13 @@
 //! a benchmark loop is a one-line change. Future backends (sharded,
 //! out-of-core, …) implement the same trait.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use calu_core::{
-    calu_factor_report, cholesky_factor_report, factor_batch, gepp_factor, incpiv_factor,
-    BatchItem, BatchSource, Factorization, ThreadStats,
+    factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, KernelSet, Outcome,
+    ThreadStats,
 };
-use calu_matrix::DenseMatrix;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
 use calu_trace::Timeline;
 
@@ -216,35 +216,45 @@ fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
     )
 }
 
-/// Fill `report` from what the executor engine hands back for one job —
-/// solo, batched or served: the factors, the per-worker timeline (its
-/// clock starts at the job's first task) and queue accounting. The
-/// thread count is the engine's, one `ThreadStats` per worker.
-pub(crate) fn fill_from_engine(
-    report: &mut Report,
-    factorization: Factorization,
-    timeline: Timeline,
-    stats: &[ThreadStats],
-    record_trace: bool,
-) {
-    report.threads = stats.len();
-    report.tasks = timeline.spans().len();
-    report.makespan = timeline.makespan();
-    report.schedule = threaded_schedule_metrics(&timeline, stats);
-    report.timeline = record_trace.then_some(timeline);
-    report.factorization = Some(factorization);
+/// Turn what the executor engine hands back for one job — solo, batched
+/// or served — into its [`Report`]: `header` carries the job's identity,
+/// the [`Outcome`] everything measured. The factors, the per-worker
+/// timeline (its clock starts at the job's first task) and queue
+/// accounting, and the numerical checks the engine ran when the job
+/// asked for them. The thread count is the engine's, one `ThreadStats`
+/// per worker.
+pub(crate) fn report_from(mut report: Report, out: Outcome, record_trace: bool) -> Report {
+    report.threads = out.stats.len();
+    report.tasks = out.timeline.spans().len();
+    report.makespan = out.timeline.makespan();
+    report.schedule = threaded_schedule_metrics(&out.timeline, &out.stats);
+    report.timeline = record_trace.then_some(out.timeline);
+    report.factorization = Some(out.factorization);
+    report.residual = out.residual;
+    report.growth_factor = out.growth_factor;
+    report
 }
 
-/// The numerical checks of a `.verify()` run on the engine's factors:
-/// each algorithm's own residual, plus element growth for pivoted LU
-/// (Cholesky has no pivoting, so the figure stays `None`).
-fn verify_into(report: &mut Report, f: &Factorization, a: &DenseMatrix) {
-    if report.algorithm == Algorithm::Cholesky {
-        report.residual = Some(f.cholesky_residual(a));
+/// The kernel set a facade algorithm runs on the engine.
+pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
+    if algorithm == Algorithm::Cholesky {
+        KernelSet::Cholesky
     } else {
-        report.residual = Some(f.residual(a));
-        report.growth_factor = Some(f.growth_factor(a));
+        KernelSet::CaluLu
     }
+}
+
+/// The engine job of a CALU/Cholesky plan: its source (dense data
+/// borrowed as-is, seeded generators left for the claiming thread to
+/// materialize), its kernel set, its own `.verify()`.
+fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
+    let source = MatrixSource::job_source(Cow::Borrowed(plan.source))
+        .ok_or_else(|| shape_only_source("the threaded backend"))?;
+    Ok(BatchItem {
+        source,
+        kernels: kernels_for(plan.algorithm),
+        verify: plan.verify,
+    })
 }
 
 /// What no real executor runs, refused rather than silently ignored:
@@ -329,24 +339,15 @@ impl Backend for ThreadedBackend {
                 ),
             });
         }
+        let mut report = plan_report(self.name(), plan);
+        if on_engine {
+            let out = factor_one(engine_job(plan)?, &plan.calu_config())?;
+            return Ok(report_from(report, out, plan.record_trace));
+        }
         let a = plan
             .source
             .materialize()
             .ok_or_else(|| shape_only_source("the threaded backend"))?;
-        let mut report = plan_report(self.name(), plan);
-        if on_engine {
-            let cfg = plan.calu_config();
-            let (f, tl, stats) = if plan.algorithm == Algorithm::Cholesky {
-                cholesky_factor_report(&a, &cfg)?
-            } else {
-                calu_factor_report(&a, &cfg)?
-            };
-            if plan.verify {
-                verify_into(&mut report, &f, &a);
-            }
-            fill_from_engine(&mut report, f, tl, &stats, plan.record_trace);
-            return Ok(report);
-        }
         // the reference drivers are sequential regardless of the
         // requested thread count; report what actually ran
         report.threads = 1;
@@ -355,7 +356,8 @@ impl Backend for ThreadedBackend {
             let f = gepp_factor(a.as_ref(), plan.b());
             report.makespan = t0.elapsed().as_secs_f64();
             if plan.verify {
-                verify_into(&mut report, &f, &a);
+                report.residual = Some(f.residual(&a));
+                report.growth_factor = Some(f.growth_factor(&a));
             }
             report.factorization = Some(f);
         } else {
@@ -390,58 +392,19 @@ impl ThreadedBackend {
         // report field costs the batch path nothing
         let cold = cold_spawn_secs(cfg.threads);
         let t0 = Instant::now();
-        // lazy sources: dense data is borrowed as-is, seeded generators
-        // are materialized by the pool worker that claims each item —
-        // submission stays O(1) per generator item instead of paying
-        // every memset/PRNG fill up front on the calling thread
-        let items_in = plans
+        // submission is O(1) per item: generator items are materialized
+        // — and verifying ones checked — by the pool worker that claims
+        // them, not up front or afterwards on the calling thread
+        let jobs = plans
             .iter()
-            .map(|p| {
-                let source = match p.source {
-                    MatrixSource::Dense(a) => BatchSource::Dense(a),
-                    MatrixSource::Uniform { m, n, seed } => BatchSource::Uniform {
-                        m: *m,
-                        n: *n,
-                        seed: *seed,
-                    },
-                    MatrixSource::SpdUniform { n, seed } => {
-                        BatchSource::SpdUniform { n: *n, seed: *seed }
-                    }
-                    MatrixSource::Shape { .. } => {
-                        return Err(shape_only_source("the threaded backend"))
-                    }
-                };
-                Ok(match p.algorithm {
-                    Algorithm::Cholesky => BatchItem::cholesky(source),
-                    _ => BatchItem::lu(source),
-                })
-            })
+            .map(engine_job)
             .collect::<Result<Vec<_>, _>>()?;
-        let outcome = factor_batch(&items_in, &cfg)?;
+        let outcome = factor_batch(&jobs, &cfg)?;
         let co_scheduled = outcome.items.iter().filter(|i| i.co_scheduled).count();
         let items = plans
             .iter()
             .zip(outcome.items)
-            .map(|(plan, item)| {
-                let mut report = plan_report(self.name(), plan);
-                if plan.verify {
-                    // generator items re-materialize here, on demand —
-                    // only verifying sweeps pay for reference copies
-                    let a = plan
-                        .source
-                        .materialize()
-                        .expect("shape-only sources were rejected above");
-                    verify_into(&mut report, &item.factorization, &a);
-                }
-                fill_from_engine(
-                    &mut report,
-                    item.factorization,
-                    item.timeline,
-                    &item.stats,
-                    plan.record_trace,
-                );
-                report
-            })
+            .map(|(plan, out)| report_from(plan_report(self.name(), plan), out, plan.record_trace))
             .collect();
         Ok(BatchReport {
             backend: self.name().into(),
@@ -719,6 +682,71 @@ mod tests {
                 matches!(err, Error::Config(ref m) if m.contains("share one configuration")),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn run_batch_honours_verify_per_plan() {
+        // plans that differ only in `.verify()` share one executor
+        // config, so they batch — and each item gets its own answer,
+        // never plans[0]'s
+        let checked = Solver::new(MatrixSource::uniform(48, 1)).tile(16);
+        let unchecked = Solver::new(MatrixSource::uniform(48, 2))
+            .tile(16)
+            .verify(false);
+        let plans = [
+            checked.plan().unwrap(),
+            unchecked.plan().unwrap(),
+            checked.plan().unwrap(),
+        ];
+        let batch = ThreadedBackend.run_batch(&plans).unwrap();
+        for (plan, item) in plans.iter().zip(&batch.items) {
+            assert_eq!(item.residual.is_some(), plan.verify);
+            assert_eq!(item.growth_factor.is_some(), plan.verify);
+            assert!(item.factorization.is_some());
+        }
+        assert!(batch.items[0].residual.unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn verifying_batch_reports_the_solo_checks_bit_for_bit() {
+        // verification runs in the engine, on whichever thread finishes
+        // the item: small (co-scheduled) and large (co-operative) items
+        // of both algorithms must still report exactly what a solo
+        // `.verify(true).run()` of the same source reports
+        let knobs = |source: MatrixSource, algorithm| {
+            Solver::new(source)
+                .tile(16)
+                .threads(4)
+                .batch_small_cutoff(100)
+                .algorithm(algorithm)
+        };
+        let lu = [
+            MatrixSource::uniform(48, 11),
+            MatrixSource::uniform(200, 12),
+            MatrixSource::uniform_rect(96, 64, 13),
+        ];
+        let spd = [
+            MatrixSource::spd_uniform(64, 14),
+            MatrixSource::spd_uniform(160, 15),
+        ];
+        for (algorithm, sources) in [(Algorithm::Calu, &lu[..]), (Algorithm::Cholesky, &spd[..])] {
+            let batch = knobs(MatrixSource::shape(1, 1), algorithm)
+                .batch(sources)
+                .unwrap();
+            assert!(batch.co_scheduled > 0 && batch.co_scheduled < sources.len());
+            for (item, source) in batch.items.iter().zip(sources) {
+                let solo = knobs(source.clone(), algorithm).run().unwrap();
+                let bits = |x: Option<f64>| x.map(f64::to_bits);
+                assert!(item.residual.is_some());
+                assert_eq!(bits(item.residual), bits(solo.residual), "{algorithm}");
+                assert_eq!(
+                    item.growth_factor.is_some(),
+                    algorithm == Algorithm::Calu,
+                    "growth is an LU figure"
+                );
+                assert_eq!(bits(item.growth_factor), bits(solo.growth_factor));
+            }
         }
     }
 

@@ -125,7 +125,7 @@
 //! `CaluConfig`/`SimConfig`) were deprecated in 0.2 and removed in 0.3;
 //! everything goes through [`Solver`] now. The low-level driver APIs
 //! live on under [`core`] (`calu::core::calu_factor`,
-//! `calu::core::calu_factor_batch`, `calu::core::CaluConfig`) and
+//! `calu::core::factor_batch`, `calu::core::CaluConfig`) and
 //! [`sim`] (`calu::sim::SimConfig`).
 //!
 //! ## The pieces

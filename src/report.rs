@@ -279,7 +279,7 @@ impl ScheduleMetrics {
     /// [`StealLocality::remote_fraction`], [`total_idle`],
     /// [`total_rescued`], [`lost_workers`]), so observations built from
     /// a threaded report, a simulated report and a service
-    /// `PoolOutcome` all read on one scale.
+    /// engine `Outcome` all read on one scale.
     ///
     /// [`total_idle`]: ScheduleMetrics::total_idle
     /// [`total_rescued`]: ScheduleMetrics::total_rescued

@@ -35,11 +35,11 @@
 //! independent of execution order, which is what lets a served job
 //! reproduce a solo run bit for bit.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use calu_core::pool::PoolOutcome;
-use calu_core::KernelSet;
+use calu_core::{KernelSet, Outcome, Source};
 use calu_rand::Rng;
 
 pub use calu_serve::{
@@ -49,7 +49,8 @@ pub use calu_serve::{
 };
 
 use crate::backend::{
-    blank_report, cold_spawn_secs, fill_from_engine, reject_sim_only_knobs, shape_only_source,
+    blank_report, cold_spawn_secs, kernels_for, reject_sim_only_knobs, report_from,
+    shape_only_source,
 };
 use crate::error::Error;
 use crate::report::{BatchReport, Report};
@@ -67,15 +68,6 @@ fn serve_err(e: ServeError) -> Error {
     }
 }
 
-/// The kernel set a facade algorithm runs on the service pool.
-fn kernels_for(algorithm: Algorithm) -> KernelSet {
-    if algorithm == Algorithm::Cholesky {
-        KernelSet::Cholesky
-    } else {
-        KernelSet::CaluLu
-    }
-}
-
 /// Build a [`JobSpec`] from a facade source (rejecting shape-only
 /// sources, which carry no data to factor). `kernels` selects the
 /// algorithm for the job: `Some` forces it (the sweep pumps pass the
@@ -90,16 +82,13 @@ fn spec_for(source: MatrixSource, kernels: Option<KernelSet>) -> Result<JobSpec,
                 .into(),
         ));
     }
-    let spec = match source {
-        MatrixSource::Dense(a) => JobSpec::dense(a),
-        MatrixSource::Uniform { m, n, seed } => JobSpec::uniform(m, n, seed),
-        MatrixSource::SpdUniform { n, seed } => JobSpec::spd_uniform(n, seed),
-        MatrixSource::Shape { .. } => return Err(shape_only_source("the factorization service")),
-    };
-    Ok(match kernels {
-        Some(k) => spec.with_kernels(k),
-        None => spec,
-    })
+    let source = MatrixSource::job_source(Cow::Owned(source))
+        .ok_or_else(|| shape_only_source("the factorization service"))?;
+    let kernels = kernels.unwrap_or(match source {
+        Source::SpdUniform { .. } => KernelSet::Cholesky,
+        _ => KernelSet::CaluLu,
+    });
+    Ok(JobSpec::from_source(source).with_kernels(kernels))
 }
 
 impl Solver {
@@ -151,7 +140,7 @@ impl Solver {
         // Solver::reconfigure (same builder) re-plans under the adapted
         // split — a service on a degraded machine converges across jobs
         let feedback = self.adaptive_controller();
-        let make = move |_info: &JobInfo, out: PoolOutcome| -> Report {
+        let make = move |_info: &JobInfo, out: Outcome| -> Report {
             // the outcome — not the captured knobs — is authoritative
             // for what a live reconfigure may have changed since this
             // closure was built (pool width, queue discipline), and the
@@ -161,7 +150,7 @@ impl Solver {
                 KernelSet::CaluLu => Algorithm::Calu,
                 KernelSet::Cholesky => Algorithm::Cholesky,
             };
-            let mut report = blank_report(
+            let header = blank_report(
                 "serve",
                 algorithm,
                 scheduler,
@@ -171,18 +160,10 @@ impl Solver {
                 b,
                 out.stats.len(),
             );
-            report.residual = out.residual;
-            report.growth_factor = out.growth_factor;
             // service jobs run under their pool generation's fixed
             // split; the controller's evolving state is read through
             // Solver::adaptive_split and applied by reconfigure
-            fill_from_engine(
-                &mut report,
-                out.factorization,
-                out.timeline,
-                &out.stats,
-                record_trace,
-            );
+            let report = report_from(header, out, record_trace);
             if let Some(ctl) = &feedback {
                 if let Some(ctl) = ctl.lock().unwrap().as_mut() {
                     ctl.observe(&report.schedule.observation(report.dims));

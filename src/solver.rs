@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use calu_core::{CaluConfig, FaultPlan};
+use calu_core::{CaluConfig, FaultPlan, Source};
 use calu_dag::TaskGraph;
 use calu_matrix::{DenseMatrix, Layout, ProcessGrid};
 use calu_sched::adaptive::{AdaptiveController, AdaptivePolicy, SplitChoice};
@@ -119,20 +119,28 @@ impl MatrixSource {
         }
     }
 
+    /// The executor-engine job source for this matrix — the one place a
+    /// facade source becomes a [`calu_core::Source`]: borrowed dense
+    /// data stays borrowed (never copied), owned dense data moves in,
+    /// seeded generators stay lazy. `None` for a shape-only source.
+    pub fn job_source(this: Cow<'_, MatrixSource>) -> Option<Source<'_>> {
+        match this {
+            Cow::Borrowed(MatrixSource::Dense(a)) => Some(Source::Dense(a)),
+            Cow::Owned(MatrixSource::Dense(a)) => Some(Source::Owned(a)),
+            generated => match *generated {
+                MatrixSource::Uniform { m, n, seed } => Some(Source::Uniform { m, n, seed }),
+                MatrixSource::SpdUniform { n, seed } => Some(Source::SpdUniform { n, seed }),
+                // (dense data was handled above)
+                MatrixSource::Shape { .. } | MatrixSource::Dense(_) => None,
+            },
+        }
+    }
+
     /// Materialize element data, if this source has any. Dense sources
     /// are borrowed, not copied, so repeated `Solver::run` calls on one
     /// matrix pay no per-run memcpy.
     pub fn materialize(&self) -> Option<Cow<'_, DenseMatrix>> {
-        match self {
-            MatrixSource::Dense(a) => Some(Cow::Borrowed(a)),
-            MatrixSource::Uniform { m, n, seed } => {
-                Some(Cow::Owned(calu_matrix::gen::uniform(*m, *n, *seed)))
-            }
-            MatrixSource::SpdUniform { n, seed } => {
-                Some(Cow::Owned(calu_matrix::gen::spd_uniform(*n, *seed)))
-            }
-            MatrixSource::Shape { .. } => None,
-        }
+        Self::job_source(Cow::Borrowed(self)).map(Source::materialize)
     }
 }
 

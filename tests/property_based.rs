@@ -2,7 +2,7 @@
 //! driven through the unified `Solver` facade.
 
 use calu::matrix::{gen, ProcessGrid};
-use calu::sched::{make_policy, nstatic_for, SchedulerKind};
+use calu::sched::{make_policy_with, nstatic_for, QueueDiscipline, SchedulerKind};
 use calu::sim::{MachineConfig, NoiseConfig};
 use calu::{MatrixSource, SimulatedBackend, Solver};
 use calu_rand::Rng;
@@ -99,7 +99,7 @@ fn policies_complete_without_loss() {
             SchedulerKind::Hybrid { dratio },
             SchedulerKind::WorkStealing { seed: 3 },
         ] {
-            let mut p = make_policy(kind, &g, grid);
+            let mut p = make_policy_with(kind, QueueDiscipline::Global, &g, grid);
             let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
             for t in g.initial_ready() {
                 p.on_ready(t, None);
