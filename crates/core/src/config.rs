@@ -4,7 +4,7 @@
 
 use crate::error::CaluError;
 use crate::fault::FaultPlan;
-use calu_matrix::{Layout, ProcessGrid};
+use calu_matrix::Layout;
 use calu_sched::{AdaptivePolicy, QueueDiscipline, StealOrder};
 
 /// Configuration for [`crate::calu_factor`].
@@ -22,8 +22,12 @@ pub struct CaluConfig {
     /// Grouping width for BLAS-3 calls on owned blocks (the paper uses
     /// `k = 3` with the BCL layout).
     pub group: usize,
-    /// TSLU leaves per panel. `None` uses the thread grid's row count,
-    /// as in the paper.
+    /// TSLU leaves per panel. `None` — the default — uses the row count
+    /// of the *item's* thread grid, as in the paper: the grid follows
+    /// each matrix's tile shape
+    /// ([`ProcessGrid::for_shape`](calu_matrix::ProcessGrid::for_shape)),
+    /// so one config serves a batch of mixed shapes. `Some(k)` pins
+    /// every item to `k` leaves.
     pub leaf_stride: Option<usize>,
     /// How the dynamic-section ready queue is organized: the paper's
     /// single shared queue, per-worker mutex shards with randomized
@@ -115,7 +119,8 @@ impl CaluConfig {
         self
     }
 
-    /// Override the TSLU leaves per panel (default: grid row count).
+    /// Override the TSLU leaves per panel (default: the row count of
+    /// each item's grid).
     pub fn with_tslu_leaves(mut self, stride: usize) -> Self {
         self.leaf_stride = Some(stride);
         self
@@ -165,8 +170,11 @@ impl CaluConfig {
         self
     }
 
-    /// Validate and derive the thread grid.
-    pub fn validate(&self) -> Result<ProcessGrid, CaluError> {
+    /// Validate every knob. The thread grid is not derived here: it
+    /// depends on each item's shape as well as on the thread count
+    /// ([`ProcessGrid::for_shape`](calu_matrix::ProcessGrid::for_shape)),
+    /// so whoever holds the item derives it.
+    pub fn validate(&self) -> Result<(), CaluError> {
         if self.b == 0 {
             return Err(CaluError::InvalidConfig(
                 "block size must be positive".into(),
@@ -217,7 +225,7 @@ impl CaluConfig {
                 self.queue
             )));
         }
-        ProcessGrid::square_for(self.threads).map_err(|e| CaluError::InvalidConfig(e.to_string()))
+        Ok(())
     }
 
     /// Effective BLAS-3 grouping: only the BCL layout can group (§4).
@@ -262,8 +270,7 @@ mod tests {
         assert_eq!(c.threads, 8);
         assert_eq!(c.dratio, 0.25);
         assert_eq!(c.effective_group(), 1, "2l-BL cannot group");
-        let grid = c.validate().unwrap();
-        assert_eq!(grid.size(), 8);
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -19,7 +19,14 @@
 //!   heaps + the dynamic section under the configured
 //!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one span/stat
 //!   slot per worker + the job's sink, published for every worker to
-//!   pull from.
+//!   pull from. A run has three phases, all of them the workers': they
+//!   **fill** the freshly allocated tiles from the input, **factor**
+//!   (the DAG), then **densify** the tiles into the result — the two
+//!   conversions in chunks any worker may take, own tiles first.
+//!
+//! The thread grid is derived per job, from the thread count and the
+//! job's tile shape (`ProcessGrid::for_shape`, in `Engine::build`), so
+//! one engine serves square, tall and wide items side by side.
 //!
 //! ## The loop
 //!
@@ -28,8 +35,9 @@
 //! 1. **fault tick** — consult its [`FaultClock`] (a no-op without an
 //!    armed plan): stall, die (rescuing its static backlog), or latch
 //!    an injected panic for the next piece of work;
-//! 2. **own queues** of each active run, higher job class first — its
-//!    static heap, then its own share of the dynamic section;
+//! 2. **own work** of each active run, higher job class first — a
+//!    chunk of the run's fill or densify phase, or, while it factors,
+//!    its static heap, then its own share of the dynamic section;
 //! 3. **claim** a queued job (small: drain it whole; large: publish a
 //!    run);
 //! 4. **steal** from the other workers' dynamic shards/deques of each
@@ -68,8 +76,8 @@
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, OnceLock, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use calu_dag::{PaperKind, TaskGraph, TaskId};
@@ -89,8 +97,9 @@ use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
 use crate::pool::{ExtractedJob, JobSink};
+use crate::shared::SharedDense;
 use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{apply_left_swaps, host_topology, ItemState, KernelSet, ThreadStats};
+use crate::threaded::{host_topology, ItemState, KernelSet, ThreadStats};
 
 /// How long a parked worker sleeps between wakeup checks: long enough
 /// to cost nothing, short enough that a lost notification is harmless.
@@ -106,11 +115,13 @@ pub(crate) enum PoolStorage {
 }
 
 impl PoolStorage {
-    fn build(a: &DenseMatrix, layout: Layout, b: usize, grid: ProcessGrid) -> Self {
+    /// Zeroed `m × n` storage: allocated here, first touched by
+    /// whoever fills it.
+    fn zeros(m: usize, n: usize, layout: Layout, b: usize, grid: ProcessGrid) -> Self {
         match layout {
-            Layout::ColumnMajor => PoolStorage::Cm(CmTiles::from_dense(a, b)),
-            Layout::BlockCyclic => PoolStorage::Bcl(BclMatrix::from_dense(a, b, grid)),
-            Layout::TwoLevelBlock => PoolStorage::Tlb(TlbMatrix::from_dense(a, b, grid)),
+            Layout::ColumnMajor => PoolStorage::Cm(CmTiles::zeros(m, n, b)),
+            Layout::BlockCyclic => PoolStorage::Bcl(BclMatrix::zeros(m, n, b, grid)),
+            Layout::TwoLevelBlock => PoolStorage::Tlb(TlbMatrix::zeros(m, n, b, grid)),
         }
     }
 }
@@ -145,9 +156,6 @@ impl TileStorage for PoolStorage {
     #[inline]
     fn buffer_mut(&mut self) -> &mut [f64] {
         forward!(self, s => s.buffer_mut())
-    }
-    fn to_dense(&self) -> DenseMatrix {
-        forward!(self, s => s.to_dense())
     }
 }
 
@@ -334,10 +342,92 @@ struct WorkerLog {
 #[derive(Default)]
 struct Slot(Mutex<WorkerLog>);
 
+/// The work list of one conversion phase (fill or densify): chunk ids
+/// grouped by the worker that should take them first, one atomic cursor
+/// per group. A worker drains its own group, then the others' in turn,
+/// so every chunk is claimed exactly once by *some* live worker — a
+/// slow or lost owner delays nothing — and the phase is over when the
+/// last *claimed* chunk completes, not when the last one is handed out.
+struct Chunks {
+    /// Chunk ids by the worker that prefers them, each list handed out
+    /// front to back through that worker's cursor.
+    groups: Vec<(Vec<usize>, AtomicUsize)>,
+    /// Chunks not completed yet.
+    left: AtomicUsize,
+}
+
+impl Chunks {
+    fn new(chunks: usize, workers: usize, prefers: impl Fn(usize) -> usize) -> Self {
+        let mut groups: Vec<_> = (0..workers)
+            .map(|_| (Vec::new(), AtomicUsize::new(0)))
+            .collect();
+        for c in 0..chunks {
+            groups[prefers(c)].0.push(c);
+        }
+        Chunks {
+            groups,
+            left: AtomicUsize::new(chunks),
+        }
+    }
+
+    /// Claim a chunk for worker `me`: its own group first, then the
+    /// others'. The cursors only hand out indices (Relaxed): what a
+    /// chunk wrote is published by [`complete`](Self::complete).
+    fn claim(&self, me: usize) -> Option<usize> {
+        let workers = self.groups.len();
+        (0..workers).find_map(|d| {
+            let (ids, cursor) = &self.groups[(me + d) % workers];
+            // looked at before it is bumped, so a drained group's
+            // cursor stops moving however long the phase is polled
+            if cursor.load(Ordering::Relaxed) >= ids.len() {
+                return None;
+            }
+            ids.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
+        })
+    }
+
+    /// Mark one claimed chunk complete; `true` for the phase's last.
+    /// Every completion releases its writes into the counter and the
+    /// last one acquires them all, so whatever the caller publishes
+    /// next carries the whole phase.
+    fn complete(&self) -> bool {
+        self.left.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+}
+
+/// The phases of a [`Run`], in order. Exactly one kind of work exists
+/// at a time: fill chunks, then DAG tasks, then densify chunks.
+const FILL: u8 = 0;
+const FACTOR: u8 = 1;
+const DENSIFY: u8 = 2;
+
+/// One piece of a conversion phase.
+#[derive(Clone, Copy)]
+enum Chunk {
+    /// Copy one fill chunk of the input into the tiles.
+    Fill(usize),
+    /// Gather one tile column into the dense output and apply its
+    /// deferred left swaps.
+    Densify(usize),
+}
+
+/// What a worker found to do for a run.
+enum Work {
+    Task(TaskId, QueueSource),
+    Chunk(Chunk),
+}
+
 /// One co-operative (large) job in flight. Runs are shared by `Arc`
 /// between the engine's active list, the workers' snapshots of it and
-/// whichever workers are mid-task, which is why results are extracted
-/// by reference (`finish_by_ref`/`storage_ref`) instead of by value.
+/// whichever workers are mid-task, which is why results leave by
+/// reference (`factored`, `out.take()`) instead of by value.
+///
+/// The thread that sets a run up only *allocates* its two big buffers —
+/// zeroed tile storage and the dense output — and the run's workers
+/// touch them: they **fill** the tiles from the input (own tiles
+/// first, so the first touch of a tile is its block-cyclic owner's),
+/// **factor**, then **densify** tile column by tile column, applying
+/// each column's deferred left swaps while it is hot.
 struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
@@ -346,9 +436,22 @@ struct Run<'a> {
     queues: ReadyQueues,
     slots: Vec<Slot>,
     sink: Mutex<Option<Box<dyn JobSink>>>,
-    /// The input, kept only when the job asked for verification (a
-    /// borrowed one stays borrowed).
-    a: Option<Cow<'a, DenseMatrix>>,
+    /// Which kind of work the run offers now ([`FILL`] → [`FACTOR`] →
+    /// [`DENSIFY`]); each step is taken by the one worker that
+    /// completed the previous phase's last piece.
+    phase: AtomicU8,
+    fill: Chunks,
+    densify: Chunks,
+    /// The input: read by the fill chunks, then dropped unless the job
+    /// asked for verification (a borrowed one stays borrowed).
+    input: RwLock<Option<Cow<'a, DenseMatrix>>>,
+    verify: bool,
+    /// The combined permutation and singular flag, set when the last
+    /// task retires — what the densify chunks swap by.
+    factored: OnceLock<(RowPerm, Option<usize>)>,
+    /// The dense factors the densify chunks write, allocated by the
+    /// longest-lived thread around ([`output`](Self::output)).
+    out: OnceLock<SharedDense>,
     /// First finisher (or failer) wins; everyone else moves on.
     finishing: AtomicBool,
     /// `active` is kept sorted by `(class_rank, seq)` so workers serve
@@ -357,33 +460,66 @@ struct Run<'a> {
     seq: u64,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
     /// Queue freshly enabled tasks: static ones on their block-cyclic
-    /// owner's heap, the rest in the dynamic section on `home`'s side.
-    /// The batch goes in *descending* key order (least critical first):
-    /// the heaps don't care, and a lock-free owner's LIFO pop then
-    /// serves the batch most-critical first while a FIFO thief takes
-    /// its least critical leftover — the victim keeps its critical-path
-    /// work. `home` maps a batch index to the dynamic home.
-    fn push_ready(&self, ready: &mut [TaskId], home: impl Fn(usize) -> usize) {
+    /// owner's heap, the rest in the dynamic section on worker `home`'s
+    /// side (the worker doing the pushing — the lock-free deques are
+    /// push-by-owner). The batch goes in *descending* key order (least
+    /// critical first): the heaps don't care, and a lock-free owner's
+    /// LIFO pop then serves the batch most-critical first while a FIFO
+    /// thief takes its least critical leftover — the victim keeps its
+    /// critical-path work.
+    fn push_ready(&self, ready: &mut [TaskId], home: usize) {
         let item = &self.item;
         if ready.len() > 1 {
             ready.sort_unstable_by_key(|&t| Reverse(item.dynamic_key(t)));
         }
-        for (i, &t) in ready.iter().enumerate() {
+        for &t in ready.iter() {
             let dynamic_key = item.dynamic_key(t);
             if item.is_static(t) {
                 let owner = item.owners.owner(t);
                 self.queues
-                    .push_static(t.0, owner, item.static_key(t), dynamic_key, home(i));
+                    .push_static(t.0, owner, item.static_key(t), dynamic_key, home);
             } else {
-                self.queues.push_dynamic(t.0, dynamic_key, home(i));
+                self.queues.push_dynamic(t.0, dynamic_key, home);
             }
         }
     }
 
     fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
         self.slots[me].0.lock()
+    }
+
+    /// The input, for as long as the run keeps it. (No writer can
+    /// panic, so a poisoned lock still guards a valid value.)
+    fn input(&self) -> RwLockReadGuard<'_, Option<Cow<'a, DenseMatrix>>> {
+        self.input.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The dense output, allocated (zeroed, untouched) at first call: by
+    /// the scoped caller before it lends threads — it outlives them and
+    /// consumes the result — or, on a pool, by the worker that retires
+    /// the last task, so a served job's output never sits beside its
+    /// input or through its whole run.
+    fn output(&self) -> &SharedDense {
+        self.out
+            .get_or_init(|| SharedDense::zeros(self.item.g.rows(), self.item.g.cols()))
+    }
+
+    /// Worker `me`'s next piece of this run without stealing: a chunk
+    /// of the current conversion phase, or Algorithm 1's own-queue pop.
+    fn own_work(&self, me: usize) -> Option<Work> {
+        match self.phase.load(Ordering::Acquire) {
+            FILL => self.fill.claim(me).map(|c| Work::Chunk(Chunk::Fill(c))),
+            FACTOR => self
+                .queues
+                .pop_own(me)
+                .map(|(t, source)| Work::Task(TaskId(t), source)),
+            _ => self
+                .densify
+                .claim(me)
+                .map(|tj| Work::Chunk(Chunk::Densify(tj))),
+        }
     }
 }
 
@@ -416,8 +552,6 @@ struct State<'a> {
 /// See the module docs.
 pub(crate) struct Engine<'a> {
     cfg: CaluConfig,
-    grid: ProcessGrid,
-    leaf_stride: usize,
     epoch: Instant,
     /// `cfg.fault` is armed; the no-fault hot path never pays more than
     /// this flag's check.
@@ -447,7 +581,7 @@ impl<'a> Engine<'a> {
     /// bounds how many higher-class claims may pass over a waiting
     /// lower-class job.
     pub(crate) fn new(cfg: CaluConfig, starvation_limit: usize) -> Result<Self, CaluError> {
-        let grid = cfg.validate()?;
+        cfg.validate()?;
         let mut degraded = vec![false; cfg.threads];
         for wf in cfg.fault.faults() {
             if matches!(wf.kind, FaultKind::Slow { .. }) {
@@ -455,8 +589,6 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(Engine {
-            grid,
-            leaf_stride: cfg.leaf_stride.unwrap_or_else(|| grid.pr()),
             epoch: Instant::now(),
             armed: !cfg.fault.is_off(),
             lost_workers: AtomicUsize::new(0),
@@ -533,13 +665,16 @@ impl<'a> Engine<'a> {
     /// one left. Jobs may borrow from the caller's stack.
     ///
     /// The calling thread outlives those workers and consumes the
-    /// results, so the big buffers are its to allocate: it builds every
-    /// large job's run before lending threads and extracts their
-    /// factors after the last worker left. (A short-lived thread's
-    /// allocator arena hands freed pages back to the OS, so tile
-    /// storage built and dropped there is page-faulted in afresh on
-    /// every call — a fifth of the wall time of a 1024² factorization
-    /// at b = 16.) Small jobs stay worker-local end to end.
+    /// results, so the big buffers are its to *allocate*: it sets up
+    /// every large job's run — zeroed tile storage and the dense
+    /// output, untouched — before lending threads, and takes the
+    /// finished factors out after the last worker left. (A short-lived
+    /// thread's allocator arena hands freed pages back to the OS, so
+    /// buffers allocated and dropped there are page-faulted in afresh
+    /// on every call — a fifth of the wall time of a 1024²
+    /// factorization at b = 16.) The copying in and out is the
+    /// workers': the fill and densify phases of each [`Run`]. Small
+    /// jobs stay worker-local end to end.
     ///
     /// Returns the seconds until the last worker entered its loop — the
     /// one-off spawn cost.
@@ -548,6 +683,9 @@ impl<'a> Engine<'a> {
         self.state.lock().parked = Some(Vec::new());
         while let Some((class, seq, job)) = self.claim(true) {
             self.start_run(class, seq, job, 0, false);
+        }
+        for run in &self.state.lock().active {
+            run.output();
         }
         let spawn_from = self.now();
         std::thread::scope(|scope| {
@@ -642,12 +780,14 @@ impl<'a> Engine<'a> {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Serve a fault-plan stall; when it hit in the middle of `run`,
-    /// it shows in that run's timeline as noise.
+    /// Serve a fault-plan stall; when it hit in the middle of `run`'s
+    /// DAG, it shows in that run's timeline as noise (a timeline runs
+    /// from the first task to the last, so a stall during a conversion
+    /// phase has no place in it).
     fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
         let start = self.now();
         std::thread::sleep(d);
-        if let Some(run) = run {
+        if let Some(run) = run.filter(|r| r.phase.load(Ordering::Acquire) == FACTOR) {
             run.log(me).spans.push(TaskSpan {
                 core: me,
                 start,
@@ -658,16 +798,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Shape one finished job's raw pieces into its [`Outcome`]: spans
-    /// shifted so the job's first task starts at 0, tiles densified
-    /// (after the logs are folded and freed, to keep the peak footprint
-    /// down), deferred left swaps, and — the one place an engine job is
-    /// verified — the residual and growth factor against `a`, present
-    /// when the job asked for them.
+    /// shifted so the job's first task starts at 0, the dense factors
+    /// `lu` (left swaps already applied), and — the one place an engine
+    /// job is verified — the residual and growth factor against `a`,
+    /// present when the job asked for them.
     #[allow(clippy::too_many_arguments)]
     fn outcome(
         &self,
         g: &TaskGraph,
-        tiles: &PoolStorage,
+        lu: DenseMatrix,
         perm: RowPerm,
         singular_at: Option<usize>,
         logs: Vec<WorkerLog>,
@@ -691,8 +830,6 @@ impl<'a> Engine<'a> {
             }
             stats.push(log.stats);
         }
-        let mut lu = tiles.to_dense();
-        apply_left_swaps(&mut lu, g, &perm, self.cfg.b);
         let factorization = Factorization {
             lu,
             perm,
@@ -776,9 +913,9 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Every task of `run` is done: retire it and deliver its results —
-    /// or, on a scoped engine, park it for the calling thread to
-    /// deliver. Called by exactly one worker (the `finishing` flag).
+    /// `run`'s last densify chunk is done: retire it and deliver its
+    /// results — or, on a scoped engine, park it for the calling thread
+    /// to deliver. Called by exactly one worker (the `finishing` flag).
     fn finish_run(&self, run: &Arc<Run<'a>>) {
         self.retire(run);
         let parked = match &mut self.state.lock().parked {
@@ -794,9 +931,9 @@ impl<'a> Engine<'a> {
         self.job_ended();
     }
 
-    /// Extract a drained run's results and hand them to its sink.
+    /// Take a finished run's results and hand them to its sink.
     fn deliver(&self, run: &Run<'a>) {
-        let (perm, singular_at) = run.item.finish_by_ref();
+        let (perm, singular_at) = run.factored.get().cloned().expect("every task retired");
         let logs = (0..self.threads())
             .map(|w| {
                 let mut log = std::mem::take(&mut *run.log(w));
@@ -804,17 +941,19 @@ impl<'a> Engine<'a> {
                 log
             })
             .collect();
-        // SAFETY: done == total was observed through the AcqRel counter
-        // every completion bumps, so every task body's writes are
-        // visible and no worker holds a tile pointer into this run.
-        let tiles = unsafe { run.item.storage_ref() };
+        // SAFETY: the densify phase's AcqRel chunk counter reached zero
+        // before the run was finished (and a parked run is delivered
+        // after its workers were joined), so every chunk's slice is
+        // dead and its writes are visible here.
+        let lu = unsafe { run.output().take() };
+        let input = run.input();
         let out = self.outcome(
             &run.item.g,
-            tiles,
+            lu,
             perm,
             singular_at,
             logs,
-            run.a.as_deref(),
+            input.as_deref(),
             false,
         );
         let sink = run.sink.lock().take().expect("run finishes once");
@@ -822,7 +961,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute one co-operative task and queue its successors; the
-    /// worker whose completion retires the run's last task finishes it.
+    /// worker whose completion retires the run's last task opens the
+    /// densify phase.
     /// The body runs under `catch_unwind`: a panicking kernel fails its
     /// own job instead of killing the worker (which would strand the
     /// in-flight count and hang drain and the job's waiter).
@@ -860,9 +1000,16 @@ impl<'a> Engine<'a> {
             log.stats.count(source);
         }
         let done = run.item.complete_into(t, ready_buf);
-        run.push_ready(ready_buf, |_| me);
-        if done == run.item.g.len() && !run.finishing.swap(true, Ordering::AcqRel) {
-            self.finish_run(run);
+        run.push_ready(ready_buf, me);
+        if done == run.item.g.len() {
+            // (a pool worker allocates the output only now)
+            run.output();
+            // `done` is an AcqRel counter every completion bumps: all
+            // task bodies' writes are visible here and, through the
+            // Release below, to whoever sees the new phase
+            let set = run.factored.set(run.item.factored());
+            debug_assert!(set.is_ok(), "one task is the last");
+            run.phase.store(DENSIFY, Ordering::Release);
         }
         if self.armed {
             // duty-cycle slowdown: stall in proportion to the task just
@@ -870,6 +1017,63 @@ impl<'a> Engine<'a> {
             if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
                 self.stall(d, me, Some(run));
             }
+        }
+    }
+
+    /// Execute one chunk of `run`'s fill or densify phase; the worker
+    /// that completes a phase's last chunk moves the run on. Like a
+    /// task body, a chunk runs under `catch_unwind` and a panic in it
+    /// fails the job, typed. Chunks are not tasks: they log no span and
+    /// tick no fault clock (a [`FaultPlan`](crate::FaultPlan) counts
+    /// tasks) beyond an injected panic latched for "the next piece of
+    /// work".
+    fn run_chunk(&self, run: &Arc<Run<'a>>, chunk: Chunk, me: usize, inject_panic: bool) {
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                injected_panic(me);
+            }
+            match chunk {
+                // SAFETY: the run is in its fill phase — the initial
+                // tasks are queued only by the last chunk's completion
+                // — and `Chunks::claim` hands each chunk to one caller.
+                Chunk::Fill(c) => unsafe {
+                    let input = run.input();
+                    let a = input.as_deref().expect("the input outlives the fill");
+                    run.item.fill_chunk(a, c);
+                },
+                // SAFETY: the densify phase opens after the last task
+                // retired (Release/Acquire on `phase`); each tile column
+                // is claimed once, so the output column ranges handed
+                // out are disjoint.
+                Chunk::Densify(tj) => unsafe {
+                    let b = self.cfg.b;
+                    let c1 = ((tj + 1) * b).min(run.item.g.cols());
+                    let cols = run.output().cols_mut(tj * b, c1);
+                    let (perm, _) = run.factored.get().expect("set before the phase opened");
+                    run.item.densify_chunk(tj, cols, perm);
+                },
+            }
+        })) {
+            self.fail_run(run, panic_error(p));
+            return;
+        }
+        match chunk {
+            Chunk::Fill(_) if run.fill.complete() => {
+                // a moved-in or generated input has served its purpose
+                if !run.verify {
+                    *run.input.write().unwrap_or_else(|e| e.into_inner()) = None;
+                }
+                // this worker is the one pushing, so the initially
+                // ready dynamic tasks land on its own side
+                run.push_ready(&mut run.item.g.initial_ready(), me);
+                run.phase.store(FACTOR, Ordering::Release);
+            }
+            Chunk::Densify(_)
+                if run.densify.complete() && !run.finishing.swap(true, Ordering::AcqRel) =>
+            {
+                self.finish_run(run)
+            }
+            _ => {}
         }
     }
 
@@ -890,31 +1094,31 @@ impl<'a> Engine<'a> {
         Some((class, seq, job))
     }
 
-    /// Materialize a claimed job's input and build its execution state;
-    /// the input comes back only for a job that asked for verification
-    /// (anything else frees a generator fill or moved-in data here).
-    /// Runs under `catch_unwind`, like task bodies: a panicking build
-    /// fails its own job instead of killing the worker.
+    /// Materialize a claimed job's input and set up its execution
+    /// state: the task graph over the grid its shape calls for, and
+    /// zeroed tile storage — allocated here, filled by whoever runs the
+    /// job. Runs under `catch_unwind`, like task bodies: a panicking
+    /// build fails its own job instead of killing the worker.
     fn build(
         &self,
         item: BatchItem<'a>,
         me: usize,
         inject_panic: bool,
-    ) -> Result<(ItemState<PoolStorage>, Option<Cow<'a, DenseMatrix>>), CaluError> {
+    ) -> Result<(ItemState<PoolStorage>, Cow<'a, DenseMatrix>), CaluError> {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 injected_panic(me);
             }
             let (m, n) = item.source.dims();
             let a = item.source.materialize();
-            let g = Arc::new(
-                item.kernels
-                    .build_graph(m, n, self.cfg.b, self.leaf_stride)?,
-            );
+            let b = self.cfg.b;
+            let grid = ProcessGrid::for_shape(self.cfg.threads, m.div_ceil(b), n.div_ceil(b))
+                .expect("a validated config has threads");
+            let leaves = self.cfg.leaf_stride.unwrap_or_else(|| grid.pr());
+            let g = Arc::new(item.kernels.build_graph(m, n, b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
-            let tiles = PoolStorage::build(&a, self.cfg.layout, self.cfg.b, self.grid);
-            let a = item.verify.then_some(a);
-            Ok((ItemState::new(tiles, g, self.grid, nstatic), a))
+            let tiles = PoolStorage::zeros(m, n, self.cfg.layout, b, grid);
+            Ok((ItemState::new(tiles, g, grid, nstatic), a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }
@@ -946,9 +1150,10 @@ impl<'a> Engine<'a> {
         // a mid-item worker loss has no partial-state recovery path:
         // keep the job so the whole item can be requeued
         let backup = self.armed.then(|| item.clone());
+        let verify = item.verify;
         let res = self.build(item, me, inject_panic).and_then(|(state, a)| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.run_small(state, a, me, scratch, clock)
+                self.run_small(state, a, verify, me, scratch, clock)
             }))
             .map_err(panic_error)
         });
@@ -977,10 +1182,11 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// The co-operative (large) route: build the job's [`Run`] and
-    /// publish it.
+    /// The co-operative (large) route: set up the job's [`Run`] —
+    /// allocating, not touching, its tile storage — and publish it.
     fn start_run(&self, class: JobClass, seq: u64, job: Job<'a>, me: usize, inject_panic: bool) {
         job.sink.started();
+        let verify = job.item.verify;
         let (item, a) = match self.build(job.item, me, inject_panic) {
             Ok(built) => built,
             Err(e) => return self.end_job(job.sink, Err(e)),
@@ -1004,7 +1210,13 @@ impl<'a> Engine<'a> {
             ),
             slots: (0..threads).map(|_| Slot::default()).collect(),
             sink: Mutex::new(Some(job.sink)),
-            a,
+            phase: AtomicU8::new(FILL),
+            fill: Chunks::new(item.fill_chunks(), threads, |c| item.fill_owner(c)),
+            densify: Chunks::new(item.g.tile_cols(), threads, |tj| tj % threads),
+            input: RwLock::new(Some(a)),
+            verify,
+            factored: OnceLock::new(),
+            out: OnceLock::new(),
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
@@ -1013,23 +1225,19 @@ impl<'a> Engine<'a> {
         self.publish(&run);
     }
 
-    /// Make `run` visible to every worker. Under one hold of the state
-    /// lock: copy the engine's degraded set into the run's queues,
-    /// scatter the initially ready tasks round-robin (no worker has
-    /// "enabled" them yet), insert the run. A worker retiring
-    /// concurrently flags itself and snapshots `active` under the same
-    /// lock, so either this run is in its snapshot (its heap there gets
-    /// drained) or the flag was copied before the first push (every
-    /// push reroutes). Scattering before the insert also keeps the
-    /// lock-free deques single-owner: nobody can pop them yet.
+    /// Make `run` visible to every worker, in its fill phase. Under one
+    /// hold of the state lock: copy the engine's degraded set into the
+    /// run's queues, insert the run. A worker retiring concurrently
+    /// flags itself and snapshots `active` under the same lock, so
+    /// either this run is in its snapshot (its heap there gets drained
+    /// and flagged) or the flag was copied here — both before the first
+    /// static push, which only the fill phase's last chunk makes.
     fn publish(&self, run: &Arc<Run<'a>>) {
-        let mut initial = run.item.g.initial_ready();
         {
             let mut st = self.state.lock();
             for w in (0..self.threads()).filter(|&w| st.degraded[w]) {
                 run.queues.mark_degraded(w);
             }
-            run.push_ready(&mut initial, |i| i);
             let key = (run.class_rank, run.seq);
             let pos = st.active.partition_point(|r| (r.class_rank, r.seq) <= key);
             st.active.insert(pos, Arc::clone(run));
@@ -1038,9 +1246,10 @@ impl<'a> Engine<'a> {
         self.work.notify_all();
     }
 
-    /// The co-scheduled (small) route: drain the whole DAG on this
-    /// worker — no queues, no cross-worker contention; the DAG and
-    /// kernels are identical to the co-operative path, so the bits are
+    /// The co-scheduled (small) route: fill the tiles, drain the whole
+    /// DAG and densify on this worker — no queues, no phases, no
+    /// cross-worker contention; the DAG, the kernels and the chunk
+    /// bodies are identical to the co-operative path, so the bits are
     /// too. Keeping the item's whole lifecycle worker-local means the
     /// allocator hands consecutive items the same hot memory and the
     /// footprint stays at "items in flight", not "items queued".
@@ -1052,11 +1261,20 @@ impl<'a> Engine<'a> {
     fn run_small(
         &self,
         item: ItemState<PoolStorage>,
-        a: Option<Cow<'_, DenseMatrix>>,
+        a: Cow<'_, DenseMatrix>,
+        verify: bool,
         me: usize,
         scratch: &mut GemmScratch,
         clock: &mut FaultClock,
     ) -> Option<Outcome> {
+        for chunk in 0..item.fill_chunks() {
+            // SAFETY: no task has started and each chunk is named once.
+            unsafe { item.fill_chunk(&a, chunk) };
+        }
+        // the input comes back only for a job that asked for
+        // verification (anything else frees a generator fill or
+        // moved-in data here)
+        let a = verify.then_some(a);
         let mut log = WorkerLog::default();
         let mut stack = item.g.initial_ready();
         // descending key order so `pop` serves the smallest (most
@@ -1096,11 +1314,17 @@ impl<'a> Engine<'a> {
             }
         }
         debug_assert_eq!(item.done.load(Ordering::Acquire), item.g.len());
-        let g = Arc::clone(&item.g);
-        let (tiles, perm, singular_at) = item.finish();
+        let (perm, singular_at) = item.factored();
+        let (m, n) = (item.g.rows(), item.g.cols());
+        let mut lu = DenseMatrix::zeros(m, n);
+        let tile_cols = lu.as_mut_slice().chunks_mut(m * self.cfg.b);
+        for (tj, cols) in tile_cols.enumerate() {
+            // SAFETY: every task ran, on this thread.
+            unsafe { item.densify_chunk(tj, cols, &perm) };
+        }
         let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::default()).collect();
         logs[me] = log;
-        Some(self.outcome(&g, &tiles, perm, singular_at, logs, a.as_deref(), true))
+        Some(self.outcome(&item.g, lu, perm, singular_at, logs, a.as_deref(), true))
     }
 
     /// An injected loss fired on worker `me`: mark it degraded so
@@ -1183,7 +1407,7 @@ impl<'a> Engine<'a> {
             }
             let mut work = runs
                 .iter()
-                .find_map(|run| run.queues.pop_own(me).map(|(t, src)| (run, t, src)));
+                .find_map(|run| run.own_work(me).map(|work| (run, work)));
             if work.is_none() && self.queued_jobs.load(Ordering::Acquire) > 0 {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
@@ -1204,22 +1428,25 @@ impl<'a> Engine<'a> {
                     if failed > 0 {
                         run.log(me).stats.failed_steals += failed;
                     }
-                    hit.map(|(t, src)| (run, t, src))
+                    hit.map(|(t, source)| (run, Work::Task(TaskId(t), source)))
                 });
             }
-            if let Some((run, t, source)) = work {
+            if let Some((run, work)) = work {
                 idle_spins = 0;
                 let inject = std::mem::take(&mut panic_pending);
-                self.run_task(
-                    run,
-                    TaskId(t),
-                    source,
-                    me,
-                    &mut scratch,
-                    &mut ready_buf,
-                    &mut clock,
-                    inject,
-                );
+                match work {
+                    Work::Task(t, source) => self.run_task(
+                        run,
+                        t,
+                        source,
+                        me,
+                        &mut scratch,
+                        &mut ready_buf,
+                        &mut clock,
+                        inject,
+                    ),
+                    Work::Chunk(chunk) => self.run_chunk(run, chunk, me, inject),
+                }
                 continue;
             }
             if !runs.is_empty() {
@@ -1399,17 +1626,48 @@ mod tests {
     }
 
     #[test]
+    fn chunks_are_claimed_once_own_group_first_and_never_stranded() {
+        // 7 chunks over 3 workers, chunk c preferred by worker c % 3
+        let chunks = Chunks::new(7, 3, |c| c % 3);
+        // worker 1 drains its own group in order before helping
+        assert_eq!(chunks.claim(1), Some(1));
+        assert_eq!(chunks.claim(1), Some(4));
+        // …then takes the next worker's, then wraps to worker 0's:
+        // nobody has to show up for its own chunks
+        let rest: Vec<usize> = std::iter::from_fn(|| chunks.claim(1)).collect();
+        assert_eq!(rest, [2, 5, 0, 3, 6]);
+        for w in 0..3 {
+            assert_eq!(chunks.claim(w), None, "every chunk was handed out once");
+        }
+        // the phase ends with the last completion, whoever makes it
+        assert!((0..6).all(|_| !chunks.complete()));
+        assert!(chunks.complete());
+        // a worker that prefers nothing still helps
+        let lopsided = Chunks::new(2, 4, |_| 3);
+        assert_eq!(lopsided.claim(0), Some(0));
+        assert_eq!(lopsided.claim(2), Some(1));
+        assert_eq!(lopsided.claim(3), None);
+    }
+
+    #[test]
     fn solo_batch_and_pool_agree_bitwise_under_every_discipline() {
         // {solo, batch, pool} × {Global, Sharded, LockFree} × {LU,
-        // Cholesky}: one engine, so one set of bits — and one honest
-        // account of where every task came from
+        // Cholesky, tall LU}: one engine, so one set of bits — and one
+        // honest account of where every task came from. The tall job
+        // runs on a 4×1 grid (four leaves a panel, every worker owning
+        // tiles of every column), the square ones on 2×2.
         let n = 192;
-        for kernels in [KernelSet::CaluLu, KernelSet::Cholesky] {
+        for (kernels, m, leaves) in [
+            (KernelSet::CaluLu, n, 2),
+            (KernelSet::Cholesky, n, 2),
+            (KernelSet::CaluLu, 6 * n, 4),
+        ] {
+            let n = if m == n { n } else { 64 };
             let a = match kernels {
-                KernelSet::CaluLu => gen::uniform(n, n, 71),
+                KernelSet::CaluLu => gen::uniform(m, n, 71),
                 KernelSet::Cholesky => gen::spd_uniform(n, 72),
             };
-            let tasks = kernels.build_graph(n, n, 16, 2).unwrap().len();
+            let tasks = kernels.build_graph(m, n, 16, leaves).unwrap().len();
             let mut reference: Option<Factorization> = None;
             for queue in DISCIPLINES {
                 let cfg = cfg4(queue).with_batch_small_cutoff(0);
@@ -1450,7 +1708,7 @@ mod tests {
                         &served.stats,
                     ),
                 ] {
-                    let ctx = format!("{who} {kernels:?} {queue}");
+                    let ctx = format!("{who} {kernels:?} {m}x{n} {queue}");
                     assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
                     assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
                     assert_attributed_once(tl, stats, tasks, &ctx);

@@ -45,7 +45,7 @@ use crate::engine::{BatchItem, Outcome, Source};
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::pivot::swaps_for_selection;
-use crate::shared::SharedTiles;
+use crate::shared::{SharedTiles, TilePtr};
 use crate::sync::Mutex;
 use crate::tslu::{Candidate, TreePlan};
 
@@ -262,20 +262,12 @@ impl<S: TileStorage + Send> ItemState<S> {
         self.done.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Consume the state once every task ran: the tiled storage, the
-    /// combined permutation (in panel order) and the singular flag.
-    pub(crate) fn finish(self) -> (S, RowPerm, Option<usize>) {
-        let (perm, singular) = self.finish_by_ref();
-        (self.tiles.into_inner(), perm, singular)
-    }
-
-    /// [`finish`](Self::finish) without consuming the state: the
-    /// permutation and singular flag by value, the storage via
-    /// [`storage_ref`](Self::storage_ref). Co-operative runs need this
-    /// split because they live in `Arc`s shared with in-flight workers
-    /// — the finishing worker extracts results by reference and the
-    /// `Arc` drops whenever the last clone does.
-    pub(crate) fn finish_by_ref(&self) -> (RowPerm, Option<usize>) {
+    /// What the tasks decided, once every one of them ran: the combined
+    /// permutation (in panel order) and the singular flag. By
+    /// reference, because co-operative runs live in `Arc`s shared with
+    /// in-flight workers; the factors themselves leave through
+    /// [`densify_chunk`](Self::densify_chunk).
+    pub(crate) fn factored(&self) -> (RowPerm, Option<usize>) {
         let mut perm = RowPerm::identity();
         // unpivoted kernel sets (Cholesky) build no panel state: the
         // permutation is the identity
@@ -289,13 +281,60 @@ impl<S: TileStorage + Send> ItemState<S> {
         (perm, singular)
     }
 
-    /// Shared view of the tiled storage.
+    /// The fill phase's chunks: the tiles of one tile column that one
+    /// grid row owns — `chunk = tj · pr + r` — so a chunk's tiles share
+    /// a block-cyclic owner, [`fill_owner`](Self::fill_owner).
+    pub(crate) fn fill_chunks(&self) -> usize {
+        self.g.tile_cols() * self.owners.grid().pr()
+    }
+
+    /// The worker that owns every tile of fill chunk `chunk`.
+    pub(crate) fn fill_owner(&self, chunk: usize) -> usize {
+        let pr = self.owners.grid().pr();
+        self.owners.grid().owner(chunk % pr, chunk / pr)
+    }
+
+    /// Copy `a`'s entries into the tiles of fill chunk `chunk`, one
+    /// contiguous tile column at a time.
     ///
     /// # Safety
-    /// Caller must ensure every task has completed (`done == g.len()`),
-    /// so no worker holds a mutable tile pointer.
-    pub(crate) unsafe fn storage_ref(&self) -> &S {
-        self.tiles.inner()
+    /// No task of the item may have started, and no two calls may name
+    /// the same chunk: chunks partition the tiles, so distinct chunks
+    /// write disjoint elements.
+    pub(crate) unsafe fn fill_chunk(&self, a: &DenseMatrix, chunk: usize) {
+        let pr = self.owners.grid().pr();
+        let (r, tj) = (chunk % pr, chunk / pr);
+        let tiles: Vec<(usize, TilePtr)> = (r..self.g.tile_rows())
+            .step_by(pr)
+            .map(|ti| (ti * self.b, self.tiles.tile_ptr(ti, tj)))
+            .collect();
+        for j in 0..self.g.tile_col_count(tj) {
+            let src = a.col(tj * self.b + j);
+            for (r0, t) in &tiles {
+                t.col_mut(j).copy_from_slice(&src[*r0..r0 + t.rows]);
+            }
+        }
+    }
+
+    /// Gather tile column `tj` into `cols` — that tile column's columns
+    /// of the dense factors, contiguous, leading dimension `m` — and
+    /// apply the deferred left swaps to each column while it is hot.
+    ///
+    /// # Safety
+    /// Every task must have completed (`done == g.len()`), so no worker
+    /// holds a mutable tile pointer.
+    pub(crate) unsafe fn densify_chunk(&self, tj: usize, cols: &mut [f64], perm: &RowPerm) {
+        let tiles: Vec<TilePtr> = (0..self.g.tile_rows())
+            .map(|ti| self.tiles.tile_ptr(ti, tj))
+            .collect();
+        for (j, col) in cols.chunks_exact_mut(self.g.rows()).enumerate() {
+            let mut r0 = 0;
+            for t in &tiles {
+                col[r0..r0 + t.rows].copy_from_slice(t.col(j));
+                r0 += t.rows;
+            }
+            left_swaps_in_col(col, tj * self.b + j, &self.g, perm.pivots(), self.b);
+        }
     }
 }
 
@@ -312,38 +351,46 @@ impl<S: TileStorage + Send> ItemState<S> {
     }
 
     /// Gather the leaf chunk (every `leaf_stride`-th tile row from `i0`)
-    /// of panel `k` and elect its pivot candidates.
-    fn run_leaf(&self, k: usize, i0: usize) {
+    /// of panel `k` and elect its pivot candidates: one copy, tile
+    /// column by tile column, into a block GEPP then factors in place;
+    /// the winners' pristine values are read back from the tiles, which
+    /// nothing writes before this panel's finish.
+    fn run_leaf(&self, k: usize, i0: usize, scratch: &mut GemmScratch) {
         let w = self.panel_width(k);
-        let rows: Vec<usize> = self.g.leaf_rows(k, i0).collect();
-        let total: usize = rows.iter().map(|&ti| self.g.tile_row_count(ti)).sum();
-        let mut block = DenseMatrix::zeros(total, w);
-        let mut ids = Vec::with_capacity(total);
-        let mut r = 0;
-        for &ti in &rows {
-            let rc = self.g.tile_row_count(ti);
-            // SAFETY: leaves read their own chunk's tiles; prior writers
-            // (previous panel's updates) are ordered before us by deps.
-            unsafe {
-                let tile = self.tiles.tile_ptr(ti, k);
-                for i in 0..rc {
-                    for j in 0..w {
-                        block.set(r + i, j, tile.get(i, j));
-                    }
-                }
+        // SAFETY: leaves read their own chunk's tiles; prior writers
+        // (previous panel's updates) are ordered before us by deps and
+        // the next writer (this panel's finish) after us.
+        let tiles: Vec<TilePtr> = self
+            .g
+            .leaf_rows(k, i0)
+            .map(|ti| unsafe { self.tiles.tile_ptr(ti, k) })
+            .collect();
+        let total: usize = tiles.iter().map(|t| t.rows).sum();
+        let mut data = Vec::with_capacity(total * w);
+        for j in 0..w {
+            for t in &tiles {
+                // SAFETY: as above.
+                data.extend_from_slice(unsafe { t.col(j) });
             }
-            for i in 0..rc {
-                ids.push(ti * self.b + i);
-            }
-            r += rc;
         }
-        let cand = Candidate::elect(&block, &ids, w);
+        let block = DenseMatrix::from_col_major(total, w, data).expect("total × w elements");
+        let b = self.b;
+        let ids: Vec<usize> = self
+            .g
+            .leaf_rows(k, i0)
+            .zip(&tiles)
+            .flat_map(|(ti, t)| (0..t.rows).map(move |i| ti * b + i))
+            .collect();
+        // only the ragged last tile row is short, so block row `i` sits
+        // in the chunk's tile `i / b` at offset `i % b`
+        // SAFETY: as above.
+        let original = |i: usize, j: usize| unsafe { tiles[i / b].get(i % b, j) };
+        let cand = Candidate::elect(block, &ids, original, scratch);
         let slot = i0 - k;
         *self.panels[k].slots[slot].lock() = Some(cand);
     }
 
-    fn run_combine(&self, k: usize, level: u32, idx: u32) {
-        let w = self.panel_width(k);
+    fn run_combine(&self, k: usize, level: u32, idx: u32, scratch: &mut GemmScratch) {
         let st = self.panels[k].plan.step_for(level, idx);
         let a = self.panels[k].slots[st.left]
             .lock()
@@ -353,7 +400,7 @@ impl<S: TileStorage + Send> ItemState<S> {
             .lock()
             .take()
             .expect("right candidate ready");
-        *self.panels[k].slots[st.out].lock() = Some(Candidate::combine(&a, &b, w));
+        *self.panels[k].slots[st.out].lock() = Some(Candidate::combine(&a, &b, scratch));
     }
 
     /// Swap two global rows within tile column `tj`.
@@ -500,15 +547,16 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// Run one task's kernel through the item's [`KernelSet`]. `scratch`
     /// is the calling worker's packing arena — pre-sized for
     /// tile-dimension GEMMs, so the BLAS-3 tasks (L, U, S) never touch
-    /// the allocator. The task *kinds* are shared across kernel sets
+    /// the allocator, and grown once by the first TSLU leaf's taller
+    /// GEPP. The task *kinds* are shared across kernel sets
     /// (they encode the dependency shape); the bodies are not.
     pub(crate) fn execute(&self, t: TaskId, scratch: &mut GemmScratch) {
         match (self.kernels, self.g.kind(t)) {
             (KernelSet::CaluLu, TaskKind::PanelLeaf { k, i }) => {
-                self.run_leaf(k as usize, i as usize)
+                self.run_leaf(k as usize, i as usize, scratch)
             }
             (KernelSet::CaluLu, TaskKind::PanelCombine { k, level, idx }) => {
-                self.run_combine(k as usize, level, idx)
+                self.run_combine(k as usize, level, idx, scratch)
             }
             (KernelSet::CaluLu, TaskKind::PanelFinish { k }) => self.run_finish(k as usize),
             (KernelSet::CaluLu, TaskKind::ComputeL { k, i }) => {
@@ -541,21 +589,17 @@ pub(crate) fn host_topology() -> &'static CpuTopology {
     TOPO.get_or_init(CpuTopology::detect)
 }
 
-/// Apply the deferred "left swaps" (Algorithm 1, line 43): each panel's
-/// permutation is applied to the L columns strictly left of it.
-pub(crate) fn apply_left_swaps(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowPerm, b: usize) {
-    // perms is the concatenation of panel perms; walk it panel by panel
-    let piv = perms.pivots();
-    for k in 0..g.num_panels() {
+/// Apply the deferred "left swaps" (Algorithm 1, line 43) to column `c`
+/// of the factors: the permutation of every panel strictly right of the
+/// column, in panel order. `piv` is the concatenation of the panel
+/// permutations. A column is contiguous, so the swaps stay in cache
+/// where a row-wise walk strides `m` elements per column touched.
+fn left_swaps_in_col(col: &mut [f64], c: usize, g: &TaskGraph, piv: &[usize], b: usize) {
+    for k in c / b + 1..g.num_panels() {
         let base = k * b;
         let w = g.tile_col_count(k);
-        let left_cols = base.min(lu.cols());
         for t in 0..w.min(piv.len().saturating_sub(base)) {
-            let r1 = base + t;
-            let r2 = piv[base + t];
-            if r1 != r2 {
-                lu.swap_rows_in_cols(r1, r2, 0, left_cols);
-            }
+            col.swap(base + t, piv[base + t]);
         }
     }
 }
@@ -662,6 +706,147 @@ mod tests {
         let a = gen::uniform(96, 32, 6);
         let cfg = CaluConfig::new(16).with_threads(4);
         check(&a, &cfg, 1e-12);
+    }
+
+    /// The executor's own grid rule, as `Engine::build` applies it.
+    fn grid_for(m: usize, n: usize, b: usize, threads: usize) -> ProcessGrid {
+        ProcessGrid::for_shape(threads, m.div_ceil(b), n.div_ceil(b)).unwrap()
+    }
+
+    #[test]
+    fn fewer_tile_rows_than_grid_rows_never_yields_an_empty_leaf() {
+        // 3 tile rows under a 4×1 grid, 5 under 7×1, a ragged 2 under
+        // 3×2: the DAG caps a panel's leaves at its remaining tile rows
+        for (m, n, b, threads) in [(48, 8, 16, 4), (40, 5, 8, 7), (40, 5, 32, 6)] {
+            let grid = grid_for(m, n, b, threads);
+            assert!(m.div_ceil(b) < grid.pr(), "{m}x{n}: the case under test");
+            let g = TaskGraph::build_calu(m, n, b, grid.pr());
+            for t in g.ids() {
+                if let TaskKind::PanelLeaf { k, i } = g.kind(t) {
+                    let rows = g.leaf_rows(k as usize, i as usize).count();
+                    assert!(rows > 0, "{m}x{n} b={b}: leaf ({k},{i}) is empty");
+                }
+            }
+            let a = gen::uniform(m, n, 41);
+            check(&a, &CaluConfig::new(b).with_threads(threads), 1e-12);
+        }
+    }
+
+    #[test]
+    fn tall_panels_get_one_leaf_per_thread_and_stay_stable() {
+        // residual and element growth on tall inputs the tournament now
+        // splits pr ways: benign, Wilkinson-style (GEPP's worst case in
+        // the leading block) and rank-deficient
+        let (m, n, b) = (512, 32, 16);
+        // GEPP's worst case in the leading corner, nothing under it: the
+        // pivots of the first 12 columns must come out of a block whose
+        // elimination doubles the last column 11 times
+        let wilkinson_style = {
+            let (w, rest) = (gen::wilkinson(12), gen::uniform(m, n, 43));
+            DenseMatrix::from_fn(m, n, |i, j| match (i < 12, j < 12) {
+                (true, true) => w.get(i, j),
+                (false, true) => 0.0,
+                (_, false) => rest.get(i, j),
+            })
+        };
+        // with the growth each may show: what GEPP itself shows on it
+        // (2^11 on the Wilkinson block, single digits on random data)
+        let inputs = [
+            ("uniform", gen::uniform(m, n, 42), 32.0),
+            ("wilkinson-style", wilkinson_style, 2048.0),
+            ("rank-deficient", gen::rank_deficient(m, n, 20, 44), 32.0),
+        ];
+        for threads in [2usize, 4] {
+            let grid = grid_for(m, n, b, threads);
+            assert_eq!((grid.pr(), grid.pc()), (threads, 1));
+            // (Grigori, Demmel & Xiang: tournament pivoting over a tree
+            // of height H may grow elements by up to 2^(n(H+1)−1), the
+            // 2^(n−1) of partial pivoting at H = 0 — the caps above sit
+            // far inside that)
+            for (name, a, growth_cap) in &inputs {
+                let cfg = CaluConfig::new(b).with_threads(threads);
+                let out = factor_one(BatchItem::lu(Source::Dense(a)), &cfg).unwrap();
+                let leaves = out
+                    .timeline
+                    .spans()
+                    .iter()
+                    .filter(|s| s.kind == calu_trace::SpanKind::Panel)
+                    .count();
+                let g = TaskGraph::build_calu(m, n, b, threads);
+                assert_eq!(out.timeline.spans().len(), g.len(), "{name} T={threads}");
+                // per panel: `threads` leaves, one combine fewer, a finish
+                assert_eq!(leaves, g.num_panels() * 2 * threads, "{name} T={threads}");
+                let f = &out.factorization;
+                let residual = f.residual(a);
+                assert!(residual < 1e-12, "{name} T={threads}: residual {residual}");
+                let growth = f.growth_factor(a);
+                assert!(
+                    growth <= *growth_cap,
+                    "{name} T={threads}: growth {growth} above {growth_cap}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_explicit_leaf_on_a_tall_input_is_the_sequential_panel_bitwise() {
+        // `.tslu_leaves(1)` pins the DAG the square-grid default used to
+        // give a tall input on few threads (1×p grid, one leaf): same
+        // graph and kernels whatever grid now owns the tiles, so the
+        // same bits as the one-thread run, whose grid has one row
+        let a = gen::uniform(400, 48, 45);
+        let one = calu_factor(&a, &CaluConfig::new(16)).unwrap();
+        for threads in [2, 4] {
+            let cfg = CaluConfig::new(16)
+                .with_threads(threads)
+                .with_tslu_leaves(1);
+            let f = calu_factor(&a, &cfg).unwrap();
+            assert_eq!(f.perm.pivots(), one.perm.pivots(), "T={threads}");
+            assert_eq!(f.lu.as_slice(), one.lu.as_slice(), "T={threads}");
+            // the default splits the panel, so it elects other pivots
+            let split = calu_factor(&a, &CaluConfig::new(16).with_threads(threads)).unwrap();
+            assert_ne!(split.perm.pivots(), one.perm.pivots(), "T={threads}");
+            assert!(split.residual(&a) < 1e-12);
+        }
+    }
+
+    #[test]
+    fn left_swaps_per_column_match_the_row_walk_bitwise() {
+        /// The order this replaced: each swap walked across the columns
+        /// left of its panel, `m` elements apart.
+        fn row_walk(lu: &mut DenseMatrix, g: &TaskGraph, perms: &RowPerm, b: usize) {
+            let piv = perms.pivots();
+            for k in 0..g.num_panels() {
+                let base = k * b;
+                let w = g.tile_col_count(k);
+                let left_cols = base.min(lu.cols());
+                for t in 0..w.min(piv.len().saturating_sub(base)) {
+                    lu.swap_rows_in_cols(base + t, piv[base + t], 0, left_cols);
+                }
+            }
+        }
+        // square, tall, wide, ragged in both directions
+        for (m, n, b) in [
+            (64, 64, 16),
+            (96, 32, 16),
+            (32, 96, 16),
+            (50, 37, 8),
+            (37, 50, 8),
+        ] {
+            let a = gen::uniform(m, n, 46);
+            let perm = calu_factor(&a, &CaluConfig::new(b).with_threads(2))
+                .unwrap()
+                .perm;
+            assert!(perm.pivots().iter().enumerate().any(|(k, &p)| p != k));
+            let g = TaskGraph::build_calu(m, n, b, 2);
+            let mut old = gen::uniform(m, n, 47);
+            let mut new = old.clone();
+            row_walk(&mut old, &g, &perm, b);
+            for c in 0..n {
+                left_swaps_in_col(new.col_mut(c), c, &g, perm.pivots(), b);
+            }
+            assert_eq!(old.as_slice(), new.as_slice(), "{m}x{n} b={b}");
+        }
     }
 
     #[test]

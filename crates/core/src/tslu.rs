@@ -8,7 +8,7 @@
 //! for the whole panel, selected with one reduction instead of one
 //! synchronization per column.
 
-use calu_kernels::dgetrf_recursive;
+use calu_kernels::{dgetrf_recursive_packed, GemmScratch};
 use calu_matrix::DenseMatrix;
 
 /// A candidate set: up to `w` rows with their original values and the
@@ -23,41 +23,47 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Elect up to `w` pivot candidates from the given rows by GEPP.
+    /// Elect up to `w = block.cols()` pivot candidates by GEPP.
     ///
-    /// `block` holds the rows' values (`r × w`), `ids` their source
-    /// indices. The returned candidate carries the *original* values of
-    /// the winning rows — candidates are never partially eliminated.
-    pub fn elect(block: &DenseMatrix, ids: &[usize], w: usize) -> Candidate {
+    /// `block` holds the rows' values (`r × w`) and is consumed as the
+    /// elimination's scratch; `ids` are the rows' source indices.
+    /// `original(i, j)` reads the *unfactored* value of block row `i` —
+    /// asked only for the winners — because candidates are never
+    /// partially eliminated. `scratch` is the caller's packing arena
+    /// (a worker's own, like every other BLAS-3 task body).
+    pub fn elect(
+        mut block: DenseMatrix,
+        ids: &[usize],
+        original: impl Fn(usize, usize) -> f64,
+        scratch: &mut GemmScratch,
+    ) -> Candidate {
         assert_eq!(block.rows(), ids.len(), "one id per row");
-        assert_eq!(block.cols(), w, "panel width mismatch");
-        let keep = w.min(block.rows());
-        // run GEPP on a scratch copy to discover the row ranking
-        let mut scratch = block.clone();
-        let (r, ld) = (scratch.rows(), scratch.ld());
-        let piv = dgetrf_recursive(r, w, scratch.as_mut_slice(), ld);
+        let (r, w, ld) = (block.rows(), block.cols(), block.ld());
+        let keep = w.min(r);
+        let piv = dgetrf_recursive_packed(r, w, block.as_mut_slice(), ld, scratch);
         // replay the swap sequence on the id list
         let mut order: Vec<usize> = (0..r).collect();
         for (k, &p) in piv.piv.iter().enumerate() {
             order.swap(k, p);
         }
-        let rows = DenseMatrix::from_fn(keep, w, |i, j| block.get(order[i], j));
+        let rows = DenseMatrix::from_fn(keep, w, |i, j| original(order[i], j));
         let ids = order[..keep].iter().map(|&i| ids[i]).collect();
         Candidate { rows, ids }
     }
 
     /// Play one knockout match: stack two candidate sets and elect again.
-    pub fn combine(a: &Candidate, b: &Candidate, w: usize) -> Candidate {
-        let total = a.ids.len() + b.ids.len();
-        let stacked = DenseMatrix::from_fn(total, w, |i, j| {
-            if i < a.ids.len() {
+    pub fn combine(a: &Candidate, b: &Candidate, scratch: &mut GemmScratch) -> Candidate {
+        let na = a.ids.len();
+        let value = |i: usize, j: usize| {
+            if i < na {
                 a.rows.get(i, j)
             } else {
-                b.rows.get(i - a.ids.len(), j)
+                b.rows.get(i - na, j)
             }
-        });
+        };
+        let stacked = DenseMatrix::from_fn(na + b.ids.len(), a.rows.cols(), value);
         let ids: Vec<usize> = a.ids.iter().chain(b.ids.iter()).copied().collect();
-        Candidate::elect(&stacked, &ids, w)
+        Candidate::elect(stacked, &ids, value, scratch)
     }
 }
 
@@ -148,13 +154,15 @@ pub fn tournament_pivots(panel: &DenseMatrix, nchunks: usize) -> Vec<usize> {
     let nchunks = nchunks.clamp(1, rows);
     let chunk = rows.div_ceil(nchunks);
 
+    let mut scratch = GemmScratch::new();
     let mut slots: Vec<Option<Candidate>> = Vec::new();
     let mut r0 = 0;
     while r0 < rows {
         let len = chunk.min(rows - r0);
         let block = panel.submatrix(r0, 0, len, w);
         let ids: Vec<usize> = (r0..r0 + len).collect();
-        slots.push(Some(Candidate::elect(&block, &ids, w)));
+        let original = |i, j| panel.get(r0 + i, j);
+        slots.push(Some(Candidate::elect(block, &ids, original, &mut scratch)));
         r0 += len;
     }
     let plan = TreePlan::new(slots.len());
@@ -162,7 +170,7 @@ pub fn tournament_pivots(panel: &DenseMatrix, nchunks: usize) -> Vec<usize> {
     for s in &plan.steps {
         let a = slots[s.left].take().expect("left child ready");
         let b = slots[s.right].take().expect("right child ready");
-        slots[s.out] = Some(Candidate::combine(&a, &b, w));
+        slots[s.out] = Some(Candidate::combine(&a, &b, &mut scratch));
     }
     slots[plan.root].take().expect("root").ids
 }
@@ -271,7 +279,8 @@ mod tests {
     fn candidate_elect_keeps_original_values() {
         let a = gen::uniform(10, 3, 5);
         let ids: Vec<usize> = (100..110).collect();
-        let c = Candidate::elect(&a, &ids, 3);
+        let original = |i, j| a.get(i, j);
+        let c = Candidate::elect(a.clone(), &ids, original, &mut GemmScratch::new());
         assert_eq!(c.ids.len(), 3);
         for (t, &id) in c.ids.iter().enumerate() {
             let src = id - 100;

@@ -36,6 +36,35 @@ impl ProcessGrid {
         Self::new(pr, p / pr)
     }
 
+    /// Choose the grid for `p` threads over a matrix of `tile_rows ×
+    /// tile_cols` tiles: the factorization `pr × pc = p` whose aspect
+    /// `pr / pc` is closest, in log-ratio, to `tile_rows / tile_cols`.
+    /// A tie goes to the more nearly square candidate, and between a
+    /// grid and its transpose to [`square_for`](Self::square_for)'s
+    /// orientation — so every square tiling gets exactly `square_for(p)`,
+    /// while a tall-skinny one gets a `p × 1` column of threads (one
+    /// TSLU leaf per thread, tile rows dealt round-robin) and a wide
+    /// one `1 × p`.
+    pub fn for_shape(p: usize, tile_rows: usize, tile_cols: usize) -> Result<Self, MatrixError> {
+        let mut best = Self::square_for(p)?;
+        // |ln(pr/pc) − ln(tile_rows/tile_cols)| orders like the
+        // fraction hi/lo ≥ 1 of the two cross products: compared
+        // exactly, so a tie is a tie and not a rounding accident
+        let distance = |g: &Self| {
+            let (x, y) = (g.pr * tile_cols.max(1), g.pc * tile_rows.max(1));
+            (x.max(y) as u128, x.min(y) as u128)
+        };
+        for pr in (1..=p).filter(|pr| p.is_multiple_of(*pr)) {
+            let g = Self { pr, pc: p / pr };
+            let ((gh, gl), (bh, bl)) = (distance(&g), distance(&best));
+            let closer = (gh * bl).cmp(&(bh * gl));
+            if closer.is_lt() || closer.is_eq() && g.pr.abs_diff(g.pc) < best.pr.abs_diff(best.pc) {
+                best = g;
+            }
+        }
+        Ok(best)
+    }
+
     /// Grid rows.
     #[inline]
     pub fn pr(&self) -> usize {
@@ -155,6 +184,49 @@ mod tests {
             ProcessGrid::square_for(1).unwrap(),
             ProcessGrid::new(1, 1).unwrap()
         );
+    }
+
+    #[test]
+    fn for_shape_keeps_the_square_grid_for_square_tilings() {
+        // the tripwire for the paper reproduction: every square input
+        // keeps the grid (hence DAG and bits) it always had
+        for p in 1..=48 {
+            let square = ProcessGrid::square_for(p).unwrap();
+            for t in [1, 2, 3, 7, 16, 20, 64, 100, 1000] {
+                assert_eq!(
+                    ProcessGrid::for_shape(p, t, t).unwrap(),
+                    square,
+                    "p={p} t={t}"
+                );
+            }
+        }
+        assert!(ProcessGrid::for_shape(0, 4, 4).is_err());
+    }
+
+    #[test]
+    fn for_shape_follows_the_tile_aspect() {
+        let grid = |pr, pc| ProcessGrid::new(pr, pc).unwrap();
+        for p in [2, 4] {
+            assert_eq!(ProcessGrid::for_shape(p, 256, 4).unwrap(), grid(p, 1));
+            assert_eq!(ProcessGrid::for_shape(p, 4, 256).unwrap(), grid(1, p));
+        }
+        // a prime count has only the two degenerate grids to pick from
+        assert_eq!(ProcessGrid::for_shape(7, 9, 8).unwrap(), grid(7, 1));
+        assert_eq!(ProcessGrid::for_shape(7, 8, 9).unwrap(), grid(1, 7));
+        // composite counts land on the closest aspect, not an extreme
+        assert_eq!(ProcessGrid::for_shape(12, 30, 10).unwrap(), grid(6, 2));
+        assert_eq!(ProcessGrid::for_shape(12, 10, 30).unwrap(), grid(2, 6));
+        assert_eq!(ProcessGrid::for_shape(48, 64, 1).unwrap(), grid(48, 1));
+        // equidistant candidates: the more nearly square one wins, on
+        // either side (aspect 2 sits between 4×3 and 6×2)
+        assert_eq!(ProcessGrid::for_shape(12, 20, 10).unwrap(), grid(4, 3));
+        assert_eq!(ProcessGrid::for_shape(12, 10, 20).unwrap(), grid(3, 4));
+        // every answer is a factorization of p
+        for p in 1..=48 {
+            for (r, c) in [(1, 1), (5, 1), (1, 5), (3, 100), (100, 3), (17, 16)] {
+                assert_eq!(ProcessGrid::for_shape(p, r, c).unwrap().size(), p);
+            }
+        }
     }
 
     #[test]

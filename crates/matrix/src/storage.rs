@@ -35,7 +35,16 @@ impl TileRef<'_> {
 
     /// Copy the tile into a fresh dense matrix.
     pub fn to_dense(&self) -> DenseMatrix {
-        DenseMatrix::from_fn(self.rows, self.cols, |i, j| self.get(i, j))
+        let mut out = DenseMatrix::zeros(self.rows, self.cols);
+        copy_block(
+            self.rows,
+            self.cols,
+            self.data,
+            self.ld,
+            out.as_mut_slice(),
+            self.rows,
+        );
+        out
     }
 }
 
@@ -148,12 +157,9 @@ pub trait TileStorage {
         let mut out = DenseMatrix::zeros(t.m, t.n);
         for (ti, tj) in t.tiles() {
             let tile = self.tile(ti, tj);
-            let (r0, c0) = (t.row_start(ti), t.col_start(tj));
-            for j in 0..tile.cols {
-                for i in 0..tile.rows {
-                    out.set(r0 + i, c0 + j, tile.get(i, j));
-                }
-            }
+            let at = t.col_start(tj) * t.m + t.row_start(ti);
+            let dst = &mut out.as_mut_slice()[at..];
+            copy_block(tile.rows, tile.cols, tile.data, tile.ld, dst, t.m);
         }
         out
     }
@@ -167,14 +173,28 @@ pub trait TileStorage {
             "load_dense shape mismatch"
         );
         for (ti, tj) in t.tiles() {
-            let (r0, c0) = (t.row_start(ti), t.col_start(tj));
-            let mut tile = self.tile_mut(ti, tj);
-            for j in 0..tile.cols {
-                for i in 0..tile.rows {
-                    tile.set(i, j, a.get(r0 + i, c0 + j));
-                }
-            }
+            let at = t.col_start(tj) * t.m + t.row_start(ti);
+            let tile = self.tile_mut(ti, tj);
+            let src = &a.as_slice()[at..];
+            copy_block(tile.rows, tile.cols, src, t.m, tile.data, tile.ld);
         }
+    }
+}
+
+/// Copy a `rows × cols` column-major block from `src` (leading
+/// dimension `src_ld`) into `dst` (leading dimension `dst_ld`), one
+/// contiguous column at a time — the one copy loop behind every
+/// dense↔tile conversion.
+fn copy_block(
+    rows: usize,
+    cols: usize,
+    src: &[f64],
+    src_ld: usize,
+    dst: &mut [f64],
+    dst_ld: usize,
+) {
+    for j in 0..cols {
+        dst[j * dst_ld..j * dst_ld + rows].copy_from_slice(&src[j * src_ld..j * src_ld + rows]);
     }
 }
 
@@ -488,6 +508,40 @@ mod tests {
             let g = ProcessGrid::new(2, 3).unwrap();
             let s = TlbMatrix::from_dense(&a, b, g);
             assert!(s.to_dense().approx_eq(&a, 0.0), "m={m} n={n} b={b}");
+        }
+    }
+
+    #[test]
+    fn conversions_roundtrip_every_layout_tiling_and_grid() {
+        // small on purpose: CI runs this test under Miri too
+        let grids = [(1, 1), (1, 3), (3, 1), (2, 2), (4, 1), (1, 4), (2, 3)];
+        for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4), (4, 23, 4), (5, 5, 8)] {
+            let a = sample(m, n);
+            for (pr, pc) in grids {
+                let g = ProcessGrid::new(pr, pc).unwrap();
+                let storages: [Box<dyn TileStorage>; 3] = [
+                    Box::new(CmTiles::from_dense(&a, b)),
+                    Box::new(BclMatrix::from_dense(&a, b, g)),
+                    Box::new(TlbMatrix::from_dense(&a, b, g)),
+                ];
+                for s in &storages {
+                    let ctx = format!("{:?} {m}x{n} b={b} grid {pr}x{pc}", s.layout());
+                    assert_eq!(s.to_dense(), a, "{ctx}");
+                    // the slice copies agree with the element accessors
+                    for (i, j) in [(0, 0), (m - 1, n - 1), (m / 2, n / 3)] {
+                        assert_eq!(s.get(i, j), a.get(i, j), "{ctx} ({i},{j})");
+                    }
+                    let t = s.tiling();
+                    let (ti, tj) = (t.tile_rows() - 1, t.tile_cols() - 1);
+                    let corner = a.submatrix(
+                        t.row_start(ti),
+                        t.col_start(tj),
+                        t.tile_row_count(ti),
+                        t.tile_col_count(tj),
+                    );
+                    assert_eq!(s.tile(ti, tj).to_dense(), corner, "{ctx} ragged corner");
+                }
+            }
         }
     }
 

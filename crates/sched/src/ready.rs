@@ -27,9 +27,10 @@
 //!
 //! `home` in the push calls names the deque a dynamic task lands on.
 //! While workers are running, worker `w` may only pass `home = w` (its
-//! own deque; [`Deque::push`] is owner-only). Any `home` is allowed
-//! while no worker can reach the queues yet — the initial scatter of a
-//! run that has not been published.
+//! own deque; [`Deque::push`] is owner-only) — the engine's initially
+//! ready tasks included, which the worker that completes a run's fill
+//! phase pushes on its own side. Any `home` is allowed while no worker
+//! can reach the queues yet.
 //!
 //! [`push_static`]: ReadyQueues::push_static
 //! [`push_dynamic`]: ReadyQueues::push_dynamic

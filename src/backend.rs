@@ -21,6 +21,7 @@ use calu_core::{
     factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, KernelSet, Outcome,
     ThreadStats,
 };
+use calu_matrix::ProcessGrid;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
 use calu_trace::Timeline;
 
@@ -117,12 +118,9 @@ fn non_empty(plans: &[Plan<'_>]) -> Result<(), Error> {
 /// every other item's report.
 fn batch_shared_config(plans: &[Plan<'_>]) -> Result<calu_core::CaluConfig, Error> {
     let cfg = plans[0].calu_config();
-    if plans.iter().any(|p| {
-        let c = p.calu_config();
-        // leaf_stride legitimately differs only through the grid, which
-        // is identical when threads are; everything else must match
-        c != cfg
-    }) {
+    // (each plan's grid, and with it its default leaf count, follows
+    // its own source's shape and is not part of the config)
+    if plans.iter().any(|p| p.calu_config() != cfg) {
         return Err(Error::Config(
             "batched plans must share one configuration (same tile size, \
              threads, layout, scheduler, queue discipline, batch knobs); \
@@ -497,7 +495,7 @@ impl SimulatedBackend {
         &self,
         plan: &Plan<'_>,
         machine: MachineConfig,
-        grid: calu_matrix::ProcessGrid,
+        grid: ProcessGrid,
     ) -> Result<SimResult, Error> {
         let cores = self.machine.cores();
         if plan.threads() != cores {
@@ -564,8 +562,6 @@ impl Backend for SimulatedBackend {
             cores_per_socket: k,
             ..self.machine.clone()
         };
-        let sub_grid =
-            calu_matrix::ProcessGrid::square_for(k).map_err(|e| Error::Config(e.to_string()))?;
         let mut group_time = vec![0.0f64; groups];
         let mut next_group = 0usize;
         let mut wall_large = 0.0f64;
@@ -574,6 +570,10 @@ impl Backend for SimulatedBackend {
         for plan in plans {
             let small = cfg.co_schedules(plan.source.dims());
             let (machine, grid, threads) = if small {
+                let (m, n) = plan.source.dims();
+                let sub_grid =
+                    ProcessGrid::for_shape(k, m.div_ceil(plan.b()), n.div_ceil(plan.b()))
+                        .map_err(|e| Error::Config(e.to_string()))?;
                 (sub_machine.clone(), sub_grid, k)
             } else {
                 (self.machine.clone(), plan.grid, cores)

@@ -158,7 +158,10 @@ impl From<DenseMatrix> for MatrixSource {
 pub struct Plan<'a> {
     /// The input matrix source.
     pub source: &'a MatrixSource,
-    /// 2D block-cyclic thread grid derived from the thread count.
+    /// 2D block-cyclic thread grid: a function of the thread count and
+    /// of this source's tile shape ([`ProcessGrid::for_shape`]) —
+    /// square inputs get the near-square grid, tall-skinny ones a
+    /// column of threads.
     pub grid: ProcessGrid,
     /// Scheduling strategy.
     pub scheduler: SchedulerKind,
@@ -224,7 +227,8 @@ impl Plan<'_> {
         self.adaptation.as_ref()
     }
 
-    /// TSLU leaves per panel (defaults to the grid's row count).
+    /// TSLU leaves per panel (defaults to the row count of this
+    /// plan's — this item's — grid).
     pub fn leaf_stride(&self) -> usize {
         self.cfg.leaf_stride.unwrap_or_else(|| self.grid.pr())
     }
@@ -393,7 +397,10 @@ impl Solver {
     }
 
     /// Override the TSLU leaf stride (leaves per panel). Defaults to
-    /// the thread grid's row count, as in the paper.
+    /// the row count of the *item's* thread grid, as in the paper: the
+    /// grid follows each matrix's tile shape, so a tall-skinny input
+    /// gets one leaf per thread and the items of a mixed-shape batch
+    /// each get their own. An explicit value applies to every item.
     pub fn tslu_leaves(mut self, stride: usize) -> Self {
         self.leaf_stride = Some(stride);
         self
@@ -586,7 +593,7 @@ impl Solver {
             }
         });
         // the one shared validation path (b, threads, dratio, group,
-        // leaves, grid)
+        // leaves)
         let mut cfg = CaluConfig::new(self.b)
             .with_threads(threads)
             .with_dratio(dratio)
@@ -612,7 +619,7 @@ impl Solver {
         if let Some(g) = self.group {
             cfg.group = g;
         }
-        let grid = cfg.validate()?;
+        cfg.validate()?;
         if let Some(g) = self.group {
             if g > 1 && !self.layout.supports_grouping() {
                 return Err(Error::Config(format!(
@@ -623,10 +630,18 @@ impl Solver {
                 )));
             }
         }
-        // resolve the derived knobs in place: the stored config is the
-        // single source of truth the accessors and executor read
+        // resolve the derived knob in place: the stored config is the
+        // single source of truth the accessors and executor read.
+        // `leaf_stride` stays as the caller left it — the default
+        // follows each item's grid, and the plans of one batch must
+        // share one config whatever their shapes
         cfg.group = cfg.effective_group();
-        cfg.leaf_stride = Some(self.leaf_stride.unwrap_or_else(|| grid.pr()));
+        // the same derivation the engine applies to the job it builds
+        // from this plan, so the plan's grid, leaves and graph (and the
+        // simulator, which runs on them) agree with the threads
+        let b = self.b;
+        let grid = ProcessGrid::for_shape(threads, m.div_ceil(b), n.div_ceil(b))
+            .map_err(|e| Error::Config(e.to_string()))?;
         Ok(Plan {
             source,
             grid,
@@ -739,6 +754,82 @@ mod tests {
         assert_eq!(p.group(), 3, "BCL groups by default");
         assert_eq!(p.leaf_stride(), p.grid.pr());
         assert!((p.dratio() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_grid_follows_each_source_shape_and_the_config_does_not() {
+        let knobs = |src| Solver::new(src).tile(32).threads(4);
+        let (tall, square, wide) = (
+            knobs(MatrixSource::shape(2048, 64)),
+            knobs(MatrixSource::shape(256, 256)),
+            knobs(MatrixSource::shape(64, 2048)),
+        );
+        let dims = |p: &Plan<'_>| (p.grid.pr(), p.grid.pc());
+        let (pt, ps, pw) = (
+            tall.plan().unwrap(),
+            square.plan().unwrap(),
+            wide.plan().unwrap(),
+        );
+        assert_eq!((dims(&pt), dims(&ps), dims(&pw)), ((4, 1), (2, 2), (1, 4)));
+        // leaves — and the graph the simulator runs — follow the grid…
+        assert_eq!(
+            (pt.leaf_stride(), ps.leaf_stride(), pw.leaf_stride()),
+            (4, 2, 1)
+        );
+        assert_eq!(pt.build_graph().leaf_stride(), 4);
+        // …but are not written into the executor config, which one
+        // batch shares across shapes
+        assert_eq!(pt.calu_config().leaf_stride, None);
+        assert_eq!(pt.calu_config(), pw.calu_config());
+        // an explicit leaf count is the caller's, whatever the grid
+        let pinned = knobs(MatrixSource::shape(2048, 64)).tslu_leaves(2);
+        let p = pinned.plan().unwrap();
+        assert_eq!((dims(&p), p.leaf_stride()), ((4, 1), 2));
+        assert_eq!(p.calu_config().leaf_stride, Some(2));
+    }
+
+    #[test]
+    fn a_batch_mixes_shapes_that_resolve_to_different_grids() {
+        // tall and wide items run co-operatively on 4×1 and 1×4 grids,
+        // the square one is co-scheduled on 2×2: one sweep, one config
+        let sources = [
+            MatrixSource::uniform_rect(2048, 64, 21),
+            MatrixSource::uniform(256, 22),
+            MatrixSource::uniform_rect(64, 2048, 23),
+        ];
+        let knobs = |src| Solver::new(src).tile(32).threads(4).trace(true);
+        let batch = knobs(MatrixSource::shape(1, 1)).batch(&sources).unwrap();
+        assert_eq!(batch.co_scheduled, 1);
+        for (item, source) in batch.items.iter().zip(&sources) {
+            let solo = knobs(source.clone()).run().unwrap();
+            let (f, fs) = (
+                item.factorization.as_ref().unwrap(),
+                solo.factorization.as_ref().unwrap(),
+            );
+            let (m, n) = source.dims();
+            assert_eq!(f.lu.as_slice(), fs.lu.as_slice(), "{m}x{n}");
+            assert_eq!(f.perm.pivots(), fs.perm.pivots(), "{m}x{n}");
+            assert!(item.residual.unwrap() < 1e-12, "{m}x{n}");
+            // the item's TSLU leaves are its own grid's rows: per panel
+            // that many leaves, one combine fewer and a finish
+            let rows = ProcessGrid::for_shape(4, m.div_ceil(32), n.div_ceil(32))
+                .unwrap()
+                .pr();
+            let g = TaskGraph::build_calu(m, n, 32, rows);
+            assert_eq!(item.tasks, g.len(), "{m}x{n}");
+            let panel_spans = item
+                .timeline
+                .as_ref()
+                .unwrap()
+                .spans()
+                .iter()
+                .filter(|s| s.kind == calu_trace::SpanKind::Panel)
+                .count();
+            let expected: usize = (0..g.num_panels())
+                .map(|k| 2 * rows.min(g.tile_rows() - k))
+                .sum();
+            assert_eq!(panel_spans, expected, "{m}x{n}");
+        }
     }
 
     #[test]

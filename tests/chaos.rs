@@ -189,6 +189,56 @@ fn an_injected_panic_surfaces_as_the_facades_typed_factor_error() {
 }
 
 #[test]
+fn faults_around_the_fill_and_densify_phases_never_change_a_tall_run() {
+    // a co-operative run's dense↔tile conversions are worker phases: a
+    // worker that dies before touching a tile must not strand the
+    // chunks it would have taken first, and a pre-degraded slow worker
+    // must not hold a phase up — on the p×1 grid a tall input gets,
+    // where every worker owns tiles of every column
+    for threads in [2, 4] {
+        let tall = || {
+            Solver::new(MatrixSource::uniform_rect(768, 48, 91))
+                .tile(16)
+                .threads(threads)
+        };
+        assert_eq!(tall().plan().unwrap().grid.pr(), threads);
+        let clean = tall().run().unwrap();
+        for w in 0..threads {
+            let ctx = format!("threads={threads} lose worker {w} at once");
+            let r = tall()
+                .fault_plan(FaultPlan::off().with_seed(51).lose_worker(w, 0))
+                .run()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_bitwise(&r, &clean, &ctx);
+            assert_eq!(r.schedule.lost_workers(), 1, "{ctx}");
+        }
+        let ctx = format!("threads={threads} slow worker 0");
+        let r = tall()
+            .fault_plan(FaultPlan::off().with_seed(52).slow_worker(0, 2.0))
+            .run()
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_bitwise(&r, &clean, &ctx);
+    }
+    // a panic latched before the first piece of work fires in it: on one
+    // thread that is always a fill chunk, and the job fails typed, like
+    // a task panic
+    for threads in [1, 2] {
+        let err = Solver::new(MatrixSource::uniform_rect(768, 48, 91))
+            .tile(16)
+            .threads(threads)
+            .fault_plan(FaultPlan::off().panic_worker(0, 0))
+            .run()
+            .unwrap_err();
+        match err {
+            Error::Factor(CaluError::TaskPanic(msg)) => {
+                assert!(msg.contains("injected"), "{msg}")
+            }
+            other => panic!("threads={threads}: expected Factor(TaskPanic), got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn sequential_reference_drivers_reject_armed_fault_plans() {
     // GEPP and incremental pivoting run on the caller's thread — there
     // are no workers to misbehave, so an armed plan is an honest
