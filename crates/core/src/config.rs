@@ -20,7 +20,12 @@ pub struct CaluConfig {
     /// Data layout for the tiled storage.
     pub layout: Layout,
     /// Grouping width for BLAS-3 calls on owned blocks (the paper uses
-    /// `k = 3` with the BCL layout).
+    /// `k = 3` with the BCL layout): a worker that pops a static S task
+    /// claims up to `group − 1` further ready S tasks of the same panel
+    /// and column from the top of its own heap whose tiles follow on in
+    /// its storage, and runs them as one stacked GEMM. Every member is
+    /// still retired, logged and counted as its own task, and the
+    /// factors are bitwise those of `group = 1`.
     pub group: usize,
     /// TSLU leaves per panel. `None` — the default — uses the row count
     /// of the *item's* thread grid, as in the paper: the grid follows

@@ -37,7 +37,10 @@
 //!    an injected panic for the next piece of work;
 //! 2. **own work** of each active run, higher job class first — a
 //!    chunk of the run's fill or densify phase, or, while it factors,
-//!    its static heap, then its own share of the dynamic section;
+//!    its static heap, then its own share of the dynamic section (a
+//!    static S task brings along the ready S tasks below it whose
+//!    tiles stack under its own, up to `group`: the paper's §4 grouped
+//!    update, one GEMM — see `ItemState::stacks_under`);
 //! 3. **claim** a queued job (small: drain it whole; large: publish a
 //!    run);
 //! 4. **steal** from the other workers' dynamic shards/deques of each
@@ -88,7 +91,9 @@ use calu_matrix::{
     BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, Tiling, TlbMatrix,
 };
 use calu_rand::Rng;
-use calu_sched::{nstatic_for, ClassLanes, JobClass, QueueDiscipline, QueueSource, ReadyQueues};
+use calu_sched::{
+    nstatic_for, ClassLanes, JobClass, Padded, QueueDiscipline, QueueSource, ReadyQueues,
+};
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
 use crate::batch::BatchOutcome;
@@ -336,11 +341,19 @@ struct WorkerLog {
 
 /// One worker's log of one run. Only that worker locks it while the run
 /// is live (the finisher collects every slot once all tasks are done),
-/// so the lock never contends; the alignment keeps neighbouring
-/// workers' lock words off each other's cache lines.
-#[repr(align(128))]
-#[derive(Default)]
-struct Slot(Mutex<WorkerLog>);
+/// so the lock never contends; the padding keeps neighbouring workers'
+/// lock words off each other's cache lines.
+type Slot = Padded<Mutex<WorkerLog>>;
+
+/// What a worker keeps across tasks so that the task loop allocates
+/// nothing: its packing arena — sized once for the tallest GEMM a group
+/// can stack — the members of the pop in hand, and the successors the
+/// last completion enabled.
+struct Buffers {
+    scratch: GemmScratch,
+    group: Vec<u32>,
+    ready: Vec<TaskId>,
+}
 
 /// The work list of one conversion phase (fill or densify): chunk ids
 /// grouped by the worker that should take them first, one atomic cursor
@@ -413,7 +426,9 @@ enum Chunk {
 
 /// What a worker found to do for a run.
 enum Work {
-    Task(TaskId, QueueSource),
+    /// The tasks in the worker's `Buffers::group`, all popped from this
+    /// source: one task, or a group of S tasks to run as one GEMM.
+    Tasks(QueueSource),
     Chunk(Chunk),
 }
 
@@ -487,7 +502,7 @@ impl<'a> Run<'a> {
     }
 
     fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
-        self.slots[me].0.lock()
+        self.slots[me].lock()
     }
 
     /// The input, for as long as the run keeps it. (No writer can
@@ -507,14 +522,18 @@ impl<'a> Run<'a> {
     }
 
     /// Worker `me`'s next piece of this run without stealing: a chunk
-    /// of the current conversion phase, or Algorithm 1's own-queue pop.
-    fn own_work(&self, me: usize) -> Option<Work> {
+    /// of the current conversion phase, or Algorithm 1's own-queue pop
+    /// into `group` — up to `max_group` S tasks when it is a static one
+    /// and the tiles at the top of the heap stack.
+    fn own_work(&self, me: usize, max_group: usize, group: &mut Vec<u32>) -> Option<Work> {
         match self.phase.load(Ordering::Acquire) {
             FILL => self.fill.claim(me).map(|c| Work::Chunk(Chunk::Fill(c))),
             FACTOR => self
                 .queues
-                .pop_own(me)
-                .map(|(t, source)| Work::Task(TaskId(t), source)),
+                .pop_own(me, max_group, group, |last, next| {
+                    self.item.stacks_under(last, next)
+                })
+                .map(Work::Tasks),
             _ => self
                 .densify
                 .claim(me)
@@ -813,23 +832,21 @@ impl<'a> Engine<'a> {
         a: Option<&DenseMatrix>,
         co_scheduled: bool,
     ) -> Outcome {
-        let t_start = logs
-            .iter()
-            .flat_map(|l| &l.spans)
-            .map(|s| s.start)
-            .fold(f64::INFINITY, f64::min);
-        let mut timeline = Timeline::new(self.threads());
+        // the workers' own vectors, joined in worker order: nothing is
+        // re-pushed span by span
+        let total = logs.iter().map(|l| l.spans.len()).sum::<usize>();
+        let mut spans: Vec<TaskSpan> = Vec::new();
         let mut stats = Vec::with_capacity(self.threads());
         for log in logs {
-            for s in log.spans {
-                timeline.push(TaskSpan {
-                    start: s.start - t_start,
-                    end: s.end - t_start,
-                    ..s
-                });
+            if spans.is_empty() {
+                spans = log.spans;
+                spans.reserve_exact(total - spans.len());
+            } else {
+                spans.extend(log.spans);
             }
             stats.push(log.stats);
         }
+        let timeline = Timeline::from_spans(self.threads(), spans);
         let factorization = Factorization {
             lu,
             perm,
@@ -960,21 +977,21 @@ impl<'a> Engine<'a> {
         sink.finished(Ok(out));
     }
 
-    /// Execute one co-operative task and queue its successors; the
+    /// Execute what one pop claimed — `bufs.group`: one task, or a
+    /// group of S tasks as one GEMM — and queue the successors; the
     /// worker whose completion retires the run's last task opens the
-    /// densify phase.
+    /// densify phase. Every member is retired, logged, counted and
+    /// fault-ticked as the task it is; a group's members share its
+    /// interval in equal parts.
     /// The body runs under `catch_unwind`: a panicking kernel fails its
     /// own job instead of killing the worker (which would strand the
     /// in-flight count and hang drain and the job's waiter).
-    #[allow(clippy::too_many_arguments)]
-    fn run_task(
+    fn run_tasks(
         &self,
         run: &Arc<Run<'a>>,
-        t: TaskId,
         source: QueueSource,
         me: usize,
-        scratch: &mut GemmScratch,
-        ready_buf: &mut Vec<TaskId>,
+        bufs: &mut Buffers,
         clock: &mut FaultClock,
         inject_panic: bool,
     ) {
@@ -983,24 +1000,32 @@ impl<'a> Engine<'a> {
             if inject_panic {
                 injected_panic(me);
             }
-            run.item.execute(t, scratch)
+            run.item.execute_group(&bufs.group, &mut bufs.scratch)
         })) {
             self.fail_run(run, panic_error(p));
             return;
         }
         let end = self.now();
+        let members = bufs.group.len();
+        let share = (end - start) / members as f64;
         {
             let mut log = run.log(me);
-            log.spans.push(TaskSpan {
-                core: me,
-                start,
-                end,
-                kind: span_kind(&run.item.g, t),
-            });
-            log.stats.count(source);
+            for (x, &t) in bufs.group.iter().enumerate() {
+                log.spans.push(TaskSpan {
+                    core: me,
+                    start: start + x as f64 * share,
+                    end: if x + 1 == members {
+                        end
+                    } else {
+                        start + (x + 1) as f64 * share
+                    },
+                    kind: span_kind(&run.item.g, TaskId(t)),
+                });
+                log.stats.count(source);
+            }
         }
-        let done = run.item.complete_into(t, ready_buf);
-        run.push_ready(ready_buf, me);
+        let done = run.item.complete_into(&bufs.group, &mut bufs.ready);
+        run.push_ready(&mut bufs.ready, me);
         if done == run.item.g.len() {
             // (a pool worker allocates the output only now)
             run.output();
@@ -1012,10 +1037,12 @@ impl<'a> Engine<'a> {
             run.phase.store(DENSIFY, Ordering::Release);
         }
         if self.armed {
-            // duty-cycle slowdown: stall in proportion to the task just
+            // duty-cycle slowdown: stall in proportion to the tasks just
             // run, like the sim's noise model stretches compute
-            if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
-                self.stall(d, me, Some(run));
+            let each = Duration::from_secs_f64(share);
+            let owed: Duration = (0..members).filter_map(|_| clock.after_task(each)).sum();
+            if !owed.is_zero() {
+                self.stall(owed, me, Some(run));
             }
         }
     }
@@ -1302,7 +1329,7 @@ impl<'a> Engine<'a> {
                 kind: span_kind(&item.g, t),
             });
             log.stats.local_pops += 1;
-            item.complete_into(t, &mut buf);
+            item.complete_into(&[t.0], &mut buf);
             if buf.len() > 1 {
                 buf.sort_unstable_by_key(by_key);
             }
@@ -1361,11 +1388,15 @@ impl<'a> Engine<'a> {
         }
         let _guard = PanicGuard(self);
         // per-worker packing arena, sized once from the tile dimension
-        // and reused by every kernel this worker runs — the task loop
-        // performs no GEMM-path allocation
+        // and the group width and reused by every kernel this worker
+        // runs — the task loop performs no GEMM-path allocation
         let b = self.cfg.b;
-        let mut scratch = GemmScratch::sized_for(b, b, b);
-        let mut ready_buf: Vec<TaskId> = Vec::new();
+        let max_group = self.cfg.effective_group();
+        let mut bufs = Buffers {
+            scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
+            group: Vec::new(),
+            ready: Vec::new(),
+        };
         // per-worker victim-selection stream: SplitMix64 seeding
         // decorrelates the nearby seeds, so workers sweep victims in
         // unrelated orders
@@ -1405,14 +1436,16 @@ impl<'a> Engine<'a> {
                 runs.clone_from(&st.active);
                 seen_epoch = self.run_epoch.load(Ordering::Acquire);
             }
-            let mut work = runs
-                .iter()
-                .find_map(|run| run.own_work(me).map(|work| (run, work)));
+            let mut work = runs.iter().find_map(|run| {
+                run.own_work(me, max_group, &mut bufs.group)
+                    .map(|work| (run, work))
+            });
             if work.is_none() && self.queued_jobs.load(Ordering::Acquire) > 0 {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
                     let inject = std::mem::take(&mut panic_pending);
-                    if !self.start_job(class, seq, job, me, &mut scratch, &mut clock, inject) {
+                    let scratch = &mut bufs.scratch;
+                    if !self.start_job(class, seq, job, me, scratch, &mut clock, inject) {
                         // a loss fired mid-way through a co-scheduled
                         // item; the item is already back in its lane
                         self.retire_worker(me);
@@ -1428,23 +1461,20 @@ impl<'a> Engine<'a> {
                     if failed > 0 {
                         run.log(me).stats.failed_steals += failed;
                     }
-                    hit.map(|(t, source)| (run, Work::Task(TaskId(t), source)))
+                    hit.map(|(t, source)| {
+                        bufs.group.clear();
+                        bufs.group.push(t);
+                        (run, Work::Tasks(source))
+                    })
                 });
             }
             if let Some((run, work)) = work {
                 idle_spins = 0;
                 let inject = std::mem::take(&mut panic_pending);
                 match work {
-                    Work::Task(t, source) => self.run_task(
-                        run,
-                        t,
-                        source,
-                        me,
-                        &mut scratch,
-                        &mut ready_buf,
-                        &mut clock,
-                        inject,
-                    ),
+                    Work::Tasks(source) => {
+                        self.run_tasks(run, source, me, &mut bufs, &mut clock, inject)
+                    }
                     Work::Chunk(chunk) => self.run_chunk(run, chunk, me, inject),
                 }
                 continue;
@@ -1722,6 +1752,112 @@ mod tests {
                         assert_eq!((shard, steals), (0, 0), "{ctx}");
                     }
                 }
+            }
+        }
+    }
+
+    /// Spans that start exactly where the same core's previous span
+    /// ended and are S tasks: the later members of grouped calls, which
+    /// share one measured interval. (Separately timed tasks have the
+    /// completion bookkeeping between their two clock reads.)
+    fn group_members(tl: &Timeline) -> usize {
+        (0..tl.cores())
+            .map(|core| {
+                let spans = tl.core_spans(core);
+                let glued =
+                    |w: &&[TaskSpan]| w[0].end == w[1].start && w[1].kind == SpanKind::Update;
+                spans.windows(2).filter(glued).count()
+            })
+            .sum()
+    }
+
+    fn grouped_cfg(threads: usize, queue: QueueDiscipline, group: usize) -> CaluConfig {
+        // two leaves a panel whatever the grid, so every thread count
+        // runs one DAG and must produce one set of bits
+        let mut cfg = CaluConfig::new(16)
+            .with_threads(threads)
+            .with_dratio(0.5)
+            .with_queue(queue)
+            .with_tslu_leaves(2);
+        cfg.group = group;
+        cfg
+    }
+
+    #[test]
+    fn grouped_updates_keep_the_bits_and_every_member_stays_a_task() {
+        // group × discipline × shape × threads: a group is one GEMM over
+        // stacked tiles, so nothing a caller can observe changes except
+        // the time — not the factors, not the task count, not the
+        // per-worker account of where each task came from
+        for (m, n) in [(256, 256), (250, 250), (1152, 64)] {
+            let a = gen::uniform(m, n, 91);
+            let tasks = KernelSet::CaluLu.build_graph(m, n, 16, 2).unwrap().len();
+            let mut reference: Option<Factorization> = None;
+            for threads in [1, 2, 4] {
+                for queue in DISCIPLINES {
+                    for group in [1, 3, 8] {
+                        let cfg = grouped_cfg(threads, queue, group);
+                        let out = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+                        let ctx = format!("{m}x{n} T={threads} {queue} group={group}");
+                        let f = &out.factorization;
+                        let reference = reference.get_or_insert_with(|| f.clone());
+                        assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
+                        assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
+                        assert_attributed_once(&out.timeline, &out.stats, tasks, &ctx);
+                        if group > 1 {
+                            assert!(group_members(&out.timeline) > 0, "no group ran, {ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn faults_behave_on_groups_as_on_single_tasks() {
+        let a = gen::uniform(256, 256, 93);
+        let item = || BatchItem::lu(Source::Dense(&a));
+        for queue in DISCIPLINES {
+            let clean = factor_one(item(), &grouped_cfg(4, queue, 1)).unwrap();
+            for group in [3usize, 8] {
+                let run = |plan: FaultPlan| {
+                    let cfg = grouped_cfg(4, queue, group)
+                        .with_batch_small_cutoff(0)
+                        .with_fault(plan.with_seed(9));
+                    let engine = Engine::new(cfg, 1).unwrap();
+                    let res = engine.run_to_completion([item()]);
+                    (res.map(|mut b| b.items.remove(0)), engine.lost_workers())
+                };
+                let ctx = format!("{queue} group={group}");
+                let same_bits = |out: &Outcome, what: &str| {
+                    let (f, c) = (&out.factorization, &clean.factorization);
+                    assert_eq!(f.lu.as_slice(), c.lu.as_slice(), "{what}, {ctx}");
+                    assert_eq!(f.perm.pivots(), c.perm.pivots(), "{what}, {ctx}");
+                };
+                // a loss after five tasks: the fault clock ticks once a
+                // member, so the worker dies within one group of its
+                // fifth task — counting calls would let it run 5 groups
+                let (lost, lost_workers) = run(FaultPlan::off().lose_worker(1, 5));
+                let lost = lost.unwrap();
+                same_bits(&lost, "lose");
+                assert_eq!(lost_workers, 1, "{ctx}");
+                let ran = lost.timeline.core_spans(1).len();
+                assert!((5..5 + group).contains(&ran), "worker 1 ran {ran}, {ctx}");
+                assert!(lost.stats[1].lost && lost.stats[1].rescued > 0, "{ctx}");
+                // a slow worker is degraded: its static share rides the
+                // dynamic section, the others still group theirs
+                let (slow, _) = run(FaultPlan::off().slow_worker(0, 2.0));
+                let slow = slow.unwrap();
+                same_bits(&slow, "slow");
+                assert!(group_members(&slow.timeline) > 0, "{ctx}");
+                assert_eq!(slow.stats[0].local_pops, 0, "{ctx}");
+                // a panic fails the job, typed, group or not
+                let (panicked, _) = run(FaultPlan::off().panic_worker(0, 3));
+                assert!(
+                    matches!(panicked, Err(CaluError::TaskPanic(_))),
+                    "{ctx}: {:?}",
+                    panicked.map(|o| o.makespan)
+                );
             }
         }
     }

@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
 use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
-use calu_sched::{priority, CpuTopology, OwnerMap, QueueSource};
+use calu_sched::{priority, CpuTopology, OwnerMap, Padded, QueueSource};
 
 use crate::batch::factor_batch;
 use crate::config::CaluConfig;
@@ -188,7 +188,9 @@ pub(crate) struct ItemState<S: TileStorage> {
     /// Leading tile columns scheduled statically (the `dratio` split
     /// resolved against this item's panel count).
     nstatic: usize,
-    pub(crate) done: AtomicUsize,
+    /// Tasks retired so far. Every completion writes it and every task
+    /// reads the fields around it, so it keeps to its own cache lines.
+    pub(crate) done: Padded<AtomicUsize>,
     singular: AtomicUsize,
     panels: Vec<PanelState>,
     kernels: KernelSet,
@@ -207,7 +209,7 @@ impl<S: TileStorage + Send> ItemState<S> {
             deps: g.ids().map(|t| AtomicU32::new(g.dep_count(t))).collect(),
             owners: OwnerMap::new(&g, grid),
             nstatic,
-            done: AtomicUsize::new(0),
+            done: Padded::default(),
             singular: AtomicUsize::new(NOT_SINGULAR),
             // tournament-panel state exists only for pivoted kernel sets;
             // Cholesky panels are a single in-tile dpotrf with no
@@ -248,18 +250,46 @@ impl<S: TileStorage + Send> ItemState<S> {
         priority::dynamic_key(&self.g.kind(t))
     }
 
-    /// Mark `t` done and collect its newly enabled successors into
-    /// `ready_buf` (cleared first); returns how many of the item's
-    /// tasks are done now. Queueing the successors is the caller's
-    /// business.
-    pub(crate) fn complete_into(&self, t: TaskId, ready_buf: &mut Vec<TaskId>) -> usize {
+    /// Mark every task of `tasks` done and collect their newly enabled
+    /// successors into `ready_buf` (cleared first); returns how many of
+    /// the item's tasks are done now. Queueing the successors is the
+    /// caller's business.
+    pub(crate) fn complete_into(&self, tasks: &[u32], ready_buf: &mut Vec<TaskId>) -> usize {
         ready_buf.clear();
-        for &s in self.g.successors(t) {
-            if self.deps[s.idx()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready_buf.push(s);
+        for &t in tasks {
+            for &s in self.g.successors(TaskId(t)) {
+                if self.deps[s.idx()].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ready_buf.push(s);
+                }
             }
         }
-        self.done.fetch_add(1, Ordering::AcqRel) + 1
+        self.done.fetch_add(tasks.len(), Ordering::AcqRel) + tasks.len()
+    }
+
+    /// `(k, i, j)` when `t` is an S task.
+    fn update_of(&self, t: u32) -> Option<(usize, usize, usize)> {
+        match self.g.kind(TaskId(t)) {
+            TaskKind::Update { k, i, j } => Some((k as usize, i as usize, j as usize)),
+            _ => None,
+        }
+    }
+
+    /// Whether S task `next` stacks under S task `last` in one GEMM —
+    /// the paper's §4 grouping, decided by where the tiles sit: same
+    /// panel and column, and both `next`'s C tile and its L tile start
+    /// exactly where `last`'s end, on the same leading dimension. The
+    /// BCL layout stores a thread's tiles of one column that way; 2l-BL
+    /// (every tile its own block) never does.
+    pub(crate) fn stacks_under(&self, last: u32, next: u32) -> bool {
+        let (Some((k, i, j)), Some((k2, i2, j2))) = (self.update_of(last), self.update_of(next))
+        else {
+            return false;
+        };
+        let below = |tj: usize| {
+            let (a, b) = (self.tiles.loc(i, tj), self.tiles.loc(i2, tj));
+            b.offset == a.offset + a.rows && b.ld == a.ld
+        };
+        self.kernels == KernelSet::CaluLu && (k, j) == (k2, j2) && below(j) && below(k)
     }
 
     /// What the tasks decided, once every one of them ran: the combined
@@ -476,15 +506,21 @@ impl<S: TileStorage + Send> ItemState<S> {
         }
     }
 
-    fn run_update(&self, k: usize, i: usize, j: usize, scratch: &mut GemmScratch) {
-        // SAFETY: reads L(i,k), U(k,j) (ordered by deps), writes (i,j)
-        // exclusively.
+    /// The S tasks `(k, i..=i_last, j)` of one group as a single GEMM
+    /// over their stacked tiles (`i_last == i`: the plain S task).
+    fn run_update(&self, k: usize, i: usize, i_last: usize, j: usize, scratch: &mut GemmScratch) {
+        // SAFETY: reads L(·,k), U(k,j) (ordered by deps), writes (·,j)
+        // exclusively, for every member; `stacks_under` chained the
+        // members' C and L tiles end to start, so the rows from tile i
+        // down to tile i_last are the members' and nobody else's.
         unsafe {
             let l = self.tiles.tile_ptr(i, k);
             let u = self.tiles.tile_ptr(k, j);
             let c = self.tiles.tile_ptr(i, j);
+            let last = self.tiles.tile_ptr(i_last, j);
+            let rows = last.ptr.offset_from(c.ptr) as usize + last.rows;
             gemm::dgemm_raw_packed(
-                c.rows, c.cols, l.cols, -1.0, l.ptr, l.ld, u.ptr, u.ld, 1.0, c.ptr, c.ld, scratch,
+                rows, c.cols, l.cols, -1.0, l.ptr, l.ld, u.ptr, u.ld, 1.0, c.ptr, c.ld, scratch,
             );
         }
     }
@@ -566,7 +602,7 @@ impl<S: TileStorage + Send> ItemState<S> {
                 self.run_compute_u(k as usize, j as usize, scratch)
             }
             (KernelSet::CaluLu, TaskKind::Update { k, i, j }) => {
-                self.run_update(k as usize, i as usize, j as usize, scratch)
+                self.run_update(k as usize, i as usize, i as usize, j as usize, scratch)
             }
             (KernelSet::Cholesky, TaskKind::PanelFinish { k }) => self.run_potrf(k as usize),
             (KernelSet::Cholesky, TaskKind::ComputeL { k, i }) => {
@@ -577,6 +613,23 @@ impl<S: TileStorage + Send> ItemState<S> {
             }
             (KernelSet::Cholesky, kind) => {
                 unreachable!("tiled Cholesky graphs never emit {kind:?}")
+            }
+        }
+    }
+
+    /// Run what one pop claimed: a single task, or a group of S tasks
+    /// chained by [`stacks_under`](Self::stacks_under) as one GEMM.
+    pub(crate) fn execute_group(&self, group: &[u32], scratch: &mut GemmScratch) {
+        match *group {
+            [] => {}
+            [t] => self.execute(TaskId(t), scratch),
+            [first, .., last] => {
+                let (Some((k, i, j)), Some((_, i_last, _))) =
+                    (self.update_of(first), self.update_of(last))
+                else {
+                    unreachable!("only S tasks stack");
+                };
+                self.run_update(k, i, i_last, j, scratch)
             }
         }
     }
@@ -847,6 +900,49 @@ mod tests {
             }
             assert_eq!(old.as_slice(), new.as_slice(), "{m}x{n} b={b}");
         }
+    }
+
+    #[test]
+    fn s_tasks_stack_exactly_where_their_tiles_do() {
+        use calu_matrix::{BclMatrix, TlbMatrix};
+        // 8×8 tiles (the last row and column ragged) on a 2×2 grid: a
+        // worker owns every other tile row, and BCL stores its tiles of
+        // one column end to start
+        let (n, b) = (61, 8);
+        let grid = ProcessGrid::new(2, 2).unwrap();
+        let g = Arc::new(TaskGraph::build_calu(n, n, b, 2));
+        let id = |kind: TaskKind| g.ids().find(|&t| g.kind(t) == kind).unwrap().0;
+        let s = |k, i, j| id(TaskKind::Update { k, i, j });
+        let bcl = ItemState::new(BclMatrix::zeros(n, n, b, grid), g.clone(), grid, 8);
+        assert!(bcl.stacks_under(s(0, 1, 1), s(0, 3, 1)), "next owned row");
+        assert!(
+            bcl.stacks_under(s(0, 5, 2), s(0, 7, 2)),
+            "ragged last member"
+        );
+        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 2, 1)), "another owner's");
+        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 5, 1)), "a gap");
+        assert!(!bcl.stacks_under(s(0, 3, 1), s(0, 1, 1)), "upwards");
+        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 3, 3)), "another column");
+        assert!(!bcl.stacks_under(s(0, 2, 2), s(1, 4, 2)), "another panel");
+        let l = id(TaskKind::ComputeL { k: 0, i: 3 });
+        assert!(!bcl.stacks_under(s(0, 1, 1), l) && !bcl.stacks_under(l, s(0, 3, 1)));
+        // 2l-BL keeps every tile in a block of its own: nothing stacks
+        let tlb = ItemState::new(TlbMatrix::zeros(n, n, b, grid), g.clone(), grid, 8);
+        for i in 1..6 {
+            assert!(
+                !tlb.stacks_under(s(0, i, 1), s(0, i + 2, 1)),
+                "2l-BL row {i}"
+            );
+        }
+        // Cholesky updates are SYRK / A·Bᵀ: not this kernel's to stack
+        let gc = Arc::new(TaskGraph::build_cholesky(64, b));
+        let sc = |k, i, j| {
+            gc.ids()
+                .find(|&t| gc.kind(t) == TaskKind::Update { k, i, j })
+        };
+        let chol = ItemState::new(BclMatrix::zeros(64, 64, b, grid), gc.clone(), grid, 8);
+        let (t1, t2) = (sc(0, 3, 1).unwrap().0, sc(0, 5, 1).unwrap().0);
+        assert!(!chol.stacks_under(t1, t2));
     }
 
     #[test]

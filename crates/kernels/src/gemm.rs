@@ -19,9 +19,26 @@
 //! | [`KC`]   | 256   | depth of one pack-and-multiply pass (`KC × NR` B panel ≈ 8 KiB, hot in L1) |
 //! | [`NC`]   | 2048  | columns of the packed B block (`KC × NC` ≈ 4 MiB, sized for L3) |
 //!
+//! ## One ISA per call
+//!
+//! The five loops are written once (`core_body::<FMA, NT>`; `NT` is the
+//! `A·Bᵀ` product) and compiled twice: at the build's baseline ISA and,
+//! on x86-64, under `#[target_feature(enable = "avx2,fma")]`. Each
+//! public entry point tests the CPU **once per GEMM call** and enters
+//! one of the two; packing, the micro-tile and the store are
+//! `#[inline(always)]` into it, so all of them run at the chosen ISA and
+//! the accumulator never passes through memory between the `k` loop and
+//! `C`. The FMA body asks for `f64::mul_add` explicitly — rustc never
+//! contracts `acc += a * b` — so each step rounds once there and twice
+//! at baseline: the summation order is the same, the last bits are not.
+//! Results are therefore bitwise-reproducible **per host ISA**, not
+//! between an FMA host and a non-FMA one.
+//!
 //! The simulator's kernel-efficiency table
-//! (`calu_sim::cost::kernel_eff`) is calibrated against these kernels;
-//! re-tune it if the constants change materially.
+//! (`calu_sim::cost::kernel_eff`) was calibrated against the kernel as
+//! it was *before* the fused body (0.65–0.8 of today's rate, by tile
+//! size) and is deliberately left alone: it feeds every modelled figure
+//! and table, whose bytes must hold. Re-tune it only together with them.
 //!
 //! The seed `j-k-i` AXPY kernel is kept as [`dgemm_jki`] — the parity
 //! oracle for tests and the speedup baseline for the `kernels` bench.
@@ -78,24 +95,10 @@ pub fn dgemm_packed(
     assert!(a.len() >= span(m, k, lda), "a slice too short");
     assert!(b.len() >= span(k, n, ldb), "b slice too short");
     assert!(c.len() >= span(m, n, ldc), "c slice too short");
+    let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     // SAFETY: dimensions checked against the slice lengths above; the
     // borrow rules guarantee c is exclusive and disjoint from a and b.
-    unsafe {
-        dgemm_core(
-            m,
-            n,
-            k,
-            alpha,
-            a.as_ptr(),
-            lda,
-            b.as_ptr(),
-            ldb,
-            beta,
-            c.as_mut_ptr(),
-            ldc,
-            scratch,
-        );
-    }
+    unsafe { gemm_dispatch::<false>(m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, scratch) }
 }
 
 /// [`dgemm_packed`] with a per-thread scratch arena — the convenience
@@ -153,7 +156,7 @@ pub unsafe fn dgemm_raw_packed(
         "leading dimension too small for block height"
     );
     assert!(k == 0 || ldb >= k, "ldb too small");
-    dgemm_core(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
+    gemm_dispatch::<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
 }
 
 /// Raw-pointer variant of [`dgemm`] (per-thread scratch arena).
@@ -178,13 +181,15 @@ pub unsafe fn dgemm_raw(
     with_thread_scratch(|s| dgemm_raw_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, s));
 }
 
-/// The five-loop blocked driver. Dimensions are pre-validated.
+/// One GEMM call past validation: the degenerate cases, then **one**
+/// ISA dispatch for the whole product. `NT` selects the `A·Bᵀ` variant
+/// (`B` stored `n×k`).
 ///
 /// # Safety
 ///
-/// See [`dgemm_raw_packed`].
+/// See [`dgemm_raw_packed`] / [`dgemm_nt_raw_packed`].
 #[allow(clippy::too_many_arguments)]
-unsafe fn dgemm_core(
+unsafe fn gemm_dispatch<const NT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -203,6 +208,67 @@ unsafe fn dgemm_core(
         return;
     }
     scratch.reserve(m, n, k);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the required CPU features were just detected.
+        return core_avx2fma::<NT>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
+    }
+    core_body::<false, NT>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch)
+}
+
+/// [`core_body`] compiled with AVX2 + FMA enabled, fused multiply–adds
+/// switched on: packing, the register tile and the store all inline
+/// into this one function, so they share its ISA.
+///
+/// # Safety
+///
+/// The CPU must support the `avx2` and `fma` target features; otherwise
+/// as [`core_body`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn core_avx2fma<const NT: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+    scratch: &mut GemmScratch,
+) {
+    core_body::<true, NT>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch)
+}
+
+/// The five-loop blocked driver, generic over the ISA it is inlined
+/// into (`FMA`: fused multiply–adds in the micro-kernel) and over the
+/// product (`NT`: the `(pc, jc)` block of `Bᵀ` is located in the stored
+/// `B` at `b + pc·ldb + jc` and packed through [`pack_b_trans`]).
+/// `k > 0`, and `scratch` already covers the call.
+///
+/// # Safety
+///
+/// See [`dgemm_raw_packed`] / [`dgemm_nt_raw_packed`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn core_body<const FMA: bool, const NT: bool>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+    scratch: &mut GemmScratch,
+) {
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);
@@ -213,7 +279,11 @@ unsafe fn dgemm_core(
             // later k blocks accumulate — the old standalone β pass
             // folded into the first real traversal of C
             let beta_eff = if pc == 0 { beta } else { 1.0 };
-            pack_b(kc, nc, b.add(jc * ldb + pc), ldb, &mut scratch.b_pack);
+            if NT {
+                pack_b_trans(kc, nc, b.add(pc * ldb + jc), ldb, &mut scratch.b_pack);
+            } else {
+                pack_b(kc, nc, b.add(jc * ldb + pc), ldb, &mut scratch.b_pack);
+            }
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
@@ -226,7 +296,7 @@ unsafe fn dgemm_core(
                     while ir < mc {
                         let mr = MR.min(mc - ir);
                         let ap = &scratch.a_pack[ir * kc..ir * kc + kc * MR];
-                        let acc = micro_tile(kc, ap, bp);
+                        let acc = micro_tile::<FMA>(kc, ap, bp);
                         store_tile(
                             &acc,
                             alpha,
@@ -284,24 +354,10 @@ pub fn dgemm_nt_packed(
     assert!(a.len() >= span(m, k, lda), "a slice too short");
     assert!(b.len() >= span(n, k, ldb), "b slice too short");
     assert!(c.len() >= span(m, n, ldc), "c slice too short");
+    let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     // SAFETY: dimensions checked against the slice lengths above; the
     // borrow rules guarantee c is exclusive and disjoint from a and b.
-    unsafe {
-        dgemm_nt_core(
-            m,
-            n,
-            k,
-            alpha,
-            a.as_ptr(),
-            lda,
-            b.as_ptr(),
-            ldb,
-            beta,
-            c.as_mut_ptr(),
-            ldc,
-            scratch,
-        );
-    }
+    unsafe { gemm_dispatch::<true>(m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, scratch) }
 }
 
 /// [`dgemm_nt_packed`] with the per-thread scratch arena.
@@ -354,76 +410,7 @@ pub unsafe fn dgemm_nt_raw_packed(
         "leading dimension too small for block height"
     );
     assert!(ldb >= n, "ldb too small");
-    dgemm_nt_core(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
-}
-
-/// The five-loop blocked driver of the NT product. Identical to
-/// [`dgemm_core`] except the `(pc, jc)` block of `Bᵀ` is located in the
-/// stored `B` at `b + pc·ldb + jc` and packed through [`pack_b_trans`].
-///
-/// # Safety
-///
-/// See [`dgemm_nt_raw_packed`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn dgemm_nt_core(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-    scratch: &mut GemmScratch,
-) {
-    if k == 0 || alpha == 0.0 {
-        scale_c(beta, c, ldc, m, n);
-        return;
-    }
-    scratch.reserve(m, n, k);
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let beta_eff = if pc == 0 { beta } else { 1.0 };
-            pack_b_trans(kc, nc, b.add(pc * ldb + jc), ldb, &mut scratch.b_pack);
-            let mut ic = 0;
-            while ic < m {
-                let mc = MC.min(m - ic);
-                pack_a(mc, kc, a.add(pc * lda + ic), lda, &mut scratch.a_pack);
-                let mut jr = 0;
-                while jr < nc {
-                    let nr = NR.min(nc - jr);
-                    let bp = &scratch.b_pack[jr * kc..jr * kc + kc * NR];
-                    let mut ir = 0;
-                    while ir < mc {
-                        let mr = MR.min(mc - ir);
-                        let ap = &scratch.a_pack[ir * kc..ir * kc + kc * MR];
-                        let acc = micro_tile(kc, ap, bp);
-                        store_tile(
-                            &acc,
-                            alpha,
-                            beta_eff,
-                            c.add((jc + jr) * ldc + ic + ir),
-                            ldc,
-                            mr,
-                            nr,
-                        );
-                        ir += MR;
-                    }
-                    jr += NR;
-                }
-                ic += MC;
-            }
-            pc += KC;
-        }
-        jc += NC;
-    }
+    gemm_dispatch::<true>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
 }
 
 /// `C ← β·C` for the degenerate `k = 0` / `α = 0` cases (β = 0
@@ -532,6 +519,212 @@ mod tests {
     use super::*;
     use calu_matrix::{gen, ops, DenseMatrix};
 
+    /// The interpreter runs these tests at small shapes only (CI's Miri
+    /// job); natively every shape runs.
+    fn too_big_for_miri(m: usize, n: usize, k: usize) -> bool {
+        cfg!(miri) && m * n * k > 60_000
+    }
+
+    /// `C ← α·op(A)·op(B) + β·C` through one named body, bypassing the
+    /// runtime dispatch — so the baseline body stays under test on an
+    /// FMA host. `None` when this host cannot run the FMA body. `b` is
+    /// stored `n×k` when `nt`.
+    fn run_body(
+        fma: bool,
+        nt: bool,
+        alpha: f64,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        beta: f64,
+        c: &DenseMatrix,
+    ) -> Option<DenseMatrix> {
+        let (m, k) = (a.rows(), a.cols());
+        let n = if nt { b.rows() } else { b.cols() };
+        let mut out = c.clone();
+        let mut s = GemmScratch::sized_for(m, n, k);
+        let (pa, pb, pc) = (
+            a.as_slice().as_ptr(),
+            b.as_slice().as_ptr(),
+            out.as_mut_slice().as_mut_ptr(),
+        );
+        let (lda, ldb, ldc) = (a.ld(), b.ld(), c.ld());
+        // SAFETY: the three matrices are whole, distinct and sized for
+        // the product; the FMA body runs only where detected.
+        unsafe {
+            match (fma, nt) {
+                (false, false) => core_body::<false, false>(
+                    m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, &mut s,
+                ),
+                (false, true) => core_body::<false, true>(
+                    m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, &mut s,
+                ),
+                #[cfg(target_arch = "x86_64")]
+                (true, _)
+                    if std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma") =>
+                {
+                    if nt {
+                        core_avx2fma::<true>(
+                            m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, &mut s,
+                        )
+                    } else {
+                        core_avx2fma::<false>(
+                            m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, &mut s,
+                        )
+                    }
+                }
+                (true, _) => return None,
+            }
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn both_bodies_match_jki_nn_and_nt_over_beta_and_edge_tiles() {
+        for (m, n, k, seed) in [
+            (MR - 1, NR - 1, 7, 1),
+            (MR + 1, NR + 1, 5, 2),
+            (3 * MR + 5, 2 * NR + 3, 9, 3),
+            (MC + MR + 2, NR, 33, 4),
+            (2 * MR, NR + 1, KC + 9, 5),
+        ] {
+            if too_big_for_miri(m, n, k) {
+                continue;
+            }
+            let a = gen::uniform(m, k, seed);
+            let b = gen::uniform(k, n, seed + 10);
+            let bt = DenseMatrix::from_fn(n, k, |i, j| b.get(j, i));
+            let c = gen::uniform(m, n, seed + 20);
+            for beta in [0.0, 1.0, 0.5] {
+                let mut want = c.clone();
+                dgemm_jki(
+                    m,
+                    n,
+                    k,
+                    -1.0,
+                    a.as_slice(),
+                    a.ld(),
+                    b.as_slice(),
+                    b.ld(),
+                    beta,
+                    want.as_mut_slice(),
+                    c.ld(),
+                );
+                for (fma, nt) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let stored = if nt { &bt } else { &b };
+                    let Some(got) = run_body(fma, nt, -1.0, &a, stored, beta, &c) else {
+                        continue;
+                    };
+                    assert!(
+                        got.approx_eq(&want, 1e-11 * k as f64),
+                        "({m},{n},{k}) beta {beta} fma {fma} nt {nt}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fma_body_fuses_and_baseline_does_not() {
+        // α = 1, β = 0, k ≤ KC: C is the accumulator, bit for bit. The
+        // FMA body must equal a scalar `mul_add` chain (one rounding a
+        // step) and the baseline a mul-then-add chain (two) — on inputs
+        // where the two chains differ, so a body that silently compiled
+        // to the other form fails here.
+        let (m, n, k) = (2 * MR + 3, NR + 2, 24);
+        let a = gen::uniform(m, k, 31);
+        let b = gen::uniform(k, n, 32);
+        let zero = DenseMatrix::zeros(m, n);
+        let chain = |fused: bool| {
+            DenseMatrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f64, |acc, l| {
+                    if fused {
+                        a.get(i, l).mul_add(b.get(l, j), acc)
+                    } else {
+                        acc + a.get(i, l) * b.get(l, j)
+                    }
+                })
+            })
+        };
+        let (fused, unfused) = (chain(true), chain(false));
+        assert_ne!(fused.as_slice(), unfused.as_slice(), "inputs must tell");
+        let base = run_body(false, false, 1.0, &a, &b, 0.0, &zero).unwrap();
+        assert_eq!(base.as_slice(), unfused.as_slice(), "baseline: mul, add");
+        let Some(fma) = run_body(true, false, 1.0, &a, &b, 0.0, &zero) else {
+            return; // no FMA unit on this host
+        };
+        assert_eq!(fma.as_slice(), fused.as_slice(), "FMA body: one rounding");
+        // same summation order, so the bodies differ by rounding only:
+        // 2·k·ε of the magnitude summed
+        for j in 0..n {
+            for i in 0..m {
+                let mag: f64 = (0..k).map(|l| (a.get(i, l) * b.get(l, j)).abs()).sum();
+                let tol = 2.0 * k as f64 * f64::EPSILON * mag;
+                assert!((fma.get(i, j) - base.get(i, j)).abs() <= tol, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn stacked_rows_equal_per_tile_calls_bitwise() {
+        // the engine's grouped S task: one product over g stacked tiles
+        // must be the g per-tile products, bit for bit — each C element
+        // sums the same products in the same order whichever register
+        // tile or MC block its row lands in. Last member ragged (rows
+        // not a multiple of MR); g·b above MC for the larger ones.
+        for b in [8usize, 16, 20, 100] {
+            for g in [2usize, 3, 5] {
+                let last = b - 3;
+                let m = (g - 1) * b + last;
+                if too_big_for_miri(m, b, b) {
+                    continue;
+                }
+                let l = gen::uniform(m, b, (b * g) as u64);
+                let u = gen::uniform(b, b, (b + g) as u64);
+                let c = gen::uniform(m, b, (b * 31 + g) as u64);
+                let mut scratch = GemmScratch::sized_for(m, b, b);
+                let (mut stacked, mut tiled) = (c.clone(), c.clone());
+                let ld = c.ld();
+                // SAFETY: whole, distinct matrices; each per-tile call
+                // addresses rows r0..r0+rows of the same columns.
+                unsafe {
+                    dgemm_raw_packed(
+                        m,
+                        b,
+                        b,
+                        -1.0,
+                        l.as_slice().as_ptr(),
+                        ld,
+                        u.as_slice().as_ptr(),
+                        b,
+                        1.0,
+                        stacked.as_mut_slice().as_mut_ptr(),
+                        ld,
+                        &mut scratch,
+                    );
+                    for t in 0..g {
+                        let rows = if t == g - 1 { last } else { b };
+                        dgemm_raw_packed(
+                            rows,
+                            b,
+                            b,
+                            -1.0,
+                            l.as_slice().as_ptr().add(t * b),
+                            ld,
+                            u.as_slice().as_ptr(),
+                            b,
+                            1.0,
+                            tiled.as_mut_slice().as_mut_ptr().add(t * b),
+                            ld,
+                            &mut scratch,
+                        );
+                    }
+                }
+                assert_eq!(stacked.as_slice(), tiled.as_slice(), "b={b} g={g}");
+            }
+        }
+    }
+
     fn dgemm_dense(
         alpha: f64,
         a: &DenseMatrix,
@@ -587,6 +780,9 @@ mod tests {
             (1, 1, KC + 1, 6),
             (2 * MC + 3, 3 * NR + 1, 2 * KC + 5, 7),
         ] {
+            if too_big_for_miri(m, n, k) {
+                continue;
+            }
             let a = gen::uniform(m, k, seed);
             let b = gen::uniform(k, n, seed + 10);
             let c = gen::uniform(m, n, seed + 20);
@@ -643,7 +839,7 @@ mod tests {
 
     #[test]
     fn packed_scratch_is_reused_without_allocation() {
-        let b = 96;
+        let b = if cfg!(miri) { 32 } else { 96 };
         let mut scratch = GemmScratch::sized_for(b, b, b);
         let pa = scratch.a_pack.as_ptr();
         let x = gen::uniform(b, b, 10);
@@ -805,6 +1001,9 @@ mod tests {
             (1, 9, 4, 5),
             (MC + 3, NR, 33, 6),
         ] {
+            if too_big_for_miri(m, n, k) {
+                continue;
+            }
             let a = gen::uniform(m, k, seed);
             let b = gen::uniform(n, k, seed + 10); // stored n×k
             let bt = DenseMatrix::from_fn(k, n, |i, j| b.get(j, i));

@@ -5,49 +5,33 @@
 //! column panel, accumulating into an `MR × NR` tile held in a local
 //! array. The loops over the tile are fully unrolled at compile time
 //! (`MR`/`NR` are constants), so the accumulator lives in vector
-//! registers and the `k` loop auto-vectorizes into multiply–add chains —
-//! no intrinsics, no `unsafe`.
+//! registers and the `k` loop auto-vectorizes — no intrinsics, no
+//! `unsafe`.
 //!
 //! [`store_tile`] then merges the accumulator into `C` with the
 //! `α·acc + β·C` policy. The GEMM driver passes the caller's `β` only
 //! for the **first** `KC` block of the `k` loop and `1.0` afterwards,
 //! which folds the old separate β-scaling pass over `C` into the first
 //! real visit of each tile.
+//!
+//! Both are `#[inline(always)]` and carry no ISA of their own: the GEMM
+//! driver ([`crate::gemm`]) dispatches once per call and inlines them
+//! into a body compiled for the ISA it picked, so the accumulator goes
+//! from the `k` loop to the store without leaving the registers.
 
 use crate::gemm::{MR, NR};
 
-/// `acc[j·MR + i] += Σ_l a[l·MR + i] · b[l·NR + j]` over `kc` steps of
-/// packed panels (see [`crate::pack`] for the layouts). The panels must
-/// hold at least `kc·MR` / `kc·NR` elements.
+/// `acc[j·MR + i] = Σ_l a[l·MR + i] · b[l·NR + j]` over `kc` steps of
+/// packed panels (see [`crate::pack`] for the layouts), summed in `l`
+/// order. The panels must hold at least `kc·MR` / `kc·NR` elements.
 ///
-/// On x86-64 the same body is compiled twice: once at the build's
-/// baseline ISA, and once under `#[target_feature(enable = "avx2,fma")]`
-/// selected by runtime detection — the auto-vectorizer then emits 4-wide
-/// FMA chains without a single intrinsic, and the binary still runs on
-/// baseline hardware.
-#[inline]
-pub fn micro_tile(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the required CPU features were just detected.
-        return unsafe { micro_tile_avx2fma(kc, a, b) };
-    }
-    micro_tile_body(kc, a, b)
-}
-
-/// [`micro_tile_body`] recompiled with AVX2 + FMA enabled.
-///
-/// # Safety
-///
-/// The CPU must support the `avx2` and `fma` target features.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_tile_avx2fma(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
-    micro_tile_body(kc, a, b)
-}
-
+/// With `FMA` each step is one fused `mul_add` (one rounding); without,
+/// a multiply and an add (two). rustc never contracts `acc += a * b` on
+/// its own, so the fused form has to be asked for — and only a caller
+/// compiled with the `fma` target feature may ask: elsewhere `mul_add`
+/// is a libm call.
 #[inline(always)]
-fn micro_tile_body(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
+pub fn micro_tile<const FMA: bool>(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
     // the accumulator is a by-value local, so the optimizer needs no
     // aliasing proof to keep the whole tile in vector registers
     let mut acc = [0.0; MR * NR];
@@ -56,7 +40,12 @@ fn micro_tile_body(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
         for j in 0..NR {
             let blj = bp[j];
             for i in 0..MR {
-                acc[j * MR + i] += ap[i] * blj;
+                let c = &mut acc[j * MR + i];
+                *c = if FMA {
+                    ap[i].mul_add(blj, *c)
+                } else {
+                    *c + ap[i] * blj
+                };
             }
         }
     }
@@ -72,7 +61,7 @@ fn micro_tile_body(kc: usize, a: &[f64], b: &[f64]) -> [f64; MR * NR] {
 /// `c` must be valid for reads and writes over the `mr × nr` block with
 /// leading dimension `ldc`, and the caller must have exclusive access
 /// to it.
-#[inline]
+#[inline(always)]
 pub unsafe fn store_tile(
     acc: &[f64; MR * NR],
     alpha: f64,
@@ -110,7 +99,7 @@ mod tests {
         let kc = 5;
         let a: Vec<f64> = (0..kc * MR).map(|x| (x as f64).sin()).collect();
         let b: Vec<f64> = (0..kc * NR).map(|x| (x as f64).cos()).collect();
-        let acc = micro_tile(kc, &a, &b);
+        let acc = micro_tile::<false>(kc, &a, &b);
         for j in 0..NR {
             for i in 0..MR {
                 let want: f64 = (0..kc).map(|l| a[l * MR + i] * b[l * NR + j]).sum();

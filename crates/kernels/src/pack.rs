@@ -93,6 +93,7 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R
 ///
 /// `a` must be valid for reads over the block's span
 /// (`(kc-1)·lda + mc` elements).
+#[inline(always)]
 pub unsafe fn pack_a(mc: usize, kc: usize, a: *const f64, lda: usize, buf: &mut [f64]) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(
@@ -125,6 +126,7 @@ pub unsafe fn pack_a(mc: usize, kc: usize, a: *const f64, lda: usize, buf: &mut 
 ///
 /// `b` must be valid for reads over the block's span
 /// (`(nc-1)·ldb + kc` elements).
+#[inline(always)]
 pub unsafe fn pack_b(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut [f64]) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(
@@ -159,6 +161,7 @@ pub unsafe fn pack_b(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut 
 ///
 /// `b` must be valid for reads over the addressed span of the *stored*
 /// block (`(kc-1)·ldb + nc` elements).
+#[inline(always)]
 pub unsafe fn pack_b_trans(kc: usize, nc: usize, b: *const f64, ldb: usize, buf: &mut [f64]) {
     // hard assert: the unchecked writes below are bounded by it
     assert!(

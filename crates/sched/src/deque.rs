@@ -82,7 +82,12 @@ pub enum Steal {
 /// [`pop`](Deque::pop); any number of threads call
 /// [`steal`](Deque::steal) concurrently. See the module docs for the
 /// ordering invariants.
+///
+/// Aligned to its own pair of cache lines: the owner writes `bottom` on
+/// every push and pop, and a `Vec<Deque>` would otherwise put one
+/// worker's `bottom` on the line of its neighbour's.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct Deque {
     /// Next slot the owner will push into (owner-written).
     bottom: AtomicI64,

@@ -78,7 +78,7 @@ pub use hybrid::HybridPolicy;
 pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;
 pub use policy::{Policy, Popped, QueueSource};
-pub use ready::ReadyQueues;
+pub use ready::{Padded, ReadyQueues};
 pub use topology::{CpuTopology, StealOrder, StealTier, StealTiers};
 pub use work_stealing::WorkStealingPolicy;
 

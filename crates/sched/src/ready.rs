@@ -20,8 +20,15 @@
 //! The queues schedule opaque `u32` task ids with caller-supplied keys;
 //! they know nothing about tiles or kernels. Everything an executor
 //! needs from them is written here once: [`push_static`] (with the
-//! degraded-owner reroute), [`push_dynamic`], [`pop_own`], [`steal`]
-//! and [`drain_static`] (a lost worker's static-task rescue).
+//! degraded-owner reroute), [`push_dynamic`], [`pop_own`] (which also
+//! claims the paper's §4 *group* — the run of static tasks at the top of
+//! the worker's heap that the caller says belong in one BLAS-3 call),
+//! [`steal`] and [`drain_static`] (a lost worker's static-task rescue).
+//!
+//! Every word a worker writes per task — its heap's and shard's lock
+//! words, its deque's ends, the queued-task counter — sits [`Padded`] on
+//! cache lines of its own: two workers popping side by side otherwise
+//! ping-pong one line between their cores on every task.
 //!
 //! ## Single-owner contract of the lock-free deques
 //!
@@ -40,6 +47,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -50,6 +58,28 @@ use crate::discipline::{steal_order, QueueDiscipline};
 use crate::policy::QueueSource;
 use crate::topology::{CpuTopology, StealOrder, StealTier, StealTiers};
 
+/// `T` alone on its cache lines: aligned to 128 bytes (a pair of
+/// 64-byte lines, which the adjacent-line prefetcher moves together)
+/// and therefore padded to a multiple of that, so neighbours in a `Vec`
+/// never share a line and one worker's writes never invalidate what
+/// another is reading.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub struct Padded<T>(pub T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+const _: () = assert!(std::mem::align_of::<Padded<Heap>>() == 128);
+const _: () = assert!(std::mem::size_of::<Padded<Heap>>().is_multiple_of(128));
+const _: () = assert!(std::mem::size_of::<Padded<AtomicUsize>>() == 128);
+const _: () = assert!(std::mem::align_of::<Deque>() == 128);
+const _: () = assert!(std::mem::size_of::<Deque>().is_multiple_of(128));
+
 type Heap = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
 
 /// Lock a heap, ignoring poisoning: a heap is valid after every push
@@ -58,14 +88,14 @@ fn lock(heap: &Heap) -> MutexGuard<'_, BinaryHeap<Reverse<(u64, u32)>>> {
     heap.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn heaps(n: usize) -> Vec<Heap> {
-    (0..n).map(|_| Mutex::new(BinaryHeap::new())).collect()
+fn heaps(n: usize) -> Vec<Padded<Heap>> {
+    (0..n).map(|_| Padded::default()).collect()
 }
 
 /// The dynamic section under each [`QueueDiscipline`].
 enum Dynamic {
-    Global(Heap),
-    Sharded(Vec<Heap>),
+    Global(Padded<Heap>),
+    Sharded(Vec<Padded<Heap>>),
     /// Each deque is sized for every dynamic task, so a push never
     /// fails.
     LockFree {
@@ -95,7 +125,7 @@ fn steal_sweep<V, T>(
 
 /// See the module docs.
 pub struct ReadyQueues {
-    local: Vec<Heap>,
+    local: Vec<Padded<Heap>>,
     dynamic: Dynamic,
     /// Direction the tiered sweep probes its tiers in — the adaptive
     /// controller's steal-order knob.
@@ -105,7 +135,7 @@ pub struct ReadyQueues {
     /// can tell "nothing to steal anywhere" from "a victim I probed was
     /// empty" — only the latter is contention. Stays zero under the
     /// global discipline, which never reads it.
-    dyn_queued: AtomicUsize,
+    dyn_queued: Padded<AtomicUsize>,
     /// Worker `w` no longer serves its static heap (dead, or flagged
     /// persistently slow): static tasks it owns reroute to the dynamic
     /// section. Read and written under the `local[w]` mutex, so a
@@ -134,7 +164,7 @@ impl ReadyQueues {
         Self {
             local: heaps(workers),
             dynamic: match queue {
-                QueueDiscipline::Global => Dynamic::Global(Mutex::new(BinaryHeap::new())),
+                QueueDiscipline::Global => Dynamic::Global(Padded::default()),
                 QueueDiscipline::Sharded { .. } => Dynamic::Sharded(heaps(workers)),
                 QueueDiscipline::LockFree { .. } => Dynamic::LockFree {
                     deques: (0..workers)
@@ -146,7 +176,7 @@ impl ReadyQueues {
                 },
             },
             steal_dir,
-            dyn_queued: AtomicUsize::new(0),
+            dyn_queued: Padded::default(),
             degraded: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             rescued: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -204,11 +234,39 @@ impl ReadyQueues {
     /// heap first, then its own share of the dynamic section (the
     /// shared queue under the global discipline, its own shard or deque
     /// otherwise; Algorithm 2's DFS order is baked into the keys).
-    pub fn pop_own(&self, me: usize) -> Option<(u32, QueueSource)> {
-        if let Some(Reverse((_, t))) = lock(&self.local[me]).pop() {
-            return Some((t, QueueSource::Local));
+    ///
+    /// The tasks popped replace the contents of `group`, in pop order.
+    /// A static pop keeps the heap lock and goes on claiming the task at
+    /// the top of the heap for as long as `joins(last claimed,
+    /// candidate)` accepts it, up to `max` members — the caller's one
+    /// BLAS-3 call over several owned tiles. Only the owner pops this
+    /// heap, so a group costs no load balance: nobody else could have
+    /// run its members. A dynamic pop is always a single task.
+    pub fn pop_own(
+        &self,
+        me: usize,
+        max: usize,
+        group: &mut Vec<u32>,
+        mut joins: impl FnMut(u32, u32) -> bool,
+    ) -> Option<QueueSource> {
+        group.clear();
+        {
+            let mut q = lock(&self.local[me]);
+            if let Some(Reverse((_, first))) = q.pop() {
+                let mut last = first;
+                group.push(first);
+                while group.len() < max {
+                    match q.peek() {
+                        Some(&Reverse((_, next))) if joins(last, next) => last = next,
+                        _ => break,
+                    }
+                    q.pop();
+                    group.push(last);
+                }
+                return Some(QueueSource::Local);
+            }
         }
-        match &self.dynamic {
+        let (t, source) = match &self.dynamic {
             Dynamic::Global(q) => lock(q)
                 .pop()
                 .map(|Reverse((_, t))| (t, QueueSource::Global)),
@@ -220,7 +278,9 @@ impl ReadyQueues {
                 self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
                 (v as u32, QueueSource::Shard)
             }),
-        }
+        }?;
+        group.push(t);
+        Some(source)
     }
 
     /// Steal from the other workers' dynamic shards/deques: seeded-
@@ -324,6 +384,14 @@ mod tests {
         )
     }
 
+    /// [`ReadyQueues::pop_own`] without grouping.
+    fn pop_one(q: &ReadyQueues, me: usize) -> Option<(u32, QueueSource)> {
+        let mut group = Vec::new();
+        let source = q.pop_own(me, 1, &mut group, |_, _| unreachable!("max is 1"))?;
+        assert_eq!(group.len(), 1);
+        Some((group[0], source))
+    }
+
     const ALL: [QueueDiscipline; 3] = [
         QueueDiscipline::Global,
         QueueDiscipline::Sharded { seed: 3 },
@@ -365,12 +433,43 @@ mod tests {
             q.push_dynamic(10, 1, 0);
             q.push_static(20, 0, 9, 9, 0);
             q.push_static(21, 0, 5, 5, 0);
-            assert_eq!(q.pop_own(0), Some((21, QueueSource::Local)), "{queue}");
-            assert_eq!(q.pop_own(0), Some((20, QueueSource::Local)), "{queue}");
-            let (t, src) = q.pop_own(0).unwrap();
+            assert_eq!(pop_one(&q, 0), Some((21, QueueSource::Local)), "{queue}");
+            assert_eq!(pop_one(&q, 0), Some((20, QueueSource::Local)), "{queue}");
+            let (t, src) = pop_one(&q, 0).unwrap();
             assert_eq!(t, 10);
             assert_ne!(src, QueueSource::Local, "{queue}");
-            assert_eq!(q.pop_own(0), None);
+            assert_eq!(pop_one(&q, 0), None);
+        }
+    }
+
+    #[test]
+    fn a_static_pop_claims_the_run_at_the_top_of_the_heap_that_joins() {
+        for queue in ALL {
+            let q = queues(2, queue);
+            // keys 1..=6 on worker 0's heap; a chain joins consecutive
+            // ids only, so 3 (missing) breaks it and 5 → 7 does too
+            for t in [1u32, 2, 4, 5, 7, 8] {
+                q.push_static(t, 0, t as u64, t as u64, 0);
+            }
+            q.push_dynamic(20, 1, 0);
+            q.push_dynamic(21, 2, 0);
+            let consecutive = |last: u32, next: u32| next == last + 1;
+            let mut group = Vec::new();
+            let mut pop = |max| {
+                let source = q.pop_own(0, max, &mut group, consecutive);
+                (group.clone(), source)
+            };
+            assert_eq!(pop(3), (vec![1, 2], Some(QueueSource::Local)), "{queue}");
+            // the cap holds even when more would join; the rest waits
+            assert_eq!(pop(1), (vec![4], Some(QueueSource::Local)));
+            assert_eq!(pop(3), (vec![5], Some(QueueSource::Local)));
+            assert_eq!(pop(8), (vec![7, 8], Some(QueueSource::Local)));
+            // dynamic pops never group, whatever would join
+            let (one, source) = pop(8);
+            assert_eq!(one.len(), 1, "{queue}");
+            assert_ne!(source, Some(QueueSource::Local));
+            assert_eq!(pop(8).0.len(), 1);
+            assert_eq!(pop(8), (vec![], None), "{queue}: drained");
         }
     }
 
@@ -386,7 +485,8 @@ mod tests {
             let mut rng = Rng::seed_from_u64(1);
             let mut failed = 0u64;
             let mut got = Vec::new();
-            while let Some((t, src)) = q.pop_own(1).or_else(|| q.steal(1, &mut rng, &mut failed)) {
+            while let Some((t, src)) = pop_one(&q, 1).or_else(|| q.steal(1, &mut rng, &mut failed))
+            {
                 assert_eq!(src.is_stolen(), queue.steals(), "{queue}");
                 got.push(t);
             }
@@ -412,13 +512,12 @@ mod tests {
             assert_eq!(q.rescued(1), 0);
             // nothing is left in the dead worker's static heap: what it
             // can still reach came back through the dynamic section
-            let (_, src) = q.pop_own(0).expect("the drain republished its backlog");
+            let (_, src) = pop_one(&q, 0).expect("the drain republished its backlog");
             assert_ne!(src, QueueSource::Local, "{queue}");
             let mut rng = Rng::seed_from_u64(2);
             let mut failed = 0u64;
             let mut got = 1; // the pop above took one rescued task
-            while q
-                .pop_own(1)
+            while pop_one(&q, 1)
                 .or_else(|| q.steal(1, &mut rng, &mut failed))
                 .is_some()
             {
@@ -434,6 +533,6 @@ mod tests {
         q.mark_degraded(1);
         q.push_static(5, 1, 0, 0, 0);
         assert_eq!(q.rescued(1), 1);
-        assert_eq!(q.pop_own(0), Some((5, QueueSource::Global)));
+        assert_eq!(pop_one(&q, 0), Some((5, QueueSource::Global)));
     }
 }

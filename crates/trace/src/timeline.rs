@@ -20,6 +20,28 @@ impl Timeline {
         }
     }
 
+    /// A timeline of `spans` recorded on any clock, re-based in place so
+    /// the earliest start is 0. Panics if a core index is out of range
+    /// or a span is inverted.
+    pub fn from_spans(cores: usize, mut spans: Vec<TaskSpan>) -> Self {
+        let (mut t0, mut t1, mut valid) = (f64::INFINITY, f64::NEG_INFINITY, true);
+        for s in &spans {
+            valid &= s.core < cores && s.end >= s.start;
+            t0 = t0.min(s.start);
+            t1 = t1.max(s.end);
+        }
+        assert!(valid, "core out of range or inverted span");
+        for s in &mut spans {
+            s.start -= t0;
+            s.end -= t0;
+        }
+        Self {
+            cores,
+            t_end: if spans.is_empty() { 0.0 } else { t1 - t0 },
+            spans,
+        }
+    }
+
     /// Record a span. Panics if the core index is out of range or the
     /// span is inverted.
     pub fn push(&mut self, span: TaskSpan) {
@@ -190,6 +212,43 @@ mod tests {
         t.push(span(0, 4.0, 10.0, SpanKind::Update));
         t.push(span(1, 0.0, 5.0, SpanKind::Update));
         t
+    }
+
+    #[test]
+    fn from_spans_rebases_like_shifted_pushes() {
+        // engine-clock spans, awkward floats: the one-pass build must
+        // be the span-by-span shift, to the bit, makespan included
+        let raw: Vec<TaskSpan> = (0..50)
+            .map(|i| {
+                let start = 1234.567 + (i as f64 * 0.3).sin().abs() * 1e-3;
+                span(
+                    i % 3,
+                    start,
+                    start + 1e-6 * (i + 1) as f64,
+                    SpanKind::Update,
+                )
+            })
+            .collect();
+        let t0 = raw.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
+        let mut pushed = Timeline::new(3);
+        for s in &raw {
+            pushed.push(span(s.core, s.start - t0, s.end - t0, s.kind));
+        }
+        let built = Timeline::from_spans(3, raw);
+        assert_eq!(built.spans(), pushed.spans());
+        assert_eq!(built.makespan().to_bits(), pushed.makespan().to_bits());
+        assert_eq!(
+            built.spans().iter().map(|s| s.start).fold(1.0, f64::min),
+            0.0
+        );
+        let empty = Timeline::from_spans(2, Vec::new());
+        assert_eq!((empty.cores(), empty.makespan()), (2, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_spans_rejects_a_foreign_core() {
+        Timeline::from_spans(2, vec![span(2, 0.0, 1.0, SpanKind::Update)]);
     }
 
     #[test]

@@ -256,7 +256,7 @@ fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
 }
 
 /// What no real executor runs, refused rather than silently ignored:
-/// the Cilk-deque baseline and an *explicit* `.grouping(k > 1)`.
+/// the Cilk-deque baseline.
 pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<(), Error> {
     if matches!(
         plan.scheduler,
@@ -269,15 +269,6 @@ pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<()
                    or a Dynamic/Hybrid scheduler with \
                    .queue_discipline(QueueDiscipline::sharded()) for real \
                    randomized stealing in DFS priority order"
-                .into(),
-        });
-    }
-    if plan.grouping_requested() && plan.group() > 1 {
-        return Err(Error::Unsupported {
-            backend: backend.into(),
-            what: "the real executor does not implement grouped BLAS-3 \
-                   updates; grouping is a simulator knob — use \
-                   SimulatedBackend or drop .grouping()"
                 .into(),
         });
     }
@@ -761,13 +752,29 @@ mod tests {
     }
 
     #[test]
-    fn threaded_rejects_explicit_grouping() {
-        let err = Solver::new(MatrixSource::uniform(32, 1))
-            .tile(8)
-            .grouping(2)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, Error::Unsupported { .. }), "{err}");
+    fn threaded_honours_explicit_grouping() {
+        // a static group is one GEMM over the members' stacked tiles:
+        // fewer calls, the same bits, and every member still a task
+        let solver = |k| {
+            Solver::new(MatrixSource::uniform(64, 1))
+                .tile(8)
+                .threads(2)
+                .layout(calu_matrix::Layout::BlockCyclic)
+                .grouping(k)
+        };
+        let dag_tasks = solver(1).plan().unwrap().build_graph().len();
+        let one = solver(1).run().unwrap();
+        assert_eq!(one.tasks, dag_tasks);
+        for k in [2, 3, 8] {
+            let grouped = solver(k).run().unwrap();
+            let (f, g) = (
+                one.factorization.as_ref().unwrap(),
+                grouped.factorization.as_ref().unwrap(),
+            );
+            assert_eq!(f.lu.as_slice(), g.lu.as_slice(), "k = {k}");
+            assert_eq!(f.perm.pivots(), g.perm.pivots(), "k = {k}");
+            assert_eq!(grouped.tasks, dag_tasks, "k = {k}: members stay tasks");
+        }
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl Solver {
     ///
     /// Restrictions mirror the threaded backend's: CALU and Cholesky
     /// only (every job carries its own [`KernelSet`],
-    /// so one service can mix the two), no work-stealing baseline, no
-    /// explicit BLAS-3 grouping. Large jobs run their dynamic section
+    /// so one service can mix the two), no work-stealing baseline.
+    /// Large jobs run their dynamic section
     /// under the builder's queue discipline, exactly like a solo run;
     /// each report names the discipline of the pool generation that ran
     /// its job.

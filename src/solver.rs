@@ -176,9 +176,6 @@ pub struct Plan<'a> {
     /// exposed read-only through the accessors below so the public plan
     /// can never disagree with what the executor runs.
     cfg: CaluConfig,
-    /// Whether the caller set `.grouping()` explicitly (backends that
-    /// cannot group reject explicit requests, not the default).
-    explicit_group: bool,
     /// How the adaptive controller resolved this plan's split, when the
     /// solver is adaptive (attached to the [`Report`] after execution).
     adaptation: Option<AdaptationReport>,
@@ -231,11 +228,6 @@ impl Plan<'_> {
     /// plan's — this item's — grid).
     pub fn leaf_stride(&self) -> usize {
         self.cfg.leaf_stride.unwrap_or_else(|| self.grid.pr())
-    }
-
-    /// Whether `.grouping()` was set explicitly rather than defaulted.
-    pub fn grouping_requested(&self) -> bool {
-        self.explicit_group
     }
 
     /// Build the task DAG for this plan's algorithm and shape.
@@ -386,11 +378,14 @@ impl Solver {
         self
     }
 
-    /// Explicitly set the BLAS-3 grouping width `k`. Conflicts with
-    /// layouts that cannot group (checked at [`Solver::run`]), and with
-    /// [`ThreadedBackend`], which does not
-    /// implement grouped updates (explicit `k > 1` is rejected there;
-    /// grouping is a simulator knob).
+    /// Set the BLAS-3 grouping width `k` (default 3, the paper's): a
+    /// worker that pops a static S task runs it together with up to
+    /// `k − 1` further ready S tasks of the same panel and column whose
+    /// tiles follow it in its BCL storage, as one taller GEMM — fewer
+    /// dequeues, a better-filled kernel, the same bits (each element
+    /// sums the same products in the same order). The simulator models
+    /// the same coalescing. Conflicts with layouts that cannot group
+    /// (checked at [`Solver::run`]).
     pub fn grouping(mut self, k: usize) -> Self {
         self.group = Some(k);
         self
@@ -650,7 +645,6 @@ impl Solver {
             record_trace: self.trace,
             verify: self.verify,
             cfg,
-            explicit_group: self.group.is_some(),
             adaptation,
         })
     }
