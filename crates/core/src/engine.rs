@@ -479,26 +479,18 @@ impl<'a> Run<'a> {
     /// Queue freshly enabled tasks: static ones on their block-cyclic
     /// owner's heap, the rest in the dynamic section on worker `home`'s
     /// side (the worker doing the pushing — the lock-free deques are
-    /// push-by-owner). The batch goes in *descending* key order (least
-    /// critical first): the heaps don't care, and a lock-free owner's
-    /// LIFO pop then serves the batch most-critical first while a FIFO
-    /// thief takes its least critical leftover — the victim keeps its
-    /// critical-path work.
+    /// push-by-owner), in the batch order of [`ReadyQueues::publish`].
     fn push_ready(&self, ready: &mut [TaskId], home: usize) {
         let item = &self.item;
-        if ready.len() > 1 {
-            ready.sort_unstable_by_key(|&t| Reverse(item.dynamic_key(t)));
-        }
-        for &t in ready.iter() {
-            let dynamic_key = item.dynamic_key(t);
-            if item.is_static(t) {
-                let owner = item.owners.owner(t);
-                self.queues
-                    .push_static(t.0, owner, item.static_key(t), dynamic_key, home);
-            } else {
-                self.queues.push_dynamic(t.0, dynamic_key, home);
-            }
-        }
+        self.queues.publish(
+            ready,
+            home,
+            |t| item.dynamic_key(t),
+            |t| {
+                item.is_static(t)
+                    .then(|| (item.owners.owner(t), item.static_key(t)))
+            },
+        );
     }
 
     fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
@@ -524,14 +516,15 @@ impl<'a> Run<'a> {
     /// Worker `me`'s next piece of this run without stealing: a chunk
     /// of the current conversion phase, or Algorithm 1's own-queue pop
     /// into `group` — up to `max_group` S tasks when it is a static one
-    /// and the tiles at the top of the heap stack.
+    /// and the tiles at the top of the heap stack. A dynamic pop stays
+    /// one task: its neighbours are any worker's to take.
     fn own_work(&self, me: usize, max_group: usize, group: &mut Vec<u32>) -> Option<Work> {
         match self.phase.load(Ordering::Acquire) {
             FILL => self.fill.claim(me).map(|c| Work::Chunk(Chunk::Fill(c))),
             FACTOR => self
                 .queues
-                .pop_own(me, max_group, group, |last, next| {
-                    self.item.stacks_under(last, next)
+                .pop_own(me, max_group, group, |source, last, next| {
+                    source == QueueSource::Local && self.item.stacks_under(last, next)
                 })
                 .map(Work::Tasks),
             _ => self
@@ -1370,8 +1363,7 @@ impl<'a> Engine<'a> {
         };
         self.lost_workers.fetch_add(1, Ordering::AcqRel);
         for run in runs {
-            run.queues
-                .drain_static(me, |t| run.item.dynamic_key(TaskId(t)));
+            run.queues.drain_static(me, |t| run.item.dynamic_key(t));
             run.log(me).stats.lost = true;
         }
         self.work.notify_all();

@@ -360,24 +360,6 @@ pub fn dgemm_nt_packed(
     unsafe { gemm_dispatch::<true>(m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, scratch) }
 }
 
-/// [`dgemm_nt_packed`] with the per-thread scratch arena.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_nt(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    with_thread_scratch(|s| dgemm_nt_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, s));
-}
-
 /// Raw-pointer variant of [`dgemm_nt_packed`] for callers whose blocks
 /// alias a single shared buffer (the parallel executor's tiles). Never
 /// forms slices over the operands.
@@ -1011,7 +993,7 @@ mod tests {
             for (alpha, beta) in [(1.0, 1.0), (-1.0, 1.0), (2.0, 0.0)] {
                 let mut got = c.clone();
                 let ld = got.ld();
-                dgemm_nt(
+                dgemm_nt_packed(
                     m,
                     n,
                     k,
@@ -1023,6 +1005,7 @@ mod tests {
                     beta,
                     got.as_mut_slice(),
                     ld,
+                    &mut GemmScratch::new(),
                 );
                 let want = dgemm_dense(alpha, &a, &bt, beta, &c);
                 let tol = 1e-11 * (k as f64).max(1.0);
@@ -1043,7 +1026,8 @@ mod tests {
         let mut c1 = c.clone();
         let mut c2 = c.clone();
         let ld = c.ld();
-        dgemm_nt(
+        let mut s = GemmScratch::new();
+        dgemm_nt_packed(
             m,
             n,
             k,
@@ -1055,8 +1039,8 @@ mod tests {
             1.0,
             c1.as_mut_slice(),
             ld,
+            &mut s,
         );
-        let mut s = GemmScratch::new();
         unsafe {
             dgemm_nt_raw_packed(
                 m,
@@ -1081,7 +1065,10 @@ mod tests {
     fn nt_rejects_bad_ldb() {
         // for the NT product B is stored n×k, so ldb must cover n
         let mut c = vec![0.0; 16];
-        dgemm_nt(4, 4, 4, 1.0, &[0.0; 16], 4, &[0.0; 16], 3, 0.0, &mut c, 4);
+        let mut s = GemmScratch::new();
+        dgemm_nt_packed(
+            4, 4, 4, 1.0, &[0.0; 16], 4, &[0.0; 16], 3, 0.0, &mut c, 4, &mut s,
+        );
     }
 
     #[test]

@@ -35,39 +35,10 @@ pub fn dlaswp(n: usize, a: &mut [f64], lda: usize, first: usize, piv: &[usize]) 
     }
 }
 
-/// Reverse of [`dlaswp`]: applies the same swaps in descending order,
-/// undoing the permutation.
-pub fn dlaswp_inverse(n: usize, a: &mut [f64], lda: usize, first: usize, piv: &[usize]) {
-    if n == 0 || piv.is_empty() {
-        return;
-    }
-    for (k, &p) in piv.iter().enumerate().rev() {
-        let r = first + k;
-        if p == r {
-            continue;
-        }
-        for j in 0..n {
-            a.swap(j * lda + r, j * lda + p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calu_matrix::{gen, DenseMatrix};
-
-    #[test]
-    fn swap_then_inverse_is_identity() {
-        let a0 = gen::uniform(8, 5, 3);
-        let mut a = a0.clone();
-        let piv = vec![4, 1, 7, 3];
-        let ld = a.ld();
-        dlaswp(5, a.as_mut_slice(), ld, 0, &piv);
-        assert!(!a.approx_eq(&a0, 0.0));
-        dlaswp_inverse(5, a.as_mut_slice(), ld, 0, &piv);
-        assert!(a.approx_eq(&a0, 0.0));
-    }
+    use calu_matrix::DenseMatrix;
 
     #[test]
     fn matches_manual_swaps() {

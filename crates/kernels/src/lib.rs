@@ -18,7 +18,7 @@
 //! * [`laswp::dlaswp`] — row interchanges,
 //! * [`potrf`] / [`syrk`] — the Cholesky kernel set (`A = L·Lᵀ` panel
 //!   factor and the lower-triangle rank-k update), layered on the same
-//!   packed GEMM via its `A·Bᵀ` variant ([`gemm::dgemm_nt`]).
+//!   packed GEMM via its `A·Bᵀ` variant ([`gemm::dgemm_nt_packed`]).
 //!
 //! Every kernel works on a column-major sub-block described by
 //! `(slice, ld)` — the same addressing [`calu_matrix::storage::TileRef`]
@@ -43,12 +43,10 @@ pub mod small;
 pub mod syrk;
 pub mod trsm;
 
-pub use gemm::{
-    dgemm, dgemm_jki, dgemm_nt, dgemm_nt_packed, dgemm_packed, dgemm_raw, dgemm_raw_packed,
-};
+pub use gemm::{dgemm, dgemm_jki, dgemm_nt_packed, dgemm_packed, dgemm_raw, dgemm_raw_packed};
 pub use getrf::{dgetf2, dgetrf_recursive, dgetrf_recursive_packed};
 pub use laswp::dlaswp;
-pub use lu_nopiv::{lu_nopiv_blocked, lu_nopiv_unblocked};
+pub use lu_nopiv::lu_nopiv_unblocked;
 pub use pack::GemmScratch;
 pub use potrf::{dpotrf_blocked, dpotrf_unblocked};
 pub use syrk::{dsyrk_ln, dsyrk_ln_packed};

@@ -6,9 +6,7 @@
 //! the entire panel"). These kernels implement that step; they are also
 //! reused by the incremental-pivoting baseline.
 
-use crate::gemm::dgemm_raw;
 use crate::small::daxpy;
-use crate::trsm::dtrsm_left_lower_unit;
 
 /// Unblocked LU without pivoting of an `m × n` column-major panel.
 /// Returns the first column with a zero diagonal pivot, if any
@@ -47,60 +45,6 @@ pub fn lu_nopiv_unblocked(m: usize, n: usize, a: &mut [f64], lda: usize) -> Opti
     singular_at
 }
 
-/// Blocked (right-looking) LU without pivoting with panel width `nb`.
-/// Identical result to [`lu_nopiv_unblocked`] up to roundoff, but all
-/// trailing work is BLAS-3.
-pub fn lu_nopiv_blocked(m: usize, n: usize, a: &mut [f64], lda: usize, nb: usize) -> Option<usize> {
-    assert!(nb > 0, "block size must be positive");
-    let kmax = m.min(n);
-    if kmax == 0 {
-        return None;
-    }
-    assert!(lda >= m, "lda too small");
-    let mut singular_at = None;
-    let mut k0 = 0;
-    while k0 < kmax {
-        let kb = nb.min(kmax - k0);
-        // Factor the panel A[k0..m, k0..k0+kb] unblocked.
-        let panel = &mut a[k0 * lda + k0..];
-        if let Some(c) = lu_nopiv_unblocked(m - k0, kb, panel, lda) {
-            if singular_at.is_none() {
-                singular_at = Some(k0 + c);
-            }
-        }
-        let next = k0 + kb;
-        if next < n {
-            // U block row: A[k0..next, next..n] ← L(panel)⁻¹ · A[..]
-            let (panel_cols, trailing) = a.split_at_mut(next * lda);
-            let lkk = &panel_cols[k0 * lda + k0..];
-            dtrsm_left_lower_unit(kb, n - next, lkk, lda, &mut trailing[k0..], lda);
-            // Trailing update: A[next..m, next..n] −= A[next..m, k0..next] · U
-            if next < m {
-                unsafe {
-                    let a21 = panel_cols.as_ptr().add(k0 * lda + next);
-                    let u12 = trailing.as_ptr().add(k0);
-                    let a22 = trailing.as_mut_ptr().add(next);
-                    dgemm_raw(
-                        m - next,
-                        n - next,
-                        kb,
-                        -1.0,
-                        a21,
-                        lda,
-                        u12,
-                        lda,
-                        1.0,
-                        a22,
-                        lda,
-                    );
-                }
-            }
-        }
-        k0 = next;
-    }
-    singular_at
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +68,6 @@ mod tests {
             let s = lu_nopiv_unblocked(n, n, f.as_mut_slice(), ld);
             assert!(s.is_none());
             check_lu(&a, &f, 1e-9);
-        }
-    }
-
-    #[test]
-    fn blocked_matches_unblocked() {
-        for (n, nb) in [(16, 4), (30, 7), (33, 8), (20, 32)] {
-            let a = gen::diag_dominant(n, 77);
-            let mut f1 = a.clone();
-            let mut f2 = a.clone();
-            let ld = a.ld();
-            lu_nopiv_unblocked(n, n, f1.as_mut_slice(), ld);
-            lu_nopiv_blocked(n, n, f2.as_mut_slice(), ld, nb);
-            assert!(f1.approx_eq(&f2, 1e-9), "n={n} nb={nb}");
         }
     }
 
@@ -167,22 +98,11 @@ mod tests {
         let ld = a.ld();
         let s = lu_nopiv_unblocked(3, 3, a.as_mut_slice(), ld);
         assert_eq!(s, Some(0));
-        let mut b = gen::diag_dominant(6, 3);
-        b.set(4, 4, 0.0);
-        // make column 4 below diag zero too so elimination really hits 0
-        for i in 5..6 {
-            b.set(i, 4, 0.0);
-        }
-        // the flag may fire at 4 only if the eliminated value is exactly 0,
-        // which updates can break; just check it factors without panic
-        let ld = b.ld();
-        let _ = lu_nopiv_blocked(6, 6, b.as_mut_slice(), ld, 2);
     }
 
     #[test]
     fn empty_is_noop() {
         let mut a: Vec<f64> = vec![];
         assert_eq!(lu_nopiv_unblocked(0, 0, &mut a, 1), None);
-        assert_eq!(lu_nopiv_blocked(0, 4, &mut a, 1, 2), None);
     }
 }

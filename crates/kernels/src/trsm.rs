@@ -460,21 +460,6 @@ pub unsafe fn dtrsm_left_lower_unit_raw_packed(
     trsm_ll_core(m, n, l, ldl, b, ldb, scratch);
 }
 
-/// Raw-pointer variant of [`dtrsm_left_lower_unit`].
-///
-/// # Safety
-/// Same contract as [`dtrsm_left_lower_unit_raw_packed`].
-pub unsafe fn dtrsm_left_lower_unit_raw(
-    m: usize,
-    n: usize,
-    l: *const f64,
-    ldl: usize,
-    b: *mut f64,
-    ldb: usize,
-) {
-    with_thread_scratch(|s| dtrsm_left_lower_unit_raw_packed(m, n, l, ldl, b, ldb, s));
-}
-
 /// Raw-pointer variant of [`dtrsm_right_upper_packed`].
 ///
 /// # Safety
@@ -493,21 +478,6 @@ pub unsafe fn dtrsm_right_upper_raw_packed(
         return;
     }
     trsm_ru_core(m, n, u, ldu, b, ldb, scratch);
-}
-
-/// Raw-pointer variant of [`dtrsm_right_upper`].
-///
-/// # Safety
-/// Same contract as [`dtrsm_right_upper_raw_packed`].
-pub unsafe fn dtrsm_right_upper_raw(
-    m: usize,
-    n: usize,
-    u: *const f64,
-    ldu: usize,
-    b: *mut f64,
-    ldb: usize,
-) {
-    with_thread_scratch(|s| dtrsm_right_upper_raw_packed(m, n, u, ldu, b, ldb, s));
 }
 
 #[cfg(test)]
@@ -828,14 +798,16 @@ mod tests {
         let mut b1 = b0.clone();
         let mut b2 = b0.clone();
         dtrsm_left_lower_unit(n, n, l.as_slice(), n, b1.as_mut_slice(), n);
+        let mut s = GemmScratch::new();
         unsafe {
-            dtrsm_left_lower_unit_raw(
+            dtrsm_left_lower_unit_raw_packed(
                 n,
                 n,
                 l.as_slice().as_ptr(),
                 n,
                 b2.as_mut_slice().as_mut_ptr(),
                 n,
+                &mut s,
             )
         };
         assert!(b1.approx_eq(&b2, 0.0));
@@ -843,13 +815,14 @@ mod tests {
         let mut b2 = b0.clone();
         dtrsm_right_upper(n, n, u.as_slice(), n, b1.as_mut_slice(), n);
         unsafe {
-            dtrsm_right_upper_raw(
+            dtrsm_right_upper_raw_packed(
                 n,
                 n,
                 u.as_slice().as_ptr(),
                 n,
                 b2.as_mut_slice().as_mut_ptr(),
                 n,
+                &mut s,
             )
         };
         assert!(b1.approx_eq(&b2, 0.0));

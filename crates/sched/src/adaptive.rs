@@ -129,22 +129,9 @@ impl AdaptivePolicy {
         self
     }
 
-    /// Bound the chosen `batch_small_cutoff` to `[min, max]`.
-    pub fn with_cutoff_bounds(mut self, min: usize, max: usize) -> Self {
-        self.cutoff_min = min;
-        self.cutoff_max = max;
-        self
-    }
-
     /// Set the controller gain (step size per observation).
     pub fn with_gain(mut self, gain: f64) -> Self {
         self.gain = gain;
-        self
-    }
-
-    /// Set the tolerated idle fraction.
-    pub fn with_idle_target(mut self, target: f64) -> Self {
-        self.idle_target = target;
         self
     }
 
@@ -308,7 +295,7 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// Build a controller for `threads` workers on `topo`. The seed
-    /// split comes from the topology ([`seed_dratio`]) — overridden by
+    /// split comes from the topology (`seed_dratio`) — overridden by
     /// the policy's cache file when one is present and parses.
     pub fn new(policy: AdaptivePolicy, topo: &CpuTopology, threads: usize) -> Self {
         let dratio0 = seed_dratio(topo, threads).clamp(policy.dratio_min, policy.dratio_max);
@@ -488,7 +475,7 @@ fn parse_cache(text: &str) -> Option<(f64, usize, usize, StealOrder)> {
 /// domains → more imbalance risk for the static distribution) and by
 /// 0.2 when workers oversubscribe the logical CPUs (timeslicing defeats
 /// static ownership). Deterministic in `(topo, threads)`.
-pub fn seed_dratio(topo: &CpuTopology, threads: usize) -> f64 {
+fn seed_dratio(topo: &CpuTopology, threads: usize) -> f64 {
     let sockets = topo.sockets() as f64;
     let oversub = if threads > topo.len() { 0.2 } else { 0.0 };
     (0.1 + 0.05 * (sockets - 1.0) + oversub).clamp(0.0, 1.0)
@@ -669,13 +656,11 @@ mod tests {
             .is_err());
         assert!(AdaptivePolicy::new(0).with_gain(0.0).validate().is_err());
         assert!(AdaptivePolicy::new(0).with_gain(2.0).validate().is_err());
-        assert!(AdaptivePolicy::new(0)
-            .with_idle_target(0.9)
-            .validate()
-            .is_err());
-        assert!(AdaptivePolicy::new(0)
-            .with_cutoff_bounds(500, 100)
-            .validate()
-            .is_err());
+        let mut lax = AdaptivePolicy::new(0);
+        lax.idle_target = 0.9;
+        assert!(lax.validate().is_err());
+        let mut crossed = AdaptivePolicy::new(0);
+        (crossed.cutoff_min, crossed.cutoff_max) = (500, 100);
+        assert!(crossed.validate().is_err());
     }
 }

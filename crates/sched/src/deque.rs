@@ -112,20 +112,23 @@ impl Deque {
     }
 
     /// The fixed slot count.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.buf.len()
     }
 
     /// Entries currently in the deque (racy snapshot — exact only when
     /// quiescent).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
         (b - t).max(0) as usize
     }
 
     /// Whether the deque appears empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -173,6 +176,19 @@ impl Deque {
         Some(v)
     }
 
+    /// Owner-only: the entry [`pop`](Deque::pop) would return next,
+    /// without taking it. A thief can still win that entry (only when it
+    /// is the last one), so a `pop` that follows returns this value or
+    /// `None`, never another. The slot is the owner's own write and
+    /// `top` only says whether it is still unclaimed, so `Relaxed` loads
+    /// do.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<u64> {
+        let b = self.bottom.load(Ordering::Relaxed);
+        let t = self.top.load(Ordering::Relaxed);
+        (t < b).then(|| self.slot(b - 1).load(Ordering::Relaxed))
+    }
+
     /// Thief-safe: steal the oldest entry (FIFO). Callable from any
     /// thread, concurrently.
     #[inline]
@@ -208,8 +224,10 @@ mod tests {
         }
         assert_eq!(d.len(), 5);
         for v in (1..=5u64).rev() {
+            assert_eq!(d.peek(), Some(v), "peek names the next pop");
             assert_eq!(d.pop(), Some(v));
         }
+        assert_eq!(d.peek(), None);
         assert_eq!(d.pop(), None);
         assert!(d.is_empty());
     }

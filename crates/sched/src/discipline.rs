@@ -11,15 +11,15 @@
 //! task, popped locally, stolen from a seeded-random victim only when a
 //! worker's static and local dynamic queues are both empty.
 //!
-//! Both executors draw their victim order from [`steal_order`], so a
-//! steal behaves identically whether the machine is modelled or real.
+//! Both executors steal through the one `ReadyQueues`, so a steal
+//! behaves identically whether the machine is modelled or real.
 
 use std::fmt;
 
 use calu_rand::Rng;
 
 /// Default victim-selection seed, used by [`QueueDiscipline::sharded`].
-pub const DEFAULT_STEAL_SEED: u64 = 0x5eed_ca1e;
+const DEFAULT_STEAL_SEED: u64 = 0x5eed_ca1e;
 
 /// How the dynamic-section ready queue is organized.
 ///
@@ -120,7 +120,7 @@ impl fmt::Display for QueueDiscipline {
 /// worker (rather than probing a bounded sample) guarantees a steal
 /// succeeds whenever any shard is non-empty, so no worker parks while
 /// work exists.
-pub fn steal_order(rng: &mut Rng, me: usize, workers: usize) -> impl Iterator<Item = usize> {
+pub(crate) fn steal_order(rng: &mut Rng, me: usize, workers: usize) -> impl Iterator<Item = usize> {
     assert!(workers > 0, "steal_order needs at least one worker");
     let start = rng.gen_range(0..workers);
     (0..workers)

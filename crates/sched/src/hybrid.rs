@@ -1,4 +1,5 @@
-//! The paper's hybrid static/dynamic policy (Algorithms 1 and 2).
+//! The paper's hybrid static/dynamic policy (Algorithms 1 and 2), as
+//! the simulator drives it.
 //!
 //! Tasks writing tile columns `< Nstatic` are distributed statically to
 //! their block-cyclic owners; the rest form the dynamic section in DFS
@@ -8,64 +9,29 @@
 //! to the dynamic section — so the dynamic section is exactly the
 //! load-balancing reservoir that fills the static section's idle pockets.
 //!
-//! The dynamic section itself is organized by a [`QueueDiscipline`]:
-//!
-//! * [`QueueDiscipline::Global`] — one shared queue, the paper's
-//!   Algorithm 2 verbatim;
-//! * [`QueueDiscipline::Sharded`] — per-core priority shards with
-//!   randomized stealing; each shard keeps the DFS order, so even a
-//!   steal takes the victim's most critical task.
-//! * [`QueueDiscipline::LockFree`] — per-core Chase-Lev-style deques
-//!   (owner LIFO, thieves FIFO) with the locality-tiered victim sweep
-//!   of [`StealTiers`]; this is the decision-procedure model of the
-//!   real executor's lock-free deques, priced by the simulator with
-//!   locality-dependent steal costs.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+//! The queues themselves are one [`ReadyQueues`] value — the very
+//! structure the threaded engine's workers share — so every
+//! [`QueueDiscipline`] pushes, pops, groups, steals and rescues here by
+//! the code that does so on real threads. [`HybridPolicy`] is its
+//! sequential driver: it owns what the engine keeps per run or per
+//! worker (the owner map, the priority keys, one seeded victim-selection
+//! [`Rng`]) and turns the [`Policy`] calls into the engine's protocol.
+//! The successors one completion enables are published as one batch
+//! (they are collected until the next pop), a pop is
+//! [`ReadyQueues::pop_own`] and then [`ReadyQueues::steal`], a rescue is
+//! [`ReadyQueues::drain_static`]. Initially ready tasks, which no core
+//! enabled, are dealt round-robin over the cores.
 
 use calu_dag::{TaskGraph, TaskId, TaskKind};
 use calu_matrix::ProcessGrid;
 use calu_rand::Rng;
 
-use crate::discipline::{steal_order, QueueDiscipline};
+use crate::discipline::QueueDiscipline;
 use crate::owner::OwnerMap;
 use crate::policy::{Policy, Popped, QueueSource};
 use crate::priority::{dynamic_key, static_key};
-use crate::topology::{CpuTopology, StealOrder, StealTier, StealTiers};
-
-type Heap = BinaryHeap<Reverse<(u64, u32)>>;
-
-/// The dynamic section's queue organization (see module docs).
-enum DynSection {
-    /// One shared DFS-ordered queue.
-    Global(Heap),
-    /// Per-core DFS-ordered shards; `rr` scatters initially ready tasks,
-    /// `rng` drives victim selection for steals.
-    Sharded {
-        shards: Vec<Heap>,
-        rng: Rng,
-        rr: usize,
-        seed: u64,
-    },
-    /// Per-core deques modelling the executor's Chase-Lev deques: the
-    /// owner pops the back, thieves take the front in the
-    /// locality-tiered sweep order. A push sinks toward the front past
-    /// any more critical (smaller-key) back entries, so each deque
-    /// stays priority-sorted with its most critical entry at the
-    /// owner's end and its least critical at the thieves' end — the
-    /// decision-procedure idealization of the executor's rule (the real
-    /// deque sorts only within one completion's successor batch and is
-    /// LIFO across batches).
-    LockFree {
-        deques: Vec<VecDeque<(u64, u32)>>,
-        tiers: Vec<StealTiers>,
-        order: StealOrder,
-        rng: Rng,
-        rr: usize,
-        seed: u64,
-    },
-}
+use crate::ready::ReadyQueues;
+use crate::topology::{CpuTopology, StealOrder};
 
 /// See module docs.
 pub struct HybridPolicy {
@@ -74,13 +40,17 @@ pub struct HybridPolicy {
     static_keys: Vec<u64>,
     dynamic_keys: Vec<u64>,
     is_static: Vec<bool>,
-    local: Vec<Heap>,
-    dynamic: DynSection,
-    nstatic: usize,
+    queues: ReadyQueues,
+    rng: Rng,
+    /// Home of the next initially ready task.
+    rr: usize,
+    /// The batch being collected — tasks made ready since the last pop —
+    /// and the core whose side of the dynamic section it lands on.
+    pending: Vec<TaskId>,
+    pending_home: usize,
+    /// The tasks of the pop being served (scratch).
+    group: Vec<u32>,
     queued: usize,
-    /// Cores whose static queues were rescued ([`Policy::rescue`]):
-    /// their future static publishes reroute to the dynamic section.
-    lost: Vec<bool>,
     name: &'static str,
 }
 
@@ -99,40 +69,22 @@ impl HybridPolicy {
         topo: &CpuTopology,
         order: StealOrder,
     ) -> Self {
-        let owners = OwnerMap::new(g, grid);
         let kinds: Vec<TaskKind> = g.ids().map(|t| g.kind(t)).collect();
-        let is_static = kinds.iter().map(|k| k.writes_col() < nstatic).collect();
-        let cores = grid.size();
-        let dynamic = match queue {
-            QueueDiscipline::Global => DynSection::Global(BinaryHeap::new()),
-            QueueDiscipline::Sharded { seed } => DynSection::Sharded {
-                shards: (0..cores).map(|_| BinaryHeap::new()).collect(),
-                rng: Rng::seed_from_u64(seed),
-                rr: 0,
-                seed,
-            },
-            QueueDiscipline::LockFree { seed } => DynSection::LockFree {
-                deques: (0..cores).map(|_| VecDeque::new()).collect(),
-                tiers: (0..cores)
-                    .map(|me| StealTiers::for_worker(topo, me, cores))
-                    .collect(),
-                order,
-                rng: Rng::seed_from_u64(seed),
-                rr: 0,
-                seed,
-            },
-        };
         Self {
+            owners: OwnerMap::new(g, grid),
             static_keys: kinds.iter().map(static_key).collect(),
             dynamic_keys: kinds.iter().map(dynamic_key).collect(),
-            local: (0..grid.size()).map(|_| BinaryHeap::new()).collect(),
-            dynamic,
-            owners,
+            is_static: kinds.iter().map(|k| k.writes_col() < nstatic).collect(),
+            // any core's static share can be rescued at any time, so any
+            // task can reach the dynamic section
+            queues: ReadyQueues::new(grid.size(), g.len(), queue, order, topo),
             kinds,
-            is_static,
-            nstatic,
+            rng: Rng::seed_from_u64(queue.seed().unwrap_or_default()),
+            rr: 0,
+            pending: Vec::new(),
+            pending_home: 0,
+            group: Vec::new(),
             queued: 0,
-            lost: vec![false; cores],
             name: match queue {
                 QueueDiscipline::Global => "hybrid",
                 QueueDiscipline::Sharded { .. } => "hybrid (sharded)",
@@ -148,230 +100,88 @@ impl HybridPolicy {
         self
     }
 
-    /// The number of statically scheduled panels.
-    pub fn nstatic(&self) -> usize {
-        self.nstatic
+    /// Publish the collected batch, the way an engine worker publishes
+    /// what its completed group enabled.
+    fn flush(&mut self) {
+        let (owners, is_static) = (&self.owners, &self.is_static);
+        let (static_keys, dynamic_keys) = (&self.static_keys, &self.dynamic_keys);
+        self.queues.publish(
+            &mut self.pending,
+            self.pending_home,
+            |t| dynamic_keys[t.idx()],
+            |t| is_static[t.idx()].then(|| (owners.owner(t), static_keys[t.idx()])),
+        );
+        self.pending.clear();
     }
 
-    /// The dynamic-section queue discipline this policy runs.
-    pub fn discipline(&self) -> QueueDiscipline {
-        match &self.dynamic {
-            DynSection::Global(_) => QueueDiscipline::Global,
-            DynSection::Sharded { seed, .. } => QueueDiscipline::Sharded { seed: *seed },
-            DynSection::LockFree { seed, .. } => QueueDiscipline::LockFree { seed: *seed },
-        }
-    }
-
-    /// Publish a task into the dynamic section under `key` (the shared
-    /// path of `on_ready`'s dynamic arm and `rescue`'s republishing).
-    fn push_dynamic(&mut self, key: u64, t: TaskId, completer: Option<usize>) {
-        match &mut self.dynamic {
-            DynSection::Global(q) => q.push(Reverse((key, t.0))),
-            DynSection::Sharded { shards, rr, .. } => {
-                // push to the enabling core's shard (locality);
-                // scatter initially ready tasks round-robin
-                let home = completer.unwrap_or_else(|| {
-                    let c = *rr;
-                    *rr = (*rr + 1) % shards.len();
-                    c
-                });
-                shards[home].push(Reverse((key, t.0)));
-            }
-            DynSection::LockFree { deques, rr, .. } => {
-                let home = completer.unwrap_or_else(|| {
-                    let c = *rr;
-                    *rr = (*rr + 1) % deques.len();
-                    c
-                });
-                // sink toward the front past more critical
-                // (smaller-key) back entries so the owner's end
-                // stays the most critical (DynSection::LockFree docs)
-                let dq = &mut deques[home];
-                let mut at = dq.len();
-                while at > 0 && dq[at - 1].0 < key {
-                    at -= 1;
-                }
-                dq.insert(at, (key, t.0));
-            }
-        }
-    }
-
-    fn pop_local(&mut self, core: usize) -> Option<TaskId> {
-        self.local[core].pop().map(|Reverse((_, t))| {
-            self.queued -= 1;
-            TaskId(t)
-        })
-    }
-
-    /// Serve the dynamic section: the global queue, or (sharded) the
-    /// core's own shard first and a seeded-random victim sweep after.
-    fn pop_dynamic(&mut self, core: usize) -> Option<Popped> {
-        let popped = match &mut self.dynamic {
-            DynSection::Global(q) => q.pop().map(|Reverse((_, t))| Popped {
-                task: TaskId(t),
-                source: QueueSource::Global,
-            }),
-            DynSection::Sharded { shards, rng, .. } => {
-                if let Some(Reverse((_, t))) = shards[core].pop() {
-                    Some(Popped {
-                        task: TaskId(t),
-                        source: QueueSource::Shard,
-                    })
-                } else if shards.len() > 1 {
-                    let mut found = None;
-                    for victim in steal_order(rng, core, shards.len()) {
-                        if let Some(Reverse((_, t))) = shards[victim].pop() {
-                            found = Some(Popped {
-                                task: TaskId(t),
-                                source: QueueSource::Stolen,
-                            });
-                            break;
-                        }
-                    }
-                    found
-                } else {
-                    None
-                }
-            }
-            DynSection::LockFree {
-                deques,
-                tiers,
-                order,
-                rng,
-                ..
-            } => {
-                if let Some((_, t)) = deques[core].pop_back() {
-                    Some(Popped {
-                        task: TaskId(t),
-                        source: QueueSource::Shard,
-                    })
-                } else {
-                    let mut found = None;
-                    for (victim, tier) in tiers[core].sweep_ordered(*order, rng) {
-                        if let Some((_, t)) = deques[victim].pop_front() {
-                            found = Some(Popped {
-                                task: TaskId(t),
-                                source: match tier {
-                                    StealTier::Remote => QueueSource::StolenRemote,
-                                    _ => QueueSource::Stolen,
-                                },
-                            });
-                            break;
-                        }
-                    }
-                    found
-                }
+    /// Serve `core` into `self.group`: Algorithm 1's own-queue pop — up
+    /// to `max` updates of one `(k, j)` column step from the queue that
+    /// served the first, like the paper's grouped BLAS-3 calls — or else
+    /// one stolen task.
+    fn take(&mut self, core: usize, max: usize) -> Option<QueueSource> {
+        self.flush();
+        let kinds = &self.kinds;
+        let same_step = |_, last: u32, next: u32| {
+            matches!(
+                (kinds[last as usize], kinds[next as usize]),
+                (TaskKind::Update { k, j, .. }, TaskKind::Update { k: nk, j: nj, .. })
+                    if k == nk && j == nj
+            )
+        };
+        let source = match self.queues.pop_own(core, max, &mut self.group, same_step) {
+            Some(source) => source,
+            None => {
+                // sequential, so a sweep never fails: it is tried only
+                // while a dynamic task is queued, and nothing moves
+                // between that check and the probes
+                let (t, source) = self.queues.steal(core, &mut self.rng, &mut 0)?;
+                self.group.push(t);
+                source
             }
         };
-        if popped.is_some() {
-            self.queued -= 1;
-        }
-        popped
+        self.queued -= self.group.len();
+        Some(source)
     }
 }
 
 impl Policy for HybridPolicy {
     fn on_ready(&mut self, t: TaskId, completer: Option<usize>) {
-        self.queued += 1;
-        if self.is_static[t.idx()] {
-            let owner = self.owners.owner(t);
-            if !self.lost[owner] {
-                self.local[owner].push(Reverse((self.static_keys[t.idx()], t.0)));
-                return;
-            }
-            // the owner was rescued: its static share rides the dynamic
-            // section under the DFS order, like every dynamic task
+        let home = completer.unwrap_or_else(|| {
+            let next = self.rr;
+            self.rr = (next + 1) % self.owners.grid().size();
+            next
+        });
+        if home != self.pending_home {
+            self.flush();
+            self.pending_home = home;
         }
-        self.push_dynamic(self.dynamic_keys[t.idx()], t, completer);
+        self.pending.push(t);
+        self.queued += 1;
     }
 
     fn rescue(&mut self, core: usize) -> usize {
-        self.lost[core] = true;
-        let drained: Vec<TaskId> = std::mem::take(&mut self.local[core])
-            .into_sorted_vec()
-            .into_iter()
-            .map(|Reverse((_, t))| TaskId(t))
-            .collect();
-        for &t in &drained {
-            self.push_dynamic(self.dynamic_keys[t.idx()], t, None);
-        }
-        drained.len()
+        self.flush();
+        let keys = &self.dynamic_keys;
+        self.queues.drain_static(core, |t| keys[t.idx()]) as usize
     }
 
     fn pop(&mut self, core: usize) -> Option<Popped> {
-        if let Some(task) = self.pop_local(core) {
-            return Some(Popped {
-                task,
-                source: QueueSource::Local,
-            });
-        }
-        self.pop_dynamic(core)
+        let source = self.take(core, 1)?;
+        Some(Popped {
+            task: TaskId(self.group[0]),
+            source,
+        })
     }
 
     fn pop_batch(&mut self, core: usize, max: usize) -> Vec<Popped> {
-        let Some(first) = self.pop(core) else {
+        let Some(source) = self.take(core, max) else {
             return vec![];
         };
-        let mut batch = vec![first];
-        // a thief takes exactly one task — the rest of the victim's
-        // shard keeps its locality
-        if first.source.is_stolen() {
-            return batch;
-        }
-        // group the head run of updates of one (k, j) column step, like
-        // the paper's grouped BLAS-3 calls — always from the same queue
-        // the first task came from
-        let TaskKind::Update { k, j, .. } = self.kinds[first.task.idx()] else {
-            return batch;
+        let popped = |&t| Popped {
+            task: TaskId(t),
+            source,
         };
-        let same_step = |kinds: &[TaskKind], t: u32| {
-            matches!(kinds[t as usize],
-                TaskKind::Update { k: hk, j: hj, .. } if hk == k && hj == j)
-        };
-        while batch.len() < max {
-            let kinds = &self.kinds;
-            // the lock-free deque continues from the owner's (back) end;
-            // every heap-backed queue continues from its head
-            if let (QueueSource::Shard, DynSection::LockFree { deques, .. }) =
-                (first.source, &mut self.dynamic)
-            {
-                let same = deques[core]
-                    .back()
-                    .is_some_and(|&(_, t)| same_step(kinds, t));
-                if !same {
-                    break;
-                }
-                let (_, t) = deques[core].pop_back().expect("peeked");
-                self.queued -= 1;
-                batch.push(Popped {
-                    task: TaskId(t),
-                    source: first.source,
-                });
-                continue;
-            }
-            let heap = match first.source {
-                QueueSource::Local => &mut self.local[core],
-                _ => match &mut self.dynamic {
-                    DynSection::Global(q) => q,
-                    DynSection::Sharded { shards, .. } => &mut shards[core],
-                    DynSection::LockFree { .. } => unreachable!("handled above"),
-                },
-            };
-            let same = heap
-                .peek()
-                .map(|Reverse((_, t))| same_step(kinds, *t))
-                .unwrap_or(false);
-            if !same {
-                break;
-            }
-            let Reverse((_, t)) = heap.pop().expect("peeked");
-            self.queued -= 1;
-            batch.push(Popped {
-                task: TaskId(t),
-                source: first.source,
-            });
-        }
-        batch
+        self.group.iter().map(popped).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -420,7 +230,6 @@ mod tests {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let p = hybrid(&g, grid, 0.25); // nstatic = 6
-        assert_eq!(p.nstatic(), 6);
         for t in g.ids() {
             assert_eq!(p.is_static[t.idx()], g.kind(t).writes_col() < 6);
         }
@@ -613,6 +422,115 @@ mod tests {
         assert_eq!(Nothing.rescue(0), 0);
     }
 
+    // ----- one queue set, two drivers ------------------------------------
+
+    /// Serialized drain through `pop_batch(core, max)`, cores in turn:
+    /// the FNV-1a hash of every pop's (task id, source, core), in order.
+    fn drain_fingerprint(p: &mut dyn Policy, g: &TaskGraph, max: usize) -> (usize, u64) {
+        let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
+        for t in g.initial_ready() {
+            p.on_ready(t, None);
+        }
+        let (mut done, mut hash) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+        while done < g.len() {
+            let before = done;
+            for core in 0..4 {
+                for popped in p.pop_batch(core, max) {
+                    for word in [popped.task.0 as u64, popped.source as u64, core as u64] {
+                        hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                    done += 1;
+                    for &s in g.successors(popped.task) {
+                        deps[s.idx()] -= 1;
+                        if deps[s.idx()] == 0 {
+                            p.on_ready(s, Some(core));
+                        }
+                    }
+                }
+            }
+            assert!(done > before, "policy starved");
+        }
+        (done, hash)
+    }
+
+    #[test]
+    fn global_drain_is_the_one_captured_before_the_queues_merged() {
+        // fingerprints printed by this very loop on commit 38b40c2, when
+        // the policy still queued through a dynamic section of its own:
+        // the paper-default discipline must not have moved by a single pop
+        let g = graph();
+        let grid = ProcessGrid::new(2, 2).unwrap();
+        let grouped = drain_fingerprint(&mut hybrid(&g, grid, 0.1), &g, 3);
+        assert_eq!(grouped, (268, 0xaa9e_f661_9166_d201), "h10, group = 3");
+        let columns = drain_fingerprint(&mut hybrid(&g, grid, 1.0), &g, usize::MAX);
+        assert_eq!(columns, (268, 0xec37_26ba_acbf_6937), "dynamic, by column");
+    }
+
+    #[test]
+    fn the_policy_and_a_bare_queue_set_driven_like_the_engine_agree() {
+        // the engine's protocol, serialized: publish what a completion
+        // enabled on the completer's side, `pop_own`, else `steal`
+        let g = graph();
+        let grid = ProcessGrid::new(2, 2).unwrap();
+        let topo = CpuTopology::flat(4);
+        for queue in [
+            QueueDiscipline::Global,
+            QueueDiscipline::Sharded { seed: 11 },
+            QueueDiscipline::LockFree { seed: 11 },
+        ] {
+            let nstatic = nstatic_for(0.3, g.num_panels());
+            let mut policy = with_discipline(&g, grid, 0.3, queue);
+            let bare = ReadyQueues::new(4, g.len(), queue, StealOrder::default(), &topo);
+            let owners = OwnerMap::new(&g, grid);
+            let publish = |ready: &mut [TaskId], home| {
+                bare.publish(
+                    ready,
+                    home,
+                    |t| dynamic_key(&g.kind(t)),
+                    |t| {
+                        (g.kind(t).writes_col() < nstatic)
+                            .then(|| (owners.owner(t), static_key(&g.kind(t))))
+                    },
+                )
+            };
+            // nobody enabled the initially ready tasks: the policy deals
+            // them round-robin, one batch each
+            for (x, &t) in g.initial_ready().iter().enumerate() {
+                policy.on_ready(t, None);
+                publish(&mut [t], x % 4);
+            }
+            let mut rng = Rng::seed_from_u64(11);
+            let mut deps: Vec<u32> = g.ids().map(|t| g.dep_count(t)).collect();
+            let (mut done, mut group, mut ready) = (0, Vec::new(), Vec::new());
+            while done < g.len() {
+                for core in 0..4 {
+                    let direct = bare
+                        .pop_own(core, 1, &mut group, |_, _, _| false)
+                        .map(|source| (group[0], source))
+                        .or_else(|| bare.steal(core, &mut rng, &mut 0));
+                    let popped = policy.pop(core);
+                    assert_eq!(
+                        popped.map(|p| (p.task.0, p.source)),
+                        direct,
+                        "{queue}: pop {done} on core {core}"
+                    );
+                    let Some(popped) = popped else { continue };
+                    done += 1;
+                    ready.clear();
+                    for &s in g.successors(popped.task) {
+                        deps[s.idx()] -= 1;
+                        if deps[s.idx()] == 0 {
+                            policy.on_ready(s, Some(core));
+                            ready.push(s);
+                        }
+                    }
+                    publish(&mut ready, core);
+                }
+            }
+            assert_eq!(policy.queued(), 0);
+        }
+    }
+
     // ----- sharded discipline -----------------------------------------
 
     fn sharded(g: &TaskGraph, grid: ProcessGrid, dratio: f64) -> HybridPolicy {
@@ -729,9 +647,7 @@ mod tests {
         let grid = ProcessGrid::new(2, 2).unwrap();
         assert_eq!(hybrid(&g, grid, 0.1).name(), "hybrid");
         assert_eq!(sharded(&g, grid, 0.1).name(), "hybrid (sharded)");
-        assert!(sharded(&g, grid, 0.1).discipline().is_sharded());
         assert_eq!(lockfree(&g, grid, 0.1).name(), "hybrid (lockfree)");
-        assert!(lockfree(&g, grid, 0.1).discipline().is_lock_free());
     }
 
     // ----- lock-free discipline ---------------------------------------
@@ -740,64 +656,70 @@ mod tests {
         with_discipline(g, grid, dratio, QueueDiscipline::LockFree { seed: 42 })
     }
 
-    #[test]
-    fn lockfree_owner_pops_its_own_deque_in_priority_order() {
-        let g = graph();
-        let grid = ProcessGrid::new(2, 2).unwrap();
-        let mut p = lockfree(&g, grid, 1.0);
-        let late = g
-            .ids()
-            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, i: 1, j: 7 }))
-            .unwrap();
-        let early = g
-            .ids()
-            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, i: 1, j: 1 }))
-            .unwrap();
-        // pushed least critical first: the sink keeps the owner's end
-        // most critical either way
-        p.on_ready(late, Some(2));
-        p.on_ready(early, Some(2));
-        let first = p.pop(2).unwrap();
-        assert_eq!(first.task, early, "own pop serves the DFS order");
-        assert_eq!(first.source, QueueSource::Shard);
-        assert_eq!(p.pop(2).unwrap().task, late);
+    /// The `k = 0` update of tile `(1, j)`: the smaller `j`, the more
+    /// critical under Algorithm 2's DFS column order.
+    fn update_in_column(g: &TaskGraph, j: u32) -> TaskId {
+        g.ids()
+            .find(|&t| g.kind(t) == TaskKind::Update { k: 0, i: 1, j })
+            .unwrap()
     }
 
     #[test]
-    fn lockfree_steals_take_the_cold_end_and_tag_locality() {
+    fn lockfree_owner_pops_the_newest_batch_most_critical_first() {
+        let g = graph();
+        let grid = ProcessGrid::new(2, 2).unwrap();
+        let mut p = lockfree(&g, grid, 1.0);
+        let col = |j| update_in_column(&g, j);
+        // an old batch {7, 1, 4}, a pop, then a newer batch {6, 2}
+        p.on_ready(col(7), Some(2));
+        p.on_ready(col(1), Some(2));
+        p.on_ready(col(4), Some(2));
+        let first = p.pop(2).unwrap();
+        assert_eq!(first.task, col(1), "a batch is served in DFS order");
+        assert_eq!(first.source, QueueSource::Shard);
+        p.on_ready(col(6), Some(2));
+        p.on_ready(col(2), Some(2));
+        // the deque is LIFO across batches: the newer one goes first,
+        // although the older one holds a more critical task than its 6
+        let order: Vec<TaskId> = std::iter::from_fn(|| p.pop(2)).map(|pp| pp.task).collect();
+        assert_eq!(order, [col(2), col(6), col(4), col(7)]);
+    }
+
+    #[test]
+    fn lockfree_steals_take_the_oldest_batchs_least_critical_task_and_tag_locality() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         // 2 sockets × 2 cores: cores {0,1} on socket 0, {2,3} on socket 1
         let topo = CpuTopology::uniform(2, 2);
-        let nstatic = 0;
         let mut p = HybridPolicy::new(
             &g,
             grid,
-            nstatic,
+            0,
             QueueDiscipline::LockFree { seed: 7 },
             &topo,
             StealOrder::default(),
         );
-        let late = g
-            .ids()
-            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, i: 1, j: 7 }))
-            .unwrap();
-        let early = g
-            .ids()
-            .find(|&t| matches!(g.kind(t), TaskKind::Update { k: 0, i: 1, j: 1 }))
-            .unwrap();
-        p.on_ready(early, Some(0));
-        p.on_ready(late, Some(0));
-        // same-socket thief: core 1 steals core 0's cold (least
-        // critical) end, tagged as a near steal
+        let col = |j| update_in_column(&g, j);
+        // core 0 holds an old batch {3, 5} and, one pop later, a newer
+        // and less critical one {6, 7}
+        for j in [1, 3, 5] {
+            p.on_ready(col(j), Some(0));
+        }
+        assert_eq!(p.pop(0).unwrap().task, col(1));
+        p.on_ready(col(6), Some(0));
+        p.on_ready(col(7), Some(0));
+        // same-socket thief: core 1 steals the cold end — the old batch's
+        // least critical task, not the deque's — tagged as a near steal
         let near = p.pop(1).unwrap();
-        assert_eq!(near.task, late, "steal takes the cold end");
+        assert_eq!(near.task, col(5), "steal takes the cold end");
         assert_eq!(near.source, QueueSource::Stolen);
         // remote thief: core 3 sits on the other socket
         let far = p.pop(3).unwrap();
-        assert_eq!(far.task, early);
+        assert_eq!(far.task, col(3));
         assert_eq!(far.source, QueueSource::StolenRemote);
-        assert_eq!(p.queued(), 0);
+        // the victim kept its newest, hottest batch
+        assert_eq!(p.pop(0).unwrap().task, col(6));
+        assert_eq!(p.queued(), 1);
     }
 
     #[test]

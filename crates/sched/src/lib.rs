@@ -19,16 +19,20 @@
 //! [`WorkStealingPolicy`] — Cilk-style randomized work stealing — is the
 //! §8 comparison point and the only other [`Policy`].
 //!
-//! Policies are *decision procedures*, not executors: both the
+//! Policies are *decision procedures*, not executors — and the
 //! discrete-event simulator (`calu-sim`) and the real threaded executor
-//! (`calu-core`) consult the same ownership map ([`OwnerMap`]) and
-//! priority orders ([`priority`]). They still queue through two types:
-//! the simulator drives the policy's sequential dynamic section, whose
-//! lock-free variant is a priority-sorted idealization of a deque, while
-//! the executor's workers share a concurrent [`ReadyQueues`] over real
-//! Chase-Lev [`Deque`]s (LIFO across completion batches). Merging them
-//! would change the simulated `lockfree` schedules, so it is a modelling
-//! decision, not a refactor.
+//! (`calu-core`) decide with the same parts: the ownership map
+//! ([`OwnerMap`]), the priority orders ([`priority`]) and **one
+//! ready-queue set**, [`ReadyQueues`] — a static heap per worker plus
+//! the dynamic section under its [`QueueDiscipline`], over real
+//! Chase-Lev [`Deque`]s for the lock-free one. It has two drivers. The
+//! engine's workers share a `ReadyQueues` value per run and call it
+//! concurrently; [`HybridPolicy`] owns one and calls it one event at a
+//! time, in the engine's protocol (publish a completion's successors as
+//! one batch, pop own queues, else steal; rescue is the dying worker's
+//! drain). What the simulator schedules is therefore what the threads
+//! run: the same batch order on the deques, the same victim sweeps, the
+//! same §4 grouping loop at the pop.
 //!
 //! ## The `QueueDiscipline` matrix
 //!
@@ -43,7 +47,7 @@
 //! | Discipline | Structure | Default for | Steal counters | Pick it when |
 //! |---|---|---|---|---|
 //! | [`QueueDiscipline::Global`] | one shared mutex'd priority heap in Algorithm 2's DFS order | the **simulator** (paper-verbatim, keeps the reproduced figures faithful) and any plan without a dynamic section | none (never steals) | reproducing the paper's numbers; low thread counts where one lock never contends |
-//! | [`QueueDiscipline::Sharded`] | per-worker mutex'd priority shards; seeded randomized victim sweep ([`steal_order`]) | opt-in | `stolen_pops`, `failed_steals` | the **parity oracle**: simple invariants (each shard keeps DFS priority, steals take the victim's most critical task) for debugging the lock-free path against |
+//! | [`QueueDiscipline::Sharded`] | per-worker mutex'd priority shards; seeded randomized victim sweep | opt-in | `stolen_pops`, `failed_steals` | the **parity oracle**: simple invariants (each shard keeps DFS priority, steals take the victim's most critical task) for debugging the lock-free path against |
 //! | [`QueueDiscipline::LockFree`] | per-worker Chase-Lev deques ([`Deque`], owner-LIFO / thief-FIFO) swept in the locality-tiered order of [`StealTiers`] (SMT sibling → same socket → remote) | the **threaded backend** whenever a dynamic section exists | `stolen_pops`, `failed_steals`, plus `remote_steal_pops` — the only discipline that classifies steal locality | production throughput, NUMA machines, high thread counts |
 //!
 //! Guarantees shared by the stealing disciplines: a steal sweep visits
@@ -73,7 +77,7 @@ pub use adaptive::{
 };
 pub use config::{nstatic_for, SchedulerKind};
 pub use deque::{Deque, Steal};
-pub use discipline::{steal_order, QueueDiscipline, DEFAULT_STEAL_SEED};
+pub use discipline::QueueDiscipline;
 pub use hybrid::HybridPolicy;
 pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;

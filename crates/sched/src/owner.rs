@@ -37,20 +37,6 @@ impl OwnerMap {
     pub fn grid(&self) -> ProcessGrid {
         self.grid
     }
-
-    /// Number of threads.
-    pub fn threads(&self) -> usize {
-        self.grid.size()
-    }
-
-    /// Tasks per thread (for load inspection).
-    pub fn histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.threads()];
-        for &o in &self.owners {
-            h[o as usize] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -79,18 +65,6 @@ mod tests {
                 assert_eq!(map.owner(t), grid.owner(i as usize, j as usize));
             }
         }
-    }
-
-    #[test]
-    fn histogram_sums_to_task_count() {
-        let g = TaskGraph::build(500, 500, 100);
-        let grid = ProcessGrid::new(2, 2).unwrap();
-        let map = OwnerMap::new(&g, grid);
-        let h = map.histogram();
-        assert_eq!(h.iter().sum::<usize>(), g.len());
-        // a 2x2 cyclic distribution of a 5x5-tile problem keeps all
-        // threads busy: nobody owns zero tasks
-        assert!(h.iter().all(|&c| c > 0));
     }
 
     #[test]

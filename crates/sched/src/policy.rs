@@ -28,7 +28,8 @@ pub enum QueueSource {
 
 impl QueueSource {
     /// Whether the task was obtained by stealing (either locality).
-    pub fn is_stolen(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_stolen(&self) -> bool {
         matches!(self, QueueSource::Stolen | QueueSource::StolenRemote)
     }
 }

@@ -1,6 +1,7 @@
-//! The concurrent ready-queue set of one factorization run — the real
-//! executor's counterpart of [`HybridPolicy`](crate::HybridPolicy)'s
-//! single-threaded decision procedure.
+//! The ready-queue set of one factorization run — the one
+//! implementation of the paper's Algorithms 1 and 2, driven by the
+//! threaded engine's workers concurrently and by the simulator's
+//! [`HybridPolicy`](crate::HybridPolicy) one call at a time.
 //!
 //! A [`ReadyQueues`] value holds Algorithm 1's two halves for one task
 //! graph: a **static heap per worker** (tasks whose output tile the
@@ -11,19 +12,20 @@
 //! * [`QueueDiscipline::Global`] — one shared mutex'd heap in
 //!   Algorithm 2's DFS order (the paper's implementation);
 //! * [`QueueDiscipline::Sharded`] — one mutex'd heap per worker, pushed
-//!   by the worker that enabled the task, popped locally, stolen in the
-//!   seeded-random order of [`steal_order`];
+//!   by the worker that enabled the task, popped locally, stolen in a
+//!   seeded-random victim order;
 //! * [`QueueDiscipline::LockFree`] — one Chase-Lev [`Deque`] per worker
 //!   (owner LIFO, thieves FIFO), stolen in the locality-tiered order of
 //!   [`StealTiers`].
 //!
-//! The queues schedule opaque `u32` task ids with caller-supplied keys;
-//! they know nothing about tiles or kernels. Everything an executor
-//! needs from them is written here once: [`push_static`] (with the
-//! degraded-owner reroute), [`push_dynamic`], [`pop_own`] (which also
-//! claims the paper's §4 *group* — the run of static tasks at the top of
-//! the worker's heap that the caller says belong in one BLAS-3 call),
-//! [`steal`] and [`drain_static`] (a lost worker's static-task rescue).
+//! The queues schedule task ids with caller-supplied keys; they know
+//! nothing about tiles or kernels. Everything a driver needs from them
+//! is written here once: [`publish`] (one completion's successors, least
+//! critical first, with the degraded-owner reroute), [`pop_own`] (which
+//! also claims the paper's §4 *group* — the run of tasks at the worker's
+//! end of the queue that served the first one, for as long as the caller
+//! says they belong in one BLAS-3 call), [`steal`] and [`drain_static`]
+//! (a lost worker's static-task rescue).
 //!
 //! Every word a worker writes per task — its heap's and shard's lock
 //! words, its deque's ends, the queued-task counter — sits [`Padded`] on
@@ -32,15 +34,14 @@
 //!
 //! ## Single-owner contract of the lock-free deques
 //!
-//! `home` in the push calls names the deque a dynamic task lands on.
-//! While workers are running, worker `w` may only pass `home = w` (its
-//! own deque; [`Deque::push`] is owner-only) — the engine's initially
-//! ready tasks included, which the worker that completes a run's fill
-//! phase pushes on its own side. Any `home` is allowed while no worker
-//! can reach the queues yet.
+//! `home` in [`publish`] names the deque a dynamic task lands on. While
+//! workers are running, worker `w` may only pass `home = w` (its own
+//! deque; [`Deque::push`] is owner-only) — the engine's initially ready
+//! tasks included, which the worker that completes a run's fill phase
+//! pushes on its own side. Any `home` is allowed while no worker can
+//! reach the queues yet, and always from a sequential driver.
 //!
-//! [`push_static`]: ReadyQueues::push_static
-//! [`push_dynamic`]: ReadyQueues::push_dynamic
+//! [`publish`]: ReadyQueues::publish
 //! [`pop_own`]: ReadyQueues::pop_own
 //! [`steal`]: ReadyQueues::steal
 //! [`drain_static`]: ReadyQueues::drain_static
@@ -51,6 +52,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use calu_dag::TaskId;
 use calu_rand::Rng;
 
 use crate::deque::{Deque, Steal};
@@ -80,12 +82,37 @@ const _: () = assert!(std::mem::size_of::<Padded<AtomicUsize>>() == 128);
 const _: () = assert!(std::mem::align_of::<Deque>() == 128);
 const _: () = assert!(std::mem::size_of::<Deque>().is_multiple_of(128));
 
-type Heap = Mutex<BinaryHeap<Reverse<(u64, u32)>>>;
+type Keyed = BinaryHeap<Reverse<(u64, u32)>>;
+type Heap = Mutex<Keyed>;
 
 /// Lock a heap, ignoring poisoning: a heap is valid after every push
 /// and pop, so a panicking holder leaves nothing half-updated.
-fn lock(heap: &Heap) -> MutexGuard<'_, BinaryHeap<Reverse<(u64, u32)>>> {
+fn lock(heap: &Heap) -> MutexGuard<'_, Keyed> {
     heap.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Pop `q`'s head into `group` and go on claiming the new head for as
+/// long as `joins(last claimed, head)` accepts it, up to `max` members;
+/// false when `q` is empty.
+fn claim_run(
+    q: &mut Keyed,
+    max: usize,
+    group: &mut Vec<u32>,
+    mut joins: impl FnMut(u32, u32) -> bool,
+) -> bool {
+    let Some(Reverse((_, mut last))) = q.pop() else {
+        return false;
+    };
+    group.push(last);
+    while group.len() < max {
+        match q.peek() {
+            Some(&Reverse((_, next))) if joins(last, next) => last = next,
+            _ => break,
+        }
+        q.pop();
+        group.push(last);
+    }
+    true
 }
 
 fn heaps(n: usize) -> Vec<Padded<Heap>> {
@@ -182,21 +209,40 @@ impl ReadyQueues {
         }
     }
 
+    /// Queue the tasks one completion made ready (or a run's initially
+    /// ready ones): a task `static_slot` places — `(owner, static key)` —
+    /// on its owner's static heap, every other one in the dynamic
+    /// section on worker `home`'s side, the worker that enabled it, so it
+    /// tends to run where its inputs are warm (see the module docs for
+    /// the lock-free single-owner contract). The batch goes in
+    /// *descending* `dynamic_key` order (least critical first): the
+    /// heaps don't care, and a lock-free owner's LIFO pop then serves the
+    /// batch most-critical first while a FIFO thief takes its least
+    /// critical leftover — the victim keeps its critical-path work.
+    pub fn publish(
+        &self,
+        ready: &mut [TaskId],
+        home: usize,
+        dynamic_key: impl Fn(TaskId) -> u64,
+        static_slot: impl Fn(TaskId) -> Option<(usize, u64)>,
+    ) {
+        if ready.len() > 1 {
+            ready.sort_unstable_by_key(|&t| Reverse(dynamic_key(t)));
+        }
+        for &t in ready.iter() {
+            match static_slot(t) {
+                Some((owner, key)) => self.push_static(t.0, owner, key, dynamic_key(t), home),
+                None => self.push_dynamic(t.0, dynamic_key(t), home),
+            }
+        }
+    }
+
     /// Queue a ready static task on its owner's heap — or, when the
     /// owner is degraded, rescue it into the dynamic section instead
     /// (counted against the owner). The flag is checked under the
-    /// owner's heap lock, the same lock [`drain_static`] holds while
+    /// owner's heap lock, the same lock `drain_static` holds while
     /// draining, so no task can slip into a heap nobody will serve.
-    ///
-    /// [`drain_static`]: Self::drain_static
-    pub fn push_static(
-        &self,
-        task: u32,
-        owner: usize,
-        static_key: u64,
-        dynamic_key: u64,
-        home: usize,
-    ) {
+    fn push_static(&self, task: u32, owner: usize, static_key: u64, dynamic_key: u64, home: usize) {
         let mut q = lock(&self.local[owner]);
         if self.degraded[owner].load(Ordering::Acquire) {
             drop(q);
@@ -207,11 +253,9 @@ impl ReadyQueues {
         q.push(Reverse((static_key, task)));
     }
 
-    /// Queue a ready task into the dynamic section. Under the stealing
-    /// disciplines it lands on `home`'s shard/deque — the worker that
-    /// enabled it, so it tends to run where its inputs are warm (see
-    /// the module docs for the lock-free single-owner contract).
-    pub fn push_dynamic(&self, task: u32, dynamic_key: u64, home: usize) {
+    /// Queue a ready task into the dynamic section, on `home`'s
+    /// shard/deque under the stealing disciplines.
+    fn push_dynamic(&self, task: u32, dynamic_key: u64, home: usize) {
         match &self.dynamic {
             Dynamic::Global(q) => lock(q).push(Reverse((dynamic_key, task))),
             Dynamic::Sharded(shards) => {
@@ -236,50 +280,49 @@ impl ReadyQueues {
     /// otherwise; Algorithm 2's DFS order is baked into the keys).
     ///
     /// The tasks popped replace the contents of `group`, in pop order.
-    /// A static pop keeps the heap lock and goes on claiming the task at
-    /// the top of the heap for as long as `joins(last claimed,
-    /// candidate)` accepts it, up to `max` members — the caller's one
-    /// BLAS-3 call over several owned tiles. Only the owner pops this
-    /// heap, so a group costs no load balance: nobody else could have
-    /// run its members. A dynamic pop is always a single task.
+    /// Whichever queue served the first task, the pop stays on it — a
+    /// heap under its lock, the deque at the owner's end — and goes on
+    /// claiming its next task for as long as `joins(source, last
+    /// claimed, candidate)` accepts it, up to `max` members: the caller's
+    /// one BLAS-3 call over several tiles (§4). Only the owner pops its
+    /// static heap, so a group from there costs no load balance; a group
+    /// from the dynamic section takes work another worker could have
+    /// run, which is the caller's trade to make through `joins`.
     pub fn pop_own(
         &self,
         me: usize,
         max: usize,
         group: &mut Vec<u32>,
-        mut joins: impl FnMut(u32, u32) -> bool,
+        mut joins: impl FnMut(QueueSource, u32, u32) -> bool,
     ) -> Option<QueueSource> {
         group.clear();
-        {
-            let mut q = lock(&self.local[me]);
-            if let Some(Reverse((_, first))) = q.pop() {
-                let mut last = first;
-                group.push(first);
-                while group.len() < max {
-                    match q.peek() {
-                        Some(&Reverse((_, next))) if joins(last, next) => last = next,
-                        _ => break,
-                    }
-                    q.pop();
+        let mut from = |heap: &Heap, source| {
+            claim_run(&mut lock(heap), max, group, |a, b| joins(source, a, b)).then_some(source)
+        };
+        if let Some(source) = from(&self.local[me], QueueSource::Local) {
+            return Some(source);
+        }
+        let source = match &self.dynamic {
+            Dynamic::Global(q) => return from(q, QueueSource::Global),
+            Dynamic::Sharded(shards) => from(&shards[me], QueueSource::Shard)?,
+            Dynamic::LockFree { deques, .. } => {
+                let (mine, source) = (&deques[me], QueueSource::Shard);
+                let mut last = mine.pop()? as u32;
+                group.push(last);
+                while group.len() < max
+                    && mine
+                        .peek()
+                        .is_some_and(|next| joins(source, last, next as u32))
+                {
+                    // a thief may have won the peeked entry meanwhile
+                    let Some(next) = mine.pop() else { break };
+                    last = next as u32;
                     group.push(last);
                 }
-                return Some(QueueSource::Local);
+                source
             }
-        }
-        let (t, source) = match &self.dynamic {
-            Dynamic::Global(q) => lock(q)
-                .pop()
-                .map(|Reverse((_, t))| (t, QueueSource::Global)),
-            Dynamic::Sharded(shards) => lock(&shards[me]).pop().map(|Reverse((_, t))| {
-                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                (t, QueueSource::Shard)
-            }),
-            Dynamic::LockFree { deques, .. } => deques[me].pop().map(|v| {
-                self.dyn_queued.fetch_sub(1, Ordering::AcqRel);
-                (v as u32, QueueSource::Shard)
-            }),
-        }?;
-        group.push(t);
+        };
+        self.dyn_queued.fetch_sub(group.len(), Ordering::AcqRel);
         Some(source)
     }
 
@@ -334,14 +377,13 @@ impl ReadyQueues {
 
     /// Static-task rescue, called by worker `me` when it stops serving
     /// its static heap (it is dying): flag it degraded and drain its
-    /// heap *under the heap lock* (the lock [`push_static`]'s reroute
-    /// checks under), then republish the backlog into the dynamic
-    /// section for the survivors, keyed by `dynamic_key`. Returns how
-    /// many tasks moved. The exclusive-writer DAG keeps the factors
-    /// bitwise-identical no matter who ends up running them.
-    ///
-    /// [`push_static`]: Self::push_static
-    pub fn drain_static(&self, me: usize, dynamic_key: impl Fn(u32) -> u64) -> u64 {
+    /// heap *under the heap lock* (the lock a [`publish`](Self::publish)
+    /// checks the flag under before it reroutes), then republish the
+    /// backlog into the dynamic section for the survivors, keyed by
+    /// `dynamic_key`. Returns how many tasks moved. The exclusive-writer
+    /// DAG keeps the factors bitwise-identical no matter who ends up
+    /// running them.
+    pub fn drain_static(&self, me: usize, dynamic_key: impl Fn(TaskId) -> u64) -> u64 {
         let drained: Vec<u32> = {
             let mut q = lock(&self.local[me]);
             self.degraded[me].store(true, Ordering::Release);
@@ -349,13 +391,13 @@ impl ReadyQueues {
         };
         self.rescued[me].fetch_add(drained.len() as u64, Ordering::Relaxed);
         for &t in &drained {
-            self.push_dynamic(t, dynamic_key(t), me);
+            self.push_dynamic(t, dynamic_key(TaskId(t)), me);
         }
         drained.len() as u64
     }
 
-    /// Flag `worker` degraded without draining: every later
-    /// [`push_static`](Self::push_static) for it reroutes. For queues
+    /// Flag `worker` degraded without draining: every static task
+    /// [`publish`](Self::publish)ed for it from now on reroutes. For queues
     /// nothing has been pushed into yet (a run published after the
     /// worker was lost, or a persistently slow worker).
     pub fn mark_degraded(&self, worker: usize) {
@@ -387,7 +429,7 @@ mod tests {
     /// [`ReadyQueues::pop_own`] without grouping.
     fn pop_one(q: &ReadyQueues, me: usize) -> Option<(u32, QueueSource)> {
         let mut group = Vec::new();
-        let source = q.pop_own(me, 1, &mut group, |_, _| unreachable!("max is 1"))?;
+        let source = q.pop_own(me, 1, &mut group, |_, _, _| unreachable!("max is 1"))?;
         assert_eq!(group.len(), 1);
         Some((group[0], source))
     }
@@ -443,33 +485,43 @@ mod tests {
     }
 
     #[test]
-    fn a_static_pop_claims_the_run_at_the_top_of_the_heap_that_joins() {
+    fn a_pop_claims_the_run_that_joins_from_the_queue_that_served_the_first() {
         for queue in ALL {
             let q = queues(2, queue);
-            // keys 1..=6 on worker 0's heap; a chain joins consecutive
+            // keys 1..=8 on worker 0's heap; a chain joins consecutive
             // ids only, so 3 (missing) breaks it and 5 → 7 does too
             for t in [1u32, 2, 4, 5, 7, 8] {
                 q.push_static(t, 0, t as u64, t as u64, 0);
             }
-            q.push_dynamic(20, 1, 0);
-            q.push_dynamic(21, 2, 0);
-            let consecutive = |last: u32, next: u32| next == last + 1;
+            // pushed least critical first, as `publish` orders a batch:
+            // every discipline then serves 9, 10, 11, 13 in this order
+            for t in [13u32, 11, 10, 9] {
+                q.push_dynamic(t, t as u64, 0);
+            }
             let mut group = Vec::new();
-            let mut pop = |max| {
-                let source = q.pop_own(0, max, &mut group, consecutive);
+            let mut pop = |max, static_only: bool| {
+                let source = q.pop_own(0, max, &mut group, |source, last, next| {
+                    (!static_only || source == QueueSource::Local) && next == last + 1
+                });
                 (group.clone(), source)
             };
-            assert_eq!(pop(3), (vec![1, 2], Some(QueueSource::Local)), "{queue}");
+            let local = Some(QueueSource::Local);
+            assert_eq!(pop(3, true), (vec![1, 2], local), "{queue}");
             // the cap holds even when more would join; the rest waits
-            assert_eq!(pop(1), (vec![4], Some(QueueSource::Local)));
-            assert_eq!(pop(3), (vec![5], Some(QueueSource::Local)));
-            assert_eq!(pop(8), (vec![7, 8], Some(QueueSource::Local)));
-            // dynamic pops never group, whatever would join
-            let (one, source) = pop(8);
-            assert_eq!(one.len(), 1, "{queue}");
-            assert_ne!(source, Some(QueueSource::Local));
-            assert_eq!(pop(8).0.len(), 1);
-            assert_eq!(pop(8), (vec![], None), "{queue}: drained");
+            assert_eq!(pop(1, true), (vec![4], local));
+            assert_eq!(pop(3, true), (vec![5], local));
+            // a static group never runs on into the dynamic section
+            assert_eq!(pop(8, false), (vec![7, 8], local), "{queue}");
+            // the engine's rule: a dynamic pop stays one task
+            let (one, dynamic) = pop(8, true);
+            assert_eq!(one, vec![9], "{queue}");
+            assert_ne!(dynamic, local);
+            // the simulator's: it groups like a static one
+            assert_eq!(pop(2, false), (vec![10, 11], dynamic), "{queue}");
+            assert_eq!(pop(8, false), (vec![13], dynamic));
+            assert_eq!(pop(8, false), (vec![], None), "{queue}: drained");
+            // the count the steal gate reads went down with every member
+            assert_eq!(q.steal(1, &mut Rng::seed_from_u64(1), &mut 0), None);
         }
     }
 
@@ -504,7 +556,7 @@ mod tests {
             let q = queues(2, queue);
             q.push_static(1, 0, 1, 1, 0);
             q.push_static(2, 0, 2, 2, 0);
-            assert_eq!(q.drain_static(0, |t| t as u64), 2, "{queue}");
+            assert_eq!(q.drain_static(0, |t| t.0 as u64), 2, "{queue}");
             // worker 0 is degraded now: a later static publish for it
             // is rescued at push time, by the pusher
             q.push_static(3, 0, 3, 3, 1);

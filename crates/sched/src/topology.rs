@@ -5,7 +5,7 @@
 //! sibling shares every cache level, a same-socket core shares the L3,
 //! and a remote-socket core pays the full NUMA interconnect (the cost
 //! the paper's static distribution exists to avoid, §1). The flat
-//! randomized [`steal_order`](crate::steal_order) sweep ignores all of
+//! randomized sweep of the mutex shards ignores all of
 //! that; [`StealTiers`] replaces it for the lock-free discipline with a
 //! three-tier sweep — SMT sibling → same socket → remote — randomized
 //! *within* each tier so victims stay load-balanced, deterministic for
@@ -80,7 +80,8 @@ impl CpuTopology {
 
     /// As [`uniform`](Self::uniform), with `smt`-way SMT: logical CPUs
     /// `smt*i .. smt*(i+1)` are siblings on physical core `i`.
-    pub fn uniform_smt(sockets: usize, cores_per_socket: usize, smt: usize) -> Self {
+    #[cfg(test)]
+    fn uniform_smt(sockets: usize, cores_per_socket: usize, smt: usize) -> Self {
         let (s, c, h) = (sockets.max(1), cores_per_socket.max(1), smt.max(1));
         Self {
             cpus: (0..s * c * h)
@@ -200,7 +201,7 @@ impl std::fmt::Display for StealOrder {
 
 /// One worker's precomputed victim tiers: the static part of the
 /// locality-tiered sweep. Build once per worker, then call
-/// [`sweep`](StealTiers::sweep) per steal attempt; only the in-tier
+/// [`sweep_ordered`](StealTiers::sweep_ordered) per steal attempt; only the in-tier
 /// rotation is drawn from the RNG, so a sweep costs three RNG draws and
 /// no allocation.
 #[derive(Debug, Clone)]
@@ -223,14 +224,9 @@ impl StealTiers {
         Self { tiers }
     }
 
-    /// One randomized sweep: every other worker exactly once, nearest
-    /// tier first, random rotation within each tier. Deterministic for
-    /// a fixed RNG state.
-    pub fn sweep<'a>(&'a self, rng: &mut Rng) -> impl Iterator<Item = (usize, StealTier)> + 'a {
-        self.sweep_ordered(StealOrder::NearestFirst, rng)
-    }
-
-    /// [`sweep`](Self::sweep) with an explicit tier direction. The
+    /// One randomized sweep: every other worker exactly once, tier by
+    /// tier in the direction `order` names, random rotation within each
+    /// tier. Deterministic for a fixed RNG state. The
     /// in-tier rotations are drawn in the fixed Sibling/Socket/Remote
     /// order *before* the direction applies, so both orders consume the
     /// identical three RNG draws per sweep — flipping the order mid-fleet
@@ -311,7 +307,9 @@ mod tests {
         let topo = CpuTopology::uniform_smt(2, 2, 2); // 8 cpus
         let tiers = StealTiers::for_worker(&topo, 0, 8);
         let mut rng = Rng::seed_from_u64(1);
-        let order: Vec<(usize, StealTier)> = tiers.sweep(&mut rng).collect();
+        let order: Vec<(usize, StealTier)> = tiers
+            .sweep_ordered(StealOrder::NearestFirst, &mut rng)
+            .collect();
         assert_eq!(order.len(), 7, "all other workers probed");
         let mut victims: Vec<usize> = order.iter().map(|&(v, _)| v).collect();
         victims.sort_unstable();
@@ -330,7 +328,11 @@ mod tests {
         let runs = |seed| {
             let mut rng = Rng::seed_from_u64(seed);
             (0..8)
-                .flat_map(|_| tiers.sweep(&mut rng).collect::<Vec<_>>())
+                .flat_map(|_| {
+                    tiers
+                        .sweep_ordered(StealOrder::NearestFirst, &mut rng)
+                        .collect::<Vec<_>>()
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(runs(3), runs(3));
@@ -340,7 +342,13 @@ mod tests {
         let mut rng = Rng::seed_from_u64(9);
         let mut firsts = std::collections::HashSet::new();
         for _ in 0..64 {
-            firsts.insert(tiers.sweep(&mut rng).next().unwrap().0);
+            firsts.insert(
+                tiers
+                    .sweep_ordered(StealOrder::NearestFirst, &mut rng)
+                    .next()
+                    .unwrap()
+                    .0,
+            );
         }
         assert!(firsts.len() > 1, "rotation must vary the first victim");
     }
@@ -352,7 +360,10 @@ mod tests {
         let topo = CpuTopology::flat(4);
         let tiers = StealTiers::for_worker(&topo, 2, 4);
         let mut rng = Rng::seed_from_u64(5);
-        let order: Vec<usize> = tiers.sweep(&mut rng).map(|(v, _)| v).collect();
+        let order: Vec<usize> = tiers
+            .sweep_ordered(StealOrder::NearestFirst, &mut rng)
+            .map(|(v, _)| v)
+            .collect();
         assert_eq!(order.len(), 3);
         assert!(order.iter().all(|&v| v != 2));
         assert!(order
@@ -395,6 +406,11 @@ mod tests {
         assert!(t.sockets() >= 1);
         let tiers = StealTiers::for_worker(&t, 0, t.len().clamp(2, 8));
         let mut rng = Rng::seed_from_u64(1);
-        assert!(tiers.sweep(&mut rng).count() >= 1);
+        assert!(
+            tiers
+                .sweep_ordered(StealOrder::NearestFirst, &mut rng)
+                .count()
+                >= 1
+        );
     }
 }

@@ -26,9 +26,11 @@ use crate::result::SimResult;
 /// Distill a simulated run into the controller's input, with the same
 /// formulas the facade applies to real thread stats: idle = makespan −
 /// busy per core, remote fraction = remote steals / total steals. The
-/// simulator's decision-procedure queues never fail a steal sweep, so
-/// the contention reading stays 0 — matching the facade's
-/// `failed_steals: 0` for simulated reports.
+/// simulator steals through the engine's queues, but one event at a
+/// time: a sweep starts only while a dynamic task is queued and nothing
+/// moves under it, so it never comes back empty and the contention
+/// reading stays 0 — matching the facade's `failed_steals: 0` for
+/// simulated reports.
 pub fn observe_result(r: &SimResult, dims: (usize, usize)) -> Observation {
     let threads = r.cores.len().max(1);
     let total_idle: f64 = r

@@ -383,9 +383,10 @@ impl Solver {
     /// `k − 1` further ready S tasks of the same panel and column whose
     /// tiles follow it in its BCL storage, as one taller GEMM — fewer
     /// dequeues, a better-filled kernel, the same bits (each element
-    /// sums the same products in the same order). The simulator models
-    /// the same coalescing. Conflicts with layouts that cannot group
-    /// (checked at [`Solver::run`]).
+    /// sums the same products in the same order). The simulator runs
+    /// the same claiming loop (`ReadyQueues::pop_own`), joining by panel
+    /// and column and from the dynamic section too. Conflicts with
+    /// layouts that cannot group (checked at [`Solver::run`]).
     pub fn grouping(mut self, k: usize) -> Self {
         self.group = Some(k);
         self
