@@ -5,7 +5,7 @@
 use crate::error::CaluError;
 use crate::fault::FaultPlan;
 use calu_matrix::Layout;
-use calu_sched::{AdaptivePolicy, QueueDiscipline, StealOrder};
+use calu_sched::{QueueDiscipline, StealOrder};
 
 /// Configuration for [`crate::calu_factor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -46,22 +46,14 @@ pub struct CaluConfig {
     /// oversubscribed ones. Best effort — an unpinnable CPU (sandbox,
     /// cgroup) leaves the worker floating.
     pub pin_workers: bool,
-    /// Batched sweeps only ([`crate::factor_batch`]): the
-    /// co-scheduling switch and modelled group width. Any value `<`
-    /// `threads` enables co-scheduling; `threads` disables it (every
-    /// item runs the full hybrid static/dynamic schedule on the whole
-    /// pool). **The threaded pool always runs a co-scheduled item on
-    /// exactly one worker** — whole items in parallel, zero intra-item
-    /// synchronization — regardless of the value; the simulated
-    /// backend additionally uses it as the core-group width its batch
-    /// model assigns each small item to (`k`-wide groups per item is
-    /// planned, not implemented, on the real executor). Must lie in
-    /// `1..=threads`.
-    pub batch_threads_per_item: usize,
-    /// Batched sweeps only: items whose larger dimension is at most
-    /// this cutoff count as *small* and are co-scheduled; larger items
-    /// are executed co-operatively by the whole pool under the full
-    /// hybrid static/dynamic schedule. `0` co-schedules nothing.
+    /// The one co-scheduling knob of batched sweeps and served jobs
+    /// ([`crate::factor_batch`], [`crate::ServicePool`]): on a pool of
+    /// more than one worker, a job whose larger dimension is at most
+    /// this cutoff is *small* — claimed whole by one worker and factored
+    /// sequentially, whole items in parallel with zero intra-item
+    /// synchronization. Larger jobs are executed co-operatively by the
+    /// whole pool under the full hybrid static/dynamic schedule. `0`
+    /// co-schedules nothing. See [`co_schedules`](Self::co_schedules).
     pub batch_small_cutoff: usize,
     /// Deterministic fault injection for chaos testing
     /// ([`FaultPlan::off`] by default — the hot path never consults a
@@ -73,11 +65,6 @@ pub struct CaluConfig {
     /// farthest-first when most successful steals already cross
     /// sockets; either direction factors bitwise-identically.
     pub steal_order: StealOrder,
-    /// Adaptive split policy, when the run's knobs were chosen by the
-    /// feedback controller ([`calu_sched::adaptive`]). Carried for
-    /// validation and reporting — executors run the already-resolved
-    /// `dratio`/cutoffs above; adaptation never happens mid-DAG.
-    pub adaptive: Option<AdaptivePolicy>,
 }
 
 /// Default [`CaluConfig::batch_small_cutoff`]: matrices up to 384×384
@@ -98,11 +85,9 @@ impl CaluConfig {
             leaf_stride: None,
             queue: QueueDiscipline::Global,
             pin_workers: false,
-            batch_threads_per_item: 1,
             batch_small_cutoff: DEFAULT_BATCH_SMALL_CUTOFF,
             fault: FaultPlan::off(),
             steal_order: StealOrder::default(),
-            adaptive: None,
         }
     }
 
@@ -124,13 +109,6 @@ impl CaluConfig {
         self
     }
 
-    /// Override the TSLU leaves per panel (default: the row count of
-    /// each item's grid).
-    pub fn with_tslu_leaves(mut self, stride: usize) -> Self {
-        self.leaf_stride = Some(stride);
-        self
-    }
-
     /// Set the dynamic-section queue discipline (default
     /// [`QueueDiscipline::Global`]).
     pub fn with_queue(mut self, queue: QueueDiscipline) -> Self {
@@ -141,12 +119,6 @@ impl CaluConfig {
     /// Pin workers to CPUs by the detected topology (default off).
     pub fn with_pinning(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
-        self
-    }
-
-    /// Set the workers per co-scheduled batch item (default 1).
-    pub fn with_batch_threads_per_item(mut self, k: usize) -> Self {
-        self.batch_threads_per_item = k;
         self
     }
 
@@ -166,12 +138,6 @@ impl CaluConfig {
     /// Set the lock-free steal-sweep direction (default nearest-first).
     pub fn with_steal_order(mut self, order: StealOrder) -> Self {
         self.steal_order = order;
-        self
-    }
-
-    /// Record the adaptive policy that chose this config's split.
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
         self
     }
 
@@ -204,24 +170,7 @@ impl CaluConfig {
                     .into(),
             ));
         }
-        if self.batch_threads_per_item == 0 {
-            return Err(CaluError::InvalidConfig(
-                "batch_threads_per_item must be at least 1 (one worker per \
-                 co-scheduled item)"
-                    .into(),
-            ));
-        }
-        if self.batch_threads_per_item > self.threads {
-            return Err(CaluError::InvalidConfig(format!(
-                "batch_threads_per_item {} exceeds the thread count {}; a \
-                 co-scheduled item cannot use more workers than the pool has",
-                self.batch_threads_per_item, self.threads
-            )));
-        }
         self.fault.validate(self.threads)?;
-        if let Some(policy) = &self.adaptive {
-            policy.validate().map_err(CaluError::InvalidConfig)?;
-        }
         if self.queue.steals() && self.dratio == 0.0 {
             return Err(CaluError::InvalidConfig(format!(
                 "the {} queue discipline organizes the dynamic section, \
@@ -245,10 +194,10 @@ impl CaluConfig {
     /// The co-schedule predicate: whether a job of `dims` is *small* —
     /// claimed whole by one worker and factored sequentially — rather
     /// than run co-operatively by the pool under the hybrid schedule.
-    /// True while co-scheduled items use fewer workers than the pool
-    /// has and the job's larger dimension is within the cutoff.
+    /// True on a pool of more than one worker when the job's larger
+    /// dimension is within [`batch_small_cutoff`](Self::batch_small_cutoff).
     pub fn co_schedules(&self, dims: (usize, usize)) -> bool {
-        self.batch_threads_per_item < self.threads && dims.0.max(dims.1) <= self.batch_small_cutoff
+        self.threads > 1 && dims.0.max(dims.1) <= self.batch_small_cutoff
     }
 }
 
@@ -286,7 +235,9 @@ mod tests {
         let mut c = CaluConfig::new(8);
         c.group = 0;
         assert!(c.validate().is_err());
-        assert!(CaluConfig::new(8).with_tslu_leaves(0).validate().is_err());
+        c = CaluConfig::new(8);
+        c.leaf_stride = Some(0);
+        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -312,28 +263,8 @@ mod tests {
     #[test]
     fn batch_knobs_validate() {
         let c = CaluConfig::new(8);
-        assert_eq!(c.batch_threads_per_item, 1);
         assert_eq!(c.batch_small_cutoff, DEFAULT_BATCH_SMALL_CUTOFF);
         assert!(c.validate().is_ok());
-        assert!(
-            CaluConfig::new(8)
-                .with_batch_threads_per_item(0)
-                .validate()
-                .is_err(),
-            "zero workers per item is meaningless"
-        );
-        let err = CaluConfig::new(8)
-            .with_threads(4)
-            .with_batch_threads_per_item(8)
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "{err}");
-        // k == threads is the "no co-scheduling" edge, not an error
-        assert!(CaluConfig::new(8)
-            .with_threads(4)
-            .with_batch_threads_per_item(4)
-            .validate()
-            .is_ok());
         assert!(CaluConfig::new(8)
             .with_batch_small_cutoff(0)
             .validate()
@@ -358,21 +289,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_validates_through_config() {
+    fn steal_order_is_a_free_knob() {
         let c = CaluConfig::new(8).with_threads(4);
-        assert!(c.adaptive.is_none(), "off by default");
         assert_eq!(c.steal_order, StealOrder::NearestFirst);
         assert!(c
-            .clone()
-            .with_adaptive(AdaptivePolicy::new(7))
             .with_steal_order(StealOrder::FarthestFirst)
             .validate()
             .is_ok());
-        let err = c
-            .with_adaptive(AdaptivePolicy::new(7).with_dratio_bounds(0.0, 0.5))
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("adaptive"), "{err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ impl Factorization {
     }
 
     /// Reconstruct `L·U`.
-    pub fn reconstruct(&self) -> DenseMatrix {
+    fn reconstruct(&self) -> DenseMatrix {
         ops::matmul(&self.lu.lower_unit(), &self.lu.upper())
     }
 

@@ -75,11 +75,11 @@ pub enum FaultKind {
 
 /// One worker's fault assignment inside a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerFault {
+pub(crate) struct WorkerFault {
     /// Worker index the fault applies to (must be `< threads`).
-    pub worker: usize,
+    pub(crate) worker: usize,
     /// The fault.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
 /// A seeded, deterministic fault-injection plan (see module docs).
@@ -149,12 +149,12 @@ impl FaultPlan {
     }
 
     /// The plan's fault list.
-    pub fn faults(&self) -> &[WorkerFault] {
+    pub(crate) fn faults(&self) -> &[WorkerFault] {
         &self.faults
     }
 
     /// The fault assigned to `worker`, if any.
-    pub fn fault_for(&self, worker: usize) -> Option<FaultKind> {
+    pub(crate) fn fault_for(&self, worker: usize) -> Option<FaultKind> {
         self.faults
             .iter()
             .find(|f| f.worker == worker)

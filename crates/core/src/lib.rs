@@ -14,11 +14,10 @@
 //!   idle threads pull dynamic tasks while waiting on the panel. It
 //!   executes *jobs*: one [`BatchItem`] (a matrix [`Source`], a
 //!   [`KernelSet`], whether to verify) in, one [`Outcome`] out, for
-//!   every caller; the three modules below only differ in whose threads
-//!   they lend it and how many jobs they queue;
-//! * [`batch`] — [`factor_batch`]: N jobs on scoped threads spawned
-//!   once, small items co-scheduled whole-per-worker, large ones on the
-//!   full hybrid schedule;
+//!   every caller. [`factor_batch`] runs N jobs on scoped threads
+//!   spawned once, small items co-scheduled whole-per-worker, large
+//!   ones on the full hybrid schedule; the two modules below only
+//!   differ in whose threads they lend it and how many jobs they queue;
 //! * [`threaded`] — the tile-task layer (per-item state, kernel sets,
 //!   task bodies) and the solo entry points, a `factor_batch` of one
 //!   with co-scheduling off;
@@ -49,7 +48,6 @@
 //! served — produce bitwise-identical factors for the same input and
 //! config.
 
-pub mod batch;
 pub mod config;
 mod engine;
 pub mod error;
@@ -57,26 +55,25 @@ pub mod factorization;
 pub mod fault;
 pub mod gepp;
 pub mod incpiv;
-pub mod pivot;
+mod pivot;
 pub mod pool;
-pub mod shared;
+mod shared;
 pub mod simple;
 pub mod sync;
 pub mod threaded;
 pub mod tslu;
 pub mod verify;
 
-pub use batch::{factor_batch, BatchOutcome};
 pub use config::{CaluConfig, DEFAULT_BATCH_SMALL_CUTOFF};
-pub use engine::{BatchItem, Outcome, Source};
+pub use engine::{factor_batch, BatchItem, BatchOutcome, Outcome, Source};
 // The name `benchmark/` — the frozen ruler — imports the job source
 // under; new code says `Source`.
 pub use engine::Source as BatchSource;
 pub use error::CaluError;
 pub use factorization::Factorization;
-pub use fault::{FaultKind, FaultPlan, WorkerFault};
+pub use fault::{FaultKind, FaultPlan};
 pub use gepp::gepp_factor;
 pub use incpiv::{incpiv_factor, IncPivFactors};
-pub use pool::{JobSink, PoolSplit, ServicePool};
+pub use pool::{JobSink, ServicePool};
 pub use simple::calu_simple;
 pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet, ThreadStats};

@@ -8,11 +8,11 @@
 //! on. Everything about *execution* is the engine's: small jobs
 //! ([`CaluConfig::co_schedules`]) are claimed whole by one worker,
 //! large ones run the hybrid static/dynamic schedule co-operatively on
-//! the dynamic-section [`QueueDiscipline`] the config names, and every
-//! job's factors are bitwise-identical to the matching solo call. Jobs
-//! go in as `BatchItem<'static>` and come out as [`Outcome`], the same
-//! types a scoped sweep uses; this module adds the sink trait and the
-//! handle.
+//! the dynamic-section [`QueueDiscipline`](calu_sched::QueueDiscipline)
+//! the config names, and every job's factors are bitwise-identical to
+//! the matching solo call. Jobs go in as `BatchItem<'static>` and come
+//! out as [`Outcome`], the same types a scoped sweep uses; this module
+//! adds the sink trait and the handle.
 //!
 //! Job ordering is delegated to [`ClassLanes`](calu_sched::ClassLanes):
 //! workers prefer higher-priority classes with bounded starvation of
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use calu_sched::{JobClass, QueueDiscipline};
+use calu_sched::{JobClass, SplitChoice};
 
 use crate::config::CaluConfig;
 use crate::engine::{BatchItem, Engine, Outcome};
@@ -67,23 +67,6 @@ pub struct ServicePool {
     spawn_secs: f64,
 }
 
-/// The scheduling split one [`ServicePool`] generation runs under,
-/// frozen at spawn — the knobs an adaptive controller moves between
-/// generations. A live reconfigure swaps the whole pool, so reading
-/// this off the *current* pool is always coherent: no generation ever
-/// changes its split mid-life.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoolSplit {
-    /// Fraction of panels scheduled dynamically.
-    pub dratio: f64,
-    /// Items at most this large (max dimension) co-schedule whole.
-    pub batch_small_cutoff: usize,
-    /// Workers per co-scheduled item.
-    pub batch_threads_per_item: usize,
-    /// Direction of the lock-free victim sweep.
-    pub steal_order: calu_sched::StealOrder,
-}
-
 impl ServicePool {
     /// Validate `cfg` and spawn its worker pool. `starvation_limit`
     /// bounds how many higher-class pops may pass over a waiting
@@ -103,21 +86,17 @@ impl ServicePool {
         })
     }
 
-    /// The scheduling split this pool generation runs under.
-    pub fn split(&self) -> PoolSplit {
+    /// The scheduling split this pool generation runs under, frozen at
+    /// spawn — the knobs an adaptive controller moves between
+    /// generations. A live reconfigure swaps the whole pool, so no
+    /// generation ever changes its split mid-life.
+    pub fn split(&self) -> SplitChoice {
         let cfg = self.engine.config();
-        PoolSplit {
+        SplitChoice {
             dratio: cfg.dratio,
             batch_small_cutoff: cfg.batch_small_cutoff,
-            batch_threads_per_item: cfg.batch_threads_per_item,
             steal_order: cfg.steal_order,
         }
-    }
-
-    /// The dynamic-section queue discipline this pool generation's
-    /// co-operative runs are queued under.
-    pub fn queue(&self) -> QueueDiscipline {
-        self.engine.config().queue
     }
 
     /// Enqueue a job. `id` is the caller's correlation key (used by
@@ -180,11 +159,6 @@ impl ServicePool {
     /// Jobs waiting in `class`'s lane.
     pub fn queued_in(&self, class: JobClass) -> usize {
         self.engine.queued_in(class)
-    }
-
-    /// Claimed-but-unfinished jobs.
-    pub fn in_flight(&self) -> usize {
-        self.engine.in_flight()
     }
 
     /// Whether a job of `dims` would take the co-scheduled (small)
@@ -445,7 +419,7 @@ mod tests {
         assert_eq!(done.len(), n_jobs);
         assert!(done.iter().all(|r| r.is_ok()));
         assert_eq!(pool.queued(), 0);
-        assert_eq!(pool.in_flight(), 0);
+        assert_eq!(pool.engine.in_flight(), 0);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl<S: TileStorage> SharedTiles<S> {
         }
     }
 
-    /// Unwrap the storage after all workers have finished.
-    pub fn into_inner(self) -> S {
-        self.inner.into_inner()
-    }
-
     /// Tile location metadata (no data access).
     pub fn loc(&self, ti: usize, tj: usize) -> TileLoc {
         // SAFETY: tile_loc reads immutable geometry only.
@@ -202,7 +197,7 @@ impl Drop for SharedDense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calu_matrix::{gen, BclMatrix, ProcessGrid, TileStorage};
+    use calu_matrix::{gen, BclMatrix, ProcessGrid};
 
     #[test]
     fn shared_dense_hands_out_disjoint_columns_and_is_taken_whole() {
@@ -236,20 +231,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn writes_are_visible_after_unwrap() {
-        let a = gen::uniform(8, 8, 2);
-        let grid = ProcessGrid::new(2, 2).unwrap();
-        let shared = SharedTiles::new(BclMatrix::from_dense(&a, 4, grid));
-        unsafe {
-            let t = shared.tile_ptr(0, 0);
-            t.set(1, 1, 42.0);
-        }
-        let back = shared.into_inner().to_dense();
-        assert_eq!(back.get(1, 1), 42.0);
-        assert_eq!(back.get(0, 0), a.get(0, 0));
     }
 
     #[test]

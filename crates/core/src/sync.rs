@@ -7,7 +7,7 @@
 //! worker already aborts the factorization via the scoped-thread join,
 //! so lock poisoning carries no extra information here. The same
 //! hermeticity rules out the `libc`/`core_affinity` crates, so
-//! [`pin_current_thread`] declares the one C symbol it needs
+//! `pin_current_thread` declares the one C symbol it needs
 //! (`sched_setaffinity`, provided by the libc Rust's std already links
 //! on Linux) directly.
 
@@ -20,7 +20,7 @@ use std::sync::MutexGuard;
 /// callers treat pinning as an optimization, never a correctness
 /// requirement.
 #[cfg(target_os = "linux")]
-pub fn pin_current_thread(cpu: usize) -> bool {
+pub(crate) fn pin_current_thread(cpu: usize) -> bool {
     // glibc/musl signature: sched_setaffinity(pid_t, size_t, const cpu_set_t*);
     // pid 0 = the calling thread. cpu_set_t is a 1024-bit mask.
     extern "C" {
@@ -38,7 +38,7 @@ pub fn pin_current_thread(cpu: usize) -> bool {
 /// Non-Linux stub: affinity is not portable without a dependency, so
 /// pinning silently degrades to "not pinned".
 #[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_cpu: usize) -> bool {
+pub(crate) fn pin_current_thread(_cpu: usize) -> bool {
     false
 }
 

@@ -6,7 +6,7 @@
 //! business (the crate-private `engine` module: one worker loop over one
 //! `calu_sched::ReadyQueues` value per run). This module owns the part
 //! the engine treats as opaque: per-item tile storage behind
-//! [`SharedTiles`], one atomic dependence counter per task, the
+//! `SharedTiles`, one atomic dependence counter per task, the
 //! tournament-panel slots, the priority keys, and the task bodies. Each
 //! worker brings its own [`GemmScratch`] packing arena, sized from the
 //! tile dimension and reused across tasks, so the packed BLAS-3 kernels
@@ -39,8 +39,8 @@ use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
 use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
 use calu_sched::{priority, CpuTopology, OwnerMap, Padded, QueueSource};
 
-use crate::batch::factor_batch;
 use crate::config::CaluConfig;
+use crate::engine::factor_batch;
 use crate::engine::{BatchItem, Outcome, Source};
 use crate::error::CaluError;
 use crate::factorization::Factorization;
@@ -850,9 +850,8 @@ mod tests {
         let a = gen::uniform(400, 48, 45);
         let one = calu_factor(&a, &CaluConfig::new(16)).unwrap();
         for threads in [2, 4] {
-            let cfg = CaluConfig::new(16)
-                .with_threads(threads)
-                .with_tslu_leaves(1);
+            let mut cfg = CaluConfig::new(16).with_threads(threads);
+            cfg.leaf_stride = Some(1);
             let f = calu_factor(&a, &cfg).unwrap();
             assert_eq!(f.perm.pivots(), one.perm.pivots(), "T={threads}");
             assert_eq!(f.lu.as_slice(), one.lu.as_slice(), "T={threads}");

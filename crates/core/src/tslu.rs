@@ -15,7 +15,7 @@ use calu_matrix::DenseMatrix;
 /// row indices they came from (indices are whatever space the caller
 /// works in — local to the panel here, global in the executor).
 #[derive(Debug, Clone)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Original (unfactored) values of the candidate rows, `len × w`.
     pub rows: DenseMatrix,
     /// Source index of each candidate row.
@@ -69,7 +69,7 @@ impl Candidate {
 
 /// One knockout match of the reduction tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CombineStep {
+pub(crate) struct CombineStep {
     /// Tree level (1 = just above the leaves) — matches the DAG's
     /// `PanelCombine { level, .. }`.
     pub level: u32,
@@ -89,7 +89,7 @@ pub struct CombineStep {
 /// like the DAG builder pairs nodes (chunks of two, odd node promoted),
 /// so the threaded executor and the task graph agree on structure.
 #[derive(Debug, Clone)]
-pub struct TreePlan {
+pub(crate) struct TreePlan {
     /// Combine steps in execution order; slots `0..nleaves` are leaves,
     /// combines allocate new slots upward.
     pub steps: Vec<CombineStep>,

@@ -18,14 +18,14 @@
 //! | contention | failed steal sweeps / total sweeps | high → shrink `dratio` (the dynamic section is churning, not balancing) |
 //! | remote fraction | remote steals / total steals | above ½ → sweep victims farthest-first (nearby victims are drained) |
 //! | lost / rescued workers | fault-layer counters | strong push toward dynamic — static ownership is what strands work |
-//! | item-size histogram | recent batch item max-dimensions | 75th percentile → `batch_small_cutoff`; median vs cutoff → `batch_threads_per_item` |
+//! | item-size histogram | recent batch item max-dimensions | 75th percentile → `batch_small_cutoff` |
 //!
 //! **Determinism invariant.** The controller is a pure function of its
 //! seed and the observation sequence: no wall clock, no host entropy
-//! (the topology and cache file are explicit inputs). Same seed + same
-//! trace → same split sequence, on every backend — that is what makes
-//! the adaptation test harness possible, and it is asserted in
-//! `tests/adaptive.rs`.
+//! (the topology is an explicit input), no state outside the
+//! controller's own memory. Same seed + same trace → same split
+//! sequence, on every backend — that is what makes the adaptation test
+//! harness possible, and it is asserted in `tests/adaptive.rs`.
 //!
 //! **Safety invariant.** Adaptation happens *between* runs (or batch
 //! items), never mid-DAG: a run executes entirely under the split
@@ -35,41 +35,22 @@
 //! chaos suite's parity rows depend on it.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 
 use calu_rand::Rng;
 
 use crate::topology::{CpuTopology, StealOrder};
 
 /// Upper bound on the remembered item-size window; old sizes age out so
-/// the cutoffs track the *recent* workload mix, not all history.
+/// the cutoff tracks the *recent* workload mix, not all history.
 const SIZE_WINDOW: usize = 64;
 
-/// When the split is re-seeded (or loaded from cache), how the two
-/// adaptation modes differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdaptiveMode {
-    /// Seed the split from the host topology plus the persisted
-    /// per-host observation cache at every plan; in-process feedback
-    /// only reaches the next plan *through* the cache file. The mode
-    /// for one-shot runs that should start from the host's history.
-    PerRun,
-    /// Accumulate observations in memory across runs / batch items /
-    /// service jobs, so a long-lived process converges even without a
-    /// cache file. The default.
-    #[default]
-    CrossRun,
-}
-
-/// Validated policy for [`AdaptiveController`]: the seed, mode, bounds
-/// and gains. Constructed with [`AdaptivePolicy::new`], validated by
-/// `CaluConfig::validate` via [`validate`](AdaptivePolicy::validate).
+/// Validated policy for [`AdaptiveController`]: the seed, bounds and
+/// gains. Constructed with [`AdaptivePolicy::new`], validated by
+/// `Solver::plan` via [`validate`](AdaptivePolicy::validate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptivePolicy {
     /// Seed for the controller's deterministic exploration dither.
     pub seed: u64,
-    /// Per-run (cache-seeded) or cross-run (in-memory) adaptation.
-    pub mode: AdaptiveMode,
     /// Lower bound on the chosen `dratio`. Must be positive: stealing
     /// disciplines need a dynamic section to exist.
     pub dratio_min: f64,
@@ -85,41 +66,21 @@ pub struct AdaptivePolicy {
     pub cutoff_min: usize,
     /// Upper bound on the chosen `batch_small_cutoff`.
     pub cutoff_max: usize,
-    /// Optional per-host observation cache: the chosen split is
-    /// persisted here after every observation and re-read when the
-    /// split is seeded, so separate processes on one host share what
-    /// they learned. Unreadable/corrupt files are ignored (the seed
-    /// split applies).
-    pub cache: Option<PathBuf>,
 }
 
 impl AdaptivePolicy {
-    /// Defaults: cross-run mode, `dratio ∈ [0.05, 0.95]`, 5% idle
-    /// target, gain ½, cutoff ∈ [64, 768], no cache.
+    /// Defaults: `dratio ∈ [0.05, 0.95]`, 5% idle target, gain ½,
+    /// cutoff ∈ [64, 768].
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            mode: AdaptiveMode::CrossRun,
             dratio_min: 0.05,
             dratio_max: 0.95,
             idle_target: 0.05,
             gain: 0.5,
             cutoff_min: 64,
             cutoff_max: 768,
-            cache: None,
         }
-    }
-
-    /// Switch to per-run (topology + cache seeded) adaptation.
-    pub fn per_run(mut self) -> Self {
-        self.mode = AdaptiveMode::PerRun;
-        self
-    }
-
-    /// Switch to cross-run (in-memory) adaptation — the default.
-    pub fn cross_run(mut self) -> Self {
-        self.mode = AdaptiveMode::CrossRun;
-        self
     }
 
     /// Bound the chosen `dratio` to `[min, max]`.
@@ -135,14 +96,8 @@ impl AdaptivePolicy {
         self
     }
 
-    /// Persist/read the per-host observation cache at `path`.
-    pub fn with_cache(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache = Some(path.into());
-        self
-    }
-
-    /// Check the bounds are coherent; the error string is wrapped into
-    /// `CaluError::InvalidConfig` by `CaluConfig::validate`.
+    /// Check the bounds are coherent; `Solver::plan` reports the error
+    /// string as a configuration error.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.dratio_min > 0.0 && self.dratio_min <= self.dratio_max && self.dratio_max <= 1.0)
         {
@@ -172,17 +127,16 @@ impl AdaptivePolicy {
     }
 }
 
-/// The split the controller currently recommends — everything the
-/// executors read: the dynamic fraction, the batch co-scheduling
-/// cutoffs, and the steal-sweep direction.
+/// The scheduling split — everything the executors read: the dynamic
+/// fraction, the batch co-scheduling cutoff, and the steal-sweep
+/// direction. What the controller recommends, and what a service pool
+/// generation runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitChoice {
     /// Fraction of panels scheduled dynamically.
     pub dratio: f64,
     /// Items at most this large (max dimension) co-schedule whole.
     pub batch_small_cutoff: usize,
-    /// Modelled workers per co-scheduled item.
-    pub batch_threads_per_item: usize,
     /// Direction of the lock-free victim sweep.
     pub steal_order: StealOrder,
 }
@@ -282,83 +236,50 @@ pub struct AdaptationStep {
 #[derive(Debug, Clone)]
 pub struct AdaptiveController {
     policy: AdaptivePolicy,
-    threads: usize,
     seed_split: SplitChoice,
-    dratio: f64,
-    cutoff: usize,
-    threads_per_item: usize,
-    steal_order: StealOrder,
+    split: SplitChoice,
     sizes: VecDeque<usize>,
     rng: Rng,
     trace: Vec<AdaptationStep>,
 }
 
 impl AdaptiveController {
-    /// Build a controller for `threads` workers on `topo`. The seed
-    /// split comes from the topology (`seed_dratio`) — overridden by
-    /// the policy's cache file when one is present and parses.
+    /// Build a controller for `threads` workers on `topo`, starting
+    /// from the topology-seeded split (`seed_dratio`).
     pub fn new(policy: AdaptivePolicy, topo: &CpuTopology, threads: usize) -> Self {
-        let dratio0 = seed_dratio(topo, threads).clamp(policy.dratio_min, policy.dratio_max);
-        let cutoff0 = 384usize.clamp(policy.cutoff_min, policy.cutoff_max);
-        let mut c = Self {
-            rng: Rng::seed_from_u64(policy.seed),
-            seed_split: SplitChoice {
-                dratio: dratio0,
-                batch_small_cutoff: cutoff0,
-                batch_threads_per_item: 1,
-                steal_order: StealOrder::NearestFirst,
-            },
-            dratio: dratio0,
-            cutoff: cutoff0,
-            threads_per_item: 1,
+        let seed_split = SplitChoice {
+            dratio: seed_dratio(topo, threads).clamp(policy.dratio_min, policy.dratio_max),
+            batch_small_cutoff: 384usize.clamp(policy.cutoff_min, policy.cutoff_max),
             steal_order: StealOrder::NearestFirst,
+        };
+        Self {
+            rng: Rng::seed_from_u64(policy.seed),
+            seed_split,
+            split: seed_split,
             sizes: VecDeque::new(),
             trace: Vec::new(),
-            threads: threads.max(1),
             policy,
-        };
-        c.load_cache();
-        c
+        }
     }
 
-    /// The policy this controller runs under.
-    pub fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
-    /// The topology-seeded starting split (before any cache/feedback).
+    /// The topology-seeded starting split (before any feedback).
     pub fn seed_choice(&self) -> SplitChoice {
         self.seed_split
     }
 
     /// The split the controller currently recommends.
     pub fn choice(&self) -> SplitChoice {
-        SplitChoice {
-            dratio: self.dratio,
-            batch_small_cutoff: self.cutoff,
-            batch_threads_per_item: self.threads_per_item,
-            steal_order: self.steal_order,
-        }
+        self.split
     }
 
-    /// The split a new plan should run under. Cross-run mode returns
-    /// the accumulated in-memory choice; per-run mode re-seeds from the
-    /// topology split plus the cache file first, so every plan starts
-    /// from the host's persisted history rather than process memory.
+    /// The split a new plan should run under: the current choice, which
+    /// accumulates in memory across runs, batch items and service jobs.
     pub fn plan_choice(&mut self) -> SplitChoice {
-        if self.policy.mode == AdaptiveMode::PerRun {
-            self.dratio = self.seed_split.dratio;
-            self.cutoff = self.seed_split.batch_small_cutoff;
-            self.threads_per_item = self.seed_split.batch_threads_per_item;
-            self.steal_order = self.seed_split.steal_order;
-            self.load_cache();
-        }
         self.choice()
     }
 
     /// Ingest one completed run's readings and move the split. Pure in
-    /// (seed, observation sequence); appends to the trace and persists
-    /// the cache file when the policy names one.
+    /// (seed, observation sequence); appends to the trace.
     pub fn observe(&mut self, obs: &Observation) {
         let idle = obs.idle_fraction();
         let contention = obs.contention.clamp(0.0, 1.0);
@@ -371,11 +292,11 @@ impl AdaptiveController {
         // Deterministic exploration dither: one draw per observation,
         // small enough (±0.1% of a full step) to never mask a signal.
         let dither = (self.rng.next_f64() - 0.5) * 0.002 * self.policy.gain;
-        self.dratio = (self.dratio + self.policy.gain * (pressure - relief) + dither)
+        self.split.dratio = (self.split.dratio + self.policy.gain * (pressure - relief) + dither)
             .clamp(self.policy.dratio_min, self.policy.dratio_max);
         // When most successful steals already cross sockets, nearby
         // victims are drained — probe the remote tier first.
-        self.steal_order = if remote > 0.5 {
+        self.split.steal_order = if remote > 0.5 {
             StealOrder::FarthestFirst
         } else {
             StealOrder::NearestFirst
@@ -391,13 +312,8 @@ impl AdaptiveController {
             // 75th percentile: co-schedule the small majority whole,
             // leave genuinely large items on the full hybrid schedule.
             let p75 = sorted[(3 * sorted.len() / 4).min(sorted.len() - 1)];
-            self.cutoff = p75.clamp(self.policy.cutoff_min, self.policy.cutoff_max);
-            let median = sorted[sorted.len() / 2];
-            self.threads_per_item = if median <= self.cutoff {
-                1
-            } else {
-                (self.threads / 4).max(1)
-            };
+            self.split.batch_small_cutoff =
+                p75.clamp(self.policy.cutoff_min, self.policy.cutoff_max);
         }
         self.trace.push(AdaptationStep {
             idle_fraction: idle,
@@ -406,7 +322,6 @@ impl AdaptiveController {
             lost_workers: obs.lost_workers,
             chosen: self.choice(),
         });
-        self.store_cache();
     }
 
     /// Every step taken so far, oldest first.
@@ -418,56 +333,6 @@ impl AdaptiveController {
     pub fn observations(&self) -> usize {
         self.trace.len()
     }
-
-    fn load_cache(&mut self) {
-        let Some(path) = &self.policy.cache else {
-            return;
-        };
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return;
-        };
-        if let Some((dratio, cutoff, tpi, order)) = parse_cache(&text) {
-            self.dratio = dratio.clamp(self.policy.dratio_min, self.policy.dratio_max);
-            self.cutoff = cutoff.clamp(self.policy.cutoff_min, self.policy.cutoff_max);
-            self.threads_per_item = tpi.clamp(1, self.threads);
-            self.steal_order = order;
-        }
-    }
-
-    fn store_cache(&self) {
-        let Some(path) = &self.policy.cache else {
-            return;
-        };
-        let order = match self.steal_order {
-            StealOrder::NearestFirst => "near",
-            StealOrder::FarthestFirst => "far",
-        };
-        // best effort: a read-only host loses persistence, not correctness
-        let _ = std::fs::write(
-            path,
-            format!(
-                "calu-adaptive v1\n{} {} {} {}\n",
-                self.dratio, self.cutoff, self.threads_per_item, order
-            ),
-        );
-    }
-}
-
-fn parse_cache(text: &str) -> Option<(f64, usize, usize, StealOrder)> {
-    let mut lines = text.lines();
-    if lines.next()?.trim() != "calu-adaptive v1" {
-        return None;
-    }
-    let mut fields = lines.next()?.split_whitespace();
-    let dratio: f64 = fields.next()?.parse().ok()?;
-    let cutoff: usize = fields.next()?.parse().ok()?;
-    let tpi: usize = fields.next()?.parse().ok()?;
-    let order = match fields.next()? {
-        "near" => StealOrder::NearestFirst,
-        "far" => StealOrder::FarthestFirst,
-        _ => return None,
-    };
-    dratio.is_finite().then_some((dratio, cutoff, tpi, order))
 }
 
 /// The topology-seeded starting `dratio`: the paper's 0.1 on a flat
@@ -569,14 +434,12 @@ mod tests {
         }
         let s = small.choice();
         assert_eq!(s.batch_small_cutoff, 128);
-        assert_eq!(s.batch_threads_per_item, 1);
         let mut large = controller(4);
         for _ in 0..8 {
             large.observe(&Observation::new(4, 0.5, 0.0).with_dims(2048, 2048));
         }
         let l = large.choice();
         assert_eq!(l.batch_small_cutoff, 768, "clamped to the policy maximum");
-        assert!(l.batch_threads_per_item >= 1);
         assert!(
             l.batch_small_cutoff < 2048,
             "large items stay on the hybrid schedule"
@@ -584,59 +447,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trips_and_survives_corruption() {
-        let path =
-            std::env::temp_dir().join(format!("calu-adaptive-test-{}.cache", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let policy = AdaptivePolicy::new(5).with_cache(&path);
-        let mut c = AdaptiveController::new(policy.clone(), &CpuTopology::flat(4), 4);
-        for _ in 0..6 {
-            c.observe(&Observation::new(4, 1.0, 2.0).with_dims(256, 256));
-        }
-        let learned = c.choice();
-        let fresh = AdaptiveController::new(policy.clone(), &CpuTopology::flat(4), 4);
-        assert_eq!(
-            fresh.choice(),
-            learned,
-            "a new process resumes from the cache"
-        );
-        std::fs::write(&path, "not a cache").unwrap();
-        let reseeded = AdaptiveController::new(policy, &CpuTopology::flat(4), 4);
-        assert_eq!(
-            reseeded.choice(),
-            reseeded.seed_choice(),
-            "corrupt cache falls back to seed"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn per_run_mode_reseeds_each_plan() {
-        let mut c =
-            AdaptiveController::new(AdaptivePolicy::new(6).per_run(), &CpuTopology::flat(4), 4);
+    fn plans_keep_the_learned_split() {
+        let mut c = controller(6);
         let seed = c.seed_choice();
         for _ in 0..5 {
             c.observe(&Observation::new(4, 1.0, 3.0));
         }
-        assert_ne!(
-            c.choice().dratio,
-            seed.dratio,
-            "feedback moved the in-memory split"
-        );
-        assert_eq!(
-            c.plan_choice(),
-            seed,
-            "per-run plans restart from the seed split"
-        );
-        let mut x = AdaptiveController::new(AdaptivePolicy::new(6), &CpuTopology::flat(4), 4);
-        for _ in 0..5 {
-            x.observe(&Observation::new(4, 1.0, 3.0));
-        }
-        assert_ne!(
-            x.plan_choice(),
-            seed,
-            "cross-run plans keep the learned split"
-        );
+        assert_ne!(c.plan_choice(), seed, "feedback reaches the next plan");
+        assert_eq!(c.plan_choice(), c.choice());
     }
 
     #[test]

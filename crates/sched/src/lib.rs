@@ -72,9 +72,7 @@ pub mod topology;
 mod hybrid;
 mod work_stealing;
 
-pub use adaptive::{
-    AdaptationStep, AdaptiveController, AdaptiveMode, AdaptivePolicy, Observation, SplitChoice,
-};
+pub use adaptive::{AdaptationStep, AdaptiveController, AdaptivePolicy, Observation, SplitChoice};
 pub use config::{nstatic_for, SchedulerKind};
 pub use deque::{Deque, Steal};
 pub use discipline::QueueDiscipline;

@@ -80,8 +80,8 @@ pub struct NetConfig {
     /// Longest request line honored; anything longer gets
     /// `err malformed` and is discarded (the connection survives).
     pub max_line_bytes: usize,
-    /// Job handles the listener keeps for `status`/`cancel`; when full,
-    /// terminal entries are evicted first.
+    /// Jobs the listener tracks for `status`/`cancel`; when full,
+    /// terminal entries are evicted.
     pub max_tracked_jobs: usize,
 }
 
@@ -118,12 +118,54 @@ struct NetShared<R> {
     /// Accepted connections waiting for a handler.
     backlog: Mutex<VecDeque<TcpStream>>,
     backlog_cv: Condvar,
-    /// id → handle, for `status`/`cancel` over the wire.
-    jobs: Mutex<HashMap<u64, JobHandle<R>>>,
+    /// id → job, for `status`/`cancel` over the wire.
+    jobs: Mutex<HashMap<u64, Tracked<R>>>,
     accepted: AtomicU64,
     shed: AtomicU64,
     malformed: AtomicU64,
     requests: AtomicU64,
+}
+
+/// A job the front door tracks: its handle while it is live, only its
+/// terminal status once a `status` or `cancel` saw it end (a full-map
+/// sweep evicts ended jobs outright). No wire verb returns a result, so
+/// the result (for `Solver::listen`, a report holding the dense
+/// factors) is dropped then rather than kept until the map fills.
+enum Tracked<R> {
+    Live(JobHandle<R>),
+    Ended(JobStatus),
+}
+
+impl<R> Tracked<R> {
+    fn status(&self) -> JobStatus {
+        match self {
+            Tracked::Live(h) => h.try_status(),
+            Tracked::Ended(status) => *status,
+        }
+    }
+}
+
+fn is_live(status: JobStatus) -> bool {
+    matches!(status, JobStatus::Queued | JobStatus::Running)
+}
+
+/// Look up `id` for `status`/`cancel`: `act` runs on a live job's
+/// handle, then the job's status is read. A job seen terminal is
+/// retired to that status, its handle (and with it the result) dropped
+/// after the map lock is released. `None` for an untracked id.
+fn visit<R>(
+    shared: &NetShared<R>,
+    id: u64,
+    act: impl FnOnce(&JobHandle<R>) -> bool,
+) -> Option<(bool, JobStatus)> {
+    let mut jobs = shared.jobs.lock();
+    let job = jobs.get_mut(&id)?;
+    let acted = matches!(job, Tracked::Live(h) if act(h));
+    let status = job.status();
+    let retired = (!is_live(status)).then(|| std::mem::replace(job, Tracked::Ended(status)));
+    drop(jobs);
+    drop(retired);
+    Some((acted, status))
 }
 
 /// The TCP front door over one shared [`FactorService`]; see the
@@ -380,31 +422,20 @@ fn handle_request<R: Send + 'static>(shared: &NetShared<R>, line: &str) -> (Stri
             Err(detail) => malformed(detail),
         },
         Some((&"status", [id])) => match id.parse::<u64>() {
-            Ok(id) => match shared.jobs.lock().get(&id) {
-                Some(h) => (
-                    format!("status {id} {}", status_token(h.try_status())),
-                    false,
-                ),
+            Ok(id) => match visit(shared, id, |_| false) {
+                Some((_, status)) => (format!("status {id} {}", status_token(status)), false),
                 None => (format!("err unknown-job {id}"), false),
             },
             Err(_) => malformed(format!("bad job id {id:?}")),
         },
+        // cancel acts under the map lock: it needs the handle and never
+        // blocks; an ended job is too late to cancel
         Some((&"cancel", [id])) => match id.parse::<u64>() {
-            Ok(id) => {
-                // clone-free: cancel needs the handle, so look it up
-                // and act under the map lock (cancel never blocks)
-                let jobs = shared.jobs.lock();
-                match jobs.get(&id) {
-                    Some(h) => {
-                        if shared.service.cancel(h) {
-                            (format!("ok cancelled {id}"), false)
-                        } else {
-                            (format!("ok too-late {id}"), false)
-                        }
-                    }
-                    None => (format!("err unknown-job {id}"), false),
-                }
-            }
+            Ok(id) => match visit(shared, id, |h| shared.service.cancel(h)) {
+                Some((true, _)) => (format!("ok cancelled {id}"), false),
+                Some((false, _)) => (format!("ok too-late {id}"), false),
+                None => (format!("err unknown-job {id}"), false),
+            },
             Err(_) => malformed(format!("bad job id {id:?}")),
         },
         Some((&"stats", [])) => {
@@ -459,14 +490,16 @@ fn submit_reply<R: Send + 'static>(
         Ok(handle) => {
             let id = handle.id();
             let mut jobs = shared.jobs.lock();
-            if jobs.len() >= shared.cfg.max_tracked_jobs {
-                // keep the map bounded: terminal handles are only
-                // status-query fodder, live ones stay trackable
-                jobs.retain(|_, h| {
-                    matches!(h.try_status(), JobStatus::Queued | JobStatus::Running)
-                });
-            }
-            jobs.insert(id, handle);
+            // keep the map bounded: terminal entries are only
+            // status-query fodder, live ones stay trackable
+            let evicted: Vec<_> = if jobs.len() >= shared.cfg.max_tracked_jobs {
+                jobs.extract_if(|_, job| !is_live(job.status())).collect()
+            } else {
+                Vec::new()
+            };
+            jobs.insert(id, Tracked::Live(handle));
+            drop(jobs);
+            drop(evicted);
             format!("ok {id}")
         }
         Err(ServeError::Busy {
@@ -541,5 +574,73 @@ fn status_token(status: JobStatus) -> &'static str {
         JobStatus::Done => "done",
         JobStatus::Failed => "failed",
         JobStatus::Cancelled => "cancelled",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServiceConfig;
+    use calu_core::CaluConfig;
+    use std::time::Instant;
+
+    /// A job result that counts its drops.
+    struct Counted(Arc<AtomicU64>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn results_are_dropped_once_a_poll_sees_their_job_end() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&drops);
+        let cfg = CaluConfig::new(16).with_threads(2);
+        let service = FactorService::with_report(&cfg, ServiceConfig::default(), move |_, _| {
+            Counted(Arc::clone(&counter))
+        })
+        .unwrap();
+        let listener =
+            ServeListener::bind(Arc::new(service), "127.0.0.1:0", NetConfig::default()).unwrap();
+        let stream = TcpStream::connect(listener.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut ask = |request: String| {
+            writeln!(writer, "{request}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply.trim_end().to_string()
+        };
+        let ids: Vec<u64> = (0..6)
+            .map(|seed| {
+                let reply = ask(format!("submit batch uniform 48 48 {seed}"));
+                reply.strip_prefix("ok ").unwrap().parse().unwrap()
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for id in &ids {
+            while ask(format!("status {id}")) != format!("status {id} done") {
+                assert!(Instant::now() < deadline, "job {id} never finished");
+                std::thread::sleep(POLL_TICK);
+            }
+        }
+        // a finishing worker may still hold the job's cell for a moment
+        // after publishing `done`; the result goes with the last holder
+        while drops.load(Ordering::SeqCst) < ids.len() as u64 {
+            assert!(Instant::now() < deadline, "results kept alive by the map");
+            std::thread::sleep(POLL_TICK);
+        }
+        assert!(!listener.is_shut_down());
+        for id in &ids {
+            assert_eq!(ask(format!("status {id}")), format!("status {id} done"));
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), ids.len() as u64);
+        // hang up first: a handler blocked on an open connection only
+        // notices shutdown at its read timeout
+        drop((reader, writer));
+        listener.shutdown();
+        listener.service().drain();
     }
 }

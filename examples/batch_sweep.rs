@@ -58,13 +58,10 @@ fn main() {
         loop_secs * 1e3,
     );
     println!(
-        "  speedup {:.2}x · aggregate {:.1} Gflop/s · pool spawned once in {:.2} ms \
-         (cold spawn {:.2} ms/item → ~{:.1} ms saved)",
+        "  speedup {:.2}x · aggregate {:.1} Gflop/s · pool spawned once in {:.2} ms",
         loop_secs / batch_secs,
         report.aggregate_gflops(),
         report.pool_spawn_secs * 1e3,
-        report.cold_spawn_secs * 1e3,
-        report.spawn_savings_secs() * 1e3,
     );
     for (i, item) in report.items.iter().enumerate().take(4) {
         println!(

@@ -93,8 +93,6 @@ pub(crate) fn run_batch_loop<B: Backend + ?Sized>(
         items,
         wall_secs: t0.elapsed().as_secs_f64(),
         pool_spawn_secs: 0.0,
-        cold_spawn_secs: 0.0,
-        pool_reused: false,
         co_scheduled: 0,
     })
 }
@@ -376,10 +374,6 @@ impl ThreadedBackend {
             reject_sim_only_knobs(self.name(), plan)?;
         }
         let cfg = batch_shared_config(plans)?;
-        // what the loop fallback pays per item — measured once per
-        // process and pool width, *before* the timed window, so the
-        // report field costs the batch path nothing
-        let cold = cold_spawn_secs(cfg.threads);
         let t0 = Instant::now();
         // submission is O(1) per item: generator items are materialized
         // — and verifying ones checked — by the pool worker that claims
@@ -401,41 +395,9 @@ impl ThreadedBackend {
             items,
             wall_secs: t0.elapsed().as_secs_f64(),
             pool_spawn_secs: outcome.pool_spawn_secs,
-            cold_spawn_secs: cold,
-            pool_reused: false,
             co_scheduled,
         })
     }
-}
-
-/// Cost of one cold spawn/join of an idle `threads`-wide pool — the
-/// per-item overhead the loop-over-`run` fallback pays. Measured once
-/// per process and pool width (cached), so repeated `Solver::batch`
-/// calls don't each pay an extra spawn just to fill a report field.
-pub(crate) fn cold_spawn_secs(threads: usize) -> f64 {
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<Vec<(usize, f64)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    if let Some(&(_, secs)) = cache
-        .lock()
-        .expect("cold-spawn cache")
-        .iter()
-        .find(|&&(t, _)| t == threads)
-    {
-        return secs;
-    }
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {});
-        }
-    });
-    let secs = t0.elapsed().as_secs_f64();
-    cache
-        .lock()
-        .expect("cold-spawn cache")
-        .push((threads, secs));
-    secs
 }
 
 /// Schedule metrics of a sequential reference driver.
@@ -481,7 +443,7 @@ impl SimulatedBackend {
     }
 
     /// One discrete-event run of `plan`'s DAG on `machine` (the whole
-    /// model, or a co-scheduling core group carved out of it).
+    /// model, or the one core a co-scheduled batch item runs on).
     fn simulate(
         &self,
         plan: &Plan<'_>,
@@ -535,59 +497,45 @@ impl Backend for SimulatedBackend {
         Ok(sim_report(self.name(), plan, self.machine.cores(), r))
     }
 
-    /// Model the batch semantics of the threaded pool on the machine
-    /// model: small items (per the shared batch knobs) are co-scheduled
-    /// on core *groups* of `batch_threads_per_item` cores each — the
-    /// batch wall time is the longest group's item sequence — while
-    /// large items run on the whole machine one after another. The same
-    /// classification the threaded pool applies, so backend-parity
-    /// sweeps cover the batch path too.
+    /// Model what the threaded pool does with a batch: each small item
+    /// ([`CaluConfig::co_schedules`](calu_core::CaluConfig::co_schedules))
+    /// runs whole on one core, dealt round-robin over the cores, while
+    /// large items run on the whole machine one after another. The
+    /// batch wall time is the large items' sum plus the busiest core's
+    /// run of small items.
     fn run_batch(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
         non_empty(plans)?;
         let cores = self.machine.cores();
         let cfg = batch_shared_config(plans)?;
-        let k = cfg.batch_threads_per_item.min(cores);
-        let groups = (cores / k).max(1);
-        let sub_machine = MachineConfig {
+        let one_core = MachineConfig {
             sockets: 1,
-            cores_per_socket: k,
+            cores_per_socket: 1,
             ..self.machine.clone()
         };
-        let mut group_time = vec![0.0f64; groups];
-        let mut next_group = 0usize;
+        let mut core_time = vec![0.0f64; cores];
         let mut wall_large = 0.0f64;
         let mut co_scheduled = 0usize;
         let mut items = Vec::with_capacity(plans.len());
         for plan in plans {
-            let small = cfg.co_schedules(plan.source.dims());
-            let (machine, grid, threads) = if small {
-                let (m, n) = plan.source.dims();
-                let sub_grid =
-                    ProcessGrid::for_shape(k, m.div_ceil(plan.b()), n.div_ceil(plan.b()))
-                        .map_err(|e| Error::Config(e.to_string()))?;
-                (sub_machine.clone(), sub_grid, k)
-            } else {
-                (self.machine.clone(), plan.grid, cores)
-            };
-            let r = self.simulate(plan, machine, grid)?;
-            if small {
+            let report = if cfg.co_schedules(plan.source.dims()) {
+                let r = self.simulate(plan, one_core.clone(), ProcessGrid::new(1, 1)?)?;
+                core_time[co_scheduled % cores] += r.makespan;
                 co_scheduled += 1;
-                group_time[next_group] += r.makespan;
-                next_group = (next_group + 1) % groups;
+                sim_report(self.name(), plan, 1, r)
             } else {
+                let r = self.simulate(plan, self.machine.clone(), plan.grid)?;
                 wall_large += r.makespan;
-            }
-            items.push(sim_report(self.name(), plan, threads, r));
+                sim_report(self.name(), plan, cores, r)
+            };
+            items.push(report);
         }
-        let wall = wall_large + group_time.iter().copied().fold(0.0f64, f64::max);
+        let wall = wall_large + core_time.iter().copied().fold(0.0f64, f64::max);
         Ok(BatchReport {
             backend: self.name().into(),
             threads: cores,
             items,
             wall_secs: wall,
             pool_spawn_secs: 0.0,
-            cold_spawn_secs: 0.0,
-            pool_reused: false,
             co_scheduled,
         })
     }

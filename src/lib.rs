@@ -117,7 +117,8 @@
 //! [`Solver::batch_iter`] streams an arbitrarily long sweep through a
 //! service with a bounded in-flight window, and [`service_batch`] runs
 //! [`Solver::batch`]-style sweeps on an already-warm service (reported
-//! honestly: [`BatchReport::pool_reused`] with zero spawn cost).
+//! with zero [`BatchReport::pool_spawn_secs`]: the spawn was paid when
+//! the service came up).
 //!
 //! ## History
 //!
@@ -150,8 +151,8 @@ pub mod solver;
 pub use backend::{Backend, SimulatedBackend, ThreadedBackend};
 pub use calu_core::{FaultKind, FaultPlan, KernelSet};
 pub use calu_sched::{
-    AdaptationStep, AdaptiveController, AdaptiveMode, AdaptivePolicy, Observation, QueueDiscipline,
-    SplitChoice, StealOrder,
+    AdaptationStep, AdaptiveController, AdaptivePolicy, Observation, QueueDiscipline, SplitChoice,
+    StealOrder,
 };
 pub use error::Error;
 pub use report::{

@@ -284,7 +284,7 @@ impl ScheduleMetrics {
     /// [`total_idle`]: ScheduleMetrics::total_idle
     /// [`total_rescued`]: ScheduleMetrics::total_rescued
     /// [`lost_workers`]: ScheduleMetrics::lost_workers
-    pub fn observation(&self, dims: (usize, usize)) -> calu_sched::adaptive::Observation {
+    pub(crate) fn observation(&self, dims: (usize, usize)) -> calu_sched::adaptive::Observation {
         calu_sched::adaptive::Observation::new(
             self.threads.len().max(1),
             self.makespan,
@@ -425,17 +425,11 @@ pub struct BatchReport {
     /// modelled batch time for the simulator).
     pub wall_secs: f64,
     /// Seconds until the last pool worker entered its work loop — paid
-    /// once per batch instead of once per item (0 where not modelled).
+    /// once per batch instead of once per item. 0 where not modelled,
+    /// and for a sweep on an already-warm
+    /// [`crate::serve::FactorService`], whose spawn was paid when the
+    /// service came up, not by this call.
     pub pool_spawn_secs: f64,
-    /// Measured (threaded) or modelled cost of one cold worker-pool
-    /// spawn — what the loop-over-`run` fallback pays *per item*.
-    pub cold_spawn_secs: f64,
-    /// Whether this sweep ran on an *already-warm* pool (a
-    /// [`crate::serve::FactorService`] kept alive across calls) rather
-    /// than spawning its own. Warm sweeps report
-    /// [`pool_spawn_secs`](BatchReport::pool_spawn_secs) `= 0` — the
-    /// spawn was paid once, when the service came up, not by this call.
-    pub pool_reused: bool,
     /// Items that were co-scheduled (claimed whole by one pool worker)
     /// rather than run on the full hybrid schedule.
     pub co_scheduled: usize,
@@ -475,22 +469,6 @@ impl BatchReport {
     /// Total DAG tasks executed across items.
     pub fn total_tasks(&self) -> usize {
         self.items.iter().map(|r| r.tasks).sum()
-    }
-
-    /// Estimated pool-reuse saving versus cold-spawning per item: the
-    /// loop-over-`run` fallback pays [`cold_spawn_secs`] for every item,
-    /// the pool pays [`pool_spawn_secs`] once — and a *warm* pool
-    /// ([`pool_reused`], a service kept alive across sweeps) pays
-    /// nothing at all, so its whole `cold × items` bill is saved. The
-    /// field split keeps the accounting honest: earlier versions folded
-    /// a cold-spawn charge into every call even when the pool had been
-    /// up for hours.
-    ///
-    /// [`cold_spawn_secs`]: BatchReport::cold_spawn_secs
-    /// [`pool_spawn_secs`]: BatchReport::pool_spawn_secs
-    /// [`pool_reused`]: BatchReport::pool_reused
-    pub fn spawn_savings_secs(&self) -> f64 {
-        (self.cold_spawn_secs * self.items.len() as f64 - self.pool_spawn_secs).max(0.0)
     }
 }
 
@@ -618,8 +596,6 @@ mod tests {
             items: vec![item(2e9, 3), item(4e9, 5)],
             wall_secs: 2.0,
             pool_spawn_secs: 0.5e-3,
-            cold_spawn_secs: 1e-3,
-            pool_reused: false,
             co_scheduled: 1,
         };
         assert_eq!(b.len(), 2);
@@ -627,58 +603,11 @@ mod tests {
         assert!((b.items_per_sec() - 1.0).abs() < 1e-12);
         assert!((b.aggregate_gflops() - 3.0).abs() < 1e-12);
         assert_eq!(b.total_tasks(), 8);
-        assert!((b.spawn_savings_secs() - 1.5e-3).abs() < 1e-12);
         let zero = BatchReport {
             wall_secs: 0.0,
             ..b.clone()
         };
         assert_eq!(zero.items_per_sec(), 0.0);
         assert_eq!(zero.aggregate_gflops(), 0.0);
-    }
-
-    #[test]
-    fn warm_pool_reports_zero_spawn_cost() {
-        // regression: a sweep on an already-warm service must not be
-        // billed a pool spawn — the whole cold × items fallback bill is
-        // saved, with nothing deducted for a spawn this call never paid
-        let item = |_| Report {
-            backend: "serve".into(),
-            algorithm: Algorithm::Calu,
-            scheduler: SchedulerKind::Hybrid { dratio: 0.1 },
-            queue_discipline: QueueDiscipline::Global,
-            layout: Layout::BlockCyclic,
-            dims: (10, 10),
-            b: 5,
-            threads: 2,
-            tasks: 1,
-            makespan: 1.0,
-            nominal_flops: 1e9,
-            factorization: None,
-            residual: None,
-            growth_factor: None,
-            schedule: ScheduleMetrics::default(),
-            timeline: None,
-            adaptation: None,
-        };
-        let warm = BatchReport {
-            backend: "serve".into(),
-            threads: 2,
-            items: (0..4).map(item).collect(),
-            wall_secs: 1.0,
-            pool_spawn_secs: 0.0,
-            cold_spawn_secs: 1e-3,
-            pool_reused: true,
-            co_scheduled: 0,
-        };
-        assert!(warm.pool_reused);
-        assert_eq!(warm.pool_spawn_secs, 0.0);
-        assert!((warm.spawn_savings_secs() - 4e-3).abs() < 1e-12);
-        // the same sweep on a cold pool is billed its spawn
-        let cold = BatchReport {
-            pool_spawn_secs: 1.5e-3,
-            pool_reused: false,
-            ..warm
-        };
-        assert!((cold.spawn_savings_secs() - 2.5e-3).abs() < 1e-12);
     }
 }

@@ -49,8 +49,7 @@ pub use calu_serve::{
 };
 
 use crate::backend::{
-    blank_report, cold_spawn_secs, kernels_for, reject_sim_only_knobs, report_from,
-    shape_only_source,
+    blank_report, kernels_for, reject_sim_only_knobs, report_from, shape_only_source,
 };
 use crate::error::Error;
 use crate::report::{BatchReport, Report};
@@ -232,8 +231,7 @@ impl Solver {
 
 /// Run a sweep on an *already-warm* service — [`Solver::batch`]
 /// semantics without paying (or billing) a pool spawn: the returned
-/// [`BatchReport`] has [`BatchReport::pool_reused`] set and
-/// `pool_spawn_secs = 0`. Jobs are submitted under [`JobClass::Batch`]
+/// [`BatchReport`] has `pool_spawn_secs = 0`. Jobs are submitted under [`JobClass::Batch`]
 /// with a bounded in-flight window; results return in input order. The
 /// service stays up afterwards. Each source picks its own kernel set:
 /// [`MatrixSource::SpdUniform`] runs tiled Cholesky, dense and uniform
@@ -296,9 +294,6 @@ where
     I: IntoIterator<Item = MatrixSource>,
 {
     let threads = service.threads();
-    // what the loop-over-`run` fallback would pay per item; cached per
-    // process and width, so warm sweeps don't re-measure
-    let cold = cold_spawn_secs(threads);
     let window = (2 * threads).max(4);
     let t0 = Instant::now();
     let mut pending: VecDeque<JobHandle<Report>> = VecDeque::new();
@@ -355,8 +350,6 @@ where
         items,
         wall_secs: t0.elapsed().as_secs_f64(),
         pool_spawn_secs: if warm { 0.0 } else { service.spawn_secs() },
-        cold_spawn_secs: cold,
-        pool_reused: warm,
         co_scheduled,
     })
 }

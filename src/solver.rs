@@ -123,7 +123,7 @@ impl MatrixSource {
     /// facade source becomes a [`calu_core::Source`]: borrowed dense
     /// data stays borrowed (never copied), owned dense data moves in,
     /// seeded generators stay lazy. `None` for a shape-only source.
-    pub fn job_source(this: Cow<'_, MatrixSource>) -> Option<Source<'_>> {
+    pub(crate) fn job_source(this: Cow<'_, MatrixSource>) -> Option<Source<'_>> {
         match this {
             Cow::Borrowed(MatrixSource::Dense(a)) => Some(Source::Dense(a)),
             Cow::Owned(MatrixSource::Dense(a)) => Some(Source::Owned(a)),
@@ -261,7 +261,6 @@ pub struct Solver {
     trace: bool,
     verify: bool,
     pin_workers: bool,
-    batch_threads_per_item: Option<usize>,
     batch_small_cutoff: Option<usize>,
     fault: Option<FaultPlan>,
     adaptive: Option<AdaptiveState>,
@@ -314,7 +313,6 @@ impl Solver {
             trace: false,
             verify: true,
             pin_workers: false,
-            batch_threads_per_item: None,
             batch_small_cutoff: None,
             fault: None,
             adaptive: None,
@@ -402,24 +400,14 @@ impl Solver {
         self
     }
 
-    /// The co-scheduling switch for a [`Solver::batch`] sweep
-    /// (default 1). Any value below the thread count enables
-    /// co-scheduling — on the threaded pool each small matrix is then
-    /// claimed whole by **one** worker, whatever `k` is; setting it
-    /// *to* the thread count disables co-scheduling, running every
-    /// item on the full hybrid schedule. The simulated backend also
-    /// uses `k` as the core-group width of its batch model
-    /// (`k`-worker groups on the real executor are future work).
-    /// Validated in `1..=threads`.
-    pub fn batch_threads_per_item(mut self, k: usize) -> Self {
-        self.batch_threads_per_item = Some(k);
-        self
-    }
-
-    /// Size cutoff below which a [`Solver::batch`] item counts as
-    /// *small* and is co-scheduled (larger dimension, in elements;
-    /// default [`calu_core::DEFAULT_BATCH_SMALL_CUTOFF`]). `0`
-    /// co-schedules nothing.
+    /// The co-scheduling knob of [`Solver::batch`] sweeps and served
+    /// jobs: on more than one thread, an item whose larger dimension
+    /// (in elements) is at most `cutoff` counts as *small* and is
+    /// claimed whole by **one** worker; larger items run on the full
+    /// hybrid schedule (default
+    /// [`calu_core::DEFAULT_BATCH_SMALL_CUTOFF`]). `0` co-schedules
+    /// nothing. The simulated backend models the same routing, one core
+    /// per small item.
     ///
     /// [`calu_core::DEFAULT_BATCH_SMALL_CUTOFF`]: calu_core::DEFAULT_BATCH_SMALL_CUTOFF
     pub fn batch_small_cutoff(mut self, cutoff: usize) -> Self {
@@ -445,7 +433,7 @@ impl Solver {
 
     /// Close the scheduling feedback loop: let an
     /// [`AdaptiveController`] pick the static/dynamic split, the steal
-    /// direction and the batch co-scheduling cutoffs from what the
+    /// direction and the batch co-scheduling cutoff from what the
     /// system already measures, instead of the fixed knobs above.
     ///
     /// The controller seeds its split from the backend's topology
@@ -453,19 +441,19 @@ impl Solver {
     /// model for the simulator), then moves it after every completed
     /// [`Solver::run`] / [`Solver::batch`] item using the report's own
     /// schedule metrics — idle fraction, steal-sweep failure rate,
-    /// remote-steal fraction, lost workers, rescued tasks. See
-    /// [`calu_sched::adaptive`] for the update rules and the two modes
-    /// (per-run cache-seeded vs. cross-run in-memory).
+    /// remote-steal fraction, lost workers, rescued tasks. The
+    /// observations accumulate in the controller's memory for the life
+    /// of this solver (and of any service it spawns); see
+    /// [`calu_sched::adaptive`] for the update rules.
     ///
     /// Adaptation replaces the *configured* scheduler: every adaptive
     /// plan runs `Hybrid { dratio }` at the controller's current choice
-    /// (bounded by the policy, validated through
-    /// [`CaluConfig::validate`]). It never changes a schedule mid-DAG —
-    /// choices move between runs/items only — so the factors stay
-    /// bitwise-identical to a fixed-knob run at the same chosen split.
-    /// Explicit [`Solver::batch_small_cutoff`] /
-    /// [`Solver::batch_threads_per_item`] calls still win over the
-    /// controller's cutoff choices.
+    /// (bounded by the policy, which [`Solver::plan`] validates). It
+    /// never changes a schedule mid-DAG — choices move between
+    /// runs/items only — so the factors stay bitwise-identical to a
+    /// fixed-knob run at the same chosen split. An explicit
+    /// [`Solver::batch_small_cutoff`] still wins over the controller's
+    /// cutoff choice.
     pub fn adaptive(mut self, policy: AdaptivePolicy) -> Self {
         self.adaptive = Some(AdaptiveState {
             policy,
@@ -550,8 +538,12 @@ impl Solver {
             .unwrap_or(1);
         // an adaptive solver resolves its split through the feedback
         // controller (seeded lazily from the backend's topology at the
-        // first plan); plan_choice() is idempotent within one batch, so
-        // every item of a sweep gets the identical choice
+        // first plan) once its policy validates; plan_choice() is
+        // idempotent within one batch, so every item of a sweep gets
+        // the identical choice
+        if let Some(state) = &self.adaptive {
+            state.policy.validate().map_err(Error::Config)?;
+        }
         let adaptation = self.adaptive.as_ref().map(|state| {
             state.with_controller(
                 || self.backend.topology(),
@@ -599,11 +591,6 @@ impl Solver {
         if let Some(a) = &adaptation {
             cfg.steal_order = a.chosen.steal_order;
             cfg.batch_small_cutoff = a.chosen.batch_small_cutoff;
-            cfg.batch_threads_per_item = a.chosen.batch_threads_per_item;
-            cfg.adaptive = Some(self.adaptive.as_ref().unwrap().policy.clone());
-        }
-        if let Some(k) = self.batch_threads_per_item {
-            cfg.batch_threads_per_item = k;
         }
         if let Some(cutoff) = self.batch_small_cutoff {
             cfg.batch_small_cutoff = cutoff;
@@ -687,11 +674,11 @@ impl Solver {
     /// (spawned once; per-worker scratch arenas and deques alive across
     /// items; small items co-scheduled whole-per-worker, large ones on
     /// the full hybrid static/dynamic schedule — see
-    /// [`Solver::batch_small_cutoff`] and
-    /// [`Solver::batch_threads_per_item`]); each item's factors are
+    /// [`Solver::batch_small_cutoff`]); each item's factors are
     /// bitwise-identical to a solo [`Solver::run`] on that source.
-    /// [`crate::SimulatedBackend`] models the same batch semantics;
-    /// other backends fall back to looping over [`Solver::run`].
+    /// [`crate::SimulatedBackend`] models the same routing, one core
+    /// per small item; other backends fall back to looping over
+    /// [`Solver::run`].
     pub fn batch(&self, sources: &[MatrixSource]) -> Result<BatchReport, Error> {
         if sources.is_empty() {
             return Err(Error::Config(
@@ -939,6 +926,19 @@ mod tests {
             .unwrap_err();
         assert!(
             matches!(err, crate::Error::Config(ref m) if m.contains("worker")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn plan_validates_the_adaptive_policy() {
+        let solver = |p| Solver::new(MatrixSource::shape(200, 200)).adaptive(p);
+        assert!(solver(AdaptivePolicy::new(7)).plan().is_ok());
+        let err = solver(AdaptivePolicy::new(7).with_dratio_bounds(0.0, 0.5))
+            .plan()
+            .unwrap_err();
+        assert!(
+            matches!(err, crate::Error::Config(ref m) if m.contains("adaptive")),
             "{err}"
         );
     }

@@ -2,7 +2,7 @@
 //! canned observation traces (a healthy machine, one half-speed core, a
 //! core lost mid-run, an all-small and an all-large batch mix) through
 //! the controller and assert the chosen splits are **deterministic**,
-//! **bounded** by the same ranges `CaluConfig::validate` enforces, and
+//! **bounded** by the ranges the validated policy sets, and
 //! **monotone** — more idle always buys a larger dynamic share. The
 //! same controller then runs end-to-end on both backends: the threaded
 //! facade and the simulator must seed identically-shaped controllers
@@ -11,8 +11,8 @@
 use calu::sched::CpuTopology;
 use calu::sim::{MachineConfig, NoiseConfig};
 use calu::{
-    AdaptiveController, AdaptiveMode, AdaptivePolicy, FaultPlan, JobClass, JobSpec, MatrixSource,
-    Observation, SimulatedBackend, Solver, SplitChoice, StealOrder,
+    AdaptiveController, AdaptivePolicy, FaultPlan, JobClass, JobSpec, MatrixSource, Observation,
+    SimulatedBackend, Solver, SplitChoice, StealOrder,
 };
 
 const THREADS: usize = 8;
@@ -139,18 +139,13 @@ fn every_chosen_split_stays_inside_the_validated_bounds() {
                 p.cutoff_min,
                 p.cutoff_max
             );
-            assert!(
-                choice.batch_threads_per_item >= 1 && choice.batch_threads_per_item <= THREADS,
-                "{name} step {i}: threads-per-item {} not in 1..=threads",
-                choice.batch_threads_per_item
-            );
             // the exact knobs the controller chose must pass the same
             // validation path every fixed configuration goes through
+            p.validate().unwrap();
             calu::core::CaluConfig::new(64)
                 .with_threads(4)
                 .with_dratio(choice.dratio)
                 .with_steal_order(choice.steal_order)
-                .with_adaptive(p.clone())
                 .validate()
                 .unwrap_or_else(|e| panic!("{name} step {i}: chosen split fails validate: {e}"));
         }
@@ -189,15 +184,6 @@ fn the_size_histogram_drives_the_batch_cutoffs() {
         small.batch_small_cutoff,
         large.batch_small_cutoff
     );
-    assert_eq!(
-        small.batch_threads_per_item, 1,
-        "tiny items co-schedule whole on one worker"
-    );
-    assert!(
-        large.batch_threads_per_item > 1,
-        "a majority-large mix must widen the per-item groups, got {}",
-        large.batch_threads_per_item
-    );
 }
 
 #[test]
@@ -218,54 +204,74 @@ fn heavy_remote_stealing_flips_the_sweep_direction_and_back() {
     );
 }
 
+/// Every canned trace's replayed `(dratio bits, cutoff, steal order)`
+/// sequence at seed 7, captured before the per-item group width, the
+/// per-run mode and the cache file were deleted: removing them must not
+/// move a single dither draw.
 #[test]
-fn per_run_mode_reseeds_while_cross_run_accumulates() {
-    let mut cross = AdaptiveController::new(policy(9).cross_run(), &topo(), THREADS);
-    let mut per_run = AdaptiveController::new(policy(9).per_run(), &topo(), THREADS);
-    assert_eq!(cross.policy().mode, AdaptiveMode::CrossRun);
-    assert_eq!(per_run.policy().mode, AdaptiveMode::PerRun);
-    for obs in lost_core_trace(4) {
-        cross.observe(&obs);
-        per_run.observe(&obs);
+fn every_canned_trace_replays_its_golden_split_sequence() {
+    use StealOrder::NearestFirst as Near;
+    type Step = (u64, usize, StealOrder);
+    let golden: [(&str, [Step; 5]); 5] = [
+        (
+            "healthy",
+            [
+                (0x3fc268c396d5d1db, 512, Near),
+                (0x3fc19fdbbe9c5f49, 512, Near),
+                (0x3fc0de1a2931a7d3, 512, Near),
+                (0x3fc0188a45044feb, 512, Near),
+                (0x3fbeb404cf40392d, 512, Near),
+            ],
+        ),
+        (
+            "half-speed core",
+            [
+                (0x3fcadb73b79a6d81, 512, Near),
+                (0x3fd1429e0012cb4b, 512, Near),
+                (0x3fd51b1545bfbd63, 512, Near),
+                (0x3fd8f1a5640b5f42, 512, Near),
+                (0x3fdccbb985bb936b, 512, Near),
+            ],
+        ),
+        (
+            "lost core",
+            [
+                (0x3fd04f0189e1b1a1, 512, Near),
+                (0x3fd7052d5c3bc10d, 512, Near),
+                (0x3fddbeec4ffd2e07, 512, Near),
+                (0x3fe23b620e2ea564, 512, Near),
+                (0x3fe5990ff610fce9, 512, Near),
+            ],
+        ),
+        (
+            "all-small batch",
+            [
+                (0x3fc2379cad5cfcdd, 64, Near),
+                (0x3fc13d8debaab54d, 64, Near),
+                (0x3fc04aa56cc728d9, 64, Near),
+                (0x3fbea7dd3e41f7e6, 64, Near),
+                (0x3fbcc87fb087e741, 64, Near),
+            ],
+        ),
+        (
+            "all-large batch",
+            [
+                (0x3fc2379cad5cfcdd, 768, Near),
+                (0x3fc13d8debaab54d, 768, Near),
+                (0x3fc04aa56cc728d9, 768, Near),
+                (0x3fbea7dd3e41f7e6, 768, Near),
+                (0x3fbcc87fb087e741, 768, Near),
+            ],
+        ),
+    ];
+    for ((name, trace), (golden_name, expected)) in canned_traces().into_iter().zip(golden) {
+        assert_eq!(name, golden_name);
+        let replayed: Vec<_> = replay(7, &trace)
+            .into_iter()
+            .map(|c| (c.dratio.to_bits(), c.batch_small_cutoff, c.steal_order))
+            .collect();
+        assert_eq!(replayed, expected, "{name}");
     }
-    let seed = cross.seed_choice().dratio;
-    assert!(
-        cross.plan_choice().dratio > seed,
-        "cross-run feedback reaches the next plan in memory"
-    );
-    assert_eq!(
-        per_run.plan_choice().dratio,
-        seed,
-        "per-run mode without a cache re-seeds every plan from topology"
-    );
-}
-
-#[test]
-fn the_observation_cache_carries_adaptation_across_processes() {
-    let dir = std::env::temp_dir().join(format!("calu-adaptive-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("host-cache");
-    let p = policy(13).with_cache(&cache);
-    // "process one": learn under a lost core, persisting every step
-    let mut first = AdaptiveController::new(p.clone(), &topo(), THREADS);
-    for obs in lost_core_trace(4) {
-        first.observe(&obs);
-    }
-    let learned = first.choice();
-    assert!(cache.exists(), "observations must persist to the cache");
-    // "process two": a *per-run* controller on the same host starts
-    // from the persisted history, not the topology seed
-    let mut second = AdaptiveController::new(p.clone().per_run(), &topo(), THREADS);
-    assert_eq!(
-        second.plan_choice(),
-        learned,
-        "a new process must plan under the persisted split"
-    );
-    // a corrupt cache falls back to the topology seed, not an error
-    std::fs::write(&cache, "not a calu cache\n").unwrap();
-    let mut third = AdaptiveController::new(p.per_run(), &topo(), THREADS);
-    assert_eq!(third.plan_choice(), third.seed_choice());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

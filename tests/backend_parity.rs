@@ -358,16 +358,6 @@ fn batch_rejects_bad_inputs_like_run_does() {
         matches!(err, calu::Error::Config(ref m) if m.contains("DenseMatrix")),
         "{err}"
     );
-    // batch knobs are validated through the same single path
-    let err = Solver::new(MatrixSource::shape(64, 64))
-        .threads(2)
-        .batch_threads_per_item(8)
-        .batch(&[MatrixSource::uniform(32, 1)])
-        .unwrap_err();
-    assert!(
-        matches!(err, calu::Error::Config(ref m) if m.contains("exceeds")),
-        "{err}"
-    );
 }
 
 #[test]
@@ -413,6 +403,106 @@ fn simulated_batch_models_the_same_semantics() {
     }
     assert!((batch.wall_secs - sum).abs() < 1e-12);
     assert!(batch.items_per_sec() > 0.0);
+}
+
+/// Batch routing, captured before the per-item group width was deleted:
+/// which items of a mixed batch (either side of the default 384 cutoff)
+/// co-schedule at threads {1, 2, 4} × cutoff {0, default, 1000}, and
+/// the simulated batch's bits at each cutoff. The co-schedule predicate
+/// `threads > 1 && max(m, n) <= cutoff` must route exactly as before.
+#[test]
+fn batch_routing_matches_its_golden() {
+    // fully dynamic, so a co-operative item pops nothing from a static
+    // queue and a co-scheduled one (drained whole on one worker) pops
+    // only locally: the queue sources name the route
+    let sources: Vec<MatrixSource> = [96usize, 200, 384, 385, 500]
+        .iter()
+        .zip(300..)
+        .map(|(&n, seed)| MatrixSource::uniform(n, seed))
+        .collect();
+    let (none, small3, all) = ([false; 5], [true, true, true, false, false], [true; 5]);
+    for (threads, expected) in [
+        (1, [none, none, none]),
+        (2, [none, small3, all]),
+        (4, [none, small3, all]),
+    ] {
+        for (cutoff, expected) in [Some(0), None, Some(1000)].into_iter().zip(expected) {
+            let mut solver = Solver::new(MatrixSource::shape(1, 1))
+                .tile(32)
+                .threads(threads)
+                .dratio(1.0)
+                .verify(false);
+            if let Some(c) = cutoff {
+                solver = solver.batch_small_cutoff(c);
+            }
+            let batch = solver.batch(&sources).unwrap();
+            let routed: Vec<bool> = batch
+                .items
+                .iter()
+                .map(|r| r.schedule.queue_sources().local > 0)
+                .collect();
+            let ctx = format!("threads {threads}, cutoff {cutoff:?}");
+            assert_eq!(routed, expected, "{ctx}");
+            let count = expected.iter().filter(|&&small| small).count();
+            assert_eq!(batch.co_scheduled, count, "{ctx}");
+        }
+    }
+
+    let mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
+    let shapes: Vec<MatrixSource> = [200usize, 384, 385, 1000]
+        .iter()
+        .map(|&n| MatrixSource::shape(n, n))
+        .collect();
+    // (cutoff, wall bits, per item (cores, makespan bits))
+    type Run = (Option<usize>, u64, [(usize, u64); 4]);
+    let golden: [Run; 3] = [
+        (
+            Some(0),
+            0x3fb1dfc313c3f260,
+            [
+                (16, 0x3f6a9eafd4c8cd00),
+                (16, 0x3f85908318634078),
+                (16, 0x3f859efdd69bc984),
+                (16, 0x3fa749baee7b9572),
+            ],
+        ),
+        (
+            None,
+            0x3fb3426a78d64876,
+            [
+                (1, 0x3f7024275f0a92f0),
+                (1, 0x3f93a6b51b141233),
+                (16, 0x3f859efdd69bc984),
+                (16, 0x3fa749baee7b9572),
+            ],
+        ),
+        (
+            Some(1000),
+            0x3fca1ffd0c2194d2,
+            [
+                (1, 0x3f7024275f0a92f0),
+                (1, 0x3f93a6b51b141233),
+                (1, 0x3f93c16e3a254cfe),
+                (1, 0x3fca1ffd0c2194d2),
+            ],
+        ),
+    ];
+    for (cutoff, wall, items) in golden {
+        let mut solver = Solver::new(MatrixSource::shape(8, 8))
+            .tile(100)
+            .backend(SimulatedBackend::new(mach.clone()));
+        if let Some(c) = cutoff {
+            solver = solver.batch_small_cutoff(c);
+        }
+        let batch = solver.batch(&shapes).unwrap();
+        assert_eq!(batch.wall_secs.to_bits(), wall, "cutoff {cutoff:?}");
+        let got: Vec<(usize, u64)> = batch
+            .items
+            .iter()
+            .map(|r| (r.threads, r.makespan.to_bits()))
+            .collect();
+        assert_eq!(got, items, "cutoff {cutoff:?}");
+    }
 }
 
 #[test]
