@@ -6,9 +6,9 @@
 //! written once, plus the minimum around it to feed it *jobs*:
 //!
 //! * a **job** is a [`BatchItem`] — a matrix [`Source`], the
-//!   [`KernelSet`] that factors it, whether to verify the result — plus
-//!   a sink, queued in [`ClassLanes`]; every job comes back as one
-//!   [`Outcome`];
+//!   [`KernelSet`] that factors it, whether to verify the result and
+//!   whether to keep its spans — plus a sink, queued in [`ClassLanes`];
+//!   every job comes back as one [`Outcome`];
 //! * a claimed **small** job (the co-schedule predicate,
 //!   [`CaluConfig::co_schedules`]) is materialized, factored by a
 //!   sequential DAG drain and delivered entirely on the claiming worker
@@ -17,8 +17,8 @@
 //! * a claimed **large** job becomes a [`Run`]: one `ItemState` (tiles,
 //!   dependence counters, panels) + one [`ReadyQueues`] value (static
 //!   heaps + the dynamic section under the configured
-//!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one span/stat
-//!   slot per worker + the job's sink, published for every worker to
+//!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one log slot
+//!   per worker + the job's sink, published for every worker to
 //!   pull from. A run has three phases, all of them the workers': they
 //!   **fill** the freshly allocated tiles from the input, **factor**
 //!   (the DAG), then **densify** the tiles into the result — the two
@@ -237,6 +237,9 @@ pub struct BatchItem<'a> {
     /// its input until then; an unverified one drops a generated or
     /// moved-in input as soon as the tiles are built.
     pub verify: bool,
+    /// Keep one [`TaskSpan`] per task (32 B each) as
+    /// [`Outcome::timeline`]; the schedule is folded either way.
+    pub trace: bool,
 }
 
 impl<'a> BatchItem<'a> {
@@ -246,6 +249,7 @@ impl<'a> BatchItem<'a> {
             source,
             kernels: KernelSet::CaluLu,
             verify: false,
+            trace: false,
         }
     }
 
@@ -255,12 +259,19 @@ impl<'a> BatchItem<'a> {
             source,
             kernels: KernelSet::Cholesky,
             verify: false,
+            trace: false,
         }
     }
 
     /// Switch result verification on or off.
     pub fn verified(mut self, verify: bool) -> Self {
         self.verify = verify;
+        self
+    }
+
+    /// Switch span recording on or off.
+    pub fn traced(mut self, trace: bool) -> Self {
+        self.trace = trace;
         self
     }
 }
@@ -275,11 +286,12 @@ pub struct Outcome {
     /// Which algorithm's kernels factored the job.
     pub kernels: KernelSet,
     /// Per-worker spans, time-shifted so the job's first task starts
-    /// at 0.
-    pub timeline: Timeline,
-    /// Per-worker queue accounting for this job's tasks.
+    /// at 0, when the job asked for a trace ([`BatchItem::trace`]).
+    pub timeline: Option<Timeline>,
+    /// Per-worker schedule accounting, folded as the tasks ran.
     pub stats: Vec<ThreadStats>,
-    /// First task start → last task end. Co-scheduled jobs overlap, so
+    /// First task start → last task end, from the same fold (the
+    /// timeline's makespan to the bit). Co-scheduled jobs overlap, so
     /// these do not sum to a sweep's wall time.
     pub makespan: f64,
     /// Whether the job was claimed whole by one worker (small route)
@@ -330,12 +342,42 @@ fn injected_panic(me: usize) -> ! {
     panic!("injected kernel panic on worker {me} (fault plan)")
 }
 
-/// What one worker recorded about one job: engine-clock spans and
-/// queue accounting.
-#[derive(Default)]
+/// What one worker recorded about one job: its running fold (`stats`,
+/// first start and last end on the engine clock), and a traced job's spans.
 struct WorkerLog {
-    spans: Vec<TaskSpan>,
+    spans: Option<Vec<TaskSpan>>,
     stats: ThreadStats,
+    first_start: f64,
+    last_end: f64,
+}
+
+impl WorkerLog {
+    /// An empty log that keeps spans when the job asked for a trace.
+    fn new(trace: bool) -> Self {
+        WorkerLog {
+            spans: trace.then(Vec::new),
+            stats: ThreadStats::default(),
+            first_start: f64::INFINITY,
+            last_end: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Fold one interval of this worker's time into the log — a task as
+    /// work, a fault-plan stall as noise — and keep the span itself only
+    /// for a traced job: the engine's one trace-dependent branch.
+    fn book(&mut self, span: TaskSpan) {
+        let secs = span.end - span.start;
+        if span.kind.is_work() {
+            self.stats.work += secs;
+        } else {
+            self.stats.noise += secs;
+        }
+        self.first_start = self.first_start.min(span.start);
+        self.last_end = self.last_end.max(span.end);
+        if let Some(spans) = &mut self.spans {
+            spans.push(span);
+        }
+    }
 }
 
 /// One worker's log of one run. Only that worker locks it while the run
@@ -793,14 +835,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Serve a fault-plan stall; when it hit in the middle of `run`'s
-    /// DAG, it shows in that run's timeline as noise (a timeline runs
-    /// from the first task to the last, so a stall during a conversion
-    /// phase has no place in it).
+    /// DAG, it is booked in that run as noise (a schedule runs from the
+    /// first task to the last, so a stall during a conversion phase has
+    /// no place in it).
     fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
         let start = self.now();
         std::thread::sleep(d);
         if let Some(run) = run.filter(|r| r.phase.load(Ordering::Acquire) == FACTOR) {
-            run.log(me).spans.push(TaskSpan {
+            run.log(me).book(TaskSpan {
                 core: me,
                 start,
                 end: self.now(),
@@ -809,11 +851,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Shape one finished job's raw pieces into its [`Outcome`]: spans
-    /// shifted so the job's first task starts at 0, the dense factors
-    /// `lu` (left swaps already applied), and — the one place an engine
-    /// job is verified — the residual and growth factor against `a`,
-    /// present when the job asked for them.
+    /// Shape one finished job's raw pieces into its [`Outcome`]: the
+    /// folds' makespan, a traced job's spans shifted to start at 0, the
+    /// dense factors `lu` (left swaps already applied), and — the one
+    /// place an engine job is verified — the residual and growth factor
+    /// against `a`, present when the job asked for them.
     #[allow(clippy::too_many_arguments)]
     fn outcome(
         &self,
@@ -827,19 +869,23 @@ impl<'a> Engine<'a> {
     ) -> Outcome {
         // the workers' own vectors, joined in worker order: nothing is
         // re-pushed span by span
-        let total = logs.iter().map(|l| l.spans.len()).sum::<usize>();
+        let traced = logs.iter().any(|l| l.spans.is_some());
+        let total: usize = logs.iter().flat_map(|l| &l.spans).map(Vec::len).sum();
+        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut spans: Vec<TaskSpan> = Vec::new();
         let mut stats = Vec::with_capacity(self.threads());
         for log in logs {
             if spans.is_empty() {
-                spans = log.spans;
+                spans = log.spans.unwrap_or_default();
                 spans.reserve_exact(total - spans.len());
             } else {
-                spans.extend(log.spans);
+                spans.extend(log.spans.into_iter().flatten());
             }
+            (t0, t1) = (t0.min(log.first_start), t1.max(log.last_end));
             stats.push(log.stats);
         }
-        let timeline = Timeline::from_spans(self.threads(), spans);
+        // the timeline's own rule, on the same engine-clock values
+        let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
         let factorization = Factorization {
             lu,
             perm,
@@ -860,8 +906,8 @@ impl<'a> Engine<'a> {
         Outcome {
             factorization,
             kernels,
-            makespan: timeline.makespan(),
-            timeline,
+            makespan,
+            timeline: traced.then(|| Timeline::from_spans(self.threads(), spans)),
             stats,
             co_scheduled,
             queue: self.cfg.queue,
@@ -946,7 +992,7 @@ impl<'a> Engine<'a> {
         let (perm, singular_at) = run.factored.get().cloned().expect("every task retired");
         let logs = (0..self.threads())
             .map(|w| {
-                let mut log = std::mem::take(&mut *run.log(w));
+                let mut log = std::mem::replace(&mut *run.log(w), WorkerLog::new(false));
                 log.stats.rescued = run.queues.rescued(w);
                 log
             })
@@ -973,7 +1019,7 @@ impl<'a> Engine<'a> {
     /// Execute what one pop claimed — `bufs.group`: one task, or a
     /// group of S tasks as one GEMM — and queue the successors; the
     /// worker whose completion retires the run's last task opens the
-    /// densify phase. Every member is retired, logged, counted and
+    /// densify phase. Every member is retired, booked, counted and
     /// fault-ticked as the task it is; a group's members share its
     /// interval in equal parts.
     /// The body runs under `catch_unwind`: a panicking kernel fails its
@@ -1004,7 +1050,7 @@ impl<'a> Engine<'a> {
         {
             let mut log = run.log(me);
             for (x, &t) in bufs.group.iter().enumerate() {
-                log.spans.push(TaskSpan {
+                log.book(TaskSpan {
                     core: me,
                     start: start + x as f64 * share,
                     end: if x + 1 == members {
@@ -1170,10 +1216,10 @@ impl<'a> Engine<'a> {
         // a mid-item worker loss has no partial-state recovery path:
         // keep the job so the whole item can be requeued
         let backup = self.armed.then(|| item.clone());
-        let verify = item.verify;
+        let (verify, trace) = (item.verify, item.trace);
         let res = self.build(item, me, inject_panic).and_then(|(state, a)| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.run_small(state, a, verify, me, scratch, clock)
+                self.run_small(state, a, verify, trace, me, scratch, clock)
             }))
             .map_err(panic_error)
         });
@@ -1206,7 +1252,7 @@ impl<'a> Engine<'a> {
     /// allocating, not touching, its tile storage — and publish it.
     fn start_run(&self, class: JobClass, seq: u64, job: Job<'a>, me: usize, inject_panic: bool) {
         job.sink.started();
-        let verify = job.item.verify;
+        let (verify, trace) = (job.item.verify, job.item.trace);
         let (item, a) = match self.build(job.item, me, inject_panic) {
             Ok(built) => built,
             Err(e) => return self.end_job(job.sink, Err(e)),
@@ -1228,7 +1274,9 @@ impl<'a> Engine<'a> {
                 self.cfg.steal_order,
                 host_topology(),
             ),
-            slots: (0..threads).map(|_| Slot::default()).collect(),
+            slots: (0..threads)
+                .map(|_| Padded(Mutex::new(WorkerLog::new(trace))))
+                .collect(),
             sink: Mutex::new(Some(job.sink)),
             phase: AtomicU8::new(FILL),
             fill: Chunks::new(item.fill_chunks(), threads, |c| item.fill_owner(c)),
@@ -1278,11 +1326,13 @@ impl<'a> Engine<'a> {
     /// task (stalls and slowdowns sleep in place; an injected panic
     /// unwinds into the caller's perimeter) and a fired loss abandons
     /// the item, returning `None` so the caller can requeue it whole.
+    #[allow(clippy::too_many_arguments)]
     fn run_small(
         &self,
         item: ItemState<PoolStorage>,
         a: Cow<'_, DenseMatrix>,
         verify: bool,
+        trace: bool,
         me: usize,
         scratch: &mut GemmScratch,
         clock: &mut FaultClock,
@@ -1295,7 +1345,7 @@ impl<'a> Engine<'a> {
         // verification (anything else frees a generator fill or
         // moved-in data here)
         let a = verify.then_some(a);
-        let mut log = WorkerLog::default();
+        let mut log = WorkerLog::new(trace);
         let mut stack = item.g.initial_ready();
         // descending key order so `pop` serves the smallest (most
         // critical) key first; freshly enabled successors are re-sorted
@@ -1315,7 +1365,7 @@ impl<'a> Engine<'a> {
             let start = self.now();
             item.execute(t, scratch);
             let end = self.now();
-            log.spans.push(TaskSpan {
+            log.book(TaskSpan {
                 core: me,
                 start,
                 end,
@@ -1342,7 +1392,7 @@ impl<'a> Engine<'a> {
             // SAFETY: every task ran, on this thread.
             unsafe { item.densify_chunk(tj, cols, &perm) };
         }
-        let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::default()).collect();
+        let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::new(false)).collect();
         logs[me] = log;
         Some(self.outcome(&item.g, lu, perm, singular_at, logs, a.as_deref(), true))
     }
@@ -1659,7 +1709,13 @@ mod tests {
 
     /// Every task ran on exactly one worker and came from exactly one
     /// queue source: per worker, pops by source add up to its spans.
-    fn assert_attributed_once(tl: &Timeline, stats: &[ThreadStats], tasks: usize, ctx: &str) {
+    fn assert_attributed_once(
+        tl: &Option<Timeline>,
+        stats: &[ThreadStats],
+        tasks: usize,
+        ctx: &str,
+    ) {
+        let tl = tl.as_ref().expect("a traced job");
         assert_eq!(tl.spans().len(), tasks, "one span per task, {ctx}");
         for (w, s) in stats.iter().enumerate() {
             let spans = tl.spans().iter().filter(|sp| sp.core == w).count() as u64;
@@ -1705,6 +1761,35 @@ mod tests {
     }
 
     #[test]
+    fn an_untraced_job_keeps_no_spans_and_folds_the_same_schedule() {
+        // both routes (co-operative at cutoff 0, co-scheduled at 1000):
+        // no timeline unless asked for, every task counted either way,
+        // and a traced job's makespan is its timeline's to the bit
+        let a = gen::uniform(96, 96, 61);
+        let tasks = KernelSet::CaluLu.build_graph(96, 96, 16, 2).unwrap().len();
+        for cutoff in [0usize, 1000] {
+            let cfg = cfg4(QueueDiscipline::lock_free()).with_batch_small_cutoff(cutoff);
+            for trace in [false, true] {
+                let item = BatchItem::lu(Source::Dense(&a)).traced(trace);
+                let out = factor_batch(&[item], &cfg).unwrap().items.remove(0);
+                let ctx = format!("cutoff {cutoff}, trace {trace}");
+                assert_eq!(out.co_scheduled, cutoff > 0, "{ctx}");
+                assert_eq!(out.timeline.is_some(), trace, "{ctx}");
+                let counted: u64 = out
+                    .stats
+                    .iter()
+                    .map(|s| s.local_pops + s.global_pops + s.steal_pops)
+                    .sum();
+                assert_eq!(counted as usize, tasks, "{ctx}");
+                assert!(out.makespan > 0.0, "{ctx}");
+                if let Some(tl) = &out.timeline {
+                    assert_eq!(tl.makespan().to_bits(), out.makespan.to_bits(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn solo_batch_and_pool_agree_bitwise_under_every_discipline() {
         // {solo, batch, pool} × {Global, Sharded, LockFree} × {LU,
         // Cholesky, tall LU}: one engine, so one set of bits — and one
@@ -1730,6 +1815,7 @@ mod tests {
                     source: Source::Dense(&a),
                     kernels,
                     verify: false,
+                    trace: true,
                 };
                 let Outcome {
                     factorization: solo,
@@ -1744,6 +1830,7 @@ mod tests {
                     source: Source::Owned(a.clone()),
                     kernels,
                     verify: false,
+                    trace: true,
                 };
                 let admitted = pool.submit(1, JobClass::Batch, owned, Box::new(ChanSink(tx)));
                 assert!(admitted.is_ok());
@@ -1785,7 +1872,8 @@ mod tests {
     /// ended and are S tasks: the later members of grouped calls, which
     /// share one measured interval. (Separately timed tasks have the
     /// completion bookkeeping between their two clock reads.)
-    fn group_members(tl: &Timeline) -> usize {
+    fn group_members(tl: &Option<Timeline>) -> usize {
+        let tl = tl.as_ref().expect("a traced job");
         (0..tl.cores())
             .map(|core| {
                 let spans = tl.core_spans(core);
@@ -1821,7 +1909,8 @@ mod tests {
                 for queue in DISCIPLINES {
                     for group in [1, 3, 8] {
                         let cfg = grouped_cfg(threads, queue, group);
-                        let out = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+                        let item = BatchItem::lu(Source::Dense(&a)).traced(true);
+                        let out = factor_one(item, &cfg).unwrap();
                         let ctx = format!("{m}x{n} T={threads} {queue} group={group}");
                         let f = &out.factorization;
                         let reference = reference.get_or_insert_with(|| f.clone());
@@ -1840,7 +1929,7 @@ mod tests {
     #[test]
     fn faults_behave_on_groups_as_on_single_tasks() {
         let a = gen::uniform(256, 256, 93);
-        let item = || BatchItem::lu(Source::Dense(&a));
+        let item = || BatchItem::lu(Source::Dense(&a)).traced(true);
         for queue in DISCIPLINES {
             let clean = factor_one(item(), &grouped_cfg(4, queue, 1)).unwrap();
             for group in [3usize, 8] {
@@ -1865,7 +1954,7 @@ mod tests {
                 let lost = lost.unwrap();
                 same_bits(&lost, "lose");
                 assert_eq!(lost_workers, 1, "{ctx}");
-                let ran = lost.timeline.core_spans(1).len();
+                let ran = lost.timeline.as_ref().unwrap().core_spans(1).len();
                 assert!((5..5 + group).contains(&ran), "worker 1 ran {ran}, {ctx}");
                 assert!(lost.stats[1].lost && lost.stats[1].rescued > 0, "{ctx}");
                 // a slow worker is degraded: its static share rides the
@@ -1993,7 +2082,11 @@ mod tests {
             for cutoff in [0usize, 1000] {
                 // cutoff 0: all co-operative; cutoff 1000: all co-scheduled
                 let cfg = cfg4().with_batch_small_cutoff(cutoff);
-                let out = factor_batch(&lu_items(&refs), &cfg).unwrap();
+                let items: Vec<_> = lu_items(&refs)
+                    .into_iter()
+                    .map(|i| i.traced(true))
+                    .collect();
+                let out = factor_batch(&items, &cfg).unwrap();
                 for (item, g) in out.items.iter().zip(&mats) {
                     let expected = TaskGraph::build_calu(g.rows(), g.cols(), 16, 2).len();
                     let popped: u64 = item
@@ -2002,7 +2095,8 @@ mod tests {
                         .map(|s| s.local_pops + s.global_pops + s.steal_pops)
                         .sum();
                     assert_eq!(popped as usize, expected, "cutoff {cutoff}");
-                    assert_eq!(item.timeline.spans().len(), expected, "cutoff {cutoff}");
+                    let spans = item.timeline.as_ref().unwrap().spans().len();
+                    assert_eq!(spans, expected, "cutoff {cutoff}");
                     assert_eq!(item.co_scheduled, cutoff == 1000);
                 }
             }

@@ -287,12 +287,16 @@ mod tests {
         let pool = ServicePool::spawn(&cfg, 4).unwrap();
         let (tx, rx) = mpsc::channel();
         let a = gen::uniform(192, 192, 7);
-        accept(pool.submit(
-            1,
-            JobClass::Interactive,
-            BatchItem::lu(Source::Owned(a.clone())).verified(true),
-            Box::new(ChanSink(tx)),
-        ));
+        accept(
+            pool.submit(
+                1,
+                JobClass::Interactive,
+                BatchItem::lu(Source::Owned(a.clone()))
+                    .verified(true)
+                    .traced(true),
+                Box::new(ChanSink(tx)),
+            ),
+        );
         let out = rx.recv().unwrap().unwrap();
         pool.drain();
         assert!(!out.co_scheduled);
@@ -301,7 +305,7 @@ mod tests {
         assert_eq!(out.factorization.perm.pivots(), solo.perm.pivots());
         assert!(out.residual.unwrap() < 1e-12);
         let tasks: u64 = out.stats.iter().map(|s| s.local_pops + s.global_pops).sum();
-        assert_eq!(tasks as usize, out.timeline.spans().len());
+        assert_eq!(tasks as usize, out.timeline.unwrap().spans().len());
     }
 
     #[test]

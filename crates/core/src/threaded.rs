@@ -49,11 +49,16 @@ use crate::shared::{SharedTiles, TilePtr};
 use crate::sync::Mutex;
 use crate::tslu::{Candidate, TreePlan};
 
-/// Per-worker queue accounting from one threaded run: where this
-/// worker's tasks came from, plus steal/contention counters for the
-/// sharded discipline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Per-worker schedule accounting from one threaded run, folded as the
+/// worker ran: the seconds of its tasks and of fault-plan stalls, where
+/// the tasks came from (their count is the sum of the pops), plus
+/// steal/contention counters for the stealing disciplines.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ThreadStats {
+    /// Seconds this worker spent in task bodies.
+    pub work: f64,
+    /// Seconds this worker stalled under a fault plan while the job factored.
+    pub noise: f64,
     /// Tasks popped from the worker's own static queue.
     pub local_pops: u64,
     /// Tasks popped from the dynamic section without stealing (the
@@ -818,15 +823,15 @@ mod tests {
             // far inside that)
             for (name, a, growth_cap) in &inputs {
                 let cfg = CaluConfig::new(b).with_threads(threads);
-                let out = factor_one(BatchItem::lu(Source::Dense(a)), &cfg).unwrap();
-                let leaves = out
-                    .timeline
+                let out = factor_one(BatchItem::lu(Source::Dense(a)).traced(true), &cfg).unwrap();
+                let tl = out.timeline.as_ref().unwrap();
+                let leaves = tl
                     .spans()
                     .iter()
                     .filter(|s| s.kind == calu_trace::SpanKind::Panel)
                     .count();
                 let g = TaskGraph::build_calu(m, n, b, threads);
-                assert_eq!(out.timeline.spans().len(), g.len(), "{name} T={threads}");
+                assert_eq!(tl.spans().len(), g.len(), "{name} T={threads}");
                 // per panel: `threads` leaves, one combine fewer, a finish
                 assert_eq!(leaves, g.num_panels() * 2 * threads, "{name} T={threads}");
                 let f = &out.factorization;
@@ -957,9 +962,12 @@ mod tests {
         let cfg = CaluConfig::new(16).with_threads(4);
         let Outcome {
             factorization: f,
-            timeline: tl,
+            timeline: Some(tl),
             ..
-        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+        } = factor_one(BatchItem::lu(Source::Dense(&a)).traced(true), &cfg).unwrap()
+        else {
+            panic!("a traced job has a timeline")
+        };
         assert!(f.residual(&a) < 1e-12);
         assert_eq!(tl.cores(), 4);
         let g = TaskGraph::build_calu(64, 64, 16, 2);
@@ -1074,10 +1082,13 @@ mod tests {
             .with_queue(QueueDiscipline::LockFree { seed: 11 });
         let Outcome {
             factorization: f,
-            timeline: tl,
+            timeline: Some(tl),
             stats,
             ..
-        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+        } = factor_one(BatchItem::lu(Source::Dense(&a)).traced(true), &cfg).unwrap()
+        else {
+            panic!("a traced job has a timeline")
+        };
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()
@@ -1267,10 +1278,13 @@ mod tests {
             .with_queue(QueueDiscipline::Sharded { seed: 9 });
         let Outcome {
             factorization: f,
-            timeline: tl,
+            timeline: Some(tl),
             stats,
             ..
-        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+        } = factor_one(BatchItem::lu(Source::Dense(&a)).traced(true), &cfg).unwrap()
+        else {
+            panic!("a traced job has a timeline")
+        };
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()

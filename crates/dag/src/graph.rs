@@ -77,7 +77,10 @@ impl Builder {
         id
     }
 
-    fn finish(self, m: usize, n: usize, b: usize, variant: DagVariant) -> TaskGraph {
+    fn finish(mut self, m: usize, n: usize, b: usize, variant: DagVariant) -> TaskGraph {
+        // no doubling slack: a shrinking realloc splits in place
+        self.kinds.shrink_to_fit();
+        self.dep_count.shrink_to_fit();
         let ntasks = self.kinds.len();
         let mut succ_off = vec![0u32; ntasks + 1];
         for &(from, _) in &self.edges {
@@ -613,6 +616,22 @@ mod tests {
         // S tiles: 9+4+1 = 14
         assert_eq!(s, 14);
         assert_eq!(g.len(), 46);
+    }
+
+    #[test]
+    fn per_task_arrays_are_sized_exactly() {
+        // square, tall, wide and ragged CALU, and Cholesky
+        let graphs = [
+            TaskGraph::build_calu(256, 256, 16, 2),
+            TaskGraph::build_calu(1152, 64, 16, 4),
+            TaskGraph::build_calu(64, 512, 16, 1),
+            TaskGraph::build_calu(250, 170, 16, 3),
+            TaskGraph::build_cholesky(250, 16),
+        ];
+        for g in &graphs {
+            assert_eq!(g.kinds.capacity(), g.len(), "{:?}", g.variant);
+            assert_eq!(g.dep_count.capacity(), g.len(), "{:?}", g.variant);
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Admission and verification knobs for one [`FactorService`].
+/// Admission, verification and trace knobs for one [`FactorService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Total jobs admitted but not yet terminal, across all classes.
@@ -168,6 +168,8 @@ pub struct ServiceConfig {
     pub starvation_limit: usize,
     /// Compute a residual and growth factor for every job.
     pub verify: bool,
+    /// Keep every job's per-task spans (`Outcome::timeline`).
+    pub trace: bool,
     /// Watchdog stall detection: a *running co-operative* job whose
     /// task heartbeat has not advanced for this long is condemned with
     /// a typed worker-loss failure ([`ServeError::Failed`] carrying
@@ -191,6 +193,7 @@ impl Default for ServiceConfig {
             class_quota: [64, 192, 192],
             starvation_limit: 4,
             verify: false,
+            trace: false,
             stall_timeout: None,
             journal: None,
         }
@@ -205,8 +208,9 @@ impl Default for ServiceConfig {
 /// knobs are validated once, when the service is built.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The engine job; its `verify` flag is the service's
-    /// ([`ServiceConfig::verify`]), set at admission.
+    /// The engine job; its `verify` and `trace` flags are the service's
+    /// ([`ServiceConfig::verify`], [`ServiceConfig::trace`]), set at
+    /// admission.
     job: BatchItem<'static>,
     deadline: Option<Duration>,
 }
@@ -961,7 +965,7 @@ impl<R: Send + 'static> FactorService<R> {
         // rejection hands the sink back *uncalled*; a synchronous
         // `finished` callback here would re-enter this same admission
         // lock via `job_ended` and self-deadlock.
-        let job = spec.job.verified(self.cfg.verify);
+        let job = spec.job.verified(self.cfg.verify).traced(self.cfg.trace);
         if let Err(sink) = pool.submit(id, class, job, Box::new(sink)) {
             // unreachable while the invariant above holds (pool
             // draining implies we would have seen `adm.draining`), but

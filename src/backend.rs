@@ -19,11 +19,9 @@ use std::time::Instant;
 
 use calu_core::{
     factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, KernelSet, Outcome,
-    ThreadStats,
 };
 use calu_matrix::ProcessGrid;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
-use calu_trace::Timeline;
 
 use crate::error::Error;
 use crate::report::{nominal_flops, BatchReport, Report, ScheduleMetrics, ThreadMetrics};
@@ -129,42 +127,6 @@ fn batch_shared_config(plans: &[Plan<'_>]) -> Result<calu_core::CaluConfig, Erro
     Ok(cfg)
 }
 
-/// Fold a span timeline plus per-worker queue stats into the unified
-/// schedule metrics — one pass over the span list (it can hold tens of
-/// thousands of entries on large runs).
-fn threaded_schedule_metrics(tl: &Timeline, stats: &[ThreadStats]) -> ScheduleMetrics {
-    let threads = stats.len();
-    let makespan = tl.makespan();
-    let mut work = vec![0.0f64; threads];
-    let mut busy = vec![0.0f64; threads];
-    let mut count = vec![0u64; threads];
-    for s in tl.spans() {
-        busy[s.core] += s.duration();
-        if s.kind.is_work() {
-            work[s.core] += s.duration();
-        }
-        count[s.core] += 1;
-    }
-    ScheduleMetrics {
-        makespan,
-        threads: (0..threads)
-            .map(|c| ThreadMetrics {
-                work: work[c],
-                idle: (makespan - busy[c]).max(0.0),
-                tasks: count[c],
-                local_pops: stats[c].local_pops,
-                global_pops: stats[c].global_pops,
-                stolen_pops: stats[c].steal_pops,
-                remote_steal_pops: stats[c].remote_steal_pops,
-                failed_steals: stats[c].failed_steals,
-                rescued: stats[c].rescued,
-                lost: stats[c].lost,
-                ..Default::default()
-            })
-            .collect(),
-    }
-}
-
 /// A report carrying a job's identity and nothing measured yet — the
 /// header every backend fills in.
 #[allow(clippy::too_many_arguments)]
@@ -214,17 +176,37 @@ fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
 
 /// Turn what the executor engine hands back for one job — solo, batched
 /// or served — into its [`Report`]: `header` carries the job's identity,
-/// the [`Outcome`] everything measured. The factors, the per-worker
-/// timeline (its clock starts at the job's first task) and queue
-/// accounting, and the numerical checks the engine ran when the job
-/// asked for them. The thread count is the engine's, one `ThreadStats`
-/// per worker.
-pub(crate) fn report_from(mut report: Report, out: Outcome, record_trace: bool) -> Report {
+/// the [`Outcome`] everything measured. The factors, the schedule the
+/// engine folded as it ran (makespan, per-worker work, noise and queue
+/// accounting; a worker's tasks are its pops, idle is the rest of the
+/// makespan), the timeline when the job asked for one (its clock starts
+/// at the job's first task), and the numerical checks the engine ran
+/// when the job asked for them. The thread count is the engine's, one `ThreadStats` per
+/// worker.
+pub(crate) fn report_from(mut report: Report, out: Outcome) -> Report {
+    let makespan = out.makespan;
+    let threads = out.stats.iter().map(|s| ThreadMetrics {
+        work: s.work,
+        noise: s.noise,
+        idle: (makespan - s.work - s.noise).max(0.0),
+        tasks: s.local_pops + s.global_pops + s.steal_pops,
+        local_pops: s.local_pops,
+        global_pops: s.global_pops,
+        stolen_pops: s.steal_pops,
+        remote_steal_pops: s.remote_steal_pops,
+        failed_steals: s.failed_steals,
+        rescued: s.rescued,
+        lost: s.lost,
+        ..Default::default()
+    });
+    report.schedule = ScheduleMetrics {
+        makespan,
+        threads: threads.collect(),
+    };
     report.threads = out.stats.len();
-    report.tasks = out.timeline.spans().len();
-    report.makespan = out.timeline.makespan();
-    report.schedule = threaded_schedule_metrics(&out.timeline, &out.stats);
-    report.timeline = record_trace.then_some(out.timeline);
+    report.tasks = report.schedule.total_tasks() as usize;
+    report.makespan = makespan;
+    report.timeline = out.timeline;
     report.factorization = Some(out.factorization);
     report.residual = out.residual;
     report.growth_factor = out.growth_factor;
@@ -242,7 +224,7 @@ pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
 
 /// The engine job of a CALU/Cholesky plan: its source (dense data
 /// borrowed as-is, seeded generators left for the claiming thread to
-/// materialize), its kernel set, its own `.verify()`.
+/// materialize), its kernel set, its own `.verify()` and `.trace()`.
 fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
     let source = MatrixSource::job_source(Cow::Borrowed(plan.source))
         .ok_or_else(|| shape_only_source("the threaded backend"))?;
@@ -250,6 +232,7 @@ fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
         source,
         kernels: kernels_for(plan.algorithm),
         verify: plan.verify,
+        trace: plan.record_trace,
     })
 }
 
@@ -329,7 +312,7 @@ impl Backend for ThreadedBackend {
         let mut report = plan_report(self.name(), plan);
         if on_engine {
             let out = factor_one(engine_job(plan)?, &plan.calu_config())?;
-            return Ok(report_from(report, out, plan.record_trace));
+            return Ok(report_from(report, out));
         }
         let a = plan
             .source
@@ -387,7 +370,7 @@ impl ThreadedBackend {
         let items = plans
             .iter()
             .zip(outcome.items)
-            .map(|(plan, out)| report_from(plan_report(self.name(), plan), out, plan.record_trace))
+            .map(|(plan, out)| report_from(plan_report(self.name(), plan), out))
             .collect();
         Ok(BatchReport {
             backend: self.name().into(),

@@ -17,7 +17,8 @@
 //! |---|---|---|---|
 //! | kernel work seconds | `work` | `utilization()` | both backends |
 //! | idle seconds | `idle` | `total_idle()`, `per_thread_idle()` | both |
-//! | scheduler overhead / memory / noise seconds | `overhead`, `memory`, `noise` | `utilization()`, `total_noise()` | simulated only |
+//! | scheduler overhead / memory seconds | `overhead`, `memory` | `utilization()` | simulated only |
+//! | noise seconds (modelled OS noise; on threads, fault-plan stalls) | `noise` | `utilization()`, `total_noise()` | both |
 //! | tasks executed | `tasks` | `total_tasks()` | both |
 //! | static-queue pops | `local_pops` | `queue_sources().local` | both |
 //! | dynamic pops (shared queue or own shard/deque) | `global_pops` | `queue_sources().global` | both |
@@ -53,7 +54,8 @@ pub struct ThreadMetrics {
     pub overhead: f64,
     /// Seconds of memory stalls — simulated backends only.
     pub memory: f64,
-    /// Seconds of injected OS noise — simulated backends only.
+    /// Seconds of injected noise: modelled OS noise on the simulator,
+    /// fault-plan stalls while the job factored on real threads.
     pub noise: f64,
     /// Tasks executed by this thread.
     pub tasks: u64,
@@ -218,7 +220,8 @@ impl ScheduleMetrics {
         self.threads.iter().map(|t| t.idle).collect()
     }
 
-    /// Total injected-noise core-seconds (zero for real execution).
+    /// Total injected-noise core-seconds (on real threads, zero without
+    /// an armed fault plan).
     pub fn total_noise(&self) -> f64 {
         self.threads.iter().map(|t| t.noise).sum()
     }

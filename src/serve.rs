@@ -103,7 +103,8 @@ impl Solver {
     ///
     /// The builder's knobs validate once, through the same
     /// [`Solver::plan`] path a solo run uses, and then govern every job
-    /// — including `.verify()`, which overrides `svc.verify`. The
+    /// — including `.verify()` and `.trace()`, which override
+    /// `svc.verify` and `svc.trace`. The
     /// builder's own matrix source supplies only its shape for
     /// validation; jobs bring their own data as [`JobSpec`]s.
     ///
@@ -128,10 +129,9 @@ impl Solver {
             });
         }
         reject_sim_only_knobs("serve", &plan)?;
-        svc.verify = plan.verify;
+        (svc.verify, svc.trace) = (plan.verify, plan.record_trace);
         let cfg = plan.calu_config();
         let scheduler = plan.scheduler;
-        let record_trace = plan.record_trace;
         let (layout, b) = (cfg.layout, cfg.b);
         // adaptive solvers keep learning while they serve: every
         // completed job's schedule metrics are distilled into an
@@ -162,7 +162,7 @@ impl Solver {
             // service jobs run under their pool generation's fixed
             // split; the controller's evolving state is read through
             // Solver::adaptive_split and applied by reconfigure
-            let report = report_from(header, out, record_trace);
+            let report = report_from(header, out);
             if let Some(ctl) = &feedback {
                 if let Some(ctl) = ctl.lock().unwrap().as_mut() {
                     ctl.observe(&report.schedule.observation(report.dims));

@@ -482,7 +482,11 @@ impl Solver {
         self
     }
 
-    /// Record a full per-task timeline in the report.
+    /// Record a full per-task timeline in the report (default off).
+    /// An untraced report carries the same schedule figures, folded by
+    /// each worker as it runs; a trace adds only the spans
+    /// ([`crate::Report::timeline`]), at 32 bytes a task — for solo
+    /// runs, batches and served jobs alike.
     pub fn trace(mut self, record: bool) -> Self {
         self.trace = record;
         self
