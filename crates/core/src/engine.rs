@@ -21,8 +21,9 @@
 //!   per worker + the job's sink, published for every worker to
 //!   pull from. A run has three phases, all of them the workers': they
 //!   **fill** the freshly allocated tiles from the input, **factor**
-//!   (the DAG), then **densify** the tiles into the result — the two
-//!   conversions in chunks any worker may take, own tiles first.
+//!   (the DAG), then **densify** the tile buffer in place into the
+//!   result — the two conversions in chunks any worker may take, own
+//!   tiles first.
 //!
 //! The thread grid is derived per job, from the thread count and the
 //! job's tile shape (`ProcessGrid::for_shape`, in `Engine::build`), so
@@ -101,7 +102,6 @@ use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
 use crate::pool::{ExtractedJob, JobSink};
-use crate::shared::SharedDense;
 use crate::sync::{pin_current_thread, Mutex};
 use crate::threaded::{host_topology, ItemState, KernelSet, ThreadStats};
 
@@ -160,6 +160,9 @@ impl TileStorage for PoolStorage {
     #[inline]
     fn buffer_mut(&mut self) -> &mut [f64] {
         forward!(self, s => s.buffer_mut())
+    }
+    fn take_buffer(&mut self) -> Vec<f64> {
+        forward!(self, s => s.take_buffer())
     }
 }
 
@@ -388,12 +391,15 @@ type Slot = Padded<Mutex<WorkerLog>>;
 
 /// What a worker keeps across tasks so that the task loop allocates
 /// nothing: its packing arena — sized once for the tallest GEMM a group
-/// can stack — the members of the pop in hand, and the successors the
-/// last completion enabled.
+/// can stack — the members of the pop in hand, the successors the last
+/// completion enabled, and the one tile column's block a densify chunk
+/// gathers through when its tiles are not column-major already (grown
+/// at the first such chunk).
 struct Buffers {
     scratch: GemmScratch,
     group: Vec<u32>,
     ready: Vec<TaskId>,
+    block: Vec<f64>,
 }
 
 /// The work list of one conversion phase (fill or densify): chunk ids
@@ -460,8 +466,8 @@ const DENSIFY: u8 = 2;
 enum Chunk {
     /// Copy one fill chunk of the input into the tiles.
     Fill(usize),
-    /// Gather one tile column into the dense output and apply its
-    /// deferred left swaps.
+    /// Turn one tile column in place into the dense factors' columns
+    /// and apply its deferred left swaps.
     Densify(usize),
 }
 
@@ -476,14 +482,15 @@ enum Work {
 /// One co-operative (large) job in flight. Runs are shared by `Arc`
 /// between the engine's active list, the workers' snapshots of it and
 /// whichever workers are mid-task, which is why results leave by
-/// reference (`factored`, `out.take()`) instead of by value.
+/// reference (`factored`, `ItemState::take_factors`) instead of by
+/// value.
 ///
-/// The thread that sets a run up only *allocates* its two big buffers —
-/// zeroed tile storage and the dense output — and the run's workers
-/// touch them: they **fill** the tiles from the input (own tiles
+/// The thread that sets a run up only *allocates* its one big buffer —
+/// zeroed tile storage, which becomes the result — and the run's
+/// workers touch it: they **fill** the tiles from the input (own tiles
 /// first, so the first touch of a tile is its block-cyclic owner's),
-/// **factor**, then **densify** tile column by tile column, applying
-/// each column's deferred left swaps while it is hot.
+/// **factor**, then **densify** it in place tile column by tile column,
+/// applying each column's deferred left swaps while it is hot.
 struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
@@ -505,9 +512,6 @@ struct Run<'a> {
     /// The combined permutation and singular flag, set when the last
     /// task retires — what the densify chunks swap by.
     factored: OnceLock<(RowPerm, Option<usize>)>,
-    /// The dense factors the densify chunks write, allocated by the
-    /// longest-lived thread around ([`output`](Self::output)).
-    out: OnceLock<SharedDense>,
     /// First finisher (or failer) wins; everyone else moves on.
     finishing: AtomicBool,
     /// `active` is kept sorted by `(class_rank, seq)` so workers serve
@@ -542,16 +546,6 @@ impl<'a> Run<'a> {
     /// panic, so a poisoned lock still guards a valid value.)
     fn input(&self) -> RwLockReadGuard<'_, Option<Cow<'a, DenseMatrix>>> {
         self.input.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The dense output, allocated (zeroed, untouched) at first call: by
-    /// the scoped caller before it lends threads — it outlives them and
-    /// consumes the result — or, on a pool, by the worker that retires
-    /// the last task, so a served job's output never sits beside its
-    /// input or through its whole run.
-    fn output(&self) -> &SharedDense {
-        self.out
-            .get_or_init(|| SharedDense::zeros(self.item.g.rows(), self.item.g.cols()))
     }
 
     /// Worker `me`'s next piece of this run without stealing: a chunk
@@ -719,15 +713,16 @@ impl<'a> Engine<'a> {
     ///
     /// The calling thread outlives those workers and consumes the
     /// results, so the big buffers are its to *allocate*: it sets up
-    /// every large job's run — zeroed tile storage and the dense
-    /// output, untouched — before lending threads, and takes the
-    /// finished factors out after the last worker left. (A short-lived
+    /// every large job's run — zeroed tile storage, untouched — before
+    /// lending threads, and after the last worker left it takes each
+    /// run's tile buffer out as the finished factors. (A short-lived
     /// thread's allocator arena hands freed pages back to the OS, so
     /// buffers allocated and dropped there are page-faulted in afresh
     /// on every call — a fifth of the wall time of a 1024²
-    /// factorization at b = 16.) The copying in and out is the
-    /// workers': the fill and densify phases of each [`Run`]. Small
-    /// jobs stay worker-local end to end.
+    /// factorization at b = 16.) Filling the tiles and turning them
+    /// into the dense factors in place is the workers' work: the fill
+    /// and densify phases of each [`Run`]. Small jobs stay worker-local
+    /// end to end.
     ///
     /// Returns the seconds until the last worker entered its loop — the
     /// one-off spawn cost.
@@ -736,9 +731,6 @@ impl<'a> Engine<'a> {
         self.state.lock().parked = Some(Vec::new());
         while let Some((class, seq, job)) = self.claim(true) {
             self.start_run(class, seq, job, 0, false);
-        }
-        for run in &self.state.lock().active {
-            run.output();
         }
         let spawn_from = self.now();
         std::thread::scope(|scope| {
@@ -839,15 +831,22 @@ impl<'a> Engine<'a> {
     /// first task to the last, so a stall during a conversion phase has
     /// no place in it).
     fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
+        let noise = self.sleep(d, me);
+        if let Some(run) = run.filter(|r| r.phase.load(Ordering::Acquire) == FACTOR) {
+            run.log(me).book(noise);
+        }
+    }
+
+    /// Sleep through a fault-plan stall on worker `me`: the interval it
+    /// took, as a noise span.
+    fn sleep(&self, d: Duration, me: usize) -> TaskSpan {
         let start = self.now();
         std::thread::sleep(d);
-        if let Some(run) = run.filter(|r| r.phase.load(Ordering::Acquire) == FACTOR) {
-            run.log(me).book(TaskSpan {
-                core: me,
-                start,
-                end: self.now(),
-                kind: SpanKind::Noise,
-            });
+        TaskSpan {
+            core: me,
+            start,
+            end: self.now(),
+            kind: SpanKind::Noise,
         }
     }
 
@@ -999,9 +998,10 @@ impl<'a> Engine<'a> {
             .collect();
         // SAFETY: the densify phase's AcqRel chunk counter reached zero
         // before the run was finished (and a parked run is delivered
-        // after its workers were joined), so every chunk's slice is
-        // dead and its writes are visible here.
-        let lu = unsafe { run.output().take() };
+        // after its workers were joined), so every chunk's column block
+        // is dead and its writes are visible here; no task is left to
+        // touch a tile.
+        let lu = unsafe { run.item.take_factors() };
         let input = run.input();
         let out = self.outcome(
             &run.item.g,
@@ -1066,8 +1066,6 @@ impl<'a> Engine<'a> {
         let done = run.item.complete_into(&bufs.group, &mut bufs.ready);
         run.push_ready(&mut bufs.ready, me);
         if done == run.item.g.len() {
-            // (a pool worker allocates the output only now)
-            run.output();
             // `done` is an AcqRel counter every completion bumps: all
             // task bodies' writes are visible here and, through the
             // Release below, to whoever sees the new phase
@@ -1093,7 +1091,14 @@ impl<'a> Engine<'a> {
     /// tick no fault clock (a [`FaultPlan`](crate::FaultPlan) counts
     /// tasks) beyond an injected panic latched for "the next piece of
     /// work".
-    fn run_chunk(&self, run: &Arc<Run<'a>>, chunk: Chunk, me: usize, inject_panic: bool) {
+    fn run_chunk(
+        &self,
+        run: &Arc<Run<'a>>,
+        chunk: Chunk,
+        me: usize,
+        block: &mut Vec<f64>,
+        inject_panic: bool,
+    ) {
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 injected_panic(me);
@@ -1109,14 +1114,11 @@ impl<'a> Engine<'a> {
                 },
                 // SAFETY: the densify phase opens after the last task
                 // retired (Release/Acquire on `phase`); each tile column
-                // is claimed once, so the output column ranges handed
-                // out are disjoint.
+                // is claimed once, so the column blocks rearranged are
+                // disjoint.
                 Chunk::Densify(tj) => unsafe {
-                    let b = self.cfg.b;
-                    let c1 = ((tj + 1) * b).min(run.item.g.cols());
-                    let cols = run.output().cols_mut(tj * b, c1);
                     let (perm, _) = run.factored.get().expect("set before the phase opened");
-                    run.item.densify_chunk(tj, cols, perm);
+                    run.item.densify_chunk(tj, perm, block);
                 },
             }
         })) {
@@ -1203,7 +1205,7 @@ impl<'a> Engine<'a> {
         seq: u64,
         job: Job<'a>,
         me: usize,
-        scratch: &mut GemmScratch,
+        bufs: &mut Buffers,
         clock: &mut FaultClock,
         inject_panic: bool,
     ) -> bool {
@@ -1219,7 +1221,7 @@ impl<'a> Engine<'a> {
         let (verify, trace) = (item.verify, item.trace);
         let res = self.build(item, me, inject_panic).and_then(|(state, a)| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.run_small(state, a, verify, trace, me, scratch, clock)
+                self.run_small(state, a, verify, trace, me, bufs, clock)
             }))
             .map_err(panic_error)
         });
@@ -1284,7 +1286,6 @@ impl<'a> Engine<'a> {
             input: RwLock::new(Some(a)),
             verify,
             factored: OnceLock::new(),
-            out: OnceLock::new(),
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
@@ -1323,7 +1324,7 @@ impl<'a> Engine<'a> {
     /// footprint stays at "items in flight", not "items queued".
     ///
     /// Under an armed fault plan this worker's [`FaultClock`] ticks per
-    /// task (stalls and slowdowns sleep in place; an injected panic
+    /// task (stalls and slowdowns sleep in place, booked as noise; an injected panic
     /// unwinds into the caller's perimeter) and a fired loss abandons
     /// the item, returning `None` so the caller can requeue it whole.
     #[allow(clippy::too_many_arguments)]
@@ -1334,7 +1335,7 @@ impl<'a> Engine<'a> {
         verify: bool,
         trace: bool,
         me: usize,
-        scratch: &mut GemmScratch,
+        bufs: &mut Buffers,
         clock: &mut FaultClock,
     ) -> Option<Outcome> {
         for chunk in 0..item.fill_chunks() {
@@ -1357,13 +1358,13 @@ impl<'a> Engine<'a> {
             if self.armed {
                 match clock.before_task() {
                     FaultAction::None => {}
-                    FaultAction::Stall(d) => std::thread::sleep(d),
+                    FaultAction::Stall(d) => log.book(self.sleep(d, me)),
                     FaultAction::Lose => return None,
                     FaultAction::Panic => injected_panic(me),
                 }
             }
             let start = self.now();
-            item.execute(t, scratch);
+            item.execute(t, &mut bufs.scratch);
             let end = self.now();
             log.book(TaskSpan {
                 core: me,
@@ -1379,19 +1380,20 @@ impl<'a> Engine<'a> {
             stack.extend(buf.iter().copied());
             if self.armed {
                 if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
-                    std::thread::sleep(d);
+                    log.book(self.sleep(d, me));
                 }
             }
         }
         debug_assert_eq!(item.done.load(Ordering::Acquire), item.g.len());
         let (perm, singular_at) = item.factored();
-        let (m, n) = (item.g.rows(), item.g.cols());
-        let mut lu = DenseMatrix::zeros(m, n);
-        let tile_cols = lu.as_mut_slice().chunks_mut(m * self.cfg.b);
-        for (tj, cols) in tile_cols.enumerate() {
-            // SAFETY: every task ran, on this thread.
-            unsafe { item.densify_chunk(tj, cols, &perm) };
-        }
+        // SAFETY: every task ran, on this thread, and each tile column is
+        // densified once before the buffer is taken.
+        let lu = unsafe {
+            for tj in 0..item.g.tile_cols() {
+                item.densify_chunk(tj, &perm, &mut bufs.block);
+            }
+            item.take_factors()
+        };
         let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::new(false)).collect();
         logs[me] = log;
         Some(self.outcome(&item.g, lu, perm, singular_at, logs, a.as_deref(), true))
@@ -1438,6 +1440,7 @@ impl<'a> Engine<'a> {
             scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
             group: Vec::new(),
             ready: Vec::new(),
+            block: Vec::new(),
         };
         // per-worker victim-selection stream: SplitMix64 seeding
         // decorrelates the nearby seeds, so workers sweep victims in
@@ -1486,8 +1489,7 @@ impl<'a> Engine<'a> {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
                     let inject = std::mem::take(&mut panic_pending);
-                    let scratch = &mut bufs.scratch;
-                    if !self.start_job(class, seq, job, me, scratch, &mut clock, inject) {
+                    if !self.start_job(class, seq, job, me, &mut bufs, &mut clock, inject) {
                         // a loss fired mid-way through a co-scheduled
                         // item; the item is already back in its lane
                         self.retire_worker(me);
@@ -1517,7 +1519,7 @@ impl<'a> Engine<'a> {
                     Work::Tasks(source) => {
                         self.run_tasks(run, source, me, &mut bufs, &mut clock, inject)
                     }
-                    Work::Chunk(chunk) => self.run_chunk(run, chunk, me, inject),
+                    Work::Chunk(chunk) => self.run_chunk(run, chunk, me, &mut bufs.block, inject),
                 }
                 continue;
             }

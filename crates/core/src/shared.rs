@@ -4,14 +4,14 @@
 //! (`calu-matrix`'s [`TileStorage`] contract). The executor needs many
 //! threads writing *different* tiles of that buffer concurrently; the
 //! task DAG guarantees the tiles are disjoint, and this module funnels
-//! the one unavoidable `unsafe` into a single audited wrapper — plus
-//! its counterpart for the way out, `SharedDense`: the dense result
-//! buffer a run's workers write in disjoint column ranges.
+//! the one unavoidable `unsafe` into a single audited wrapper. The same
+//! wrapper is the way out: once every task ran, each tile column's block
+//! is rearranged in place into the dense factors' columns, and the
+//! buffer is taken whole as the result.
 
 use calu_matrix::storage::TileLoc;
-use calu_matrix::{DenseMatrix, TileStorage};
+use calu_matrix::TileStorage;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// A raw, writable view of one tile (column-major, leading dimension
 /// `ld`).
@@ -79,27 +79,44 @@ impl TilePtr {
 /// any instant (enforced by dependence counting), so concurrent
 /// [`SharedTiles::tile_ptr`] uses never alias writes. Tiles may share
 /// cache lines (CM/BCL interleave tiles within columns of the parent
-/// buffer) but never share *elements*.
+/// buffer) but never share *elements*. The buffer is held by a raw
+/// pointer taken once, at construction, so handing out a tile or a tile
+/// column's block never forms a reference to the whole allocation while
+/// other parts of it are being written.
 pub struct SharedTiles<S: TileStorage> {
     inner: UnsafeCell<S>,
+    /// The start of `inner`'s buffer of exactly `m · n` elements.
+    base: *mut f64,
 }
 
-// SAFETY: access discipline is delegated to the task DAG; see type docs.
+// SAFETY: `inner` is only read for its immutable geometry, except by
+// `take_buffer`, whose contract makes that call exclusive; `base` points
+// into the buffer `inner` owns, and which tiles or column blocks are
+// written concurrently is delegated to the task DAG (see type docs).
 unsafe impl<S: TileStorage + Send> Send for SharedTiles<S> {}
 unsafe impl<S: TileStorage + Send> Sync for SharedTiles<S> {}
 
 impl<S: TileStorage> SharedTiles<S> {
     /// Wrap a storage for shared tile access.
-    pub fn new(storage: S) -> Self {
+    pub fn new(mut storage: S) -> Self {
+        let t = storage.tiling();
+        // every offset handed out below stays inside this length
+        assert_eq!(storage.buffer().len(), t.m * t.n, "one m × n buffer");
         Self {
+            base: storage.buffer_mut().as_mut_ptr(),
             inner: UnsafeCell::new(storage),
         }
     }
 
+    fn storage(&self) -> &S {
+        // SAFETY: nothing forms a `&mut S` but `take_buffer`, whose
+        // contract rules out every other use of this value.
+        unsafe { &*self.inner.get() }
+    }
+
     /// Tile location metadata (no data access).
     pub fn loc(&self, ti: usize, tj: usize) -> TileLoc {
-        // SAFETY: tile_loc reads immutable geometry only.
-        unsafe { (*self.inner.get()).tile_loc(ti, tj) }
+        self.storage().tile_loc(ti, tj)
     }
 
     /// Raw pointer to tile `(ti, tj)`.
@@ -110,111 +127,66 @@ impl<S: TileStorage> SharedTiles<S> {
     /// ordered after the writer that produced the data.
     pub unsafe fn tile_ptr(&self, ti: usize, tj: usize) -> TilePtr {
         let loc = self.loc(ti, tj);
-        let base = (*self.inner.get()).buffer_mut().as_mut_ptr();
         TilePtr {
-            ptr: base.add(loc.offset),
+            ptr: self.base.add(loc.offset),
             ld: loc.ld,
             rows: loc.rows,
             cols: loc.cols,
         }
     }
-}
 
-/// The dense output of a run: one column-major buffer its workers
-/// write in disjoint column ranges (one range per densify chunk), taken
-/// whole by whoever delivers the result.
-///
-/// The buffer is held by raw pointer, not as a `Vec` behind a cell, so
-/// handing out a column range never forms a reference to the whole
-/// allocation while other ranges are being written.
-pub(crate) struct SharedDense {
-    rows: usize,
-    cols: usize,
-    /// The allocation of a `Vec<f64>` of `rows * cols` elements (length
-    /// = capacity); null once taken.
-    ptr: AtomicPtr<f64>,
-}
-
-// SAFETY: the buffer is plain `f64`s owned by this value; concurrent
-// access goes through `cols_mut`/`take`, whose contracts make the
-// callers keep writers disjoint and `take` exclusive.
-unsafe impl Send for SharedDense {}
-unsafe impl Sync for SharedDense {}
-
-impl SharedDense {
-    /// A zeroed `rows × cols` buffer, allocated (not touched) on the
-    /// calling thread.
-    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
-        let buf = vec![0.0f64; rows * cols].into_boxed_slice();
-        Self {
-            rows,
-            cols,
-            ptr: AtomicPtr::new(Box::into_raw(buf).cast()),
+    /// Rearrange tile column `tj` in place into the dense matrix's
+    /// columns `col_start(tj)..col_end(tj)` and return them (leading
+    /// dimension `m`). They are the buffer's elements `[col_start · m,
+    /// col_end · m)`, which hold exactly that column's tiles. A block
+    /// already in column-major order (CM, or BCL with one grid row) is
+    /// returned as it is; any other is copied to `scratch`, the caller's
+    /// one-block buffer, and gathered back.
+    ///
+    /// # Safety
+    /// No tile pointer into the column and no other slice of its block
+    /// may be live, and its tiles must not be used as tiles afterwards.
+    pub unsafe fn densify_col<'a>(&self, tj: usize, scratch: &mut Vec<f64>) -> &'a mut [f64] {
+        let t = self.storage().tiling();
+        assert!(tj < t.tile_cols(), "tile column out of range");
+        let (m, start) = (t.m, t.col_start(tj) * t.m);
+        let block = std::slice::from_raw_parts_mut(self.base.add(start), t.tile_col_count(tj) * m);
+        let column_major = (0..t.tile_rows()).all(|ti| {
+            let loc = self.loc(ti, tj);
+            loc.offset == start + t.row_start(ti) && loc.ld == m
+        });
+        if !column_major {
+            scratch.clear();
+            scratch.extend_from_slice(block);
+            for ti in 0..t.tile_rows() {
+                let loc = self.loc(ti, tj);
+                let tile = &scratch[loc.offset - start..];
+                let row = t.row_start(ti);
+                for j in 0..loc.cols {
+                    block[j * m + row..][..loc.rows]
+                        .copy_from_slice(&tile[j * loc.ld..][..loc.rows]);
+                }
+            }
         }
+        block
     }
 
-    /// Columns `c0..c1` as one contiguous slice (leading dimension
-    /// `rows`).
+    /// Move the buffer out: once every tile column went through
+    /// [`densify_col`](Self::densify_col), the dense matrix's data.
     ///
     /// # Safety
-    /// No other live slice may overlap these columns, and the buffer
-    /// must not have been [taken](Self::take).
-    pub(crate) unsafe fn cols_mut<'a>(&self, c0: usize, c1: usize) -> &'a mut [f64] {
-        assert!(c0 <= c1 && c1 <= self.cols, "column range out of bounds");
-        let base = self.ptr.load(Ordering::Acquire);
-        assert!(!base.is_null(), "output already taken");
-        std::slice::from_raw_parts_mut(base.add(c0 * self.rows), (c1 - c0) * self.rows)
-    }
-
-    fn take_buffer(&self) -> Option<Vec<f64>> {
-        let base = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        // SAFETY: a non-null pointer is the boxed slice `zeros` leaked,
-        // of exactly rows * cols elements; the swap hands it to one
-        // caller only.
-        (!base.is_null()).then(|| unsafe {
-            let slice = std::ptr::slice_from_raw_parts_mut(base, self.rows * self.cols);
-            Box::from_raw(slice).into_vec()
-        })
-    }
-
-    /// Move the buffer out as a dense matrix.
-    ///
-    /// # Safety
-    /// Every slice handed out by [`cols_mut`](Self::cols_mut) must be
-    /// dead, with its writes visible to the calling thread.
-    pub(crate) unsafe fn take(&self) -> DenseMatrix {
-        let data = self.take_buffer().expect("output taken once");
-        DenseMatrix::from_col_major(self.rows, self.cols, data).expect("rows * cols elements")
-    }
-}
-
-impl Drop for SharedDense {
-    fn drop(&mut self) {
-        drop(self.take_buffer());
+    /// Every tile pointer and column block handed out must be dead, with
+    /// its writes visible to the calling thread, and no tile of this
+    /// value may be used again.
+    pub unsafe fn take_buffer(&self) -> Vec<f64> {
+        (*self.inner.get()).take_buffer()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calu_matrix::{gen, BclMatrix, ProcessGrid};
-
-    #[test]
-    fn shared_dense_hands_out_disjoint_columns_and_is_taken_whole() {
-        let out = SharedDense::zeros(3, 4);
-        // SAFETY: the two ranges are disjoint and dead before `take`.
-        let taken = unsafe {
-            out.cols_mut(0, 1).fill(1.0);
-            out.cols_mut(2, 4)
-                .copy_from_slice(&[2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-            out.take()
-        };
-        assert_eq!(taken.col(0), [1.0; 3]);
-        assert_eq!(taken.col(1), [0.0; 3], "untouched columns stay zero");
-        assert_eq!(taken.col(3), [5.0, 6.0, 7.0]);
-        drop(out); // a taken buffer is not freed twice
-        drop(SharedDense::zeros(5, 5)); // an untaken one is freed once
-    }
+    use calu_matrix::{gen, BclMatrix, CmTiles, ProcessGrid, TlbMatrix};
 
     #[test]
     fn tile_ptr_reads_match_storage() {
@@ -244,6 +216,44 @@ mod tests {
             b.set(0, 0, 2.0);
             assert_eq!(a.get(0, 0), 1.0);
             assert_eq!(b.get(0, 0), 2.0);
+        }
+    }
+
+    /// Densify every tile column of `s` in turn and take the buffer,
+    /// with the scratch's length after the last column.
+    fn densify_and_take<S: TileStorage>(s: S) -> (Vec<f64>, usize) {
+        let cols = s.tiling().tile_cols();
+        let shared = SharedTiles::new(s);
+        let mut scratch = Vec::new();
+        // SAFETY: no tile pointer is live; each column's block is
+        // densified once and is dead before the next one and the take.
+        let data = unsafe {
+            for tj in 0..cols {
+                shared.densify_col(tj, &mut scratch);
+            }
+            shared.take_buffer()
+        };
+        (data, scratch.len())
+    }
+
+    #[test]
+    fn tile_columns_densify_in_place_into_the_dense_matrix() {
+        // small on purpose: CI runs this module's tests under Miri
+        for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4)] {
+            let a = gen::uniform(m, n, 3);
+            let (cm, scratch) = densify_and_take(CmTiles::from_dense(&a, b));
+            assert_eq!((cm.as_slice(), scratch), (a.as_slice(), 0), "CM {m}x{n}");
+            for (pr, pc) in [(1, 2), (2, 1), (2, 2), (3, 1)] {
+                let g = ProcessGrid::new(pr, pc).unwrap();
+                let ctx = format!("{m}x{n} b={b} grid {pr}x{pc}");
+                let (bcl, scratch) = densify_and_take(BclMatrix::from_dense(&a, b, g));
+                assert_eq!(bcl, a.as_slice(), "BCL {ctx}");
+                // one grid row: already column-major, so nothing copied
+                assert_eq!(scratch == 0, pr == 1, "BCL {ctx}");
+                let (tlb, scratch) = densify_and_take(TlbMatrix::from_dense(&a, b, g));
+                assert_eq!(tlb, a.as_slice(), "2l-BL {ctx}");
+                assert!(scratch <= b * m, "one block of scratch, {ctx}");
+            }
         }
     }
 }

@@ -301,7 +301,7 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// permutation (in panel order) and the singular flag. By
     /// reference, because co-operative runs live in `Arc`s shared with
     /// in-flight workers; the factors themselves leave through
-    /// [`densify_chunk`](Self::densify_chunk).
+    /// [`take_factors`](Self::take_factors).
     pub(crate) fn factored(&self) -> (RowPerm, Option<usize>) {
         let mut perm = RowPerm::identity();
         // unpivoted kernel sets (Cholesky) build no panel state: the
@@ -351,25 +351,32 @@ impl<S: TileStorage + Send> ItemState<S> {
         }
     }
 
-    /// Gather tile column `tj` into `cols` — that tile column's columns
-    /// of the dense factors, contiguous, leading dimension `m` — and
-    /// apply the deferred left swaps to each column while it is hot.
+    /// Turn tile column `tj` in place into its columns of the dense
+    /// factors (the tile buffer is the result) and apply the deferred
+    /// left swaps to each column while it is hot. `scratch` is the
+    /// calling worker's one-block buffer, used only when the column's
+    /// tiles are not stored column-major already.
     ///
     /// # Safety
     /// Every task must have completed (`done == g.len()`), so no worker
-    /// holds a mutable tile pointer.
-    pub(crate) unsafe fn densify_chunk(&self, tj: usize, cols: &mut [f64], perm: &RowPerm) {
-        let tiles: Vec<TilePtr> = (0..self.g.tile_rows())
-            .map(|ti| self.tiles.tile_ptr(ti, tj))
-            .collect();
+    /// holds a tile pointer, and no two calls may name the same column.
+    pub(crate) unsafe fn densify_chunk(&self, tj: usize, perm: &RowPerm, scratch: &mut Vec<f64>) {
+        let cols = self.tiles.densify_col(tj, scratch);
         for (j, col) in cols.chunks_exact_mut(self.g.rows()).enumerate() {
-            let mut r0 = 0;
-            for t in &tiles {
-                col[r0..r0 + t.rows].copy_from_slice(t.col(j));
-                r0 += t.rows;
-            }
             left_swaps_in_col(col, tj * self.b + j, &self.g, perm.pivots(), self.b);
         }
+    }
+
+    /// The dense factors: the tile buffer, moved out without a copy.
+    ///
+    /// # Safety
+    /// Every tile column must have been densified, by chunks that are
+    /// all dead with their writes visible to the caller, and the item's
+    /// tiles must not be used again.
+    pub(crate) unsafe fn take_factors(&self) -> DenseMatrix {
+        let data = self.tiles.take_buffer();
+        DenseMatrix::from_col_major(self.g.rows(), self.g.cols(), data)
+            .expect("the tile buffer holds m × n elements")
     }
 }
 

@@ -8,8 +8,9 @@ use std::str::FromStr;
 pub enum Layout {
     /// Classic LAPACK column-major storage (`CM` in the figures).
     ColumnMajor,
-    /// Block cyclic layout (`BCL`, §4.1): each thread's submatrix is
-    /// contiguous and column-major, enabling grouped BLAS-3 calls.
+    /// Block cyclic layout (`BCL`, §4.1): in each tile column, a
+    /// thread's tiles are contiguous and column-major, enabling grouped
+    /// BLAS-3 calls.
     BlockCyclic,
     /// Two-level block layout (`2l-BL`, §4.2): block-cyclic at the first
     /// level, each `b × b` tile contiguous at the second level.
@@ -33,8 +34,10 @@ impl Layout {
         }
     }
 
-    /// Whether the layout stores each thread's data contiguously, which is
-    /// what enables grouping several tiles into one BLAS-3 call (§3, §4.1).
+    /// Whether the layout stores a thread's tiles of each tile column
+    /// contiguously on one leading dimension (per tile column, not as one
+    /// region per thread), which is what enables grouping several tiles
+    /// into one BLAS-3 call (§3, §4.1).
     pub fn supports_grouping(&self) -> bool {
         matches!(self, Layout::BlockCyclic)
     }

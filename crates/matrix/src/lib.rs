@@ -5,8 +5,8 @@
 //!
 //! * [`DenseMatrix`] — a classic column-major (LAPACK-style) matrix,
 //! * [`BclMatrix`] — the *block cyclic layout* of §4.1: the matrix is
-//!   distributed over a 2D grid of threads and each thread's submatrix is
-//!   stored contiguously in column-major order,
+//!   distributed over a 2D grid of threads and, in each tile column, each
+//!   thread's tiles are stored contiguously in column-major order,
 //! * [`TlbMatrix`] — the *two-level block layout* of §4.2: on top of the
 //!   block-cyclic distribution, each `b × b` tile is stored contiguously,
 //! * [`ProcessGrid`] — the 2D block-cyclic ownership map,

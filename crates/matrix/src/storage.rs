@@ -1,10 +1,22 @@
 //! Tile-addressable storages: the common [`TileStorage`] interface and its
 //! three implementations (CM, BCL, 2l-BL).
 //!
-//! Every storage keeps its elements in **one contiguous buffer**; a tile is
-//! identified by `(offset, ld)` into that buffer. This uniformity is what
-//! lets the parallel executor hand out raw per-tile pointers while the DAG
-//! guarantees disjoint access.
+//! Every storage keeps its elements in **one contiguous buffer** of
+//! exactly `m · n` elements; a tile is identified by `(offset, ld)` into
+//! that buffer. This uniformity is what lets the parallel executor hand
+//! out raw per-tile pointers while the DAG guarantees disjoint access.
+//!
+//! All three storages are **tile-column-major**: tile column `tj`
+//! occupies exactly elements `[col_start(tj) · m, col_end(tj) · m)` of the
+//! buffer, the place its columns take in the column-major matrix. Inside
+//! that block, BCL and 2l-BL store the tiles of grid row 0's thread first,
+//! then grid row 1's, and so on, so each owner's tiles of the column form
+//! one contiguous run. That keeps what §4.1 wants from a thread-local
+//! layout: a thread's vertically adjacent tiles of a column stack on one
+//! leading dimension (one BLAS-3 call can update several), and the thread
+//! that fills its run touches its own pages first. It also lets the buffer
+//! become the dense result in place, one tile column at a time: with one
+//! grid row, BCL *is* column-major, byte for byte.
 
 use crate::dense::DenseMatrix;
 use crate::grid::ProcessGrid;
@@ -110,6 +122,11 @@ pub trait TileStorage {
 
     /// Mutable access to the backing buffer.
     fn buffer_mut(&mut self) -> &mut [f64];
+
+    /// Move the backing buffer out, leaving the storage empty. Once every
+    /// tile column's block holds its columns in column-major order, this
+    /// is the dense matrix's data, with no copy.
+    fn take_buffer(&mut self) -> Vec<f64>;
 
     /// Immutable tile view.
     fn tile(&self, ti: usize, tj: usize) -> TileRef<'_> {
@@ -269,28 +286,48 @@ impl TileStorage for CmTiles {
     fn buffer_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
+
+    fn take_buffer(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.data)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Block cyclic layout
 // ---------------------------------------------------------------------------
 
+/// Where each grid row's run starts inside a tile column's block, in
+/// rows of that block: grid row `r`'s tiles (the tile rows it owns,
+/// ascending, each a full `b` rows but the ragged last) take rows
+/// `starts[r]..starts[r + 1]`. `pr + 1` entries.
+fn owner_row_starts(tiling: Tiling, grid: ProcessGrid) -> Vec<usize> {
+    let mut starts = vec![0; grid.pr() + 1];
+    for r in 0..grid.pr() {
+        let rows: usize = grid
+            .owned_tile_rows(tiling.tile_rows(), r)
+            .map(|ti| tiling.tile_row_count(ti))
+            .sum();
+        starts[r + 1] = starts[r] + rows;
+    }
+    starts
+}
+
 /// The block cyclic layout of §4.1.
 ///
-/// Tiles are distributed block-cyclically over a `pr × pc` thread grid and
-/// each thread's submatrix is stored contiguously in column-major order
-/// (one region of the shared buffer per thread). Within a thread's region,
-/// tiles that are vertically adjacent in the *local* submatrix share
-/// columns, so a thread can run one BLAS-3 call on several of its tiles at
-/// once — the grouping optimization of §3.
+/// Tiles are distributed block-cyclically over a `pr × pc` thread grid.
+/// The storage is tile-column-major (see the module docs): in the block
+/// of tile column `tj`, each owner's tiles of that column form one
+/// column-major submatrix whose leading dimension is the owner's local
+/// row count, grid row by grid row. A thread's vertically adjacent tiles
+/// of a column therefore share its columns, so it can run one BLAS-3 call
+/// on several of them at once — the grouping optimization of §3 — and the
+/// run it fills is its own. With one grid row the layout is column-major.
 #[derive(Debug, Clone)]
 pub struct BclMatrix {
     tiling: Tiling,
     grid: ProcessGrid,
-    /// Region start of each thread's local submatrix in `data`.
-    region_start: Vec<usize>,
-    /// Local leading dimension (local row count) per thread.
-    local_ld: Vec<usize>,
+    /// `owner_row_starts` of this tiling and grid.
+    owner_rows: Vec<usize>,
     data: Vec<f64>,
 }
 
@@ -298,31 +335,11 @@ impl BclMatrix {
     /// Zero-initialized BCL storage over `grid`.
     pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
         let tiling = Tiling::new(m, n, b);
-        let tr = tiling.tile_rows();
-        let tc = tiling.tile_cols();
-        let p = grid.size();
-        let mut region_start = vec![0usize; p + 1];
-        let mut local_ld = vec![0usize; p];
-        for t in 0..p {
-            let (r, c) = grid.coords_of(t);
-            let rows: usize = grid
-                .owned_tile_rows(tr, r)
-                .map(|ti| tiling.tile_row_count(ti))
-                .sum();
-            let cols: usize = grid
-                .owned_tile_cols(tc, c)
-                .map(|tj| tiling.tile_col_count(tj))
-                .sum();
-            local_ld[t] = rows;
-            region_start[t + 1] = region_start[t] + rows * cols;
-        }
-        let total = region_start[p];
         Self {
+            owner_rows: owner_row_starts(tiling, grid),
             tiling,
             grid,
-            region_start,
-            local_ld,
-            data: vec![0.0; total],
+            data: vec![0.0; m * n],
         }
     }
 
@@ -331,17 +348,6 @@ impl BclMatrix {
         let mut s = Self::zeros(a.rows(), a.cols(), b, grid);
         s.load_dense(a);
         s
-    }
-
-    /// The contiguous local region of thread `t` (for locality inspection
-    /// and the grouped-update fast path).
-    pub fn region(&self, t: usize) -> &[f64] {
-        &self.data[self.region_start[t]..self.region_start[t + 1]]
-    }
-
-    /// Local leading dimension of thread `t`'s submatrix.
-    pub fn region_ld(&self, t: usize) -> usize {
-        self.local_ld[t]
     }
 }
 
@@ -361,14 +367,15 @@ impl TileStorage for BclMatrix {
     fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
         let t = self.tiling;
         let d = t.tile_dims(ti, tj);
-        let owner = self.grid.owner(ti, tj);
-        let li = self.grid.local_tile_row(ti);
-        let lj = self.grid.local_tile_col(tj);
-        // Owned tile rows/cols before the ragged last one are always full
-        // `b`, so local offsets are simply li*b, lj*b.
-        let ld = self.local_ld[owner];
+        let r = ti % self.grid.pr();
+        let (first, ld) = (
+            self.owner_rows[r],
+            self.owner_rows[r + 1] - self.owner_rows[r],
+        );
+        // owned tile rows before the ragged last one are always full `b`
+        let row = self.grid.local_tile_row(ti) * t.b;
         TileLoc {
-            offset: self.region_start[owner] + lj * t.b * ld + li * t.b,
+            offset: t.col_start(tj) * t.m + first * d.cols + row,
             ld,
             rows: d.rows,
             cols: d.cols,
@@ -382,6 +389,10 @@ impl TileStorage for BclMatrix {
     fn buffer_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
+
+    fn take_buffer(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.data)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,16 +402,18 @@ impl TileStorage for BclMatrix {
 /// The two-level block layout of §4.2.
 ///
 /// First level: tiles are distributed block-cyclically over the thread
-/// grid, like [`BclMatrix`]. Second level: each `b × b` tile is stored
-/// contiguously (ld = tile rows), so a tile fits in cache and any kernel on
-/// it runs without extra memory transfers. The price (noted in the paper)
-/// is that tiles can no longer be grouped into larger BLAS-3 calls.
+/// grid and placed like [`BclMatrix`]'s — in tile column `tj`'s block,
+/// each owner's tiles of the column form one contiguous run, grid row by
+/// grid row. Second level: each `b × b` tile is stored contiguously
+/// (ld = tile rows), so a tile fits in cache and any kernel on it runs
+/// without extra memory transfers. The price (noted in the paper) is that
+/// tiles can no longer be grouped into larger BLAS-3 calls.
 #[derive(Debug, Clone)]
 pub struct TlbMatrix {
     tiling: Tiling,
     grid: ProcessGrid,
-    /// offset of each tile (row-major over (ti,tj)) in `data`.
-    tile_offset: Vec<usize>,
+    /// `owner_row_starts` of this tiling and grid.
+    owner_rows: Vec<usize>,
     data: Vec<f64>,
 }
 
@@ -408,28 +421,11 @@ impl TlbMatrix {
     /// Zero-initialized 2l-BL storage over `grid`.
     pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
         let tiling = Tiling::new(m, n, b);
-        let tr = tiling.tile_rows();
-        let tc = tiling.tile_cols();
-        // Lay the tiles out thread by thread (so each thread's tiles are
-        // clustered in memory, mirroring the first-level distribution),
-        // then in local column-major order.
-        let mut tile_offset = vec![0usize; tr * tc];
-        let mut cursor = 0usize;
-        for t in 0..grid.size() {
-            let (r, c) = grid.coords_of(t);
-            for tj in grid.owned_tile_cols(tc, c) {
-                for ti in grid.owned_tile_rows(tr, r) {
-                    let d = tiling.tile_dims(ti, tj);
-                    tile_offset[ti * tc + tj] = cursor;
-                    cursor += d.rows * d.cols;
-                }
-            }
-        }
         Self {
+            owner_rows: owner_row_starts(tiling, grid),
             tiling,
             grid,
-            tile_offset,
-            data: vec![0.0; cursor],
+            data: vec![0.0; m * n],
         }
     }
 
@@ -457,8 +453,11 @@ impl TileStorage for TlbMatrix {
     fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
         let t = self.tiling;
         let d = t.tile_dims(ti, tj);
+        // the owner's earlier tiles of the column are full `b × cols`
+        // blocks, one after another
+        let row = self.owner_rows[ti % self.grid.pr()] + self.grid.local_tile_row(ti) * t.b;
         TileLoc {
-            offset: self.tile_offset[ti * t.tile_cols() + tj],
+            offset: t.col_start(tj) * t.m + row * d.cols,
             ld: d.rows,
             rows: d.rows,
             cols: d.cols,
@@ -471,6 +470,10 @@ impl TileStorage for TlbMatrix {
 
     fn buffer_mut(&mut self) -> &mut [f64] {
         &mut self.data
+    }
+
+    fn take_buffer(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.data)
     }
 }
 
@@ -606,12 +609,62 @@ mod tests {
     }
 
     #[test]
-    fn bcl_regions_partition_buffer() {
-        let g = ProcessGrid::new(2, 3).unwrap();
-        let s = BclMatrix::zeros(20, 18, 4, g);
-        let total: usize = (0..g.size()).map(|t| s.region(t).len()).sum();
-        assert_eq!(total, s.buffer().len());
-        assert_eq!(s.buffer().len(), 20 * 18);
+    fn tile_columns_cover_their_blocks_and_each_owner_is_one_run() {
+        // square and ragged, tall and skinny, over 1×2, 2×1, 2×2 and 3×1
+        for (m, n, b) in [(250, 250, 16), (1152, 64, 16), (17, 13, 5)] {
+            for (pr, pc) in [(1, 2), (2, 1), (2, 2), (3, 1)] {
+                let g = ProcessGrid::new(pr, pc).unwrap();
+                let cm = CmTiles::zeros(m, n, b);
+                let storages: [Box<dyn TileStorage>; 3] = [
+                    Box::new(cm.clone()),
+                    Box::new(BclMatrix::zeros(m, n, b, g)),
+                    Box::new(TlbMatrix::zeros(m, n, b, g)),
+                ];
+                for s in &storages {
+                    let ctx = format!("{:?} {m}x{n} b={b} grid {pr}x{pc}", s.layout());
+                    assert_eq!(s.buffer().len(), m * n, "{ctx}");
+                    let (t, grid) = (s.tiling(), s.grid());
+                    for tj in 0..t.tile_cols() {
+                        let w = t.tile_col_count(tj);
+                        let block = t.col_start(tj) * m..(t.col_start(tj) + w) * m;
+                        // every element of the block is one tile's, once
+                        let mut hits = vec![0u8; m * w];
+                        for ti in 0..t.tile_rows() {
+                            let loc = s.tile_loc(ti, tj);
+                            for j in 0..loc.cols {
+                                for i in 0..loc.rows {
+                                    let at = loc.offset + i + j * loc.ld;
+                                    assert!(block.contains(&at), "{ctx} tile ({ti},{tj})");
+                                    hits[at - block.start] += 1;
+                                }
+                            }
+                        }
+                        assert!(hits.iter().all(|&h| h == 1), "{ctx} column {tj}");
+                        // each owner's tiles: one run of `local rows · w`
+                        for r in 0..grid.pr() {
+                            let mine: Vec<TileLoc> = grid
+                                .owned_tile_rows(t.tile_rows(), r)
+                                .map(|ti| s.tile_loc(ti, tj))
+                                .collect();
+                            let local: usize = mine.iter().map(|l| l.rows).sum();
+                            let start = mine.iter().map(|l| l.offset).min().unwrap();
+                            let end = mine.iter().map(|l| l.offset + tile_span(*l));
+                            let end = end.max().unwrap();
+                            assert_eq!(end - start, local * w, "{ctx} column {tj}, owner {r}");
+                            if s.layout() == Layout::BlockCyclic {
+                                assert!(mine.iter().all(|l| l.ld == local), "{ctx} ld");
+                            }
+                        }
+                    }
+                    // one grid row: BCL is column-major, tile for tile
+                    if s.layout() == Layout::BlockCyclic && pr == 1 {
+                        for (ti, tj) in t.tiles() {
+                            assert_eq!(s.tile_loc(ti, tj), cm.tile_loc(ti, tj), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -620,5 +673,14 @@ mod tests {
         assert_eq!(BclMatrix::zeros(8, 8, 2, g).grid(), g);
         assert_eq!(TlbMatrix::zeros(8, 8, 2, g).grid(), g);
         assert_eq!(CmTiles::zeros(8, 8, 2).grid().size(), 1);
+    }
+
+    #[test]
+    fn take_buffer_moves_the_data_out() {
+        // one grid row: BCL's buffer is the column-major matrix
+        let a = sample(9, 7);
+        let mut s = BclMatrix::from_dense(&a, 4, ProcessGrid::new(1, 2).unwrap());
+        assert_eq!(s.take_buffer(), a.as_slice());
+        assert!(s.buffer().is_empty());
     }
 }

@@ -110,46 +110,6 @@ impl Timeline {
         busy / (self.t_end * self.cores as f64)
     }
 
-    /// Time at which each core performed its last useful work (0.0 for a
-    /// core that never worked).
-    pub fn core_finish_times(&self) -> Vec<f64> {
-        let mut finish = vec![0.0f64; self.cores];
-        for s in &self.spans {
-            if s.kind.is_work() {
-                finish[s.core] = finish[s.core].max(s.end);
-            }
-        }
-        finish
-    }
-
-    /// Fraction of cores whose useful work has *finished* by time
-    /// `frac · makespan` — the Fig 14 metric ("90% of threads become idle
-    /// after only 60% of the total factorization time").
-    pub fn fraction_cores_done_by(&self, frac: f64) -> f64 {
-        if self.cores == 0 {
-            return 0.0;
-        }
-        let cutoff = frac * self.makespan();
-        let done = self
-            .core_finish_times()
-            .into_iter()
-            .filter(|&t| t <= cutoff + 1e-12)
-            .count();
-        done as f64 / self.cores as f64
-    }
-
-    /// Smallest time fraction by which at least `frac_cores` of the cores
-    /// have permanently finished useful work.
-    pub fn time_fraction_when_done(&self, frac_cores: f64) -> f64 {
-        if self.cores == 0 || self.t_end == 0.0 {
-            return 0.0;
-        }
-        let mut finish = self.core_finish_times();
-        finish.sort_by(f64::total_cmp);
-        let need = ((frac_cores * self.cores as f64).ceil() as usize).clamp(1, self.cores);
-        finish[need - 1] / self.t_end
-    }
-
     /// Mean fraction of cores busy during the window
     /// `[t0_frac, t1_frac] · makespan` — the metric behind Fig 14's
     /// "90% of threads become idle after only 60% of the total
@@ -270,19 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn finish_time_metrics() {
-        let t = simple();
-        let f = t.core_finish_times();
-        assert_eq!(f, vec![10.0, 5.0]);
-        // by 50% of makespan, core 1 (only) is done -> 0.5 of cores
-        assert_eq!(t.fraction_cores_done_by(0.5), 0.5);
-        assert_eq!(t.fraction_cores_done_by(1.0), 1.0);
-        // half the cores are done at time fraction 0.5
-        assert!((t.time_fraction_when_done(0.5) - 0.5).abs() < 1e-12);
-        assert!((t.time_fraction_when_done(1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn busy_fraction_windows() {
         let t = simple();
         // window [0, 0.5] = [0, 5]: core0 busy 5, core1 busy 5 -> 1.0
@@ -322,10 +269,5 @@ mod tests {
         let t = Timeline::new(4);
         assert_eq!(t.utilization(), 0.0);
         assert_eq!(t.makespan(), 0.0);
-        assert_eq!(
-            t.fraction_cores_done_by(0.5),
-            1.0,
-            "all cores trivially done"
-        );
     }
 }

@@ -17,22 +17,28 @@ fn main() {
     println!("Matrix entries are 'row*10+col' so you can read positions.\n");
 
     let bcl = BclMatrix::from_dense(&a, b, grid);
-    println!("== Block cyclic layout (BCL): one contiguous region per thread ==");
-    for t in 0..grid.size() {
-        let region = bcl.region(t);
-        let ld = bcl.region_ld(t);
-        println!(
-            "thread {t}: {} elements, local leading dimension {ld}:",
-            region.len()
-        );
-        print!("   ");
-        for v in region.iter().take(16) {
-            print!("{v:>4.0}");
+    println!("== Block cyclic layout (BCL): each tile column, owner by owner ==");
+    let t = bcl.tiling();
+    for tj in 0..t.tile_cols() {
+        let start = t.col_start(tj) * n;
+        let end = start + t.tile_col_count(tj) * n;
+        println!("tile column {tj}: buffer [{start}, {end})");
+        // grid row r owns tile rows r, r + 2, ...: its first one is row r
+        for r in 0..grid.pr() {
+            let first = bcl.tile_loc(r, tj);
+            let run = &bcl.buffer()[first.offset..first.offset + first.ld * first.cols];
+            print!("   thread {} (ld {}):", grid.owner(r, tj), first.ld);
+            for v in run {
+                print!("{v:>4.0}");
+            }
+            println!();
         }
-        println!("{}", if region.len() > 16 { " ..." } else { "" });
     }
-    println!("-> a thread's tiles share columns: several tiles can be updated");
-    println!("   with ONE BLAS-3 call (the paper's k=3 grouping).\n");
+    println!("-> in each tile column a thread's tiles are one column-major run:");
+    println!("   several tiles can be updated with ONE BLAS-3 call (the paper's");
+    println!("   k=3 grouping), and the thread that fills the run touches it first.");
+    println!("   Each tile column sits where its columns sit in the dense matrix,");
+    println!("   so the buffer becomes the dense result in place.\n");
 
     let tlb = TlbMatrix::from_dense(&a, b, grid);
     println!("== Two-level block layout (2l-BL): every bxb tile contiguous ==");

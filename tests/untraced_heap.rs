@@ -1,11 +1,15 @@
-//! An untraced run stores no spans. With the same warm solver, a run that
+//! The heap a factorization holds, counted at the allocator.
+//!
+//! An untraced run stores no spans: with the same warm solver, a run that
 //! keeps no trace must peak at least one `TaskSpan` per task below a run
 //! that does — on a DAG of ~89k tasks, where those spans are the one
-//! piece of the heap no result needs.
+//! piece of the heap no result needs. And the tile buffer is the result:
+//! a run holds one m × n buffer, not a tile buffer with a dense output
+//! beside it.
 //!
-//! The heap is counted at this binary's own global allocator, and the
-//! binary holds exactly one test, so nothing else allocates while it
-//! measures. Run it in release, the build the benchmark measures:
+//! The heap is counted at this binary's own global allocator. Its tests
+//! take one lock for their whole run, so only one of them allocates while
+//! it measures. Run it in release, the build the benchmark measures:
 //!
 //! ```text
 //! cargo test --release -q --test untraced_heap
@@ -13,7 +17,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use calu::matrix::gen;
 use calu::trace::TaskSpan;
 use calu::{MatrixSource, Report, Solver};
 
@@ -73,6 +79,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static HEAP: Counting = Counting;
 
+/// Held by each test for its whole run: the counters are process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // a failed test poisons the lock, which guards no data
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Run `f` and return how far the heap rose above its level at the
 /// call, at its highest while `f` ran, with `f`'s result.
 fn peak_above_baseline(f: impl FnOnce() -> Report) -> (usize, Report) {
@@ -84,6 +98,7 @@ fn peak_above_baseline(f: impl FnOnce() -> Report) -> (usize, Report) {
 
 #[test]
 fn an_untraced_run_peaks_below_a_traced_one_by_its_spans() {
+    let _serial = one_at_a_time();
     // 64 × 64 tiles: ~89k tasks, lu_fine's DAG at a quarter of its
     // data. Verification stays on: its residual pass runs once every
     // task has retired — spans and all, on a traced run — and is the
@@ -114,4 +129,35 @@ fn an_untraced_run_peaks_below_a_traced_one_by_its_spans() {
         untraced + spans <= traced,
         "untraced peak {untraced} B + {tasks} spans ({spans} B) > traced peak {traced} B"
     );
+}
+
+#[test]
+fn a_factorization_holds_one_m_by_n_buffer() {
+    let _serial = one_at_a_time();
+    const MIB: usize = 1 << 20;
+    let (n, b) = (1024, 64);
+    let f64s = std::mem::size_of::<f64>();
+    // the solver owns its input, so the input sits in the baseline; at
+    // 16 × 16 tiles the DAG and its queues are small next to the slack
+    let solver = |threads| {
+        Solver::new(MatrixSource::Dense(gen::uniform(n, n, 6)))
+            .tile(b)
+            .threads(threads)
+            .verify(false)
+    };
+    // 2 threads: a 1×2 grid, whose tile columns are column-major as
+    // they are; 4 threads: 2×2, where each worker gathers a tile column
+    // through a one-block scratch of b · m elements
+    for (threads, pr, scratch) in [(2, 1, 0), (4, 2, 4 * b * n * f64s)] {
+        let solver = solver(threads);
+        assert_eq!(solver.plan().unwrap().grid.pr(), pr);
+        drop(solver.run().unwrap());
+        let (peak, r) = peak_above_baseline(|| solver.run().unwrap());
+        assert!(r.factorization.is_some());
+        let bound = n * n * f64s + scratch + 2 * MIB;
+        assert!(
+            peak <= bound,
+            "{threads} threads: the run peaked {peak} B above its baseline, past {bound} B"
+        );
+    }
 }
