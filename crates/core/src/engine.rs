@@ -670,7 +670,7 @@ impl<'a> Engine<'a> {
 
     /// Enqueue a job. After `close` the job is refused and the sink is
     /// handed back **uncalled**: callers may hold their own locks
-    /// across `submit` (the service holds its admission lock so drain
+    /// across `submit` (the service holds its job-table lock so drain
     /// cannot slip between its check and ours), and a synchronous sink
     /// callback here could re-enter them — the caller decides how to
     /// fail the job.

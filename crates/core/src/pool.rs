@@ -31,14 +31,17 @@ use crate::error::CaluError;
 use crate::sync::Mutex;
 
 /// Where a job's result goes. The service layer implements this to
-/// route outcomes into handles and event streams; tests implement it
-/// with a channel. `started` fires when a worker claims the job (the
-/// `Queued → Running` transition), `finished` exactly once with the
-/// terminal result.
+/// move the job's record through its lifecycle; tests implement it
+/// with a channel. The pool never calls a sink from
+/// [`submit`](ServicePool::submit) or [`cancel`](ServicePool::cancel),
+/// nor with an engine lock held, so callers may hold their own locks
+/// across those calls and sinks may take them.
 pub trait JobSink: Send + 'static {
-    /// A worker claimed the job.
+    /// A worker claimed the job (`Queued → Running`); again when a
+    /// co-scheduled item requeued after a worker loss is reclaimed.
     fn started(&self) {}
-    /// The job reached a terminal state.
+    /// The job reached a terminal state: exactly once for every job the
+    /// pool keeps, never for a sink it hands back uncalled.
     fn finished(self: Box<Self>, res: Result<Outcome, CaluError>);
 }
 

@@ -37,15 +37,14 @@
 //! usual atomic-replace idiom.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use calu_core::sync::Mutex;
 use calu_core::KernelSet;
 use calu_sched::JobClass;
 
-use crate::{JobId, JobSpec};
+use crate::{parse_class, JobId, JobSpec};
 
 /// Where (and how durably) a [`FactorService`](crate::FactorService)
 /// journals accepted jobs.
@@ -69,156 +68,37 @@ impl JournalConfig {
     }
 }
 
+/// The `<kernels>` word of each kernel set.
+const KERNELS: [(KernelSet, &str); 2] =
+    [(KernelSet::CaluLu, "lu"), (KernelSet::Cholesky, "cholesky")];
+
 /// One parsed `job` line.
 pub(crate) struct JournalRecord {
     pub id: JobId,
     pub class: JobClass,
-    pub kernels: KernelSet,
-    pub source: RecordSource,
-    pub deadline: Option<Duration>,
-}
-
-/// The replayable (seeded-generator) sources.
-pub(crate) enum RecordSource {
-    Uniform { m: usize, n: usize, seed: u64 },
-    Spd { n: usize, seed: u64 },
+    pub spec: JobSpec,
 }
 
 impl JournalRecord {
-    /// The record for an accepted spec, or `None` when the spec is not
-    /// journal-replayable (dense data).
-    pub(crate) fn from_spec(id: JobId, class: JobClass, spec: &JobSpec) -> Option<Self> {
-        use calu_core::Source;
-        let source = match &spec.job.source {
-            Source::Uniform { m, n, seed } => RecordSource::Uniform {
-                m: *m,
-                n: *n,
-                seed: *seed,
-            },
-            Source::SpdUniform { n, seed } => RecordSource::Spd { n: *n, seed: *seed },
-            Source::Dense(_) | Source::Owned(_) => return None,
-        };
-        Some(JournalRecord {
-            id,
-            class,
-            kernels: spec.kernels(),
-            source,
-            deadline: spec.deadline,
-        })
-    }
-
-    /// Rebuild the admission arguments this record was written from.
-    pub(crate) fn into_spec(self) -> (JobSpec, JobClass, JobId) {
-        let mut spec = match self.source {
-            RecordSource::Uniform { m, n, seed } => JobSpec::uniform(m, n, seed),
-            RecordSource::Spd { n, seed } => JobSpec::spd_uniform(n, seed),
-        }
-        .with_kernels(self.kernels);
-        if let Some(d) = self.deadline {
-            spec = spec.with_deadline(d);
-        }
-        (spec, self.class, self.id)
-    }
-
-    fn render(&self) -> String {
-        let class = class_token(self.class);
-        let kernels = kernels_token(self.kernels);
-        let mut line = match self.source {
-            RecordSource::Uniform { m, n, seed } => {
-                format!("job {} {class} {kernels} uniform {m} {n} {seed}", self.id)
-            }
-            RecordSource::Spd { n, seed } => {
-                format!("job {} {class} {kernels} spd {n} {seed}", self.id)
-            }
-        };
-        if let Some(d) = self.deadline {
-            line.push_str(&format!(" deadline_ms {}", d.as_millis()));
-        }
-        line
-    }
-
     /// Parse one `job` line (the tokens after the `job` keyword).
     fn parse(rest: &[&str]) -> Option<Self> {
-        let (&id, rest) = rest.split_first()?;
-        let id: JobId = id.parse().ok()?;
-        let (&class, rest) = rest.split_first()?;
-        let class = parse_class(class)?;
-        let (&kernels, rest) = rest.split_first()?;
-        let kernels = parse_kernels(kernels)?;
-        let (&kind, rest) = rest.split_first()?;
-        let (source, rest) = match kind {
-            "uniform" => {
-                let [m, n, seed, rest @ ..] = rest else {
-                    return None;
-                };
-                (
-                    RecordSource::Uniform {
-                        m: m.parse().ok()?,
-                        n: n.parse().ok()?,
-                        seed: seed.parse().ok()?,
-                    },
-                    rest,
-                )
-            }
-            "spd" => {
-                let [n, seed, rest @ ..] = rest else {
-                    return None;
-                };
-                (
-                    RecordSource::Spd {
-                        n: n.parse().ok()?,
-                        seed: seed.parse().ok()?,
-                    },
-                    rest,
-                )
-            }
-            _ => return None,
+        let [id, class, kernels, spec @ ..] = rest else {
+            return None;
         };
-        let deadline = match rest {
-            [] => None,
-            ["deadline_ms", ms] => Some(Duration::from_millis(ms.parse().ok()?)),
-            _ => return None,
-        };
+        let kernels = KERNELS.iter().find(|(_, word)| word == kernels)?.0;
         Some(JournalRecord {
-            id,
-            class,
-            kernels,
-            source,
-            deadline,
+            id: id.parse().ok()?,
+            class: parse_class(class).ok()?,
+            spec: JobSpec::parse(spec).ok()?.with_kernels(kernels),
         })
     }
 }
 
-fn class_token(class: JobClass) -> &'static str {
-    match class {
-        JobClass::Interactive => "interactive",
-        JobClass::Batch => "batch",
-        JobClass::Background => "background",
-    }
-}
-
-fn parse_class(tok: &str) -> Option<JobClass> {
-    match tok {
-        "interactive" => Some(JobClass::Interactive),
-        "batch" => Some(JobClass::Batch),
-        "background" => Some(JobClass::Background),
-        _ => None,
-    }
-}
-
-fn kernels_token(kernels: KernelSet) -> &'static str {
-    match kernels {
-        KernelSet::CaluLu => "lu",
-        KernelSet::Cholesky => "cholesky",
-    }
-}
-
-fn parse_kernels(tok: &str) -> Option<KernelSet> {
-    match tok {
-        "lu" => Some(KernelSet::CaluLu),
-        "cholesky" => Some(KernelSet::Cholesky),
-        _ => None,
-    }
+/// The `job` line for an accepted spec, or `None` when the spec is not
+/// journal-replayable (dense data).
+fn job_line(id: JobId, class: JobClass, spec: &JobSpec) -> Option<String> {
+    let kernels = KERNELS.iter().find(|(k, _)| *k == spec.kernels())?.1;
+    Some(format!("job {id} {class} {kernels} {}", spec.render()?))
 }
 
 /// The open journal: an append handle behind a mutex, so sinks on
@@ -247,10 +127,19 @@ impl Journal {
         Ok((journal, backlog))
     }
 
-    /// Append one accepted-job record, durably (write-ahead: called
-    /// before the pool sees the job).
-    pub(crate) fn append_job(&self, rec: &JournalRecord) -> io::Result<()> {
-        self.append_line(&rec.render())
+    /// Append one accepted job's record, durably (write-ahead: called
+    /// before the pool sees the job). `false` when the spec is not
+    /// replayable and nothing was written.
+    pub(crate) fn append_job(
+        &self,
+        id: JobId,
+        class: JobClass,
+        spec: &JobSpec,
+    ) -> io::Result<bool> {
+        match job_line(id, class, spec) {
+            Some(line) => self.append_line(&line).map(|()| true),
+            None => Ok(false),
+        }
     }
 
     /// Append one completion marker.
@@ -276,8 +165,11 @@ impl Journal {
         let tmp = self.path.with_extension("journal-compact");
         {
             let mut out = File::create(&tmp)?;
-            for rec in records {
-                out.write_all(rec.render().as_bytes())?;
+            for line in records
+                .iter()
+                .filter_map(|r| job_line(r.id, r.class, &r.spec))
+            {
+                out.write_all(line.as_bytes())?;
                 out.write_all(b"\n")?;
             }
             out.sync_data()?;
@@ -300,15 +192,13 @@ fn append_handle(path: &Path) -> io::Result<File> {
 /// records with no completion marker. Unparseable lines — torn tails
 /// from a crash mid-append — are skipped.
 fn read_incomplete(path: &Path) -> io::Result<Vec<JournalRecord>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
     let mut open: Vec<JournalRecord> = Vec::new();
-    for line in BufReader::new(file).split(b'\n') {
-        let line = line?;
-        let line = String::from_utf8_lossy(&line);
+    for line in String::from_utf8_lossy(&bytes).lines() {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match tokens.split_first() {
             Some((&"job", rest)) => {

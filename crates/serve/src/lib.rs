@@ -52,13 +52,43 @@
 //! async runtime, no serde. The facade crate (`calu`) wraps this API as
 //! `Solver::serve()` / `Solver::listen()`, mapping [`Outcome`]s
 //! into its `Report` type via the [`FactorService::with_report`] hook.
+//!
+//! # The job table
+//!
+//! Each admitted job has one record in one `Mutex`-guarded table: its
+//! [`JobInfo`], deadline, last heartbeat sample, whether it was
+//! journaled, and its state. The table also holds the per-class
+//! pending counts, the next id, the draining flag and the lifetime
+//! counters behind [`DrainSummary`]; a [`JobHandle`] is a view of its
+//! record. One function, `transition`, writes a job's state, along the
+//! edges
+//!
+//! ```text
+//! Queued | Running  →  Running | Done | Failed | Cancelled
+//! ```
+//!
+//! and never out of a terminal state: when the pool's sink, the
+//! watchdog and a cancel race to end a job, one wins and the others are
+//! refused. (`Running → Running` and `Running → Cancelled` are a
+//! co-scheduled item requeued by a worker loss, claimed again or
+//! cancelled in its lane.) Entering a terminal state, once and in
+//! order: decrement pending and count the job under the lock, wake the
+//! waiters, append the `end` marker of a journaled job, send its
+//! [`ServiceEvent::Job`]. A record leaves the table with its handle once
+//! the job ended, or at the terminal transition if the handle is gone.
+//!
+//! Lock order is table → pools → engine state: admission holds the
+//! table lock across `ServicePool::submit`, which never calls a sink;
+//! sinks take the table lock with no engine lock held; the result hook
+//! never runs under it.
 
 pub mod journal;
 pub mod net;
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,8 +98,8 @@ use calu_core::{BatchItem, CaluConfig, CaluError, KernelSet, Outcome, Source};
 use calu_matrix::DenseMatrix;
 pub use calu_sched::JobClass;
 
+use journal::Journal;
 pub use journal::JournalConfig;
-use journal::{Journal, JournalRecord};
 pub use net::{NetConfig, NetStats, ServeListener};
 
 /// Service-assigned job identifier, unique within one service.
@@ -88,6 +118,24 @@ pub enum JobStatus {
     Failed,
     /// Removed from the queue before any worker claimed it.
     Cancelled,
+}
+
+impl JobStatus {
+    /// Done, failed or cancelled: no transition leaves this status.
+    fn is_terminal(self) -> bool {
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
+
+    /// The status's word on the wire.
+    fn token(self) -> &'static str {
+        match self {
+            JobStatus::Queued => "queued",
+            JobStatus::Running => "running",
+            JobStatus::Done => "done",
+            JobStatus::Failed => "failed",
+            JobStatus::Cancelled => "cancelled",
+        }
+    }
 }
 
 /// Typed service errors.
@@ -201,7 +249,7 @@ impl Default for ServiceConfig {
 }
 
 /// What one job factors: dense data moved in, or a seeded generator
-/// materialized lazily on the worker that claims the job — plus which
+/// materialized lazily on the worker that claims it — plus which
 /// algorithm's kernels factor it (CALU by default; see
 /// [`with_kernels`](Self::with_kernels)). Per-job validation is
 /// dimensional (non-empty, and square for Cholesky); the shared solver
@@ -275,6 +323,65 @@ impl JobSpec {
     pub fn kernels(&self) -> KernelSet {
         self.job.kernels
     }
+
+    /// The spec's words, shared by the wire's `submit` and the
+    /// journal's `job` line: `uniform <m> <n> <seed>` or
+    /// `spd <n> <seed>`, then `deadline_ms <ms>` when the spec has a
+    /// deadline. `None` for dense data, which no line carries.
+    fn render(&self) -> Option<String> {
+        let mut line = match self.job.source {
+            Source::Uniform { m, n, seed } => format!("uniform {m} {n} {seed}"),
+            Source::SpdUniform { n, seed } => format!("spd {n} {seed}"),
+            Source::Dense(_) | Source::Owned(_) => return None,
+        };
+        if let Some(d) = self.deadline {
+            line.push_str(&format!(" deadline_ms {}", d.as_millis()));
+        }
+        Some(line)
+    }
+
+    /// Parse [`render`](Self::render)'s words back. `spd` selects
+    /// Cholesky, `uniform` CALU; the journal overrides that with its
+    /// own kernels token.
+    fn parse(tokens: &[&str]) -> Result<JobSpec, String> {
+        let (spec, rest) = match tokens {
+            ["uniform", m, n, seed, rest @ ..] => (
+                JobSpec::uniform(
+                    parse_num(m, "m")?,
+                    parse_num(n, "n")?,
+                    parse_num(seed, "seed")?,
+                ),
+                rest,
+            ),
+            ["spd", n, seed, rest @ ..] => (
+                JobSpec::spd_uniform(parse_num(n, "n")?, parse_num(seed, "seed")?),
+                rest,
+            ),
+            ["uniform", ..] => return Err("uniform needs <m> <n> <seed>".into()),
+            ["spd", ..] => return Err("spd needs <n> <seed>".into()),
+            [other, ..] => return Err(format!("unknown generator {other:?}")),
+            [] => return Err("submit needs a generator spec".into()),
+        };
+        match rest {
+            [] => Ok(spec),
+            ["deadline_ms", ms] => {
+                Ok(spec.with_deadline(Duration::from_millis(parse_num(ms, "deadline_ms")?)))
+            }
+            extra => Err(format!("unexpected trailing tokens {extra:?}")),
+        }
+    }
+}
+
+/// A class from its [`Display`](fmt::Display) word.
+fn parse_class(tok: &str) -> Result<JobClass, String> {
+    JobClass::ALL
+        .into_iter()
+        .find(|c| c.to_string() == tok)
+        .ok_or_else(|| format!("unknown class {tok:?}"))
+}
+
+fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
+    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
 }
 
 /// Identity of one admitted job, handed to the report hook.
@@ -330,144 +437,69 @@ pub enum ServiceEvent {
     },
 }
 
-enum CellState<R> {
+/// A job's state in its record; the terminal ones carry the outcome.
+enum State<R> {
     Queued,
     Running,
-    Done(R),
+    /// `None` when the job was admitted without a result slot (the
+    /// front door's jobs): the result was made and dropped.
+    Done(Option<R>),
     Failed(ServeError),
     Cancelled,
-    /// The result was consumed by `wait`.
-    Taken,
 }
 
-struct JobCell<R> {
-    state: Mutex<CellState<R>>,
-    cv: Condvar,
-}
-
-/// A claim on one submitted job: poll it with
-/// [`try_status`](Self::try_status), block on it with
-/// [`wait`](Self::wait).
-pub struct JobHandle<R = Outcome> {
-    id: JobId,
-    class: JobClass,
-    dims: (usize, usize),
-    kernels: KernelSet,
-    cell: Arc<JobCell<R>>,
-}
-
-impl<R> fmt::Debug for JobHandle<R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("id", &self.id)
-            .field("class", &self.class)
-            .field("dims", &self.dims)
-            .field("status", &self.try_status())
-            .finish()
-    }
-}
-
-impl<R> JobHandle<R> {
-    /// The service-assigned job id.
-    pub fn id(&self) -> JobId {
-        self.id
-    }
-
-    /// The class the job was admitted under.
-    pub fn class(&self) -> JobClass {
-        self.class
-    }
-
-    /// `(rows, cols)` of the job's matrix.
-    pub fn dims(&self) -> (usize, usize) {
-        self.dims
-    }
-
-    /// Which algorithm's kernels factor the job.
-    pub fn kernels(&self) -> KernelSet {
-        self.kernels
-    }
-
-    /// Current lifecycle position, without blocking.
-    pub fn try_status(&self) -> JobStatus {
-        match &*self.cell.state.lock() {
-            CellState::Queued => JobStatus::Queued,
-            CellState::Running => JobStatus::Running,
-            CellState::Done(_) | CellState::Taken => JobStatus::Done,
-            CellState::Failed(_) => JobStatus::Failed,
-            CellState::Cancelled => JobStatus::Cancelled,
+impl<R> State<R> {
+    fn status(&self) -> JobStatus {
+        match self {
+            State::Queued => JobStatus::Queued,
+            State::Running => JobStatus::Running,
+            State::Done(_) => JobStatus::Done,
+            State::Failed(_) => JobStatus::Failed,
+            State::Cancelled => JobStatus::Cancelled,
         }
     }
-
-    /// Block until the job reaches a terminal state and take its
-    /// result.
-    pub fn wait(self) -> Result<R, ServeError> {
-        let mut st = self.cell.state.lock();
-        while let CellState::Queued | CellState::Running = &*st {
-            st = self.cell.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        match std::mem::replace(&mut *st, CellState::Taken) {
-            CellState::Done(r) => Ok(r),
-            CellState::Failed(e) => Err(e),
-            CellState::Cancelled => Err(ServeError::Cancelled),
-            _ => unreachable!("wait consumes the handle"),
-        }
-    }
-
-    /// [`wait`](Self::wait), bounded: blocks at most `timeout`. On
-    /// expiry the handle comes back in `Err` so the caller can keep
-    /// polling, re-wait, or cancel — the job itself is unaffected (use
-    /// [`JobSpec::with_deadline`] to bound the *job*, not just the
-    /// wait).
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<R, ServeError>, Self> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.cell.state.lock();
-        while let CellState::Queued | CellState::Running = &*st {
-            let now = Instant::now();
-            if now >= deadline {
-                drop(st);
-                return Err(self);
-            }
-            st = self
-                .cell
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        Ok(match std::mem::replace(&mut *st, CellState::Taken) {
-            CellState::Done(r) => Ok(r),
-            CellState::Failed(e) => Err(e),
-            CellState::Cancelled => Err(ServeError::Cancelled),
-            _ => unreachable!("a terminal wait consumes the handle"),
-        })
-    }
 }
 
-struct Admission {
-    /// Admitted-but-not-terminal, total and per lane.
-    pending_total: usize,
-    pending: [usize; 3],
-    draining: bool,
-    next_id: JobId,
-}
-
-/// The result constructor a service applies to every finished job's
-/// pool outcome (see [`FactorService::with_report`]).
-type MakeResult<R> = Box<dyn Fn(&JobInfo, Outcome) -> R + Send + Sync>;
-
-/// One job the watchdog keeps an eye on: a deadline, a heartbeat
-/// history, or both.
-struct WatchEntry<R> {
+/// One admitted job's record in the table.
+struct Job<R> {
     info: JobInfo,
-    cell: Arc<JobCell<R>>,
+    state: State<R>,
     /// Absolute deadline (admission time + the spec's deadline), with
     /// the spec's relative deadline kept for the error message.
     deadline: Option<(Instant, Duration)>,
     /// Last observed `(heartbeat, when)` for stall detection; `None`
     /// until the job's co-operative run publishes its first sample.
     last: Option<(u64, Instant)>,
+    /// The journal holds the job's record, so it owes an `end` marker.
+    journaled: bool,
+    /// Keep the result for a `wait`; `false` drops it at completion.
+    keep: bool,
+    /// A [`JobHandle`] still views this record.
+    held: bool,
 }
+
+/// The service's job table: every admitted job's record plus the
+/// admission counters (see the crate docs).
+struct Table<R> {
+    jobs: HashMap<JobId, Job<R>>,
+    /// Admitted-but-not-terminal, per lane.
+    pending: [usize; 3],
+    /// Live jobs with a deadline: while zero and stall detection is
+    /// off, the watchdog leaves the records alone.
+    deadlines: usize,
+    next_id: JobId,
+    draining: bool,
+    /// Lifetime terminal counts behind [`DrainSummary`].
+    completed: u64,
+    cancelled: u64,
+}
+
+/// A refused `transition`: the job had already ended.
+struct IllegalTransition;
+
+/// The result constructor a service applies to every finished job's
+/// pool outcome (see [`FactorService::with_report`]).
+type MakeResult<R> = Box<dyn Fn(&JobInfo, Outcome) -> R + Send + Sync>;
 
 /// The service's pool set: one current pool plus any predecessors
 /// still finishing their in-flight tail after a reconfigure.
@@ -482,27 +514,19 @@ struct Pools {
 
 /// State shared between the service, its sinks, its handles and the
 /// watchdog thread.
-///
-/// Lock order (outer → inner): `admission → pools → tx/journal`. The
-/// sink side never holds `watch` across `admission` (ABBA with
-/// `submit`'s admission → watch order).
 struct Inner<R> {
-    admission: Mutex<Admission>,
+    table: Mutex<Table<R>>,
+    /// Notified by every terminal transition; waiters re-check their
+    /// own record.
+    ended: Condvar,
     pools: Mutex<Pools>,
     make: MakeResult<R>,
     tx: Mutex<Option<mpsc::Sender<ServiceEvent>>>,
     rx: Mutex<Option<mpsc::Receiver<ServiceEvent>>>,
-    /// Jobs under watchdog surveillance. Never held across the
-    /// admission lock by the sink side (ABBA with `submit`'s
-    /// admission → watch order).
-    watch: Mutex<Vec<WatchEntry<R>>>,
     /// Tells the watchdog thread to exit.
     shutdown: AtomicBool,
     /// Write-ahead log, when [`ServiceConfig::journal`] is set.
     journal: Option<Journal>,
-    /// Lifetime terminal-state counters behind [`DrainSummary`].
-    completed: AtomicU64,
-    cancelled: AtomicU64,
 }
 
 impl<R> Inner<R> {
@@ -516,98 +540,246 @@ impl<R> Inner<R> {
     /// live on any of them across a handover.
     fn all_pools(&self) -> Vec<Arc<ServicePool>> {
         let p = self.pools.lock();
-        let mut all = Vec::with_capacity(1 + p.retiring.len());
-        all.push(Arc::clone(&p.current));
-        all.extend(p.retiring.iter().cloned());
-        all
+        std::iter::once(&p.current)
+            .chain(&p.retiring)
+            .cloned()
+            .collect()
     }
 
-    /// One job left the pending set (terminal state reached).
-    fn job_ended(&self, info: &JobInfo, status: JobStatus) {
-        {
-            let mut adm = self.admission.lock();
-            adm.pending_total -= 1;
-            adm.pending[info.class.lane()] -= 1;
+    /// Send `event` unless the stream has closed.
+    fn emit(&self, event: ServiceEvent) {
+        if let Some(tx) = &*self.tx.lock() {
+            let _ = tx.send(event);
         }
+    }
+
+    /// Move job `id` to `to` — the one writer of a job's state, with
+    /// the edges and terminal effects the crate docs list. Refused when
+    /// the job already ended.
+    fn transition(&self, id: JobId, mut to: State<R>) -> Result<(), IllegalTransition> {
+        let status = to.status();
+        let mut guard = self.table.lock();
+        let t = &mut *guard;
+        let job = t.jobs.get_mut(&id).ok_or(IllegalTransition)?;
+        if job.state.status().is_terminal() || status == JobStatus::Queued {
+            return Err(IllegalTransition);
+        }
+        let unwanted = match &mut to {
+            State::Done(r) if !job.keep => r.take(),
+            _ => None,
+        };
+        job.state = to;
+        if !status.is_terminal() {
+            return Ok(());
+        }
+        let (info, journaled) = (job.info, job.journaled);
+        t.deadlines -= usize::from(job.deadline.is_some());
+        let gone = if job.held { None } else { t.jobs.remove(&id) };
+        t.pending[info.class.lane()] -= 1;
         if status == JobStatus::Cancelled {
-            self.cancelled.fetch_add(1, Ordering::Relaxed);
+            t.cancelled += 1;
         } else {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+            t.completed += 1;
         }
+        drop(guard);
+        drop((unwanted, gone));
+        self.ended.notify_all();
         // best effort: a missed completion marker only means replay
         // re-runs an already-finished job, which is deterministic and
         // harmless; failing the *job* over it would not be
-        if let Some(j) = &self.journal {
-            let _ = j.append_end(info.id);
+        if let (true, Some(j)) = (journaled, &self.journal) {
+            let _ = j.append_end(id);
         }
-        if let Some(tx) = &*self.tx.lock() {
-            let _ = tx.send(ServiceEvent::Job(JobEvent {
-                id: info.id,
-                class: info.class,
-                status,
-            }));
-        }
+        self.emit(ServiceEvent::Job(JobEvent {
+            id,
+            class: info.class,
+            status,
+        }));
+        Ok(())
     }
 
-    /// Watchdog-side terminal transition: first writer wins against the
-    /// job's sink. `false` means the job went terminal first and
-    /// nothing was done.
-    fn condemn(&self, info: &JobInfo, cell: &JobCell<R>, err: ServeError) -> bool {
-        {
-            let mut st = cell.state.lock();
-            if !matches!(*st, CellState::Queued | CellState::Running) {
-                return false;
-            }
-            *st = CellState::Failed(err);
+    /// The watchdog's scan: the live jobs past their deadline, and the
+    /// running co-operative ones whose heartbeat stalled for `stall`.
+    fn overdue(
+        &self,
+        pools: &[Arc<ServicePool>],
+        stall: Option<Duration>,
+    ) -> Vec<(JobId, ServeError)> {
+        let mut t = self.table.lock();
+        if t.deadlines == 0 && stall.is_none() {
+            return Vec::new();
         }
-        cell.cv.notify_all();
-        self.job_ended(info, JobStatus::Failed);
-        true
+        let now = Instant::now();
+        let mut condemned = Vec::new();
+        for job in t.jobs.values_mut() {
+            let id = job.info.id;
+            if job.state.status().is_terminal() {
+                continue;
+            }
+            if let Some((at, deadline)) = job.deadline {
+                if now >= at {
+                    condemned.push((id, ServeError::DeadlineExceeded { deadline }));
+                    continue;
+                }
+            }
+            let (State::Running, Some(limit)) = (&job.state, stall) else {
+                continue;
+            };
+            // co-scheduled or not yet published jobs have no heartbeat
+            let Some(hb) = pools.iter().find_map(|p| p.progress_of(id)) else {
+                continue;
+            };
+            match job.last {
+                Some((prev, since)) if hb == prev => {
+                    if now.duration_since(since) >= limit {
+                        let stuck =
+                            format!("no task progress for {limit:?} (heartbeat stuck at {hb})");
+                        condemned.push((id, ServeError::Failed(CaluError::WorkerLost(stuck))));
+                    }
+                }
+                _ => job.last = Some((hb, now)),
+            }
+        }
+        condemned
     }
 }
 
-/// Routes one job's pool outcome into its handle and the event stream.
+/// Routes one job's pool outcome into its record.
 struct ServeSink<R> {
-    info: JobInfo,
-    cell: Arc<JobCell<R>>,
+    id: JobId,
     shared: Arc<Inner<R>>,
 }
 
 impl<R: Send + 'static> JobSink for ServeSink<R> {
     fn started(&self) {
-        // idempotent on purpose: a job requeued after a mid-item worker
-        // loss is claimed (and `started`) a second time
-        let mut st = self.cell.state.lock();
-        if matches!(*st, CellState::Queued) {
-            *st = CellState::Running;
-        }
+        // refused once the watchdog condemned the job; `Running →
+        // Running` when a requeued co-scheduled item is claimed again
+        let _ = self.shared.transition(self.id, State::Running);
     }
 
     fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
-        // leave the watchdog's registry first (lock not held onward)
-        self.shared
-            .watch
-            .lock()
-            .retain(|e| e.info.id != self.info.id);
-        let (state, status) = match res {
-            Ok(out) => (
-                CellState::Done((self.shared.make)(&self.info, out)),
-                JobStatus::Done,
-            ),
-            Err(e) => (CellState::Failed(ServeError::Failed(e)), JobStatus::Failed),
+        // a missing record ended long ago (and its handle let go); one
+        // the watchdog or a cancel ended first refuses the transition
+        // below, and the pool-side result is discarded
+        let Some(info) = self.shared.table.lock().jobs.get(&self.id).map(|j| j.info) else {
+            return;
         };
-        {
-            let mut st = self.cell.state.lock();
-            if !matches!(*st, CellState::Queued | CellState::Running) {
-                // the watchdog condemned this job first (deadline or
-                // stall) and already accounted for it; the pool-side
-                // result is discarded
-                return;
-            }
-            *st = state;
+        let to = match res {
+            Ok(out) => State::Done(Some((self.shared.make)(&info, out))),
+            Err(e) => State::Failed(ServeError::Failed(e)),
+        };
+        let _ = self.shared.transition(self.id, to);
+    }
+}
+
+/// A view of one submitted job's record: poll it with
+/// [`try_status`](Self::try_status), block on it with
+/// [`wait`](Self::wait).
+pub struct JobHandle<R = Outcome> {
+    info: JobInfo,
+    shared: Arc<Inner<R>>,
+}
+
+impl<R> fmt::Debug for JobHandle<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JobHandle")
+            .field("id", &self.info.id)
+            .field("class", &self.info.class)
+            .field("dims", &self.info.dims)
+            .field("status", &self.try_status())
+            .finish()
+    }
+}
+
+impl<R> JobHandle<R> {
+    /// The service-assigned job id.
+    pub fn id(&self) -> JobId {
+        self.info.id
+    }
+
+    /// The class the job was admitted under.
+    pub fn class(&self) -> JobClass {
+        self.info.class
+    }
+
+    /// `(rows, cols)` of the job's matrix.
+    pub fn dims(&self) -> (usize, usize) {
+        self.info.dims
+    }
+
+    /// Which algorithm's kernels factor the job.
+    pub fn kernels(&self) -> KernelSet {
+        self.info.kernels
+    }
+
+    /// Current lifecycle position, without blocking.
+    pub fn try_status(&self) -> JobStatus {
+        self.status_in(&self.shared.table.lock())
+    }
+
+    /// Block until the job reaches a terminal state and take its
+    /// result.
+    pub fn wait(self) -> Result<R, ServeError> {
+        let mut t = self.shared.table.lock();
+        while !self.status_in(&t).is_terminal() {
+            t = self.shared.ended.wait(t).unwrap_or_else(|e| e.into_inner());
         }
-        self.cell.cv.notify_all();
-        self.shared.job_ended(&self.info, status);
+        self.take(t)
+    }
+
+    /// [`wait`](Self::wait), bounded: blocks at most `timeout`. On
+    /// expiry the handle comes back in `Err` so the caller can keep
+    /// polling, re-wait, or cancel — the job itself is unaffected (use
+    /// [`JobSpec::with_deadline`] to bound the *job*, not just the
+    /// wait).
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<R, ServeError>, Self> {
+        let t = self.shared.table.lock();
+        let (t, waited) = self
+            .shared
+            .ended
+            .wait_timeout_while(t, timeout, |t| !self.status_in(t).is_terminal())
+            .unwrap_or_else(|e| e.into_inner());
+        if waited.timed_out() {
+            drop(t);
+            return Err(self);
+        }
+        Ok(self.take(t))
+    }
+
+    fn status_in(&self, t: &Table<R>) -> JobStatus {
+        t.jobs[&self.info.id].state.status()
+    }
+
+    /// Remove the ended job's record and unpack its terminal state.
+    fn take(&self, mut t: MutexGuard<'_, Table<R>>) -> Result<R, ServeError> {
+        let job = t
+            .jobs
+            .remove(&self.info.id)
+            .expect("a held job keeps its record");
+        drop(t);
+        match job.state {
+            State::Done(r) => Ok(r.expect("a waited job keeps its result")),
+            State::Failed(e) => Err(e),
+            State::Cancelled => Err(ServeError::Cancelled),
+            State::Queued | State::Running => unreachable!("taken only once terminal"),
+        }
+    }
+}
+
+impl<R> Drop for JobHandle<R> {
+    /// An ended job's record goes with its handle; a live one is left
+    /// for its terminal transition to remove.
+    fn drop(&mut self) {
+        let mut t = self.shared.table.lock();
+        let Some(job) = t.jobs.get_mut(&self.info.id) else {
+            return;
+        };
+        job.held = false;
+        if job.state.status().is_terminal() {
+            let gone = t.jobs.remove(&self.info.id);
+            drop(t);
+            drop(gone);
+        }
     }
 }
 
@@ -655,8 +827,8 @@ const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
 /// The watchdog loop: every tick, emit [`ServiceEvent::Degraded`] on a
 /// new worker loss, fail jobs past their deadline, and fail running
-/// co-operative jobs whose heartbeat stalled. Jobs are condemned
-/// first-writer-wins against their sink, so a normal finish racing the
+/// co-operative jobs whose heartbeat stalled. A condemned job's
+/// terminal transition races its sink's, so a normal finish racing the
 /// watchdog resolves cleanly either way.
 fn watchdog_loop<R: Send + 'static>(shared: Arc<Inner<R>>, stall: Option<Duration>) {
     let mut last_lost = 0usize;
@@ -668,69 +840,19 @@ fn watchdog_loop<R: Send + 'static>(shared: Arc<Inner<R>>, stall: Option<Duratio
         let lost: usize = pools.iter().map(|p| p.lost_workers()).sum();
         if lost > last_lost {
             last_lost = lost;
-            if let Some(tx) = &*shared.tx.lock() {
-                let _ = tx.send(ServiceEvent::Degraded { lost_workers: lost });
-            }
+            shared.emit(ServiceEvent::Degraded { lost_workers: lost });
         }
-        let now = Instant::now();
-        // decide under the watch lock, act after releasing it: condemn
-        // takes the cell and admission locks, which the sink side takes
-        // without holding `watch`
-        let mut condemned: Vec<(JobInfo, Arc<JobCell<R>>, ServeError)> = Vec::new();
-        {
-            let mut watch = shared.watch.lock();
-            watch.retain_mut(|e| {
-                let running = match &*e.cell.state.lock() {
-                    CellState::Queued => false,
-                    CellState::Running => true,
-                    _ => return false, // terminal: stop watching
-                };
-                if let Some((at, rel)) = e.deadline {
-                    if now >= at {
-                        condemned.push((
-                            e.info,
-                            Arc::clone(&e.cell),
-                            ServeError::DeadlineExceeded { deadline: rel },
-                        ));
-                        return false;
-                    }
-                }
-                if let (true, Some(limit)) = (running, stall) {
-                    // co-scheduled or not yet published jobs have no
-                    // heartbeat to judge by
-                    if let Some(hb) = pools.iter().find_map(|p| p.progress_of(e.info.id)) {
-                        match e.last {
-                            Some((prev, since)) if hb == prev => {
-                                if now.duration_since(since) >= limit {
-                                    condemned.push((
-                                        e.info,
-                                        Arc::clone(&e.cell),
-                                        ServeError::Failed(CaluError::WorkerLost(format!(
-                                            "no task progress for {limit:?} \
-                                             (heartbeat stuck at {hb})"
-                                        ))),
-                                    ));
-                                    return false;
-                                }
-                            }
-                            _ => e.last = Some((hb, now)),
-                        }
-                    }
-                }
-                true
-            });
-        }
-        for (info, cell, err) in condemned {
-            // remove a still-queued victim from the lanes (sink comes
-            // back uncalled and is dropped); then the terminal write
-            let _ = pools.iter().find_map(|p| p.cancel(info.id));
-            if shared.condemn(&info, &cell, err) {
-                // stop the pool wasting work on a condemned run; the
-                // error lands in a sink that finds the cell terminal
-                // and discards it
+        for (id, err) in shared.overdue(&pools, stall) {
+            // remove a still-queued victim from the lanes (its sink
+            // comes back uncalled and is dropped); then the terminal
+            // write, and only if it won, stop the pool wasting work on
+            // the run — the error lands in a sink that finds the job
+            // ended and discards it
+            let _ = pools.iter().find_map(|p| p.cancel(id));
+            if shared.transition(id, State::Failed(err)).is_ok() {
                 for p in &pools {
                     p.fail_active(
-                        info.id,
+                        id,
                         CaluError::WorkerLost("run condemned by the service watchdog".into()),
                     );
                 }
@@ -781,27 +903,28 @@ impl<R: Send + 'static> FactorService<R> {
         // anything can be admitted; replay happens below, after the
         // watchdog is live, so replayed deadlines are enforced too
         let (journal, backlog) = match &svc.journal {
-            Some(jc) => {
-                let (j, backlog) = Journal::open(jc).map_err(|e| {
-                    CaluError::InvalidConfig(format!(
-                        "cannot open service journal {}: {e}",
-                        jc.path.display()
-                    ))
-                })?;
-                (Some(j), backlog)
-            }
+            Some(jc) => Journal::open(jc)
+                .map(|(j, backlog)| (Some(j), backlog))
+                .map_err(|e| {
+                    let path = jc.path.display();
+                    CaluError::InvalidConfig(format!("cannot open service journal {path}: {e}"))
+                })?,
             None => (None, Vec::new()),
         };
         let (tx, rx) = mpsc::channel();
         let shared = Arc::new(Inner {
-            admission: Mutex::new(Admission {
-                pending_total: 0,
+            table: Mutex::new(Table {
+                jobs: HashMap::new(),
                 pending: [0; 3],
-                draining: false,
+                deadlines: 0,
                 // replayed jobs keep their original ids; fresh ids
                 // continue strictly above everything the journal saw
                 next_id: backlog.iter().map(|r| r.id + 1).max().unwrap_or(1),
+                draining: false,
+                completed: 0,
+                cancelled: 0,
             }),
+            ended: Condvar::new(),
             pools: Mutex::new(Pools {
                 current: pool,
                 retiring: Vec::new(),
@@ -810,19 +933,12 @@ impl<R: Send + 'static> FactorService<R> {
             make: Box::new(make),
             tx: Mutex::new(Some(tx)),
             rx: Mutex::new(Some(rx)),
-            watch: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             journal,
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
         });
         let watchdog = {
-            let shared = Arc::clone(&shared);
-            let stall = svc.stall_timeout;
-            std::thread::Builder::new()
-                .name("calu-serve-watchdog".into())
-                .spawn(move || watchdog_loop(shared, stall))
-                .expect("spawn watchdog thread")
+            let (shared, stall) = (Arc::clone(&shared), svc.stall_timeout);
+            spawn("calu-serve-watchdog", move || watchdog_loop(shared, stall))
         };
         let service = FactorService {
             cfg: svc,
@@ -833,29 +949,18 @@ impl<R: Send + 'static> FactorService<R> {
             replayed: Mutex::new(Vec::new()),
         };
         // replay the journal's incomplete tail: same ids, classes,
-        // kernels, generator specs — quota checks are bypassed (these
-        // jobs were admitted once already) and the records are already
-        // on disk, so they are not re-journaled
-        if !backlog.is_empty() {
-            let mut handles = Vec::with_capacity(backlog.len());
-            for rec in backlog {
-                let (spec, class, id) = rec.into_spec();
-                match service.admit(spec, class, Some(id)) {
-                    Ok(h) => handles.push(h),
-                    // a record that parsed but no longer validates is
-                    // dropped, not fatal: the journal outlived the
-                    // config that accepted it
-                    Err(_) => continue,
-                }
-            }
-            let n = handles.len();
-            *service.replayed.lock() = handles;
-            if n > 0 {
-                if let Some(tx) = &*service.shared.tx.lock() {
-                    let _ = tx.send(ServiceEvent::JournalReplayed { jobs: n });
-                }
-            }
+        // kernels, generator specs. A record that parsed but no longer
+        // validates is dropped, not fatal: the journal outlived the
+        // config that accepted it
+        let handles: Vec<_> = backlog
+            .into_iter()
+            .filter_map(|rec| service.admit(rec.spec, rec.class, Some(rec.id), true).ok())
+            .collect();
+        let jobs = handles.len();
+        if jobs > 0 {
+            service.shared.emit(ServiceEvent::JournalReplayed { jobs });
         }
+        *service.replayed.lock() = handles;
         Ok(service)
     }
 
@@ -872,18 +977,20 @@ impl<R: Send + 'static> FactorService<R> {
     /// [`ServeError::Busy`] when a quota is full,
     /// [`ServeError::ShuttingDown`] after [`drain`](Self::drain) began.
     pub fn submit(&self, spec: JobSpec, class: JobClass) -> Result<JobHandle<R>, ServeError> {
-        self.admit(spec, class, None)
+        self.admit(spec, class, None, true)
     }
 
     /// The single admission path: `submit` with `replay_id: None`,
     /// journal replay with the crashed run's id (which bypasses quota
     /// checks — the job was admitted once already — and skips
-    /// re-journaling, its record being on disk by definition).
+    /// re-journaling, its record being on disk by definition). `keep:
+    /// false` (the front door) drops the job's result at completion.
     fn admit(
         &self,
         spec: JobSpec,
         class: JobClass,
         replay_id: Option<JobId>,
+        keep: bool,
     ) -> Result<JobHandle<R>, ServeError> {
         let dims = spec.dims();
         if dims.0 == 0 || dims.1 == 0 {
@@ -895,110 +1002,83 @@ impl<R: Send + 'static> FactorService<R> {
                 dims.0, dims.1
             ))));
         }
-        let mut adm = self.shared.admission.lock();
-        if adm.draining {
+        let mut t = self.shared.table.lock();
+        if t.draining {
             return Err(ServeError::ShuttingDown);
         }
         let pool = self.shared.current_pool();
         let lane = class.lane();
         if replay_id.is_none() {
-            if adm.pending_total >= self.cfg.max_pending {
-                return Err(ServeError::Busy {
-                    class,
-                    pending: adm.pending_total,
-                    quota: self.cfg.max_pending,
-                    retry_after_hint: retry_hint(adm.pending_total, pool.threads()),
-                });
-            }
-            if adm.pending[lane] >= self.cfg.class_quota[lane] {
-                return Err(ServeError::Busy {
-                    class,
-                    pending: adm.pending[lane],
-                    quota: self.cfg.class_quota[lane],
-                    retry_after_hint: retry_hint(adm.pending[lane], pool.threads()),
-                });
-            }
-        }
-        let id = match replay_id {
-            Some(id) => id,
-            None => {
-                let id = adm.next_id;
-                adm.next_id += 1;
-                id
-            }
-        };
-        // the accept record must be durable before the job can run:
-        // write-ahead, under the admission lock, before the pool sees
-        // it. Only generator specs are journaled — dense data is not
-        // replayable from a line record.
-        if replay_id.is_none() {
-            if let Some(j) = &self.shared.journal {
-                if let Some(rec) = JournalRecord::from_spec(id, class, &spec) {
-                    if let Err(e) = j.append_job(&rec) {
-                        return Err(ServeError::Journal(e));
-                    }
+            let total: usize = t.pending.iter().sum();
+            for (pending, quota) in [
+                (total, self.cfg.max_pending),
+                (t.pending[lane], self.cfg.class_quota[lane]),
+            ] {
+                if pending >= quota {
+                    return Err(ServeError::Busy {
+                        class,
+                        pending,
+                        quota,
+                        retry_after_hint: retry_hint(pending, pool.threads()),
+                    });
                 }
             }
         }
-        adm.pending_total += 1;
-        adm.pending[lane] += 1;
+        let id = replay_id.unwrap_or(t.next_id);
+        t.next_id = t.next_id.max(id + 1);
+        // the accept record must be durable before the job can run:
+        // write-ahead, under the table lock, before the pool sees it
+        let journaled = match (&self.shared.journal, replay_id) {
+            (None, _) => false,
+            (Some(_), Some(_)) => true,
+            (Some(j), None) => j
+                .append_job(id, class, &spec)
+                .map_err(ServeError::Journal)?,
+        };
+        t.pending[lane] += 1;
+        t.deadlines += usize::from(spec.deadline.is_some());
         let info = JobInfo {
             id,
             class,
             dims,
             kernels: spec.kernels(),
         };
-        let cell = Arc::new(JobCell {
-            state: Mutex::new(CellState::Queued),
-            cv: Condvar::new(),
-        });
-        let sink = ServeSink {
+        t.jobs.insert(
+            id,
+            Job {
+                info,
+                state: State::Queued,
+                deadline: spec.deadline.map(|d| (Instant::now() + d, d)),
+                last: None,
+                journaled,
+                keep,
+                held: true,
+            },
+        );
+        let handle = JobHandle {
             info,
-            cell: Arc::clone(&cell),
             shared: Arc::clone(&self.shared),
         };
-        // submitted while holding the admission lock: neither a drain
-        // nor a reconfigure can slip between the checks above and the
-        // pool seeing the job (both take this lock), so every admitted
-        // job lands on a live pool and is finished — never stranded.
-        // Holding the lock across `pool.submit` is safe because a pool
-        // rejection hands the sink back *uncalled*; a synchronous
-        // `finished` callback here would re-enter this same admission
-        // lock via `job_ended` and self-deadlock.
+        let sink = ServeSink {
+            id,
+            shared: Arc::clone(&self.shared),
+        };
+        // submitted under the table lock: neither a drain nor a
+        // reconfigure can slip between the checks above and the pool
+        // seeing the job (both take this lock), so every admitted job
+        // lands on a live pool and is finished — never stranded. The
+        // pool hands a refused sink back uncalled, never re-entering
+        // this lock
         let job = spec.job.verified(self.cfg.verify).traced(self.cfg.trace);
         if let Err(sink) = pool.submit(id, class, job, Box::new(sink)) {
             // unreachable while the invariant above holds (pool
-            // draining implies we would have seen `adm.draining`), but
-            // handled without relying on it: roll back the admission
-            // and refuse
-            adm.pending_total -= 1;
-            adm.pending[lane] -= 1;
-            if let Some(j) = &self.shared.journal {
-                let _ = j.append_end(id);
-            }
-            drop(adm);
-            drop(sink);
+            // draining implies we would have seen `t.draining`), but
+            // handled without relying on it: end the job and refuse
+            drop((t, sink));
+            let _ = self.shared.transition(id, State::Cancelled);
             return Err(ServeError::ShuttingDown);
         }
-        drop(adm);
-        // register with the watchdog when there is anything to enforce.
-        // The job may already have finished — then the watchdog drops
-        // the entry at its next tick (the cell is terminal).
-        if spec.deadline.is_some() || self.cfg.stall_timeout.is_some() {
-            self.shared.watch.lock().push(WatchEntry {
-                info,
-                cell: Arc::clone(&cell),
-                deadline: spec.deadline.map(|d| (Instant::now() + d, d)),
-                last: None,
-            });
-        }
-        Ok(JobHandle {
-            id,
-            class,
-            dims,
-            kernels: info.kernels,
-            cell,
-        })
+        Ok(handle)
     }
 
     /// Cancel a still-queued job. `true` means the job was removed and
@@ -1009,27 +1089,12 @@ impl<R: Send + 'static> FactorService<R> {
         // a queued job lives on exactly one pool (the current one,
         // post-handover), but checking the retiring set too makes
         // cancel correct even mid-reconfigure
-        let cancelled = self
-            .shared
-            .all_pools()
-            .iter()
-            .find_map(|p| p.cancel(handle.id));
-        match cancelled {
-            Some(_uncalled_sink) => {
-                self.shared.watch.lock().retain(|e| e.info.id != handle.id);
-                *handle.cell.state.lock() = CellState::Cancelled;
-                handle.cell.cv.notify_all();
-                let info = JobInfo {
-                    id: handle.id,
-                    class: handle.class,
-                    dims: handle.dims,
-                    kernels: handle.kernels,
-                };
-                self.shared.job_ended(&info, JobStatus::Cancelled);
-                true
-            }
-            None => false,
-        }
+        let pools = self.shared.all_pools();
+        pools.iter().find_map(|p| p.cancel(handle.id())).is_some()
+            && self
+                .shared
+                .transition(handle.id(), State::Cancelled)
+                .is_ok()
     }
 
     /// Take the completion-order event stream. May be taken once; the
@@ -1063,32 +1128,28 @@ impl<R: Send + 'static> FactorService<R> {
     pub fn reconfigure(&self, cfg: &CaluConfig) -> Result<u64, CaluError> {
         // spawn first, outside every lock: it validates and is slow
         let successor = Arc::new(ServicePool::spawn(cfg, self.cfg.starvation_limit)?);
-        let adm = self.shared.admission.lock();
-        if adm.draining {
+        let t = self.shared.table.lock();
+        if t.draining {
             successor.drain();
             return Err(CaluError::InvalidConfig(
                 "cannot reconfigure a draining service".into(),
             ));
         }
-        let old = self.shared.current_pool();
-        // atomically stop the old pool's admission and pop its queue;
-        // holding the admission lock means no submit can race the swap
-        let mut refused: Vec<Box<dyn JobSink>> = Vec::new();
-        for job in old.extract_queued() {
-            if let Err(sink) = successor.submit(job.id, job.class, job.job, job.sink) {
-                // a fresh pool refuses nothing; kept non-fatal anyway —
-                // failed after the locks drop, never silently dropped
-                refused.push(sink);
-            }
-        }
-        let generation = {
+        let (old, generation) = {
             let mut pools = self.shared.pools.lock();
+            let old = std::mem::replace(&mut pools.current, Arc::clone(&successor));
             pools.retiring.push(Arc::clone(&old));
-            pools.current = successor;
             pools.generation += 1;
-            pools.generation
+            (old, pools.generation)
         };
-        drop(adm);
+        // atomically stop the old pool's admission and pop its queue;
+        // holding the table lock means no submit can race the swap. A
+        // fresh pool refuses nothing; kept non-fatal anyway — a refused
+        // job fails after the locks drop, never silently dropped
+        let refused: Vec<_> = (old.extract_queued().into_iter())
+            .filter_map(|job| successor.submit(job.id, job.class, job.job, job.sink).err())
+            .collect();
+        drop(t);
         for sink in refused {
             sink.finished(Err(CaluError::InvalidConfig(
                 "successor pool refused a carried-over job".into(),
@@ -1096,24 +1157,17 @@ impl<R: Send + 'static> FactorService<R> {
         }
         // the old pool finishes its in-flight tail off-thread, then
         // leaves the retiring set; `drain` joins this handle
-        let drainer = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::Builder::new()
-                .name("calu-serve-retire".into())
-                .spawn(move || {
-                    old.drain();
-                    shared
-                        .pools
-                        .lock()
-                        .retiring
-                        .retain(|p| !Arc::ptr_eq(p, &old));
-                })
-                .expect("spawn retire thread")
-        };
+        let shared = Arc::clone(&self.shared);
+        let drainer = spawn("calu-serve-retire", move || {
+            old.drain();
+            shared
+                .pools
+                .lock()
+                .retiring
+                .retain(|p| !Arc::ptr_eq(p, &old));
+        });
         self.drainers.lock().push(drainer);
-        if let Some(tx) = &*self.shared.tx.lock() {
-            let _ = tx.send(ServiceEvent::Reconfigured { generation });
-        }
+        self.shared.emit(ServiceEvent::Reconfigured { generation });
         Ok(generation)
     }
 
@@ -1123,72 +1177,19 @@ impl<R: Send + 'static> FactorService<R> {
         self.shared.pools.lock().generation
     }
 
-    /// Stop admitting, finish every queued and in-flight job (on the
-    /// current pool and any pool still retiring from a reconfigure),
-    /// join the workers and close the event stream. Idempotent: the
-    /// first call does the work, every call returns the same
-    /// [`DrainSummary`]. Also runs on drop. On return, zero jobs are
-    /// pending. The watchdog stays live until the pools are fully
-    /// drained, so deadlines keep biting while the backlog runs down.
-    pub fn drain(&self) -> DrainSummary {
-        let mut drained = self.drained.lock();
-        if let Some(summary) = *drained {
-            return summary;
-        }
-        {
-            let mut adm = self.shared.admission.lock();
-            adm.draining = true;
-        }
-        self.shared.current_pool().drain();
-        // retiring pools each have a background drainer; join them, and
-        // belt-and-braces drain any pool still in the retiring set (a
-        // reconfigure that raced this drain may not have parked its
-        // handle yet — pool drains are idempotent)
-        loop {
-            let handles: Vec<_> = self.drainers.lock().drain(..).collect();
-            let stragglers = self.shared.all_pools();
-            if handles.is_empty() && stragglers.len() == 1 {
-                break;
-            }
-            for p in stragglers {
-                p.drain();
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.watchdog.lock().take() {
-            let _ = h.join();
-        }
-        // everything is terminal: the journal compacts to empty — a
-        // restart replays nothing
-        if let Some(j) = &self.shared.journal {
-            let _ = j.compact(&[]);
-        }
-        // every job is terminal; dropping the only sender ends `events`
-        self.shared.tx.lock().take();
-        let summary = DrainSummary {
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            cancelled: self.shared.cancelled.load(Ordering::Relaxed),
-        };
-        *drained = Some(summary);
-        summary
-    }
-
     /// Whether [`drain`](Self::drain) has begun.
     pub fn is_draining(&self) -> bool {
-        self.shared.admission.lock().draining
+        self.shared.table.lock().draining
     }
 
     /// Jobs admitted but not yet terminal (queued + running).
     pub fn pending(&self) -> usize {
-        self.shared.admission.lock().pending_total
+        self.shared.table.lock().pending.iter().sum()
     }
 
     /// [`pending`](Self::pending), one class.
     pub fn pending_in(&self, class: JobClass) -> usize {
-        self.shared.admission.lock().pending[class.lane()]
+        self.shared.table.lock().pending[class.lane()]
     }
 
     /// Jobs waiting in the current pool's lanes (admitted, not yet
@@ -1258,31 +1259,67 @@ impl<R: Send + 'static> FactorService<R> {
     }
 }
 
-impl<R> Drop for FactorService<R> {
-    fn drop(&mut self) {
-        if self.drained.lock().is_some() {
-            return;
+impl<R> FactorService<R> {
+    /// Stop admitting, finish every queued and in-flight job (on the
+    /// current pool and any pool still retiring from a reconfigure),
+    /// join the workers and close the event stream. Idempotent: the
+    /// first call does the work, every call returns the same
+    /// [`DrainSummary`]. Also runs on drop. On return, zero jobs are
+    /// pending. The watchdog stays live until the pools are fully
+    /// drained, so deadlines keep biting while the backlog runs down.
+    pub fn drain(&self) -> DrainSummary {
+        let mut drained = self.drained.lock();
+        if let Some(summary) = *drained {
+            return summary;
         }
-        {
-            let mut adm = self.shared.admission.lock();
-            adm.draining = true;
-        }
+        self.shared.table.lock().draining = true;
         self.shared.current_pool().drain();
-        for h in self.drainers.lock().drain(..) {
-            let _ = h.join();
-        }
-        for p in self.shared.all_pools() {
-            p.drain();
+        // retiring pools each have a background drainer; join them, and
+        // belt-and-braces drain any pool still in the retiring set (a
+        // reconfigure that raced this drain may not have parked its
+        // handle yet — pool drains are idempotent)
+        loop {
+            let handles: Vec<_> = self.drainers.lock().drain(..).collect();
+            let stragglers = self.shared.all_pools();
+            if handles.is_empty() && stragglers.len() == 1 {
+                break;
+            }
+            for p in stragglers {
+                p.drain();
+            }
+            for h in handles {
+                let _ = h.join();
+            }
         }
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.watchdog.lock().take() {
             let _ = h.join();
         }
+        // everything is terminal: the journal compacts to empty — a
+        // restart replays nothing
         if let Some(j) = &self.shared.journal {
             let _ = j.compact(&[]);
         }
+        // every job is terminal; dropping the only sender ends `events`
         self.shared.tx.lock().take();
+        let t = self.shared.table.lock();
+        *drained.insert(DrainSummary {
+            completed: t.completed,
+            cancelled: t.cancelled,
+        })
     }
+}
+
+impl<R> Drop for FactorService<R> {
+    fn drop(&mut self) {
+        self.drain();
+    }
+}
+
+/// Spawn one of the service's named threads.
+fn spawn(name: impl Into<String>, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let builder = std::thread::Builder::new().name(name.into());
+    builder.spawn(body).expect("spawn a service thread")
 }
 
 /// The [`ServeError::Busy`] retry hint: roughly one pool pass per
@@ -1552,6 +1589,151 @@ mod tests {
         assert!(matches!(res, Err(ServeError::Invalid(_))));
         assert_eq!(service.pending(), 0);
         service.drain();
+    }
+
+    #[test]
+    fn a_terminal_job_refuses_a_second_end() {
+        // one worker behind a big blocker: the victim stays queued while
+        // the watchdog's half and then the client's half of a
+        // deadline-vs-cancel race end it
+        let solver = CaluConfig::new(16).with_threads(1).with_dratio(0.5);
+        let service = FactorService::new(&solver, svc()).unwrap();
+        let events = service.events();
+        let blocker = service
+            .submit(JobSpec::uniform(512, 512, 1), JobClass::Batch)
+            .unwrap();
+        let victim = service
+            .submit(JobSpec::uniform(64, 64, 2), JobClass::Batch)
+            .unwrap();
+        let id = victim.id();
+        let pending = service.pending();
+        let pools = service.shared.all_pools();
+        assert!(pools.iter().find_map(|p| p.cancel(id)).is_some());
+        let late = ServeError::DeadlineExceeded {
+            deadline: Duration::ZERO,
+        };
+        assert!(service.shared.transition(id, State::Failed(late)).is_ok());
+        assert!(matches!(
+            service.shared.transition(id, State::Cancelled),
+            Err(IllegalTransition)
+        ));
+        assert_eq!(service.pending(), pending - 1);
+        assert!(!service.cancel(&victim), "the job already ended");
+        assert!(matches!(
+            victim.wait(),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        blocker.wait().unwrap();
+        let summary = service.drain();
+        assert_eq!(
+            summary,
+            DrainSummary {
+                completed: 2,
+                cancelled: 0
+            }
+        );
+        let ends = events
+            .filter(|e| matches!(e, ServiceEvent::Job(j) if j.id == id))
+            .count();
+        assert_eq!(ends, 1, "one terminal event per job");
+        assert!(service.shared.table.lock().jobs.is_empty());
+    }
+
+    #[test]
+    fn only_journaled_jobs_get_an_end_marker() {
+        let path = std::env::temp_dir().join(format!(
+            "calu-serve-end-markers-{}.journal",
+            std::process::id()
+        ));
+        let service = FactorService::new(
+            &cfg(),
+            ServiceConfig {
+                journal: Some(JournalConfig::new(&path)),
+                ..svc()
+            },
+        )
+        .unwrap();
+        let mut events = service.events();
+        let dense = JobSpec::dense(calu_matrix::gen::uniform(32, 32, 1));
+        let dense = service.submit(dense, JobClass::Batch).unwrap();
+        let generated = service
+            .submit(JobSpec::uniform(32, 32, 2), JobClass::Batch)
+            .unwrap();
+        dense.wait().unwrap();
+        generated.wait().unwrap();
+        // a job's event follows its end marker: with both events in,
+        // the journal holds every marker it will get before the drain
+        let ended = events
+            .by_ref()
+            .filter(|e| matches!(e, ServiceEvent::Job(_)))
+            .take(2)
+            .count();
+        assert_eq!(ended, 2);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let ends: Vec<&str> = text.lines().filter(|l| l.starts_with("end ")).collect();
+        assert_eq!(ends, [format!("end {}", generated_id(&text))]);
+        service.drain();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The id of the one `job` line in a journal's text.
+    fn generated_id(text: &str) -> &str {
+        let jobs: Vec<&str> = text.lines().filter(|l| l.starts_with("job ")).collect();
+        assert_eq!(jobs.len(), 1, "only the generator spec is journaled");
+        jobs[0].split_whitespace().nth(1).unwrap()
+    }
+
+    #[test]
+    fn dropped_handles_leave_no_record_behind() {
+        let service = FactorService::new(&cfg(), svc()).unwrap();
+        let early = service
+            .submit(JobSpec::uniform(256, 256, 1), JobClass::Batch)
+            .unwrap();
+        let late = service
+            .submit(JobSpec::uniform(32, 32, 2), JobClass::Batch)
+            .unwrap();
+        // dropped while live: the terminal transition removes the record
+        drop(early);
+        while late.try_status() != JobStatus::Done {
+            std::thread::yield_now();
+        }
+        // dropped once ended: the handle removes it
+        drop(late);
+        service.drain();
+        assert!(service.shared.table.lock().jobs.is_empty());
+    }
+
+    #[test]
+    fn the_spec_words_round_trip() {
+        for line in [
+            "uniform 64 48 7",
+            "spd 32 9 deadline_ms 15",
+            "uniform 8 8 1 deadline_ms 0",
+        ] {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let spec = JobSpec::parse(&tokens).unwrap();
+            assert_eq!(spec.render().as_deref(), Some(line));
+        }
+        assert_eq!(
+            JobSpec::parse(&["spd", "4", "1"]).unwrap().kernels(),
+            KernelSet::Cholesky
+        );
+        for bad in [
+            &["uniform", "8", "8"][..],
+            &["spd", "x", "1"],
+            &["gauss", "8"],
+            &[],
+        ] {
+            assert!(JobSpec::parse(bad).is_err(), "{bad:?} parsed");
+        }
+        assert!(JobSpec::dense(calu_matrix::gen::uniform(4, 4, 1))
+            .render()
+            .is_none());
+        assert!(matches!(
+            parse_class("background"),
+            Ok(JobClass::Background)
+        ));
+        assert!(parse_class("express").is_err());
     }
 
     #[test]

@@ -51,6 +51,11 @@
 //!   [`FactorService::drain`], replies
 //!   with the [`DrainSummary`](crate::DrainSummary), and shuts the
 //!   listener down.
+//!
+//! No verb returns a result, so a wire job is admitted without a result
+//! slot: the service runs its result hook at completion (the facade's
+//! adaptive feedback rides on it) and drops the value there, keeping
+//! only the job's status for `status` to read.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -63,7 +68,10 @@ use std::time::Duration;
 use calu_core::sync::Mutex;
 use calu_core::Outcome;
 
-use crate::{retry_hint, FactorService, JobClass, JobHandle, JobSpec, JobStatus, ServeError};
+use crate::{
+    parse_class, parse_num, retry_hint, spawn, FactorService, JobClass, JobHandle, JobSpec,
+    ServeError,
+};
 
 /// Connection-handling knobs for one [`ServeListener`].
 #[derive(Debug, Clone)]
@@ -119,53 +127,11 @@ struct NetShared<R> {
     backlog: Mutex<VecDeque<TcpStream>>,
     backlog_cv: Condvar,
     /// id → job, for `status`/`cancel` over the wire.
-    jobs: Mutex<HashMap<u64, Tracked<R>>>,
+    jobs: Mutex<HashMap<u64, JobHandle<R>>>,
     accepted: AtomicU64,
     shed: AtomicU64,
     malformed: AtomicU64,
     requests: AtomicU64,
-}
-
-/// A job the front door tracks: its handle while it is live, only its
-/// terminal status once a `status` or `cancel` saw it end (a full-map
-/// sweep evicts ended jobs outright). No wire verb returns a result, so
-/// the result (for `Solver::listen`, a report holding the dense
-/// factors) is dropped then rather than kept until the map fills.
-enum Tracked<R> {
-    Live(JobHandle<R>),
-    Ended(JobStatus),
-}
-
-impl<R> Tracked<R> {
-    fn status(&self) -> JobStatus {
-        match self {
-            Tracked::Live(h) => h.try_status(),
-            Tracked::Ended(status) => *status,
-        }
-    }
-}
-
-fn is_live(status: JobStatus) -> bool {
-    matches!(status, JobStatus::Queued | JobStatus::Running)
-}
-
-/// Look up `id` for `status`/`cancel`: `act` runs on a live job's
-/// handle, then the job's status is read. A job seen terminal is
-/// retired to that status, its handle (and with it the result) dropped
-/// after the map lock is released. `None` for an untracked id.
-fn visit<R>(
-    shared: &NetShared<R>,
-    id: u64,
-    act: impl FnOnce(&JobHandle<R>) -> bool,
-) -> Option<(bool, JobStatus)> {
-    let mut jobs = shared.jobs.lock();
-    let job = jobs.get_mut(&id)?;
-    let acted = matches!(job, Tracked::Live(h) if act(h));
-    let status = job.status();
-    let retired = (!is_live(status)).then(|| std::mem::replace(job, Tracked::Ended(status)));
-    drop(jobs);
-    drop(retired);
-    Some((acted, status))
 }
 
 /// The TCP front door over one shared [`FactorService`]; see the
@@ -204,25 +170,16 @@ impl<R: Send + 'static> ServeListener<R> {
             malformed: AtomicU64::new(0),
             requests: AtomicU64::new(0),
         });
-        let mut threads = Vec::with_capacity(handlers + 1);
-        for i in 0..handlers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("calu-net-{i}"))
-                    .spawn(move || handler_loop(&shared))
-                    .expect("spawn net handler thread"),
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("calu-net-accept".into())
-                    .spawn(move || acceptor_loop(listener, &shared))
-                    .expect("spawn net acceptor thread"),
-            );
-        }
+        let mut threads: Vec<_> = (0..handlers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                spawn(format!("calu-net-{i}"), move || handler_loop(&shared))
+            })
+            .collect();
+        let acceptor = Arc::clone(&shared);
+        threads.push(spawn("calu-net-accept", move || {
+            acceptor_loop(listener, &acceptor)
+        }));
         Ok(ServeListener {
             shared,
             local_addr,
@@ -255,7 +212,9 @@ impl<R: Send + 'static> ServeListener<R> {
             requests: self.shared.requests.load(Ordering::Relaxed),
         }
     }
+}
 
+impl<R> ServeListener<R> {
     /// Stop accepting, finish in-flight requests, and join every
     /// listener thread. Idempotent; also runs on drop. Does *not* drain
     /// the service — that stays with its owner (or a wire `drain`).
@@ -274,12 +233,7 @@ impl<R: Send + 'static> ServeListener<R> {
 
 impl<R> Drop for ServeListener<R> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.backlog_cv.notify_all();
-        let mut threads = self.threads.lock();
-        for h in threads.drain(..) {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -306,9 +260,9 @@ fn acceptor_loop<R: Send + 'static>(listener: TcpListener, shared: &NetShared<R>
                     shared.backlog_cv.notify_one();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_TICK),
-            // transient accept errors (per-connection resets): keep
-            // listening rather than tearing the front door down
+            // nothing to accept, or a transient accept error (a
+            // per-connection reset): keep listening rather than tearing
+            // the front door down
             Err(_) => std::thread::sleep(POLL_TICK),
         }
     }
@@ -366,39 +320,28 @@ fn serve_connection<R: Send + 'static>(shared: &NetShared<R>, stream: TcpStream)
         if n == 0 {
             return Ok(()); // EOF: peer closed cleanly
         }
-        if !line.ends_with(b"\n") && n as u64 == limit + 1 {
-            // over-long request: typed error, discard through the next
-            // newline, keep serving this connection
-            shared.malformed.fetch_add(1, Ordering::Relaxed);
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            writeln!(
-                writer,
-                "err malformed line exceeds {} bytes",
-                shared.cfg.max_line_bytes
-            )?;
-            let mut rest = Vec::new();
-            loop {
-                rest.clear();
-                let k = reader.by_ref().take(4096).read_until(b'\n', &mut rest)?;
-                if k == 0 {
-                    return Ok(());
-                }
-                if rest.ends_with(b"\n") {
-                    break;
-                }
-            }
-            continue;
-        }
+        let overlong = !line.ends_with(b"\n") && n as u64 == limit + 1;
         let text = String::from_utf8_lossy(&line);
-        let text = text.trim();
-        if text.is_empty() {
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        if tokens.is_empty() && !overlong {
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (reply, drained) = handle_request(shared, text);
+        let reply = if overlong {
+            Err(format!("line exceeds {limit} bytes"))
+        } else {
+            handle_request(shared, &tokens)
+        };
+        let reply = reply.unwrap_or_else(|detail| {
+            shared.malformed.fetch_add(1, Ordering::Relaxed);
+            format!("err malformed {detail}")
+        });
         writer.write_all(reply.as_bytes())?;
         writer.write_all(b"\n")?;
-        if drained {
+        if overlong {
+            // discard the rest through the next newline and keep serving
+            reader.skip_until(b'\n')?;
+        } else if tokens == ["drain"] {
             // a wire drain shuts the whole front door down; the reply
             // above already carried the summary
             shared.shutdown.store(true, Ordering::Release);
@@ -408,96 +351,83 @@ fn serve_connection<R: Send + 'static>(shared: &NetShared<R>, stream: TcpStream)
     }
 }
 
-/// Parse and execute one request line; returns the reply line and
-/// whether it was a `drain` (which shuts the listener down).
-fn handle_request<R: Send + 'static>(shared: &NetShared<R>, line: &str) -> (String, bool) {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let malformed = |detail: String| {
-        shared.malformed.fetch_add(1, Ordering::Relaxed);
-        (format!("err malformed {detail}"), false)
-    };
-    match tokens.split_first() {
-        Some((&"submit", rest)) => match parse_submit(rest) {
-            Ok((spec, class)) => (submit_reply(shared, spec, class), false),
-            Err(detail) => malformed(detail),
-        },
-        Some((&"status", [id])) => match id.parse::<u64>() {
-            Ok(id) => match visit(shared, id, |_| false) {
-                Some((_, status)) => (format!("status {id} {}", status_token(status)), false),
-                None => (format!("err unknown-job {id}"), false),
-            },
-            Err(_) => malformed(format!("bad job id {id:?}")),
-        },
-        // cancel acts under the map lock: it needs the handle and never
-        // blocks; an ended job is too late to cancel
-        Some((&"cancel", [id])) => match id.parse::<u64>() {
-            Ok(id) => match visit(shared, id, |h| shared.service.cancel(h)) {
-                Some((true, _)) => (format!("ok cancelled {id}"), false),
-                Some((false, _)) => (format!("ok too-late {id}"), false),
-                None => (format!("err unknown-job {id}"), false),
-            },
-            Err(_) => malformed(format!("bad job id {id:?}")),
-        },
-        Some((&"stats", [])) => {
-            let service = &shared.service;
+/// Execute one request; `Err` carries the detail of an `err malformed`
+/// reply.
+fn handle_request<R: Send + 'static>(
+    shared: &NetShared<R>,
+    tokens: &[&str],
+) -> Result<String, String> {
+    let service = &shared.service;
+    Ok(match tokens {
+        ["submit"] => return Err("submit needs a class".into()),
+        ["submit", class, spec @ ..] => {
+            submit_reply(shared, parse_class(class)?, JobSpec::parse(spec)?)
+        }
+        [verb @ ("status" | "cancel"), id] => {
+            let id: u64 = parse_num(id, "job id")?;
+            // cancel acts under the map lock: it needs the handle and
+            // never blocks; an ended job is too late to cancel
+            match (*verb, shared.jobs.lock().get(&id)) {
+                (_, None) => format!("err unknown-job {id}"),
+                ("status", Some(h)) => format!("status {id} {}", h.try_status().token()),
+                (_, Some(h)) if service.cancel(h) => format!("ok cancelled {id}"),
+                (_, Some(_)) => format!("ok too-late {id}"),
+            }
+        }
+        ["stats"] => {
             // the split fields read off the *current* pool generation,
             // so an adaptive reconfigure is visible over the wire the
             // moment the pool swap lands
             let split = service.current_split();
-            (
-                format!(
-                    "stats pending={} queued={} threads={} generation={} lost_workers={} \
-                     accepted={} shed={} malformed={} requests={} dratio={:.4} \
-                     steal_order={} small_cutoff={}",
-                    service.pending(),
-                    service.queued(),
-                    service.threads(),
-                    service.generation(),
-                    service.lost_workers(),
-                    shared.accepted.load(Ordering::Relaxed),
-                    shared.shed.load(Ordering::Relaxed),
-                    shared.malformed.load(Ordering::Relaxed),
-                    shared.requests.load(Ordering::Relaxed),
-                    split.dratio,
-                    split.steal_order,
-                    split.batch_small_cutoff,
-                ),
-                false,
+            format!(
+                "stats pending={} queued={} threads={} generation={} lost_workers={} \
+                 accepted={} shed={} malformed={} requests={} dratio={:.4} \
+                 steal_order={} small_cutoff={}",
+                service.pending(),
+                service.queued(),
+                service.threads(),
+                service.generation(),
+                service.lost_workers(),
+                shared.accepted.load(Ordering::Relaxed),
+                shared.shed.load(Ordering::Relaxed),
+                shared.malformed.load(Ordering::Relaxed),
+                shared.requests.load(Ordering::Relaxed),
+                split.dratio,
+                split.steal_order,
+                split.batch_small_cutoff,
             )
         }
-        Some((&"ping", [])) => ("ok pong".into(), false),
-        Some((&"drain", [])) => {
-            let summary = shared.service.drain();
-            (
-                format!(
-                    "ok drained completed={} cancelled={}",
-                    summary.completed, summary.cancelled
-                ),
-                true,
+        ["ping"] => "ok pong".into(),
+        ["drain"] => {
+            let summary = service.drain();
+            format!(
+                "ok drained completed={} cancelled={}",
+                summary.completed, summary.cancelled
             )
         }
-        Some((&cmd, _)) => malformed(format!("unrecognized command {cmd:?}")),
-        None => malformed("empty request".into()),
-    }
+        [cmd, ..] => return Err(format!("unrecognized command {cmd:?}")),
+        [] => return Err("empty request".into()),
+    })
 }
 
 fn submit_reply<R: Send + 'static>(
     shared: &NetShared<R>,
-    spec: JobSpec,
     class: JobClass,
+    spec: JobSpec,
 ) -> String {
-    match shared.service.submit(spec, class) {
+    match shared.service.admit(spec, class, None, false) {
         Ok(handle) => {
             let id = handle.id();
             let mut jobs = shared.jobs.lock();
             // keep the map bounded: terminal entries are only
             // status-query fodder, live ones stay trackable
             let evicted: Vec<_> = if jobs.len() >= shared.cfg.max_tracked_jobs {
-                jobs.extract_if(|_, job| !is_live(job.status())).collect()
+                jobs.extract_if(|_, h| h.try_status().is_terminal())
+                    .collect()
             } else {
                 Vec::new()
             };
-            jobs.insert(id, Tracked::Live(handle));
+            jobs.insert(id, handle);
             drop(jobs);
             drop(evicted);
             format!("ok {id}")
@@ -514,66 +444,6 @@ fn submit_reply<R: Send + 'static>(
         Err(ServeError::ShuttingDown) => "err shutting-down".into(),
         Err(ServeError::Invalid(e)) => format!("err invalid {e}"),
         Err(e) => format!("err failed {e}"),
-    }
-}
-
-/// Parse the tokens after `submit`:
-/// `<class> uniform <m> <n> <seed> [deadline_ms <ms>]` or
-/// `<class> spd <n> <seed> [deadline_ms <ms>]`.
-fn parse_submit(rest: &[&str]) -> Result<(JobSpec, JobClass), String> {
-    let (&class_tok, rest) = rest
-        .split_first()
-        .ok_or_else(|| "submit needs a class".to_string())?;
-    let class = match class_tok {
-        "interactive" => JobClass::Interactive,
-        "batch" => JobClass::Batch,
-        "background" => JobClass::Background,
-        other => return Err(format!("unknown class {other:?}")),
-    };
-    let (&kind, rest) = rest
-        .split_first()
-        .ok_or_else(|| "submit needs a generator spec".to_string())?;
-    let (mut spec, rest) = match kind {
-        "uniform" => {
-            let [m, n, seed, rest @ ..] = rest else {
-                return Err("uniform needs <m> <n> <seed>".into());
-            };
-            let m = parse_num::<usize>(m, "m")?;
-            let n = parse_num::<usize>(n, "n")?;
-            let seed = parse_num::<u64>(seed, "seed")?;
-            (JobSpec::uniform(m, n, seed), rest)
-        }
-        "spd" => {
-            let [n, seed, rest @ ..] = rest else {
-                return Err("spd needs <n> <seed>".into());
-            };
-            let n = parse_num::<usize>(n, "n")?;
-            let seed = parse_num::<u64>(seed, "seed")?;
-            (JobSpec::spd_uniform(n, seed), rest)
-        }
-        other => return Err(format!("unknown generator {other:?}")),
-    };
-    match rest {
-        [] => {}
-        ["deadline_ms", ms] => {
-            spec = spec.with_deadline(Duration::from_millis(parse_num::<u64>(ms, "deadline_ms")?));
-        }
-        extra => return Err(format!("unexpected trailing tokens {extra:?}")),
-    }
-    Ok((spec, class))
-}
-
-fn parse_num<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String> {
-    tok.parse().map_err(|_| format!("bad {what} {tok:?}"))
-}
-
-fn status_token(status: JobStatus) -> &'static str {
-    match status {
-        JobStatus::Queued => "queued",
-        JobStatus::Running => "running",
-        JobStatus::Done => "done",
-        JobStatus::Failed => "failed",
-        JobStatus::Cancelled => "cancelled",
     }
 }
 
