@@ -5,7 +5,7 @@
 use crate::error::CaluError;
 use crate::fault::FaultPlan;
 use calu_matrix::Layout;
-use calu_sched::{QueueDiscipline, StealOrder};
+use calu_sched::{QueueDiscipline, SplitChoice, StealOrder};
 
 /// Configuration for [`crate::calu_factor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ pub struct CaluConfig {
     /// cgroup) leaves the worker floating.
     pub pin_workers: bool,
     /// The one co-scheduling knob of batched sweeps and served jobs
-    /// ([`crate::factor_batch`], [`crate::ServicePool`]): on a pool of
+    /// ([`crate::factor_batch`], [`crate::Engine`]): on a pool of
     /// more than one worker, a job whose larger dimension is at most
     /// this cutoff is *small* — claimed whole by one worker and factored
     /// sequentially, whole items in parallel with zero intra-item
@@ -198,6 +198,16 @@ impl CaluConfig {
     /// dimension is within [`batch_small_cutoff`](Self::batch_small_cutoff).
     pub fn co_schedules(&self, dims: (usize, usize)) -> bool {
         self.threads > 1 && dims.0.max(dims.1) <= self.batch_small_cutoff
+    }
+
+    /// The scheduling split this config names — the knobs an adaptive
+    /// controller moves between engine generations.
+    pub fn split(&self) -> SplitChoice {
+        SplitChoice {
+            dratio: self.dratio,
+            batch_small_cutoff: self.batch_small_cutoff,
+            steal_order: self.steal_order,
+        }
     }
 }
 

@@ -55,12 +55,13 @@
 //!
 //! ## Who spawns threads
 //!
-//! Nobody here owns threads; callers lend them. [`factor_batch`] (which
-//! `calu_factor` / `cholesky_factor` are one job of) queues its jobs,
-//! marks the engine draining and runs the loop on `std::thread::scope`
-//! threads, so borrowed inputs are never copied and the threads are
-//! gone when it returns. [`ServicePool`] runs the same loop on
-//! persistent `'static` threads until drained.
+//! [`factor_batch`] (which `calu_factor` / `cholesky_factor` are one job
+//! of) queues its jobs, marks the engine draining and runs the loop on
+//! `std::thread::scope` threads, so borrowed inputs are never copied
+//! and the threads are gone when it returns. [`Engine::spawn`] runs the
+//! same loop on persistent `'static` threads, which the engine keeps
+//! until [`Engine::drain`] joins them — the substrate `calu-serve`
+//! builds its admission, lifecycle and streaming layers on.
 //!
 //! ## The hot path takes no shared lock
 //!
@@ -74,14 +75,13 @@
 //! bitwise-identically however it was routed (same DAG, same kernels,
 //! writes to each tile totally ordered by the exclusive-writer
 //! discipline) — the facade's backend-parity suite pins this down.
-//!
-//! [`ServicePool`]: crate::pool::ServicePool
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, OnceLock, RwLock, RwLockReadGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use calu_dag::{PaperKind, TaskGraph, TaskId};
@@ -101,7 +101,6 @@ use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
-use crate::pool::{ExtractedJob, JobSink};
 use crate::sync::{pin_current_thread, Mutex};
 use crate::threaded::{host_topology, ItemState, KernelSet, ThreadStats};
 
@@ -227,8 +226,7 @@ impl<'a> Source<'a> {
 /// item of a [`factor_batch`](crate::factor_batch) sweep (any mix of
 /// CALU and Cholesky items shares the pool and the per-worker scratch
 /// arenas; only the per-task kernels differ) and, as
-/// `BatchItem<'static>`, a job of a
-/// [`ServicePool`](crate::pool::ServicePool).
+/// `BatchItem<'static>`, a job of a persistent [`Engine`].
 #[derive(Debug, Clone)]
 pub struct BatchItem<'a> {
     /// What to factor.
@@ -311,6 +309,36 @@ pub struct Outcome {
     /// Element growth factor of a verified LU job (Cholesky does not
     /// pivot, so the figure is meaningless there).
     pub growth_factor: Option<f64>,
+}
+
+/// Where a job's result goes. The service layer implements this to
+/// move the job's record through its lifecycle; tests implement it
+/// with a channel. The engine never calls a sink from
+/// [`submit`](Engine::submit) or [`cancel`](Engine::cancel), nor with
+/// an engine lock held, so callers may hold their own locks across
+/// those calls and sinks may take them.
+pub trait JobSink: Send + 'static {
+    /// A worker claimed the job (`Queued → Running`); again when a
+    /// co-scheduled item requeued after a worker loss is reclaimed.
+    fn started(&self) {}
+    /// The job reached a terminal state: exactly once for every job the
+    /// engine keeps, never for a sink it hands back uncalled.
+    fn finished(self: Box<Self>, res: Result<Outcome, CaluError>);
+}
+
+/// One queued-but-unclaimed job handed back by
+/// [`Engine::extract_queued`] — everything the submitter gave the
+/// engine, sink included (uncalled), so a successor engine can re-admit
+/// the job under the same identity during a live-reconfigure handover.
+pub struct ExtractedJob {
+    /// The caller's correlation key, unchanged.
+    pub id: u64,
+    /// The class the job was queued under.
+    pub class: JobClass,
+    /// The job itself, its source unmaterialized.
+    pub job: BatchItem<'static>,
+    /// The job's sink, never invoked by the extracting engine.
+    pub sink: Box<dyn JobSink>,
 }
 
 /// A job waiting in the lanes.
@@ -596,8 +624,20 @@ struct State<'a> {
     next_seq: u64,
 }
 
-/// See the module docs.
-pub(crate) struct Engine<'a> {
+/// The executor: one worker loop over class lanes of queued jobs and
+/// the active co-operative runs. A scoped engine lives inside one
+/// [`factor_batch`] call; a persistent one is [`spawn`](Engine::spawn)ed
+/// once and serves jobs until [`drain`](Engine::drain)ed. Small jobs
+/// ([`CaluConfig::co_schedules`]) are claimed whole by one worker, large
+/// ones run the hybrid static/dynamic schedule co-operatively on the
+/// dynamic-section discipline the config names, and every job's factors
+/// are bitwise-identical to the matching solo call. Workers prefer
+/// higher job classes with bounded starvation of lower ones
+/// ([`ClassLanes`]); results leave through each job's [`JobSink`].
+///
+/// Dropping an engine does not drain it — a persistent engine's workers
+/// share it through an `Arc`, so its owner calls `drain`.
+pub struct Engine<'a> {
     cfg: CaluConfig,
     epoch: Instant,
     /// `cfg.fault` is armed; the no-fault hot path never pays more than
@@ -621,6 +661,9 @@ pub(crate) struct Engine<'a> {
     /// Signalled when the engine may have gone idle (job ended, worker
     /// started or retired) — what `wait_idle`/`wait_started` wait on.
     idle: Condvar,
+    /// A persistent engine's workers, joined by `drain`; empty on a
+    /// scoped one.
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<'a> Engine<'a> {
@@ -656,25 +699,31 @@ impl<'a> Engine<'a> {
             queued_jobs: AtomicUsize::new(0),
             work: Condvar::new(),
             idle: Condvar::new(),
+            handles: Mutex::new(Vec::new()),
             cfg,
         })
     }
 
-    pub(crate) fn threads(&self) -> usize {
+    /// Worker count.
+    pub fn threads(&self) -> usize {
         self.cfg.threads
     }
 
-    pub(crate) fn config(&self) -> &CaluConfig {
+    /// The config every job of this engine shares, frozen at
+    /// construction: a live reconfigure replaces the whole engine.
+    pub fn config(&self) -> &CaluConfig {
         &self.cfg
     }
 
-    /// Enqueue a job. After `close` the job is refused and the sink is
-    /// handed back **uncalled**: callers may hold their own locks
-    /// across `submit` (the service holds its job-table lock so drain
-    /// cannot slip between its check and ours), and a synchronous sink
-    /// callback here could re-enter them — the caller decides how to
-    /// fail the job.
-    pub(crate) fn submit(
+    /// Enqueue a job. `id` is the caller's correlation key (used by
+    /// [`cancel`](Self::cancel)); the job names its own kernel set and
+    /// whether to verify and trace it; its result leaves through `sink`.
+    /// Once draining the job is refused and the sink is handed back
+    /// **uncalled**: callers may hold their own locks across `submit`
+    /// (the service holds its job-table lock so drain cannot slip
+    /// between its check and ours), and a synchronous sink callback here
+    /// could re-enter them — the caller decides how to fail the job.
+    pub fn submit(
         &self,
         id: u64,
         class: JobClass,
@@ -692,8 +741,10 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Remove a still-queued job, returning its sink uncalled.
-    pub(crate) fn cancel(&self, id: u64) -> Option<Box<dyn JobSink>> {
+    /// Remove a still-queued job, returning its sink uncalled; `None`
+    /// means the job already started or finished — the race resolves
+    /// to normal completion.
+    pub fn cancel(&self, id: u64) -> Option<Box<dyn JobSink>> {
         let mut st = self.state.lock();
         let removed = st.lanes.remove_where(|j| j.id == id);
         self.queued_jobs.store(st.lanes.len(), Ordering::Release);
@@ -765,12 +816,10 @@ impl<'a> Engine<'a> {
         st
     }
 
-    /// Block until every worker entered its loop; returns the seconds
-    /// (engine clock) the last one took — the one-off spawn cost.
-    pub(crate) fn wait_started(&self) -> f64 {
+    /// Block until every worker entered its loop.
+    pub(crate) fn wait_started(&self) {
         let threads = self.threads();
-        self.wait_until(|st| st.workers_started >= threads)
-            .spawn_secs
+        drop(self.wait_until(|st| st.workers_started >= threads));
     }
 
     /// Block until nothing is queued or in flight (or the engine is
@@ -779,12 +828,20 @@ impl<'a> Engine<'a> {
         drop(self.wait_until(|st| st.poisoned || st.lanes.is_empty() && st.in_flight == 0));
     }
 
-    pub(crate) fn queued(&self) -> usize {
+    /// Jobs waiting in the lanes.
+    pub fn queued(&self) -> usize {
         self.state.lock().lanes.len()
     }
 
-    pub(crate) fn queued_in(&self, class: JobClass) -> usize {
+    /// Jobs waiting in `class`'s lane.
+    pub fn queued_in(&self, class: JobClass) -> usize {
         self.state.lock().lanes.len_in(class)
+    }
+
+    /// Seconds until the last worker entered its loop — paid once when
+    /// the workers start, amortized over every job they serve.
+    pub fn spawn_secs(&self) -> f64 {
+        self.state.lock().spawn_secs
     }
 
     #[cfg(test)]
@@ -801,24 +858,35 @@ impl<'a> Engine<'a> {
             .cloned()
     }
 
-    /// Fail the active run with job id `id`; `false` when none carries
-    /// it or a concurrent normal finish won the race.
-    pub(crate) fn fail_active(&self, id: u64, err: CaluError) -> bool {
+    /// Fail an *active co-operative run* by job id, delivering `err` to
+    /// its sink — the service watchdog's lever for deadline and stall
+    /// enforcement. Workers mid-task on the run finish or abandon their
+    /// task harmlessly; the engine keeps serving. `false` when no active
+    /// run carries `id` (the job is still queued, co-scheduled, or
+    /// already terminal) or a concurrent normal finish won the race.
+    pub fn fail_active(&self, id: u64, err: CaluError) -> bool {
         self.active_run(id)
             .is_some_and(|run| self.fail_run(&run, err))
     }
 
-    /// Tasks retired so far by the active run with job id `id`.
-    pub(crate) fn progress_of(&self, id: u64) -> Option<u64> {
+    /// Tasks retired so far by the active co-operative run with job id
+    /// `id` — a monotone heartbeat the service watchdog compares across
+    /// ticks to tell a slow job from a stalled one. `None` when no
+    /// active run carries `id` (queued, co-scheduled, or terminal).
+    pub fn progress_of(&self, id: u64) -> Option<u64> {
         self.active_run(id)
             .map(|run| run.item.done.load(Ordering::Acquire) as u64)
     }
 
-    pub(crate) fn lost_workers(&self) -> usize {
+    /// Workers lost to an injected fault (0 on an unfaulted engine).
+    pub fn lost_workers(&self) -> usize {
         self.lost_workers.load(Ordering::Acquire)
     }
 
-    pub(crate) fn rescued_tasks(&self) -> u64 {
+    /// Static tasks republished into dynamic sections because their
+    /// owner was lost or persistently slow — the rescue counter backing
+    /// `ThreadStats::rescued`, summed over every finished job.
+    pub fn rescued_tasks(&self) -> u64 {
         self.rescued.load(Ordering::Acquire)
     }
 
@@ -1572,8 +1640,48 @@ impl Drop for PanicGuard<'_, '_> {
 }
 
 impl Engine<'static> {
-    /// Stop admission and hand back every queued-but-unclaimed job.
-    pub(crate) fn extract_queued(&self) -> Vec<ExtractedJob> {
+    /// Validate `cfg`, spawn its `cfg.threads` persistent workers and
+    /// wait until each entered its loop. `starvation_limit` bounds how
+    /// many higher-class claims may pass over a waiting lower-class job
+    /// (see [`ClassLanes`]).
+    pub fn spawn(cfg: &CaluConfig, starvation_limit: usize) -> Result<Arc<Self>, CaluError> {
+        let engine = Arc::new(Engine::new(cfg.clone(), starvation_limit)?);
+        *engine.handles.lock() = (0..engine.threads())
+            .map(|me| {
+                let eng = Arc::clone(&engine);
+                std::thread::spawn(move || eng.worker_loop(me))
+            })
+            .collect();
+        engine.wait_started();
+        Ok(engine)
+    }
+
+    /// Stop admitting, finish everything queued and in flight, join the
+    /// workers. Idempotent.
+    ///
+    /// # Panics
+    /// When a worker panicked outside a job's containment perimeter.
+    pub fn drain(&self) {
+        self.close();
+        // a poisoned engine never makes progress again: wait_idle stops
+        // waiting and the join below propagates the worker's panic
+        self.wait_idle();
+        // held across the joins: a concurrent drain returns only once
+        // every worker is joined
+        let mut handles = self.handles.lock();
+        for h in handles.drain(..) {
+            h.join().expect("engine worker panicked");
+        }
+    }
+
+    /// Stop admission and hand back every queued-but-unclaimed job with
+    /// its identity and sink intact — the live-reconfigure handover
+    /// primitive. Afterwards the engine refuses new submits, jobs
+    /// already claimed run to completion on its workers, and the
+    /// extracted sinks are uncalled, so the caller can re-admit the jobs
+    /// into a successor under the same ids with zero loss. Follow with
+    /// [`drain`](Self::drain) to finish the in-flight tail.
+    pub fn extract_queued(&self) -> Vec<ExtractedJob> {
         let jobs = {
             let mut st = self.state.lock();
             // stop admission first, under the same lock the pop runs
@@ -1691,7 +1799,6 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::pool::ServicePool;
     use crate::threaded::factor_one;
     use calu_matrix::gen;
     use calu_sched::QueueDiscipline;
@@ -1826,7 +1933,7 @@ mod tests {
                     ..
                 } = factor_one(item.clone(), &cfg).unwrap();
                 let batch = factor_batch(&[item], &cfg).unwrap().items.remove(0);
-                let pool = ServicePool::spawn(&cfg, 4).unwrap();
+                let pool = Engine::spawn(&cfg, 4).unwrap();
                 let (tx, rx) = mpsc::channel();
                 let owned = BatchItem {
                     source: Source::Owned(a.clone()),
@@ -2028,6 +2135,488 @@ mod tests {
                     "only worker 1 died, {queue}"
                 );
             }
+        }
+    }
+
+    /// Persistent engines: spawned once, fed by `submit`, joined by
+    /// `drain`.
+    mod persistent {
+        use super::*;
+        use crate::threaded::calu_factor;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        fn cfg4() -> CaluConfig {
+            CaluConfig::new(16).with_threads(4).with_dratio(0.5)
+        }
+
+        /// Assert a submit was admitted (the rejection arm returns the sink,
+        /// which has no `Debug` for a plain `unwrap`).
+        fn accept(r: Result<(), Box<dyn JobSink>>) {
+            assert!(r.is_ok(), "engine rejected a submit while not draining");
+        }
+
+        #[test]
+        fn small_jobs_match_solo_runs_bitwise() {
+            let cfg = cfg4().with_batch_small_cutoff(100);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            for seed in 0..4u64 {
+                accept(engine.submit(
+                    seed,
+                    JobClass::Batch,
+                    BatchItem::lu(Source::Uniform { m: 64, n: 64, seed }),
+                    Box::new(ChanSink(tx.clone())),
+                ));
+            }
+            let mut outcomes: Vec<Outcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
+            engine.drain();
+            outcomes.sort_by_key(|o| o.factorization.lu.as_slice().len()); // all same; stable no-op
+            for o in &outcomes {
+                assert!(o.co_scheduled);
+            }
+            // parity: match each outcome to its seed by re-factoring
+            for seed in 0..4u64 {
+                let a = gen::uniform(64, 64, seed);
+                let solo = calu_factor(&a, &cfg).unwrap();
+                assert!(
+                    outcomes
+                        .iter()
+                        .any(|o| o.factorization.lu.as_slice() == solo.lu.as_slice()
+                            && o.factorization.perm.pivots() == solo.perm.pivots()),
+                    "seed {seed} missing from engine outcomes"
+                );
+            }
+        }
+
+        #[test]
+        fn large_jobs_match_solo_runs_bitwise() {
+            // cutoff 0 forces the co-operative route
+            let cfg = cfg4().with_batch_small_cutoff(0);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let a = gen::uniform(192, 192, 7);
+            accept(
+                engine.submit(
+                    1,
+                    JobClass::Interactive,
+                    BatchItem::lu(Source::Owned(a.clone()))
+                        .verified(true)
+                        .traced(true),
+                    Box::new(ChanSink(tx)),
+                ),
+            );
+            let out = rx.recv().unwrap().unwrap();
+            engine.drain();
+            assert!(!out.co_scheduled);
+            let solo = calu_factor(&a, &cfg).unwrap();
+            assert_eq!(out.factorization.lu.as_slice(), solo.lu.as_slice());
+            assert_eq!(out.factorization.perm.pivots(), solo.perm.pivots());
+            assert!(out.residual.unwrap() < 1e-12);
+            let tasks: u64 = out.stats.iter().map(|s| s.local_pops + s.global_pops).sum();
+            assert_eq!(tasks as usize, out.timeline.unwrap().spans().len());
+        }
+
+        #[test]
+        fn mixed_lu_and_cholesky_jobs_share_one_pool() {
+            // one engine, both kernel sets, both routes (small + large)
+            let cfg = cfg4().with_batch_small_cutoff(100);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let jobs: [(u64, BatchItem<'static>); 4] = [
+                (
+                    1,
+                    BatchItem::lu(Source::Uniform {
+                        m: 64,
+                        n: 64,
+                        seed: 1,
+                    }),
+                ),
+                (
+                    2,
+                    BatchItem::cholesky(Source::SpdUniform { n: 64, seed: 2 }),
+                ),
+                (
+                    3,
+                    BatchItem::lu(Source::Uniform {
+                        m: 192,
+                        n: 192,
+                        seed: 3,
+                    }),
+                ),
+                (
+                    4,
+                    BatchItem::cholesky(Source::SpdUniform { n: 192, seed: 4 }),
+                ),
+            ];
+            for (id, job) in jobs {
+                accept(engine.submit(
+                    id,
+                    JobClass::Batch,
+                    job.verified(true),
+                    Box::new(ChanSink(tx.clone())),
+                ));
+            }
+            let outcomes: Vec<Outcome> = (0..4).map(|_| rx.recv().unwrap().unwrap()).collect();
+            engine.drain();
+            for n in [64usize, 192] {
+                let lu_in = gen::uniform(n, n, if n == 64 { 1 } else { 3 });
+                let spd_in = gen::spd_uniform(n, if n == 64 { 2 } else { 4 });
+                let solo_lu = calu_factor(&lu_in, &cfg).unwrap();
+                let solo_ch = crate::threaded::cholesky_factor(&spd_in, &cfg).unwrap();
+                let lu_out = outcomes
+                    .iter()
+                    .find(|o| o.dims == (n, n) && o.kernels == KernelSet::CaluLu)
+                    .unwrap();
+                let ch_out = outcomes
+                    .iter()
+                    .find(|o| o.dims == (n, n) && o.kernels == KernelSet::Cholesky)
+                    .unwrap();
+                assert_eq!(lu_out.factorization.lu.as_slice(), solo_lu.lu.as_slice());
+                assert_eq!(ch_out.factorization.lu.as_slice(), solo_ch.lu.as_slice());
+                assert!(lu_out.residual.unwrap() < 1e-12);
+                assert!(lu_out.growth_factor.is_some());
+                assert!(ch_out.residual.unwrap() < 1e-13);
+                assert!(ch_out.growth_factor.is_none(), "Cholesky has no growth");
+            }
+        }
+
+        #[test]
+        fn cholesky_job_with_rectangular_source_fails_typed() {
+            for cutoff in [100usize, 0] {
+                // both routes must refuse with InvalidConfig, not a panic
+                let engine = Engine::spawn(&cfg4().with_batch_small_cutoff(cutoff), 4).unwrap();
+                let (tx, rx) = mpsc::channel();
+                accept(engine.submit(
+                    1,
+                    JobClass::Batch,
+                    BatchItem::cholesky(Source::Uniform {
+                        m: 96,
+                        n: 64,
+                        seed: 1,
+                    }),
+                    Box::new(ChanSink(tx)),
+                ));
+                match rx.recv().unwrap() {
+                    Err(CaluError::InvalidConfig(msg)) => {
+                        assert!(msg.contains("square"), "msg: {msg}")
+                    }
+                    other => panic!("cutoff {cutoff}: expected InvalidConfig, got {other:?}"),
+                }
+                engine.drain();
+            }
+        }
+
+        #[test]
+        fn drain_finishes_jobs_queued_in_every_class() {
+            let cfg = cfg4().with_batch_small_cutoff(100).with_threads(2);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let n_jobs = 9;
+            for i in 0..n_jobs {
+                let class = JobClass::ALL[i % 3];
+                accept(engine.submit(
+                    i as u64,
+                    class,
+                    BatchItem::lu(Source::Uniform {
+                        m: 48,
+                        n: 48,
+                        seed: i as u64,
+                    }),
+                    Box::new(ChanSink(tx.clone())),
+                ));
+            }
+            engine.drain();
+            // every job completed before drain returned
+            let done: Vec<_> = rx.try_iter().collect();
+            assert_eq!(done.len(), n_jobs);
+            assert!(done.iter().all(|r| r.is_ok()));
+            assert_eq!(engine.queued(), 0);
+            assert_eq!(engine.in_flight(), 0);
+        }
+
+        #[test]
+        fn cancel_removes_a_queued_job() {
+            // single worker + a job in front keeps the victim queued long
+            // enough to cancel deterministically… unless the first job wins
+            // the race, which the assertion tolerates by checking either
+            // outcome is consistent
+            let cfg = cfg4().with_threads(1).with_batch_small_cutoff(0);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            accept(engine.submit(
+                1,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 256,
+                    n: 256,
+                    seed: 1,
+                }),
+                Box::new(ChanSink(tx.clone())),
+            ));
+            accept(engine.submit(
+                2,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 64,
+                    n: 64,
+                    seed: 2,
+                }),
+                Box::new(ChanSink(tx.clone())),
+            ));
+            let cancelled = engine.cancel(2).is_some();
+            engine.drain();
+            let done = rx.try_iter().count();
+            assert_eq!(done, if cancelled { 1 } else { 2 });
+        }
+
+        #[test]
+        fn submit_after_drain_returns_the_sink_uncalled() {
+            let engine = Engine::spawn(&cfg4(), 4).unwrap();
+            engine.drain();
+            let (tx, rx) = mpsc::channel();
+            let rejected = engine.submit(
+                1,
+                JobClass::Interactive,
+                BatchItem::lu(Source::Uniform {
+                    m: 8,
+                    n: 8,
+                    seed: 0,
+                }),
+                Box::new(ChanSink(tx)),
+            );
+            let sink = match rejected {
+                Ok(()) => panic!("a draining engine must refuse submits"),
+                Err(sink) => sink,
+            };
+            // the engine never invoked the sink — re-entrancy-safe for
+            // callers submitting under their own locks
+            assert!(rx.try_recv().is_err());
+            sink.finished(Err(CaluError::InvalidConfig(
+                "engine is shutting down".into(),
+            )));
+            assert!(matches!(
+                rx.recv().unwrap(),
+                Err(CaluError::InvalidConfig(_))
+            ));
+            engine.drain(); // idempotent
+        }
+
+        #[test]
+        fn drain_racing_a_large_job_claim_never_strands_it() {
+            // regression: drain() used to let idle workers exit on
+            // `draining && active.is_empty()`, which is observable while a
+            // peer has *claimed* a large job (in_flight counted) but not
+            // yet published its run — the run's static tasks then belonged
+            // to exited workers and the job never finished. Iterate to give
+            // the race room; the exit gate on in_flight must keep every
+            // worker around until the claimed job is done.
+            let cfg = cfg4().with_batch_small_cutoff(0); // every job co-operative
+            for round in 0..10u64 {
+                let engine = Engine::spawn(&cfg, 4).unwrap();
+                let (tx, rx) = mpsc::channel();
+                accept(engine.submit(
+                    round,
+                    JobClass::Batch,
+                    BatchItem::lu(Source::Uniform {
+                        m: 128,
+                        n: 128,
+                        seed: round,
+                    }),
+                    Box::new(ChanSink(tx)),
+                ));
+                // drain immediately: workers observe `draining` while the
+                // claimant is still materializing/building the run
+                engine.drain();
+                let out = rx.recv().expect("job stranded by drain").unwrap();
+                assert!(!out.co_scheduled);
+                assert!(out.factorization.is_nonsingular());
+            }
+        }
+
+        #[test]
+        fn lost_worker_mid_small_item_requeues_it_whole() {
+            // regression: an injected worker loss that fires while the
+            // worker is draining a co-scheduled item used to have no
+            // recovery path — the partially-factored item died with the
+            // worker. The fix requeues the whole item (its claim was
+            // atomic, so redoing it from the source is exact) and lets a
+            // survivor redo it. `lose_worker(0, 3)` can only fire after 3
+            // task ticks, which only happen inside an item, and the sinks
+            // hold the first two claims at a two-party rendezvous (`started`
+            // runs on the claiming worker with no engine lock held): both
+            // workers own an item before either factors a tile, so worker 0
+            // is guaranteed to die mid-item — however late it woke up.
+            use crate::fault::FaultPlan;
+            struct Rendezvous {
+                tx: mpsc::Sender<Result<Outcome, CaluError>>,
+                claims: Arc<AtomicUsize>,
+                both_claimed: Arc<Barrier>,
+            }
+            impl JobSink for Rendezvous {
+                fn started(&self) {
+                    // the requeued item is claimed a second time: only the
+                    // first two claims meet
+                    if self.claims.fetch_add(1, Ordering::SeqCst) < 2 {
+                        self.both_claimed.wait();
+                    }
+                }
+                fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
+                    let _ = self.tx.send(res);
+                }
+            }
+            let claims = Arc::new(AtomicUsize::new(0));
+            let both_claimed = Arc::new(Barrier::new(2));
+            let cfg = cfg4()
+                .with_threads(2)
+                .with_batch_small_cutoff(100)
+                .with_fault(FaultPlan::off().lose_worker(0, 3));
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let n_jobs = 6u64;
+            for seed in 0..n_jobs {
+                accept(engine.submit(
+                    seed,
+                    JobClass::Batch,
+                    BatchItem::lu(Source::Uniform { m: 64, n: 64, seed }),
+                    Box::new(Rendezvous {
+                        tx: tx.clone(),
+                        claims: Arc::clone(&claims),
+                        both_claimed: Arc::clone(&both_claimed),
+                    }),
+                ));
+            }
+            let outcomes: Vec<Outcome> = (0..n_jobs).map(|_| rx.recv().unwrap().unwrap()).collect();
+            engine.drain();
+            assert_eq!(engine.lost_workers(), 1, "worker 0 must have died");
+            // drain stranded nothing and every item matches an unfaulted
+            // solo run of the same shape (threads drive the TSLU grid)
+            let clean = cfg4().with_threads(2);
+            for seed in 0..n_jobs {
+                let a = gen::uniform(64, 64, seed);
+                let solo = calu_factor(&a, &clean).unwrap();
+                assert!(
+                    outcomes
+                        .iter()
+                        .any(|o| o.factorization.lu.as_slice() == solo.lu.as_slice()),
+                    "seed {seed} missing or wrong after the mid-item loss"
+                );
+            }
+        }
+
+        #[test]
+        fn lost_worker_during_a_cooperative_run_is_rescued() {
+            // losing a worker mid-run republishes its static backlog into
+            // the run's dynamic heap; the exclusive-writer DAG makes the
+            // rerouted completion bitwise-identical to the unfaulted run
+            use crate::fault::FaultPlan;
+            let cfg = cfg4()
+                .with_batch_small_cutoff(0)
+                .with_fault(FaultPlan::off().lose_worker(1, 4));
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let a = gen::uniform(192, 192, 11);
+            accept(engine.submit(
+                1,
+                JobClass::Batch,
+                BatchItem::lu(Source::Owned(a.clone())),
+                Box::new(ChanSink(tx)),
+            ));
+            let out = rx.recv().unwrap().unwrap();
+            engine.drain();
+            assert_eq!(engine.lost_workers(), 1);
+            assert!(out.stats[1].lost, "the dead worker is flagged in stats");
+            let rescued: u64 = out.stats.iter().map(|s| s.rescued).sum();
+            assert!(rescued > 0, "the dead worker's static share was rescued");
+            assert_eq!(rescued, engine.rescued_tasks());
+            let solo = calu_factor(&a, &cfg4()).unwrap();
+            assert_eq!(out.factorization.lu.as_slice(), solo.lu.as_slice());
+            assert_eq!(out.factorization.perm.pivots(), solo.perm.pivots());
+        }
+
+        #[test]
+        fn panicking_job_fails_its_sink_and_the_pool_survives() {
+            // a 0×0 source trips `TaskGraph::build_calu`'s non-empty assert
+            // on the claiming worker; the panic must be contained to the
+            // job (sink failed with TaskPanic), not kill the worker
+            let cfg = cfg4().with_batch_small_cutoff(100);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            accept(engine.submit(
+                1,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 0,
+                    n: 0,
+                    seed: 0,
+                }),
+                Box::new(ChanSink(tx.clone())),
+            ));
+            assert!(matches!(rx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
+            // same through the co-operative route: cutoff 0 with one
+            // non-zero dimension routes large, and the build still asserts
+            let large = Engine::spawn(&cfg4().with_batch_small_cutoff(0), 4).unwrap();
+            let (ltx, lrx) = mpsc::channel();
+            accept(large.submit(
+                2,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 0,
+                    n: 5,
+                    seed: 0,
+                }),
+                Box::new(ChanSink(ltx)),
+            ));
+            assert!(matches!(lrx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
+            // both engines keep serving after the panic
+            accept(engine.submit(
+                3,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 48,
+                    n: 48,
+                    seed: 3,
+                }),
+                Box::new(ChanSink(tx)),
+            ));
+            assert!(rx.recv().unwrap().is_ok());
+            engine.drain();
+            large.drain();
+        }
+
+        #[test]
+        fn drain_joins_every_worker_and_releases_the_engine() {
+            // an engine does not drain on drop, so `drain` is what
+            // releases it: afterwards no worker holds the engine, a
+            // second drain returns at once, and the engine refuses work
+            let engine = Engine::spawn(&cfg4(), 4).unwrap();
+            let (tx, rx) = mpsc::channel();
+            accept(engine.submit(
+                1,
+                JobClass::Batch,
+                BatchItem::lu(Source::Uniform {
+                    m: 64,
+                    n: 64,
+                    seed: 1,
+                }),
+                Box::new(ChanSink(tx.clone())),
+            ));
+            engine.drain();
+            assert!(rx.recv().unwrap().is_ok());
+            assert_eq!(Arc::strong_count(&engine), 1, "a worker outlived drain");
+            engine.drain();
+            let refused = engine.submit(
+                2,
+                JobClass::Interactive,
+                BatchItem::lu(Source::Uniform {
+                    m: 8,
+                    n: 8,
+                    seed: 2,
+                }),
+                Box::new(ChanSink(tx)),
+            );
+            assert!(refused.is_err(), "a drained engine must refuse submits");
+            assert!(rx.try_recv().is_err(), "the refused sink was called");
         }
     }
 

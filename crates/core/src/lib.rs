@@ -7,7 +7,7 @@
 //!   GEPP on row chunks and merged up a binary reduction tree (§2);
 //! * [`simple::calu_simple`] — a plain dense reference implementation
 //!   (the numerical oracle for everything else);
-//! * the **engine** (crate-private) — the one worker loop implementing
+//! * the **engine** ([`Engine`]) — the one worker loop implementing
 //!   Algorithm 1/2 over one `calu_sched::ReadyQueues` value per run:
 //!   the first `Nstatic` panels are scheduled statically by
 //!   block-cyclic ownership, the rest through the dynamic section, and
@@ -16,14 +16,13 @@
 //!   [`KernelSet`], whether to verify) in, one [`Outcome`] out, for
 //!   every caller. [`factor_batch`] runs N jobs on scoped threads
 //!   spawned once, small items co-scheduled whole-per-worker, large
-//!   ones on the full hybrid schedule; the two modules below only
-//!   differ in whose threads they lend it and how many jobs they queue;
+//!   ones on the full hybrid schedule; [`Engine::spawn`] runs the same
+//!   loop on persistent threads behind class lanes and result sinks
+//!   ([`JobSink`]) until [`Engine::drain`] — the substrate of
+//!   `calu-serve`;
 //! * [`threaded`] — the tile-task layer (per-item state, kernel sets,
 //!   task bodies) and the solo entry points, a `factor_batch` of one
 //!   with co-scheduling off;
-//! * [`pool`] — [`ServicePool`], the same loop on persistent threads
-//!   behind class lanes and result sinks (the substrate of
-//!   `calu-serve`);
 //! * [`gepp`] — blocked Gaussian elimination with partial pivoting (the
 //!   MKL `dgetrf` stand-in);
 //! * [`incpiv`] — tiled LU with incremental (block pairwise) pivoting
@@ -56,7 +55,6 @@ pub mod fault;
 pub mod gepp;
 pub mod incpiv;
 mod pivot;
-pub mod pool;
 mod shared;
 pub mod simple;
 pub mod sync;
@@ -65,7 +63,9 @@ pub mod tslu;
 pub mod verify;
 
 pub use config::{CaluConfig, DEFAULT_BATCH_SMALL_CUTOFF};
-pub use engine::{factor_batch, BatchItem, BatchOutcome, Outcome, Source};
+pub use engine::{
+    factor_batch, BatchItem, BatchOutcome, Engine, ExtractedJob, JobSink, Outcome, Source,
+};
 // The name `benchmark/` — the frozen ruler — imports the job source
 // under; new code says `Source`.
 pub use engine::Source as BatchSource;
@@ -74,6 +74,5 @@ pub use factorization::Factorization;
 pub use fault::{FaultKind, FaultPlan};
 pub use gepp::gepp_factor;
 pub use incpiv::{incpiv_factor, IncPivFactors};
-pub use pool::{JobSink, ServicePool};
 pub use simple::calu_simple;
 pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet, ThreadStats};

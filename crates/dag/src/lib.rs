@@ -20,9 +20,8 @@
 
 pub mod critical_path;
 pub mod dot;
-pub mod graph;
-pub mod task;
+mod graph;
+mod task;
 
-pub use critical_path::{critical_path, CriticalPath};
 pub use graph::{DagVariant, TaskGraph};
 pub use task::{PaperKind, TaskId, TaskKind};

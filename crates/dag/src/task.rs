@@ -94,18 +94,6 @@ impl TaskKind {
         }
     }
 
-    /// Panel (elimination step) this task belongs to.
-    pub fn panel(&self) -> usize {
-        match *self {
-            TaskKind::PanelLeaf { k, .. }
-            | TaskKind::PanelCombine { k, .. }
-            | TaskKind::PanelFinish { k }
-            | TaskKind::ComputeL { k, .. }
-            | TaskKind::ComputeU { k, .. }
-            | TaskKind::Update { k, .. } => k as usize,
-        }
-    }
-
     /// Tile column whose data this task writes — the coordinate the
     /// hybrid scheduler uses to split the DAG ("tasks that operate on
     /// blocks belonging to the first Nstatic panels are scheduled

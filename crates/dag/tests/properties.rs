@@ -1,7 +1,8 @@
 //! Randomized-sweep structural tests of the task graphs (formerly
 //! proptest; deterministic seeded sweeps in the hermetic workspace).
 
-use calu_dag::{critical_path, DagVariant, TaskGraph, TaskKind};
+use calu_dag::critical_path::critical_path;
+use calu_dag::{DagVariant, TaskGraph, TaskKind};
 use calu_rand::Rng;
 
 /// Structural invariants hold for every variant and shape.

@@ -50,7 +50,7 @@ pub enum QueueDiscipline {
     /// owner pushes newly enabled successors in DAG-priority order and
     /// pops LIFO (cache-hot), thieves steal FIFO from the cold end,
     /// sweeping victims SMT sibling → same socket → remote sockets
-    /// ([`crate::topology::StealTiers`]) instead of the flat randomized
+    /// (`StealTiers`) instead of the flat randomized
     /// order. Removes even the per-shard mutex of
     /// [`QueueDiscipline::Sharded`], which stays as the parity oracle.
     LockFree {

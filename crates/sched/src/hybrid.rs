@@ -34,7 +34,7 @@ use crate::ready::ReadyQueues;
 use crate::topology::{CpuTopology, StealOrder};
 
 /// See module docs.
-pub struct HybridPolicy {
+pub(crate) struct HybridPolicy {
     owners: OwnerMap,
     kinds: Vec<TaskKind>,
     static_keys: Vec<u64>,
@@ -61,7 +61,7 @@ impl HybridPolicy {
     /// dynamic (see [`crate::make_policy_ordered`]). `topo` and `order`
     /// shape the lock-free discipline's tiered victim sweeps; the other
     /// disciplines ignore them.
-    pub fn new(
+    pub(crate) fn new(
         g: &TaskGraph,
         grid: ProcessGrid,
         nstatic: usize,

@@ -1,7 +1,7 @@
 //! Scheduling policies for the CALU task graph (§3 of the paper).
 //!
 //! The paper's design space is **one policy with one parameter**:
-//! `Nstatic = N·(1 − dratio)` (Algorithm 1). [`HybridPolicy`] schedules
+//! `Nstatic = N·(1 − dratio)` (Algorithm 1). `HybridPolicy` schedules
 //! the tasks writing the first `Nstatic` tile columns statically — each
 //! on the thread that owns its output tile under the 2D block-cyclic
 //! distribution — and feeds the rest to the dynamic section, which a
@@ -16,7 +16,7 @@
 //!   Algorithm 2 — perfect load balance, paid for in dequeue contention
 //!   and data migration.
 //!
-//! [`WorkStealingPolicy`] — Cilk-style randomized work stealing — is the
+//! `WorkStealingPolicy` — Cilk-style randomized work stealing — is the
 //! §8 comparison point and the only other [`Policy`].
 //!
 //! Policies are *decision procedures*, not executors — and the
@@ -27,7 +27,7 @@
 //! the dynamic section under its [`QueueDiscipline`], over real
 //! Chase-Lev [`Deque`]s for the lock-free one. It has two drivers. The
 //! engine's workers share a `ReadyQueues` value per run and call it
-//! concurrently; [`HybridPolicy`] owns one and calls it one event at a
+//! concurrently; `HybridPolicy` owns one and calls it one event at a
 //! time, in the engine's protocol (publish a completion's successors as
 //! one batch, pop own queues, else steal; rescue is the dying worker's
 //! drain). What the simulator schedules is therefore what the threads
@@ -48,7 +48,7 @@
 //! |---|---|---|---|---|
 //! | [`QueueDiscipline::Global`] | one shared mutex'd priority heap in Algorithm 2's DFS order | the **simulator** (paper-verbatim, keeps the reproduced figures faithful) and any plan without a dynamic section | none (never steals) | reproducing the paper's numbers; low thread counts where one lock never contends |
 //! | [`QueueDiscipline::Sharded`] | per-worker mutex'd priority shards; seeded randomized victim sweep | opt-in | `stolen_pops`, `failed_steals` | the **parity oracle**: simple invariants (each shard keeps DFS priority, steals take the victim's most critical task) for debugging the lock-free path against |
-//! | [`QueueDiscipline::LockFree`] | per-worker Chase-Lev deques ([`Deque`], owner-LIFO / thief-FIFO) swept in the locality-tiered order of [`StealTiers`] (SMT sibling → same socket → remote) | the **threaded backend** whenever a dynamic section exists | `stolen_pops`, `failed_steals`, plus `remote_steal_pops` — the only discipline that classifies steal locality | production throughput, NUMA machines, high thread counts |
+//! | [`QueueDiscipline::LockFree`] | per-worker Chase-Lev deques ([`Deque`], owner-LIFO / thief-FIFO) swept in the locality-tiered order of `StealTiers` (SMT sibling → same socket → remote) | the **threaded backend** whenever a dynamic section exists | `stolen_pops`, `failed_steals`, plus `remote_steal_pops` — the only discipline that classifies steal locality | production throughput, NUMA machines, high thread counts |
 //!
 //! Guarantees shared by the stealing disciplines: a steal sweep visits
 //! every victim once, so work is found whenever any shard is non-empty;
@@ -76,16 +76,17 @@ pub use adaptive::{AdaptationStep, AdaptiveController, AdaptivePolicy, Observati
 pub use config::{nstatic_for, SchedulerKind};
 pub use deque::{Deque, Steal};
 pub use discipline::QueueDiscipline;
-pub use hybrid::HybridPolicy;
 pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;
 pub use policy::{Policy, Popped, QueueSource};
 pub use ready::{Padded, ReadyQueues};
-pub use topology::{CpuTopology, StealOrder, StealTier, StealTiers};
-pub use work_stealing::WorkStealingPolicy;
+pub use topology::{CpuTopology, StealOrder, StealTier};
 
 use calu_dag::TaskGraph;
 use calu_matrix::ProcessGrid;
+
+use hybrid::HybridPolicy;
+use work_stealing::WorkStealingPolicy;
 
 /// Build the policy described by `kind` with an explicit dynamic-section
 /// [`QueueDiscipline`], on a flat (single-socket) topology with the
@@ -101,7 +102,7 @@ pub fn make_policy_with(
 }
 
 /// Build the policy described by `kind`. `Static`, `Dynamic` and
-/// `Hybrid` are one [`HybridPolicy`] at `Nstatic = N`, `0` and
+/// `Hybrid` are one `HybridPolicy` at `Nstatic = N`, `0` and
 /// [`nstatic_for`]`(dratio, N)`. The discipline applies wherever a
 /// dynamic section exists; `Static` has none to organize (its rescue
 /// reservoir is the paper's global queue) and `WorkStealing` is sharded

@@ -1,7 +1,7 @@
 //! The ready-queue set of one factorization run — the one
 //! implementation of the paper's Algorithms 1 and 2, driven by the
 //! threaded engine's workers concurrently and by the simulator's
-//! [`HybridPolicy`](crate::HybridPolicy) one call at a time.
+//! `HybridPolicy` one call at a time.
 //!
 //! A [`ReadyQueues`] value holds Algorithm 1's two halves for one task
 //! graph: a **static heap per worker** (tasks whose output tile the
@@ -16,7 +16,7 @@
 //!   seeded-random victim order;
 //! * [`QueueDiscipline::LockFree`] — one Chase-Lev [`Deque`] per worker
 //!   (owner LIFO, thieves FIFO), stolen in the locality-tiered order of
-//!   [`StealTiers`].
+//!   `StealTiers`.
 //!
 //! The queues schedule task ids with caller-supplied keys; they know
 //! nothing about tiles or kernels. Everything a driver needs from them

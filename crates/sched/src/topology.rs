@@ -6,7 +6,7 @@
 //! and a remote-socket core pays the full NUMA interconnect (the cost
 //! the paper's static distribution exists to avoid, §1). The flat
 //! randomized sweep of the mutex shards ignores all of
-//! that; [`StealTiers`] replaces it for the lock-free discipline with a
+//! that; `StealTiers` replaces it for the lock-free discipline with a
 //! three-tier sweep — SMT sibling → same socket → remote — randomized
 //! *within* each tier so victims stay load-balanced, deterministic for
 //! a fixed seed, and still visiting every other worker exactly once so
@@ -201,17 +201,17 @@ impl std::fmt::Display for StealOrder {
 
 /// One worker's precomputed victim tiers: the static part of the
 /// locality-tiered sweep. Build once per worker, then call
-/// [`sweep_ordered`](StealTiers::sweep_ordered) per steal attempt; only the in-tier
+/// `sweep_ordered` per steal attempt; only the in-tier
 /// rotation is drawn from the RNG, so a sweep costs three RNG draws and
 /// no allocation.
 #[derive(Debug, Clone)]
-pub struct StealTiers {
+pub(crate) struct StealTiers {
     tiers: [Vec<usize>; 3],
 }
 
 impl StealTiers {
     /// Victim tiers for worker `me` among `workers` workers on `topo`.
-    pub fn for_worker(topo: &CpuTopology, me: usize, workers: usize) -> Self {
+    pub(crate) fn for_worker(topo: &CpuTopology, me: usize, workers: usize) -> Self {
         let mut tiers: [Vec<usize>; 3] = Default::default();
         for v in (0..workers).filter(|&v| v != me) {
             tiers[match topo.tier_between(me, v) {
@@ -231,7 +231,7 @@ impl StealTiers {
     /// order *before* the direction applies, so both orders consume the
     /// identical three RNG draws per sweep — flipping the order mid-fleet
     /// never desynchronizes a worker's RNG stream.
-    pub fn sweep_ordered<'a>(
+    pub(crate) fn sweep_ordered<'a>(
         &'a self,
         order: StealOrder,
         rng: &mut Rng,

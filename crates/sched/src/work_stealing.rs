@@ -16,7 +16,7 @@ use crate::discipline::steal_order;
 use crate::policy::{Policy, Popped, QueueSource};
 
 /// See module docs.
-pub struct WorkStealingPolicy {
+pub(crate) struct WorkStealingPolicy {
     deques: Vec<VecDeque<TaskId>>,
     rng: Rng,
     rr: usize,
@@ -25,7 +25,7 @@ pub struct WorkStealingPolicy {
 
 impl WorkStealingPolicy {
     /// Build for graph `g` on `cores` cores with the given RNG seed.
-    pub fn new(g: &TaskGraph, cores: usize, seed: u64) -> Self {
+    pub(crate) fn new(g: &TaskGraph, cores: usize, seed: u64) -> Self {
         let _ = g; // topology-independent policy
         assert!(cores > 0);
         Self {

@@ -2,8 +2,8 @@
 //!
 //! The paper's hybrid schedule optimizes one factorization; this crate
 //! serves *streams* of them. A [`FactorService`] owns one
-//! request-persistent worker pool ([`calu_core::pool::ServicePool`])
-//! and layers on top of it, in the server/queue/worker split of
+//! request-persistent worker pool (a spawned [`calu_core::Engine`]) and
+//! layers on top of it, in the server/queue/worker split of
 //! rust-lang/crater's server:
 //!
 //! * **admission control** — a bounded total queue depth plus per-class
@@ -78,9 +78,14 @@
 //! the job ended, or at the terminal transition if the handle is gone.
 //!
 //! Lock order is table → pools → engine state: admission holds the
-//! table lock across `ServicePool::submit`, which never calls a sink;
-//! sinks take the table lock with no engine lock held; the result hook
-//! never runs under it.
+//! table lock across `Engine::submit`, which never calls a sink; sinks
+//! take the table lock with no engine lock held; the result hook never
+//! runs under it.
+//!
+//! The service owns its engines' lifetimes: dropping an engine does not
+//! join its workers, so every engine it spawns is drained on every path
+//! — by `drain` (and so on drop), by a reconfigure's retire thread, or
+//! at once when a reconfigure is refused.
 
 pub mod journal;
 pub mod net;
@@ -92,9 +97,8 @@ use std::sync::{mpsc, Arc, Condvar, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use calu_core::pool::{JobSink, ServicePool};
 use calu_core::sync::Mutex;
-use calu_core::{BatchItem, CaluConfig, CaluError, KernelSet, Outcome, Source};
+use calu_core::{BatchItem, CaluConfig, CaluError, Engine, JobSink, KernelSet, Outcome, Source};
 use calu_matrix::DenseMatrix;
 pub use calu_sched::JobClass;
 
@@ -309,18 +313,13 @@ impl JobSpec {
         self
     }
 
-    /// The job's deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     /// `(rows, cols)` of the job's matrix.
     pub fn dims(&self) -> (usize, usize) {
         self.job.source.dims()
     }
 
     /// Which algorithm's kernels factor the job.
-    pub fn kernels(&self) -> KernelSet {
+    pub(crate) fn kernels(&self) -> KernelSet {
         self.job.kernels
     }
 
@@ -504,10 +503,10 @@ type MakeResult<R> = Box<dyn Fn(&JobInfo, Outcome) -> R + Send + Sync>;
 /// The service's pool set: one current pool plus any predecessors
 /// still finishing their in-flight tail after a reconfigure.
 struct Pools {
-    current: Arc<ServicePool>,
+    current: Arc<Engine<'static>>,
     /// Retiring pools, oldest first; each is removed by its background
     /// drainer once its tail is done.
-    retiring: Vec<Arc<ServicePool>>,
+    retiring: Vec<Arc<Engine<'static>>>,
     /// Bumped by every successful reconfigure; the initial pool is 0.
     generation: u64,
 }
@@ -531,14 +530,14 @@ struct Inner<R> {
 
 impl<R> Inner<R> {
     /// The pool new submissions go to.
-    fn current_pool(&self) -> Arc<ServicePool> {
+    fn current_pool(&self) -> Arc<Engine<'static>> {
         Arc::clone(&self.pools.lock().current)
     }
 
     /// Current pool plus every retiring pool still finishing its tail —
     /// the set the watchdog and `cancel` must consult, since a job may
     /// live on any of them across a handover.
-    fn all_pools(&self) -> Vec<Arc<ServicePool>> {
+    fn all_pools(&self) -> Vec<Arc<Engine<'static>>> {
         let p = self.pools.lock();
         std::iter::once(&p.current)
             .chain(&p.retiring)
@@ -602,7 +601,7 @@ impl<R> Inner<R> {
     /// running co-operative ones whose heartbeat stalled for `stall`.
     fn overdue(
         &self,
-        pools: &[Arc<ServicePool>],
+        pools: &[Arc<Engine<'static>>],
         stall: Option<Duration>,
     ) -> Vec<(JobId, ServeError)> {
         let mut t = self.table.lock();
@@ -697,19 +696,9 @@ impl<R> JobHandle<R> {
         self.info.id
     }
 
-    /// The class the job was admitted under.
-    pub fn class(&self) -> JobClass {
-        self.info.class
-    }
-
     /// `(rows, cols)` of the job's matrix.
     pub fn dims(&self) -> (usize, usize) {
         self.info.dims
-    }
-
-    /// Which algorithm's kernels factor the job.
-    pub fn kernels(&self) -> KernelSet {
-        self.info.kernels
     }
 
     /// Current lifecycle position, without blocking.
@@ -898,7 +887,7 @@ impl<R: Send + 'static> FactorService<R> {
         svc: ServiceConfig,
         make: impl Fn(&JobInfo, Outcome) -> R + Send + Sync + 'static,
     ) -> Result<Self, CaluError> {
-        let pool = Arc::new(ServicePool::spawn(cfg, svc.starvation_limit)?);
+        cfg.validate()?;
         // open the journal (compacting it to its incomplete tail) before
         // anything can be admitted; replay happens below, after the
         // watchdog is live, so replayed deadlines are enforced too
@@ -911,6 +900,9 @@ impl<R: Send + 'static> FactorService<R> {
                 })?,
             None => (None, Vec::new()),
         };
+        // the last fallible step: from here on the service owns the
+        // workers and drains them when it goes
+        let pool = Engine::spawn(cfg, svc.starvation_limit)?;
         let (tx, rx) = mpsc::channel();
         let shared = Arc::new(Inner {
             table: Mutex::new(Table {
@@ -1115,7 +1107,7 @@ impl<R: Send + 'static> FactorService<R> {
     }
 
     /// Swap the shared solver knobs under load: spawn a successor
-    /// [`ServicePool`] over `cfg` (validated here, like construction),
+    /// [`Engine`] over `cfg` (validated here, like construction),
     /// carry every queued job over to it with its [`JobId`], class,
     /// deadline and spec intact, and retire the old pool — in-flight
     /// jobs finish where they started, on a background drainer. Zero
@@ -1127,7 +1119,7 @@ impl<R: Send + 'static> FactorService<R> {
     /// old pool keeps serving untouched.
     pub fn reconfigure(&self, cfg: &CaluConfig) -> Result<u64, CaluError> {
         // spawn first, outside every lock: it validates and is slow
-        let successor = Arc::new(ServicePool::spawn(cfg, self.cfg.starvation_limit)?);
+        let successor = Engine::spawn(cfg, self.cfg.starvation_limit)?;
         let t = self.shared.table.lock();
         if t.draining {
             successor.drain();
@@ -1187,11 +1179,6 @@ impl<R: Send + 'static> FactorService<R> {
         self.shared.table.lock().pending.iter().sum()
     }
 
-    /// [`pending`](Self::pending), one class.
-    pub fn pending_in(&self, class: JobClass) -> usize {
-        self.shared.table.lock().pending[class.lane()]
-    }
-
     /// Jobs waiting in the current pool's lanes (admitted, not yet
     /// claimed).
     pub fn queued(&self) -> usize {
@@ -1215,14 +1202,14 @@ impl<R: Send + 'static> FactorService<R> {
     /// always describes the pool that is admitting jobs right now — an
     /// adaptive reconfigure shows up here as soon as the swap lands.
     pub fn current_split(&self) -> calu_sched::SplitChoice {
-        self.shared.current_pool().split()
+        self.shared.current_pool().config().split()
     }
 
     /// Whether a job of `dims` would be co-scheduled (claimed whole by
     /// one worker) rather than run on the co-operative hybrid schedule
     /// — the exact predicate the current pool's workers apply.
     pub fn co_schedules(&self, dims: (usize, usize)) -> bool {
-        self.shared.current_pool().co_schedules(dims)
+        self.shared.current_pool().config().co_schedules(dims)
     }
 
     /// One-off worker spawn cost of the current pool, paid when it was
@@ -1251,11 +1238,6 @@ impl<R: Send + 'static> FactorService<R> {
             .iter()
             .map(|p| p.rescued_tasks())
             .sum()
-    }
-
-    /// The admission configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
     }
 }
 
@@ -1567,8 +1549,8 @@ mod tests {
         let ch = service
             .submit(JobSpec::spd_uniform(64, 2), JobClass::Batch)
             .unwrap();
-        assert_eq!(lu.kernels(), KernelSet::CaluLu);
-        assert_eq!(ch.kernels(), KernelSet::Cholesky);
+        assert_eq!(lu.info.kernels, KernelSet::CaluLu);
+        assert_eq!(ch.info.kernels, KernelSet::Cholesky);
         let lu_out = lu.wait().unwrap();
         let ch_out = ch.wait().unwrap();
         assert_eq!(lu_out.kernels, KernelSet::CaluLu);
@@ -1734,6 +1716,39 @@ mod tests {
             Ok(JobClass::Background)
         ));
         assert!(parse_class("express").is_err());
+    }
+
+    #[test]
+    fn a_retired_engine_is_freed_and_the_last_one_is_held_once() {
+        // engines do not drain on drop, so the service must: after a
+        // reconfigure and a drain no worker, drainer or watchdog still
+        // holds an engine — the retired one is gone, the current one is
+        // held by the pool set alone
+        let service = FactorService::new(&cfg(), svc()).unwrap();
+        let h = service
+            .submit(JobSpec::uniform(64, 64, 1), JobClass::Batch)
+            .unwrap();
+        let retired = Arc::downgrade(&service.shared.current_pool());
+        service.reconfigure(&cfg().with_threads(1)).unwrap();
+        h.wait().unwrap();
+        service.drain();
+        assert!(retired.upgrade().is_none(), "the retired engine leaked");
+        assert_eq!(Arc::strong_count(&service.shared.pools.lock().current), 1);
+    }
+
+    #[test]
+    fn an_unopenable_journal_fails_construction() {
+        let path = std::env::temp_dir()
+            .join(format!("calu-serve-missing-{}", std::process::id()))
+            .join("service.journal");
+        let res = FactorService::new(
+            &cfg(),
+            ServiceConfig {
+                journal: Some(JournalConfig::new(&path)),
+                ..svc()
+            },
+        );
+        assert!(matches!(res, Err(CaluError::InvalidConfig(_))));
     }
 
     #[test]

@@ -15,6 +15,7 @@ const PAGES: &[&str] = &[
     "docs/ARCHITECTURE.md",
     "ROADMAP.md",
     "CHANGES.md",
+    "docs/SURFACE.md",
 ];
 
 fn repo_root() -> PathBuf {
@@ -103,6 +104,26 @@ fn front_door_covers_the_advertised_entry_points() {
         assert!(
             arch.contains(needle),
             "docs/ARCHITECTURE.md no longer mentions `{needle}`"
+        );
+    }
+}
+
+#[test]
+fn surface_inventory_keeps_a_section_per_audited_crate() {
+    // The public-surface inventory is audited crate by crate; losing a
+    // crate's section would silently drop its items from the audit.
+    let surface = std::fs::read_to_string(repo_root().join("docs/SURFACE.md"))
+        .expect("docs/SURFACE.md is the public-surface inventory");
+    let sections: Vec<&str> = surface
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .collect();
+    for krate in ["calu-sched", "calu-core", "calu-serve", "calu", "calu-dag"] {
+        assert!(
+            sections
+                .iter()
+                .any(|s| s.split_whitespace().next() == Some(krate)),
+            "docs/SURFACE.md has no `## {krate}` section"
         );
     }
 }
