@@ -1,6 +1,6 @@
 //! The result of an LU factorization: `P·A = L·U`.
 
-use calu_kernels::{dtrsm_left_lower_unit, laswp};
+use calu_kernels::{dtrsm_left_lower_unit_packed, laswp, GemmScratch};
 use calu_matrix::{norms, ops, DenseMatrix, RowPerm};
 
 /// A completed factorization `P·A = L·U` with partial/tournament
@@ -77,13 +77,14 @@ impl Factorization {
             self.perm.pivots(),
         );
         // forward: L y = P rhs
-        dtrsm_left_lower_unit(
+        dtrsm_left_lower_unit_packed(
             n,
             nrhs,
             self.lu.as_slice(),
             self.lu.ld(),
             x.as_mut_slice(),
             ld,
+            &mut GemmScratch::new(),
         );
         // back substitution: U x = y
         for col in 0..nrhs {

@@ -5,8 +5,13 @@
 //!
 //! * [`tslu`] — tournament pivoting: candidate pivot rows are selected by
 //!   GEPP on row chunks and merged up a binary reduction tree (§2);
-//! * [`simple::calu_simple`] — a plain dense reference implementation
-//!   (the numerical oracle for everything else);
+//! * the `reference` module — the sequential drivers, one matrix on one
+//!   thread: [`calu_simple`], a plain dense CALU and the numerical
+//!   oracle for everything else; [`gepp_factor`], blocked Gaussian
+//!   elimination with partial pivoting (the MKL `dgetrf` stand-in); and
+//!   [`incpiv_factor`], tiled LU with incremental (block pairwise)
+//!   pivoting (the PLASMA `dgetrf_incpiv` stand-in). CALU and GEPP share
+//!   one right-looking loop and differ only in the panel step;
 //! * the **engine** ([`Engine`]) — the one worker loop implementing
 //!   Algorithm 1/2 over one `calu_sched::ReadyQueues` value per run:
 //!   the first `Nstatic` panels are scheduled statically by
@@ -23,10 +28,6 @@
 //! * [`threaded`] — the tile-task layer (per-item state, kernel sets,
 //!   task bodies) and the solo entry points, a `factor_batch` of one
 //!   with co-scheduling off;
-//! * [`gepp`] — blocked Gaussian elimination with partial pivoting (the
-//!   MKL `dgetrf` stand-in);
-//! * [`incpiv`] — tiled LU with incremental (block pairwise) pivoting
-//!   (the PLASMA `dgetrf_incpiv` stand-in);
 //! * [`verify`] — residuals, growth factors, triangular solves.
 //!
 //! Entry points: [`calu_factor`] for one matrix, [`factor_batch`] for a
@@ -52,11 +53,9 @@ mod engine;
 pub mod error;
 pub mod factorization;
 pub mod fault;
-pub mod gepp;
-pub mod incpiv;
 mod pivot;
+mod reference;
 mod shared;
-pub mod simple;
 pub mod sync;
 pub mod threaded;
 pub mod tslu;
@@ -72,7 +71,5 @@ pub use engine::Source as BatchSource;
 pub use error::CaluError;
 pub use factorization::Factorization;
 pub use fault::{FaultKind, FaultPlan};
-pub use gepp::gepp_factor;
-pub use incpiv::{incpiv_factor, IncPivFactors};
-pub use simple::calu_simple;
+pub use reference::{calu_simple, gepp_factor, incpiv_factor, IncPivFactors};
 pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet, ThreadStats};

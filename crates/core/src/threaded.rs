@@ -700,8 +700,8 @@ pub fn factor_one(job: BatchItem<'_>, cfg: &CaluConfig) -> Result<Outcome, CaluE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calu_simple;
     use crate::fault::FaultPlan;
-    use crate::simple::calu_simple;
     use calu_matrix::{gen, Layout};
     use calu_sched::QueueDiscipline;
 

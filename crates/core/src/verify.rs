@@ -18,7 +18,7 @@ pub fn all_finite(a: &DenseMatrix) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gepp::gepp_factor;
+    use crate::gepp_factor;
     use calu_matrix::gen;
 
     #[test]

@@ -4,8 +4,8 @@
 //! dominates the flops of the factorization (§2). The implementation is
 //! the GotoBLAS/BLIS three-level blocked algorithm: `A` and `B` are
 //! copied into contiguous packed panels once per cache block
-//! ([`crate::pack`]) and multiplied by an `MR × NR` register-tiled
-//! micro-kernel ([`crate::microkernel`]), with the caller's `β` folded
+//! (the private `pack` module) and multiplied by an `MR × NR`
+//! register-tiled micro-kernel (`microkernel`), with the caller's `β` folded
 //! into the first `KC` block of the `k` loop instead of a separate
 //! scaling pass over `C`.
 //!
@@ -44,7 +44,7 @@
 //! oracle for tests and the speedup baseline for the `kernels` bench.
 
 use crate::microkernel::{micro_tile, store_tile};
-use crate::pack::{pack_a, pack_b, pack_b_trans, with_thread_scratch, GemmScratch};
+use crate::pack::{pack_a, pack_b, pack_b_trans, GemmScratch};
 use crate::small::daxpy;
 
 /// Rows of the register tile (micro-kernel height).
@@ -101,27 +101,6 @@ pub fn dgemm_packed(
     unsafe { gemm_dispatch::<false>(m, n, k, alpha, pa, lda, pb, ldb, beta, pc, ldc, scratch) }
 }
 
-/// [`dgemm_packed`] with a per-thread scratch arena — the convenience
-/// entry point for callers without a hot loop (tests, examples, the
-/// sequential baselines). The arena is allocated once per thread and
-/// reused, so even this path does not hit the allocator steady-state.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    with_thread_scratch(|s| dgemm_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, s));
-}
-
 /// Raw-pointer variant of [`dgemm_packed`] for callers (the parallel
 /// executor, the in-place factorizations) whose blocks alias a single
 /// shared buffer. Never forms slices over the operands, so
@@ -157,28 +136,6 @@ pub unsafe fn dgemm_raw_packed(
     );
     assert!(k == 0 || ldb >= k, "ldb too small");
     gemm_dispatch::<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, scratch);
-}
-
-/// Raw-pointer variant of [`dgemm`] (per-thread scratch arena).
-///
-/// # Safety
-///
-/// Same contract as [`dgemm_raw_packed`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn dgemm_raw(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    with_thread_scratch(|s| dgemm_raw_packed(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, s));
 }
 
 /// One GEMM call past validation: the degenerate cases, then **one**
@@ -321,7 +278,7 @@ unsafe fn core_body<const FMA: bool, const NT: bool>(
 /// `C ← α·A·Bᵀ + β·C` with `A: m×k`, `B` **stored** `n×k` (so `Bᵀ` is
 /// `k×n`), `C: m×n`, all column-major with leading dimensions
 /// `lda/ldb/ldc`. The transpose is absorbed in the packing stage
-/// ([`pack_b_trans`]); blocking and the micro-kernel are identical to
+/// (`pack_b_trans`); blocking and the micro-kernel are identical to
 /// [`dgemm_packed`]. This is the kernel behind the Cholesky trailing
 /// update `A_ij ← A_ij − L_ik·L_jkᵀ` and the rectangle of SYRK.
 ///
@@ -499,13 +456,8 @@ fn span(r: usize, c: usize, ld: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::too_big_for_miri;
     use calu_matrix::{gen, ops, DenseMatrix};
-
-    /// The interpreter runs these tests at small shapes only (CI's Miri
-    /// job); natively every shape runs.
-    fn too_big_for_miri(m: usize, n: usize, k: usize) -> bool {
-        cfg!(miri) && m * n * k > 60_000
-    }
 
     /// `C ← α·op(A)·op(B) + β·C` through one named body, bypassing the
     /// runtime dispatch — so the baseline body stays under test on an
@@ -715,7 +667,7 @@ mod tests {
         c: &DenseMatrix,
     ) -> DenseMatrix {
         let mut out = c.clone();
-        dgemm(
+        dgemm_packed(
             a.rows(),
             b.cols(),
             a.cols(),
@@ -727,6 +679,7 @@ mod tests {
             beta,
             out.as_mut_slice(),
             c.ld(),
+            &mut GemmScratch::new(),
         );
         out
     }
@@ -802,7 +755,7 @@ mod tests {
         let b = gen::uniform(k, n, 9);
         let mut c = DenseMatrix::from_fn(m, n, |_, _| f64::NAN);
         let ld = c.ld();
-        dgemm(
+        dgemm_packed(
             m,
             n,
             k,
@@ -814,6 +767,7 @@ mod tests {
             0.0,
             c.as_mut_slice(),
             ld,
+            &mut GemmScratch::new(),
         );
         let want = ops::matmul(&a, &b);
         assert!(c.approx_eq(&want, 1e-10));
@@ -879,7 +833,7 @@ mod tests {
         // run on the parent slices with ld = 10
         let (pa_s, pb_s) = (pa.as_slice(), pb.as_slice());
         let pc_s = pc.as_mut_slice();
-        dgemm(
+        dgemm_packed(
             sz,
             sz,
             sz,
@@ -891,6 +845,7 @@ mod tests {
             1.0,
             &mut pc_s[off..],
             10,
+            &mut GemmScratch::new(),
         );
         let want = ops::add(&ops::matmul(&a, &b), &c0);
         let got = pc.submatrix(r, c, sz, sz);
@@ -904,7 +859,7 @@ mod tests {
         let mut c = gen::uniform(4, 4, 30);
         let orig = c.clone();
         let (rows, ld) = (c.rows(), c.ld());
-        dgemm(
+        dgemm_packed(
             rows,
             rows,
             0,
@@ -916,6 +871,7 @@ mod tests {
             0.5,
             c.as_mut_slice(),
             ld,
+            &mut GemmScratch::new(),
         );
         assert!(c.approx_eq(&ops::scale(0.5, &orig), 1e-14));
     }
@@ -923,7 +879,20 @@ mod tests {
     #[test]
     fn empty_dims_are_noops() {
         let mut c: Vec<f64> = vec![];
-        dgemm(0, 0, 5, 1.0, &[1.0; 5], 1, &[1.0; 5], 5, 1.0, &mut c, 1);
+        dgemm_packed(
+            0,
+            0,
+            5,
+            1.0,
+            &[1.0; 5],
+            1,
+            &[1.0; 5],
+            5,
+            1.0,
+            &mut c,
+            1,
+            &mut GemmScratch::new(),
+        );
     }
 
     #[test]
@@ -933,7 +902,7 @@ mod tests {
         let c = gen::uniform(6, 5, 42);
         let mut c1 = c.clone();
         let mut c2 = c.clone();
-        dgemm(
+        dgemm_packed(
             6,
             5,
             4,
@@ -945,9 +914,10 @@ mod tests {
             1.0,
             c1.as_mut_slice(),
             6,
+            &mut GemmScratch::new(),
         );
         unsafe {
-            dgemm_raw(
+            dgemm_raw_packed(
                 6,
                 5,
                 4,
@@ -959,6 +929,7 @@ mod tests {
                 1.0,
                 c2.as_mut_slice().as_mut_ptr(),
                 6,
+                &mut GemmScratch::new(),
             );
         }
         assert!(c1.approx_eq(&c2, 0.0));
@@ -968,7 +939,20 @@ mod tests {
     #[should_panic(expected = "leading dimension")]
     fn rejects_bad_ld() {
         let mut c = vec![0.0; 16];
-        dgemm(4, 4, 4, 1.0, &[0.0; 16], 3, &[0.0; 16], 4, 0.0, &mut c, 4);
+        dgemm_packed(
+            4,
+            4,
+            4,
+            1.0,
+            &[0.0; 16],
+            3,
+            &[0.0; 16],
+            4,
+            0.0,
+            &mut c,
+            4,
+            &mut GemmScratch::new(),
+        );
     }
 
     #[test]

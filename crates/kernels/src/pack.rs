@@ -51,7 +51,7 @@ impl GemmScratch {
     }
 
     /// Grow the arena to cover a GEMM of the given dimensions.
-    pub fn reserve(&mut self, m: usize, n: usize, k: usize) {
+    pub(crate) fn reserve(&mut self, m: usize, n: usize, k: usize) {
         let kc = k.min(KC);
         let a_len = round_up(m.min(MC), MR) * kc;
         let b_len = kc * round_up(n.min(NC), NR);
@@ -68,21 +68,6 @@ impl GemmScratch {
 #[inline]
 pub(crate) fn round_up(x: usize, q: usize) -> usize {
     x.div_ceil(q) * q
-}
-
-/// Run `f` with this thread's shared scratch arena — the backing store
-/// for the convenience kernel entry points that don't take an explicit
-/// [`GemmScratch`]. Falls back to a fresh arena on re-entrant use so a
-/// nested call can never observe a torn borrow.
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R {
-    use std::cell::RefCell;
-    thread_local! {
-        static SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
-    }
-    SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut GemmScratch::new()),
-    })
 }
 
 /// Pack the `mc × kc` block of `A` at `a` (column-major, leading

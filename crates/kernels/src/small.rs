@@ -36,14 +36,6 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← alpha·x`.
-#[inline]
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,12 +71,5 @@ mod tests {
         let mut y = [10.0, 20.0, 30.0];
         daxpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
-    fn dscal_scales() {
-        let mut x = [1.0, -2.0];
-        dscal(-3.0, &mut x);
-        assert_eq!(x, [-3.0, 6.0]);
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! Task **S** of the tiled Cholesky updates a diagonal tile as
 //! `A_ii ← A_ii − L_ik·L_ikᵀ`, which only needs the lower triangle:
-//! [`dsyrk_ln`] computes `C ← α·A·Aᵀ + β·C` writing the lower triangle
+//! [`dsyrk_ln_packed`] computes `C ← α·A·Aᵀ + β·C` writing the lower triangle
 //! of `C` (diagonal included) and never touching the strictly-upper
 //! part. The rectangle below each diagonal block runs through the
 //! packed NT GEMM ([`crate::gemm::dgemm_nt_packed`]); only the small
-//! [`SYRK_NB`]-wide diagonal triangles use a scalar dot-product loop.
+//! `SYRK_NB`-wide diagonal triangles use a scalar dot-product loop.
 
 use crate::gemm::dgemm_nt_raw_packed;
-use crate::pack::{with_thread_scratch, GemmScratch};
+use crate::pack::GemmScratch;
 
 /// Column-block width of the blocked SYRK: each diagonal triangle this
 /// wide is computed by scalar dot products, everything below it by GEMM.
-pub const SYRK_NB: usize = 32;
+const SYRK_NB: usize = 32;
 
 /// `C ← α·A·Aᵀ + β·C` on the **lower** triangle of `C` (diagonal
 /// included; the strictly-upper part is neither read nor written).
@@ -54,21 +54,6 @@ pub fn dsyrk_ln_packed(
             scratch,
         )
     }
-}
-
-/// [`dsyrk_ln_packed`] with the per-thread scratch arena.
-#[allow(clippy::too_many_arguments)]
-pub fn dsyrk_ln(
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    with_thread_scratch(|s| dsyrk_ln_packed(n, k, alpha, a, lda, beta, c, ldc, s));
 }
 
 /// Raw-pointer variant of [`dsyrk_ln_packed`] for callers whose blocks
@@ -160,6 +145,7 @@ pub(crate) unsafe fn syrk_ln_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::too_big_for_miri;
     use calu_matrix::{gen, DenseMatrix};
 
     /// dense reference: lower triangle of α·A·Aᵀ + β·C
@@ -186,12 +172,15 @@ mod tests {
             (SYRK_NB + 1, 5, 5),
             (2 * SYRK_NB + 9, 17, 6),
         ] {
+            if too_big_for_miri(n, n, k) {
+                continue;
+            }
             let a = gen::uniform(n, k, seed);
             let c = gen::uniform(n, n, seed + 50);
             for (alpha, beta) in [(1.0, 1.0), (-1.0, 1.0), (2.0, 0.0)] {
                 let mut got = c.clone();
                 let ld = got.ld();
-                dsyrk_ln(
+                dsyrk_ln_packed(
                     n,
                     k,
                     alpha,
@@ -200,6 +189,7 @@ mod tests {
                     beta,
                     got.as_mut_slice(),
                     ld,
+                    &mut GemmScratch::new(),
                 );
                 let want = syrk_ref(alpha, &a, beta, &c);
                 assert!(
@@ -222,7 +212,17 @@ mod tests {
             }
         }
         let ld = c.ld();
-        dsyrk_ln(n, 9, -1.0, a.as_slice(), a.ld(), 1.0, c.as_mut_slice(), ld);
+        dsyrk_ln_packed(
+            n,
+            9,
+            -1.0,
+            a.as_slice(),
+            a.ld(),
+            1.0,
+            c.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         for i in 0..n {
             for j in 0..n {
                 if i < j {
@@ -240,7 +240,17 @@ mod tests {
         let a = gen::uniform(n, 4, 9);
         let mut c = DenseMatrix::from_fn(n, n, |_, _| f64::NAN);
         let ld = c.ld();
-        dsyrk_ln(n, 4, 1.0, a.as_slice(), a.ld(), 0.0, c.as_mut_slice(), ld);
+        dsyrk_ln_packed(
+            n,
+            4,
+            1.0,
+            a.as_slice(),
+            a.ld(),
+            0.0,
+            c.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         for i in 0..n {
             for j in 0..=i {
                 assert!(c.get(i, j).is_finite(), "lower ({i},{j})");
@@ -254,7 +264,17 @@ mod tests {
         let c0 = gen::uniform(n, n, 10);
         let mut c = c0.clone();
         let ld = c.ld();
-        dsyrk_ln(n, 0, 1.0, &[], n, 0.5, c.as_mut_slice(), ld);
+        dsyrk_ln_packed(
+            n,
+            0,
+            1.0,
+            &[],
+            n,
+            0.5,
+            c.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         for i in 0..n {
             for j in 0..n {
                 let want = if i >= j {

@@ -1,9 +1,9 @@
 //! Triangular solves — the kernels behind tasks **L** and **U**.
 //!
 //! * task U computes `U_{K,J} = L_{KK}^{-1} · A_{K,J}` →
-//!   [`dtrsm_left_lower_unit`];
+//!   [`dtrsm_left_lower_unit_packed`];
 //! * task L computes `L_{I,K} = A_{I,K} · U_{KK}^{-1}` →
-//!   [`dtrsm_right_upper`].
+//!   [`dtrsm_right_upper_packed`].
 //!
 //! Both are blocked: an unblocked substitution on each `TRSM_NB`-wide
 //! diagonal block, then one rank-`TRSM_NB` [`crate::gemm`] update of the
@@ -12,7 +12,7 @@
 //! tests and tiny blocks.
 
 use crate::gemm::{dgemm_nt_raw_packed, dgemm_raw_packed};
-use crate::pack::{with_thread_scratch, GemmScratch};
+use crate::pack::GemmScratch;
 use crate::small::daxpy;
 
 /// Diagonal-block width of the blocked triangular solves: below this the
@@ -41,11 +41,6 @@ pub fn dtrsm_left_lower_unit_packed(
     assert!(b.len() >= (n - 1) * ldb + m, "b slice too short");
     // SAFETY: spans validated above; l and b are distinct borrows.
     unsafe { trsm_ll_core(m, n, l.as_ptr(), ldl, b.as_mut_ptr(), ldb, scratch) }
-}
-
-/// [`dtrsm_left_lower_unit_packed`] with the per-thread scratch arena.
-pub fn dtrsm_left_lower_unit(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut [f64], ldb: usize) {
-    with_thread_scratch(|s| dtrsm_left_lower_unit_packed(m, n, l, ldl, b, ldb, s));
 }
 
 /// Unblocked forward substitution — the reference the blocked solve is
@@ -174,11 +169,6 @@ pub fn dtrsm_right_upper_packed(
     unsafe { trsm_ru_core(m, n, u.as_ptr(), ldu, b.as_mut_ptr(), ldb, scratch) }
 }
 
-/// [`dtrsm_right_upper_packed`] with the per-thread scratch arena.
-pub fn dtrsm_right_upper(m: usize, n: usize, u: &[f64], ldu: usize, b: &mut [f64], ldb: usize) {
-    with_thread_scratch(|s| dtrsm_right_upper_packed(m, n, u, ldu, b, ldb, s));
-}
-
 /// Unblocked column-by-column substitution — the reference the blocked
 /// solve is tested against, and its diagonal-block base case.
 pub fn dtrsm_right_upper_unblocked(
@@ -305,18 +295,6 @@ pub fn dtrsm_right_lower_trans_packed(
     assert!(b.len() >= (n - 1) * ldb + m, "b slice too short");
     // SAFETY: spans validated above; l and b are distinct borrows.
     unsafe { trsm_rlt_core(m, n, l.as_ptr(), ldl, b.as_mut_ptr(), ldb, scratch) }
-}
-
-/// [`dtrsm_right_lower_trans_packed`] with the per-thread scratch arena.
-pub fn dtrsm_right_lower_trans(
-    m: usize,
-    n: usize,
-    l: &[f64],
-    ldl: usize,
-    b: &mut [f64],
-    ldb: usize,
-) {
-    with_thread_scratch(|s| dtrsm_right_lower_trans_packed(m, n, l, ldl, b, ldb, s));
 }
 
 /// Unblocked column-by-column substitution — the reference the blocked
@@ -483,6 +461,7 @@ pub unsafe fn dtrsm_right_upper_raw_packed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::too_big_for_miri;
     use calu_matrix::{gen, ops, DenseMatrix};
 
     /// build a well-conditioned unit lower triangular matrix
@@ -521,7 +500,15 @@ mod tests {
             let b = ops::matmul(&l, &x_true);
             let mut x = b.clone();
             let ld = x.ld();
-            dtrsm_left_lower_unit(m, n, l.as_slice(), l.ld(), x.as_mut_slice(), ld);
+            dtrsm_left_lower_unit_packed(
+                m,
+                n,
+                l.as_slice(),
+                l.ld(),
+                x.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             assert!(x.approx_eq(&x_true, 1e-9), "shape ({m},{n})");
         }
     }
@@ -542,7 +529,15 @@ mod tests {
         let b = ops::matmul(&clean, &x_true);
         let mut x = b.clone();
         let ld = x.ld();
-        dtrsm_left_lower_unit(m, 2, l.as_slice(), l.ld(), x.as_mut_slice(), ld);
+        dtrsm_left_lower_unit_packed(
+            m,
+            2,
+            l.as_slice(),
+            l.ld(),
+            x.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(x.approx_eq(&x_true, 1e-10));
     }
 
@@ -554,7 +549,15 @@ mod tests {
             let b = ops::matmul(&x_true, &u);
             let mut x = b.clone();
             let ld = x.ld();
-            dtrsm_right_upper(m, n, u.as_slice(), u.ld(), x.as_mut_slice(), ld);
+            dtrsm_right_upper_packed(
+                m,
+                n,
+                u.as_slice(),
+                u.ld(),
+                x.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             assert!(x.approx_eq(&x_true, 1e-9), "shape ({m},{n})");
         }
     }
@@ -573,7 +576,15 @@ mod tests {
         let b = ops::matmul(&x_true, &clean);
         let mut x = b.clone();
         let ld = x.ld();
-        dtrsm_right_upper(3, n, u.as_slice(), u.ld(), x.as_mut_slice(), ld);
+        dtrsm_right_upper_packed(
+            3,
+            n,
+            u.as_slice(),
+            u.ld(),
+            x.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(x.approx_eq(&x_true, 1e-10));
     }
 
@@ -600,7 +611,15 @@ mod tests {
             let b = ops::matmul(&x_true, &lt);
             let mut x = b.clone();
             let ld = x.ld();
-            dtrsm_right_lower_trans(m, n, l.as_slice(), l.ld(), x.as_mut_slice(), ld);
+            dtrsm_right_lower_trans_packed(
+                m,
+                n,
+                l.as_slice(),
+                l.ld(),
+                x.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             assert!(x.approx_eq(&x_true, 1e-9), "shape ({m},{n})");
         }
     }
@@ -622,7 +641,15 @@ mod tests {
         let b = ops::matmul(&x_true, &lt);
         let mut x = b.clone();
         let ld = x.ld();
-        dtrsm_right_lower_trans(3, n, l.as_slice(), l.ld(), x.as_mut_slice(), ld);
+        dtrsm_right_lower_trans_packed(
+            3,
+            n,
+            l.as_slice(),
+            l.ld(),
+            x.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(x.approx_eq(&x_true, 1e-10));
     }
 
@@ -636,12 +663,23 @@ mod tests {
             3 * TRSM_NB - 1,
         ] {
             let m = 11;
+            if too_big_for_miri(m, n, n) {
+                continue;
+            }
             let l = lower(n, 35);
             let b0 = gen::uniform(m, n, 36);
             let mut blocked = b0.clone();
             let mut unblocked = b0.clone();
             let ld = b0.ld();
-            dtrsm_right_lower_trans(m, n, l.as_slice(), l.ld(), blocked.as_mut_slice(), ld);
+            dtrsm_right_lower_trans_packed(
+                m,
+                n,
+                l.as_slice(),
+                l.ld(),
+                blocked.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             dtrsm_right_lower_trans_unblocked(
                 m,
                 n,
@@ -661,7 +699,15 @@ mod tests {
         let b0 = gen::uniform(n, n, 38);
         let mut b1 = b0.clone();
         let mut b2 = b0.clone();
-        dtrsm_right_lower_trans(n, n, l.as_slice(), n, b1.as_mut_slice(), n);
+        dtrsm_right_lower_trans_packed(
+            n,
+            n,
+            l.as_slice(),
+            n,
+            b1.as_mut_slice(),
+            n,
+            &mut GemmScratch::new(),
+        );
         let mut s = GemmScratch::new();
         unsafe {
             dtrsm_right_lower_trans_raw_packed(
@@ -688,12 +734,23 @@ mod tests {
             3 * TRSM_NB - 1,
         ] {
             let n = 11;
+            if too_big_for_miri(m, m, n) {
+                continue;
+            }
             let l = unit_lower(m, 40);
             let b0 = gen::uniform(m, n, 41);
             let mut blocked = b0.clone();
             let mut unblocked = b0.clone();
             let ld = b0.ld();
-            dtrsm_left_lower_unit(m, n, l.as_slice(), l.ld(), blocked.as_mut_slice(), ld);
+            dtrsm_left_lower_unit_packed(
+                m,
+                n,
+                l.as_slice(),
+                l.ld(),
+                blocked.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             dtrsm_left_lower_unit_unblocked(
                 m,
                 n,
@@ -709,7 +766,15 @@ mod tests {
             let mut blocked = b0.clone();
             let mut unblocked = b0.clone();
             let ld = b0.ld();
-            dtrsm_right_upper(n, m, u.as_slice(), u.ld(), blocked.as_mut_slice(), ld);
+            dtrsm_right_upper_packed(
+                n,
+                m,
+                u.as_slice(),
+                u.ld(),
+                blocked.as_mut_slice(),
+                ld,
+                &mut GemmScratch::new(),
+            );
             dtrsm_right_upper_unblocked(n, m, u.as_slice(), u.ld(), unblocked.as_mut_slice(), ld);
             assert!(blocked.approx_eq(&unblocked, 1e-11), "right n={m}");
         }
@@ -730,7 +795,15 @@ mod tests {
             let mut x = b0.clone();
             let ld = x.ld();
             if blocked {
-                dtrsm_right_upper(4, n, u.as_slice(), u.ld(), x.as_mut_slice(), ld);
+                dtrsm_right_upper_packed(
+                    4,
+                    n,
+                    u.as_slice(),
+                    u.ld(),
+                    x.as_mut_slice(),
+                    ld,
+                    &mut GemmScratch::new(),
+                );
             } else {
                 dtrsm_right_upper_unblocked(4, n, u.as_slice(), u.ld(), x.as_mut_slice(), ld);
             }
@@ -755,7 +828,15 @@ mod tests {
         let mut b = gen::uniform(m, 1, 53);
         b.set(0, 0, f64::NAN);
         let ld = b.ld();
-        dtrsm_left_lower_unit(m, 1, l.as_slice(), l.ld(), b.as_mut_slice(), ld);
+        dtrsm_left_lower_unit_packed(
+            m,
+            1,
+            l.as_slice(),
+            l.ld(),
+            b.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(b.get(0, 0).is_nan());
         assert!(
             b.get(m - 1, 0).is_nan(),
@@ -777,13 +858,14 @@ mod tests {
         parent_b.set_submatrix(2, 1, &b);
         let l_off = 3 * 10 + 3;
         let b_off = 10 + 2;
-        dtrsm_left_lower_unit(
+        dtrsm_left_lower_unit_packed(
             m,
             2,
             &parent_l.as_slice()[l_off..],
             10,
             &mut parent_b.as_mut_slice()[b_off..],
             10,
+            &mut GemmScratch::new(),
         );
         assert!(parent_b.submatrix(2, 1, m, 2).approx_eq(&x_true, 1e-12));
         assert_eq!(parent_b.get(0, 0), 0.0);
@@ -797,7 +879,15 @@ mod tests {
         let b0 = gen::uniform(n, n, 11);
         let mut b1 = b0.clone();
         let mut b2 = b0.clone();
-        dtrsm_left_lower_unit(n, n, l.as_slice(), n, b1.as_mut_slice(), n);
+        dtrsm_left_lower_unit_packed(
+            n,
+            n,
+            l.as_slice(),
+            n,
+            b1.as_mut_slice(),
+            n,
+            &mut GemmScratch::new(),
+        );
         let mut s = GemmScratch::new();
         unsafe {
             dtrsm_left_lower_unit_raw_packed(
@@ -813,7 +903,15 @@ mod tests {
         assert!(b1.approx_eq(&b2, 0.0));
         let mut b1 = b0.clone();
         let mut b2 = b0.clone();
-        dtrsm_right_upper(n, n, u.as_slice(), n, b1.as_mut_slice(), n);
+        dtrsm_right_upper_packed(
+            n,
+            n,
+            u.as_slice(),
+            n,
+            b1.as_mut_slice(),
+            n,
+            &mut GemmScratch::new(),
+        );
         unsafe {
             dtrsm_right_upper_raw_packed(
                 n,
@@ -831,8 +929,8 @@ mod tests {
     #[test]
     fn empty_is_noop() {
         let mut b: Vec<f64> = vec![];
-        dtrsm_left_lower_unit(0, 3, &[], 1, &mut b, 1);
-        dtrsm_right_upper(3, 0, &[], 1, &mut b, 1);
+        dtrsm_left_lower_unit_packed(0, 3, &[], 1, &mut b, 1, &mut GemmScratch::new());
+        dtrsm_right_upper_packed(3, 0, &[], 1, &mut b, 1, &mut GemmScratch::new());
         dtrsm_left_lower_unit_unblocked(0, 3, &[], 1, &mut b, 1);
         dtrsm_right_upper_unblocked(3, 0, &[], 1, &mut b, 1);
         let mut s = GemmScratch::new();

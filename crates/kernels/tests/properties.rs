@@ -4,8 +4,8 @@
 
 use calu_kernels::trsm::{dtrsm_left_lower_unit_unblocked, dtrsm_right_upper_unblocked, TRSM_NB};
 use calu_kernels::{
-    dgemm, dgemm_jki, dgetf2, dgetrf_recursive, dtrsm_left_lower_unit, dtrsm_right_upper,
-    lu_nopiv_unblocked,
+    dgemm_jki, dgemm_packed, dgetf2, dgetrf_recursive_packed, dtrsm_left_lower_unit_packed,
+    dtrsm_right_upper_packed, lu_nopiv_unblocked, GemmScratch,
 };
 use calu_matrix::{gen, ops, DenseMatrix, RowPerm};
 use calu_rand::Rng;
@@ -25,7 +25,7 @@ fn gemm_matches_reference() {
         let c = gen::uniform(m, n, seed + 2);
         let mut got = c.clone();
         let ld = got.ld();
-        dgemm(
+        dgemm_packed(
             m,
             n,
             k,
@@ -37,6 +37,7 @@ fn gemm_matches_reference() {
             beta,
             got.as_mut_slice(),
             ld,
+            &mut GemmScratch::new(),
         );
         // reference: alpha*A(:, :k)*B(:k, :) + beta*C
         let want = if k == 0 {
@@ -70,7 +71,7 @@ fn packed_gemm_matches_seed_jki_kernel() {
         let mut packed = c.clone();
         let mut jki = c.clone();
         let ld = c.ld();
-        dgemm(
+        dgemm_packed(
             m,
             n,
             k,
@@ -82,6 +83,7 @@ fn packed_gemm_matches_seed_jki_kernel() {
             1.0,
             packed.as_mut_slice(),
             ld,
+            &mut GemmScratch::new(),
         );
         dgemm_jki(
             m,
@@ -124,7 +126,15 @@ fn blocked_trsm_equals_unblocked() {
         let mut blocked = b0.clone();
         let mut unblocked = b0.clone();
         let ld = b0.ld();
-        dtrsm_left_lower_unit(m, n, l.as_slice(), l.ld(), blocked.as_mut_slice(), ld);
+        dtrsm_left_lower_unit_packed(
+            m,
+            n,
+            l.as_slice(),
+            l.ld(),
+            blocked.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         dtrsm_left_lower_unit_unblocked(m, n, l.as_slice(), l.ld(), unblocked.as_mut_slice(), ld);
         assert!(blocked.approx_eq(&unblocked, 1e-9), "left m={m} n={n}");
 
@@ -142,7 +152,15 @@ fn blocked_trsm_equals_unblocked() {
         let mut blocked = b0.clone();
         let mut unblocked = b0.clone();
         let ld = b0.ld();
-        dtrsm_right_upper(n, m, u.as_slice(), u.ld(), blocked.as_mut_slice(), ld);
+        dtrsm_right_upper_packed(
+            n,
+            m,
+            u.as_slice(),
+            u.ld(),
+            blocked.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         dtrsm_right_upper_unblocked(n, m, u.as_slice(), u.ld(), unblocked.as_mut_slice(), ld);
         assert!(blocked.approx_eq(&unblocked, 1e-9), "right m={m} n={n}");
     }
@@ -160,7 +178,7 @@ fn recursive_lu_equals_unblocked() {
         let mut f2 = a.clone();
         let ld = a.ld();
         let p1 = dgetf2(m, n, f1.as_mut_slice(), ld);
-        let p2 = dgetrf_recursive(m, n, f2.as_mut_slice(), ld);
+        let p2 = dgetrf_recursive_packed(m, n, f2.as_mut_slice(), ld, &mut GemmScratch::new());
         assert_eq!(p1.piv, p2.piv);
         assert!(f1.approx_eq(&f2, 1e-9));
     }
@@ -206,7 +224,15 @@ fn trsm_inverts_multiplication() {
         let b = ops::matmul(&l, &x);
         let mut got = b.clone();
         let ld = got.ld();
-        dtrsm_left_lower_unit(m, n, l.as_slice(), l.ld(), got.as_mut_slice(), ld);
+        dtrsm_left_lower_unit_packed(
+            m,
+            n,
+            l.as_slice(),
+            l.ld(),
+            got.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(got.approx_eq(&x, 1e-8));
         // right solve
         let r = gen::uniform(n, n, seed + 2);
@@ -223,7 +249,15 @@ fn trsm_inverts_multiplication() {
         let b = ops::matmul(&x, &u);
         let mut got = b.clone();
         let ld = got.ld();
-        dtrsm_right_upper(m, n, u.as_slice(), u.ld(), got.as_mut_slice(), ld);
+        dtrsm_right_upper_packed(
+            m,
+            n,
+            u.as_slice(),
+            u.ld(),
+            got.as_mut_slice(),
+            ld,
+            &mut GemmScratch::new(),
+        );
         assert!(got.approx_eq(&x, 1e-8));
     }
 }

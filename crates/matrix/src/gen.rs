@@ -13,18 +13,6 @@ pub fn uniform(m: usize, n: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_fn(m, n, |_, _| rng.gen_range(-1.0..=1.0))
 }
 
-/// Standard-normal random entries.
-pub fn normal(m: usize, n: usize, seed: u64) -> DenseMatrix {
-    let mut rng = Rng::seed_from_u64(seed);
-    // Box-Muller transform; avoids a dedicated normal sampler.
-    let mut next = move || {
-        let u1: f64 = rng.gen_range(0.0..1.0).max(1e-300);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    };
-    DenseMatrix::from_fn(m, n, |_, _| next())
-}
-
 /// Row-diagonally-dominant matrix: uniform noise plus `2n` on the diagonal.
 /// LU without pivoting succeeds on it, making it useful to isolate
 /// pivoting behaviour from numerical failure.
@@ -109,21 +97,6 @@ mod tests {
         assert!(a.as_slice().iter().all(|v| (-1.0..=1.0).contains(v)));
         let c = uniform(30, 20, 8);
         assert!(!a.approx_eq(&c, 0.0));
-    }
-
-    #[test]
-    fn normal_has_reasonable_moments() {
-        let a = normal(200, 200, 3);
-        let n = (200 * 200) as f64;
-        let mean: f64 = a.as_slice().iter().sum::<f64>() / n;
-        let var: f64 = a
-            .as_slice()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / n;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl ProcessGrid {
 
     /// Grid coordinates of the thread owning tile `(ti, tj)`.
     #[inline]
-    pub fn owner_coords(&self, ti: usize, tj: usize) -> (usize, usize) {
+    pub(crate) fn owner_coords(&self, ti: usize, tj: usize) -> (usize, usize) {
         (ti % self.pr, tj % self.pc)
     }
 
@@ -96,45 +96,25 @@ impl ProcessGrid {
         r * self.pc + c
     }
 
-    /// Grid coordinates of linear thread id `t`.
-    #[inline]
-    pub fn coords_of(&self, t: usize) -> (usize, usize) {
-        debug_assert!(t < self.size());
-        (t / self.pc, t % self.pc)
-    }
-
     /// Number of tile rows from a total of `tiles_r` owned by grid row `r`.
     #[inline]
     pub fn local_tile_rows(&self, tiles_r: usize, r: usize) -> usize {
         count_cyclic(tiles_r, self.pr, r)
     }
 
-    /// Number of tile columns from a total of `tiles_c` owned by grid column `c`.
-    #[inline]
-    pub fn local_tile_cols(&self, tiles_c: usize, c: usize) -> usize {
-        count_cyclic(tiles_c, self.pc, c)
-    }
-
     /// Local index of global tile row `ti` within its owner's storage.
     #[inline]
-    pub fn local_tile_row(&self, ti: usize) -> usize {
+    pub(crate) fn local_tile_row(&self, ti: usize) -> usize {
         ti / self.pr
     }
 
-    /// Local index of global tile column `tj` within its owner's storage.
-    #[inline]
-    pub fn local_tile_col(&self, tj: usize) -> usize {
-        tj / self.pc
-    }
-
     /// All global tile rows (< `tiles_r`) owned by grid row `r`, ascending.
-    pub fn owned_tile_rows(&self, tiles_r: usize, r: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn owned_tile_rows(
+        &self,
+        tiles_r: usize,
+        r: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
         (r..tiles_r).step_by(self.pr)
-    }
-
-    /// All global tile columns (< `tiles_c`) owned by grid column `c`, ascending.
-    pub fn owned_tile_cols(&self, tiles_c: usize, c: usize) -> impl Iterator<Item = usize> + '_ {
-        (c..tiles_c).step_by(self.pc)
     }
 }
 
@@ -240,22 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn coords_roundtrip() {
-        let g = ProcessGrid::new(3, 4).unwrap();
-        for t in 0..g.size() {
-            let (r, c) = g.coords_of(t);
-            assert_eq!(r * g.pc() + c, t);
-        }
-    }
-
-    #[test]
     fn local_counts_sum_to_total() {
         let g = ProcessGrid::new(3, 2).unwrap();
         for total in 0..20 {
             let sum: usize = (0..3).map(|r| g.local_tile_rows(total, r)).sum();
             assert_eq!(sum, total, "row counts for total={total}");
-            let sum: usize = (0..2).map(|c| g.local_tile_cols(total, c)).sum();
-            assert_eq!(sum, total, "col counts for total={total}");
         }
     }
 
@@ -278,7 +247,5 @@ mod tests {
         assert_eq!(g.local_tile_row(0), 0);
         assert_eq!(g.local_tile_row(2), 1);
         assert_eq!(g.local_tile_row(4), 2);
-        assert_eq!(g.local_tile_col(1), 0);
-        assert_eq!(g.local_tile_col(4), 1);
     }
 }

@@ -18,15 +18,8 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// All layouts, in the order Table 1 lists them.
-    pub const ALL: [Layout; 3] = [
-        Layout::BlockCyclic,
-        Layout::TwoLevelBlock,
-        Layout::ColumnMajor,
-    ];
-
     /// Short name as used in the paper's figures.
-    pub fn short_name(&self) -> &'static str {
+    pub(crate) fn short_name(&self) -> &'static str {
         match self {
             Layout::ColumnMajor => "CM",
             Layout::BlockCyclic => "BCL",
@@ -40,12 +33,6 @@ impl Layout {
     /// into one BLAS-3 call (§3, §4.1).
     pub fn supports_grouping(&self) -> bool {
         matches!(self, Layout::BlockCyclic)
-    }
-
-    /// Whether each tile is contiguous in memory (cache-resident tiles,
-    /// §4.2).
-    pub fn tile_contiguous(&self) -> bool {
-        matches!(self, Layout::TwoLevelBlock)
     }
 }
 
@@ -83,7 +70,11 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        for l in Layout::ALL {
+        for l in [
+            Layout::BlockCyclic,
+            Layout::TwoLevelBlock,
+            Layout::ColumnMajor,
+        ] {
             assert_eq!(l.short_name().parse::<Layout>().unwrap(), l);
         }
         assert!("nope".parse::<Layout>().is_err());
@@ -93,7 +84,5 @@ mod tests {
     fn capability_flags() {
         assert!(Layout::BlockCyclic.supports_grouping());
         assert!(!Layout::TwoLevelBlock.supports_grouping());
-        assert!(Layout::TwoLevelBlock.tile_contiguous());
-        assert!(!Layout::ColumnMajor.tile_contiguous());
     }
 }

@@ -17,16 +17,16 @@
 //! interface consumed by the factorization kernels, so the same CALU code
 //! runs unmodified on every layout in the paper's design space (Table 1).
 
-pub mod dense;
-pub mod error;
+mod dense;
+mod error;
 pub mod gen;
-pub mod grid;
-pub mod layout;
+mod grid;
+mod layout;
 pub mod norms;
 pub mod ops;
-pub mod perm;
+mod perm;
 pub mod storage;
-pub mod tile;
+mod tile;
 
 pub use dense::DenseMatrix;
 pub use error::MatrixError;
@@ -34,4 +34,4 @@ pub use grid::ProcessGrid;
 pub use layout::Layout;
 pub use perm::RowPerm;
 pub use storage::{BclMatrix, CmTiles, TileStorage, TlbMatrix};
-pub use tile::{TileDims, Tiling};
+pub use tile::Tiling;

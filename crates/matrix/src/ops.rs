@@ -51,7 +51,7 @@ pub fn scale(alpha: f64, a: &DenseMatrix) -> DenseMatrix {
 
 /// Apply a row permutation given as an explicit vector `p` (row `i` of the
 /// result is row `p[i]` of `a`).
-pub fn permute_rows(a: &DenseMatrix, p: &[usize]) -> DenseMatrix {
+pub(crate) fn permute_rows(a: &DenseMatrix, p: &[usize]) -> DenseMatrix {
     assert_eq!(p.len(), a.rows(), "permutation length mismatch");
     DenseMatrix::from_fn(a.rows(), a.cols(), |i, j| a.get(p[i], j))
 }

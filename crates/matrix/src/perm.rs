@@ -78,15 +78,6 @@ impl RowPerm {
         }
     }
 
-    /// Apply the swaps restricted to columns `[c0, c1)` — the "right swap"
-    /// of Algorithm 1 applies a panel's permutation only to trailing
-    /// columns.
-    pub fn apply_to_cols(&self, a: &mut DenseMatrix, c0: usize, c1: usize) {
-        for (k, &p) in self.piv.iter().enumerate() {
-            a.swap_rows_in_cols(self.offset + k, p, c0, c1);
-        }
-    }
-
     /// Apply the inverse permutation (swaps in reverse order).
     pub fn apply_inverse(&self, a: &mut DenseMatrix) {
         for (k, &p) in self.piv.iter().enumerate().rev() {
@@ -173,16 +164,6 @@ mod tests {
         };
         let via_explicit = p.permuted(&a);
         assert!(via_apply.approx_eq(&via_explicit, 0.0));
-    }
-
-    #[test]
-    fn column_restricted_swaps() {
-        let p = RowPerm::from_pivots(0, vec![1]);
-        let mut a = DenseMatrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        p.apply_to_cols(&mut a, 1, 3);
-        assert_eq!(a.get(0, 0), 1.0); // untouched
-        assert_eq!(a.get(0, 1), 5.0); // swapped
-        assert_eq!(a.get(1, 2), 3.0); // swapped
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct TileRef<'a> {
 impl TileRef<'_> {
     /// Read element `(i, j)` of the tile.
     #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld]
     }
@@ -74,16 +74,9 @@ pub struct TileRefMut<'a> {
 }
 
 impl TileRefMut<'_> {
-    /// Read element `(i, j)` of the tile.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i + j * self.ld]
-    }
-
     /// Write element `(i, j)` of the tile.
     #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i + j * self.ld] = v;
     }

@@ -6,7 +6,7 @@
 
 /// Dimensions of one tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileDims {
+pub(crate) struct TileDims {
     /// Rows in this tile (`<= b`).
     pub rows: usize,
     /// Columns in this tile (`<= b`).
@@ -45,7 +45,7 @@ impl Tiling {
 
     /// Dimensions of tile `(ti, tj)` (handles ragged edges).
     #[inline]
-    pub fn tile_dims(&self, ti: usize, tj: usize) -> TileDims {
+    pub(crate) fn tile_dims(&self, ti: usize, tj: usize) -> TileDims {
         TileDims {
             rows: self.tile_row_count(ti),
             cols: self.tile_col_count(tj),
@@ -54,7 +54,7 @@ impl Tiling {
 
     /// Rows in tile row `ti`.
     #[inline]
-    pub fn tile_row_count(&self, ti: usize) -> usize {
+    pub(crate) fn tile_row_count(&self, ti: usize) -> usize {
         debug_assert!(ti < self.tile_rows());
         (self.m - ti * self.b).min(self.b)
     }
@@ -80,26 +80,20 @@ impl Tiling {
 
     /// Tile row containing global row `i`.
     #[inline]
-    pub fn tile_of_row(&self, i: usize) -> usize {
+    pub(crate) fn tile_of_row(&self, i: usize) -> usize {
         i / self.b
     }
 
     /// Tile column containing global column `j`.
     #[inline]
-    pub fn tile_of_col(&self, j: usize) -> usize {
+    pub(crate) fn tile_of_col(&self, j: usize) -> usize {
         j / self.b
     }
 
     /// Offset of global row `i` inside its tile.
     #[inline]
-    pub fn row_in_tile(&self, i: usize) -> usize {
+    pub(crate) fn row_in_tile(&self, i: usize) -> usize {
         i % self.b
-    }
-
-    /// Number of tiles on the main tile diagonal, `min(M, N)`.
-    #[inline]
-    pub fn tile_diag(&self) -> usize {
-        self.tile_rows().min(self.tile_cols())
     }
 
     /// Iterate over all `(ti, tj)` tile coordinates in column-major order.
@@ -125,7 +119,6 @@ mod tests {
                 cols: 100
             }
         );
-        assert_eq!(t.tile_diag(), 4);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! denominator, and the exascale projection of §7 scales the noise terms
 //! with the core count.
 
-pub mod projection;
-pub mod theorem1;
+mod projection;
+mod theorem1;
 
 pub use projection::{dynamic_fraction_projection, ProjectionRow};
 pub use theorem1::{max_static_fraction, max_static_fraction_ext, NoiseStats, Overheads};

@@ -13,8 +13,6 @@ pub struct TileCache {
     /// Most-recent at the back.
     entries: Vec<u64>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl TileCache {
@@ -23,8 +21,6 @@ impl TileCache {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -32,53 +28,20 @@ impl TileCache {
     /// evicting the least recently used entry if full.
     pub fn touch(&mut self, key: u64) -> bool {
         if self.capacity == 0 {
-            self.misses += 1;
             return false;
         }
         if let Some(pos) = self.entries.iter().position(|&e| e == key) {
             // move to back (most recent)
             let k = self.entries.remove(pos);
             self.entries.push(k);
-            self.hits += 1;
             true
         } else {
             if self.entries.len() == self.capacity {
                 self.entries.remove(0);
             }
             self.entries.push(key);
-            self.misses += 1;
             false
         }
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate in `[0, 1]` (0 for an untouched cache).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -97,9 +60,6 @@ mod tests {
         let mut c = TileCache::new(4);
         assert!(!c.touch(tile_key(0, 0)));
         assert!(c.touch(tile_key(0, 0)));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]
@@ -118,8 +78,7 @@ mod tests {
         let mut c = TileCache::new(0);
         assert!(!c.touch(5));
         assert!(!c.touch(5));
-        assert_eq!(c.hits(), 0);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -134,6 +93,6 @@ mod tests {
         for k in 0..10 {
             c.touch(k);
         }
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.entries.len(), 3);
     }
 }

@@ -110,7 +110,7 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
 /// here (panel < trsm < gemm, and the layout/grouping ordering) still
 /// match that kernel family; only the absolute peak fraction each row
 /// represents shifted with the faster kernels.
-pub fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
+pub(crate) fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
     let incpiv = g.variant() == DagVariant::TileIncPiv;
     match kind {
         TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. } => 0.34,
@@ -171,7 +171,7 @@ pub fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) 
 ///   discipline reports this source.
 ///
 /// `lock_free` selects the cheaper own-shard pricing described above.
-pub fn dequeue_cost(m: &MachineConfig, source: QueueSource, lock_free: bool) -> f64 {
+pub(crate) fn dequeue_cost(m: &MachineConfig, source: QueueSource, lock_free: bool) -> f64 {
     let p = m.cores() as f64;
     match source {
         QueueSource::Local => m.dequeue_local,
@@ -223,7 +223,7 @@ pub fn task_tiles(g: &TaskGraph, t: TaskId, out: &mut Vec<(usize, usize)>) {
 
 /// The tile a task *writes* (dirty-line coherence traffic follows this
 /// tile when consecutive writers differ).
-pub fn task_written_tile(g: &TaskGraph, t: TaskId) -> Option<(usize, usize)> {
+pub(crate) fn task_written_tile(g: &TaskGraph, t: TaskId) -> Option<(usize, usize)> {
     match g.kind(t) {
         TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. } => None,
         TaskKind::PanelFinish { k } => Some((k as usize, k as usize)),

@@ -63,50 +63,6 @@ pub struct SimConfig {
     pub steal_order: StealOrder,
 }
 
-impl SimConfig {
-    /// Canonical configuration: near-square grid over all cores, grouping
-    /// `k = 3` iff the layout supports it (§3: "with k = 3").
-    pub fn new(machine: MachineConfig, layout: Layout, sched: SchedulerKind) -> Self {
-        let grid = ProcessGrid::square_for(machine.cores()).expect("non-empty machine");
-        let group_max = if layout.supports_grouping() { 3 } else { 1 };
-        Self {
-            machine,
-            layout,
-            sched,
-            queue: QueueDiscipline::Global,
-            grid,
-            group_max,
-            column_granular: false,
-            record_trace: false,
-            steal_order: StealOrder::default(),
-        }
-    }
-
-    /// Set the dynamic-section queue discipline.
-    pub fn with_queue(mut self, queue: QueueDiscipline) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Set the lock-free steal-sweep direction (default nearest-first).
-    pub fn with_steal_order(mut self, order: StealOrder) -> Self {
-        self.steal_order = order;
-        self
-    }
-
-    /// Enable timeline recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Use column-granular dynamic tasks (see [`SimConfig::column_granular`]).
-    pub fn with_column_granularity(mut self) -> Self {
-        self.column_granular = true;
-        self
-    }
-}
-
 #[derive(Debug, PartialEq)]
 struct HeapEv {
     t: f64,
@@ -469,10 +425,33 @@ pub fn run(g: &TaskGraph, cfg: &SimConfig) -> SimResult {
 mod tests {
     use super::*;
     use crate::machine::NoiseConfig;
+    use crate::result::tests::{cache_hit_rate, gflops, remote_bytes, utilization};
     use calu_dag::TaskGraph;
 
+    /// Canonical configuration: near-square grid over all cores,
+    /// grouping `k = 3` iff the layout supports it (§3: "with k = 3").
+    pub(super) fn config(
+        machine: MachineConfig,
+        layout: Layout,
+        sched: SchedulerKind,
+    ) -> SimConfig {
+        let grid = ProcessGrid::square_for(machine.cores()).expect("non-empty machine");
+        let group_max = if layout.supports_grouping() { 3 } else { 1 };
+        SimConfig {
+            machine,
+            layout,
+            sched,
+            queue: QueueDiscipline::Global,
+            grid,
+            group_max,
+            column_granular: false,
+            record_trace: false,
+            steal_order: StealOrder::default(),
+        }
+    }
+
     fn intel(sched: SchedulerKind) -> SimConfig {
-        SimConfig::new(
+        config(
             MachineConfig::intel_xeon_16(NoiseConfig::off()),
             Layout::BlockCyclic,
             sched,
@@ -492,7 +471,7 @@ mod tests {
             let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
             assert_eq!(total as usize, g.len(), "{sched:?}");
             assert!(r.makespan > 0.0);
-            assert!(r.gflops() > 0.0);
+            assert!(gflops(&r) > 0.0);
         }
     }
 
@@ -509,7 +488,7 @@ mod tests {
             MachineConfig::amd_opteron_48(NoiseConfig::os_daemons(7)),
         ] {
             let sim = |sched| {
-                let mut cfg = SimConfig::new(machine.clone(), Layout::BlockCyclic, sched);
+                let mut cfg = config(machine.clone(), Layout::BlockCyclic, sched);
                 assert!(cfg.group_max > 1, "BCL groups updates");
                 cfg.record_trace = true;
                 run(&g, &cfg)
@@ -540,8 +519,10 @@ mod tests {
     #[test]
     fn sharded_discipline_executes_all_tasks_and_steals() {
         let g = TaskGraph::build(1500, 1500, 100);
-        let cfg = intel(SchedulerKind::Hybrid { dratio: 0.5 })
-            .with_queue(QueueDiscipline::Sharded { seed: 3 });
+        let cfg = SimConfig {
+            queue: QueueDiscipline::Sharded { seed: 3 },
+            ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
+        };
         let r = run(&g, &cfg);
         let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
         assert_eq!(total as usize, g.len());
@@ -555,8 +536,10 @@ mod tests {
     #[test]
     fn lockfree_discipline_executes_all_tasks_and_classifies_steals() {
         let g = TaskGraph::build(1500, 1500, 100);
-        let cfg = intel(SchedulerKind::Hybrid { dratio: 0.5 })
-            .with_queue(QueueDiscipline::LockFree { seed: 3 });
+        let cfg = SimConfig {
+            queue: QueueDiscipline::LockFree { seed: 3 },
+            ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
+        };
         let r = run(&g, &cfg);
         let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
         assert_eq!(total as usize, g.len());
@@ -571,8 +554,10 @@ mod tests {
         // the flat sharded sweep never classifies a steal as remote
         let sh = run(
             &g,
-            &intel(SchedulerKind::Hybrid { dratio: 0.5 })
-                .with_queue(QueueDiscipline::Sharded { seed: 3 }),
+            &SimConfig {
+                queue: QueueDiscipline::Sharded { seed: 3 },
+                ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
+            },
         );
         assert_eq!(
             sh.cores.iter().map(|c| c.remote_stolen_pops).sum::<u64>(),
@@ -613,18 +598,18 @@ mod tests {
             ideal
         );
         // and utilization cannot exceed 1
-        assert!(r.utilization() <= 1.0);
+        assert!(utilization(&r) <= 1.0);
     }
 
     #[test]
     fn more_cores_help() {
         let g = TaskGraph::build(2000, 2000, 100);
-        let amd48 = SimConfig::new(
+        let amd48 = config(
             MachineConfig::amd_opteron_48(NoiseConfig::off()),
             Layout::BlockCyclic,
             SchedulerKind::Hybrid { dratio: 0.1 },
         );
-        let amd24 = SimConfig::new(
+        let amd24 = config(
             MachineConfig::amd_opteron_with_cores(24, NoiseConfig::off()),
             Layout::BlockCyclic,
             SchedulerKind::Hybrid { dratio: 0.1 },
@@ -637,7 +622,10 @@ mod tests {
     #[test]
     fn trace_recording_matches_makespan() {
         let g = TaskGraph::build(600, 600, 100);
-        let cfg = intel(SchedulerKind::Static).with_trace();
+        let cfg = SimConfig {
+            record_trace: true,
+            ..intel(SchedulerKind::Static)
+        };
         let r = run(&g, &cfg);
         let tl = r.timeline.as_ref().expect("trace requested");
         assert!((tl.makespan() - r.makespan).abs() < 1e-9);
@@ -653,7 +641,7 @@ mod tests {
             seed: 11,
         };
         let mk = |sched| {
-            SimConfig::new(
+            config(
                 MachineConfig::intel_xeon_16(noise),
                 Layout::BlockCyclic,
                 sched,
@@ -675,10 +663,10 @@ mod tests {
         let stat = run(&g, &intel(SchedulerKind::Static));
         let dynamic = run(&g, &intel(SchedulerKind::Dynamic));
         assert!(
-            dynamic.remote_bytes() > stat.remote_bytes(),
+            remote_bytes(&dynamic) > remote_bytes(&stat),
             "dynamic scheduling must move more remote data"
         );
-        assert!(dynamic.cache_hit_rate() < stat.cache_hit_rate());
+        assert!(cache_hit_rate(&dynamic) < cache_hit_rate(&stat));
     }
 
     #[test]
@@ -693,6 +681,7 @@ mod tests {
 
 #[cfg(test)]
 mod slow_core_tests {
+    use super::tests::config;
     use super::*;
     use crate::machine::NoiseConfig;
     use calu_dag::TaskGraph;
@@ -704,7 +693,7 @@ mod slow_core_tests {
         let g = TaskGraph::build_calu(3000, 3000, 100, 4);
         let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
         mach.slow_core = Some((5, 0.4));
-        let mk = |sched| SimConfig::new(mach.clone(), Layout::BlockCyclic, sched);
+        let mk = |sched| config(mach.clone(), Layout::BlockCyclic, sched);
         let stat = run(&g, &mk(SchedulerKind::Static));
         let hyb = run(&g, &mk(SchedulerKind::Hybrid { dratio: 0.2 }));
         let dynamic = run(&g, &mk(SchedulerKind::Dynamic));
@@ -715,7 +704,7 @@ mod slow_core_tests {
         // and the slowdown vs the healthy machine is bounded for dynamic
         let healthy = run(
             &TaskGraph::build_calu(3000, 3000, 100, 4),
-            &SimConfig::new(
+            &config(
                 MachineConfig::intel_xeon_16(NoiseConfig::off()),
                 Layout::BlockCyclic,
                 SchedulerKind::Dynamic,
@@ -735,7 +724,7 @@ mod slow_core_tests {
             // core's queue, then lose it: the rescue has something to move
             mach.slow_core = Some((3, 0.05));
             mach.lost_core = Some((3, 10));
-            let cfg = SimConfig::new(mach, Layout::BlockCyclic, sched);
+            let cfg = config(mach, Layout::BlockCyclic, sched);
             let r = run(&g, &cfg);
             let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
             assert_eq!(total as usize, g.len(), "no task left behind");
@@ -760,7 +749,7 @@ mod slow_core_tests {
             // deterministic for replay
             let healthy = run(
                 &g,
-                &SimConfig::new(
+                &config(
                     MachineConfig::intel_xeon_16(NoiseConfig::off()),
                     Layout::BlockCyclic,
                     sched,
@@ -779,7 +768,7 @@ mod slow_core_tests {
         for sched in [SchedulerKind::Hybrid { dratio: 0.2 }, SchedulerKind::Static] {
             let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
             mach.lost_core = Some((0, 0));
-            let r = run(&g, &SimConfig::new(mach, Layout::BlockCyclic, sched));
+            let r = run(&g, &config(mach, Layout::BlockCyclic, sched));
             assert_eq!(r.cores[0].tasks, 0, "{sched:?}");
             assert!(r.cores[0].lost);
             let total: u64 = r.cores.iter().map(|c| c.tasks).sum();

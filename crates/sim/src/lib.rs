@@ -26,15 +26,13 @@
 //! Everything is seeded and deterministic; the same
 //! [`SimConfig`] always yields the same [`SimResult`].
 
-pub mod adapt;
-pub mod cache;
+mod cache;
 pub mod cost;
-pub mod engine;
-pub mod machine;
-pub mod noise;
-pub mod result;
+mod engine;
+mod machine;
+mod noise;
+mod result;
 
-pub use adapt::{machine_topology, observe_result, simulate_adaptation};
 pub use engine::{run, SimConfig};
-pub use machine::{MachineConfig, NoiseConfig};
-pub use result::{CoreStats, SimResult};
+pub use machine::{machine_topology, MachineConfig, NoiseConfig};
+pub use result::SimResult;

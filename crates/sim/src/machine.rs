@@ -6,6 +6,8 @@
 //! calibration targets. The *relative* behaviour (who wins, where the
 //! crossovers are) is what the model is for.
 
+use calu_sched::CpuTopology;
+
 /// OS-noise model: per-core Poisson-arriving excess work, the `δ` of the
 /// paper's §6 analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,11 +39,6 @@ impl NoiseConfig {
             mean_duration: 0.4e-3,
             seed,
         }
-    }
-
-    /// Expected fraction of core time consumed by noise.
-    pub fn average_load(&self) -> f64 {
-        self.rate_hz * self.mean_duration
     }
 }
 
@@ -115,7 +112,7 @@ impl MachineConfig {
 
     /// Socket of a core.
     #[inline]
-    pub fn socket_of(&self, core: usize) -> usize {
+    pub(crate) fn socket_of(&self, core: usize) -> usize {
         core / self.cores_per_socket
     }
 
@@ -180,7 +177,7 @@ impl MachineConfig {
 
     /// Rate multiplier of a core (1.0 unless it is the injected slow
     /// core).
-    pub fn core_speed(&self, core: usize) -> f64 {
+    pub(crate) fn core_speed(&self, core: usize) -> f64 {
         match self.slow_core {
             Some((c, speed)) if c == core => {
                 assert!(speed > 0.0 && speed <= 1.0, "slow-core speed in (0,1]");
@@ -202,6 +199,13 @@ impl MachineConfig {
             ..Self::amd_opteron_48(noise)
         }
     }
+}
+
+/// The [`CpuTopology`] of a machine model — socket-major uniform, the
+/// layout [`SimConfig`](crate::SimConfig)'s policies already sweep by.
+/// A `SimulatedBackend` seeds its adaptive controller from it.
+pub fn machine_topology(machine: &MachineConfig) -> CpuTopology {
+    CpuTopology::uniform(machine.sockets, machine.cores_per_socket)
 }
 
 #[cfg(test)]
@@ -248,12 +252,5 @@ mod tests {
     #[should_panic(expected = "whole sockets")]
     fn partial_amd_validates() {
         MachineConfig::amd_opteron_with_cores(20, NoiseConfig::off());
-    }
-
-    #[test]
-    fn noise_load() {
-        assert_eq!(NoiseConfig::off().average_load(), 0.0);
-        let n = NoiseConfig::os_daemons(1);
-        assert!(n.average_load() > 0.005 && n.average_load() < 0.05);
     }
 }

@@ -38,16 +38,6 @@ impl NoiseProcess {
         }
     }
 
-    /// A noiseless process.
-    pub fn off() -> Self {
-        Self {
-            rng: Rng::seed_from_u64(0),
-            rate: 0.0,
-            mean_dur: 0.0,
-            next_event: f64::INFINITY,
-        }
-    }
-
     /// Stretch a task that starts at `start` with busy duration `dur` by
     /// the noise events preempting it. Returns the task's actual end time
     /// and the noise intervals `(start, duration)` that interrupted it.
@@ -84,7 +74,7 @@ mod tests {
 
     #[test]
     fn no_noise_passthrough() {
-        let mut p = NoiseProcess::off();
+        let mut p = NoiseProcess::new(&NoiseConfig::off(), 0);
         let mut spans = vec![];
         assert_eq!(p.stretch(1.0, 2.0, &mut spans), 3.0);
         assert!(spans.is_empty());

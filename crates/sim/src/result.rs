@@ -60,49 +60,37 @@ pub struct SimResult {
     pub tasks: usize,
 }
 
-impl SimResult {
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
     /// Gflop/s by the paper's convention (nominal flops / makespan).
-    pub fn gflops(&self) -> f64 {
-        self.nominal_flops / self.makespan / 1e9
+    pub(crate) fn gflops(r: &SimResult) -> f64 {
+        r.nominal_flops / r.makespan / 1e9
     }
 
     /// Machine utilization: useful work time over `makespan × cores`.
-    pub fn utilization(&self) -> f64 {
-        let work: f64 = self.cores.iter().map(|c| c.work).sum();
-        work / (self.makespan * self.cores.len() as f64)
+    pub(crate) fn utilization(r: &SimResult) -> f64 {
+        let work: f64 = r.cores.iter().map(|c| c.work).sum();
+        work / (r.makespan * r.cores.len() as f64)
     }
 
     /// Total remote bytes moved (the NUMA traffic the paper's static
     /// distribution avoids).
-    pub fn remote_bytes(&self) -> f64 {
-        self.cores.iter().map(|c| c.remote_bytes).sum()
+    pub(crate) fn remote_bytes(r: &SimResult) -> f64 {
+        r.cores.iter().map(|c| c.remote_bytes).sum()
     }
 
     /// Overall tile-cache hit rate.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.cores.iter().map(|c| c.cache_hits).sum();
-        let misses: u64 = self.cores.iter().map(|c| c.cache_misses).sum();
+    pub(crate) fn cache_hit_rate(r: &SimResult) -> f64 {
+        let hits: u64 = r.cores.iter().map(|c| c.cache_hits).sum();
+        let misses: u64 = r.cores.iter().map(|c| c.cache_misses).sum();
         if hits + misses == 0 {
             0.0
         } else {
             hits as f64 / (hits + misses) as f64
         }
     }
-
-    /// Total scheduler overhead (core-seconds).
-    pub fn total_overhead(&self) -> f64 {
-        self.cores.iter().map(|c| c.overhead).sum()
-    }
-
-    /// Total injected noise absorbed while busy (core-seconds).
-    pub fn total_noise(&self) -> f64 {
-        self.cores.iter().map(|c| c.noise).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn derived_metrics() {
@@ -129,9 +117,9 @@ mod tests {
             timeline: None,
             tasks: 10,
         };
-        assert!((r.gflops() - 1.5).abs() < 1e-12);
-        assert!((r.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(r.remote_bytes(), 15.0);
-        assert!((r.cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert!((gflops(&r) - 1.5).abs() < 1e-12);
+        assert!((utilization(&r) - 0.5).abs() < 1e-12);
+        assert_eq!(remote_bytes(&r), 15.0);
+        assert!((cache_hit_rate(&r) - 0.5).abs() < 1e-12);
     }
 }

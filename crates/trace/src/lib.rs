@@ -11,11 +11,11 @@
 //!   after only 60% of the total factorization time"),
 //! * ASCII and SVG renderings of the timeline.
 
-pub mod metrics;
+mod metrics;
 pub mod render;
-pub mod span;
+mod span;
 pub mod svg;
-pub mod timeline;
+mod timeline;
 
 pub use metrics::TimelineMetrics;
 pub use span::{SpanKind, TaskSpan};

@@ -14,16 +14,8 @@ pub struct TimelineMetrics {
     pub utilization: f64,
     /// Total idle core-seconds.
     pub total_idle: f64,
-    /// Total useful-work core-seconds.
-    pub total_work: f64,
     /// Total injected-noise core-seconds.
     pub total_noise: f64,
-    /// Total scheduler-overhead core-seconds.
-    pub total_overhead: f64,
-    /// Time spent in panel (P) tasks.
-    pub panel_time: f64,
-    /// Time spent in update (S) tasks.
-    pub update_time: f64,
 }
 
 impl TimelineMetrics {
@@ -32,19 +24,18 @@ impl TimelineMetrics {
         let cores = t.cores();
         let makespan = t.makespan();
         let total_idle: f64 = (0..cores).map(|c| t.idle_time(c)).sum();
-        let total_work: f64 = (0..cores).map(|c| t.work_time(c)).sum();
-        let by = t.time_by_kind();
-        let get = |k: SpanKind| by.iter().find(|(kk, _)| *kk == k).map_or(0.0, |(_, v)| *v);
+        let total_noise: f64 = t
+            .spans()
+            .iter()
+            .filter(|s| s.kind == SpanKind::Noise)
+            .map(|s| s.duration())
+            .sum();
         Self {
             cores,
             makespan,
             utilization: t.utilization(),
             total_idle,
-            total_work,
-            total_noise: get(SpanKind::Noise),
-            total_overhead: get(SpanKind::Overhead),
-            panel_time: get(SpanKind::Panel),
-            update_time: get(SpanKind::Update),
+            total_noise,
         }
     }
 
@@ -85,11 +76,8 @@ mod tests {
         });
         let m = TimelineMetrics::of(&t);
         assert_eq!(m.makespan, 8.0);
-        assert_eq!(m.total_work, 12.0);
         assert_eq!(m.total_noise, 2.0);
         assert_eq!(m.total_idle, 2.0);
-        assert_eq!(m.panel_time, 8.0);
-        assert_eq!(m.update_time, 4.0);
         // busy 14 over 16 core-seconds
         assert!((m.utilization - 14.0 / 16.0).abs() < 1e-12);
         assert!((m.idle_fraction() - 2.0 / 16.0).abs() < 1e-12);
@@ -98,7 +86,7 @@ mod tests {
     #[test]
     fn empty_is_all_zero() {
         let m = TimelineMetrics::of(&Timeline::new(3));
-        assert_eq!(m.total_work, 0.0);
+        assert_eq!(m.total_noise, 0.0);
         assert_eq!(m.idle_fraction(), 0.0);
     }
 }

@@ -32,7 +32,7 @@ impl SpanKind {
     }
 
     /// Fill color used in the SVG renderer.
-    pub fn color(&self) -> &'static str {
+    pub(crate) fn color(&self) -> &'static str {
         match self {
             SpanKind::Panel => "#d62728",    // red, like Figure 4
             SpanKind::LFactor => "#ff7f0e",  // orange

@@ -1,6 +1,6 @@
 //! Per-core execution timelines.
 
-use crate::span::{SpanKind, TaskSpan};
+use crate::span::TaskSpan;
 
 /// A complete execution trace: all spans of all cores.
 #[derive(Debug, Clone, Default)]
@@ -79,7 +79,7 @@ impl Timeline {
     }
 
     /// Busy time of one core (all spans, including noise/overhead).
-    pub fn busy_time(&self, core: usize) -> f64 {
+    pub(crate) fn busy_time(&self, core: usize) -> f64 {
         self.spans
             .iter()
             .filter(|s| s.core == core)
@@ -87,22 +87,13 @@ impl Timeline {
             .sum()
     }
 
-    /// Useful-work time of one core (excludes noise and overhead spans).
-    pub fn work_time(&self, core: usize) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.core == core && s.kind.is_work())
-            .map(|s| s.duration())
-            .sum()
-    }
-
     /// Idle time of one core: makespan minus busy time.
-    pub fn idle_time(&self, core: usize) -> f64 {
+    pub(crate) fn idle_time(&self, core: usize) -> f64 {
         (self.makespan() - self.busy_time(core)).max(0.0)
     }
 
     /// Mean utilization over cores: busy / makespan.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         if self.cores == 0 || self.t_end == 0.0 {
             return 0.0;
         }
@@ -127,35 +118,12 @@ impl Timeline {
             .sum();
         busy / (window * self.cores as f64)
     }
-
-    /// Total time spent per span kind across all cores.
-    pub fn time_by_kind(&self) -> Vec<(SpanKind, f64)> {
-        let kinds = [
-            SpanKind::Panel,
-            SpanKind::LFactor,
-            SpanKind::UFactor,
-            SpanKind::Update,
-            SpanKind::Noise,
-            SpanKind::Overhead,
-        ];
-        kinds
-            .iter()
-            .map(|&k| {
-                let t: f64 = self
-                    .spans
-                    .iter()
-                    .filter(|s| s.kind == k)
-                    .map(|s| s.duration())
-                    .sum();
-                (k, t)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanKind;
 
     fn span(core: usize, start: f64, end: f64, kind: SpanKind) -> TaskSpan {
         TaskSpan {
@@ -222,30 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn work_excludes_noise() {
-        let mut t = simple();
-        t.push(span(1, 5.0, 7.0, SpanKind::Noise));
-        assert_eq!(t.busy_time(1), 7.0);
-        assert_eq!(t.work_time(1), 5.0);
-    }
-
-    #[test]
     fn busy_fraction_windows() {
         let t = simple();
         // window [0, 0.5] = [0, 5]: core0 busy 5, core1 busy 5 -> 1.0
         assert!((t.busy_fraction_in_window(0.0, 0.5) - 1.0).abs() < 1e-12);
         // window [0.5, 1.0] = [5, 10]: core0 busy 5, core1 idle -> 0.5
         assert!((t.busy_fraction_in_window(0.5, 1.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_by_kind_sums() {
-        let t = simple();
-        let by = t.time_by_kind();
-        let panel = by.iter().find(|(k, _)| *k == SpanKind::Panel).unwrap().1;
-        let upd = by.iter().find(|(k, _)| *k == SpanKind::Update).unwrap().1;
-        assert_eq!(panel, 4.0);
-        assert_eq!(upd, 11.0);
     }
 
     #[test]

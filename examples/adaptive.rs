@@ -5,9 +5,8 @@
 //! Three acts, public API only:
 //! 1. solo runs under an injected slow worker — watch the chosen
 //!    `dratio` leave the topology seed as observations accumulate;
-//! 2. the same controller against the discrete-event simulator
-//!    (`calu::sim::simulate_adaptation`) — an offline what-if sweep on
-//!    a modelled 16-core NUMA Xeon;
+//! 2. the same `Solver` loop on a `SimulatedBackend` — an offline
+//!    what-if sweep on a modelled 16-core NUMA Xeon;
 //! 3. a `FactorService` whose completed jobs feed the controller, and
 //!    `Solver::reconfigure` applying the adapted split to the next
 //!    pool generation with zero dropped jobs.
@@ -18,7 +17,10 @@
 
 use calu::sched::SchedulerKind;
 use calu::sim::{MachineConfig, NoiseConfig};
-use calu::{AdaptivePolicy, FaultPlan, JobClass, JobSpec, MatrixSource, QueueDiscipline, Solver};
+use calu::{
+    AdaptivePolicy, FaultPlan, JobClass, JobSpec, MatrixSource, QueueDiscipline, SimulatedBackend,
+    Solver,
+};
 
 fn main() {
     // ---- 1. solo runs under adversity ---------------------------------
@@ -54,18 +56,16 @@ fn main() {
     // seeds from the *modelled* machine (4 sockets x 4 cores), so the
     // sweep predicts the real machine instead of the host running it
     let machine = MachineConfig::intel_xeon_16(NoiseConfig::off());
-    let choices = calu::sim::simulate_adaptation(
-        &machine,
-        calu::matrix::Layout::BlockCyclic,
-        (4000, 4000),
-        100,
-        QueueDiscipline::Global,
-        AdaptivePolicy::new(7),
-        4,
-    );
     println!("simulated what-if on {}:", machine.name);
-    for (i, c) in choices.iter().enumerate() {
-        println!("  sim run {i}: dratio {:.3}", c.dratio);
+    let solver = Solver::new(MatrixSource::shape(4000, 4000))
+        .tile(100)
+        .queue_discipline(QueueDiscipline::Global)
+        .backend(SimulatedBackend::new(machine))
+        .adaptive(AdaptivePolicy::new(7));
+    for run in 0..4 {
+        let r = solver.run().expect("simulated adaptive run");
+        let a = r.adaptation.as_ref().expect("adaptive report");
+        println!("  sim run {run}: dratio {:.3}", a.chosen.dratio);
     }
 
     // ---- 3. a service that converges, and reconfigure applies it ------

@@ -757,6 +757,34 @@ mod tests {
     }
 
     #[test]
+    fn a_lost_core_drives_the_split_dynamic() {
+        // the adaptive loop on the simulator: a core that dies before its
+        // first task must converge to a larger dynamic share than the
+        // healthy machine does
+        let healthy = MachineConfig::intel_xeon_16(NoiseConfig::off());
+        let mut degraded = healthy.clone();
+        degraded.lost_core = Some((0, 0));
+        let converged = |machine: &MachineConfig| {
+            let solver = Solver::new(MatrixSource::shape(4800, 4800))
+                .tile(100)
+                .layout(calu_matrix::Layout::BlockCyclic)
+                .queue_discipline(calu_sched::QueueDiscipline::Global)
+                .backend(SimulatedBackend::new(machine.clone()))
+                .adaptive(calu_sched::AdaptivePolicy::new(7));
+            let runs: Vec<f64> = (0..6)
+                .map(|_| solver.run().unwrap().adaptation.unwrap().chosen.dratio)
+                .collect();
+            runs[5]
+        };
+        let (h, d) = (converged(&healthy), converged(&degraded));
+        assert!(
+            d > h,
+            "losing a core must converge to a larger dynamic share \
+             (healthy {h}, degraded {d})"
+        );
+    }
+
+    #[test]
     fn backends_share_the_report_shape() {
         let threaded = Solver::new(MatrixSource::uniform(64, 7))
             .tile(16)

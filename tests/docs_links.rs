@@ -118,7 +118,18 @@ fn surface_inventory_keeps_a_section_per_audited_crate() {
         .lines()
         .filter_map(|l| l.strip_prefix("## "))
         .collect();
-    for krate in ["calu-sched", "calu-core", "calu-serve", "calu", "calu-dag"] {
+    for krate in [
+        "calu-sched",
+        "calu-core",
+        "calu-serve",
+        "calu",
+        "calu-dag",
+        "calu-kernels",
+        "calu-matrix",
+        "calu-sim",
+        "calu-trace",
+        "calu-model",
+    ] {
         assert!(
             sections
                 .iter()
