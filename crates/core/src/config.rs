@@ -49,8 +49,8 @@ pub struct CaluConfig {
     /// The one co-scheduling knob of batched sweeps and served jobs
     /// ([`crate::factor_batch`], [`crate::Engine`]): on a pool of
     /// more than one worker, a job whose larger dimension is at most
-    /// this cutoff is *small* — claimed whole by one worker and factored
-    /// sequentially, whole items in parallel with zero intra-item
+    /// this cutoff is *small* — claimed whole by one worker and run as
+    /// a one-worker run, whole items in parallel with zero intra-item
     /// synchronization. Larger jobs are executed co-operatively by the
     /// whole pool under the full hybrid static/dynamic schedule. `0`
     /// co-schedules nothing. See [`co_schedules`](Self::co_schedules).
@@ -192,7 +192,7 @@ impl CaluConfig {
     }
 
     /// The co-schedule predicate: whether a job of `dims` is *small* —
-    /// claimed whole by one worker and factored sequentially — rather
+    /// claimed whole by one worker and run as a one-worker run — rather
     /// than run co-operatively by the pool under the hybrid schedule.
     /// True on a pool of more than one worker when the job's larger
     /// dimension is within [`batch_small_cutoff`](Self::batch_small_cutoff).

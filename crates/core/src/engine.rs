@@ -9,25 +9,28 @@
 //!   [`KernelSet`] that factors it, whether to verify the result and
 //!   whether to keep its spans — plus a sink, queued in [`ClassLanes`];
 //!   every job comes back as one [`Outcome`];
-//! * a claimed **small** job (the co-schedule predicate,
-//!   [`CaluConfig::co_schedules`]) is materialized, factored by a
-//!   sequential DAG drain and delivered entirely on the claiming worker
-//!   — whole items run in parallel with zero intra-item
-//!   synchronization;
-//! * a claimed **large** job becomes a [`Run`]: one `ItemState` (tiles,
+//! * a claimed job becomes a [`Run`]: one `ItemState` (tiles,
 //!   dependence counters, panels) + one [`ReadyQueues`] value (static
 //!   heaps + the dynamic section under the configured
 //!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one log slot
-//!   per worker + the job's sink, published for every worker to
-//!   pull from. A run has three phases, all of them the workers': they
-//!   **fill** the freshly allocated tiles from the input, **factor**
-//!   (the DAG), then **densify** the tile buffer in place into the
-//!   result — the two conversions in chunks any worker may take, own
-//!   tiles first.
+//!   per worker + the job's sink. A run has three phases, all of them
+//!   its workers': they **fill** the freshly allocated tiles from the
+//!   input, **factor** (the DAG), then **densify** the tile buffer in
+//!   place into the result — the two conversions in chunks any worker
+//!   may take, own tiles first;
+//! * a **large** job's run has one worker per pool thread and is
+//!   published for every worker to pull from; a **small** one (the
+//!   co-schedule predicate, [`CaluConfig::co_schedules`]) is a
+//!   one-worker run the claiming worker drives to the end by itself and
+//!   never publishes — whole items run in parallel with zero
+//!   intra-item synchronization.
 //!
 //! The thread grid is derived per job, from the thread count and the
 //! job's tile shape (`ProcessGrid::for_shape`, in `Engine::build`), so
-//! one engine serves square, tall and wide items side by side.
+//! one engine serves square, tall and wide items side by side. It sets
+//! the DAG's panel leaves, so a small job factors to the bits of the
+//! same job run large; a small job's tiles are laid out and owned on a
+//! 1×1 grid.
 //!
 //! ## The loop
 //!
@@ -42,8 +45,8 @@
 //!    static S task brings along the ready S tasks below it whose
 //!    tiles stack under its own, up to `group`: the paper's §4 grouped
 //!    update, one GEMM — see `ItemState::stacks_under`);
-//! 3. **claim** a queued job (small: drain it whole; large: publish a
-//!    run);
+//! 3. **claim** a queued job (small: drive its one-worker run through
+//!    steps 1 and 2 until it is delivered; large: publish its run);
 //! 4. **steal** from the other workers' dynamic shards/deques of each
 //!    active run — after claiming, because a queued job is
 //!    guaranteed-useful work and a steal may come home empty;
@@ -77,7 +80,6 @@
 //! discipline) — the facade's backend-parity suite pins this down.
 
 use std::borrow::Cow;
-use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, OnceLock, RwLock, RwLockReadGuard};
@@ -287,19 +289,21 @@ pub struct Outcome {
     /// Which algorithm's kernels factored the job.
     pub kernels: KernelSet,
     /// Per-worker spans, time-shifted so the job's first task starts
-    /// at 0, when the job asked for a trace ([`BatchItem::trace`]).
+    /// at 0, when the job asked for a trace ([`BatchItem::trace`]): one
+    /// lane per worker of the job's run — a co-scheduled job has one.
     pub timeline: Option<Timeline>,
-    /// Per-worker schedule accounting, folded as the tasks ran.
+    /// Per-worker schedule accounting, folded as the tasks ran: one
+    /// entry per worker of the job's run — a co-scheduled job has one.
     pub stats: Vec<ThreadStats>,
     /// First task start → last task end, from the same fold (the
     /// timeline's makespan to the bit). Co-scheduled jobs overlap, so
     /// these do not sum to a sweep's wall time.
     pub makespan: f64,
-    /// Whether the job was claimed whole by one worker (small route)
-    /// rather than run co-operatively by the pool.
+    /// Whether the job was claimed whole by one worker (a one-worker
+    /// run) rather than run co-operatively by the pool.
     pub co_scheduled: bool,
     /// The dynamic-section queue discipline of the engine that ran the
-    /// job (co-scheduled jobs touch no queues at all).
+    /// job, on the pool's queues or on a co-scheduled job's own.
     pub queue: QueueDiscipline,
     /// `(rows, cols)` of the input.
     pub dims: (usize, usize),
@@ -507,11 +511,12 @@ enum Work {
     Chunk(Chunk),
 }
 
-/// One co-operative (large) job in flight. Runs are shared by `Arc`
+/// One job in flight. A co-operative (large) run is shared by `Arc`
 /// between the engine's active list, the workers' snapshots of it and
 /// whichever workers are mid-task, which is why results leave by
 /// reference (`factored`, `ItemState::take_factors`) instead of by
-/// value.
+/// value. A co-scheduled (small) run has one worker, the one that
+/// claimed it, and is never published.
 ///
 /// The thread that sets a run up only *allocates* its one big buffer —
 /// zeroed tile storage, which becomes the result — and the run's
@@ -546,6 +551,9 @@ struct Run<'a> {
     /// higher-class runs first.
     class_rank: usize,
     seq: u64,
+    /// A one-worker run, driven and delivered by its claiming worker:
+    /// never on the active list, never parked.
+    co_scheduled: bool,
 }
 
 impl<'a> Run<'a> {
@@ -781,7 +789,9 @@ impl<'a> Engine<'a> {
         self.close();
         self.state.lock().parked = Some(Vec::new());
         while let Some((class, seq, job)) = self.claim(true) {
-            self.start_run(class, seq, job, 0, false);
+            if let Some(run) = self.start_run(class, seq, job, false, 0, false) {
+                self.publish(&run);
+            }
         }
         let spawn_from = self.now();
         std::thread::scope(|scope| {
@@ -918,72 +928,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Shape one finished job's raw pieces into its [`Outcome`]: the
-    /// folds' makespan, a traced job's spans shifted to start at 0, the
-    /// dense factors `lu` (left swaps already applied), and — the one
-    /// place an engine job is verified — the residual and growth factor
-    /// against `a`, present when the job asked for them.
-    #[allow(clippy::too_many_arguments)]
-    fn outcome(
-        &self,
-        g: &TaskGraph,
-        lu: DenseMatrix,
-        perm: RowPerm,
-        singular_at: Option<usize>,
-        logs: Vec<WorkerLog>,
-        a: Option<&DenseMatrix>,
-        co_scheduled: bool,
-    ) -> Outcome {
-        // the workers' own vectors, joined in worker order: nothing is
-        // re-pushed span by span
-        let traced = logs.iter().any(|l| l.spans.is_some());
-        let total: usize = logs.iter().flat_map(|l| &l.spans).map(Vec::len).sum();
-        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut spans: Vec<TaskSpan> = Vec::new();
-        let mut stats = Vec::with_capacity(self.threads());
-        for log in logs {
-            if spans.is_empty() {
-                spans = log.spans.unwrap_or_default();
-                spans.reserve_exact(total - spans.len());
-            } else {
-                spans.extend(log.spans.into_iter().flatten());
-            }
-            (t0, t1) = (t0.min(log.first_start), t1.max(log.last_end));
-            stats.push(log.stats);
-        }
-        // the timeline's own rule, on the same engine-clock values
-        let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
-        let factorization = Factorization {
-            lu,
-            perm,
-            singular_at,
-        };
-        let kernels = KernelSet::for_graph(g);
-        // each kernel set's own residual, plus element growth for
-        // pivoted LU only (Cholesky does not pivot, so the figure is
-        // meaningless there)
-        let (residual, growth_factor) = match (a, kernels) {
-            (None, _) => (None, None),
-            (Some(a), KernelSet::CaluLu) => (
-                Some(factorization.residual(a)),
-                Some(factorization.growth_factor(a)),
-            ),
-            (Some(a), KernelSet::Cholesky) => (Some(factorization.cholesky_residual(a)), None),
-        };
-        Outcome {
-            factorization,
-            kernels,
-            makespan,
-            timeline: traced.then(|| Timeline::from_spans(self.threads(), spans)),
-            stats,
-            co_scheduled,
-            queue: self.cfg.queue,
-            dims: (g.rows(), g.cols()),
-            residual,
-            growth_factor,
-        }
-    }
-
     /// One claimed job reached a terminal state: release its in-flight
     /// slot and wake whoever waits for the engine to go idle — parked
     /// workers included, once a draining engine has nothing left for
@@ -1009,14 +953,17 @@ impl<'a> Engine<'a> {
 
     /// Take `run` off the active list (workers stop pulling from it at
     /// their next epoch check) and fold its rescue count into the
-    /// engine's.
+    /// engine's. A co-scheduled run was never on the list.
     fn retire(&self, run: &Arc<Run<'a>>) {
+        if run.co_scheduled {
+            return;
+        }
         {
             let mut st = self.state.lock();
             st.active.retain(|r| !Arc::ptr_eq(r, run));
             self.run_epoch.fetch_add(1, Ordering::Release);
         }
-        let rescued: u64 = (0..self.threads()).map(|w| run.queues.rescued(w)).sum();
+        let rescued: u64 = (0..run.slots.len()).map(|w| run.queues.rescued(w)).sum();
         self.rescued.fetch_add(rescued, Ordering::AcqRel);
     }
 
@@ -1037,49 +984,94 @@ impl<'a> Engine<'a> {
     }
 
     /// `run`'s last densify chunk is done: retire it and deliver its
-    /// results — or, on a scoped engine, park it for the calling thread
-    /// to deliver. Called by exactly one worker (the `finishing` flag).
+    /// results — or, for a co-operative run on a scoped engine, park it
+    /// for the calling thread to deliver. Called by exactly one worker
+    /// (the `finishing` flag).
     fn finish_run(&self, run: &Arc<Run<'a>>) {
         self.retire(run);
-        let parked = match &mut self.state.lock().parked {
-            Some(parked) => {
-                parked.push(Arc::clone(run));
-                true
-            }
-            None => false,
-        };
+        let parked = !run.co_scheduled
+            && match &mut self.state.lock().parked {
+                Some(parked) => {
+                    parked.push(Arc::clone(run));
+                    true
+                }
+                None => false,
+            };
         if !parked {
             self.deliver(run);
         }
         self.job_ended();
     }
 
-    /// Take a finished run's results and hand them to its sink.
+    /// Shape a finished run's results into its [`Outcome`] and hand it
+    /// to the sink: the folds' makespan, a traced job's spans joined in
+    /// worker order, the dense factors (left swaps already applied),
+    /// and — the one place an engine job is verified — the residual and
+    /// growth factor against the input, when the job asked for them.
     fn deliver(&self, run: &Run<'a>) {
         let (perm, singular_at) = run.factored.get().cloned().expect("every task retired");
-        let logs = (0..self.threads())
+        let logs: Vec<WorkerLog> = (0..run.slots.len())
             .map(|w| {
                 let mut log = std::mem::replace(&mut *run.log(w), WorkerLog::new(false));
                 log.stats.rescued = run.queues.rescued(w);
                 log
             })
             .collect();
+        // the workers' own vectors, joined in worker order: nothing is
+        // re-pushed span by span
+        let traced = logs.iter().any(|l| l.spans.is_some());
+        let total: usize = logs.iter().flat_map(|l| &l.spans).map(Vec::len).sum();
+        let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut spans: Vec<TaskSpan> = Vec::new();
+        let mut stats = Vec::with_capacity(logs.len());
+        for log in logs {
+            if spans.is_empty() {
+                spans = log.spans.unwrap_or_default();
+                spans.reserve_exact(total - spans.len());
+            } else {
+                spans.extend(log.spans.into_iter().flatten());
+            }
+            (t0, t1) = (t0.min(log.first_start), t1.max(log.last_end));
+            stats.push(log.stats);
+        }
+        // the timeline's own rule, on the same engine-clock values
+        let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
         // SAFETY: the densify phase's AcqRel chunk counter reached zero
         // before the run was finished (and a parked run is delivered
         // after its workers were joined), so every chunk's column block
         // is dead and its writes are visible here; no task is left to
         // touch a tile.
         let lu = unsafe { run.item.take_factors() };
-        let input = run.input();
-        let out = self.outcome(
-            &run.item.g,
+        let factorization = Factorization {
             lu,
             perm,
             singular_at,
-            logs,
-            input.as_deref(),
-            false,
-        );
+        };
+        let g = &run.item.g;
+        let kernels = KernelSet::for_graph(g);
+        // each kernel set's own residual, plus element growth for
+        // pivoted LU only (Cholesky does not pivot, so the figure is
+        // meaningless there)
+        let (residual, growth_factor) = match (run.input().as_deref(), kernels) {
+            (None, _) => (None, None),
+            (Some(a), KernelSet::CaluLu) => (
+                Some(factorization.residual(a)),
+                Some(factorization.growth_factor(a)),
+            ),
+            (Some(a), KernelSet::Cholesky) => (Some(factorization.cholesky_residual(a)), None),
+        };
+        let out = Outcome {
+            factorization,
+            kernels,
+            makespan,
+            timeline: traced.then(|| Timeline::from_spans(stats.len(), spans)),
+            stats,
+            co_scheduled: run.co_scheduled,
+            queue: self.cfg.queue,
+            dims: (g.rows(), g.cols()),
+            residual,
+            growth_factor,
+        };
         let sink = run.sink.lock().take().expect("run finishes once");
         sink.finished(Ok(out));
     }
@@ -1213,6 +1205,23 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Execute one piece of `run` that worker `me` found: a pop's
+    /// tasks or a conversion chunk.
+    fn run_work(
+        &self,
+        run: &Arc<Run<'a>>,
+        work: Work,
+        me: usize,
+        bufs: &mut Buffers,
+        clock: &mut FaultClock,
+        inject_panic: bool,
+    ) {
+        match work {
+            Work::Tasks(source) => self.run_tasks(run, source, me, bufs, clock, inject_panic),
+            Work::Chunk(chunk) => self.run_chunk(run, chunk, me, &mut bufs.block, inject_panic),
+        }
+    }
+
     /// Claim the next queued job — or, with `large_only`, the next one
     /// the co-schedule predicate routes to the whole pool.
     fn claim(&self, large_only: bool) -> Option<(JobClass, u64, Job<'a>)> {
@@ -1231,13 +1240,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Materialize a claimed job's input and set up its execution
-    /// state: the task graph over the grid its shape calls for, and
-    /// zeroed tile storage — allocated here, filled by whoever runs the
-    /// job. Runs under `catch_unwind`, like task bodies: a panicking
-    /// build fails its own job instead of killing the worker.
+    /// state for a run of `workers`: the task graph, whose panel leaves
+    /// the pool's grid for the job's shape sets whatever the run's
+    /// width, and zeroed tile storage laid out and owned on the run's
+    /// own grid — allocated here, filled by whoever runs the job. Runs
+    /// under `catch_unwind`, like task bodies: a panicking build fails
+    /// its own job instead of killing the worker.
     fn build(
         &self,
         item: BatchItem<'a>,
+        workers: usize,
         me: usize,
         inject_panic: bool,
     ) -> Result<(ItemState<PoolStorage>, Cow<'a, DenseMatrix>), CaluError> {
@@ -1248,19 +1260,26 @@ impl<'a> Engine<'a> {
             let (m, n) = item.source.dims();
             let a = item.source.materialize();
             let b = self.cfg.b;
-            let grid = ProcessGrid::for_shape(self.cfg.threads, m.div_ceil(b), n.div_ceil(b))
-                .expect("a validated config has threads");
-            let leaves = self.cfg.leaf_stride.unwrap_or_else(|| grid.pr());
+            let grid_for = |p| {
+                ProcessGrid::for_shape(p, m.div_ceil(b), n.div_ceil(b))
+                    .expect("a validated config has threads")
+            };
+            let leaves = self
+                .cfg
+                .leaf_stride
+                .unwrap_or_else(|| grid_for(self.cfg.threads).pr());
             let g = Arc::new(item.kernels.build_graph(m, n, b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
+            let grid = grid_for(workers);
             let tiles = PoolStorage::zeros(m, n, self.cfg.layout, b, grid);
             Ok((ItemState::new(tiles, g, grid, nstatic), a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }
 
-    /// Run one claimed job: a small one completes entirely on this
-    /// worker, a large one is published as a [`Run`] for every worker.
+    /// Run one claimed job: a large one is published as a [`Run`] for
+    /// every worker, a small one is a one-worker run this worker drives
+    /// to the end.
     ///
     /// Returns `false` when an injected worker loss fired mid-way
     /// through a co-scheduled item: the whole item has been requeued
@@ -1277,57 +1296,62 @@ impl<'a> Engine<'a> {
         clock: &mut FaultClock,
         inject_panic: bool,
     ) -> bool {
-        if !self.cfg.co_schedules(job.item.source.dims()) {
-            self.start_run(class, seq, job, me, inject_panic);
-            return true;
-        }
-        let Job { id, item, sink } = job;
-        sink.started();
+        let co_scheduled = self.cfg.co_schedules(job.item.source.dims());
         // a mid-item worker loss has no partial-state recovery path:
         // keep the job so the whole item can be requeued
-        let backup = self.armed.then(|| item.clone());
-        let (verify, trace) = (item.verify, item.trace);
-        let res = self.build(item, me, inject_panic).and_then(|(state, a)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                self.run_small(state, a, verify, trace, me, bufs, clock)
-            }))
-            .map_err(panic_error)
-        });
-        match res {
-            Ok(Some(out)) => self.end_job(sink, Ok(out)),
-            Ok(None) => {
-                // worker lost mid-item: discard the partial state and
-                // put the whole job back in its lane for a surviving
-                // worker; the sink stays attached (its `started` is
-                // idempotent on the service side)
-                let job = Job {
-                    id,
-                    item: backup.expect("interrupts need an armed fault plan"),
-                    sink,
-                };
-                let mut st = self.state.lock();
-                st.lanes.push(class, job);
-                self.queued_jobs.store(st.lanes.len(), Ordering::Release);
-                st.in_flight -= 1;
-                drop(st);
-                self.work.notify_all();
-                return false;
-            }
-            Err(e) => self.end_job(sink, Err(e)),
+        let backup = (co_scheduled && self.armed).then(|| (job.id, job.item.clone()));
+        let Some(run) = self.start_run(class, seq, job, co_scheduled, me, inject_panic) else {
+            return true;
+        };
+        if !co_scheduled {
+            self.publish(&run);
+            return true;
         }
-        true
+        if self.drive(&run, bufs, clock) {
+            return true;
+        }
+        // worker lost mid-item: discard the partial state and put the
+        // whole job back in its lane for a surviving worker; the sink
+        // stays attached (its `started` is idempotent on the service
+        // side)
+        let (id, item) = backup.expect("interrupts need an armed fault plan");
+        let sink = run
+            .sink
+            .lock()
+            .take()
+            .expect("an abandoned run never finished");
+        let mut st = self.state.lock();
+        st.lanes.push(class, Job { id, item, sink });
+        self.queued_jobs.store(st.lanes.len(), Ordering::Release);
+        st.in_flight -= 1;
+        drop(st);
+        self.work.notify_all();
+        false
     }
 
-    /// The co-operative (large) route: set up the job's [`Run`] —
-    /// allocating, not touching, its tile storage — and publish it.
-    fn start_run(&self, class: JobClass, seq: u64, job: Job<'a>, me: usize, inject_panic: bool) {
+    /// Set up a claimed job's [`Run`] — allocating, not touching, its
+    /// tile storage — with one worker per pool thread, or one worker
+    /// for a co-scheduled job. `None` when the build failed, and the
+    /// job with it.
+    fn start_run(
+        &self,
+        class: JobClass,
+        seq: u64,
+        job: Job<'a>,
+        co_scheduled: bool,
+        me: usize,
+        inject_panic: bool,
+    ) -> Option<Arc<Run<'a>>> {
         job.sink.started();
+        let workers = if co_scheduled { 1 } else { self.threads() };
         let (verify, trace) = (job.item.verify, job.item.trace);
-        let (item, a) = match self.build(job.item, me, inject_panic) {
+        let (item, a) = match self.build(job.item, workers, me, inject_panic) {
             Ok(built) => built,
-            Err(e) => return self.end_job(job.sink, Err(e)),
+            Err(e) => {
+                self.end_job(job.sink, Err(e));
+                return None;
+            }
         };
-        let threads = self.threads();
         // the dynamic section holds the non-static tasks — plus, once a
         // fault plan can degrade a worker, any rescued static one
         let dynamic_tasks = if self.armed {
@@ -1335,31 +1359,31 @@ impl<'a> Engine<'a> {
         } else {
             item.g.ids().filter(|&t| !item.is_static(t)).count()
         };
-        let run = Arc::new(Run {
+        Some(Arc::new(Run {
             id: job.id,
             queues: ReadyQueues::new(
-                threads,
+                workers,
                 dynamic_tasks,
                 self.cfg.queue,
                 self.cfg.steal_order,
                 host_topology(),
             ),
-            slots: (0..threads)
+            slots: (0..workers)
                 .map(|_| Padded(Mutex::new(WorkerLog::new(trace))))
                 .collect(),
             sink: Mutex::new(Some(job.sink)),
             phase: AtomicU8::new(FILL),
-            fill: Chunks::new(item.fill_chunks(), threads, |c| item.fill_owner(c)),
-            densify: Chunks::new(item.g.tile_cols(), threads, |tj| tj % threads),
+            fill: Chunks::new(item.fill_chunks(), workers, |c| item.fill_owner(c)),
+            densify: Chunks::new(item.g.tile_cols(), workers, |tj| tj % workers),
             input: RwLock::new(Some(a)),
             verify,
             factored: OnceLock::new(),
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
+            co_scheduled,
             item,
-        });
-        self.publish(&run);
+        }))
     }
 
     /// Make `run` visible to every worker, in its fill phase. Under one
@@ -1383,88 +1407,37 @@ impl<'a> Engine<'a> {
         self.work.notify_all();
     }
 
-    /// The co-scheduled (small) route: fill the tiles, drain the whole
-    /// DAG and densify on this worker — no queues, no phases, no
-    /// cross-worker contention; the DAG, the kernels and the chunk
-    /// bodies are identical to the co-operative path, so the bits are
-    /// too. Keeping the item's whole lifecycle worker-local means the
-    /// allocator hands consecutive items the same hot memory and the
-    /// footprint stays at "items in flight", not "items queued".
-    ///
-    /// Under an armed fault plan this worker's [`FaultClock`] ticks per
-    /// task (stalls and slowdowns sleep in place, booked as noise; an injected panic
-    /// unwinds into the caller's perimeter) and a fired loss abandons
-    /// the item, returning `None` so the caller can requeue it whole.
-    #[allow(clippy::too_many_arguments)]
-    fn run_small(
-        &self,
-        item: ItemState<PoolStorage>,
-        a: Cow<'_, DenseMatrix>,
-        verify: bool,
-        trace: bool,
-        me: usize,
-        bufs: &mut Buffers,
-        clock: &mut FaultClock,
-    ) -> Option<Outcome> {
-        for chunk in 0..item.fill_chunks() {
-            // SAFETY: no task has started and each chunk is named once.
-            unsafe { item.fill_chunk(&a, chunk) };
-        }
-        // the input comes back only for a job that asked for
-        // verification (anything else frees a generator fill or
-        // moved-in data here)
-        let a = verify.then_some(a);
-        let mut log = WorkerLog::new(trace);
-        let mut stack = item.g.initial_ready();
-        // descending key order so `pop` serves the smallest (most
-        // critical) key first; freshly enabled successors are re-sorted
-        // the same way
-        let by_key = |t: &TaskId| Reverse(item.dynamic_key(*t));
-        stack.sort_unstable_by_key(by_key);
-        let mut buf: Vec<TaskId> = Vec::new();
-        while let Some(t) = stack.pop() {
+    /// Drive a co-scheduled run to its end as its one worker, making
+    /// the worker loop's own calls — fault tick, then the run's own
+    /// work — with nothing to claim and no one to steal from: the run
+    /// is fully served from worker 0's queues. The finish delivers here.
+    /// Returns `false` when an injected loss fired: the run is
+    /// abandoned unfinished, for the caller to requeue.
+    fn drive(&self, run: &Arc<Run<'a>>, bufs: &mut Buffers, clock: &mut FaultClock) -> bool {
+        let max_group = self.cfg.effective_group();
+        let mut panic_pending = false;
+        while !run.finishing.load(Ordering::Acquire) {
             if self.armed {
                 match clock.before_task() {
                     FaultAction::None => {}
-                    FaultAction::Stall(d) => log.book(self.sleep(d, me)),
-                    FaultAction::Lose => return None,
-                    FaultAction::Panic => injected_panic(me),
+                    FaultAction::Stall(d) => self.stall(d, 0, Some(run)),
+                    FaultAction::Lose => return false,
+                    FaultAction::Panic => panic_pending = true,
                 }
             }
-            let start = self.now();
-            item.execute(t, &mut bufs.scratch);
-            let end = self.now();
-            log.book(TaskSpan {
-                core: me,
-                start,
-                end,
-                kind: span_kind(&item.g, t),
-            });
-            log.stats.local_pops += 1;
-            item.complete_into(&[t.0], &mut buf);
-            if buf.len() > 1 {
-                buf.sort_unstable_by_key(by_key);
-            }
-            stack.extend(buf.iter().copied());
-            if self.armed {
-                if let Some(d) = clock.after_task(Duration::from_secs_f64(end - start)) {
-                    log.book(self.sleep(d, me));
-                }
-            }
+            let work = run
+                .own_work(0, max_group, &mut bufs.group)
+                .expect("a one-worker run always holds its next piece");
+            self.run_work(
+                run,
+                work,
+                0,
+                bufs,
+                clock,
+                std::mem::take(&mut panic_pending),
+            );
         }
-        debug_assert_eq!(item.done.load(Ordering::Acquire), item.g.len());
-        let (perm, singular_at) = item.factored();
-        // SAFETY: every task ran, on this thread, and each tile column is
-        // densified once before the buffer is taken.
-        let lu = unsafe {
-            for tj in 0..item.g.tile_cols() {
-                item.densify_chunk(tj, &perm, &mut bufs.block);
-            }
-            item.take_factors()
-        };
-        let mut logs: Vec<WorkerLog> = (0..self.threads()).map(|_| WorkerLog::new(false)).collect();
-        logs[me] = log;
-        Some(self.outcome(&item.g, lu, perm, singular_at, logs, a.as_deref(), true))
+        true
     }
 
     /// An injected loss fired on worker `me`: mark it degraded so
@@ -1583,12 +1556,7 @@ impl<'a> Engine<'a> {
             if let Some((run, work)) = work {
                 idle_spins = 0;
                 let inject = std::mem::take(&mut panic_pending);
-                match work {
-                    Work::Tasks(source) => {
-                        self.run_tasks(run, source, me, &mut bufs, &mut clock, inject)
-                    }
-                    Work::Chunk(chunk) => self.run_chunk(run, chunk, me, &mut bufs.block, inject),
-                }
+                self.run_work(run, work, me, &mut bufs, &mut clock, inject);
                 continue;
             }
             if !runs.is_empty() {
@@ -1826,6 +1794,11 @@ mod tests {
     ) {
         let tl = tl.as_ref().expect("a traced job");
         assert_eq!(tl.spans().len(), tasks, "one span per task, {ctx}");
+        assert_eq!(
+            tl.cores(),
+            stats.len(),
+            "one timeline lane per worker, {ctx}"
+        );
         for (w, s) in stats.iter().enumerate() {
             let spans = tl.spans().iter().filter(|sp| sp.core == w).count() as u64;
             assert_eq!(
@@ -1901,10 +1874,11 @@ mod tests {
     #[test]
     fn solo_batch_and_pool_agree_bitwise_under_every_discipline() {
         // {solo, batch, pool} × {Global, Sharded, LockFree} × {LU,
-        // Cholesky, tall LU}: one engine, so one set of bits — and one
-        // honest account of where every task came from. The tall job
-        // runs on a 4×1 grid (four leaves a panel, every worker owning
-        // tiles of every column), the square ones on 2×2.
+        // Cholesky, tall LU}, batch and pool once more at a cutoff above
+        // the job's size (a one-worker run): one engine, so one set of
+        // bits — and one honest account of where every task came from.
+        // The tall job runs on a 4×1 grid (four leaves a panel, every
+        // worker owning tiles of every column), the square ones on 2×2.
         let n = 192;
         for (kernels, m, leaves) in [
             (KernelSet::CaluLu, n, 2),
@@ -1919,61 +1893,82 @@ mod tests {
             let tasks = kernels.build_graph(m, n, 16, leaves).unwrap().len();
             let mut reference: Option<Factorization> = None;
             for queue in DISCIPLINES {
-                let cfg = cfg4(queue).with_batch_small_cutoff(0);
                 let item = BatchItem {
                     source: Source::Dense(&a),
                     kernels,
                     verify: false,
                     trace: true,
                 };
-                let Outcome {
-                    factorization: solo,
-                    timeline: solo_tl,
-                    stats: solo_stats,
-                    ..
-                } = factor_one(item.clone(), &cfg).unwrap();
-                let batch = factor_batch(&[item], &cfg).unwrap().items.remove(0);
-                let pool = Engine::spawn(&cfg, 4).unwrap();
-                let (tx, rx) = mpsc::channel();
-                let owned = BatchItem {
-                    source: Source::Owned(a.clone()),
-                    kernels,
-                    verify: false,
-                    trace: true,
-                };
-                let admitted = pool.submit(1, JobClass::Batch, owned, Box::new(ChanSink(tx)));
-                assert!(admitted.is_ok());
-                let served = rx.recv().unwrap().unwrap();
-                pool.drain();
-                assert!(!batch.co_scheduled && !served.co_scheduled);
-                assert_eq!(served.queue, queue, "the pool reports what it ran");
+                let solo = factor_one(item.clone(), &cfg4(queue)).unwrap();
+                let reference = reference.get_or_insert_with(|| solo.factorization.clone());
+                for cutoff in [0, m] {
+                    let cfg = cfg4(queue).with_batch_small_cutoff(cutoff);
+                    let batch = factor_batch(std::slice::from_ref(&item), &cfg)
+                        .unwrap()
+                        .items
+                        .remove(0);
+                    let pool = Engine::spawn(&cfg, 4).unwrap();
+                    let (tx, rx) = mpsc::channel();
+                    let owned = BatchItem {
+                        source: Source::Owned(a.clone()),
+                        kernels,
+                        verify: false,
+                        trace: true,
+                    };
+                    let admitted = pool.submit(1, JobClass::Batch, owned, Box::new(ChanSink(tx)));
+                    assert!(admitted.is_ok());
+                    let served = rx.recv().unwrap().unwrap();
+                    pool.drain();
+                    assert_eq!(served.queue, queue, "the pool reports what it ran");
 
-                let reference = reference.get_or_insert_with(|| solo.clone());
-                for (who, f, tl, stats) in [
-                    ("solo", &solo, &solo_tl, &solo_stats),
-                    ("batch", &batch.factorization, &batch.timeline, &batch.stats),
-                    (
-                        "pool",
-                        &served.factorization,
-                        &served.timeline,
-                        &served.stats,
-                    ),
-                ] {
-                    let ctx = format!("{who} {kernels:?} {m}x{n} {queue}");
-                    assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
-                    assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
-                    assert_attributed_once(tl, stats, tasks, &ctx);
-                    let shard: u64 = stats.iter().map(|s| s.shard_pops).sum();
-                    let steals: u64 = stats.iter().map(|s| s.steal_pops + s.failed_steals).sum();
-                    if queue.steals() {
-                        // the served job included: it used to run on a
-                        // global heap whatever the config said
-                        assert!(shard > 0, "own shard/deque pops, {ctx}");
-                    } else {
-                        assert_eq!((shard, steals), (0, 0), "{ctx}");
+                    for (who, out) in [("solo", &solo), ("batch", &batch), ("pool", &served)] {
+                        let ctx = format!("{who} {kernels:?} {m}x{n} {queue} cutoff {cutoff}");
+                        let (f, stats) = (&out.factorization, &out.stats);
+                        assert_eq!(out.co_scheduled, cutoff > 0 && who != "solo", "{ctx}");
+                        let lanes = if out.co_scheduled { 1 } else { 4 };
+                        assert_eq!(stats.len(), lanes, "one lane per worker of the run, {ctx}");
+                        assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
+                        assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
+                        assert_attributed_once(&out.timeline, stats, tasks, &ctx);
+                        let shard: u64 = stats.iter().map(|s| s.shard_pops).sum();
+                        let steals: u64 =
+                            stats.iter().map(|s| s.steal_pops + s.failed_steals).sum();
+                        if queue.steals() {
+                            // the served job included: it used to run on
+                            // a global heap whatever the config said
+                            assert!(shard > 0, "own shard/deque pops, {ctx}");
+                        } else {
+                            assert_eq!((shard, steals), (0, 0), "{ctx}");
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn miri_two_thread_batch() {
+        // the engine's shared tiles under two real threads, small enough
+        // for the interpreter: a co-operative 48² item (cutoff 32) and a
+        // co-scheduled 32² item in one sweep, each equal to its solo
+        // run's bits
+        let cfg = CaluConfig::new(16)
+            .with_threads(2)
+            .with_dratio(0.5)
+            .with_batch_small_cutoff(32);
+        let mats = [gen::uniform(48, 48, 5), gen::uniform(32, 32, 6)];
+        let items: Vec<_> = mats
+            .iter()
+            .map(|a| BatchItem::lu(Source::Dense(a)))
+            .collect();
+        let out = factor_batch(&items, &cfg).unwrap();
+        for (a, item) in mats.iter().zip(&out.items) {
+            let solo = factor_one(BatchItem::lu(Source::Dense(a)), &cfg).unwrap();
+            let ctx = format!("{}²", a.rows());
+            assert_eq!(item.co_scheduled, a.rows() <= 32, "{ctx}");
+            let (f, s) = (&item.factorization, &solo.factorization);
+            assert_eq!(f.lu.as_slice(), s.lu.as_slice(), "{ctx}");
+            assert_eq!(f.perm.pivots(), s.perm.pivots(), "{ctx}");
         }
     }
 

@@ -181,8 +181,8 @@ const NOT_SINGULAR: usize = usize::MAX;
 /// Per-item execution state: everything one factorization's task bodies
 /// touch — tiled storage, dependence counters, tournament panels,
 /// priority keys — with *no queues attached*. The engine pairs one
-/// `ItemState` with one queue set per co-operative run and drains a
-/// co-scheduled item's state with no queues at all. The graph is held
+/// `ItemState` with one queue set per run: one queue per pool worker
+/// for a co-operative run, one for a co-scheduled one. The graph is held
 /// by [`Arc`] rather than borrowed because service workers are
 /// `'static` threads with no scope to borrow from.
 pub(crate) struct ItemState<S: TileStorage> {

@@ -286,7 +286,7 @@ impl JobSpec {
     }
 
     /// A job over any owned [`Source`], factored with CALU.
-    pub fn from_source(source: Source<'static>) -> Self {
+    fn from_source(source: Source<'static>) -> Self {
         JobSpec {
             job: BatchItem::lu(source),
             deadline: None,
@@ -1203,13 +1203,6 @@ impl<R: Send + 'static> FactorService<R> {
     /// adaptive reconfigure shows up here as soon as the swap lands.
     pub fn current_split(&self) -> calu_sched::SplitChoice {
         self.shared.current_pool().config().split()
-    }
-
-    /// Whether a job of `dims` would be co-scheduled (claimed whole by
-    /// one worker) rather than run on the co-operative hybrid schedule
-    /// — the exact predicate the current pool's workers apply.
-    pub fn co_schedules(&self, dims: (usize, usize)) -> bool {
-        self.shared.current_pool().config().co_schedules(dims)
     }
 
     /// One-off worker spawn cost of the current pool, paid when it was

@@ -14,7 +14,6 @@
 //! a benchmark loop is a one-line change. Future backends (sharded,
 //! out-of-core, …) implement the same trait.
 
-use std::borrow::Cow;
 use std::time::Instant;
 
 use calu_core::{
@@ -25,7 +24,7 @@ use calu_sim::{MachineConfig, SimConfig, SimResult};
 
 use crate::error::Error;
 use crate::report::{nominal_flops, BatchReport, Report, ScheduleMetrics, ThreadMetrics};
-use crate::solver::{Algorithm, MatrixSource, Plan};
+use crate::solver::{Algorithm, Plan};
 
 /// An execution substrate for a validated [`Plan`].
 pub trait Backend {
@@ -214,7 +213,7 @@ pub(crate) fn report_from(mut report: Report, out: Outcome) -> Report {
 }
 
 /// The kernel set a facade algorithm runs on the engine.
-pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
+fn kernels_for(algorithm: Algorithm) -> KernelSet {
     if algorithm == Algorithm::Cholesky {
         KernelSet::Cholesky
     } else {
@@ -226,7 +225,9 @@ pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
 /// borrowed as-is, seeded generators left for the claiming thread to
 /// materialize), its kernel set, its own `.verify()` and `.trace()`.
 fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
-    let source = MatrixSource::job_source(Cow::Borrowed(plan.source))
+    let source = plan
+        .source
+        .job_source()
         .ok_or_else(|| shape_only_source("the threaded backend"))?;
     Ok(BatchItem {
         source,
@@ -257,7 +258,7 @@ pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<()
 }
 
 /// Real executors factor real data: the error for a shape-only source.
-pub(crate) fn shape_only_source(who: &str) -> Error {
+fn shape_only_source(who: &str) -> Error {
     Error::Config(format!(
         "{who} factors real data: provide a DenseMatrix or a seeded \
          generator source, not MatrixSource::Shape"

@@ -114,11 +114,9 @@
 //! service.drain();
 //! ```
 //!
-//! [`Solver::batch_iter`] streams an arbitrarily long sweep through a
-//! service with a bounded in-flight window, and [`service_batch`] runs
-//! [`Solver::batch`]-style sweeps on an already-warm service (reported
-//! with zero [`BatchReport::pool_spawn_secs`]: the spawn was paid when
-//! the service came up).
+//! A sweep is one [`Solver::batch`] call; a served job is one
+//! [`FactorService::submit`]. Both reach the same engine, and a
+//! co-scheduled item or job reports the one worker that ran it.
 //!
 //! ## History
 //!
@@ -160,9 +158,9 @@ pub use report::{
     StealLocality, ThreadMetrics,
 };
 pub use serve::{
-    service_batch, DrainSummary, Events, FactorService, JobClass, JobEvent, JobHandle, JobSpec,
-    JobStatus, JournalConfig, NetConfig, NetStats, ReportService, ServeError, ServeListener,
-    ServiceConfig, ServiceEvent,
+    DrainSummary, Events, FactorService, JobClass, JobEvent, JobHandle, JobSpec, JobStatus,
+    JournalConfig, NetConfig, NetStats, ReportService, ServeError, ServeListener, ServiceConfig,
+    ServiceEvent,
 };
 pub use solver::{Algorithm, MatrixSource, Plan, Solver};
 

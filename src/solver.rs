@@ -120,19 +120,15 @@ impl MatrixSource {
     }
 
     /// The executor-engine job source for this matrix — the one place a
-    /// facade source becomes a [`calu_core::Source`]: borrowed dense
-    /// data stays borrowed (never copied), owned dense data moves in,
-    /// seeded generators stay lazy. `None` for a shape-only source.
-    pub(crate) fn job_source(this: Cow<'_, MatrixSource>) -> Option<Source<'_>> {
-        match this {
-            Cow::Borrowed(MatrixSource::Dense(a)) => Some(Source::Dense(a)),
-            Cow::Owned(MatrixSource::Dense(a)) => Some(Source::Owned(a)),
-            generated => match *generated {
-                MatrixSource::Uniform { m, n, seed } => Some(Source::Uniform { m, n, seed }),
-                MatrixSource::SpdUniform { n, seed } => Some(Source::SpdUniform { n, seed }),
-                // (dense data was handled above)
-                MatrixSource::Shape { .. } | MatrixSource::Dense(_) => None,
-            },
+    /// facade source becomes a [`calu_core::Source`]: dense data is
+    /// borrowed (never copied), seeded generators stay lazy. `None` for
+    /// a shape-only source.
+    pub(crate) fn job_source(&self) -> Option<Source<'_>> {
+        match *self {
+            MatrixSource::Dense(ref a) => Some(Source::Dense(a)),
+            MatrixSource::Uniform { m, n, seed } => Some(Source::Uniform { m, n, seed }),
+            MatrixSource::SpdUniform { n, seed } => Some(Source::SpdUniform { n, seed }),
+            MatrixSource::Shape { .. } => None,
         }
     }
 
@@ -140,7 +136,7 @@ impl MatrixSource {
     /// are borrowed, not copied, so repeated `Solver::run` calls on one
     /// matrix pay no per-run memcpy.
     pub fn materialize(&self) -> Option<Cow<'_, DenseMatrix>> {
-        Self::job_source(Cow::Borrowed(self)).map(Source::materialize)
+        self.job_source().map(Source::materialize)
     }
 }
 

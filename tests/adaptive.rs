@@ -362,11 +362,14 @@ fn a_served_slow_worker_converges_the_controller_and_reconfigure_applies_it() {
     // a service under a persistently half-speed worker: completed jobs
     // feed the controller (idle + rescued pressure), so the solver's
     // next plan — and therefore a live reconfigure — runs more
-    // dynamically than the seed split
+    // dynamically than the seed split. The jobs run co-operatively
+    // (cutoff 0): a co-scheduled job is a one-worker run, with no peer
+    // to idle behind the slow worker and no static share to rescue
     let solver = Solver::new(MatrixSource::shape(96, 96))
         .tile(16)
         .threads(4)
         .verify(false)
+        .batch_small_cutoff(0)
         .adaptive(policy(55))
         .fault_plan(FaultPlan::off().slow_worker(1, 8.0));
     let service = solver.serve().unwrap();
@@ -400,4 +403,27 @@ fn a_served_slow_worker_converges_the_controller_and_reconfigure_applies_it() {
         "the reconfigured pool runs the controller's current split"
     );
     service.drain();
+}
+
+#[test]
+fn a_co_scheduled_batch_reports_one_thread_and_keeps_the_split_calm() {
+    // eight 96² items on a 2-thread pool, every one co-scheduled: each
+    // ran on one worker, so each reports one thread and no idle peer —
+    // the feedback must not read a half-idle pool into the controller
+    let solver = Solver::new(MatrixSource::shape(96, 96))
+        .threads(2)
+        .tile(32)
+        .verify(false)
+        .adaptive(AdaptivePolicy::new(7));
+    let sources: Vec<MatrixSource> = (0..8).map(|s| MatrixSource::uniform(96, s)).collect();
+    let batch = solver.batch(&sources).unwrap();
+    assert_eq!(batch.co_scheduled, 8, "every item is under the cutoff");
+    for (i, item) in batch.items.iter().enumerate() {
+        assert_eq!(item.threads, 1, "item {i} ran on one worker");
+    }
+    let dratio = solver.adaptive_split().unwrap().dratio;
+    assert!(
+        dratio <= 0.5,
+        "dratio {dratio} after a sweep of one-worker items"
+    );
 }

@@ -279,46 +279,62 @@ fn threaded_batch_items_factor_bitwise_identically_to_solo_runs() {
     // co-operative large ones) where every item must match the solo
     // `run` of the same source to the last bit — same pivots, same
     // packed LU, same residual bits. The pool changes *when* tasks run,
-    // never what they compute.
+    // never what they compute. A co-scheduled item is a one-worker run
+    // with its tiles on a 1×1 grid, grouped where they stack, so it is
+    // held to this under every layout and group width (group > 1 needs
+    // a layout that stacks tiles: BCL is the one).
     let sources: Vec<MatrixSource> = [(48usize, 101u64), (450, 102), (64, 103), (96, 104)]
         .iter()
         .map(|&(n, seed)| MatrixSource::uniform(n, seed))
         .collect();
+    let knobs = [
+        (Layout::ColumnMajor, 1),
+        (Layout::TwoLevelBlock, 1),
+        (Layout::BlockCyclic, 1),
+        (Layout::BlockCyclic, 3),
+    ];
     for queue in [QueueDiscipline::Global, QueueDiscipline::lock_free()] {
-        let solver = |src: MatrixSource| {
-            Solver::new(src)
-                .tile(16)
-                .threads(4)
-                .dratio(0.5)
-                .queue_discipline(queue)
-                .batch_small_cutoff(100)
-        };
-        let batch = solver(MatrixSource::shape(8, 8)).batch(&sources).unwrap();
-        assert_eq!(batch.backend, "threaded");
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.threads, 4);
-        assert_eq!(batch.co_scheduled, 3, "items ≤ 100 are co-scheduled");
-        assert!(batch.wall_secs > 0.0 && batch.items_per_sec() > 0.0);
-        assert!(batch.aggregate_gflops() > 0.0);
-        for (src, item) in sources.iter().zip(&batch.items) {
-            let solo = solver(src.clone()).run().unwrap();
-            let (fb, fs) = (
-                item.factorization.as_ref().unwrap(),
-                solo.factorization.as_ref().unwrap(),
-            );
-            let ctx = format!("n={} queue={queue}", src.dims().0);
-            assert_eq!(fb.lu.as_slice(), fs.lu.as_slice(), "packed LU bits, {ctx}");
-            assert_eq!(fb.perm.pivots(), fs.perm.pivots(), "pivot rows, {ctx}");
-            assert_eq!(
-                item.residual.unwrap().to_bits(),
-                solo.residual.unwrap().to_bits(),
-                "residual bits, {ctx}"
-            );
-            // attribution holds inside the batch too: every task of the
-            // item reaches exactly one queue source
-            let q = item.schedule.queue_sources();
-            assert_eq!(q.local + q.global + q.stolen, item.tasks as u64, "{ctx}");
-            assert_eq!(item.tasks, solo.tasks, "{ctx}");
+        for (layout, group) in knobs {
+            let solver = |src: MatrixSource| {
+                Solver::new(src)
+                    .tile(16)
+                    .threads(4)
+                    .dratio(0.5)
+                    .queue_discipline(queue)
+                    .layout(layout)
+                    .grouping(group)
+                    .batch_small_cutoff(100)
+            };
+            let batch = solver(MatrixSource::shape(8, 8)).batch(&sources).unwrap();
+            assert_eq!(batch.backend, "threaded");
+            assert_eq!(batch.len(), 4);
+            assert_eq!(batch.threads, 4);
+            assert_eq!(batch.co_scheduled, 3, "items ≤ 100 are co-scheduled");
+            assert!(batch.wall_secs > 0.0 && batch.items_per_sec() > 0.0);
+            assert!(batch.aggregate_gflops() > 0.0);
+            for (src, item) in sources.iter().zip(&batch.items) {
+                let solo = solver(src.clone()).run().unwrap();
+                let (fb, fs) = (
+                    item.factorization.as_ref().unwrap(),
+                    solo.factorization.as_ref().unwrap(),
+                );
+                let n = src.dims().0;
+                let ctx = format!("n={n} queue={queue} {layout:?} group={group}");
+                assert_eq!(fb.lu.as_slice(), fs.lu.as_slice(), "packed LU bits, {ctx}");
+                assert_eq!(fb.perm.pivots(), fs.perm.pivots(), "pivot rows, {ctx}");
+                assert_eq!(
+                    item.residual.unwrap().to_bits(),
+                    solo.residual.unwrap().to_bits(),
+                    "residual bits, {ctx}"
+                );
+                // attribution holds inside the batch too: every task of
+                // the item reaches exactly one queue source, on the one
+                // worker of a co-scheduled item
+                let q = item.schedule.queue_sources();
+                assert_eq!(q.local + q.global + q.stolen, item.tasks as u64, "{ctx}");
+                assert_eq!(item.tasks, solo.tasks, "{ctx}");
+                assert_eq!(item.threads, if n <= 100 { 1 } else { 4 }, "{ctx}");
+            }
         }
     }
 }
@@ -412,9 +428,8 @@ fn simulated_batch_models_the_same_semantics() {
 /// `threads > 1 && max(m, n) <= cutoff` must route exactly as before.
 #[test]
 fn batch_routing_matches_its_golden() {
-    // fully dynamic, so a co-operative item pops nothing from a static
-    // queue and a co-scheduled one (drained whole on one worker) pops
-    // only locally: the queue sources name the route
+    // a co-scheduled item is a one-worker run, so it reports one
+    // thread on a wider pool: the thread count names the route
     let sources: Vec<MatrixSource> = [96usize, 200, 384, 385, 500]
         .iter()
         .zip(300..)
@@ -436,11 +451,7 @@ fn batch_routing_matches_its_golden() {
                 solver = solver.batch_small_cutoff(c);
             }
             let batch = solver.batch(&sources).unwrap();
-            let routed: Vec<bool> = batch
-                .items
-                .iter()
-                .map(|r| r.schedule.queue_sources().local > 0)
-                .collect();
+            let routed: Vec<bool> = batch.items.iter().map(|r| r.threads < threads).collect();
             let ctx = format!("threads {threads}, cutoff {cutoff:?}");
             assert_eq!(routed, expected, "{ctx}");
             let count = expected.iter().filter(|&&small| small).count();

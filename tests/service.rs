@@ -1,13 +1,14 @@
 //! End-to-end tests of the service layer: `Solver::serve` and the
 //! `FactorService` lifecycle — concurrent mixed-class submission,
 //! bitwise parity with solo runs, class ordering under backlog,
-//! cancellation races, graceful drain, and the streaming/warm batch
-//! entry points built on top.
+//! cancellation races, graceful drain, and sweeps streamed through
+//! `submit` on a warm pool.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use calu::{
-    service_batch, Algorithm, JobClass, JobSpec, JobStatus, MatrixSource, ServeError,
+    Algorithm, JobClass, JobHandle, JobSpec, JobStatus, MatrixSource, Report, ServeError,
     ServiceConfig, Solver,
 };
 
@@ -265,57 +266,6 @@ fn events_stream_reports_each_terminal_state_once_and_ends_on_drain() {
 }
 
 #[test]
-fn batch_iter_streams_and_matches_solo_runs_bitwise() {
-    // a mixed sweep (co-scheduled small items and a co-operative large
-    // one) through the streaming entry point, sources consumed lazily
-    let dims_seeds = [
-        (48usize, 501u64),
-        (450, 502),
-        (64, 503),
-        (96, 504),
-        (72, 505),
-    ];
-    let make = || {
-        Solver::new(MatrixSource::shape(8, 8))
-            .tile(16)
-            .threads(3)
-            .dratio(0.5)
-            .batch_small_cutoff(100)
-    };
-    let batch = make()
-        .batch_iter(
-            dims_seeds
-                .iter()
-                .map(|&(n, seed)| MatrixSource::uniform(n, seed)),
-        )
-        .unwrap();
-    assert_eq!(batch.backend, "serve");
-    assert_eq!(batch.len(), 5);
-    assert_eq!(batch.co_scheduled, 4, "items ≤ 100 are co-scheduled");
-    assert!(batch.wall_secs > 0.0 && batch.items_per_sec() > 0.0);
-    for (&(n, seed), item) in dims_seeds.iter().zip(&batch.items) {
-        assert_eq!(item.dims, (n, n), "results come back in input order");
-        let solo = Solver::new(MatrixSource::uniform(n, seed))
-            .tile(16)
-            .threads(3)
-            .dratio(0.5)
-            .run()
-            .unwrap();
-        let (fb, fs) = (
-            item.factorization.as_ref().unwrap(),
-            solo.factorization.as_ref().unwrap(),
-        );
-        assert_eq!(fb.lu.as_slice(), fs.lu.as_slice(), "n={n}");
-        assert_eq!(fb.perm.pivots(), fs.perm.pivots(), "n={n}");
-        assert_eq!(
-            item.residual.unwrap().to_bits(),
-            solo.residual.unwrap().to_bits(),
-            "n={n}"
-        );
-    }
-}
-
-#[test]
 fn one_service_serves_lu_and_cholesky_jobs_side_by_side() {
     // the kernel-set e2e: concurrent submitters push LU and Cholesky
     // jobs into one warm pool; every result must carry its own
@@ -390,64 +340,150 @@ fn solo_lu_flops(n: usize) -> f64 {
 }
 
 #[test]
-fn cholesky_sweeps_flow_through_batch_iter_and_service_batch() {
-    // the streaming entry points: a Cholesky solver pumps SPD sources
-    // through batch_iter, and a warm service infers Cholesky from
-    // SpdUniform sources in a mixed service_batch sweep
-    let seeds = [801u64, 802, 803];
-    let batch = Solver::new(MatrixSource::shape(8, 8))
-        .algorithm(Algorithm::Cholesky)
-        .tile(16)
-        .threads(2)
-        .dratio(0.5)
-        .batch_iter(seeds.iter().map(|&s| MatrixSource::spd_uniform(64, s)))
-        .unwrap();
-    assert_eq!(batch.len(), 3);
-    for (item, &seed) in batch.items.iter().zip(&seeds) {
-        assert_eq!(item.algorithm, Algorithm::Cholesky, "seed={seed}");
-        assert!(item.residual.unwrap() < 1e-13, "seed={seed}");
-        assert!(item.growth_factor.is_none(), "seed={seed}");
-    }
-
-    let service = solver(MatrixSource::shape(8, 8)).serve().unwrap();
-    let mixed = [
-        MatrixSource::uniform(64, 811),
-        MatrixSource::spd_uniform(64, 812),
+fn a_served_sweep_streams_through_submit_and_matches_solo_runs_bitwise() {
+    // a mixed sweep (co-scheduled small jobs and a co-operative large
+    // one) streamed through `submit` with a bounded in-flight window,
+    // sources consumed lazily; results come back in input order, each
+    // bitwise-equal to its solo run, and a co-scheduled job reports the
+    // one worker that ran it
+    let dims_seeds = [
+        (48usize, 501u64),
+        (450, 502),
+        (64, 503),
+        (96, 504),
+        (72, 505),
     ];
-    let warm = service_batch(&service, &mixed).unwrap();
-    assert_eq!(warm.items[0].algorithm, Algorithm::Calu);
-    assert_eq!(warm.items[1].algorithm, Algorithm::Cholesky);
-    assert!(warm.items[1].residual.unwrap() < 1e-13);
+    let service = solver(MatrixSource::shape(8, 8))
+        .batch_small_cutoff(100)
+        .serve()
+        .unwrap();
+    let window = 2 * service.threads();
+    let mut pending: VecDeque<JobHandle<Report>> = VecDeque::new();
+    let mut reports = Vec::new();
+    for &(n, seed) in &dims_seeds {
+        if pending.len() >= window {
+            reports.push(pending.pop_front().unwrap().wait().unwrap());
+        }
+        let spec = JobSpec::uniform(n, n, seed);
+        pending.push_back(service.submit(spec, JobClass::Batch).unwrap());
+    }
+    reports.extend(pending.into_iter().map(|h| h.wait().unwrap()));
+    service.drain();
+    assert_eq!(reports.len(), dims_seeds.len());
+    for (&(n, seed), report) in dims_seeds.iter().zip(&reports) {
+        let ctx = format!("n={n} seed={seed}");
+        assert_eq!(report.dims, (n, n), "results come back in input order");
+        assert_eq!(report.threads, if n <= 100 { 1 } else { 3 }, "{ctx}");
+        let solo = solver(MatrixSource::uniform(n, seed)).run().unwrap();
+        let (fj, fs) = (
+            report.factorization.as_ref().unwrap(),
+            solo.factorization.as_ref().unwrap(),
+        );
+        assert_eq!(fj.lu.as_slice(), fs.lu.as_slice(), "packed LU bits, {ctx}");
+        assert_eq!(fj.perm.pivots(), fs.perm.pivots(), "pivot rows, {ctx}");
+        assert_eq!(
+            report.residual.unwrap().to_bits(),
+            solo.residual.unwrap().to_bits(),
+            "residual bits, {ctx}"
+        );
+    }
+}
+
+#[test]
+fn cholesky_sweeps_flow_through_batch_and_a_warm_service() {
+    // a Cholesky solver's one sweep (`Solver::batch`) and the same SPD
+    // jobs served by a warm pool take the same one-worker route: each
+    // item reports one thread, a Cholesky report shape, and the served
+    // factors equal the batch's bitwise
+    let seeds = [801u64, 802, 803];
+    let make = || {
+        Solver::new(MatrixSource::shape(8, 8))
+            .algorithm(Algorithm::Cholesky)
+            .tile(16)
+            .threads(2)
+            .dratio(0.5)
+    };
+    let sources: Vec<MatrixSource> = seeds
+        .iter()
+        .map(|&s| MatrixSource::spd_uniform(64, s))
+        .collect();
+    let batch = make().batch(&sources).unwrap();
+    assert_eq!(batch.len(), 3);
+    assert_eq!(batch.co_scheduled, 3, "64² is under the default cutoff");
+    let service = make().serve().unwrap();
+    for (item, &seed) in batch.items.iter().zip(&seeds) {
+        let ctx = format!("seed={seed}");
+        assert_eq!(item.algorithm, Algorithm::Cholesky, "{ctx}");
+        assert_eq!(item.threads, 1, "{ctx}");
+        assert!(item.residual.unwrap() < 1e-13, "{ctx}");
+        assert!(item.growth_factor.is_none(), "{ctx}");
+        let served = service
+            .submit(JobSpec::spd_uniform(64, seed), JobClass::Batch)
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(served.algorithm, Algorithm::Cholesky, "{ctx}");
+        assert_eq!(served.threads, 1, "{ctx}");
+        assert_eq!(
+            served.factorization.as_ref().unwrap().lu.as_slice(),
+            item.factorization.as_ref().unwrap().lu.as_slice(),
+            "packed factor bits, {ctx}"
+        );
+        assert_eq!(
+            served.residual.unwrap().to_bits(),
+            item.residual.unwrap().to_bits(),
+            "residual bits, {ctx}"
+        );
+    }
     service.drain();
 }
 
 #[test]
-fn service_batch_reports_warm_pool_reuse_honestly() {
+fn a_warm_service_reuses_its_pool_and_matches_the_one_shot_batch_bitwise() {
+    // two sweeps through one warm service: the second spawns no pool
+    // (the service's spawn cost is the one paid at construction), and
+    // both sweeps' factors equal the one-shot `Solver::batch` bitwise
     let sources: Vec<MatrixSource> = (0..6).map(|i| MatrixSource::uniform(64, 600 + i)).collect();
     let s = Solver::new(MatrixSource::shape(8, 8))
         .tile(16)
         .threads(2)
         .dratio(0.5);
     let service = s.serve().unwrap();
-    // warm the pool with one sweep, then measure the second
-    let first = service_batch(&service, &sources).unwrap();
-    let warm = service_batch(&service, &sources).unwrap();
-    for b in [&first, &warm] {
-        assert_eq!(b.backend, "serve");
-        assert_eq!(
-            b.pool_spawn_secs, 0.0,
-            "a warm sweep must not be billed a pool spawn"
-        );
-        assert_eq!(b.len(), 6);
-    }
-    // and the factors match the one-shot batch path bitwise
+    let spawn = service.spawn_secs();
+    let sweep = || -> Vec<Report> {
+        let handles: Vec<_> = (0..6)
+            .map(|i| {
+                service
+                    .submit(JobSpec::uniform(64, 64, 600 + i), JobClass::Batch)
+                    .unwrap()
+            })
+            .collect();
+        handles.into_iter().map(|h| h.wait().unwrap()).collect()
+    };
+    let first = sweep();
+    let warm = sweep();
+    assert_eq!(
+        service.spawn_secs().to_bits(),
+        spawn.to_bits(),
+        "a warm sweep reuses the pool it was spawned with"
+    );
     let batch = s.batch(&sources).unwrap();
-    for (w, b) in warm.items.iter().zip(&batch.items) {
-        assert_eq!(
-            w.factorization.as_ref().unwrap().lu.as_slice(),
-            b.factorization.as_ref().unwrap().lu.as_slice()
-        );
-        assert_eq!(w.residual.unwrap().to_bits(), b.residual.unwrap().to_bits());
+    for served in [&first, &warm] {
+        assert_eq!(served.len(), 6);
+        for (i, (w, b)) in served.iter().zip(&batch.items).enumerate() {
+            assert_eq!(w.backend, "serve");
+            assert_eq!((w.threads, b.threads), (1, 1), "item {i} is co-scheduled");
+            assert_eq!(
+                w.factorization.as_ref().unwrap().lu.as_slice(),
+                b.factorization.as_ref().unwrap().lu.as_slice(),
+                "packed LU bits, item {i}"
+            );
+            assert_eq!(
+                w.residual.unwrap().to_bits(),
+                b.residual.unwrap().to_bits(),
+                "residual bits, item {i}"
+            );
+        }
     }
     service.drain();
 }
