@@ -9,15 +9,16 @@
 //!   [`KernelSet`] that factors it, whether to verify the result and
 //!   whether to keep its spans — plus a sink, queued in [`ClassLanes`];
 //!   every job comes back as one [`Outcome`];
-//! * a claimed job becomes a [`Run`]: one `ItemState` (tiles,
+//! * a claimed job becomes a [`Run`]: one `ItemState` (input, tiles,
 //!   dependence counters, panels) + one [`ReadyQueues`] value (static
 //!   heaps + the dynamic section under the configured
 //!   [`QueueDiscipline`](calu_sched::QueueDiscipline)) + one log slot
-//!   per worker + the job's sink. A run has three phases, all of them
-//!   its workers': they **fill** the freshly allocated tiles from the
-//!   input, **factor** (the DAG), then **densify** the tile buffer in
-//!   place into the result — the two conversions in chunks any worker
-//!   may take, own tiles first;
+//!   per worker + the job's sink. All of a run's work is tasks in its
+//!   queues: the DAG's, plus the *conversion tasks* numbered after
+//!   them, both in the dynamic section — a FILL per chunk of freshly
+//!   allocated tiles, queued on its tiles' owner's side, copies the
+//!   input in before the DAG starts, and a DENSIFY per tile column
+//!   turns the tile buffer in place into the result after it ends;
 //! * a **large** job's run has one worker per pool thread and is
 //!   published for every worker to pull from; a **small** one (the
 //!   co-schedule predicate, [`CaluConfig::co_schedules`]) is a
@@ -39,14 +40,18 @@
 //! 1. **fault tick** — consult its [`FaultClock`] (a no-op without an
 //!    armed plan): stall, die (rescuing its static backlog), or latch
 //!    an injected panic for the next piece of work;
-//! 2. **own work** of each active run, higher job class first — a
-//!    chunk of the run's fill or densify phase, or, while it factors,
-//!    its static heap, then its own share of the dynamic section (a
-//!    static S task brings along the ready S tasks below it whose
-//!    tiles stack under its own, up to `group`: the paper's §4 grouped
-//!    update, one GEMM — see `ItemState::stacks_under`);
+//! 2. **own work** of each active run, higher job class first — its
+//!    static heap, then its own share of the dynamic section (a static
+//!    S task brings along the ready S tasks below it whose tiles stack
+//!    under its own, up to `group`: the paper's §4 grouped update, one
+//!    GEMM — see `ItemState::stacks_under`);
 //! 3. **claim** a queued job (small: drive its one-worker run through
-//!    steps 1 and 2 until it is delivered; large: publish its run);
+//!    steps 1 and 2 until it is delivered; large: publish its run) —
+//!    unless an active run still waits for its FILLs: its next work is
+//!    a copy away, and a claim would only materialize another job
+//!    beside its half-filled tiles. With [`RUNS_PER_WORKER`] large jobs
+//!    per worker claimed and not yet retired, only a small one is
+//!    claimed;
 //! 4. **steal** from the other workers' dynamic shards/deques of each
 //!    active run — after claiming, because a queued job is
 //!    guaranteed-useful work and a steal may come home empty;
@@ -81,8 +86,8 @@
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,12 +96,10 @@ use calu_kernels::GemmScratch;
 use calu_matrix::gen;
 use calu_matrix::storage::TileLoc;
 use calu_matrix::{
-    BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, Tiling, TlbMatrix,
+    BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, TileStorage, Tiling, TlbMatrix,
 };
 use calu_rand::Rng;
-use calu_sched::{
-    nstatic_for, ClassLanes, JobClass, Padded, QueueDiscipline, QueueSource, ReadyQueues,
-};
+use calu_sched::{nstatic_for, ClassLanes, JobClass, Padded, QueueSource, ReadyQueues};
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
 use crate::config::CaluConfig;
@@ -104,7 +107,15 @@ use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
 use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{host_topology, ItemState, KernelSet, ThreadStats};
+use crate::threaded::{host_topology, ItemState, KernelSet, Task, ThreadStats};
+
+/// Large (co-operative) jobs per pool worker that may be claimed and not
+/// yet retired: one to work on and one to fill its idle gaps. Past that
+/// a worker claims only small jobs — a large one would only materialize
+/// its input and tiles to wait beside runs that still have work — so a
+/// pool's live heap is bounded by its width, not by how many large jobs
+/// its clients keep in flight.
+const RUNS_PER_WORKER: usize = 2;
 
 /// How long a parked worker sleeps between wakeup checks: long enough
 /// to cost nothing, short enough that a lost notification is harmless.
@@ -302,9 +313,11 @@ pub struct Outcome {
     /// Whether the job was claimed whole by one worker (a one-worker
     /// run) rather than run co-operatively by the pool.
     pub co_scheduled: bool,
-    /// The dynamic-section queue discipline of the engine that ran the
-    /// job, on the pool's queues or on a co-scheduled job's own.
-    pub queue: QueueDiscipline,
+    /// The config of the engine that ran the job (on a service, of the
+    /// pool generation that claimed it): the tile size, layout, `dratio`
+    /// and dynamic-section queue discipline it ran under, on the pool's
+    /// queues or on a co-scheduled job's own.
+    pub config: CaluConfig,
     /// `(rows, cols)` of the input.
     pub dims: (usize, usize),
     /// `‖PA − LU‖ / ‖A‖` (LU jobs) or `‖A − LLᵀ‖ / ‖A‖` (Cholesky
@@ -424,9 +437,9 @@ type Slot = Padded<Mutex<WorkerLog>>;
 /// What a worker keeps across tasks so that the task loop allocates
 /// nothing: its packing arena — sized once for the tallest GEMM a group
 /// can stack — the members of the pop in hand, the successors the last
-/// completion enabled, and the one tile column's block a densify chunk
+/// completion enabled, and the one tile column's block a DENSIFY task
 /// gathers through when its tiles are not column-major already (grown
-/// at the first such chunk).
+/// at the first such task).
 struct Buffers {
     scratch: GemmScratch,
     group: Vec<u32>,
@@ -434,117 +447,32 @@ struct Buffers {
     block: Vec<f64>,
 }
 
-/// The work list of one conversion phase (fill or densify): chunk ids
-/// grouped by the worker that should take them first, one atomic cursor
-/// per group. A worker drains its own group, then the others' in turn,
-/// so every chunk is claimed exactly once by *some* live worker — a
-/// slow or lost owner delays nothing — and the phase is over when the
-/// last *claimed* chunk completes, not when the last one is handed out.
-struct Chunks {
-    /// Chunk ids by the worker that prefers them, each list handed out
-    /// front to back through that worker's cursor.
-    groups: Vec<(Vec<usize>, AtomicUsize)>,
-    /// Chunks not completed yet.
-    left: AtomicUsize,
-}
-
-impl Chunks {
-    fn new(chunks: usize, workers: usize, prefers: impl Fn(usize) -> usize) -> Self {
-        let mut groups: Vec<_> = (0..workers)
-            .map(|_| (Vec::new(), AtomicUsize::new(0)))
-            .collect();
-        for c in 0..chunks {
-            groups[prefers(c)].0.push(c);
-        }
-        Chunks {
-            groups,
-            left: AtomicUsize::new(chunks),
-        }
-    }
-
-    /// Claim a chunk for worker `me`: its own group first, then the
-    /// others'. The cursors only hand out indices (Relaxed): what a
-    /// chunk wrote is published by [`complete`](Self::complete).
-    fn claim(&self, me: usize) -> Option<usize> {
-        let workers = self.groups.len();
-        (0..workers).find_map(|d| {
-            let (ids, cursor) = &self.groups[(me + d) % workers];
-            // looked at before it is bumped, so a drained group's
-            // cursor stops moving however long the phase is polled
-            if cursor.load(Ordering::Relaxed) >= ids.len() {
-                return None;
-            }
-            ids.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
-        })
-    }
-
-    /// Mark one claimed chunk complete; `true` for the phase's last.
-    /// Every completion releases its writes into the counter and the
-    /// last one acquires them all, so whatever the caller publishes
-    /// next carries the whole phase.
-    fn complete(&self) -> bool {
-        self.left.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-}
-
-/// The phases of a [`Run`], in order. Exactly one kind of work exists
-/// at a time: fill chunks, then DAG tasks, then densify chunks.
-const FILL: u8 = 0;
-const FACTOR: u8 = 1;
-const DENSIFY: u8 = 2;
-
-/// One piece of a conversion phase.
-#[derive(Clone, Copy)]
-enum Chunk {
-    /// Copy one fill chunk of the input into the tiles.
-    Fill(usize),
-    /// Turn one tile column in place into the dense factors' columns
-    /// and apply its deferred left swaps.
-    Densify(usize),
-}
-
-/// What a worker found to do for a run.
-enum Work {
-    /// The tasks in the worker's `Buffers::group`, all popped from this
-    /// source: one task, or a group of S tasks to run as one GEMM.
-    Tasks(QueueSource),
-    Chunk(Chunk),
-}
-
 /// One job in flight. A co-operative (large) run is shared by `Arc`
 /// between the engine's active list, the workers' snapshots of it and
 /// whichever workers are mid-task, which is why results leave by
-/// reference (`factored`, `ItemState::take_factors`) instead of by
+/// reference (`ItemState::{factored, take_factors}`) instead of by
 /// value. A co-scheduled (small) run has one worker, the one that
 /// claimed it, and is never published.
 ///
 /// The thread that sets a run up only *allocates* its one big buffer —
 /// zeroed tile storage, which becomes the result — and the run's
-/// workers touch it: they **fill** the tiles from the input (own tiles
-/// first, so the first touch of a tile is its block-cyclic owner's),
-/// **factor**, then **densify** it in place tile column by tile column,
-/// applying each column's deferred left swaps while it is hot.
+/// workers touch it, all through the run's queues: its FILL tasks copy
+/// the input into the tiles (each queued on its tiles' owner's side, so
+/// the first touch of a tile is its block-cyclic owner's unless the
+/// owner is busy and another worker takes it), the DAG factors, then
+/// its DENSIFY tasks turn the buffer in place into the dense factors
+/// tile column by tile column, applying each column's deferred left
+/// swaps while it is hot. One counter, `ItemState::done`, releases each
+/// stage: see [`Engine::run_tasks`].
 struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
     id: u64,
-    item: ItemState<PoolStorage>,
+    item: ItemState<'a, PoolStorage>,
     queues: ReadyQueues,
     slots: Vec<Slot>,
     sink: Mutex<Option<Box<dyn JobSink>>>,
-    /// Which kind of work the run offers now ([`FILL`] → [`FACTOR`] →
-    /// [`DENSIFY`]); each step is taken by the one worker that
-    /// completed the previous phase's last piece.
-    phase: AtomicU8,
-    fill: Chunks,
-    densify: Chunks,
-    /// The input: read by the fill chunks, then dropped unless the job
-    /// asked for verification (a borrowed one stays borrowed).
-    input: RwLock<Option<Cow<'a, DenseMatrix>>>,
     verify: bool,
-    /// The combined permutation and singular flag, set when the last
-    /// task retires — what the densify chunks swap by.
-    factored: OnceLock<(RowPerm, Option<usize>)>,
     /// First finisher (or failer) wins; everyone else moves on.
     finishing: AtomicBool,
     /// `active` is kept sorted by `(class_rank, seq)` so workers serve
@@ -567,42 +495,42 @@ impl<'a> Run<'a> {
             ready,
             home,
             |t| item.dynamic_key(t),
-            |t| {
-                item.is_static(t)
-                    .then(|| (item.owners.owner(t), item.static_key(t)))
-            },
+            |t| item.static_slot(t),
         );
+    }
+
+    /// Queue the FILLs, last column first, each on the side of the
+    /// worker that owns its tiles: the owner pops them first (a
+    /// lock-free one LIFO, so in column order) and any other worker may
+    /// steal them. Called before another worker can reach the queues:
+    /// only then may one thread push on every side.
+    fn queue_fills(&self) {
+        for (t, owner) in self.item.fill_tasks().rev() {
+            self.push_ready(&mut [t], owner);
+        }
     }
 
     fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
         self.slots[me].lock()
     }
 
-    /// The input, for as long as the run keeps it. (No writer can
-    /// panic, so a poisoned lock still guards a valid value.)
-    fn input(&self) -> RwLockReadGuard<'_, Option<Cow<'a, DenseMatrix>>> {
-        self.input.read().unwrap_or_else(|e| e.into_inner())
+    /// Worker `me`'s next tasks of this run without stealing:
+    /// Algorithm 1's own-queue pop into `group` — up to `max_group` S
+    /// tasks when it is a static one and the tiles at the top of the
+    /// heap stack. A dynamic pop stays one task: its neighbours are any
+    /// worker's to take.
+    fn own_work(&self, me: usize, max_group: usize, group: &mut Vec<u32>) -> Option<QueueSource> {
+        self.queues
+            .pop_own(me, max_group, group, |source, last, next| {
+                source == QueueSource::Local && self.item.stacks_under(last, next)
+            })
     }
 
-    /// Worker `me`'s next piece of this run without stealing: a chunk
-    /// of the current conversion phase, or Algorithm 1's own-queue pop
-    /// into `group` — up to `max_group` S tasks when it is a static one
-    /// and the tiles at the top of the heap stack. A dynamic pop stays
-    /// one task: its neighbours are any worker's to take.
-    fn own_work(&self, me: usize, max_group: usize, group: &mut Vec<u32>) -> Option<Work> {
-        match self.phase.load(Ordering::Acquire) {
-            FILL => self.fill.claim(me).map(|c| Work::Chunk(Chunk::Fill(c))),
-            FACTOR => self
-                .queues
-                .pop_own(me, max_group, group, |source, last, next| {
-                    source == QueueSource::Local && self.item.stacks_under(last, next)
-                })
-                .map(Work::Tasks),
-            _ => self
-                .densify
-                .claim(me)
-                .map(|tj| Work::Chunk(Chunk::Densify(tj))),
-        }
+    /// Whether the DAG is under way: every FILL retired, not yet every
+    /// DAG task.
+    fn factoring(&self) -> bool {
+        let fills = self.item.fills();
+        (fills..fills + self.item.g.len()).contains(&self.item.done.load(Ordering::Acquire))
     }
 }
 
@@ -618,6 +546,8 @@ struct State<'a> {
     degraded: Vec<bool>,
     /// Claimed-but-unfinished jobs (small and large).
     in_flight: usize,
+    /// Claimed large jobs not yet retired: being set up, or on `active`.
+    cooperative: usize,
     draining: bool,
     /// A panic escaped a worker's catch-unwind perimeter (e.g. inside a
     /// sink callback): the engine is dead; `wait_idle` fails fast
@@ -696,6 +626,7 @@ impl<'a> Engine<'a> {
                 active: Vec::new(),
                 degraded,
                 in_flight: 0,
+                cooperative: 0,
                 draining: false,
                 poisoned: false,
                 parked: None,
@@ -779,8 +710,8 @@ impl<'a> Engine<'a> {
     /// buffers allocated and dropped there are page-faulted in afresh
     /// on every call — a fifth of the wall time of a 1024²
     /// factorization at b = 16.) Filling the tiles and turning them
-    /// into the dense factors in place is the workers' work: the fill
-    /// and densify phases of each [`Run`]. Small jobs stay worker-local
+    /// into the dense factors in place is the workers' work: the FILL
+    /// and DENSIFY tasks of each [`Run`]. Small jobs stay worker-local
     /// end to end.
     ///
     /// Returns the seconds until the last worker entered its loop — the
@@ -880,9 +811,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Tasks retired so far by the active co-operative run with job id
-    /// `id` — a monotone heartbeat the service watchdog compares across
-    /// ticks to tell a slow job from a stalled one. `None` when no
-    /// active run carries `id` (queued, co-scheduled, or terminal).
+    /// `id`, its FILL and DENSIFY tasks included — a monotone heartbeat
+    /// the service watchdog compares across ticks to tell a slow job
+    /// from a stalled one, which therefore also moves while a large job
+    /// copies its input in or its factors out. `None` when no active
+    /// run carries `id` (queued, co-scheduled, or terminal).
     pub fn progress_of(&self, id: u64) -> Option<u64> {
         self.active_run(id)
             .map(|run| run.item.done.load(Ordering::Acquire) as u64)
@@ -906,11 +839,11 @@ impl<'a> Engine<'a> {
 
     /// Serve a fault-plan stall; when it hit in the middle of `run`'s
     /// DAG, it is booked in that run as noise (a schedule runs from the
-    /// first task to the last, so a stall during a conversion phase has
-    /// no place in it).
+    /// first DAG task to the last, so a stall among the conversion
+    /// tasks has no place in it).
     fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
         let noise = self.sleep(d, me);
-        if let Some(run) = run.filter(|r| r.phase.load(Ordering::Acquire) == FACTOR) {
+        if let Some(run) = run.filter(|r| r.factoring()) {
             run.log(me).book(noise);
         }
     }
@@ -952,8 +885,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Take `run` off the active list (workers stop pulling from it at
-    /// their next epoch check) and fold its rescue count into the
-    /// engine's. A co-scheduled run was never on the list.
+    /// their next epoch check), give back its claim on the large-job
+    /// bound and fold its rescue count into the engine's. A
+    /// co-scheduled run was never on the list.
     fn retire(&self, run: &Arc<Run<'a>>) {
         if run.co_scheduled {
             return;
@@ -961,6 +895,7 @@ impl<'a> Engine<'a> {
         {
             let mut st = self.state.lock();
             st.active.retain(|r| !Arc::ptr_eq(r, run));
+            st.cooperative -= 1;
             self.run_epoch.fetch_add(1, Ordering::Release);
         }
         let rescued: u64 = (0..run.slots.len()).map(|w| run.queues.rescued(w)).sum();
@@ -983,7 +918,7 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// `run`'s last densify chunk is done: retire it and deliver its
+    /// `run`'s last DENSIFY task is done: retire it and deliver its
     /// results — or, for a co-operative run on a scoped engine, park it
     /// for the calling thread to deliver. Called by exactly one worker
     /// (the `finishing` flag).
@@ -1009,7 +944,7 @@ impl<'a> Engine<'a> {
     /// and — the one place an engine job is verified — the residual and
     /// growth factor against the input, when the job asked for them.
     fn deliver(&self, run: &Run<'a>) {
-        let (perm, singular_at) = run.factored.get().cloned().expect("every task retired");
+        let (perm, singular_at) = run.item.factored().clone();
         let logs: Vec<WorkerLog> = (0..run.slots.len())
             .map(|w| {
                 let mut log = std::mem::replace(&mut *run.log(w), WorkerLog::new(false));
@@ -1036,11 +971,11 @@ impl<'a> Engine<'a> {
         }
         // the timeline's own rule, on the same engine-clock values
         let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
-        // SAFETY: the densify phase's AcqRel chunk counter reached zero
-        // before the run was finished (and a parked run is delivered
-        // after its workers were joined), so every chunk's column block
-        // is dead and its writes are visible here; no task is left to
-        // touch a tile.
+        // SAFETY: the run was finished by the completion that brought
+        // the AcqRel `done` counter to every task, the last DENSIFY's
+        // (and a parked run is delivered after its workers were
+        // joined), so every DENSIFY's column block is dead and its
+        // writes are visible here; no task is left to touch a tile.
         let lu = unsafe { run.item.take_factors() };
         let factorization = Factorization {
             lu,
@@ -1052,7 +987,7 @@ impl<'a> Engine<'a> {
         // each kernel set's own residual, plus element growth for
         // pivoted LU only (Cholesky does not pivot, so the figure is
         // meaningless there)
-        let (residual, growth_factor) = match (run.input().as_deref(), kernels) {
+        let (residual, growth_factor) = match (run.item.input().as_deref(), kernels) {
             (None, _) => (None, None),
             (Some(a), KernelSet::CaluLu) => (
                 Some(factorization.residual(a)),
@@ -1067,7 +1002,7 @@ impl<'a> Engine<'a> {
             timeline: traced.then(|| Timeline::from_spans(stats.len(), spans)),
             stats,
             co_scheduled: run.co_scheduled,
-            queue: self.cfg.queue,
+            config: self.cfg.clone(),
             dims: (g.rows(), g.cols()),
             residual,
             growth_factor,
@@ -1077,11 +1012,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute what one pop claimed — `bufs.group`: one task, or a
-    /// group of S tasks as one GEMM — and queue the successors; the
-    /// worker whose completion retires the run's last task opens the
-    /// densify phase. Every member is retired, booked, counted and
-    /// fault-ticked as the task it is; a group's members share its
-    /// interval in equal parts.
+    /// group of S tasks as one GEMM — and queue the successors. Every
+    /// DAG member is retired, booked, counted and fault-ticked as the
+    /// task it is; a group's members share its interval in equal parts.
+    /// A conversion task (always popped alone) is only retired: no span,
+    /// no pop counter, no fault tick (a [`FaultPlan`](crate::FaultPlan)
+    /// counts DAG tasks), though a latched injected panic fires in it.
+    ///
+    /// The count of retired tasks releases a run's stages — `F` FILLs,
+    /// the DAG's `N` tasks, the DENSIFYs: the completion that makes it
+    /// `F` queues the DAG's first tasks, the one that makes it `F + N`
+    /// the DENSIFYs, and the one that makes it every task finishes.
+    ///
     /// The body runs under `catch_unwind`: a panicking kernel fails its
     /// own job instead of killing the worker (which would strand the
     /// in-flight count and hang drain and the job's waiter).
@@ -1099,7 +1041,8 @@ impl<'a> Engine<'a> {
             if inject_panic {
                 injected_panic(me);
             }
-            run.item.execute_group(&bufs.group, &mut bufs.scratch)
+            run.item
+                .execute_group(&bufs.group, &mut bufs.scratch, &mut bufs.block)
         })) {
             self.fail_run(run, panic_error(p));
             return;
@@ -1107,7 +1050,8 @@ impl<'a> Engine<'a> {
         let end = self.now();
         let members = bufs.group.len();
         let share = (end - start) / members as f64;
-        {
+        let in_dag = matches!(run.item.task(TaskId(bufs.group[0])), Task::Dag(_));
+        if in_dag {
             let mut log = run.log(me);
             for (x, &t) in bufs.group.iter().enumerate() {
                 log.book(TaskSpan {
@@ -1125,15 +1069,24 @@ impl<'a> Engine<'a> {
         }
         let done = run.item.complete_into(&bufs.group, &mut bufs.ready);
         run.push_ready(&mut bufs.ready, me);
-        if done == run.item.g.len() {
-            // `done` is an AcqRel counter every completion bumps: all
-            // task bodies' writes are visible here and, through the
-            // Release below, to whoever sees the new phase
-            let set = run.factored.set(run.item.factored());
-            debug_assert!(set.is_ok(), "one task is the last");
-            run.phase.store(DENSIFY, Ordering::Release);
+        let (fills, dag) = (run.item.fills(), run.item.g.len());
+        // `done` is an AcqRel counter every completion bumps: the
+        // completion that reaches a threshold sees every earlier task's
+        // writes, and its pushes hand them on to whoever pops next
+        if done == fills {
+            // a moved-in or generated input has served its purpose
+            if !run.verify {
+                run.item.drop_input();
+            }
+            // this worker is the one pushing, so the initially ready
+            // dynamic tasks land on its own side
+            run.push_ready(&mut run.item.g.initial_ready(), me);
+        } else if done == fills + dag {
+            run.push_ready(&mut run.item.densify_tasks(), me);
+        } else if done == run.item.tasks() && !run.finishing.swap(true, Ordering::AcqRel) {
+            self.finish_run(run);
         }
-        if self.armed {
+        if self.armed && in_dag {
             // duty-cycle slowdown: stall in proportion to the tasks just
             // run, like the sim's noise model stretches compute
             let each = Duration::from_secs_f64(share);
@@ -1144,94 +1097,23 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute one chunk of `run`'s fill or densify phase; the worker
-    /// that completes a phase's last chunk moves the run on. Like a
-    /// task body, a chunk runs under `catch_unwind` and a panic in it
-    /// fails the job, typed. Chunks are not tasks: they log no span and
-    /// tick no fault clock (a [`FaultPlan`](crate::FaultPlan) counts
-    /// tasks) beyond an injected panic latched for "the next piece of
-    /// work".
-    fn run_chunk(
-        &self,
-        run: &Arc<Run<'a>>,
-        chunk: Chunk,
-        me: usize,
-        block: &mut Vec<f64>,
-        inject_panic: bool,
-    ) {
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                injected_panic(me);
-            }
-            match chunk {
-                // SAFETY: the run is in its fill phase — the initial
-                // tasks are queued only by the last chunk's completion
-                // — and `Chunks::claim` hands each chunk to one caller.
-                Chunk::Fill(c) => unsafe {
-                    let input = run.input();
-                    let a = input.as_deref().expect("the input outlives the fill");
-                    run.item.fill_chunk(a, c);
-                },
-                // SAFETY: the densify phase opens after the last task
-                // retired (Release/Acquire on `phase`); each tile column
-                // is claimed once, so the column blocks rearranged are
-                // disjoint.
-                Chunk::Densify(tj) => unsafe {
-                    let (perm, _) = run.factored.get().expect("set before the phase opened");
-                    run.item.densify_chunk(tj, perm, block);
-                },
-            }
-        })) {
-            self.fail_run(run, panic_error(p));
-            return;
-        }
-        match chunk {
-            Chunk::Fill(_) if run.fill.complete() => {
-                // a moved-in or generated input has served its purpose
-                if !run.verify {
-                    *run.input.write().unwrap_or_else(|e| e.into_inner()) = None;
-                }
-                // this worker is the one pushing, so the initially
-                // ready dynamic tasks land on its own side
-                run.push_ready(&mut run.item.g.initial_ready(), me);
-                run.phase.store(FACTOR, Ordering::Release);
-            }
-            Chunk::Densify(_)
-                if run.densify.complete() && !run.finishing.swap(true, Ordering::AcqRel) =>
-            {
-                self.finish_run(run)
-            }
-            _ => {}
-        }
-    }
-
-    /// Execute one piece of `run` that worker `me` found: a pop's
-    /// tasks or a conversion chunk.
-    fn run_work(
-        &self,
-        run: &Arc<Run<'a>>,
-        work: Work,
-        me: usize,
-        bufs: &mut Buffers,
-        clock: &mut FaultClock,
-        inject_panic: bool,
-    ) {
-        match work {
-            Work::Tasks(source) => self.run_tasks(run, source, me, bufs, clock, inject_panic),
-            Work::Chunk(chunk) => self.run_chunk(run, chunk, me, &mut bufs.block, inject_panic),
-        }
-    }
-
     /// Claim the next queued job — or, with `large_only`, the next one
-    /// the co-schedule predicate routes to the whole pool.
+    /// the co-schedule predicate routes to the whole pool. Without it,
+    /// once [`RUNS_PER_WORKER`] large jobs per worker are claimed and not
+    /// yet retired, the next small one, any class.
     fn claim(&self, large_only: bool) -> Option<(JobClass, u64, Job<'a>)> {
         let mut st = self.state.lock();
+        let large = |j: &Job<'a>| !self.cfg.co_schedules(j.item.source.dims());
         let (class, job) = if large_only {
-            st.lanes
-                .remove_where(|j| !self.cfg.co_schedules(j.item.source.dims()))?
+            st.lanes.remove_where(large)?
+        } else if st.cooperative >= RUNS_PER_WORKER * self.threads() {
+            st.lanes.remove_where(|j| !large(j))?
         } else {
             st.lanes.pop()?
         };
+        if large(&job) {
+            st.cooperative += 1;
+        }
         self.queued_jobs.store(st.lanes.len(), Ordering::Release);
         st.in_flight += 1;
         let seq = st.next_seq;
@@ -1243,7 +1125,7 @@ impl<'a> Engine<'a> {
     /// state for a run of `workers`: the task graph, whose panel leaves
     /// the pool's grid for the job's shape sets whatever the run's
     /// width, and zeroed tile storage laid out and owned on the run's
-    /// own grid — allocated here, filled by whoever runs the job. Runs
+    /// own grid — allocated here, filled by the run's FILL tasks. Runs
     /// under `catch_unwind`, like task bodies: a panicking build fails
     /// its own job instead of killing the worker.
     fn build(
@@ -1252,7 +1134,7 @@ impl<'a> Engine<'a> {
         workers: usize,
         me: usize,
         inject_panic: bool,
-    ) -> Result<(ItemState<PoolStorage>, Cow<'a, DenseMatrix>), CaluError> {
+    ) -> Result<ItemState<'a, PoolStorage>, CaluError> {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 injected_panic(me);
@@ -1272,7 +1154,7 @@ impl<'a> Engine<'a> {
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
             let grid = grid_for(workers);
             let tiles = PoolStorage::zeros(m, n, self.cfg.layout, b, grid);
-            Ok((ItemState::new(tiles, g, grid, nstatic), a))
+            Ok(ItemState::new(tiles, g, grid, nstatic, a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }
@@ -1315,11 +1197,7 @@ impl<'a> Engine<'a> {
         // stays attached (its `started` is idempotent on the service
         // side)
         let (id, item) = backup.expect("interrupts need an armed fault plan");
-        let sink = run
-            .sink
-            .lock()
-            .take()
-            .expect("an abandoned run never finished");
+        let sink = run.sink.lock().take().expect("abandoned unfinished");
         let mut st = self.state.lock();
         st.lanes.push(class, Job { id, item, sink });
         self.queued_jobs.store(st.lanes.len(), Ordering::Release);
@@ -1345,19 +1223,25 @@ impl<'a> Engine<'a> {
         job.sink.started();
         let workers = if co_scheduled { 1 } else { self.threads() };
         let (verify, trace) = (job.item.verify, job.item.trace);
-        let (item, a) = match self.build(job.item, workers, me, inject_panic) {
+        let item = match self.build(job.item, workers, me, inject_panic) {
             Ok(built) => built,
             Err(e) => {
+                if !co_scheduled {
+                    self.state.lock().cooperative -= 1;
+                }
                 self.end_job(job.sink, Err(e));
                 return None;
             }
         };
-        // the dynamic section holds the non-static tasks — plus, once a
-        // fault plan can degrade a worker, any rescued static one
+        // the dynamic section holds the non-static tasks, DENSIFYs
+        // included — plus, once a fault plan can degrade a worker, any
+        // rescued static one, FILLs included
         let dynamic_tasks = if self.armed {
-            item.g.len()
+            item.tasks()
         } else {
-            item.g.ids().filter(|&t| !item.is_static(t)).count()
+            (0..item.tasks() as u32)
+                .filter(|&t| item.static_slot(TaskId(t)).is_none())
+                .count()
         };
         Some(Arc::new(Run {
             id: job.id,
@@ -1372,12 +1256,7 @@ impl<'a> Engine<'a> {
                 .map(|_| Padded(Mutex::new(WorkerLog::new(trace))))
                 .collect(),
             sink: Mutex::new(Some(job.sink)),
-            phase: AtomicU8::new(FILL),
-            fill: Chunks::new(item.fill_chunks(), workers, |c| item.fill_owner(c)),
-            densify: Chunks::new(item.g.tile_cols(), workers, |tj| tj % workers),
-            input: RwLock::new(Some(a)),
             verify,
-            factored: OnceLock::new(),
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
@@ -1386,14 +1265,16 @@ impl<'a> Engine<'a> {
         }))
     }
 
-    /// Make `run` visible to every worker, in its fill phase. Under one
-    /// hold of the state lock: copy the engine's degraded set into the
-    /// run's queues, insert the run. A worker retiring concurrently
-    /// flags itself and snapshots `active` under the same lock, so
-    /// either this run is in its snapshot (its heap there gets drained
-    /// and flagged) or the flag was copied here — both before the first
-    /// static push, which only the fill phase's last chunk makes.
+    /// Make `run` visible to every worker, its FILL tasks queued first.
+    /// Under one hold of the state lock: copy the engine's degraded set
+    /// into the run's queues, insert the run. A worker retiring
+    /// concurrently flags itself and snapshots `active` under the same
+    /// lock, so either this run is in its snapshot (its heap there gets
+    /// drained and flagged) or the flag was copied here — both before
+    /// the first static push, which only the completion that retires
+    /// the last FILL makes.
     fn publish(&self, run: &Arc<Run<'a>>) {
+        run.queue_fills();
         {
             let mut st = self.state.lock();
             for w in (0..self.threads()).filter(|&w| st.degraded[w]) {
@@ -1409,13 +1290,14 @@ impl<'a> Engine<'a> {
 
     /// Drive a co-scheduled run to its end as its one worker, making
     /// the worker loop's own calls — fault tick, then the run's own
-    /// work — with nothing to claim and no one to steal from: the run
-    /// is fully served from worker 0's queues. The finish delivers here.
-    /// Returns `false` when an injected loss fired: the run is
-    /// abandoned unfinished, for the caller to requeue.
+    /// tasks — with nothing to claim and no one to steal from: the run,
+    /// FILLs first, is fully served from worker 0's queues. The finish
+    /// delivers here. Returns `false` when an injected loss fired: the
+    /// run is abandoned unfinished, for the caller to requeue.
     fn drive(&self, run: &Arc<Run<'a>>, bufs: &mut Buffers, clock: &mut FaultClock) -> bool {
         let max_group = self.cfg.effective_group();
         let mut panic_pending = false;
+        run.queue_fills();
         while !run.finishing.load(Ordering::Acquire) {
             if self.armed {
                 match clock.before_task() {
@@ -1425,17 +1307,11 @@ impl<'a> Engine<'a> {
                     FaultAction::Panic => panic_pending = true,
                 }
             }
-            let work = run
+            let source = run
                 .own_work(0, max_group, &mut bufs.group)
-                .expect("a one-worker run always holds its next piece");
-            self.run_work(
-                run,
-                work,
-                0,
-                bufs,
-                clock,
-                std::mem::take(&mut panic_pending),
-            );
+                .expect("a one-worker run always holds its next task");
+            let inject = std::mem::take(&mut panic_pending);
+            self.run_tasks(run, source, 0, bufs, clock, inject);
         }
         true
     }
@@ -1524,9 +1400,16 @@ impl<'a> Engine<'a> {
             }
             let mut work = runs.iter().find_map(|run| {
                 run.own_work(me, max_group, &mut bufs.group)
-                    .map(|work| (run, work))
+                    .map(|source| (run, source))
             });
-            if work.is_none() && self.queued_jobs.load(Ordering::Acquire) > 0 {
+            // no claim while a run waits for its FILLs (module docs,
+            // step 3): the steal below may find one
+            if work.is_none()
+                && self.queued_jobs.load(Ordering::Acquire) > 0
+                && runs
+                    .iter()
+                    .all(|r| r.item.done.load(Ordering::Acquire) >= r.item.fills())
+            {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
                     let inject = std::mem::take(&mut panic_pending);
@@ -1549,14 +1432,14 @@ impl<'a> Engine<'a> {
                     hit.map(|(t, source)| {
                         bufs.group.clear();
                         bufs.group.push(t);
-                        (run, Work::Tasks(source))
+                        (run, source)
                     })
                 });
             }
-            if let Some((run, work)) = work {
+            if let Some((run, source)) = work {
                 idle_spins = 0;
                 let inject = std::mem::take(&mut panic_pending);
-                self.run_work(run, work, me, &mut bufs, &mut clock, inject);
+                self.run_tasks(run, source, me, &mut bufs, &mut clock, inject);
                 continue;
             }
             if !runs.is_empty() {
@@ -1819,30 +1702,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_claimed_once_own_group_first_and_never_stranded() {
-        // 7 chunks over 3 workers, chunk c preferred by worker c % 3
-        let chunks = Chunks::new(7, 3, |c| c % 3);
-        // worker 1 drains its own group in order before helping
-        assert_eq!(chunks.claim(1), Some(1));
-        assert_eq!(chunks.claim(1), Some(4));
-        // …then takes the next worker's, then wraps to worker 0's:
-        // nobody has to show up for its own chunks
-        let rest: Vec<usize> = std::iter::from_fn(|| chunks.claim(1)).collect();
-        assert_eq!(rest, [2, 5, 0, 3, 6]);
-        for w in 0..3 {
-            assert_eq!(chunks.claim(w), None, "every chunk was handed out once");
-        }
-        // the phase ends with the last completion, whoever makes it
-        assert!((0..6).all(|_| !chunks.complete()));
-        assert!(chunks.complete());
-        // a worker that prefers nothing still helps
-        let lopsided = Chunks::new(2, 4, |_| 3);
-        assert_eq!(lopsided.claim(0), Some(0));
-        assert_eq!(lopsided.claim(2), Some(1));
-        assert_eq!(lopsided.claim(3), None);
-    }
-
-    #[test]
     fn an_untraced_job_keeps_no_spans_and_folds_the_same_schedule() {
         // both routes (co-operative at cutoff 0, co-scheduled at 1000):
         // no timeline unless asked for, every task counted either way,
@@ -1919,7 +1778,7 @@ mod tests {
                     assert!(admitted.is_ok());
                     let served = rx.recv().unwrap().unwrap();
                     pool.drain();
-                    assert_eq!(served.queue, queue, "the pool reports what it ran");
+                    assert_eq!(served.config.queue, queue, "the pool reports what it ran");
 
                     for (who, out) in [("solo", &solo), ("batch", &batch), ("pool", &served)] {
                         let ctx = format!("{who} {kernels:?} {m}x{n} {queue} cutoff {cutoff}");
@@ -2395,6 +2254,53 @@ mod tests {
                 Err(CaluError::InvalidConfig(_))
             ));
             engine.drain(); // idempotent
+        }
+
+        #[test]
+        fn large_claims_stop_at_two_runs_per_worker() {
+            // every job co-operative, twelve of them queued at once: each
+            // claim is seen from its sink's `started`, when it already
+            // counts, and no more than 2 × 2 are ever out at one time
+            struct Watch {
+                engine: Arc<Engine<'static>>,
+                most: Arc<AtomicUsize>,
+                tx: mpsc::Sender<Result<Outcome, CaluError>>,
+            }
+            impl JobSink for Watch {
+                fn started(&self) {
+                    let claimed = self.engine.state.lock().cooperative;
+                    self.most.fetch_max(claimed, Ordering::SeqCst);
+                }
+                fn finished(self: Box<Self>, res: Result<Outcome, CaluError>) {
+                    let _ = self.tx.send(res);
+                }
+            }
+            let cfg = CaluConfig::new(16)
+                .with_threads(2)
+                .with_batch_small_cutoff(0);
+            let engine = Engine::spawn(&cfg, 4).unwrap();
+            let most = Arc::new(AtomicUsize::new(0));
+            let (tx, rx) = mpsc::channel();
+            for seed in 0..12u64 {
+                let sink = Watch {
+                    engine: Arc::clone(&engine),
+                    most: Arc::clone(&most),
+                    tx: tx.clone(),
+                };
+                accept(engine.submit(
+                    seed,
+                    JobClass::Batch,
+                    BatchItem::lu(Source::Uniform { m: 96, n: 96, seed }),
+                    Box::new(sink),
+                ));
+            }
+            for _ in 0..12 {
+                assert!(!rx.recv().unwrap().unwrap().co_scheduled);
+            }
+            engine.drain();
+            let most = most.load(Ordering::SeqCst);
+            assert!((1..=RUNS_PER_WORKER * 2).contains(&most), "{most}");
+            assert_eq!(engine.state.lock().cooperative, 0);
         }
 
         #[test]

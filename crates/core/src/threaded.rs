@@ -31,8 +31,9 @@
 //! by simply naming the kernel set; [`cholesky_factor`] is
 //! [`calu_factor`] with a different one.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
@@ -178,35 +179,62 @@ impl KernelSet {
 
 const NOT_SINGULAR: usize = usize::MAX;
 
+/// What one of a run's task ids names. The DAG's tasks come first; the
+/// *conversion tasks* are numbered after them: one FILL per fill chunk,
+/// then one DENSIFY per tile column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Task {
+    /// A task of the DAG, of this kind.
+    Dag(TaskKind),
+    /// Copy fill chunk `c` of the input into its tiles (`fill_tiles`).
+    Fill(usize),
+    /// Turn tile column `tj` in place into the dense factors' columns
+    /// and apply its deferred left swaps.
+    Densify(usize),
+}
+
 /// Per-item execution state: everything one factorization's task bodies
-/// touch — tiled storage, dependence counters, tournament panels,
-/// priority keys — with *no queues attached*. The engine pairs one
-/// `ItemState` with one queue set per run: one queue per pool worker
+/// touch — the input, tiled storage, dependence counters, tournament
+/// panels, priority keys — with *no queues attached*. The engine pairs
+/// one `ItemState` with one queue set per run: one queue per pool worker
 /// for a co-operative run, one for a co-scheduled one. The graph is held
 /// by [`Arc`] rather than borrowed because service workers are
 /// `'static` threads with no scope to borrow from.
-pub(crate) struct ItemState<S: TileStorage> {
+pub(crate) struct ItemState<'a, S: TileStorage> {
     pub(crate) g: Arc<TaskGraph>,
     tiles: SharedTiles<S>,
     deps: Vec<AtomicU32>,
-    pub(crate) owners: OwnerMap,
+    owners: OwnerMap,
     /// Leading tile columns scheduled statically (the `dratio` split
     /// resolved against this item's panel count).
     nstatic: usize,
-    /// Tasks retired so far. Every completion writes it and every task
-    /// reads the fields around it, so it keeps to its own cache lines.
+    /// Tasks retired so far, conversion tasks included. Every
+    /// completion writes it and every task reads the fields around it,
+    /// so it keeps to its own cache lines.
     pub(crate) done: Padded<AtomicUsize>,
     singular: AtomicUsize,
     panels: Vec<PanelState>,
+    /// The input: read by the FILL tasks, then dropped unless the job
+    /// asked for verification (a borrowed one stays borrowed).
+    input: RwLock<Option<Cow<'a, DenseMatrix>>>,
+    /// The combined permutation and singular flag, taken once every DAG
+    /// task retired — what the DENSIFY tasks swap by.
+    factored: OnceLock<(RowPerm, Option<usize>)>,
     kernels: KernelSet,
     b: usize,
 }
 
-impl<S: TileStorage + Send> ItemState<S> {
-    /// Build the execution state for one factorization: `nstatic` is the
+impl<'a, S: TileStorage + Send> ItemState<'a, S> {
+    /// Build the execution state for factoring `input`: `nstatic` is the
     /// number of leading tile columns scheduled statically (the `dratio`
     /// split already resolved against this item's panel count).
-    pub(crate) fn new(storage: S, g: Arc<TaskGraph>, grid: ProcessGrid, nstatic: usize) -> Self {
+    pub(crate) fn new(
+        storage: S,
+        g: Arc<TaskGraph>,
+        grid: ProcessGrid,
+        nstatic: usize,
+        input: Cow<'a, DenseMatrix>,
+    ) -> Self {
         let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
         Self {
@@ -233,35 +261,89 @@ impl<S: TileStorage + Send> ItemState<S> {
                     })
                     .collect(),
             },
+            input: RwLock::new(Some(input)),
+            factored: OnceLock::new(),
             kernels,
             b: g.block(),
             g,
         }
     }
 
-    /// Whether `t` belongs to the static section (its output tile's
-    /// column is one of the first `Nstatic`).
-    pub(crate) fn is_static(&self, t: TaskId) -> bool {
-        self.g.kind(t).writes_col() < self.nstatic
+    /// The FILL tasks' count: one per tile column and grid row.
+    pub(crate) fn fills(&self) -> usize {
+        self.g.tile_cols() * self.owners.grid().pr()
     }
 
-    /// `t`'s priority in its owner's static heap (P ≻ L ≻ U ≻ S).
-    pub(crate) fn static_key(&self, t: TaskId) -> u64 {
-        priority::static_key(&self.g.kind(t))
+    /// Every task of the run: the DAG's, the FILLs and the DENSIFYs.
+    pub(crate) fn tasks(&self) -> usize {
+        self.g.len() + self.fills() + self.g.tile_cols()
     }
 
-    /// `t`'s priority in the dynamic section (Algorithm 2's DFS order).
+    /// What task id `t` names.
+    pub(crate) fn task(&self, t: TaskId) -> Task {
+        match t.idx().checked_sub(self.g.len()) {
+            None => Task::Dag(self.g.kind(t)),
+            Some(c) if c < self.fills() => Task::Fill(c),
+            Some(c) => Task::Densify(c - self.fills()),
+        }
+    }
+
+    /// The FILL task ids in column order, each with the worker that
+    /// owns its tiles.
+    pub(crate) fn fill_tasks(&self) -> impl DoubleEndedIterator<Item = (TaskId, usize)> {
+        let (grid, first) = (self.owners.grid(), self.g.len());
+        (0..self.fills()).map(move |c| {
+            let owner = grid.owner(c % grid.pr(), c / grid.pr());
+            (TaskId((first + c) as u32), owner)
+        })
+    }
+
+    /// The DENSIFY task ids, in column order.
+    pub(crate) fn densify_tasks(&self) -> Vec<TaskId> {
+        (self.g.len() + self.fills()..self.tasks())
+            .map(|t| TaskId(t as u32))
+            .collect()
+    }
+
+    /// The tiles `(ti, tj)` FILL `c` copies: grid row `c % pr`'s tiles
+    /// of tile column `c / pr`, so they share one block-cyclic owner.
+    pub(crate) fn fill_tiles(&self, c: usize) -> impl Iterator<Item = (usize, usize)> {
+        let pr = self.owners.grid().pr();
+        (c % pr..self.g.tile_rows())
+            .step_by(pr)
+            .map(move |ti| (ti, c / pr))
+    }
+
+    /// Where `t` is queued when it is static — `(owner, static key)` —
+    /// or `None` for a task of the dynamic section. A DAG task is static
+    /// when its output tile's column is one of the first `Nstatic`,
+    /// keyed P ≻ L ≻ U ≻ S. Conversion tasks are dynamic, so any worker
+    /// may take one: a busy or lost owner holds no FILL up.
+    pub(crate) fn static_slot(&self, t: TaskId) -> Option<(usize, u64)> {
+        match self.task(t) {
+            Task::Dag(kind) => (kind.writes_col() < self.nstatic)
+                .then(|| (self.owners.owner(t), priority::static_key(&kind))),
+            Task::Fill(_) | Task::Densify(_) => None,
+        }
+    }
+
+    /// `t`'s priority in the dynamic section: Algorithm 2's DFS order
+    /// for a DAG task, the column order for a conversion task.
     pub(crate) fn dynamic_key(&self, t: TaskId) -> u64 {
-        priority::dynamic_key(&self.g.kind(t))
+        match self.task(t) {
+            Task::Dag(kind) => priority::dynamic_key(&kind),
+            Task::Fill(c) | Task::Densify(c) => c as u64,
+        }
     }
 
     /// Mark every task of `tasks` done and collect their newly enabled
-    /// successors into `ready_buf` (cleared first); returns how many of
-    /// the item's tasks are done now. Queueing the successors is the
-    /// caller's business.
+    /// DAG successors into `ready_buf` (cleared first); returns how many
+    /// of the run's tasks are done now. Queueing the successors is the
+    /// caller's business, and so is what the count releases.
     pub(crate) fn complete_into(&self, tasks: &[u32], ready_buf: &mut Vec<TaskId>) -> usize {
         ready_buf.clear();
-        for &t in tasks {
+        // conversion tasks, past the DAG's ids, release nothing through it
+        for &t in tasks.iter().filter(|&&t| (t as usize) < self.g.len()) {
             for &s in self.g.successors(TaskId(t)) {
                 if self.deps[s.idx()].fetch_sub(1, Ordering::AcqRel) == 1 {
                     ready_buf.push(s);
@@ -273,8 +355,8 @@ impl<S: TileStorage + Send> ItemState<S> {
 
     /// `(k, i, j)` when `t` is an S task.
     fn update_of(&self, t: u32) -> Option<(usize, usize, usize)> {
-        match self.g.kind(TaskId(t)) {
-            TaskKind::Update { k, i, j } => Some((k as usize, i as usize, j as usize)),
+        match self.task(TaskId(t)) {
+            Task::Dag(TaskKind::Update { k, i, j }) => Some((k as usize, i as usize, j as usize)),
             _ => None,
         }
     }
@@ -284,7 +366,8 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// panel and column, and both `next`'s C tile and its L tile start
     /// exactly where `last`'s end, on the same leading dimension. The
     /// BCL layout stores a thread's tiles of one column that way; 2l-BL
-    /// (every tile its own block) never does.
+    /// (every tile its own block) never does. Never for a conversion
+    /// task.
     pub(crate) fn stacks_under(&self, last: u32, next: u32) -> bool {
         let (Some((k, i, j)), Some((k2, i2, j2))) = (self.update_of(last), self.update_of(next))
         else {
@@ -297,52 +380,54 @@ impl<S: TileStorage + Send> ItemState<S> {
         self.kernels == KernelSet::CaluLu && (k, j) == (k2, j2) && below(j) && below(k)
     }
 
-    /// What the tasks decided, once every one of them ran: the combined
-    /// permutation (in panel order) and the singular flag. By
-    /// reference, because co-operative runs live in `Arc`s shared with
-    /// in-flight workers; the factors themselves leave through
-    /// [`take_factors`](Self::take_factors).
-    pub(crate) fn factored(&self) -> (RowPerm, Option<usize>) {
-        let mut perm = RowPerm::identity();
-        // unpivoted kernel sets (Cholesky) build no panel state: the
-        // permutation is the identity
-        for k in 0..self.panels.len() {
-            perm.extend(self.panels[k].perm.get().expect("all panels finished"));
-        }
-        let singular = match self.singular.load(Ordering::Acquire) {
-            NOT_SINGULAR => None,
-            c => Some(c),
-        };
-        (perm, singular)
+    /// The input, for as long as the run keeps it. (No writer can
+    /// panic, so a poisoned lock still guards a valid value.)
+    pub(crate) fn input(&self) -> RwLockReadGuard<'_, Option<Cow<'a, DenseMatrix>>> {
+        self.input.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The fill phase's chunks: the tiles of one tile column that one
-    /// grid row owns — `chunk = tj · pr + r` — so a chunk's tiles share
-    /// a block-cyclic owner, [`fill_owner`](Self::fill_owner).
-    pub(crate) fn fill_chunks(&self) -> usize {
-        self.g.tile_cols() * self.owners.grid().pr()
+    /// Drop a moved-in or generated input once it has served its
+    /// purpose (a borrowed one is only let go).
+    pub(crate) fn drop_input(&self) {
+        *self.input.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
-    /// The worker that owns every tile of fill chunk `chunk`.
-    pub(crate) fn fill_owner(&self, chunk: usize) -> usize {
-        let pr = self.owners.grid().pr();
-        self.owners.grid().owner(chunk % pr, chunk / pr)
+    /// What the tasks decided, once every DAG task ran: the combined
+    /// permutation (in panel order) and the singular flag, taken by the
+    /// first caller. By reference, because co-operative runs live in
+    /// `Arc`s shared with in-flight workers; the factors themselves
+    /// leave through [`take_factors`](Self::take_factors).
+    pub(crate) fn factored(&self) -> &(RowPerm, Option<usize>) {
+        self.factored.get_or_init(|| {
+            let mut perm = RowPerm::identity();
+            // unpivoted kernel sets (Cholesky) build no panel state: the
+            // permutation is the identity
+            for panel in &self.panels {
+                perm.extend(panel.perm.get().expect("all panels finished"));
+            }
+            let singular = match self.singular.load(Ordering::Acquire) {
+                NOT_SINGULAR => None,
+                c => Some(c),
+            };
+            (perm, singular)
+        })
     }
 
-    /// Copy `a`'s entries into the tiles of fill chunk `chunk`, one
+    /// Copy the input's entries into the tiles of FILL `c`, one
     /// contiguous tile column at a time.
     ///
     /// # Safety
-    /// No task of the item may have started, and no two calls may name
-    /// the same chunk: chunks partition the tiles, so distinct chunks
-    /// write disjoint elements.
-    pub(crate) unsafe fn fill_chunk(&self, a: &DenseMatrix, chunk: usize) {
-        let pr = self.owners.grid().pr();
-        let (r, tj) = (chunk % pr, chunk / pr);
-        let tiles: Vec<(usize, TilePtr)> = (r..self.g.tile_rows())
-            .step_by(pr)
-            .map(|ti| (ti * self.b, self.tiles.tile_ptr(ti, tj)))
+    /// No DAG task of the item may have started, and no two calls may
+    /// name the same chunk: chunks partition the tiles, so distinct
+    /// chunks write disjoint elements.
+    unsafe fn fill_chunk(&self, c: usize) {
+        let input = self.input();
+        let a = input.as_deref().expect("the input outlives the fills");
+        let tiles: Vec<(usize, TilePtr)> = self
+            .fill_tiles(c)
+            .map(|(ti, tj)| (ti * self.b, self.tiles.tile_ptr(ti, tj)))
             .collect();
+        let tj = c / self.owners.grid().pr();
         for j in 0..self.g.tile_col_count(tj) {
             let src = a.col(tj * self.b + j);
             for (r0, t) in &tiles {
@@ -353,15 +438,16 @@ impl<S: TileStorage + Send> ItemState<S> {
 
     /// Turn tile column `tj` in place into its columns of the dense
     /// factors (the tile buffer is the result) and apply the deferred
-    /// left swaps to each column while it is hot. `scratch` is the
+    /// left swaps to each column while it is hot. `block` is the
     /// calling worker's one-block buffer, used only when the column's
     /// tiles are not stored column-major already.
     ///
     /// # Safety
-    /// Every task must have completed (`done == g.len()`), so no worker
-    /// holds a tile pointer, and no two calls may name the same column.
-    pub(crate) unsafe fn densify_chunk(&self, tj: usize, perm: &RowPerm, scratch: &mut Vec<f64>) {
-        let cols = self.tiles.densify_col(tj, scratch);
+    /// Every DAG task must have completed, so no worker holds a tile
+    /// pointer, and no two calls may name the same column.
+    unsafe fn densify_chunk(&self, tj: usize, block: &mut Vec<f64>) {
+        let (perm, _) = self.factored();
+        let cols = self.tiles.densify_col(tj, block);
         for (j, col) in cols.chunks_exact_mut(self.g.rows()).enumerate() {
             left_swaps_in_col(col, tj * self.b + j, &self.g, perm.pivots(), self.b);
         }
@@ -370,9 +456,8 @@ impl<S: TileStorage + Send> ItemState<S> {
     /// The dense factors: the tile buffer, moved out without a copy.
     ///
     /// # Safety
-    /// Every tile column must have been densified, by chunks that are
-    /// all dead with their writes visible to the caller, and the item's
-    /// tiles must not be used again.
+    /// Every DENSIFY task must have completed, with its writes visible
+    /// to the caller, and the item's tiles must not be used again.
     pub(crate) unsafe fn take_factors(&self) -> DenseMatrix {
         let data = self.tiles.take_buffer();
         DenseMatrix::from_col_major(self.g.rows(), self.g.cols(), data)
@@ -380,7 +465,7 @@ impl<S: TileStorage + Send> ItemState<S> {
     }
 }
 
-impl<S: TileStorage + Send> ItemState<S> {
+impl<S: TileStorage + Send> ItemState<'_, S> {
     fn flag_singular(&self, col: usize) {
         self.singular.fetch_min(col, Ordering::AcqRel);
     }
@@ -592,14 +677,30 @@ impl<S: TileStorage + Send> ItemState<S> {
         }
     }
 
-    /// Run one task's kernel through the item's [`KernelSet`]. `scratch`
-    /// is the calling worker's packing arena — pre-sized for
-    /// tile-dimension GEMMs, so the BLAS-3 tasks (L, U, S) never touch
-    /// the allocator, and grown once by the first TSLU leaf's taller
-    /// GEPP. The task *kinds* are shared across kernel sets
-    /// (they encode the dependency shape); the bodies are not.
-    pub(crate) fn execute(&self, t: TaskId, scratch: &mut GemmScratch) {
-        match (self.kernels, self.g.kind(t)) {
+    /// Run one task: a DAG task's kernel through the item's
+    /// [`KernelSet`], or a conversion task's copy. `scratch` is the
+    /// calling worker's packing arena — pre-sized for tile-dimension
+    /// GEMMs, so the BLAS-3 tasks (L, U, S) never touch the allocator,
+    /// and grown once by the first TSLU leaf's taller GEPP — and `block`
+    /// its one-block buffer for a DENSIFY. The task *kinds* are shared
+    /// across kernel sets (they encode the dependency shape); the bodies
+    /// are not.
+    pub(crate) fn execute(&self, t: TaskId, scratch: &mut GemmScratch, block: &mut Vec<f64>) {
+        let kind = match self.task(t) {
+            Task::Dag(kind) => kind,
+            // SAFETY: the FILLs are the only tasks queued until the
+            // completion that makes `done` equal their count — every
+            // FILL retired — queues the DAG's first ones, and each FILL
+            // id is queued once, so no two calls name the same chunk.
+            Task::Fill(c) => return unsafe { self.fill_chunk(c) },
+            // SAFETY: the DENSIFYs are queued only by the completion
+            // that retires the last DAG task (the AcqRel `done` counter
+            // orders every task body before it, and the queue hands that
+            // on to whoever pops), each id once, so the column blocks
+            // rearranged are disjoint.
+            Task::Densify(tj) => return unsafe { self.densify_chunk(tj, block) },
+        };
+        match (self.kernels, kind) {
             (KernelSet::CaluLu, TaskKind::PanelLeaf { k, i }) => {
                 self.run_leaf(k as usize, i as usize, scratch)
             }
@@ -631,10 +732,15 @@ impl<S: TileStorage + Send> ItemState<S> {
 
     /// Run what one pop claimed: a single task, or a group of S tasks
     /// chained by [`stacks_under`](Self::stacks_under) as one GEMM.
-    pub(crate) fn execute_group(&self, group: &[u32], scratch: &mut GemmScratch) {
+    pub(crate) fn execute_group(
+        &self,
+        group: &[u32],
+        scratch: &mut GemmScratch,
+        block: &mut Vec<f64>,
+    ) {
         match *group {
             [] => {}
-            [t] => self.execute(TaskId(t), scratch),
+            [t] => self.execute(TaskId(t), scratch, block),
             [first, .., last] => {
                 let (Some((k, i, j)), Some((_, i_last, _))) =
                     (self.update_of(first), self.update_of(last))
@@ -924,7 +1030,8 @@ mod tests {
         let g = Arc::new(TaskGraph::build_calu(n, n, b, 2));
         let id = |kind: TaskKind| g.ids().find(|&t| g.kind(t) == kind).unwrap().0;
         let s = |k, i, j| id(TaskKind::Update { k, i, j });
-        let bcl = ItemState::new(BclMatrix::zeros(n, n, b, grid), g.clone(), grid, 8);
+        let input = || Cow::Owned(DenseMatrix::zeros(n, n));
+        let bcl = ItemState::new(BclMatrix::zeros(n, n, b, grid), g.clone(), grid, 8, input());
         assert!(bcl.stacks_under(s(0, 1, 1), s(0, 3, 1)), "next owned row");
         assert!(
             bcl.stacks_under(s(0, 5, 2), s(0, 7, 2)),
@@ -938,7 +1045,7 @@ mod tests {
         let l = id(TaskKind::ComputeL { k: 0, i: 3 });
         assert!(!bcl.stacks_under(s(0, 1, 1), l) && !bcl.stacks_under(l, s(0, 3, 1)));
         // 2l-BL keeps every tile in a block of its own: nothing stacks
-        let tlb = ItemState::new(TlbMatrix::zeros(n, n, b, grid), g.clone(), grid, 8);
+        let tlb = ItemState::new(TlbMatrix::zeros(n, n, b, grid), g.clone(), grid, 8, input());
         for i in 1..6 {
             assert!(
                 !tlb.stacks_under(s(0, i, 1), s(0, i + 2, 1)),
@@ -951,9 +1058,70 @@ mod tests {
             gc.ids()
                 .find(|&t| gc.kind(t) == TaskKind::Update { k, i, j })
         };
-        let chol = ItemState::new(BclMatrix::zeros(64, 64, b, grid), gc.clone(), grid, 8);
+        let spd = Cow::Owned(DenseMatrix::zeros(64, 64));
+        let chol = ItemState::new(BclMatrix::zeros(64, 64, b, grid), gc.clone(), grid, 8, spd);
         let (t1, t2) = (sc(0, 3, 1).unwrap().0, sc(0, 5, 1).unwrap().0);
         assert!(!chol.stacks_under(t1, t2));
+    }
+
+    #[test]
+    fn conversion_tasks_partition_the_tiles_after_the_dag() {
+        use calu_matrix::BclMatrix;
+        // LU and Cholesky × square, tall (p×1 grid), wide (1×p grid)
+        // and ragged shapes × the co-operative grid and a one-worker
+        // run's 1×1 grid
+        let b = 8;
+        for (m, n) in [(64usize, 64usize), (160, 24), (24, 160), (61, 61), (83, 37)] {
+            for kernels in [KernelSet::CaluLu, KernelSet::Cholesky] {
+                if kernels == KernelSet::Cholesky && m != n {
+                    continue;
+                }
+                let (mt, nt) = (m.div_ceil(b), n.div_ceil(b));
+                for grid in [grid_for(m, n, b, 4), ProcessGrid::new(1, 1).unwrap()] {
+                    let ctx = format!("{kernels:?} {m}x{n} on {}x{}", grid.pr(), grid.pc());
+                    let g = Arc::new(kernels.build_graph(m, n, b, grid.pr()).unwrap());
+                    let input = Cow::Owned(DenseMatrix::zeros(m, n));
+                    let item =
+                        ItemState::new(BclMatrix::zeros(m, n, b, grid), g.clone(), grid, 2, input);
+                    // the conversion ids run contiguously from the DAG's end
+                    let last = TaskId(g.len() as u32 - 1);
+                    assert_eq!(item.task(last), Task::Dag(g.kind(last)), "{ctx}");
+                    let (fills, owners): (Vec<TaskId>, Vec<usize>) = item.fill_tasks().unzip();
+                    let conversions = [fills, item.densify_tasks()].concat();
+                    let ids: Vec<TaskId> =
+                        (g.len()..item.tasks()).map(|t| TaskId(t as u32)).collect();
+                    assert_eq!(conversions, ids, "{ctx}");
+                    // every tile in exactly one FILL, queued on the tile's
+                    // block-cyclic owner; every tile column in one DENSIFY;
+                    // both in the dynamic section
+                    let mut filled = vec![0usize; mt * nt];
+                    let mut densified = vec![0usize; nt];
+                    for (x, &t) in conversions.iter().enumerate() {
+                        assert!(item.static_slot(t).is_none(), "{ctx}: {t:?} is dynamic");
+                        match item.task(t) {
+                            Task::Fill(c) => {
+                                for (ti, tj) in item.fill_tiles(c) {
+                                    assert_eq!(owners[x], grid.owner(ti, tj), "{ctx}: FILL {c}");
+                                    filled[ti * nt + tj] += 1;
+                                }
+                            }
+                            Task::Densify(tj) => densified[tj] += 1,
+                            Task::Dag(_) => panic!("{ctx}: {t:?} is past the DAG"),
+                        }
+                        // a conversion task never stacks with anything
+                        for other in (0..item.tasks() as u32).map(TaskId) {
+                            assert!(
+                                !item.stacks_under(t.0, other.0)
+                                    && !item.stacks_under(other.0, t.0),
+                                "{ctx}"
+                            );
+                        }
+                    }
+                    assert!(filled.iter().all(|&f| f == 1), "{ctx}: {filled:?}");
+                    assert!(densified.iter().all(|&d| d == 1), "{ctx}: {densified:?}");
+                }
+            }
+        }
     }
 
     #[test]

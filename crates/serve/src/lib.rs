@@ -223,11 +223,12 @@ pub struct ServiceConfig {
     /// Keep every job's per-task spans (`Outcome::timeline`).
     pub trace: bool,
     /// Watchdog stall detection: a *running co-operative* job whose
-    /// task heartbeat has not advanced for this long is condemned with
-    /// a typed worker-loss failure ([`ServeError::Failed`] carrying
-    /// `CaluError::WorkerLost`). `None` (the default) disables stall
-    /// detection; per-job deadlines work either way. Co-scheduled
-    /// (small) jobs expose no heartbeat and are exempt.
+    /// task heartbeat (every retired task, its input-copy FILLs and
+    /// copy-out DENSIFYs included) has not advanced for this long is
+    /// condemned with a typed worker-loss failure ([`ServeError::Failed`]
+    /// carrying `CaluError::WorkerLost`). `None` (the default) disables
+    /// it; per-job deadlines work either way. Co-scheduled (small) jobs
+    /// expose no heartbeat and are exempt.
     pub stall_timeout: Option<Duration>,
     /// Opt-in crash-safe write-ahead log. When set, every accepted
     /// generator-spec job is appended (and fsync'd) before admission

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use calu_core::{
-    factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, KernelSet, Outcome,
+    factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, CaluConfig, KernelSet, Outcome,
 };
 use calu_matrix::ProcessGrid;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
@@ -111,7 +111,7 @@ fn non_empty(plans: &[Plan<'_>]) -> Result<(), Error> {
 /// simulator's group model both run the *whole* batch under one
 /// config, and silently using `plans[0]`'s knobs would misattribute
 /// every other item's report.
-fn batch_shared_config(plans: &[Plan<'_>]) -> Result<calu_core::CaluConfig, Error> {
+fn batch_shared_config(plans: &[Plan<'_>]) -> Result<CaluConfig, Error> {
     let cfg = plans[0].calu_config();
     // (each plan's grid, and with it its default leaf count, follows
     // its own source's shape and is not part of the config)
@@ -127,27 +127,24 @@ fn batch_shared_config(plans: &[Plan<'_>]) -> Result<calu_core::CaluConfig, Erro
 }
 
 /// A report carrying a job's identity and nothing measured yet — the
-/// header every backend fills in.
-#[allow(clippy::too_many_arguments)]
+/// header every backend fills in: tile size, layout, queue discipline
+/// and thread count are `cfg`'s, the config the job runs under.
 pub(crate) fn blank_report(
     backend: &str,
     algorithm: Algorithm,
     scheduler: calu_sched::SchedulerKind,
-    queue_discipline: calu_sched::QueueDiscipline,
-    layout: calu_matrix::Layout,
+    cfg: &CaluConfig,
     dims: (usize, usize),
-    b: usize,
-    threads: usize,
 ) -> Report {
     Report {
         backend: backend.into(),
         algorithm,
         scheduler,
-        queue_discipline,
-        layout,
+        queue_discipline: cfg.queue,
+        layout: cfg.layout,
         dims,
-        b,
-        threads,
+        b: cfg.b,
+        threads: cfg.threads,
         tasks: 0,
         makespan: 0.0,
         nominal_flops: nominal_flops(algorithm, dims.0, dims.1),
@@ -161,15 +158,13 @@ pub(crate) fn blank_report(
 }
 
 fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
+    let cfg = plan.calu_config();
     blank_report(
         backend,
         plan.algorithm,
         plan.scheduler,
-        plan.queue(),
-        plan.layout(),
+        &cfg,
         plan.source.dims(),
-        plan.b(),
-        plan.threads(),
     )
 }
 

@@ -36,6 +36,7 @@
 //! reproduce a solo run bit for bit.
 
 use calu_core::{KernelSet, Outcome};
+use calu_sched::SchedulerKind;
 
 pub use calu_serve::{
     DrainSummary, Events, FactorService, JobClass, JobEvent, JobHandle, JobId, JobInfo, JobSpec,
@@ -93,8 +94,7 @@ impl Solver {
         reject_sim_only_knobs("serve", &plan)?;
         (svc.verify, svc.trace) = (plan.verify, plan.record_trace);
         let cfg = plan.calu_config();
-        let scheduler = plan.scheduler;
-        let (layout, b) = (cfg.layout, cfg.b);
+        let (scheduler, dratio) = (plan.scheduler, cfg.dratio);
         // adaptive solvers keep learning while they serve: every
         // completed job's schedule metrics are distilled into an
         // Observation and fed to the shared controller, so a later
@@ -104,23 +104,19 @@ impl Solver {
         let make = move |_info: &JobInfo, out: Outcome| -> Report {
             // the outcome — not the captured knobs — is authoritative
             // for what a live reconfigure may have changed since this
-            // closure was built (pool width, queue discipline), and the
-            // job's own kernel set decides the algorithm: one service
-            // serves LU and Cholesky jobs side by side
+            // closure was built (pool width, tile size, layout, split,
+            // queue discipline), and the job's own kernel set decides
+            // the algorithm: one service serves LU and Cholesky jobs side
+            // by side
             let algorithm = match out.kernels {
                 KernelSet::CaluLu => Algorithm::Calu,
                 KernelSet::Cholesky => Algorithm::Cholesky,
             };
-            let header = blank_report(
-                "serve",
-                algorithm,
-                scheduler,
-                out.queue,
-                layout,
-                out.dims,
-                b,
-                out.stats.len(),
-            );
+            let scheduler = match out.config.dratio {
+                d if d == dratio => scheduler,
+                d => SchedulerKind::Hybrid { dratio: d },
+            };
+            let header = blank_report("serve", algorithm, scheduler, &out.config, out.dims);
             // service jobs run under their pool generation's fixed
             // split; the controller's evolving state is read through
             // Solver::adaptive_split and applied by reconfigure

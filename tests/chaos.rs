@@ -190,11 +190,12 @@ fn an_injected_panic_surfaces_as_the_facades_typed_factor_error() {
 
 #[test]
 fn faults_around_the_fill_and_densify_phases_never_change_a_tall_run() {
-    // a co-operative run's dense↔tile conversions are worker phases: a
-    // worker that dies before touching a tile must not strand the
-    // chunks it would have taken first, and a pre-degraded slow worker
-    // must not hold a phase up — on the p×1 grid a tall input gets,
-    // where every worker owns tiles of every column
+    // a co-operative run's dense↔tile conversions are tasks in its
+    // queues: a worker that dies before touching a tile must not strand
+    // the FILL tasks queued on its side (the others steal them), and a
+    // pre-degraded slow worker must not hold the copy up — on the p×1
+    // grid a tall input gets, where every worker owns tiles of every
+    // column
     for threads in [2, 4] {
         let tall = || {
             Solver::new(MatrixSource::uniform_rect(768, 48, 91))
@@ -220,8 +221,8 @@ fn faults_around_the_fill_and_densify_phases_never_change_a_tall_run() {
         assert_bitwise(&r, &clean, &ctx);
     }
     // a panic latched before the first piece of work fires in it: on one
-    // thread that is always a fill chunk, and the job fails typed, like
-    // a task panic
+    // thread that is always a FILL task, and the job fails typed, like
+    // a DAG task panic
     for threads in [1, 2] {
         let err = Solver::new(MatrixSource::uniform_rect(768, 48, 91))
             .tile(16)

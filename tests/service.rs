@@ -487,3 +487,42 @@ fn a_warm_service_reuses_its_pool_and_matches_the_one_shot_batch_bitwise() {
     }
     service.drain();
 }
+
+#[test]
+fn a_served_report_names_the_pool_generation_that_ran_it() {
+    // a live reconfigure moves the tile size, the split and the layout:
+    // the next job's report names the generation that ran it, not the
+    // builder that spawned the service, and counts that generation's
+    // tasks — exactly what a solo run at the new knobs reports
+    use calu::matrix::Layout;
+    use calu::sched::SchedulerKind;
+    let spawned = Solver::new(MatrixSource::shape(8, 8))
+        .tile(16)
+        .threads(2)
+        .dratio(0.5);
+    let service = spawned.serve().unwrap();
+    let knobs = |src| {
+        Solver::new(src)
+            .tile(32)
+            .threads(2)
+            .dratio(0.3)
+            .layout(Layout::TwoLevelBlock)
+    };
+    knobs(MatrixSource::shape(8, 8))
+        .reconfigure(&service)
+        .unwrap();
+    let served = service
+        .submit(JobSpec::uniform(96, 96, 11), JobClass::Batch)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let solo = knobs(MatrixSource::uniform(96, 11)).run().unwrap();
+    assert_eq!(served.b, 32);
+    assert_eq!(served.layout, Layout::TwoLevelBlock);
+    assert_eq!(served.scheduler, SchedulerKind::Hybrid { dratio: 0.3 });
+    assert_eq!(
+        (served.b, served.layout, served.scheduler, served.tasks),
+        (solo.b, solo.layout, solo.scheduler, solo.tasks)
+    );
+    service.drain();
+}
