@@ -91,7 +91,7 @@ use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use calu_dag::{PaperKind, TaskGraph, TaskId};
+use calu_dag::TaskId;
 use calu_kernels::GemmScratch;
 use calu_matrix::gen;
 use calu_matrix::storage::TileLoc;
@@ -99,7 +99,10 @@ use calu_matrix::{
     BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, TileStorage, Tiling, TlbMatrix,
 };
 use calu_rand::Rng;
-use calu_sched::{nstatic_for, ClassLanes, JobClass, Padded, QueueSource, ReadyQueues};
+use calu_sched::{
+    nstatic_for, ClassLanes, JobClass, Padded, QueueSource, ReadyQueues, ScheduleMetrics,
+    ThreadMetrics,
+};
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
 use crate::config::CaluConfig;
@@ -107,7 +110,7 @@ use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
 use crate::sync::{pin_current_thread, Mutex};
-use crate::threaded::{host_topology, ItemState, KernelSet, Task, ThreadStats};
+use crate::threaded::{host_topology, ItemState, KernelSet, Task};
 
 /// Large (co-operative) jobs per pool worker that may be claimed and not
 /// yet retired: one to work on and one to fill its idle gaps. Past that
@@ -303,13 +306,12 @@ pub struct Outcome {
     /// at 0, when the job asked for a trace ([`BatchItem::trace`]): one
     /// lane per worker of the job's run — a co-scheduled job has one.
     pub timeline: Option<Timeline>,
-    /// Per-worker schedule accounting, folded as the tasks ran: one
-    /// entry per worker of the job's run — a co-scheduled job has one.
-    pub stats: Vec<ThreadStats>,
-    /// First task start → last task end, from the same fold (the
-    /// timeline's makespan to the bit). Co-scheduled jobs overlap, so
-    /// these do not sum to a sweep's wall time.
-    pub makespan: f64,
+    /// The schedule, folded as the tasks ran: one [`ThreadMetrics`] per
+    /// worker of the job's run (a co-scheduled job has one), and the
+    /// makespan from first task start to last task end (the timeline's
+    /// makespan to the bit). Co-scheduled jobs overlap, so their
+    /// makespans do not sum to a sweep's wall time.
+    pub schedule: ScheduleMetrics,
     /// Whether the job was claimed whole by one worker (a one-worker
     /// run) rather than run co-operatively by the pool.
     pub co_scheduled: bool,
@@ -365,16 +367,6 @@ struct Job<'a> {
     sink: Box<dyn JobSink>,
 }
 
-/// Map a task kind onto its timeline span kind.
-fn span_kind(g: &TaskGraph, t: TaskId) -> SpanKind {
-    match g.kind(t).paper_kind() {
-        PaperKind::P => SpanKind::Panel,
-        PaperKind::L => SpanKind::LFactor,
-        PaperKind::U => SpanKind::UFactor,
-        PaperKind::S => SpanKind::Update,
-    }
-}
-
 /// Best-effort panic payload → job error. `panic!` carries a `&str` or
 /// a formatted `String`; anything else keeps only the fact.
 fn panic_error(payload: Box<dyn std::any::Any + Send>) -> CaluError {
@@ -394,7 +386,7 @@ fn injected_panic(me: usize) -> ! {
 /// first start and last end on the engine clock), and a traced job's spans.
 struct WorkerLog {
     spans: Option<Vec<TaskSpan>>,
-    stats: ThreadStats,
+    stats: ThreadMetrics,
     first_start: f64,
     last_end: f64,
 }
@@ -404,7 +396,7 @@ impl WorkerLog {
     fn new(trace: bool) -> Self {
         WorkerLog {
             spans: trace.then(Vec::new),
-            stats: ThreadStats::default(),
+            stats: ThreadMetrics::default(),
             first_start: f64::INFINITY,
             last_end: f64::NEG_INFINITY,
         }
@@ -828,7 +820,7 @@ impl<'a> Engine<'a> {
 
     /// Static tasks republished into dynamic sections because their
     /// owner was lost or persistently slow — the rescue counter backing
-    /// `ThreadStats::rescued`, summed over every finished job.
+    /// `ThreadMetrics::rescued`, summed over every finished job.
     pub fn rescued_tasks(&self) -> u64 {
         self.rescued.load(Ordering::Acquire)
     }
@@ -939,7 +931,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Shape a finished run's results into its [`Outcome`] and hand it
-    /// to the sink: the folds' makespan, a traced job's spans joined in
+    /// to the sink: the workers' folds as one schedule (the makespan
+    /// and idle settled here, once), a traced job's spans joined in
     /// worker order, the dense factors (left swaps already applied),
     /// and — the one place an engine job is verified — the residual and
     /// growth factor against the input, when the job asked for them.
@@ -958,7 +951,7 @@ impl<'a> Engine<'a> {
         let total: usize = logs.iter().flat_map(|l| &l.spans).map(Vec::len).sum();
         let (mut t0, mut t1) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut spans: Vec<TaskSpan> = Vec::new();
-        let mut stats = Vec::with_capacity(logs.len());
+        let mut threads = Vec::with_capacity(logs.len());
         for log in logs {
             if spans.is_empty() {
                 spans = log.spans.unwrap_or_default();
@@ -967,10 +960,11 @@ impl<'a> Engine<'a> {
                 spans.extend(log.spans.into_iter().flatten());
             }
             (t0, t1) = (t0.min(log.first_start), t1.max(log.last_end));
-            stats.push(log.stats);
+            threads.push(log.stats);
         }
         // the timeline's own rule, on the same engine-clock values
         let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
+        let schedule = ScheduleMetrics::new(makespan, threads);
         // SAFETY: the run was finished by the completion that brought
         // the AcqRel `done` counter to every task, the last DENSIFY's
         // (and a parked run is delivered after its workers were
@@ -998,9 +992,8 @@ impl<'a> Engine<'a> {
         let out = Outcome {
             factorization,
             kernels,
-            makespan,
-            timeline: traced.then(|| Timeline::from_spans(stats.len(), spans)),
-            stats,
+            timeline: traced.then(|| Timeline::from_spans(schedule.threads.len(), spans)),
+            schedule,
             co_scheduled: run.co_scheduled,
             config: self.cfg.clone(),
             dims: (g.rows(), g.cols()),
@@ -1062,7 +1055,7 @@ impl<'a> Engine<'a> {
                     } else {
                         start + (x + 1) as f64 * share
                     },
-                    kind: span_kind(&run.item.g, TaskId(t)),
+                    kind: run.item.g.kind(TaskId(t)).paper_kind().into(),
                 });
                 log.stats.count(source);
             }
@@ -1671,7 +1664,7 @@ mod tests {
     /// queue source: per worker, pops by source add up to its spans.
     fn assert_attributed_once(
         tl: &Option<Timeline>,
-        stats: &[ThreadStats],
+        stats: &[ThreadMetrics],
         tasks: usize,
         ctx: &str,
     ) {
@@ -1685,11 +1678,11 @@ mod tests {
         for (w, s) in stats.iter().enumerate() {
             let spans = tl.spans().iter().filter(|sp| sp.core == w).count() as u64;
             assert_eq!(
-                s.local_pops + s.global_pops + s.steal_pops,
+                s.local_pops + s.global_pops + s.stolen_pops,
                 spans,
                 "worker {w}: one queue source per task, {ctx}"
             );
-            assert!(s.shard_pops <= s.global_pops && s.remote_steal_pops <= s.steal_pops);
+            assert!(s.shard_pops <= s.global_pops && s.remote_steal_pops <= s.stolen_pops);
         }
     }
 
@@ -1717,14 +1710,19 @@ mod tests {
                 assert_eq!(out.co_scheduled, cutoff > 0, "{ctx}");
                 assert_eq!(out.timeline.is_some(), trace, "{ctx}");
                 let counted: u64 = out
-                    .stats
+                    .schedule
+                    .threads
                     .iter()
-                    .map(|s| s.local_pops + s.global_pops + s.steal_pops)
+                    .map(|s| s.local_pops + s.global_pops + s.stolen_pops)
                     .sum();
                 assert_eq!(counted as usize, tasks, "{ctx}");
-                assert!(out.makespan > 0.0, "{ctx}");
+                assert!(out.schedule.makespan > 0.0, "{ctx}");
                 if let Some(tl) = &out.timeline {
-                    assert_eq!(tl.makespan().to_bits(), out.makespan.to_bits(), "{ctx}");
+                    assert_eq!(
+                        tl.makespan().to_bits(),
+                        out.schedule.makespan.to_bits(),
+                        "{ctx}"
+                    );
                 }
             }
         }
@@ -1782,7 +1780,7 @@ mod tests {
 
                     for (who, out) in [("solo", &solo), ("batch", &batch), ("pool", &served)] {
                         let ctx = format!("{who} {kernels:?} {m}x{n} {queue} cutoff {cutoff}");
-                        let (f, stats) = (&out.factorization, &out.stats);
+                        let (f, stats) = (&out.factorization, &out.schedule.threads);
                         assert_eq!(out.co_scheduled, cutoff > 0 && who != "solo", "{ctx}");
                         let lanes = if out.co_scheduled { 1 } else { 4 };
                         assert_eq!(stats.len(), lanes, "one lane per worker of the run, {ctx}");
@@ -1791,7 +1789,7 @@ mod tests {
                         assert_attributed_once(&out.timeline, stats, tasks, &ctx);
                         let shard: u64 = stats.iter().map(|s| s.shard_pops).sum();
                         let steals: u64 =
-                            stats.iter().map(|s| s.steal_pops + s.failed_steals).sum();
+                            stats.iter().map(|s| s.stolen_pops + s.failed_steals).sum();
                         if queue.steals() {
                             // the served job included: it used to run on
                             // a global heap whatever the config said
@@ -1879,7 +1877,7 @@ mod tests {
                         let reference = reference.get_or_insert_with(|| f.clone());
                         assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "{ctx}");
                         assert_eq!(f.perm.pivots(), reference.perm.pivots(), "{ctx}");
-                        assert_attributed_once(&out.timeline, &out.stats, tasks, &ctx);
+                        assert_attributed_once(&out.timeline, &out.schedule.threads, tasks, &ctx);
                         if group > 1 {
                             assert!(group_members(&out.timeline) > 0, "no group ran, {ctx}");
                         }
@@ -1919,20 +1917,23 @@ mod tests {
                 assert_eq!(lost_workers, 1, "{ctx}");
                 let ran = lost.timeline.as_ref().unwrap().core_spans(1).len();
                 assert!((5..5 + group).contains(&ran), "worker 1 ran {ran}, {ctx}");
-                assert!(lost.stats[1].lost && lost.stats[1].rescued > 0, "{ctx}");
+                assert!(
+                    lost.schedule.threads[1].lost && lost.schedule.threads[1].rescued > 0,
+                    "{ctx}"
+                );
                 // a slow worker is degraded: its static share rides the
                 // dynamic section, the others still group theirs
                 let (slow, _) = run(FaultPlan::off().slow_worker(0, 2.0));
                 let slow = slow.unwrap();
                 same_bits(&slow, "slow");
                 assert!(group_members(&slow.timeline) > 0, "{ctx}");
-                assert_eq!(slow.stats[0].local_pops, 0, "{ctx}");
+                assert_eq!(slow.schedule.threads[0].local_pops, 0, "{ctx}");
                 // a panic fails the job, typed, group or not
                 let (panicked, _) = run(FaultPlan::off().panic_worker(0, 3));
                 assert!(
                     matches!(panicked, Err(CaluError::TaskPanic(_))),
                     "{ctx}: {:?}",
-                    panicked.map(|o| o.makespan)
+                    panicked.map(|o| o.schedule.makespan)
                 );
             }
         }
@@ -1974,7 +1975,7 @@ mod tests {
             let rescued: u64 = faulted
                 .items
                 .iter()
-                .flat_map(|o| &o.stats)
+                .flat_map(|o| &o.schedule.threads)
                 .map(|s| s.rescued)
                 .sum();
             assert!(rescued > 0, "worker 1's static share was rescued, {queue}");
@@ -1982,7 +1983,7 @@ mod tests {
             for (w, s) in faulted
                 .items
                 .iter()
-                .flat_map(|o| o.stats.iter().enumerate())
+                .flat_map(|o| o.schedule.threads.iter().enumerate())
             {
                 assert!(
                     w == 1 || (!s.lost && s.rescued == 0),
@@ -2067,7 +2068,12 @@ mod tests {
             assert_eq!(out.factorization.lu.as_slice(), solo.lu.as_slice());
             assert_eq!(out.factorization.perm.pivots(), solo.perm.pivots());
             assert!(out.residual.unwrap() < 1e-12);
-            let tasks: u64 = out.stats.iter().map(|s| s.local_pops + s.global_pops).sum();
+            let tasks: u64 = out
+                .schedule
+                .threads
+                .iter()
+                .map(|s| s.local_pops + s.global_pops)
+                .sum();
             assert_eq!(tasks as usize, out.timeline.unwrap().spans().len());
         }
 
@@ -2426,8 +2432,11 @@ mod tests {
             let out = rx.recv().unwrap().unwrap();
             engine.drain();
             assert_eq!(engine.lost_workers(), 1);
-            assert!(out.stats[1].lost, "the dead worker is flagged in stats");
-            let rescued: u64 = out.stats.iter().map(|s| s.rescued).sum();
+            assert!(
+                out.schedule.threads[1].lost,
+                "the dead worker is flagged in stats"
+            );
+            let rescued = out.schedule.total_rescued();
             assert!(rescued > 0, "the dead worker's static share was rescued");
             assert_eq!(rescued, engine.rescued_tasks());
             let solo = calu_factor(&a, &cfg4()).unwrap();
@@ -2563,7 +2572,7 @@ mod tests {
                 assert_eq!(item.factorization.perm.pivots(), solo.perm.pivots());
                 assert!(item.factorization.residual(a) < 1e-12, "item {i}");
                 assert_eq!(item.co_scheduled, a.rows() <= 100, "item {i}");
-                assert!(item.makespan > 0.0 && item.makespan <= out.wall_secs);
+                assert!(item.schedule.makespan > 0.0 && item.schedule.makespan <= out.wall_secs);
             }
         }
 
@@ -2582,9 +2591,10 @@ mod tests {
                 for (item, g) in out.items.iter().zip(&mats) {
                     let expected = TaskGraph::build_calu(g.rows(), g.cols(), 16, 2).len();
                     let popped: u64 = item
-                        .stats
+                        .schedule
+                        .threads
                         .iter()
-                        .map(|s| s.local_pops + s.global_pops + s.steal_pops)
+                        .map(|s| s.local_pops + s.global_pops + s.stolen_pops)
                         .sum();
                     assert_eq!(popped as usize, expected, "cutoff {cutoff}");
                     let spans = item.timeline.as_ref().unwrap().spans().len();

@@ -72,4 +72,4 @@ pub use error::CaluError;
 pub use factorization::Factorization;
 pub use fault::{FaultKind, FaultPlan};
 pub use reference::{calu_simple, gepp_factor, incpiv_factor, IncPivFactors};
-pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet, ThreadStats};
+pub use threaded::{calu_factor, cholesky_factor, factor_one, KernelSet};

@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
 use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
-use calu_sched::{priority, CpuTopology, OwnerMap, Padded, QueueSource};
+use calu_sched::{priority, CpuTopology, OwnerMap, Padded};
 
 use crate::config::CaluConfig;
 use crate::engine::factor_batch;
@@ -49,73 +49,6 @@ use crate::pivot::swaps_for_selection;
 use crate::shared::{SharedTiles, TilePtr};
 use crate::sync::Mutex;
 use crate::tslu::{Candidate, TreePlan};
-
-/// Per-worker schedule accounting from one threaded run, folded as the
-/// worker ran: the seconds of its tasks and of fault-plan stalls, where
-/// the tasks came from (their count is the sum of the pops), plus
-/// steal/contention counters for the stealing disciplines.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ThreadStats {
-    /// Seconds this worker spent in task bodies.
-    pub work: f64,
-    /// Seconds this worker stalled under a fault plan while the job factored.
-    pub noise: f64,
-    /// Tasks popped from the worker's own static queue.
-    pub local_pops: u64,
-    /// Tasks popped from the dynamic section without stealing (the
-    /// shared queue, or the worker's own shard).
-    pub global_pops: u64,
-    /// The subset of `global_pops` that came off the worker's *own*
-    /// shard or deque (stealing disciplines only; always zero under
-    /// [`QueueDiscipline::Global`](calu_sched::QueueDiscipline), whose
-    /// dynamic pops all hit the one shared queue).
-    pub shard_pops: u64,
-    /// Tasks stolen from another worker's shard or deque (stealing
-    /// disciplines only; always zero under the global discipline).
-    pub steal_pops: u64,
-    /// The subset of `steal_pops` whose victim sat on a *different
-    /// socket* (lock-free discipline's tiered sweep only; the flat
-    /// sharded sweep does not classify victims, so it stays zero there).
-    pub remote_steal_pops: u64,
-    /// Steal *sweeps* that probed every victim and found all of them
-    /// empty — the executor's queue-contention signal: a high ratio of
-    /// failed sweeps to steals means workers are sweeping drained
-    /// shards instead of computing. Counted per whole sweep, not per
-    /// probed victim, so the reading is comparable between the flat
-    /// (p − 1 probes) and locality-tiered victim orders.
-    pub failed_steals: u64,
-    /// Static-section tasks this worker *owned* under the block-cyclic
-    /// distribution that were republished into the dynamic queues
-    /// because the worker was lost or flagged persistently slow
-    /// (fault injection's static-task rescue — always zero without a
-    /// [`crate::fault::FaultPlan`]). Rescued tasks execute on whichever
-    /// survivor pops them; the exclusive-writer DAG discipline keeps
-    /// the factors bitwise-identical to the no-fault run.
-    pub rescued: u64,
-    /// This worker died mid-run (an injected [`crate::fault::FaultKind::Lose`]):
-    /// it rescued its static backlog and exited; the survivors finished
-    /// the factorization.
-    pub lost: bool,
-}
-
-impl ThreadStats {
-    /// Attribute one executed task to the queue it was popped from.
-    pub(crate) fn count(&mut self, source: QueueSource) {
-        match source {
-            QueueSource::Local => self.local_pops += 1,
-            QueueSource::Global => self.global_pops += 1,
-            QueueSource::Shard => {
-                self.global_pops += 1;
-                self.shard_pops += 1;
-            }
-            QueueSource::Stolen => self.steal_pops += 1,
-            QueueSource::StolenRemote => {
-                self.steal_pops += 1;
-                self.remote_steal_pops += 1;
-            }
-        }
-    }
-}
 
 struct PanelState {
     plan: TreePlan,
@@ -809,7 +742,7 @@ mod tests {
     use crate::calu_simple;
     use crate::fault::FaultPlan;
     use calu_matrix::{gen, Layout};
-    use calu_sched::QueueDiscipline;
+    use calu_sched::{QueueDiscipline, ScheduleMetrics};
 
     fn check(a: &DenseMatrix, cfg: &CaluConfig, tol: f64) {
         let f = calu_factor(a, cfg).expect("factor");
@@ -823,10 +756,11 @@ mod tests {
         let a = gen::uniform(48, 48, 1);
         let cfg = CaluConfig::new(8).with_threads(1);
         let f = calu_factor(&a, &cfg).unwrap();
-        let reference = calu_simple(&a, 8, 6); // 6 tiles = 6 leaf chunks? stride=pr=1
-                                               // same pivot strategy modulo chunking; both must factor correctly
+        // a 1×1 grid's panel has one tournament leaf: one TSLU chunk
+        let reference = calu_simple(&a, 8, 1);
+        assert_eq!(f.perm.pivots(), reference.perm.pivots());
+        assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
         assert!(f.residual(&a) < 1e-12);
-        assert!(reference.residual(&a) < 1e-12);
     }
 
     #[test]
@@ -1213,9 +1147,12 @@ mod tests {
     fn global_discipline_never_steals() {
         let a = gen::uniform(64, 64, 14);
         let cfg = CaluConfig::new(16).with_threads(4).with_dratio(0.5);
-        let Outcome { stats, .. } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
+        let Outcome {
+            schedule: ScheduleMetrics { threads: stats, .. },
+            ..
+        } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         for s in &stats {
-            assert_eq!(s.steal_pops, 0, "no steal path under Global");
+            assert_eq!(s.stolen_pops, 0, "no steal path under Global");
             assert_eq!(s.failed_steals, 0, "no steal probes under Global");
         }
     }
@@ -1258,7 +1195,7 @@ mod tests {
         let Outcome {
             factorization: f,
             timeline: Some(tl),
-            stats,
+            schedule: ScheduleMetrics { threads: stats, .. },
             ..
         } = factor_one(BatchItem::lu(Source::Dense(&a)).traced(true), &cfg).unwrap()
         else {
@@ -1267,12 +1204,12 @@ mod tests {
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()
-            .map(|s| s.local_pops + s.global_pops + s.steal_pops)
+            .map(|s| s.local_pops + s.global_pops + s.stolen_pops)
             .sum();
         assert_eq!(total as usize, tl.spans().len(), "one pop per span");
         for s in &stats {
             assert!(
-                s.remote_steal_pops <= s.steal_pops,
+                s.remote_steal_pops <= s.stolen_pops,
                 "remote steals are a subset of steals"
             );
         }
@@ -1385,7 +1322,7 @@ mod tests {
         let cfg = base.clone().with_fault(plan);
         let Outcome {
             factorization: f,
-            stats,
+            schedule: ScheduleMetrics { threads: stats, .. },
             ..
         } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert_eq!(f0.perm.pivots(), f.perm.pivots());
@@ -1410,7 +1347,7 @@ mod tests {
             .with_fault(FaultPlan::off().with_seed(9).slow_worker(1, 2.0));
         let Outcome {
             factorization: f,
-            stats,
+            schedule: ScheduleMetrics { threads: stats, .. },
             ..
         } = factor_one(BatchItem::lu(Source::Dense(&a)), &cfg).unwrap();
         assert_eq!(f0.perm.pivots(), f.perm.pivots());
@@ -1454,7 +1391,7 @@ mod tests {
         let Outcome {
             factorization: f,
             timeline: Some(tl),
-            stats,
+            schedule: ScheduleMetrics { threads: stats, .. },
             ..
         } = factor_one(BatchItem::lu(Source::Dense(&a)).traced(true), &cfg).unwrap()
         else {
@@ -1463,7 +1400,7 @@ mod tests {
         assert!(f.residual(&a) < 1e-12);
         let total: u64 = stats
             .iter()
-            .map(|s| s.local_pops + s.global_pops + s.steal_pops)
+            .map(|s| s.local_pops + s.global_pops + s.stolen_pops)
             .sum();
         assert_eq!(total as usize, tl.spans().len(), "one pop per span");
         assert_eq!(

@@ -32,7 +32,10 @@
 //! one batch, pop own queues, else steal; rescue is the dying worker's
 //! drain). What the simulator schedules is therefore what the threads
 //! run: the same batch order on the deques, the same victim sweeps, the
-//! same §4 grouping loop at the pop.
+//! same §4 grouping loop at the pop. And both account for it in one
+//! record: [`schedule`]'s [`ThreadMetrics`] per worker, counted through
+//! [`ThreadMetrics::count`] at every pop and gathered into a
+//! [`ScheduleMetrics`] per run.
 //!
 //! ## The `QueueDiscipline` matrix
 //!
@@ -67,6 +70,7 @@ pub mod owner;
 pub mod policy;
 pub mod priority;
 pub mod ready;
+pub mod schedule;
 pub mod topology;
 
 mod hybrid;
@@ -80,6 +84,9 @@ pub use lanes::{ClassLanes, JobClass};
 pub use owner::OwnerMap;
 pub use policy::{Policy, Popped, QueueSource};
 pub use ready::{Padded, ReadyQueues};
+pub use schedule::{
+    ContentionStats, QueueBreakdown, ScheduleMetrics, StealLocality, ThreadMetrics,
+};
 pub use topology::{CpuTopology, StealOrder, StealTier};
 
 use calu_dag::TaskGraph;

@@ -37,8 +37,8 @@
 //! `home` in [`publish`] names the deque a dynamic task lands on. While
 //! workers are running, worker `w` may only pass `home = w` (its own
 //! deque; [`Deque::push`] is owner-only) — the engine's initially ready
-//! tasks included, which the worker that completes a run's fill phase
-//! pushes on its own side. Any `home` is allowed while no worker can
+//! tasks included, which the worker whose completion retires a run's
+//! last FILL task pushes on its own side. Any `home` is allowed while no worker can
 //! reach the queues yet, and always from a sequential driver.
 //!
 //! [`publish`]: ReadyQueues::publish

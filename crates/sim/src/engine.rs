@@ -4,11 +4,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use calu_dag::{PaperKind, TaskGraph, TaskId};
+use calu_dag::{TaskGraph, TaskId};
 use calu_matrix::{Layout, ProcessGrid};
 use calu_sched::{
-    make_policy_ordered, CpuTopology, Policy, QueueDiscipline, QueueSource, SchedulerKind,
-    StealOrder,
+    make_policy_ordered, CpuTopology, Policy, QueueDiscipline, ScheduleMetrics, SchedulerKind,
+    StealOrder, ThreadMetrics,
 };
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
@@ -19,7 +19,7 @@ use crate::cost::{
 };
 use crate::machine::MachineConfig;
 use crate::noise::NoiseProcess;
-use crate::result::{CoreStats, SimResult};
+use crate::result::SimResult;
 
 /// Stride penalty of the column-major layout: a tile is spread over `m`-
 /// long columns, so refills move more lines than the tile's payload.
@@ -92,7 +92,7 @@ struct Engine<'a> {
     deps: Vec<u32>,
     caches: Vec<TileCache>,
     noise: Vec<NoiseProcess>,
-    stats: Vec<CoreStats>,
+    stats: Vec<ThreadMetrics>,
     in_flight: Vec<Vec<TaskId>>,
     /// Last core that wrote each tile (`u32::MAX` = untouched).
     last_writer: Vec<u32>,
@@ -139,7 +139,7 @@ impl<'a> Engine<'a> {
             noise: (0..p)
                 .map(|c| NoiseProcess::new(&cfg.machine.noise, c))
                 .collect(),
-            stats: vec![CoreStats::default(); p],
+            stats: vec![ThreadMetrics::default(); p],
             in_flight: vec![Vec::new(); p],
             last_writer: vec![u32::MAX; g.tile_rows() * g.tile_cols()],
             idle: vec![true; p],
@@ -204,16 +204,7 @@ impl<'a> Engine<'a> {
         // (and per steal locality) by the shared cost model
         let dq = dequeue_cost(m, batch[0].source, self.cfg.queue.is_lock_free());
         for popped in &batch {
-            match popped.source {
-                QueueSource::Local => self.stats[core].local_pops += 1,
-                // shard pops are dynamic-section pops, same as global
-                QueueSource::Global | QueueSource::Shard => self.stats[core].global_pops += 1,
-                QueueSource::Stolen => self.stats[core].stolen_pops += 1,
-                QueueSource::StolenRemote => {
-                    self.stats[core].stolen_pops += 1;
-                    self.stats[core].remote_stolen_pops += 1;
-                }
-            }
+            self.stats[core].count(popped.source);
         }
 
         // memory: cache misses pay local/remote byte costs
@@ -284,16 +275,9 @@ impl<'a> Engine<'a> {
         st.memory += mem;
         st.overhead += dq;
         st.noise += noise_total;
-        st.tasks += batch.len() as u64;
-        st.batches += 1;
 
         if let Some(tl) = &mut self.timeline {
-            let span_kind = match first_kind.paper_kind() {
-                PaperKind::P => SpanKind::Panel,
-                PaperKind::L => SpanKind::LFactor,
-                PaperKind::U => SpanKind::UFactor,
-                PaperKind::S => SpanKind::Update,
-            };
+            let span_kind = SpanKind::from(first_kind.paper_kind());
             if dq > 0.0 {
                 tl.push(TaskSpan {
                     core,
@@ -406,12 +390,10 @@ impl<'a> Engine<'a> {
             _ => lu_nominal_flops(self.g.rows(), self.g.cols()),
         };
         SimResult {
-            makespan,
+            schedule: ScheduleMetrics::new(makespan, self.stats),
             executed_flops: total_flops(self.g),
             nominal_flops,
-            cores: self.stats,
             timeline: self.timeline,
-            tasks: total,
         }
     }
 }
@@ -425,7 +407,7 @@ pub fn run(g: &TaskGraph, cfg: &SimConfig) -> SimResult {
 mod tests {
     use super::*;
     use crate::machine::NoiseConfig;
-    use crate::result::tests::{cache_hit_rate, gflops, remote_bytes, utilization};
+    use crate::result::tests::gflops;
     use calu_dag::TaskGraph;
 
     /// Canonical configuration: near-square grid over all cores,
@@ -468,9 +450,9 @@ mod tests {
             SchedulerKind::WorkStealing { seed: 1 },
         ] {
             let r = run(&g, &intel(sched));
-            let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+            let total = r.schedule.total_tasks();
             assert_eq!(total as usize, g.len(), "{sched:?}");
-            assert!(r.makespan > 0.0);
+            assert!(r.schedule.makespan > 0.0);
             assert!(gflops(&r) > 0.0);
         }
     }
@@ -495,8 +477,12 @@ mod tests {
             };
             for (end, dratio) in [(SchedulerKind::Static, 0.0), (SchedulerKind::Dynamic, 1.0)] {
                 let (a, b) = (sim(end), sim(SchedulerKind::Hybrid { dratio }));
-                assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{end:?}");
-                assert_eq!(a.cores, b.cores, "{end:?}");
+                assert_eq!(
+                    a.schedule.makespan.to_bits(),
+                    b.schedule.makespan.to_bits(),
+                    "{end:?}"
+                );
+                assert_eq!(a.schedule.threads, b.schedule.threads, "{end:?}");
                 assert_eq!(
                     a.timeline.unwrap().spans(),
                     b.timeline.unwrap().spans(),
@@ -512,8 +498,8 @@ mod tests {
         let cfg = intel(SchedulerKind::Hybrid { dratio: 0.1 });
         let a = run(&g, &cfg);
         let b = run(&g, &cfg);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.cores, b.cores);
+        assert_eq!(a.schedule.makespan, b.schedule.makespan);
+        assert_eq!(a.schedule.threads, b.schedule.threads);
     }
 
     #[test]
@@ -524,13 +510,13 @@ mod tests {
             ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
         };
         let r = run(&g, &cfg);
-        let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+        let total = r.schedule.total_tasks();
         assert_eq!(total as usize, g.len());
-        let stolen: u64 = r.cores.iter().map(|c| c.stolen_pops).sum();
+        let stolen = r.schedule.queue_sources().stolen;
         assert!(stolen > 0, "a 16-core sharded run must steal at least once");
         // same DAG under the Global discipline never steals
         let rg = run(&g, &intel(SchedulerKind::Hybrid { dratio: 0.5 }));
-        assert_eq!(rg.cores.iter().map(|c| c.stolen_pops).sum::<u64>(), 0);
+        assert_eq!(rg.schedule.queue_sources().stolen, 0);
     }
 
     #[test]
@@ -541,16 +527,16 @@ mod tests {
             ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
         };
         let r = run(&g, &cfg);
-        let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+        let total = r.schedule.total_tasks();
         assert_eq!(total as usize, g.len());
-        let stolen: u64 = r.cores.iter().map(|c| c.stolen_pops).sum();
-        let remote: u64 = r.cores.iter().map(|c| c.remote_stolen_pops).sum();
+        let stolen = r.schedule.queue_sources().stolen;
+        let remote = r.schedule.steal_locality().remote;
         assert!(stolen > 0, "a 16-core lock-free run must steal");
         assert!(remote <= stolen, "remote steals are a subset");
         // determinism: same seed, same schedule
         let r2 = run(&g, &cfg);
-        assert_eq!(r.makespan, r2.makespan);
-        assert_eq!(r.cores, r2.cores);
+        assert_eq!(r.schedule.makespan, r2.schedule.makespan);
+        assert_eq!(r.schedule.threads, r2.schedule.threads);
         // the flat sharded sweep never classifies a steal as remote
         let sh = run(
             &g,
@@ -559,15 +545,13 @@ mod tests {
                 ..intel(SchedulerKind::Hybrid { dratio: 0.5 })
             },
         );
-        assert_eq!(
-            sh.cores.iter().map(|c| c.remote_stolen_pops).sum::<u64>(),
-            0
-        );
+        assert_eq!(sh.schedule.steal_locality().remote, 0);
     }
 
     #[test]
     fn remote_steals_cost_more_on_numa_heavy_machines() {
         use crate::cost::dequeue_cost;
+        use calu_sched::QueueSource;
         let amd = MachineConfig::amd_opteron_48(NoiseConfig::off());
         let intel = MachineConfig::intel_xeon_16(NoiseConfig::off());
         for m in [&amd, &intel] {
@@ -592,13 +576,13 @@ mod tests {
         // perfect machine bound: executed flops at peak with no overheads
         let ideal = r.executed_flops / cfg.machine.peak_flops();
         assert!(
-            r.makespan > ideal,
+            r.schedule.makespan > ideal,
             "makespan {} cannot beat ideal {}",
-            r.makespan,
+            r.schedule.makespan,
             ideal
         );
         // and utilization cannot exceed 1
-        assert!(utilization(&r) <= 1.0);
+        assert!(r.schedule.utilization() <= 1.0);
     }
 
     #[test]
@@ -616,7 +600,10 @@ mod tests {
         );
         let r48 = run(&g, &amd48);
         let r24 = run(&g, &amd24);
-        assert!(r48.makespan < r24.makespan, "48 cores must beat 24");
+        assert!(
+            r48.schedule.makespan < r24.schedule.makespan,
+            "48 cores must beat 24"
+        );
     }
 
     #[test]
@@ -628,7 +615,7 @@ mod tests {
         };
         let r = run(&g, &cfg);
         let tl = r.timeline.as_ref().expect("trace requested");
-        assert!((tl.makespan() - r.makespan).abs() < 1e-9);
+        assert!((tl.makespan() - r.schedule.makespan).abs() < 1e-9);
         assert!(tl.spans().len() >= g.len() / 3, "spans recorded per batch");
     }
 
@@ -650,10 +637,10 @@ mod tests {
         let stat = run(&g, &mk(SchedulerKind::Static));
         let hyb = run(&g, &mk(SchedulerKind::Hybrid { dratio: 0.2 }));
         assert!(
-            hyb.makespan < stat.makespan,
+            hyb.schedule.makespan < stat.schedule.makespan,
             "hybrid {} must absorb noise better than static {}",
-            hyb.makespan,
-            stat.makespan
+            hyb.schedule.makespan,
+            stat.schedule.makespan
         );
     }
 
@@ -663,10 +650,10 @@ mod tests {
         let stat = run(&g, &intel(SchedulerKind::Static));
         let dynamic = run(&g, &intel(SchedulerKind::Dynamic));
         assert!(
-            remote_bytes(&dynamic) > remote_bytes(&stat),
+            dynamic.schedule.remote_bytes() > stat.schedule.remote_bytes(),
             "dynamic scheduling must move more remote data"
         );
-        assert!(cache_hit_rate(&dynamic) < cache_hit_rate(&stat));
+        assert!(dynamic.schedule.cache_hit_rate() < stat.schedule.cache_hit_rate());
     }
 
     #[test]
@@ -698,7 +685,7 @@ mod slow_core_tests {
         let hyb = run(&g, &mk(SchedulerKind::Hybrid { dratio: 0.2 }));
         let dynamic = run(&g, &mk(SchedulerKind::Dynamic));
         assert!(
-            hyb.makespan < stat.makespan,
+            hyb.schedule.makespan < stat.schedule.makespan,
             "hybrid must absorb the slow core"
         );
         // and the slowdown vs the healthy machine is bounded for dynamic
@@ -710,7 +697,7 @@ mod slow_core_tests {
                 SchedulerKind::Dynamic,
             ),
         );
-        assert!(dynamic.makespan < healthy.makespan * 1.35);
+        assert!(dynamic.schedule.makespan < healthy.schedule.makespan * 1.35);
     }
 
     #[test]
@@ -726,25 +713,26 @@ mod slow_core_tests {
             mach.lost_core = Some((3, 10));
             let cfg = config(mach, Layout::BlockCyclic, sched);
             let r = run(&g, &cfg);
-            let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+            let total = r.schedule.total_tasks();
             assert_eq!(total as usize, g.len(), "no task left behind");
-            assert!(r.cores[3].lost, "the lost core is flagged");
+            let cores = &r.schedule.threads;
+            assert!(cores[3].lost, "the lost core is flagged");
             assert!(
-                r.cores[3].rescued > 0,
+                cores[3].rescued > 0,
                 "a backlogged loss leaves queued static tasks to rescue"
             );
             assert!(
-                r.cores[3].overhead >= r.cores[3].rescued as f64 * cfg.machine.rescue_task_cost,
+                cores[3].overhead >= cores[3].rescued as f64 * cfg.machine.rescue_task_cost,
                 "each rescued task is priced as overhead"
             );
             assert!(
-                (10..10 + 3).contains(&r.cores[3].tasks),
+                (10..10 + 3).contains(&cores[3].tasks),
                 "the core stops at the first completion boundary past its \
                  threshold (its last batch may overshoot by up to group_max), \
                  got {} tasks",
-                r.cores[3].tasks
+                cores[3].tasks
             );
-            assert!(r.cores.iter().enumerate().all(|(c, s)| s.lost == (c == 3)));
+            assert!(cores.iter().enumerate().all(|(c, s)| s.lost == (c == 3)));
             // degraded but correct: slower than the healthy run, and
             // deterministic for replay
             let healthy = run(
@@ -755,10 +743,13 @@ mod slow_core_tests {
                     sched,
                 ),
             );
-            assert!(r.makespan > healthy.makespan, "15 cores cannot beat 16");
+            assert!(
+                r.schedule.makespan > healthy.schedule.makespan,
+                "15 cores cannot beat 16"
+            );
             let again = run(&g, &cfg);
-            assert_eq!(r.makespan, again.makespan);
-            assert_eq!(r.cores, again.cores);
+            assert_eq!(r.schedule.makespan, again.schedule.makespan);
+            assert_eq!(r.schedule.threads, again.schedule.threads);
         }
     }
 
@@ -769,9 +760,9 @@ mod slow_core_tests {
             let mut mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
             mach.lost_core = Some((0, 0));
             let r = run(&g, &config(mach, Layout::BlockCyclic, sched));
-            assert_eq!(r.cores[0].tasks, 0, "{sched:?}");
-            assert!(r.cores[0].lost);
-            let total: u64 = r.cores.iter().map(|c| c.tasks).sum();
+            assert_eq!(r.schedule.threads[0].tasks, 0, "{sched:?}");
+            assert!(r.schedule.threads[0].lost);
+            let total = r.schedule.total_tasks();
             assert_eq!(total as usize, g.len(), "{sched:?}");
         }
     }

@@ -1,5 +1,7 @@
 //! Task span records.
 
+use calu_dag::PaperKind;
+
 /// What a core was doing during a span — the paper's task taxonomy plus
 /// injected OS noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +51,19 @@ impl SpanKind {
             self,
             SpanKind::Panel | SpanKind::LFactor | SpanKind::UFactor | SpanKind::Update
         )
+    }
+}
+
+/// A task's span kind is its P/L/U/S class — for the threaded engine and
+/// the simulator alike.
+impl From<PaperKind> for SpanKind {
+    fn from(kind: PaperKind) -> Self {
+        match kind {
+            PaperKind::P => SpanKind::Panel,
+            PaperKind::L => SpanKind::LFactor,
+            PaperKind::U => SpanKind::UFactor,
+            PaperKind::S => SpanKind::Update,
+        }
     }
 }
 

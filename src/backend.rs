@@ -171,35 +171,12 @@ fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
 /// Turn what the executor engine hands back for one job — solo, batched
 /// or served — into its [`Report`]: `header` carries the job's identity,
 /// the [`Outcome`] everything measured. The factors, the schedule the
-/// engine folded as it ran (makespan, per-worker work, noise and queue
-/// accounting; a worker's tasks are its pops, idle is the rest of the
-/// makespan), the timeline when the job asked for one (its clock starts
-/// at the job's first task), and the numerical checks the engine ran
-/// when the job asked for them. The thread count is the engine's, one `ThreadStats` per
-/// worker.
+/// engine folded as it ran (one record per worker of the job's run, so
+/// that is the thread count), the timeline when the job asked for one
+/// (its clock starts at the job's first task), and the numerical checks
+/// the engine ran when the job asked for them.
 pub(crate) fn report_from(mut report: Report, out: Outcome) -> Report {
-    let makespan = out.makespan;
-    let threads = out.stats.iter().map(|s| ThreadMetrics {
-        work: s.work,
-        noise: s.noise,
-        idle: (makespan - s.work - s.noise).max(0.0),
-        tasks: s.local_pops + s.global_pops + s.steal_pops,
-        local_pops: s.local_pops,
-        global_pops: s.global_pops,
-        stolen_pops: s.steal_pops,
-        remote_steal_pops: s.remote_steal_pops,
-        failed_steals: s.failed_steals,
-        rescued: s.rescued,
-        lost: s.lost,
-        ..Default::default()
-    });
-    report.schedule = ScheduleMetrics {
-        makespan,
-        threads: threads.collect(),
-    };
-    report.threads = out.stats.len();
-    report.tasks = report.schedule.total_tasks() as usize;
-    report.makespan = makespan;
+    report.set_schedule(out.schedule);
     report.timeline = out.timeline;
     report.factorization = Some(out.factorization);
     report.residual = out.residual;
@@ -314,9 +291,6 @@ impl Backend for ThreadedBackend {
             .source
             .materialize()
             .ok_or_else(|| shape_only_source("the threaded backend"))?;
-        // the reference drivers are sequential regardless of the
-        // requested thread count; report what actually ran
-        report.threads = 1;
         let t0 = Instant::now();
         if plan.algorithm == Algorithm::Gepp {
             let f = gepp_factor(a.as_ref(), plan.b());
@@ -336,7 +310,14 @@ impl Backend for ThreadedBackend {
                 report.growth_factor = Some(f.growth_factor(&a));
             }
         }
-        report.schedule = sequential_metrics(report.makespan);
+        // the reference drivers are sequential regardless of the
+        // requested thread count; report what actually ran: one thread,
+        // busy throughout
+        let one = ThreadMetrics {
+            work: report.makespan,
+            ..Default::default()
+        };
+        report.set_schedule(ScheduleMetrics::new(report.makespan, vec![one]));
         Ok(report)
     }
 }
@@ -376,17 +357,6 @@ impl ThreadedBackend {
             pool_spawn_secs: outcome.pool_spawn_secs,
             co_scheduled,
         })
-    }
-}
-
-/// Schedule metrics of a sequential reference driver.
-fn sequential_metrics(makespan: f64) -> ScheduleMetrics {
-    ScheduleMetrics {
-        makespan,
-        threads: vec![ThreadMetrics {
-            work: makespan,
-            ..Default::default()
-        }],
     }
 }
 
@@ -473,7 +443,7 @@ impl Backend for SimulatedBackend {
 
     fn execute(&self, plan: &Plan<'_>) -> Result<Report, Error> {
         let r = self.simulate(plan, self.machine.clone(), plan.grid)?;
-        Ok(sim_report(self.name(), plan, self.machine.cores(), r))
+        Ok(sim_report(self.name(), plan, r))
     }
 
     /// Model what the threaded pool does with a batch: each small item
@@ -496,17 +466,17 @@ impl Backend for SimulatedBackend {
         let mut co_scheduled = 0usize;
         let mut items = Vec::with_capacity(plans.len());
         for plan in plans {
-            let report = if cfg.co_schedules(plan.source.dims()) {
+            let r = if cfg.co_schedules(plan.source.dims()) {
                 let r = self.simulate(plan, one_core.clone(), ProcessGrid::new(1, 1)?)?;
-                core_time[co_scheduled % cores] += r.makespan;
+                core_time[co_scheduled % cores] += r.schedule.makespan;
                 co_scheduled += 1;
-                sim_report(self.name(), plan, 1, r)
+                r
             } else {
                 let r = self.simulate(plan, self.machine.clone(), plan.grid)?;
-                wall_large += r.makespan;
-                sim_report(self.name(), plan, cores, r)
+                wall_large += r.schedule.makespan;
+                r
             };
-            items.push(report);
+            items.push(sim_report(self.name(), plan, r));
         }
         let wall = wall_large + core_time.iter().copied().fold(0.0f64, f64::max);
         Ok(BatchReport {
@@ -520,45 +490,14 @@ impl Backend for SimulatedBackend {
     }
 }
 
-/// Map a `SimResult` into the unified report shape. `threads` is the
-/// core count the run actually used (the whole machine for solo runs,
-/// the co-scheduling group size for small batch items).
-fn sim_report(backend: &str, plan: &Plan<'_>, threads: usize, r: SimResult) -> Report {
-    let per_core = r
-        .cores
-        .iter()
-        .map(|c| {
-            let busy = c.work + c.overhead + c.memory + c.noise;
-            ThreadMetrics {
-                work: c.work,
-                idle: (r.makespan - busy).max(0.0),
-                overhead: c.overhead,
-                memory: c.memory,
-                noise: c.noise,
-                tasks: c.tasks,
-                local_pops: c.local_pops,
-                global_pops: c.global_pops,
-                stolen_pops: c.stolen_pops,
-                remote_steal_pops: c.remote_stolen_pops,
-                failed_steals: 0,
-                rescued: c.rescued,
-                lost: c.lost,
-                remote_bytes: c.remote_bytes,
-                local_bytes: c.local_bytes,
-                cache_hits: c.cache_hits,
-                cache_misses: c.cache_misses,
-            }
-        })
-        .collect();
+/// Map a `SimResult` into the unified report shape: the simulator
+/// filled the same schedule record the engine does, one per core of the
+/// machine it ran on (the whole model for solo runs, one core for a
+/// co-scheduled batch item).
+fn sim_report(backend: &str, plan: &Plan<'_>, r: SimResult) -> Report {
     let mut report = plan_report(backend, plan);
-    report.threads = threads;
-    report.tasks = r.tasks;
-    report.makespan = r.makespan;
+    report.set_schedule(r.schedule);
     report.nominal_flops = r.nominal_flops;
-    report.schedule = ScheduleMetrics {
-        makespan: r.makespan,
-        threads: per_core,
-    };
     report.timeline = r.timeline;
     report
 }

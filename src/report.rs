@@ -8,298 +8,22 @@
 //! "same workload, N backends × M schedulers × K layouts" field by
 //! field.
 //!
-//! ## Schedule metrics at a glance
-//!
-//! Per-thread ([`ThreadMetrics`]) and aggregate accessors on
-//! [`ScheduleMetrics`]:
-//!
-//! | Metric | Per thread | Aggregate | Filled by |
-//! |---|---|---|---|
-//! | kernel work seconds | `work` | `utilization()` | both backends |
-//! | idle seconds | `idle` | `total_idle()`, `per_thread_idle()` | both |
-//! | scheduler overhead / memory seconds | `overhead`, `memory` | `utilization()` | simulated only |
-//! | noise seconds (modelled OS noise; on threads, fault-plan stalls) | `noise` | `utilization()`, `total_noise()` | both |
-//! | tasks executed | `tasks` | `total_tasks()` | both |
-//! | static-queue pops | `local_pops` | `queue_sources().local` | both |
-//! | dynamic pops (shared queue or own shard/deque) | `global_pops` | `queue_sources().global` | both |
-//! | **steals** (tasks taken from another worker's shard or deque) | `stolen_pops` | `queue_sources().stolen`, `contention().steals`, `steal_locality().local` + `.remote` | both, stealing disciplines only |
-//! | **remote steals** (the victim sat on another socket) | `remote_steal_pops` | `steal_locality().remote`, `steal_locality().remote_fraction()` | both, lock-free discipline's tiered sweep only |
-//! | **failed steal sweeps** (every probed victim was empty) | `failed_steals` | `contention().failed_steals`, `contention().failure_rate()` | threaded backend, stealing disciplines only |
-//! | **rescued static tasks** (republished into the dynamic queues off a lost/degraded worker) | `rescued` | `total_rescued()` | both, armed fault plans only |
-//! | **lost worker** (retired by an injected fault) | `lost` | `lost_workers()` | both, armed fault plans only |
-//! | NUMA / cache traffic | `remote_bytes`, `local_bytes`, `cache_*` | `Report::remote_bytes()`, `Report::cache_hit_rate()` | simulated only |
-//!
-//! Steal counters are identically zero under
-//! [`QueueDiscipline::Global`](calu_sched::QueueDiscipline), and
-//! `remote_steal_pops` additionally under
-//! `QueueDiscipline::Sharded`, whose flat sweep does not classify
-//! victims — the backend-parity tests rely on both.
+//! The per-thread record and its aggregates ([`ThreadMetrics`],
+//! [`ScheduleMetrics`] and the breakdowns they fold into) live in
+//! [`calu_sched::schedule`], where both executors fill them; its module
+//! docs carry the *schedule metrics at a glance* table. They are
+//! re-exported here and at the crate root.
 
 use calu_core::Factorization;
 use calu_matrix::Layout;
 use calu_sched::{QueueDiscipline, SchedulerKind};
 use calu_trace::Timeline;
 
+pub use calu_sched::schedule::{
+    ContentionStats, QueueBreakdown, ScheduleMetrics, StealLocality, ThreadMetrics,
+};
+
 use crate::solver::Algorithm;
-
-/// Per-thread (or per simulated core) schedule accounting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadMetrics {
-    /// Seconds of useful kernel work.
-    pub work: f64,
-    /// Seconds idle (no ready task).
-    pub idle: f64,
-    /// Seconds of scheduler overhead (dequeues, steals) — simulated
-    /// backends only; the real executor folds this into `work`.
-    pub overhead: f64,
-    /// Seconds of memory stalls — simulated backends only.
-    pub memory: f64,
-    /// Seconds of injected noise: modelled OS noise on the simulator,
-    /// fault-plan stalls while the job factored on real threads.
-    pub noise: f64,
-    /// Tasks executed by this thread.
-    pub tasks: u64,
-    /// Tasks popped from the thread's own static queue.
-    pub local_pops: u64,
-    /// Tasks popped from the dynamic section without stealing: the
-    /// shared queue under [`QueueDiscipline::Global`], the worker's own
-    /// shard under [`QueueDiscipline::Sharded`]
-    /// (both of [`calu_sched::QueueDiscipline`]).
-    pub global_pops: u64,
-    /// Tasks stolen from another thread (stealing queue disciplines or
-    /// the work-stealing policy).
-    pub stolen_pops: u64,
-    /// The subset of `stolen_pops` whose victim sat on a different
-    /// socket — reported only by the lock-free discipline's
-    /// locality-tiered sweep; the flat sharded sweep does not classify
-    /// victims, so it stays zero there.
-    pub remote_steal_pops: u64,
-    /// Steal *sweeps* in which every probed victim was empty (threaded
-    /// backend under the stealing disciplines) — the queue-contention
-    /// signal: a high [`ContentionStats::failure_rate`] means workers
-    /// sweep drained shards instead of computing. Counted per whole
-    /// sweep, not per probed victim, so flat and tiered victim orders
-    /// read on the same scale.
-    pub failed_steals: u64,
-    /// Static tasks this thread *owned* that were republished into the
-    /// dynamic queues because the thread was lost or persistently slow
-    /// (armed [`calu_core::FaultPlan`]s only; identically zero
-    /// otherwise). Rescue preserves the factors bitwise — the DAG's
-    /// exclusive-writer discipline makes them schedule-independent —
-    /// so a nonzero count here marks a run that *degraded*, not one
-    /// that diverged.
-    pub rescued: u64,
-    /// Whether this worker was lost to an injected fault and retired
-    /// mid-run (its remaining static share shows up in `rescued`).
-    pub lost: bool,
-    /// Bytes pulled from a remote NUMA socket (simulated only).
-    pub remote_bytes: f64,
-    /// Bytes refilled locally (simulated only).
-    pub local_bytes: f64,
-    /// Tile-cache hits (simulated only).
-    pub cache_hits: u64,
-    /// Tile-cache misses (simulated only).
-    pub cache_misses: u64,
-}
-
-/// Where executed tasks were dequeued from, summed over all threads —
-/// the static/dynamic split of Algorithm 1 made observable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueBreakdown {
-    /// Tasks served from per-thread static queues.
-    pub local: u64,
-    /// Tasks served from the shared dynamic queue.
-    pub global: u64,
-    /// Tasks obtained by stealing.
-    pub stolen: u64,
-}
-
-impl QueueBreakdown {
-    /// Fraction of tasks that went through the dynamic/stolen paths.
-    pub fn dynamic_fraction(&self) -> f64 {
-        let total = self.local + self.global + self.stolen;
-        if total == 0 {
-            0.0
-        } else {
-            (self.global + self.stolen) as f64 / total as f64
-        }
-    }
-}
-
-/// Steal-path contention accounting, summed over threads (stealing
-/// queue disciplines only; all zero under the global discipline).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContentionStats {
-    /// Successful steals: tasks taken from another worker's shard.
-    pub steals: u64,
-    /// Steal sweeps in which *every* probed victim was empty. One
-    /// wholly-empty sweep counts once, regardless of how many victims
-    /// it visited, so the flat randomized order and the locality-tiered
-    /// one produce comparable readings.
-    pub failed_steals: u64,
-}
-
-impl ContentionStats {
-    /// Fraction of steal sweeps that came up empty (0 when none ran).
-    /// This is the executor's contention thermometer: near 0 means
-    /// sweeps usually find work, near 1 means workers burn their idle
-    /// time sweeping drained shards.
-    pub fn failure_rate(&self) -> f64 {
-        let sweeps = self.steals + self.failed_steals;
-        if sweeps == 0 {
-            0.0
-        } else {
-            self.failed_steals as f64 / sweeps as f64
-        }
-    }
-}
-
-/// Where stolen tasks came from, summed over threads: the locality
-/// split of the lock-free discipline's tiered steal sweep. Under the
-/// flat sharded sweep every steal counts as `local` (victims are not
-/// classified); under the global discipline both are zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StealLocality {
-    /// Steals whose victim shared the thief's socket (or SMT core).
-    pub local: u64,
-    /// Steals whose victim sat on a different socket — each one dragged
-    /// the task's working set across the NUMA interconnect.
-    pub remote: u64,
-}
-
-impl StealLocality {
-    /// Fraction of steals that crossed a socket boundary (0 when no
-    /// steals happened). The tiered sweep exists to keep this low:
-    /// rising values mean same-socket victims are usually drained and
-    /// the work distribution, not the sweep order, is the problem.
-    pub fn remote_fraction(&self) -> f64 {
-        let total = self.local + self.remote;
-        if total == 0 {
-            0.0
-        } else {
-            self.remote as f64 / total as f64
-        }
-    }
-}
-
-/// Unified schedule metrics, identical in shape for every backend.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScheduleMetrics {
-    /// End-to-end schedule length in seconds (wall clock for the
-    /// threaded backend, simulated time for the simulator).
-    pub makespan: f64,
-    /// One entry per thread/core.
-    pub threads: Vec<ThreadMetrics>,
-}
-
-impl ScheduleMetrics {
-    /// Mean busy fraction of the `makespan × threads` rectangle.
-    ///
-    /// Deliberately unclamped: a value above 1 means the backend's
-    /// accounting double-counted busy seconds, and the invariant tests
-    /// rely on seeing that rather than a silently capped 100%.
-    pub fn utilization(&self) -> f64 {
-        if self.makespan <= 0.0 || self.threads.is_empty() {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .threads
-            .iter()
-            .map(|t| t.work + t.overhead + t.memory + t.noise)
-            .sum();
-        busy / (self.makespan * self.threads.len() as f64)
-    }
-
-    /// Total idle core-seconds.
-    pub fn total_idle(&self) -> f64 {
-        self.threads.iter().map(|t| t.idle).sum()
-    }
-
-    /// Per-thread idle seconds, indexed by thread id.
-    pub fn per_thread_idle(&self) -> Vec<f64> {
-        self.threads.iter().map(|t| t.idle).collect()
-    }
-
-    /// Total injected-noise core-seconds (on real threads, zero without
-    /// an armed fault plan).
-    pub fn total_noise(&self) -> f64 {
-        self.threads.iter().map(|t| t.noise).sum()
-    }
-
-    /// Queue-source breakdown summed over threads.
-    pub fn queue_sources(&self) -> QueueBreakdown {
-        let mut q = QueueBreakdown::default();
-        for t in &self.threads {
-            q.local += t.local_pops;
-            q.global += t.global_pops;
-            q.stolen += t.stolen_pops;
-        }
-        q
-    }
-
-    /// Total tasks executed across threads.
-    pub fn total_tasks(&self) -> u64 {
-        self.threads.iter().map(|t| t.tasks).sum()
-    }
-
-    /// Steal-path contention summed over threads (stealing disciplines).
-    pub fn contention(&self) -> ContentionStats {
-        let mut c = ContentionStats::default();
-        for t in &self.threads {
-            c.steals += t.stolen_pops;
-            c.failed_steals += t.failed_steals;
-        }
-        c
-    }
-
-    /// Static tasks rescued into the dynamic queues across all threads
-    /// (nonzero only under an armed fault plan that lost or degraded a
-    /// worker).
-    pub fn total_rescued(&self) -> u64 {
-        self.threads.iter().map(|t| t.rescued).sum()
-    }
-
-    /// Workers retired by injected faults during this run.
-    pub fn lost_workers(&self) -> usize {
-        self.threads.iter().filter(|t| t.lost).count()
-    }
-
-    /// Steal-locality split summed over threads: how many steals stayed
-    /// on the thief's socket vs. crossed the interconnect (lock-free
-    /// discipline's tiered sweep; see [`StealLocality`]).
-    pub fn steal_locality(&self) -> StealLocality {
-        let mut s = StealLocality::default();
-        for t in &self.threads {
-            s.local += t.stolen_pops - t.remote_steal_pops;
-            s.remote += t.remote_steal_pops;
-        }
-        s
-    }
-
-    /// Distill these metrics into the adaptive controller's input — the
-    /// feedback edge of [`crate::Solver::adaptive`]. Uses exactly the
-    /// aggregate accessors above ([`ContentionStats::failure_rate`],
-    /// [`StealLocality::remote_fraction`], [`total_idle`],
-    /// [`total_rescued`], [`lost_workers`]), so observations built from
-    /// a threaded report, a simulated report and a service
-    /// engine `Outcome` all read on one scale.
-    ///
-    /// [`total_idle`]: ScheduleMetrics::total_idle
-    /// [`total_rescued`]: ScheduleMetrics::total_rescued
-    /// [`lost_workers`]: ScheduleMetrics::lost_workers
-    pub(crate) fn observation(&self, dims: (usize, usize)) -> calu_sched::adaptive::Observation {
-        calu_sched::adaptive::Observation::new(
-            self.threads.len().max(1),
-            self.makespan,
-            self.total_idle(),
-        )
-        .with_contention(self.contention().failure_rate())
-        .with_remote_fraction(self.steal_locality().remote_fraction())
-        .with_lost(self.lost_workers())
-        .with_rescued(self.total_rescued())
-        .with_dims(dims.0, dims.1)
-    }
-}
 
 /// How [`crate::Solver::adaptive`] resolved this run's split: the
 /// topology-seeded starting point, the split the run actually used, and
@@ -385,26 +109,33 @@ impl Report {
         self.nominal_flops / self.makespan / 1e9
     }
 
+    /// Take `schedule` as this run's, with the figures the header
+    /// repeats from it: the makespan, the thread count (one record per
+    /// worker) and the task count (every task is counted once, by the
+    /// worker that ran it).
+    pub(crate) fn set_schedule(&mut self, schedule: ScheduleMetrics) {
+        self.makespan = schedule.makespan;
+        self.threads = schedule.threads.len();
+        self.tasks = schedule.total_tasks() as usize;
+        self.schedule = schedule;
+    }
+
     /// Machine utilization (busy fraction; see
     /// [`ScheduleMetrics::utilization`]).
     pub fn utilization(&self) -> f64 {
         self.schedule.utilization()
     }
 
-    /// Total bytes moved across NUMA sockets (simulated backends).
+    /// Total bytes moved across NUMA sockets (simulated backends; see
+    /// [`ScheduleMetrics::remote_bytes`]).
     pub fn remote_bytes(&self) -> f64 {
-        self.schedule.threads.iter().map(|t| t.remote_bytes).sum()
+        self.schedule.remote_bytes()
     }
 
-    /// Overall tile-cache hit rate (simulated backends; 0 when unknown).
+    /// Overall tile-cache hit rate (simulated backends; 0 when unknown;
+    /// see [`ScheduleMetrics::cache_hit_rate`]).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.schedule.threads.iter().map(|t| t.cache_hits).sum();
-        let misses: u64 = self.schedule.threads.iter().map(|t| t.cache_misses).sum();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
+        self.schedule.cache_hit_rate()
     }
 }
 
@@ -491,57 +222,6 @@ pub fn nominal_flops(algorithm: Algorithm, m: usize, n: usize) -> f64 {
 mod tests {
     use super::*;
 
-    fn metrics() -> ScheduleMetrics {
-        ScheduleMetrics {
-            makespan: 2.0,
-            threads: vec![
-                ThreadMetrics {
-                    work: 1.5,
-                    idle: 0.5,
-                    tasks: 6,
-                    local_pops: 5,
-                    global_pops: 1,
-                    ..Default::default()
-                },
-                ThreadMetrics {
-                    work: 1.0,
-                    idle: 1.0,
-                    noise: 0.5,
-                    tasks: 4,
-                    local_pops: 1,
-                    global_pops: 1,
-                    stolen_pops: 2,
-                    remote_steal_pops: 1,
-                    failed_steals: 3,
-                    rescued: 4,
-                    lost: true,
-                    ..Default::default()
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn aggregates_add_up() {
-        let m = metrics();
-        assert!((m.utilization() - 3.0 / 4.0).abs() < 1e-12);
-        assert_eq!(m.total_idle(), 1.5);
-        assert_eq!(m.per_thread_idle(), vec![0.5, 1.0]);
-        assert_eq!(m.total_tasks(), 10);
-        let q = m.queue_sources();
-        assert_eq!((q.local, q.global, q.stolen), (6, 2, 2));
-        assert!((q.dynamic_fraction() - 0.4).abs() < 1e-12);
-        let c = m.contention();
-        assert_eq!((c.steals, c.failed_steals), (2, 3));
-        assert!((c.failure_rate() - 0.6).abs() < 1e-12);
-        let s = m.steal_locality();
-        assert_eq!((s.local, s.remote), (1, 1));
-        assert!((s.remote_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(StealLocality::default().remote_fraction(), 0.0);
-        assert_eq!(m.total_rescued(), 4);
-        assert_eq!(m.lost_workers(), 1);
-    }
-
     #[test]
     fn nominal_flop_conventions() {
         let n = 100.0f64;
@@ -554,22 +234,17 @@ mod tests {
     }
 
     #[test]
-    fn observation_mirrors_the_aggregate_accessors() {
-        let m = metrics();
-        let obs = m.observation((10, 20));
-        assert!((obs.idle_fraction() - m.total_idle() / (2.0 * m.makespan)).abs() < 1e-12);
-        assert!((obs.contention - m.contention().failure_rate()).abs() < 1e-12);
-        assert!((obs.remote_fraction - m.steal_locality().remote_fraction()).abs() < 1e-12);
-        assert_eq!(obs.lost_workers, 1);
-        assert_eq!(obs.rescued, 4);
-        assert_eq!(obs.dims, (10, 20));
-    }
-
-    #[test]
-    fn empty_breakdown_is_zero() {
-        assert_eq!(QueueBreakdown::default().dynamic_fraction(), 0.0);
-        assert_eq!(ScheduleMetrics::default().utilization(), 0.0);
-        assert_eq!(ContentionStats::default().failure_rate(), 0.0);
+    fn the_header_repeats_the_schedule() {
+        let cfg = calu_core::CaluConfig::new(5);
+        let scheduler = SchedulerKind::Hybrid { dratio: 0.1 };
+        let mut r = crate::backend::blank_report("x", Algorithm::Calu, scheduler, &cfg, (10, 10));
+        let pops = |tasks| ThreadMetrics {
+            tasks,
+            ..Default::default()
+        };
+        r.set_schedule(ScheduleMetrics::new(2.5, vec![pops(3), pops(4), pops(0)]));
+        assert_eq!((r.makespan, r.threads, r.tasks), (2.5, 3, 7));
+        assert_eq!(r.schedule.per_thread_idle(), vec![2.5; 3]);
     }
 
     #[test]

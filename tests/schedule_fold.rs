@@ -4,17 +4,22 @@
 //! only the spans. These tests hold the fold to the timeline it
 //! replaces, on every route a job can take (solo, a batch's co-scheduled
 //! and co-operative items, a service pool), and hold its noise booking
-//! to a fault plan's stalls.
+//! to a fault plan's stalls. The simulator fills the same record, and
+//! both backends settle idle by one rule.
 
+use calu::sched::SchedulerKind;
+use calu::sim::{MachineConfig, NoiseConfig};
 use calu::trace::Timeline;
 use calu::{
-    FaultPlan, JobClass, JobSpec, MatrixSource, QueueDiscipline, Report, ServiceConfig, Solver,
+    FaultPlan, JobClass, JobSpec, MatrixSource, QueueDiscipline, Report, ServiceConfig,
+    SimulatedBackend, Solver,
 };
 
-/// Per-thread `work + noise + idle` is the makespan.
+/// Per-thread `work + overhead + memory + noise + idle` is the makespan.
 fn assert_accounts_for_the_makespan(r: &Report, ctx: &str) {
+    assert!(!r.schedule.threads.is_empty(), "{ctx}");
     for (c, t) in r.schedule.threads.iter().enumerate() {
-        let sum = t.work + t.noise + t.idle;
+        let sum = t.work + t.overhead + t.memory + t.noise + t.idle;
         assert!(
             (sum - r.makespan).abs() < 1e-9,
             "thread {c}: {sum} vs {}, {ctx}",
@@ -152,5 +157,73 @@ fn the_fold_agrees_with_the_timeline_on_every_route() {
                 assert_fold_matches(t, u, &ctx(&format!("served job {i}")));
             }
         }
+    }
+}
+
+/// A simulated solver on the 16-core Intel model with modelled OS
+/// noise, so every busy term of the idle rule is nonzero somewhere.
+fn simulated(source: MatrixSource) -> Solver {
+    let machine = MachineConfig::intel_xeon_16(NoiseConfig::os_daemons(7));
+    Solver::new(source)
+        .tile(100)
+        .backend(SimulatedBackend::new(machine))
+}
+
+#[test]
+fn a_simulated_solo_report_accounts_for_the_makespan() {
+    let r = simulated(MatrixSource::shape(1000, 1000)).run().unwrap();
+    let t = &r.schedule.threads;
+    assert!(t
+        .iter()
+        .any(|t| t.overhead > 0.0 && t.memory > 0.0 && t.noise > 0.0));
+    assert_pops_are_tasks(&r, "simulated solo");
+    assert_accounts_for_the_makespan(&r, "simulated solo");
+}
+
+#[test]
+fn simulated_batch_items_account_for_the_makespan_on_both_routes() {
+    // the 200² item is co-scheduled on one core, the 1000² one co-operative
+    let sweep = [
+        MatrixSource::shape(200, 200),
+        MatrixSource::shape(1000, 1000),
+    ];
+    let batch = simulated(MatrixSource::shape(1, 1)).batch(&sweep).unwrap();
+    assert_eq!(batch.co_scheduled, 1);
+    let lanes: Vec<usize> = batch.items.iter().map(|r| r.threads).collect();
+    assert_eq!(lanes, [1, 16], "one record per core the item ran on");
+    for (i, item) in batch.items.iter().enumerate() {
+        let ctx = format!("simulated batch item {i}");
+        assert_pops_are_tasks(item, &ctx);
+        assert_accounts_for_the_makespan(item, &ctx);
+    }
+}
+
+#[test]
+fn both_backends_count_pops_in_one_vocabulary() {
+    // under the lock-free discipline a worker's own-deque pops are a
+    // share of its dynamic pops and its remote steals a share of its
+    // steals, on real threads and in the model alike
+    let threaded = Solver::new(MatrixSource::uniform(256, 5))
+        .tile(16)
+        .threads(2)
+        .verify(false)
+        .scheduler(SchedulerKind::Dynamic)
+        .queue_discipline(QueueDiscipline::lock_free())
+        .run()
+        .unwrap();
+    let sim = simulated(MatrixSource::shape(1500, 1500))
+        .scheduler(SchedulerKind::Hybrid { dratio: 0.5 })
+        .queue_discipline(QueueDiscipline::lock_free())
+        .run()
+        .unwrap();
+    for r in [&threaded, &sim] {
+        let t = &r.schedule.threads;
+        let shard: u64 = t.iter().map(|t| t.shard_pops).sum();
+        assert!(shard > 0, "{}: own-deque pops are counted", r.backend);
+        for t in t {
+            assert!(t.shard_pops <= t.global_pops, "{}", r.backend);
+            assert!(t.remote_steal_pops <= t.stolen_pops, "{}", r.backend);
+        }
+        assert_pops_are_tasks(r, &r.backend);
     }
 }
