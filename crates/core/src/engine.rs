@@ -94,10 +94,7 @@ use std::time::{Duration, Instant};
 use calu_dag::TaskId;
 use calu_kernels::GemmScratch;
 use calu_matrix::gen;
-use calu_matrix::storage::TileLoc;
-use calu_matrix::{
-    BclMatrix, CmTiles, DenseMatrix, Layout, ProcessGrid, TileStorage, Tiling, TlbMatrix,
-};
+use calu_matrix::{DenseMatrix, ProcessGrid};
 use calu_rand::Rng;
 use calu_sched::{
     nstatic_for, ClassLanes, JobClass, Padded, QueueSource, ReadyQueues, ScheduleMetrics,
@@ -123,63 +120,6 @@ const RUNS_PER_WORKER: usize = 2;
 /// How long a parked worker sleeps between wakeup checks: long enough
 /// to cost nothing, short enough that a lost notification is harmless.
 const IDLE_TICK: Duration = Duration::from_millis(1);
-
-/// The tiled storage of one job under the configured [`Layout`] — the
-/// one place a layout becomes a type. `build` picks the variant; the
-/// [`TileStorage`] impl forwards to it.
-pub(crate) enum PoolStorage {
-    Cm(CmTiles),
-    Bcl(BclMatrix),
-    Tlb(TlbMatrix),
-}
-
-impl PoolStorage {
-    /// Zeroed `m × n` storage: allocated here, first touched by
-    /// whoever fills it.
-    fn zeros(m: usize, n: usize, layout: Layout, b: usize, grid: ProcessGrid) -> Self {
-        match layout {
-            Layout::ColumnMajor => PoolStorage::Cm(CmTiles::zeros(m, n, b)),
-            Layout::BlockCyclic => PoolStorage::Bcl(BclMatrix::zeros(m, n, b, grid)),
-            Layout::TwoLevelBlock => PoolStorage::Tlb(TlbMatrix::zeros(m, n, b, grid)),
-        }
-    }
-}
-
-macro_rules! forward {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            PoolStorage::Cm($s) => $body,
-            PoolStorage::Bcl($s) => $body,
-            PoolStorage::Tlb($s) => $body,
-        }
-    };
-}
-
-impl TileStorage for PoolStorage {
-    fn tiling(&self) -> Tiling {
-        forward!(self, s => s.tiling())
-    }
-    fn layout(&self) -> Layout {
-        forward!(self, s => s.layout())
-    }
-    fn grid(&self) -> ProcessGrid {
-        forward!(self, s => s.grid())
-    }
-    #[inline]
-    fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
-        forward!(self, s => s.tile_loc(ti, tj))
-    }
-    fn buffer(&self) -> &[f64] {
-        forward!(self, s => s.buffer())
-    }
-    #[inline]
-    fn buffer_mut(&mut self) -> &mut [f64] {
-        forward!(self, s => s.buffer_mut())
-    }
-    fn take_buffer(&mut self) -> Vec<f64> {
-        forward!(self, s => s.take_buffer())
-    }
-}
 
 /// What one job factors — the one type that carries matrix data into the
 /// engine, for solo runs, batched sweeps and served jobs alike. Dense
@@ -460,7 +400,7 @@ struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
     id: u64,
-    item: ItemState<'a, PoolStorage>,
+    item: ItemState<'a>,
     queues: ReadyQueues,
     slots: Vec<Slot>,
     sink: Mutex<Option<Box<dyn JobSink>>>,
@@ -1127,7 +1067,7 @@ impl<'a> Engine<'a> {
         workers: usize,
         me: usize,
         inject_panic: bool,
-    ) -> Result<ItemState<'a, PoolStorage>, CaluError> {
+    ) -> Result<ItemState<'a>, CaluError> {
         catch_unwind(AssertUnwindSafe(|| {
             if inject_panic {
                 injected_panic(me);
@@ -1146,8 +1086,7 @@ impl<'a> Engine<'a> {
             let g = Arc::new(item.kernels.build_graph(m, n, b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
             let grid = grid_for(workers);
-            let tiles = PoolStorage::zeros(m, n, self.cfg.layout, b, grid);
-            Ok(ItemState::new(tiles, g, grid, nstatic, a))
+            Ok(ItemState::new(self.cfg.layout, g, grid, nstatic, a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }

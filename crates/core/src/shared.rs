@@ -1,7 +1,7 @@
 //! Shared tile access for the parallel executor.
 //!
-//! All tile storages keep their elements in one contiguous buffer
-//! (`calu-matrix`'s [`TileStorage`] contract). The executor needs many
+//! A [`TiledMatrix`] keeps its elements in one contiguous buffer of
+//! `m · n` elements, whatever its layout. The executor needs many
 //! threads writing *different* tiles of that buffer concurrently; the
 //! task DAG guarantees the tiles are disjoint, and this module funnels
 //! the one unavoidable `unsafe` into a single audited wrapper. The same
@@ -10,7 +10,7 @@
 //! buffer is taken whole as the result.
 
 use calu_matrix::storage::TileLoc;
-use calu_matrix::TileStorage;
+use calu_matrix::{TileStorage, TiledMatrix};
 use std::cell::UnsafeCell;
 
 /// A raw, writable view of one tile (column-major, leading dimension
@@ -73,7 +73,7 @@ impl TilePtr {
     }
 }
 
-/// Storage wrapper handing out per-tile raw pointers.
+/// Tiled-matrix wrapper handing out per-tile raw pointers.
 ///
 /// Safety model: tasks of the factorization DAG write disjoint tiles at
 /// any instant (enforced by dependence counting), so concurrent
@@ -83,8 +83,8 @@ impl TilePtr {
 /// pointer taken once, at construction, so handing out a tile or a tile
 /// column's block never forms a reference to the whole allocation while
 /// other parts of it are being written.
-pub struct SharedTiles<S: TileStorage> {
-    inner: UnsafeCell<S>,
+pub struct SharedTiles {
+    inner: UnsafeCell<TiledMatrix>,
     /// The start of `inner`'s buffer of exactly `m · n` elements.
     base: *mut f64,
 }
@@ -93,12 +93,12 @@ pub struct SharedTiles<S: TileStorage> {
 // `take_buffer`, whose contract makes that call exclusive; `base` points
 // into the buffer `inner` owns, and which tiles or column blocks are
 // written concurrently is delegated to the task DAG (see type docs).
-unsafe impl<S: TileStorage + Send> Send for SharedTiles<S> {}
-unsafe impl<S: TileStorage + Send> Sync for SharedTiles<S> {}
+unsafe impl Send for SharedTiles {}
+unsafe impl Sync for SharedTiles {}
 
-impl<S: TileStorage> SharedTiles<S> {
-    /// Wrap a storage for shared tile access.
-    pub fn new(mut storage: S) -> Self {
+impl SharedTiles {
+    /// Wrap a tiled matrix for shared tile access.
+    pub fn new(mut storage: TiledMatrix) -> Self {
         let t = storage.tiling();
         // every offset handed out below stays inside this length
         assert_eq!(storage.buffer().len(), t.m * t.n, "one m × n buffer");
@@ -108,8 +108,8 @@ impl<S: TileStorage> SharedTiles<S> {
         }
     }
 
-    fn storage(&self) -> &S {
-        // SAFETY: nothing forms a `&mut S` but `take_buffer`, whose
+    fn storage(&self) -> &TiledMatrix {
+        // SAFETY: nothing forms a `&mut TiledMatrix` but `take_buffer`, whose
         // contract rules out every other use of this value.
         unsafe { &*self.inner.get() }
     }
@@ -221,7 +221,7 @@ mod tests {
 
     /// Densify every tile column of `s` in turn and take the buffer,
     /// with the scratch's length after the last column.
-    fn densify_and_take<S: TileStorage>(s: S) -> (Vec<f64>, usize) {
+    fn densify_and_take(s: TiledMatrix) -> (Vec<f64>, usize) {
         let cols = s.tiling().tile_cols();
         let shared = SharedTiles::new(s);
         let mut scratch = Vec::new();

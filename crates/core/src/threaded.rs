@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
-use calu_matrix::{DenseMatrix, ProcessGrid, RowPerm, TileStorage};
+use calu_matrix::{DenseMatrix, Layout, ProcessGrid, RowPerm, TiledMatrix};
 use calu_sched::{priority, CpuTopology, OwnerMap, Padded};
 
 use crate::config::CaluConfig;
@@ -133,9 +133,9 @@ pub(crate) enum Task {
 /// for a co-operative run, one for a co-scheduled one. The graph is held
 /// by [`Arc`] rather than borrowed because service workers are
 /// `'static` threads with no scope to borrow from.
-pub(crate) struct ItemState<'a, S: TileStorage> {
+pub(crate) struct ItemState<'a> {
     pub(crate) g: Arc<TaskGraph>,
-    tiles: SharedTiles<S>,
+    tiles: SharedTiles,
     deps: Vec<AtomicU32>,
     owners: OwnerMap,
     /// Leading tile columns scheduled statically (the `dratio` split
@@ -157,12 +157,14 @@ pub(crate) struct ItemState<'a, S: TileStorage> {
     b: usize,
 }
 
-impl<'a, S: TileStorage + Send> ItemState<'a, S> {
-    /// Build the execution state for factoring `input`: `nstatic` is the
+impl<'a> ItemState<'a> {
+    /// Build the execution state for factoring `input` in zeroed tiles
+    /// of the graph's shape, laid out in `layout` on `grid` (allocated
+    /// here, first touched by whoever fills them): `nstatic` is the
     /// number of leading tile columns scheduled statically (the `dratio`
     /// split already resolved against this item's panel count).
     pub(crate) fn new(
-        storage: S,
+        layout: Layout,
         g: Arc<TaskGraph>,
         grid: ProcessGrid,
         nstatic: usize,
@@ -170,8 +172,9 @@ impl<'a, S: TileStorage + Send> ItemState<'a, S> {
     ) -> Self {
         let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
+        let tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid);
         Self {
-            tiles: SharedTiles::new(storage),
+            tiles: SharedTiles::new(tiles),
             deps: g.ids().map(|t| AtomicU32::new(g.dep_count(t))).collect(),
             owners: OwnerMap::new(&g, grid),
             nstatic,
@@ -398,7 +401,7 @@ impl<'a, S: TileStorage + Send> ItemState<'a, S> {
     }
 }
 
-impl<S: TileStorage + Send> ItemState<'_, S> {
+impl ItemState<'_> {
     fn flag_singular(&self, col: usize) {
         self.singular.fetch_min(col, Ordering::AcqRel);
     }
@@ -955,7 +958,6 @@ mod tests {
 
     #[test]
     fn s_tasks_stack_exactly_where_their_tiles_do() {
-        use calu_matrix::{BclMatrix, TlbMatrix};
         // 8×8 tiles (the last row and column ragged) on a 2×2 grid: a
         // worker owns every other tile row, and BCL stores its tiles of
         // one column end to start
@@ -965,7 +967,7 @@ mod tests {
         let id = |kind: TaskKind| g.ids().find(|&t| g.kind(t) == kind).unwrap().0;
         let s = |k, i, j| id(TaskKind::Update { k, i, j });
         let input = || Cow::Owned(DenseMatrix::zeros(n, n));
-        let bcl = ItemState::new(BclMatrix::zeros(n, n, b, grid), g.clone(), grid, 8, input());
+        let bcl = ItemState::new(Layout::BlockCyclic, g.clone(), grid, 8, input());
         assert!(bcl.stacks_under(s(0, 1, 1), s(0, 3, 1)), "next owned row");
         assert!(
             bcl.stacks_under(s(0, 5, 2), s(0, 7, 2)),
@@ -979,7 +981,7 @@ mod tests {
         let l = id(TaskKind::ComputeL { k: 0, i: 3 });
         assert!(!bcl.stacks_under(s(0, 1, 1), l) && !bcl.stacks_under(l, s(0, 3, 1)));
         // 2l-BL keeps every tile in a block of its own: nothing stacks
-        let tlb = ItemState::new(TlbMatrix::zeros(n, n, b, grid), g.clone(), grid, 8, input());
+        let tlb = ItemState::new(Layout::TwoLevelBlock, g.clone(), grid, 8, input());
         for i in 1..6 {
             assert!(
                 !tlb.stacks_under(s(0, i, 1), s(0, i + 2, 1)),
@@ -993,14 +995,13 @@ mod tests {
                 .find(|&t| gc.kind(t) == TaskKind::Update { k, i, j })
         };
         let spd = Cow::Owned(DenseMatrix::zeros(64, 64));
-        let chol = ItemState::new(BclMatrix::zeros(64, 64, b, grid), gc.clone(), grid, 8, spd);
+        let chol = ItemState::new(Layout::BlockCyclic, gc.clone(), grid, 8, spd);
         let (t1, t2) = (sc(0, 3, 1).unwrap().0, sc(0, 5, 1).unwrap().0);
         assert!(!chol.stacks_under(t1, t2));
     }
 
     #[test]
     fn conversion_tasks_partition_the_tiles_after_the_dag() {
-        use calu_matrix::BclMatrix;
         // LU and Cholesky × square, tall (p×1 grid), wide (1×p grid)
         // and ragged shapes × the co-operative grid and a one-worker
         // run's 1×1 grid
@@ -1015,8 +1016,7 @@ mod tests {
                     let ctx = format!("{kernels:?} {m}x{n} on {}x{}", grid.pr(), grid.pc());
                     let g = Arc::new(kernels.build_graph(m, n, b, grid.pr()).unwrap());
                     let input = Cow::Owned(DenseMatrix::zeros(m, n));
-                    let item =
-                        ItemState::new(BclMatrix::zeros(m, n, b, grid), g.clone(), grid, 2, input);
+                    let item = ItemState::new(Layout::BlockCyclic, g.clone(), grid, 2, input);
                     // the conversion ids run contiguously from the DAG's end
                     let last = TaskId(g.len() as u32 - 1);
                     assert_eq!(item.task(last), Task::Dag(g.kind(last)), "{ctx}");

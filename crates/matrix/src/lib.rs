@@ -4,18 +4,21 @@
 //! algorithms operate on:
 //!
 //! * [`DenseMatrix`] — a classic column-major (LAPACK-style) matrix,
-//! * [`BclMatrix`] — the *block cyclic layout* of §4.1: the matrix is
-//!   distributed over a 2D grid of threads and, in each tile column, each
-//!   thread's tiles are stored contiguously in column-major order,
-//! * [`TlbMatrix`] — the *two-level block layout* of §4.2: on top of the
-//!   block-cyclic distribution, each `b × b` tile is stored contiguously,
+//! * [`TiledMatrix`] — the same matrix cut into tiles under any of the
+//!   paper's layouts ([`Layout`], Table 1): column-major, the *block
+//!   cyclic layout* of §4.1 (in each tile column, each thread's tiles
+//!   are stored contiguously in column-major order) or the *two-level
+//!   block layout* of §4.2 (on top of that, each `b × b` tile is stored
+//!   contiguously) — one buffer and one address formula for all three,
 //! * [`ProcessGrid`] — the 2D block-cyclic ownership map,
 //! * matrix generators ([`gen`]) and norms ([`norms`]) used by tests and
 //!   benchmarks.
 //!
-//! All three layouts implement [`TileStorage`], the tile-level access
-//! interface consumed by the factorization kernels, so the same CALU code
-//! runs unmodified on every layout in the paper's design space (Table 1).
+//! The factorization kernels address a [`TiledMatrix`] tile by tile, so
+//! the same CALU code runs unmodified on every layout in the paper's
+//! design space. [`TileStorage`] and the shims [`CmTiles`],
+//! [`BclMatrix`] and [`TlbMatrix`] are kept for the ruler's `to_tiles`
+//! rung; a ruler PR removes them.
 
 mod dense;
 mod error;
@@ -33,5 +36,5 @@ pub use error::MatrixError;
 pub use grid::ProcessGrid;
 pub use layout::Layout;
 pub use perm::RowPerm;
-pub use storage::{BclMatrix, CmTiles, TileStorage, TlbMatrix};
+pub use storage::{BclMatrix, CmTiles, TileStorage, TiledMatrix, TlbMatrix};
 pub use tile::Tiling;

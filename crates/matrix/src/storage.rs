@@ -1,22 +1,28 @@
-//! Tile-addressable storages: the common [`TileStorage`] interface and its
-//! three implementations (CM, BCL, 2l-BL).
+//! Tiled storage: one type, [`TiledMatrix`], for all three of the
+//! paper's layouts (CM, BCL, 2l-BL), because a layout is one address
+//! formula over one buffer, not a type of its own.
 //!
-//! Every storage keeps its elements in **one contiguous buffer** of
+//! A [`TiledMatrix`] keeps its elements in **one contiguous buffer** of
 //! exactly `m · n` elements; a tile is identified by `(offset, ld)` into
 //! that buffer. This uniformity is what lets the parallel executor hand
 //! out raw per-tile pointers while the DAG guarantees disjoint access.
 //!
-//! All three storages are **tile-column-major**: tile column `tj`
-//! occupies exactly elements `[col_start(tj) · m, col_end(tj) · m)` of the
+//! Every layout is **tile-column-major**: tile column `tj` occupies
+//! exactly elements `[col_start(tj) · m, col_end(tj) · m)` of the
 //! buffer, the place its columns take in the column-major matrix. Inside
-//! that block, BCL and 2l-BL store the tiles of grid row 0's thread first,
-//! then grid row 1's, and so on, so each owner's tiles of the column form
-//! one contiguous run. That keeps what §4.1 wants from a thread-local
+//! that block the tiles of grid row 0's thread come first, then grid row
+//! 1's, and so on, so each owner's tiles of the column form one
+//! contiguous run. That keeps what §4.1 wants from a thread-local
 //! layout: a thread's vertically adjacent tiles of a column stack on one
 //! leading dimension (one BLAS-3 call can update several), and the thread
 //! that fills its run touches its own pages first. It also lets the buffer
 //! become the dense result in place, one tile column at a time: with one
 //! grid row, BCL *is* column-major, byte for byte.
+//!
+//! The layouts then differ in one place, the `(offset, ld)` match in
+//! [`TiledMatrix`]'s `tile_loc`: BCL stacks a run's tiles on the owner's
+//! local row count, 2l-BL stores each tile with ld = its rows, and CM is
+//! BCL on a 1×1 grid.
 
 use crate::dense::DenseMatrix;
 use crate::grid::ProcessGrid;
@@ -82,7 +88,7 @@ impl TileRefMut<'_> {
     }
 }
 
-/// Location of a tile inside a storage's contiguous buffer.
+/// Location of a tile inside the contiguous buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileLoc {
     /// Index of the tile's `(0,0)` element in the buffer.
@@ -96,12 +102,15 @@ pub struct TileLoc {
 }
 
 /// A matrix cut into `b × b` tiles, each addressable as a column-major
-/// sub-block of one contiguous buffer.
+/// sub-block of one contiguous buffer. Its one implementation is
+/// [`TiledMatrix`]; the trait is kept for the ruler's `to_tiles` rung
+/// (a `Box<dyn TileStorage>`), and a ruler PR removes it, its methods
+/// then becoming [`TiledMatrix`]'s own.
 pub trait TileStorage {
     /// The tiling geometry (m, n, b).
     fn tiling(&self) -> Tiling;
 
-    /// Which of the paper's layouts this storage implements.
+    /// Which of the paper's layouts the tiles are placed by.
     fn layout(&self) -> Layout;
 
     /// The ownership grid used to place tiles (CM reports a 1×1 grid).
@@ -219,156 +228,103 @@ fn tile_span(loc: TileLoc) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Column-major storage
-// ---------------------------------------------------------------------------
-
-/// Column-major dense storage with tile addressing: the `CM` layout.
-#[derive(Debug, Clone)]
-pub struct CmTiles {
-    tiling: Tiling,
-    data: Vec<f64>,
-}
-
-impl CmTiles {
-    /// Zero-initialized CM storage.
-    pub fn zeros(m: usize, n: usize, b: usize) -> Self {
-        Self {
-            tiling: Tiling::new(m, n, b),
-            data: vec![0.0; m * n],
-        }
-    }
-
-    /// Build from a dense matrix.
-    pub fn from_dense(a: &DenseMatrix, b: usize) -> Self {
-        Self {
-            tiling: Tiling::new(a.rows(), a.cols(), b),
-            data: a.as_slice().to_vec(),
-        }
-    }
-}
-
-impl TileStorage for CmTiles {
-    fn tiling(&self) -> Tiling {
-        self.tiling
-    }
-
-    fn layout(&self) -> Layout {
-        Layout::ColumnMajor
-    }
-
-    fn grid(&self) -> ProcessGrid {
-        ProcessGrid::new(1, 1).expect("1x1 grid")
-    }
-
-    fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
-        let t = self.tiling;
-        let d = t.tile_dims(ti, tj);
-        TileLoc {
-            offset: t.col_start(tj) * t.m + t.row_start(ti),
-            ld: t.m,
-            rows: d.rows,
-            cols: d.cols,
-        }
-    }
-
-    fn buffer(&self) -> &[f64] {
-        &self.data
-    }
-
-    fn buffer_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    fn take_buffer(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.data)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block cyclic layout
-// ---------------------------------------------------------------------------
-
-/// Where each grid row's run starts inside a tile column's block, in
-/// rows of that block: grid row `r`'s tiles (the tile rows it owns,
-/// ascending, each a full `b` rows but the ragged last) take rows
-/// `starts[r]..starts[r + 1]`. `pr + 1` entries.
-fn owner_row_starts(tiling: Tiling, grid: ProcessGrid) -> Vec<usize> {
-    let mut starts = vec![0; grid.pr() + 1];
-    for r in 0..grid.pr() {
-        let rows: usize = grid
-            .owned_tile_rows(tiling.tile_rows(), r)
-            .map(|ti| tiling.tile_row_count(ti))
-            .sum();
-        starts[r + 1] = starts[r] + rows;
-    }
-    starts
-}
-
-/// The block cyclic layout of §4.1.
+/// A matrix in one of the paper's layouts (Table 1). Tiles are placed
+/// block-cyclically over a `pr × pc` thread grid, each owner's tiles of
+/// a tile column one run (see the module docs); a layout is how a run
+/// holds its tiles:
 ///
-/// Tiles are distributed block-cyclically over a `pr × pc` thread grid.
-/// The storage is tile-column-major (see the module docs): in the block
-/// of tile column `tj`, each owner's tiles of that column form one
-/// column-major submatrix whose leading dimension is the owner's local
-/// row count, grid row by grid row. A thread's vertically adjacent tiles
-/// of a column therefore share its columns, so it can run one BLAS-3 call
-/// on several of them at once — the grouping optimization of §3 — and the
-/// run it fills is its own. With one grid row the layout is column-major.
+/// * **BCL** (§4.1): one column-major submatrix on the owner's local
+///   row count, so a thread's vertically adjacent tiles of a column
+///   share its columns and one BLAS-3 call can update several (the
+///   grouping of §3);
+/// * **2l-BL** (§4.2): each tile contiguous (ld = its rows), so a tile
+///   fits in cache, at the price (noted in the paper) that tiles can no
+///   longer be grouped;
+/// * **CM**: BCL on a 1×1 grid, whatever grid it is given (ld = `m`).
 #[derive(Debug, Clone)]
-pub struct BclMatrix {
+pub struct TiledMatrix {
+    layout: Layout,
     tiling: Tiling,
     grid: ProcessGrid,
-    /// `owner_row_starts` of this tiling and grid.
+    /// Where each grid row's run starts inside a tile column's block, in
+    /// rows of that block: grid row `r`'s tiles (the tile rows it owns,
+    /// ascending, each a full `b` rows but the ragged last) take rows
+    /// `owner_rows[r]..owner_rows[r + 1]`. `pr + 1` entries.
     owner_rows: Vec<usize>,
     data: Vec<f64>,
 }
 
-impl BclMatrix {
-    /// Zero-initialized BCL storage over `grid`.
-    pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
+impl TiledMatrix {
+    /// Zero-initialized `m × n` storage in `layout`, its tiles placed
+    /// over `grid` (CM reports a 1×1 grid instead).
+    pub fn zeros(layout: Layout, m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
         let tiling = Tiling::new(m, n, b);
+        let grid = match layout {
+            Layout::ColumnMajor => one_thread(),
+            Layout::BlockCyclic | Layout::TwoLevelBlock => grid,
+        };
+        let mut owner_rows = vec![0; grid.pr() + 1];
+        for r in 0..grid.pr() {
+            let rows: usize = grid
+                .owned_tile_rows(tiling.tile_rows(), r)
+                .map(|ti| tiling.tile_row_count(ti))
+                .sum();
+            owner_rows[r + 1] = owner_rows[r] + rows;
+        }
         Self {
-            owner_rows: owner_row_starts(tiling, grid),
+            layout,
             tiling,
             grid,
+            owner_rows,
             data: vec![0.0; m * n],
         }
     }
 
     /// Build from a dense matrix.
-    pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
-        let mut s = Self::zeros(a.rows(), a.cols(), b, grid);
+    pub fn from_dense(layout: Layout, a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
+        let mut s = Self::zeros(layout, a.rows(), a.cols(), b, grid);
         s.load_dense(a);
         s
     }
 }
 
-impl TileStorage for BclMatrix {
+/// The 1×1 grid CM is placed on.
+fn one_thread() -> ProcessGrid {
+    ProcessGrid::new(1, 1).expect("1x1 grid")
+}
+
+impl TileStorage for TiledMatrix {
     fn tiling(&self) -> Tiling {
         self.tiling
     }
 
     fn layout(&self) -> Layout {
-        Layout::BlockCyclic
+        self.layout
     }
 
     fn grid(&self) -> ProcessGrid {
         self.grid
     }
 
+    #[inline]
     fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
         let t = self.tiling;
         let d = t.tile_dims(ti, tj);
         let r = ti % self.grid.pr();
-        let (first, ld) = (
-            self.owner_rows[r],
-            self.owner_rows[r + 1] - self.owner_rows[r],
-        );
+        let first = self.owner_rows[r];
         // owned tile rows before the ragged last one are always full `b`
         let row = self.grid.local_tile_row(ti) * t.b;
+        let (offset, ld) = match self.layout {
+            // the owner's earlier tiles of the column are full `b × cols`
+            // blocks, one after another
+            Layout::TwoLevelBlock => ((first + row) * d.cols, d.rows),
+            // the owner's run is one column-major submatrix
+            Layout::ColumnMajor | Layout::BlockCyclic => {
+                (first * d.cols + row, self.owner_rows[r + 1] - first)
+            }
+        };
         TileLoc {
-            offset: t.col_start(tj) * t.m + first * d.cols + row,
+            offset: t.col_start(tj) * t.m + offset,
             ld,
             rows: d.rows,
             cols: d.cols,
@@ -388,85 +344,51 @@ impl TileStorage for BclMatrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Two-level block layout
-// ---------------------------------------------------------------------------
+/// Constructors of a CM [`TiledMatrix`], owning no data. Kept for the
+/// ruler's `to_tiles` rung; a ruler PR removes it.
+pub enum CmTiles {}
 
-/// The two-level block layout of §4.2.
-///
-/// First level: tiles are distributed block-cyclically over the thread
-/// grid and placed like [`BclMatrix`]'s — in tile column `tj`'s block,
-/// each owner's tiles of the column form one contiguous run, grid row by
-/// grid row. Second level: each `b × b` tile is stored contiguously
-/// (ld = tile rows), so a tile fits in cache and any kernel on it runs
-/// without extra memory transfers. The price (noted in the paper) is that
-/// tiles can no longer be grouped into larger BLAS-3 calls.
-#[derive(Debug, Clone)]
-pub struct TlbMatrix {
-    tiling: Tiling,
-    grid: ProcessGrid,
-    /// `owner_row_starts` of this tiling and grid.
-    owner_rows: Vec<usize>,
-    data: Vec<f64>,
-}
-
-impl TlbMatrix {
-    /// Zero-initialized 2l-BL storage over `grid`.
-    pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
-        let tiling = Tiling::new(m, n, b);
-        Self {
-            owner_rows: owner_row_starts(tiling, grid),
-            tiling,
-            grid,
-            data: vec![0.0; m * n],
-        }
+impl CmTiles {
+    /// Zero-initialized CM storage.
+    pub fn zeros(m: usize, n: usize, b: usize) -> TiledMatrix {
+        TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one_thread())
     }
 
     /// Build from a dense matrix.
-    pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
-        let mut s = Self::zeros(a.rows(), a.cols(), b, grid);
-        s.load_dense(a);
-        s
+    pub fn from_dense(a: &DenseMatrix, b: usize) -> TiledMatrix {
+        TiledMatrix::from_dense(Layout::ColumnMajor, a, b, one_thread())
     }
 }
 
-impl TileStorage for TlbMatrix {
-    fn tiling(&self) -> Tiling {
-        self.tiling
+/// Constructors of a BCL [`TiledMatrix`], owning no data. Kept for the
+/// ruler's `to_tiles` rung; a ruler PR removes it.
+pub enum BclMatrix {}
+
+impl BclMatrix {
+    /// Zero-initialized BCL storage over `grid`.
+    pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> TiledMatrix {
+        TiledMatrix::zeros(Layout::BlockCyclic, m, n, b, grid)
     }
 
-    fn layout(&self) -> Layout {
-        Layout::TwoLevelBlock
+    /// Build from a dense matrix.
+    pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> TiledMatrix {
+        TiledMatrix::from_dense(Layout::BlockCyclic, a, b, grid)
+    }
+}
+
+/// Constructors of a 2l-BL [`TiledMatrix`], owning no data. Kept for
+/// the ruler's `to_tiles` rung; a ruler PR removes it.
+pub enum TlbMatrix {}
+
+impl TlbMatrix {
+    /// Zero-initialized 2l-BL storage over `grid`.
+    pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> TiledMatrix {
+        TiledMatrix::zeros(Layout::TwoLevelBlock, m, n, b, grid)
     }
 
-    fn grid(&self) -> ProcessGrid {
-        self.grid
-    }
-
-    fn tile_loc(&self, ti: usize, tj: usize) -> TileLoc {
-        let t = self.tiling;
-        let d = t.tile_dims(ti, tj);
-        // the owner's earlier tiles of the column are full `b × cols`
-        // blocks, one after another
-        let row = self.owner_rows[ti % self.grid.pr()] + self.grid.local_tile_row(ti) * t.b;
-        TileLoc {
-            offset: t.col_start(tj) * t.m + row * d.cols,
-            ld: d.rows,
-            rows: d.rows,
-            cols: d.cols,
-        }
-    }
-
-    fn buffer(&self) -> &[f64] {
-        &self.data
-    }
-
-    fn buffer_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    fn take_buffer(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.data)
+    /// Build from a dense matrix.
+    pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> TiledMatrix {
+        TiledMatrix::from_dense(Layout::TwoLevelBlock, a, b, grid)
     }
 }
 
@@ -666,6 +588,29 @@ mod tests {
         assert_eq!(BclMatrix::zeros(8, 8, 2, g).grid(), g);
         assert_eq!(TlbMatrix::zeros(8, 8, 2, g).grid(), g);
         assert_eq!(CmTiles::zeros(8, 8, 2).grid().size(), 1);
+    }
+
+    #[test]
+    fn cm_ignores_the_grid_it_is_given() {
+        // the sweep's grids: CM is placed on 1×1 whichever it gets
+        let one = ProcessGrid::new(1, 1).unwrap();
+        for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4)] {
+            let want = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one);
+            for (pr, pc) in [(1, 1), (1, 3), (3, 1), (2, 2)] {
+                let g = ProcessGrid::new(pr, pc).unwrap();
+                let s = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, g);
+                assert_eq!(s.grid(), one, "{m}x{n} b={b} grid {pr}x{pc}");
+                for (ti, tj) in s.tiling().tiles() {
+                    let ctx = format!("{m}x{n} b={b} grid {pr}x{pc} tile ({ti},{tj})");
+                    let loc = s.tile_loc(ti, tj);
+                    assert_eq!(loc, want.tile_loc(ti, tj), "{ctx}");
+                    // the column-major matrix's own address of the tile
+                    let t = s.tiling();
+                    let at = t.col_start(tj) * m + t.row_start(ti);
+                    assert_eq!((loc.offset, loc.ld), (at, m), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example layouts_demo
 //! ```
 
-use calu::matrix::{BclMatrix, DenseMatrix, ProcessGrid, TileStorage, TlbMatrix};
+use calu::matrix::{DenseMatrix, Layout, ProcessGrid, TileStorage, TiledMatrix};
 
 fn main() {
     // the 4x4-block example of Figure 5: 2x2 grid, b = 2, 8x8 matrix
@@ -16,7 +16,7 @@ fn main() {
 
     println!("Matrix entries are 'row*10+col' so you can read positions.\n");
 
-    let bcl = BclMatrix::from_dense(&a, b, grid);
+    let bcl = TiledMatrix::from_dense(Layout::BlockCyclic, &a, b, grid);
     println!("== Block cyclic layout (BCL): each tile column, owner by owner ==");
     let t = bcl.tiling();
     for tj in 0..t.tile_cols() {
@@ -40,7 +40,7 @@ fn main() {
     println!("   Each tile column sits where its columns sit in the dense matrix,");
     println!("   so the buffer becomes the dense result in place.\n");
 
-    let tlb = TlbMatrix::from_dense(&a, b, grid);
+    let tlb = TiledMatrix::from_dense(Layout::TwoLevelBlock, &a, b, grid);
     println!("== Two-level block layout (2l-BL): every bxb tile contiguous ==");
     for (ti, tj) in [(0usize, 0usize), (0, 1), (1, 0)] {
         let loc = tlb.tile_loc(ti, tj);
