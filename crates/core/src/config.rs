@@ -4,8 +4,8 @@
 
 use crate::error::CaluError;
 use crate::fault::FaultPlan;
-use calu_matrix::Layout;
-use calu_sched::{QueueDiscipline, SplitChoice, StealOrder};
+use calu_matrix::{Layout, ProcessGrid};
+use calu_sched::{QueueDiscipline, SplitChoice};
 
 /// Configuration for [`crate::calu_factor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -60,11 +60,6 @@ pub struct CaluConfig {
     /// disarmed plan). See [`crate::fault`] for the fault kinds and the
     /// static-task rescue guarantees.
     pub fault: FaultPlan,
-    /// Direction of the lock-free discipline's tiered victim sweep
-    /// (default nearest-first). The adaptive controller flips it to
-    /// farthest-first when most successful steals already cross
-    /// sockets; either direction factors bitwise-identically.
-    pub steal_order: StealOrder,
 }
 
 /// Default [`CaluConfig::batch_small_cutoff`]: matrices up to 384×384
@@ -87,7 +82,6 @@ impl CaluConfig {
             pin_workers: false,
             batch_small_cutoff: DEFAULT_BATCH_SMALL_CUTOFF,
             fault: FaultPlan::off(),
-            steal_order: StealOrder::default(),
         }
     }
 
@@ -135,16 +129,10 @@ impl CaluConfig {
         self
     }
 
-    /// Set the lock-free steal-sweep direction (default nearest-first).
-    pub fn with_steal_order(mut self, order: StealOrder) -> Self {
-        self.steal_order = order;
-        self
-    }
-
     /// Validate every knob. The thread grid is not derived here: it
-    /// depends on each item's shape as well as on the thread count
-    /// ([`ProcessGrid::for_shape`](calu_matrix::ProcessGrid::for_shape)),
-    /// so whoever holds the item derives it.
+    /// depends on each item's shape as well as on the thread count, so
+    /// whoever holds the item derives it, by
+    /// [`grid_and_leaves`](Self::grid_and_leaves).
     pub fn validate(&self) -> Result<(), CaluError> {
         if self.b == 0 {
             return Err(CaluError::InvalidConfig(
@@ -200,13 +188,36 @@ impl CaluConfig {
         self.threads > 1 && dims.0.max(dims.1) <= self.batch_small_cutoff
     }
 
+    /// The one grid-and-leaves rule, for a job of `dims` on a validated
+    /// config: the thread grid a run of `workers` lays it out on,
+    /// fitted to its tile shape ([`ProcessGrid::for_shape`]), and the
+    /// TSLU leaves per panel of its graph —
+    /// [`leaf_stride`](Self::leaf_stride), or by default the row count
+    /// of the grid of all [`threads`](Self::threads). The leaves never
+    /// follow `workers`, so a co-scheduled job factors to the bits of
+    /// the same job run by the whole pool.
+    pub fn grid_and_leaves(
+        &self,
+        dims: (usize, usize),
+        workers: usize,
+    ) -> Result<(ProcessGrid, usize), CaluError> {
+        let grid_of = |p| {
+            ProcessGrid::for_shape(p, dims.0.div_ceil(self.b), dims.1.div_ceil(self.b))
+                .map_err(|e| CaluError::InvalidConfig(e.to_string()))
+        };
+        let leaves = match self.leaf_stride {
+            Some(k) => k,
+            None => grid_of(self.threads)?.pr(),
+        };
+        Ok((grid_of(workers)?, leaves))
+    }
+
     /// The scheduling split this config names — the knobs an adaptive
     /// controller moves between engine generations.
     pub fn split(&self) -> SplitChoice {
         SplitChoice {
             dratio: self.dratio,
             batch_small_cutoff: self.batch_small_cutoff,
-            steal_order: self.steal_order,
         }
     }
 }
@@ -296,16 +307,6 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("worker 9"), "{err}");
-    }
-
-    #[test]
-    fn steal_order_is_a_free_knob() {
-        let c = CaluConfig::new(8).with_threads(4);
-        assert_eq!(c.steal_order, StealOrder::NearestFirst);
-        assert!(c
-            .with_steal_order(StealOrder::FarthestFirst)
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   intra-item synchronization.
 //!
 //! The thread grid is derived per job, from the thread count and the
-//! job's tile shape (`ProcessGrid::for_shape`, in `Engine::build`), so
+//! job's tile shape ([`CaluConfig::grid_and_leaves`], in `Engine::build`), so
 //! one engine serves square, tall and wide items side by side. It sets
 //! the DAG's panel leaves, so a small job factors to the bits of the
 //! same job run large; a small job's tiles are laid out and owned on a
@@ -94,7 +94,7 @@ use std::time::{Duration, Instant};
 use calu_dag::TaskId;
 use calu_kernels::GemmScratch;
 use calu_matrix::gen;
-use calu_matrix::{DenseMatrix, ProcessGrid};
+use calu_matrix::DenseMatrix;
 use calu_rand::Rng;
 use calu_sched::{
     nstatic_for, ClassLanes, JobClass, Padded, QueueSource, ReadyQueues, ScheduleMetrics,
@@ -1074,18 +1074,9 @@ impl<'a> Engine<'a> {
             }
             let (m, n) = item.source.dims();
             let a = item.source.materialize();
-            let b = self.cfg.b;
-            let grid_for = |p| {
-                ProcessGrid::for_shape(p, m.div_ceil(b), n.div_ceil(b))
-                    .expect("a validated config has threads")
-            };
-            let leaves = self
-                .cfg
-                .leaf_stride
-                .unwrap_or_else(|| grid_for(self.cfg.threads).pr());
-            let g = Arc::new(item.kernels.build_graph(m, n, b, leaves)?);
+            let (grid, leaves) = self.cfg.grid_and_leaves((m, n), workers)?;
+            let g = Arc::new(item.kernels.build_graph(m, n, self.cfg.b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
-            let grid = grid_for(workers);
             Ok(ItemState::new(self.cfg.layout, g, grid, nstatic, a))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
@@ -1177,13 +1168,7 @@ impl<'a> Engine<'a> {
         };
         Some(Arc::new(Run {
             id: job.id,
-            queues: ReadyQueues::new(
-                workers,
-                dynamic_tasks,
-                self.cfg.queue,
-                self.cfg.steal_order,
-                host_topology(),
-            ),
+            queues: ReadyQueues::new(workers, dynamic_tasks, self.cfg.queue, host_topology()),
             slots: (0..workers)
                 .map(|_| Padded(Mutex::new(WorkerLog::new(trace))))
                 .collect(),
@@ -1569,11 +1554,8 @@ pub fn factor_batch(items: &[BatchItem<'_>], cfg: &CaluConfig) -> Result<BatchOu
             "a batch needs at least one matrix".into(),
         ));
     }
-    if items.iter().any(|it| {
-        let (m, n) = it.source.dims();
-        m == 0 || n == 0
-    }) {
-        return Err(CaluError::EmptyMatrix);
+    for it in items {
+        it.kernels.check_shape(it.source.dims())?;
     }
     Engine::new(cfg.clone(), usize::MAX)?.run_to_completion(items.iter().cloned())
 }
@@ -2385,9 +2367,33 @@ mod tests {
 
         #[test]
         fn panicking_job_fails_its_sink_and_the_pool_survives() {
-            // a 0×0 source trips `TaskGraph::build_calu`'s non-empty assert
-            // on the claiming worker; the panic must be contained to the
-            // job (sink failed with TaskPanic), not kill the worker
+            // a panic latched before the only worker's first piece of
+            // work unwinds in the build of the job it claims; it must be
+            // contained to the job (sink failed with TaskPanic), not
+            // kill the worker
+            use crate::fault::FaultPlan;
+            let one = cfg4()
+                .with_threads(1)
+                .with_fault(FaultPlan::off().panic_worker(0, 0));
+            let solo = Engine::spawn(&one, 4).unwrap();
+            let (stx, srx) = mpsc::channel();
+            for id in [1, 2] {
+                accept(solo.submit(
+                    id,
+                    JobClass::Batch,
+                    BatchItem::lu(Source::Uniform {
+                        m: 48,
+                        n: 48,
+                        seed: 3,
+                    }),
+                    Box::new(ChanSink(stx.clone())),
+                ));
+            }
+            assert!(matches!(srx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
+            assert!(srx.recv().unwrap().is_ok(), "the worker survived");
+            solo.drain();
+            // an empty source fails its job typed on the claiming
+            // worker, by the one job-shape rule in the build
             let cfg = cfg4().with_batch_small_cutoff(100);
             let engine = Engine::spawn(&cfg, 4).unwrap();
             let (tx, rx) = mpsc::channel();
@@ -2401,9 +2407,9 @@ mod tests {
                 }),
                 Box::new(ChanSink(tx.clone())),
             ));
-            assert!(matches!(rx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
+            assert!(matches!(rx.recv().unwrap(), Err(CaluError::EmptyMatrix)));
             // same through the co-operative route: cutoff 0 with one
-            // non-zero dimension routes large, and the build still asserts
+            // non-zero dimension routes large
             let large = Engine::spawn(&cfg4().with_batch_small_cutoff(0), 4).unwrap();
             let (ltx, lrx) = mpsc::channel();
             accept(large.submit(
@@ -2416,8 +2422,8 @@ mod tests {
                 }),
                 Box::new(ChanSink(ltx)),
             ));
-            assert!(matches!(lrx.recv().unwrap(), Err(CaluError::TaskPanic(_))));
-            // both engines keep serving after the panic
+            assert!(matches!(lrx.recv().unwrap(), Err(CaluError::EmptyMatrix)));
+            // both engines keep serving after the failed jobs
             accept(engine.submit(
                 3,
                 JobClass::Batch,

@@ -63,7 +63,8 @@ struct PanelState {
 /// [`DagVariant`], so the dependency shape and the kernels can never
 /// disagree; every job names its kernel set and the engine builds the
 /// matching graph via the crate-internal `KernelSet::build_graph`, the
-/// single validated constructor (Cholesky rejects non-square there).
+/// single validated constructor. [`KernelSet::check_shape`] is the one
+/// job-shape rule every entry point applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelSet {
     /// CALU: tournament-pivoted panel (leaf/combine/finish), `A·U⁻¹`
@@ -78,6 +79,22 @@ pub enum KernelSet {
 }
 
 impl KernelSet {
+    /// The one job-shape rule: a job is non-empty, and square for
+    /// Cholesky. Every entry point applies it — the batch driver,
+    /// the graph constructor `build_graph`, the service's admission and
+    /// the facade's plan.
+    pub fn check_shape(self, (m, n): (usize, usize)) -> Result<(), CaluError> {
+        if m == 0 || n == 0 {
+            return Err(CaluError::EmptyMatrix);
+        }
+        if self == KernelSet::Cholesky && m != n {
+            return Err(CaluError::InvalidConfig(format!(
+                "tiled Cholesky factors a square SPD matrix, got {m}×{n}"
+            )));
+        }
+        Ok(())
+    }
+
     pub(crate) fn for_graph(g: &TaskGraph) -> Self {
         match g.variant() {
             DagVariant::TileCholesky => KernelSet::Cholesky,
@@ -86,9 +103,9 @@ impl KernelSet {
     }
 
     /// Build the task graph whose [`DagVariant`] selects this kernel
-    /// set, for an `m×n` matrix tiled at `b`. Cholesky graphs require a
-    /// square matrix (and ignore `leaf_stride` — there is no tournament
-    /// reduction tree to shape).
+    /// set, for an `m×n` matrix tiled at `b` that passes
+    /// [`check_shape`](Self::check_shape). Cholesky graphs ignore
+    /// `leaf_stride` — there is no tournament reduction tree to shape.
     pub(crate) fn build_graph(
         self,
         m: usize,
@@ -96,17 +113,11 @@ impl KernelSet {
         b: usize,
         leaf_stride: usize,
     ) -> Result<TaskGraph, CaluError> {
-        match self {
-            KernelSet::CaluLu => Ok(TaskGraph::build_calu(m, n, b, leaf_stride)),
-            KernelSet::Cholesky => {
-                if m != n {
-                    return Err(CaluError::InvalidConfig(format!(
-                        "tiled Cholesky factors a square SPD matrix, got {m}×{n}"
-                    )));
-                }
-                Ok(TaskGraph::build_cholesky(n, b))
-            }
-        }
+        self.check_shape((m, n))?;
+        Ok(match self {
+            KernelSet::CaluLu => TaskGraph::build_calu(m, n, b, leaf_stride),
+            KernelSet::Cholesky => TaskGraph::build_cholesky(n, b),
+        })
     }
 }
 

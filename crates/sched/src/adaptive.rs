@@ -8,15 +8,13 @@
 //! an adaptive split dominates any fixed one). The executors already
 //! measure everything the tradeoff turns on: per-thread idle (static
 //! section too big for the slow core), steal-sweep failure rate
-//! (dynamic section churning), steal locality (work migrating across
-//! sockets), rescued/lost workers (the fault layer's verdict). This
-//! module turns those readings into the next run's knobs:
+//! (dynamic section churning), rescued/lost workers (the fault layer's
+//! verdict). This module turns those readings into the next run's knobs:
 //!
 //! | signal | reading | response |
 //! |---|---|---|
 //! | idle fraction | idle core-seconds / (threads × makespan) | above the target → grow `dratio`; below → shrink it back toward locality |
 //! | contention | failed steal sweeps / total sweeps | high → shrink `dratio` (the dynamic section is churning, not balancing) |
-//! | remote fraction | remote steals / total steals | above ½ → sweep victims farthest-first (nearby victims are drained) |
 //! | lost / rescued workers | fault-layer counters | strong push toward dynamic — static ownership is what strands work |
 //! | item-size histogram | recent batch item max-dimensions | 75th percentile → `batch_small_cutoff` |
 //!
@@ -38,7 +36,7 @@ use std::collections::VecDeque;
 
 use calu_rand::Rng;
 
-use crate::topology::{CpuTopology, StealOrder};
+use crate::topology::CpuTopology;
 
 /// Upper bound on the remembered item-size window; old sizes age out so
 /// the cutoff tracks the *recent* workload mix, not all history.
@@ -128,17 +126,14 @@ impl AdaptivePolicy {
 }
 
 /// The scheduling split — everything the executors read: the dynamic
-/// fraction, the batch co-scheduling cutoff, and the steal-sweep
-/// direction. What the controller recommends, and what a service pool
-/// generation runs under.
+/// fraction and the batch co-scheduling cutoff. What the controller
+/// recommends, and what a service pool generation runs under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitChoice {
     /// Fraction of panels scheduled dynamically.
     pub dratio: f64,
     /// Items at most this large (max dimension) co-schedule whole.
     pub batch_small_cutoff: usize,
-    /// Direction of the lock-free victim sweep.
-    pub steal_order: StealOrder,
 }
 
 /// One completed run's scheduling readings — the controller's input,
@@ -153,8 +148,6 @@ pub struct Observation {
     pub total_idle: f64,
     /// Failed steal sweeps / total sweeps, in `[0, 1]`.
     pub contention: f64,
-    /// Remote-socket steals / total steals, in `[0, 1]`.
-    pub remote_fraction: f64,
     /// Workers lost (fault layer) during the run.
     pub lost_workers: usize,
     /// Static tasks rescued from slow/lost owners.
@@ -172,7 +165,6 @@ impl Observation {
             makespan,
             total_idle,
             contention: 0.0,
-            remote_fraction: 0.0,
             lost_workers: 0,
             rescued: 0,
             dims: (0, 0),
@@ -182,12 +174,6 @@ impl Observation {
     /// Set the steal-sweep failure rate.
     pub fn with_contention(mut self, contention: f64) -> Self {
         self.contention = contention;
-        self
-    }
-
-    /// Set the remote-steal fraction.
-    pub fn with_remote_fraction(mut self, fraction: f64) -> Self {
-        self.remote_fraction = fraction;
         self
     }
 
@@ -223,8 +209,6 @@ pub struct AdaptationStep {
     pub idle_fraction: f64,
     /// The observation's steal-sweep failure rate.
     pub contention: f64,
-    /// The observation's remote-steal fraction.
-    pub remote_fraction: f64,
     /// Workers lost during the observed run.
     pub lost_workers: usize,
     /// The split chosen after ingesting the observation.
@@ -250,7 +234,6 @@ impl AdaptiveController {
         let seed_split = SplitChoice {
             dratio: seed_dratio(topo, threads).clamp(policy.dratio_min, policy.dratio_max),
             batch_small_cutoff: 384usize.clamp(policy.cutoff_min, policy.cutoff_max),
-            steal_order: StealOrder::NearestFirst,
         };
         Self {
             rng: Rng::seed_from_u64(policy.seed),
@@ -283,7 +266,6 @@ impl AdaptiveController {
     pub fn observe(&mut self, obs: &Observation) {
         let idle = obs.idle_fraction();
         let contention = obs.contention.clamp(0.0, 1.0);
-        let remote = obs.remote_fraction.clamp(0.0, 1.0);
         let lost = obs.lost_workers as f64 / obs.threads.max(1) as f64;
         // Idle and degradation push toward dynamic; tolerated idle and
         // steal churn pull back toward the static section's locality.
@@ -294,13 +276,6 @@ impl AdaptiveController {
         let dither = (self.rng.next_f64() - 0.5) * 0.002 * self.policy.gain;
         self.split.dratio = (self.split.dratio + self.policy.gain * (pressure - relief) + dither)
             .clamp(self.policy.dratio_min, self.policy.dratio_max);
-        // When most successful steals already cross sockets, nearby
-        // victims are drained — probe the remote tier first.
-        self.split.steal_order = if remote > 0.5 {
-            StealOrder::FarthestFirst
-        } else {
-            StealOrder::NearestFirst
-        };
         let dim = obs.dims.0.max(obs.dims.1);
         if dim > 0 {
             if self.sizes.len() == SIZE_WINDOW {
@@ -318,7 +293,6 @@ impl AdaptiveController {
         self.trace.push(AdaptationStep {
             idle_fraction: idle,
             contention,
-            remote_fraction: remote,
             lost_workers: obs.lost_workers,
             chosen: self.choice(),
         });
@@ -415,15 +389,6 @@ mod tests {
             c.observe(&Observation::new(4, 1.0, 0.0).with_contention(1.0));
         }
         assert!((c.choice().dratio - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn remote_steals_flip_the_sweep_direction() {
-        let mut c = controller(2);
-        c.observe(&Observation::new(4, 1.0, 0.2).with_remote_fraction(0.9));
-        assert_eq!(c.choice().steal_order, StealOrder::FarthestFirst);
-        c.observe(&Observation::new(4, 1.0, 0.2).with_remote_fraction(0.1));
-        assert_eq!(c.choice().steal_order, StealOrder::NearestFirst);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::owner::OwnerMap;
 use crate::policy::{Policy, Popped, QueueSource};
 use crate::priority::{dynamic_key, static_key};
 use crate::ready::ReadyQueues;
-use crate::topology::{CpuTopology, StealOrder};
+use crate::topology::CpuTopology;
 
 /// See module docs.
 pub(crate) struct HybridPolicy {
@@ -58,16 +58,15 @@ impl HybridPolicy {
     /// Build for graph `g` over `grid` with the first `nstatic` tile
     /// columns scheduled statically — the one constructor: `nstatic =
     /// g.num_panels()` is fully static scheduling, `nstatic = 0` fully
-    /// dynamic (see [`crate::make_policy_ordered`]). `topo` and `order`
-    /// shape the lock-free discipline's tiered victim sweeps; the other
-    /// disciplines ignore them.
+    /// dynamic (see [`crate::make_policy_on`]). `topo` shapes the
+    /// lock-free discipline's tiered victim sweeps; the other
+    /// disciplines ignore it.
     pub(crate) fn new(
         g: &TaskGraph,
         grid: ProcessGrid,
         nstatic: usize,
         queue: QueueDiscipline,
         topo: &CpuTopology,
-        order: StealOrder,
     ) -> Self {
         let kinds: Vec<TaskKind> = g.ids().map(|t| g.kind(t)).collect();
         Self {
@@ -77,7 +76,7 @@ impl HybridPolicy {
             is_static: kinds.iter().map(|k| k.writes_col() < nstatic).collect(),
             // any core's static share can be rescued at any time, so any
             // task can reach the dynamic section
-            queues: ReadyQueues::new(grid.size(), g.len(), queue, order, topo),
+            queues: ReadyQueues::new(grid.size(), g.len(), queue, topo),
             kinds,
             rng: Rng::seed_from_u64(queue.seed().unwrap_or_default()),
             rr: 0,
@@ -197,7 +196,7 @@ impl Policy for HybridPolicy {
 mod tests {
     use super::*;
     use crate::config::{nstatic_for, SchedulerKind};
-    use crate::make_policy_ordered;
+    use crate::make_policy_on;
 
     fn graph() -> TaskGraph {
         TaskGraph::build(800, 800, 100) // 8x8 tiles
@@ -216,7 +215,6 @@ mod tests {
             nstatic_for(dratio, g.num_panels()),
             queue,
             &CpuTopology::flat(grid.size()),
-            StealOrder::default(),
         )
     }
 
@@ -480,7 +478,7 @@ mod tests {
         ] {
             let nstatic = nstatic_for(0.3, g.num_panels());
             let mut policy = with_discipline(&g, grid, 0.3, queue);
-            let bare = ReadyQueues::new(4, g.len(), queue, StealOrder::default(), &topo);
+            let bare = ReadyQueues::new(4, g.len(), queue, &topo);
             let owners = OwnerMap::new(&g, grid);
             let publish = |ready: &mut [TaskId], home| {
                 bare.publish(
@@ -691,14 +689,7 @@ mod tests {
         let grid = ProcessGrid::new(2, 2).unwrap();
         // 2 sockets × 2 cores: cores {0,1} on socket 0, {2,3} on socket 1
         let topo = CpuTopology::uniform(2, 2);
-        let mut p = HybridPolicy::new(
-            &g,
-            grid,
-            0,
-            QueueDiscipline::LockFree { seed: 7 },
-            &topo,
-            StealOrder::default(),
-        );
+        let mut p = HybridPolicy::new(&g, grid, 0, QueueDiscipline::LockFree { seed: 7 }, &topo);
         let col = |j| update_in_column(&g, j);
         // core 0 holds an old batch {3, 5} and, one pop later, a newer
         // and less critical one {6, 7}
@@ -804,10 +795,9 @@ mod tests {
     // built the way the simulator builds them)
 
     fn end(kind: SchedulerKind, g: &TaskGraph, grid: ProcessGrid) -> Box<dyn Policy> {
-        make_policy_ordered(
+        make_policy_on(
             kind,
             QueueDiscipline::Global,
-            StealOrder::default(),
             &CpuTopology::flat(grid.size()),
             g,
             grid,

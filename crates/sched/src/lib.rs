@@ -87,7 +87,7 @@ pub use ready::{Padded, ReadyQueues};
 pub use schedule::{
     ContentionStats, QueueBreakdown, ScheduleMetrics, StealLocality, ThreadMetrics,
 };
-pub use topology::{CpuTopology, StealOrder, StealTier};
+pub use topology::{CpuTopology, StealTier};
 
 use calu_dag::TaskGraph;
 use calu_matrix::ProcessGrid;
@@ -96,8 +96,8 @@ use hybrid::HybridPolicy;
 use work_stealing::WorkStealingPolicy;
 
 /// Build the policy described by `kind` with an explicit dynamic-section
-/// [`QueueDiscipline`], on a flat (single-socket) topology with the
-/// default steal order — see [`make_policy_ordered`].
+/// [`QueueDiscipline`], on a flat (single-socket) topology — see
+/// [`make_policy_on`].
 pub fn make_policy_with(
     kind: SchedulerKind,
     queue: QueueDiscipline,
@@ -105,7 +105,7 @@ pub fn make_policy_with(
     grid: ProcessGrid,
 ) -> Box<dyn Policy> {
     let topo = CpuTopology::flat(grid.size());
-    make_policy_ordered(kind, queue, StealOrder::default(), &topo, g, grid)
+    make_policy_on(kind, queue, &topo, g, grid)
 }
 
 /// Build the policy described by `kind`. `Static`, `Dynamic` and
@@ -116,17 +116,15 @@ pub fn make_policy_with(
 /// by construction, so it is a no-op there. The lock-free discipline's
 /// tiered victim sweeps (SMT sibling → same socket → remote) are
 /// computed from `topo` — the simulator passes its machine model's
-/// socket layout — and walked in `order`, the adaptive controller's
-/// steal-tier knob; the other disciplines ignore both.
-pub fn make_policy_ordered(
+/// socket layout; the other disciplines ignore it.
+pub fn make_policy_on(
     kind: SchedulerKind,
     queue: QueueDiscipline,
-    order: StealOrder,
     topo: &CpuTopology,
     g: &TaskGraph,
     grid: ProcessGrid,
 ) -> Box<dyn Policy> {
-    let hybrid = |nstatic, queue| HybridPolicy::new(g, grid, nstatic, queue, topo, order);
+    let hybrid = |nstatic, queue| HybridPolicy::new(g, grid, nstatic, queue, topo);
     match (kind, queue) {
         (SchedulerKind::Static, _) => {
             Box::new(hybrid(g.num_panels(), QueueDiscipline::Global).named("static"))
@@ -236,10 +234,9 @@ mod tests {
             "hybrid (lockfree)"
         );
         assert_eq!(
-            make_policy_ordered(
+            make_policy_on(
                 SchedulerKind::Dynamic,
                 QueueDiscipline::lock_free(),
-                StealOrder::default(),
                 &CpuTopology::uniform(2, 2),
                 &g,
                 grid

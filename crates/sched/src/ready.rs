@@ -58,7 +58,7 @@ use calu_rand::Rng;
 use crate::deque::{Deque, Steal};
 use crate::discipline::{steal_order, QueueDiscipline};
 use crate::policy::QueueSource;
-use crate::topology::{CpuTopology, StealOrder, StealTier, StealTiers};
+use crate::topology::{CpuTopology, StealTier, StealTiers};
 
 /// `T` alone on its cache lines: aligned to 128 bytes (a pair of
 /// 64-byte lines, which the adjacent-line prefetcher moves together)
@@ -154,9 +154,6 @@ fn steal_sweep<V, T>(
 pub struct ReadyQueues {
     local: Vec<Padded<Heap>>,
     dynamic: Dynamic,
-    /// Direction the tiered sweep probes its tiers in — the adaptive
-    /// controller's steal-order knob.
-    steal_dir: StealOrder,
     /// Dynamic tasks currently queued (stealing disciplines only:
     /// incremented before push, decremented after pop), so idle workers
     /// can tell "nothing to steal anywhere" from "a victim I probed was
@@ -179,13 +176,11 @@ impl ReadyQueues {
     /// Empty queues for `workers` workers. `dynamic_tasks` bounds how
     /// many tasks the dynamic section can hold at once (the lock-free
     /// deques are fixed-capacity); `topo` shapes the lock-free
-    /// discipline's victim tiers and `steal_dir` their sweep direction.
-    /// The other disciplines ignore all three.
+    /// discipline's victim tiers. The other disciplines ignore both.
     pub fn new(
         workers: usize,
         dynamic_tasks: usize,
         queue: QueueDiscipline,
-        steal_dir: StealOrder,
         topo: &CpuTopology,
     ) -> Self {
         Self {
@@ -202,7 +197,6 @@ impl ReadyQueues {
                         .collect(),
                 },
             },
-            steal_dir,
             dyn_queued: Padded::default(),
             degraded: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             rescued: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -352,7 +346,7 @@ impl ReadyQueues {
             )
             .map(|(t, _)| (t, QueueSource::Stolen)),
             Dynamic::LockFree { deques, tiers } => steal_sweep(
-                tiers[me].sweep_ordered(self.steal_dir, rng),
+                tiers[me].sweep(rng),
                 |&(victim, _)| loop {
                     match deques[victim].steal() {
                         Steal::Taken(v) => break Some(v as u32),
@@ -417,13 +411,7 @@ mod tests {
     use super::*;
 
     fn queues(workers: usize, queue: QueueDiscipline) -> ReadyQueues {
-        ReadyQueues::new(
-            workers,
-            64,
-            queue,
-            StealOrder::default(),
-            &CpuTopology::flat(workers),
-        )
+        ReadyQueues::new(workers, 64, queue, &CpuTopology::flat(workers))
     }
 
     /// [`ReadyQueues::pop_own`] without grouping.

@@ -334,10 +334,9 @@ impl ScheduleMetrics {
     /// Distill these metrics into the adaptive controller's input — the
     /// feedback edge of the facade's adaptive solver. Uses exactly the
     /// aggregate accessors above ([`ContentionStats::failure_rate`],
-    /// [`StealLocality::remote_fraction`], [`total_idle`],
-    /// [`total_rescued`], [`lost_workers`]), so observations built from
-    /// a threaded run, a simulated run and a service job all read on
-    /// one scale.
+    /// [`total_idle`], [`total_rescued`], [`lost_workers`]), so
+    /// observations built from a threaded run, a simulated run and a
+    /// service job all read on one scale.
     ///
     /// [`total_idle`]: ScheduleMetrics::total_idle
     /// [`total_rescued`]: ScheduleMetrics::total_rescued
@@ -345,7 +344,6 @@ impl ScheduleMetrics {
     pub fn observation(&self, dims: (usize, usize)) -> Observation {
         Observation::new(self.threads.len().max(1), self.makespan, self.total_idle())
             .with_contention(self.contention().failure_rate())
-            .with_remote_fraction(self.steal_locality().remote_fraction())
             .with_lost(self.lost_workers())
             .with_rescued(self.total_rescued())
             .with_dims(dims.0, dims.1)
@@ -454,7 +452,6 @@ mod tests {
         let obs = m.observation((10, 20));
         assert!((obs.idle_fraction() - m.total_idle() / (2.0 * m.makespan)).abs() < 1e-12);
         assert!((obs.contention - m.contention().failure_rate()).abs() < 1e-12);
-        assert!((obs.remote_fraction - m.steal_locality().remote_fraction()).abs() < 1e-12);
         assert_eq!(obs.lost_workers, 1);
         assert_eq!(obs.rescued, 4);
         assert_eq!(obs.dims, (10, 20));

@@ -171,37 +171,9 @@ impl CpuTopology {
     }
 }
 
-/// Direction of the tiered victim sweep. Nearest-first is the locality
-/// default (an SMT sibling's cache is the cheapest to raid); the
-/// adaptive controller flips to farthest-first when the observed
-/// [`remote_fraction`](../../calu/struct.StealLocality.html) says
-/// nearby victims are usually drained — probing them first then only
-/// wastes sweep steps before the inevitable remote steal.
-///
-/// Either order visits every victim exactly once and draws exactly
-/// three RNG values per sweep, so flipping it never perturbs the
-/// contention statistics' scale or the deque RNG streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealOrder {
-    /// SMT sibling → same socket → remote (the PR-4 default).
-    #[default]
-    NearestFirst,
-    /// Remote → same socket → SMT sibling.
-    FarthestFirst,
-}
-
-impl std::fmt::Display for StealOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StealOrder::NearestFirst => "nearest-first",
-            StealOrder::FarthestFirst => "farthest-first",
-        })
-    }
-}
-
 /// One worker's precomputed victim tiers: the static part of the
 /// locality-tiered sweep. Build once per worker, then call
-/// `sweep_ordered` per steal attempt; only the in-tier
+/// `sweep` per steal attempt; only the in-tier
 /// rotation is drawn from the RNG, so a sweep costs three RNG draws and
 /// no allocation.
 #[derive(Debug, Clone)]
@@ -225,15 +197,12 @@ impl StealTiers {
     }
 
     /// One randomized sweep: every other worker exactly once, tier by
-    /// tier in the direction `order` names, random rotation within each
-    /// tier. Deterministic for a fixed RNG state. The
-    /// in-tier rotations are drawn in the fixed Sibling/Socket/Remote
-    /// order *before* the direction applies, so both orders consume the
-    /// identical three RNG draws per sweep — flipping the order mid-fleet
-    /// never desynchronizes a worker's RNG stream.
-    pub(crate) fn sweep_ordered<'a>(
+    /// tier — SMT sibling → same socket → remote — with a random
+    /// rotation within each tier. Deterministic for a fixed RNG state:
+    /// the rotations are drawn up front, one per tier of two or more
+    /// victims.
+    pub(crate) fn sweep<'a>(
         &'a self,
-        order: StealOrder,
         rng: &mut Rng,
     ) -> impl Iterator<Item = (usize, StealTier)> + 'a {
         let kinds = [StealTier::Sibling, StealTier::Socket, StealTier::Remote];
@@ -245,11 +214,7 @@ impl StealTiers {
                 0
             }
         });
-        let idx: [usize; 3] = match order {
-            StealOrder::NearestFirst => [0, 1, 2],
-            StealOrder::FarthestFirst => [2, 1, 0],
-        };
-        idx.into_iter().flat_map(move |i| {
+        (0..3).flat_map(move |i| {
             let tier = &self.tiers[i];
             (0..tier.len()).map(move |j| (tier[(rots[i] + j) % tier.len()], kinds[i]))
         })
@@ -307,9 +272,7 @@ mod tests {
         let topo = CpuTopology::uniform_smt(2, 2, 2); // 8 cpus
         let tiers = StealTiers::for_worker(&topo, 0, 8);
         let mut rng = Rng::seed_from_u64(1);
-        let order: Vec<(usize, StealTier)> = tiers
-            .sweep_ordered(StealOrder::NearestFirst, &mut rng)
-            .collect();
+        let order: Vec<(usize, StealTier)> = tiers.sweep(&mut rng).collect();
         assert_eq!(order.len(), 7, "all other workers probed");
         let mut victims: Vec<usize> = order.iter().map(|&(v, _)| v).collect();
         victims.sort_unstable();
@@ -328,11 +291,7 @@ mod tests {
         let runs = |seed| {
             let mut rng = Rng::seed_from_u64(seed);
             (0..8)
-                .flat_map(|_| {
-                    tiers
-                        .sweep_ordered(StealOrder::NearestFirst, &mut rng)
-                        .collect::<Vec<_>>()
-                })
+                .flat_map(|_| tiers.sweep(&mut rng).collect::<Vec<_>>())
                 .collect::<Vec<_>>()
         };
         assert_eq!(runs(3), runs(3));
@@ -342,13 +301,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(9);
         let mut firsts = std::collections::HashSet::new();
         for _ in 0..64 {
-            firsts.insert(
-                tiers
-                    .sweep_ordered(StealOrder::NearestFirst, &mut rng)
-                    .next()
-                    .unwrap()
-                    .0,
-            );
+            firsts.insert(tiers.sweep(&mut rng).next().unwrap().0);
         }
         assert!(firsts.len() > 1, "rotation must vary the first victim");
     }
@@ -360,41 +313,12 @@ mod tests {
         let topo = CpuTopology::flat(4);
         let tiers = StealTiers::for_worker(&topo, 2, 4);
         let mut rng = Rng::seed_from_u64(5);
-        let order: Vec<usize> = tiers
-            .sweep_ordered(StealOrder::NearestFirst, &mut rng)
-            .map(|(v, _)| v)
-            .collect();
+        let order: Vec<usize> = tiers.sweep(&mut rng).map(|(v, _)| v).collect();
         assert_eq!(order.len(), 3);
         assert!(order.iter().all(|&v| v != 2));
         assert!(order
             .iter()
             .all(|&v| topo.tier_between(2, v) == StealTier::Socket));
-    }
-
-    #[test]
-    fn farthest_first_reverses_tiers_with_identical_rng_cost() {
-        let topo = CpuTopology::uniform_smt(2, 2, 2); // 8 cpus
-        let tiers = StealTiers::for_worker(&topo, 0, 8);
-        let (mut a, mut b) = (Rng::seed_from_u64(11), Rng::seed_from_u64(11));
-        let near: Vec<_> = tiers
-            .sweep_ordered(StealOrder::NearestFirst, &mut a)
-            .collect();
-        let far: Vec<_> = tiers
-            .sweep_ordered(StealOrder::FarthestFirst, &mut b)
-            .collect();
-        assert_eq!(near.len(), 7);
-        assert_eq!(far.len(), 7);
-        // same victims, remote tier now leads
-        assert_eq!(near[0].1, StealTier::Sibling);
-        assert_eq!(far[0].1, StealTier::Remote);
-        assert_eq!(far[6].1, StealTier::Sibling);
-        let mut nv: Vec<usize> = near.iter().map(|&(v, _)| v).collect();
-        let mut fv: Vec<usize> = far.iter().map(|&(v, _)| v).collect();
-        nv.sort_unstable();
-        fv.sort_unstable();
-        assert_eq!(nv, fv);
-        // identical RNG consumption: streams stay in lockstep after a sweep
-        assert_eq!(a.gen_range(0..1000), b.gen_range(0..1000));
     }
 
     #[test]
@@ -406,11 +330,6 @@ mod tests {
         assert!(t.sockets() >= 1);
         let tiers = StealTiers::for_worker(&t, 0, t.len().clamp(2, 8));
         let mut rng = Rng::seed_from_u64(1);
-        assert!(
-            tiers
-                .sweep_ordered(StealOrder::NearestFirst, &mut rng)
-                .count()
-                >= 1
-        );
+        assert!(tiers.sweep(&mut rng).count() >= 1);
     }
 }

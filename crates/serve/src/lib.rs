@@ -986,15 +986,9 @@ impl<R: Send + 'static> FactorService<R> {
         keep: bool,
     ) -> Result<JobHandle<R>, ServeError> {
         let dims = spec.dims();
-        if dims.0 == 0 || dims.1 == 0 {
-            return Err(ServeError::Invalid(CaluError::EmptyMatrix));
-        }
-        if spec.kernels() == KernelSet::Cholesky && dims.0 != dims.1 {
-            return Err(ServeError::Invalid(CaluError::InvalidConfig(format!(
-                "tiled Cholesky factors a square SPD matrix, got {}×{}",
-                dims.0, dims.1
-            ))));
-        }
+        spec.kernels()
+            .check_shape(dims)
+            .map_err(ServeError::Invalid)?;
         let mut t = self.shared.table.lock();
         if t.draining {
             return Err(ServeError::ShuttingDown);

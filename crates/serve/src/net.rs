@@ -14,7 +14,12 @@
 //! submit <class> spd <n> <seed> [deadline_ms <ms>] ok <id>
 //! status <id>                                      status <id> <state>
 //! cancel <id>                                      ok cancelled <id> | ok too-late <id>
-//! stats                                            stats pending=<n> queued=<n> ...
+//! stats                                            stats pending=<n> queued=<n>
+//!                                                    threads=<n> generation=<n>
+//!                                                    lost_workers=<n> accepted=<n>
+//!                                                    shed=<n> malformed=<n>
+//!                                                    requests=<n> dratio=<x>
+//!                                                    small_cutoff=<n>
 //! ping                                             ok pong
 //! drain                                            ok drained completed=<n> cancelled=<n>
 //! ```
@@ -381,8 +386,7 @@ fn handle_request<R: Send + 'static>(
             let split = service.current_split();
             format!(
                 "stats pending={} queued={} threads={} generation={} lost_workers={} \
-                 accepted={} shed={} malformed={} requests={} dratio={:.4} \
-                 steal_order={} small_cutoff={}",
+                 accepted={} shed={} malformed={} requests={} dratio={:.4} small_cutoff={}",
                 service.pending(),
                 service.queued(),
                 service.threads(),
@@ -393,7 +397,6 @@ fn handle_request<R: Send + 'static>(
                 shared.malformed.load(Ordering::Relaxed),
                 shared.requests.load(Ordering::Relaxed),
                 split.dratio,
-                split.steal_order,
                 split.batch_small_cutoff,
             )
         }

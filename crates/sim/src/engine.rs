@@ -7,8 +7,8 @@ use std::collections::BinaryHeap;
 use calu_dag::{TaskGraph, TaskId};
 use calu_matrix::{Layout, ProcessGrid};
 use calu_sched::{
-    make_policy_ordered, CpuTopology, Policy, QueueDiscipline, ScheduleMetrics, SchedulerKind,
-    StealOrder, ThreadMetrics,
+    make_policy_on, CpuTopology, Policy, QueueDiscipline, ScheduleMetrics, SchedulerKind,
+    ThreadMetrics,
 };
 use calu_trace::{SpanKind, TaskSpan, Timeline};
 
@@ -55,12 +55,6 @@ pub struct SimConfig {
     pub column_granular: bool,
     /// Record the full per-task timeline (memory-heavy for big runs).
     pub record_trace: bool,
-    /// Direction of the lock-free discipline's tiered victim sweep —
-    /// the adaptive controller's steal-order knob, modelled so the
-    /// simulator sweeps victims in the same order the real executor
-    /// would (steal *prices* still come from the victim's tier, so the
-    /// order changes who is probed first, never what a steal costs).
-    pub steal_order: StealOrder,
 }
 
 #[derive(Debug, PartialEq)]
@@ -129,7 +123,7 @@ impl<'a> Engine<'a> {
         // discipline's tiered victim sweeps, so a simulated steal probes
         // same-socket victims before remote ones exactly like a real one
         let topo = CpuTopology::uniform(cfg.machine.sockets, cfg.machine.cores_per_socket);
-        let policy = make_policy_ordered(cfg.sched, cfg.queue, cfg.steal_order, &topo, g, cfg.grid);
+        let policy = make_policy_on(cfg.sched, cfg.queue, &topo, g, cfg.grid);
         Self {
             g,
             cfg,
@@ -428,7 +422,6 @@ mod tests {
             group_max,
             column_granular: false,
             record_trace: false,
-            steal_order: StealOrder::default(),
         }
     }
 

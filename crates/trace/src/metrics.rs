@@ -23,7 +23,22 @@ impl TimelineMetrics {
     pub fn of(t: &Timeline) -> Self {
         let cores = t.cores();
         let makespan = t.makespan();
-        let total_idle: f64 = (0..cores).map(|c| t.idle_time(c)).sum();
+        // busy time per core: all its spans, noise and overhead included
+        let busy: Vec<f64> = (0..cores)
+            .map(|c| {
+                t.spans()
+                    .iter()
+                    .filter(|s| s.core == c)
+                    .map(|s| s.duration())
+                    .sum()
+            })
+            .collect();
+        let total_idle: f64 = busy.iter().map(|b| (makespan - b).max(0.0)).sum();
+        let utilization = if cores == 0 || makespan == 0.0 {
+            0.0
+        } else {
+            busy.iter().sum::<f64>() / (makespan * cores as f64)
+        };
         let total_noise: f64 = t
             .spans()
             .iter()
@@ -33,7 +48,7 @@ impl TimelineMetrics {
         Self {
             cores,
             makespan,
-            utilization: t.utilization(),
+            utilization,
             total_idle,
             total_noise,
         }

@@ -78,29 +78,6 @@ impl Timeline {
         v
     }
 
-    /// Busy time of one core (all spans, including noise/overhead).
-    pub(crate) fn busy_time(&self, core: usize) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.core == core)
-            .map(|s| s.duration())
-            .sum()
-    }
-
-    /// Idle time of one core: makespan minus busy time.
-    pub(crate) fn idle_time(&self, core: usize) -> f64 {
-        (self.makespan() - self.busy_time(core)).max(0.0)
-    }
-
-    /// Mean utilization over cores: busy / makespan.
-    pub(crate) fn utilization(&self) -> f64 {
-        if self.cores == 0 || self.t_end == 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = (0..self.cores).map(|c| self.busy_time(c)).sum();
-        busy / (self.t_end * self.cores as f64)
-    }
-
     /// Mean fraction of cores busy during the window
     /// `[t0_frac, t1_frac] · makespan` — the metric behind Fig 14's
     /// "90% of threads become idle after only 60% of the total
@@ -123,6 +100,7 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::TimelineMetrics;
     use crate::span::SpanKind;
 
     fn span(core: usize, start: f64, end: f64, kind: SpanKind) -> TaskSpan {
@@ -183,10 +161,10 @@ mod tests {
     fn busy_idle_accounting() {
         let t = simple();
         assert_eq!(t.makespan(), 10.0);
-        assert_eq!(t.busy_time(0), 10.0);
-        assert_eq!(t.busy_time(1), 5.0);
-        assert_eq!(t.idle_time(1), 5.0);
-        assert!((t.utilization() - 0.75).abs() < 1e-12);
+        // core 0 busy 10, core 1 busy 5 of the 10
+        let m = TimelineMetrics::of(&t);
+        assert_eq!(m.total_idle, 5.0);
+        assert!((m.utilization - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -217,7 +195,7 @@ mod tests {
     #[test]
     fn empty_timeline_metrics() {
         let t = Timeline::new(4);
-        assert_eq!(t.utilization(), 0.0);
+        assert_eq!(TimelineMetrics::of(&t).utilization, 0.0);
         assert_eq!(t.makespan(), 0.0);
     }
 }

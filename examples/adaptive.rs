@@ -42,8 +42,8 @@ fn main() {
         };
         println!(
             "  run {run}: seed dratio {:.3} -> chosen {:.3} (ran {:.3}, \
-             {} observation(s), steal order {})",
-            a.seed.dratio, a.chosen.dratio, dratio, a.observations, a.chosen.steal_order,
+             {} observation(s))",
+            a.seed.dratio, a.chosen.dratio, dratio, a.observations,
         );
     }
     let final_split = solver.adaptive_split().expect("planned at least once");

@@ -185,7 +185,7 @@ pub(crate) fn report_from(mut report: Report, out: Outcome) -> Report {
 }
 
 /// The kernel set a facade algorithm runs on the engine.
-fn kernels_for(algorithm: Algorithm) -> KernelSet {
+pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
     if algorithm == Algorithm::Cholesky {
         KernelSet::Cholesky
     } else {
@@ -416,7 +416,6 @@ impl SimulatedBackend {
             layout: plan.layout(),
             sched: plan.scheduler,
             queue: plan.queue(),
-            steal_order: plan.steal_order(),
             grid,
             group_max: plan.group(),
             column_granular: self.column_granular,

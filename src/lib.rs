@@ -150,7 +150,6 @@ pub use backend::{Backend, SimulatedBackend, ThreadedBackend};
 pub use calu_core::{FaultKind, FaultPlan, KernelSet};
 pub use calu_sched::{
     AdaptationStep, AdaptiveController, AdaptivePolicy, Observation, QueueDiscipline, SplitChoice,
-    StealOrder,
 };
 pub use error::Error;
 pub use report::{

@@ -12,13 +12,13 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use calu_core::{CaluConfig, FaultPlan, Source};
+use calu_core::{CaluConfig, CaluError, FaultPlan, Source};
 use calu_dag::TaskGraph;
 use calu_matrix::{DenseMatrix, Layout, ProcessGrid};
 use calu_sched::adaptive::{AdaptiveController, AdaptivePolicy, SplitChoice};
-use calu_sched::{QueueDiscipline, SchedulerKind, StealOrder};
+use calu_sched::{QueueDiscipline, SchedulerKind};
 
-use crate::backend::{Backend, ThreadedBackend};
+use crate::backend::{kernels_for, Backend, ThreadedBackend};
 use crate::error::Error;
 use crate::report::{AdaptationReport, BatchReport, Report};
 
@@ -155,7 +155,7 @@ pub struct Plan<'a> {
     /// The input matrix source.
     pub source: &'a MatrixSource,
     /// 2D block-cyclic thread grid: a function of the thread count and
-    /// of this source's tile shape ([`ProcessGrid::for_shape`]) —
+    /// of this source's tile shape ([`CaluConfig::grid_and_leaves`]) —
     /// square inputs get the near-square grid, tall-skinny ones a
     /// column of threads.
     pub grid: ProcessGrid,
@@ -168,10 +168,12 @@ pub struct Plan<'a> {
     /// Compute residual/growth-factor checks on real backends.
     pub verify: bool,
     /// The validated driver config — the single source of truth for the
-    /// knobs it owns (`b`, threads, dratio, layout, group, leaves),
+    /// knobs it owns (`b`, threads, dratio, layout, group),
     /// exposed read-only through the accessors below so the public plan
     /// can never disagree with what the executor runs.
     cfg: CaluConfig,
+    /// TSLU leaves per panel, derived with `grid` by the same rule.
+    leaves: usize,
     /// How the adaptive controller resolved this plan's split, when the
     /// solver is adaptive (attached to the [`Report`] after execution).
     adaptation: Option<AdaptationReport>,
@@ -209,11 +211,6 @@ impl Plan<'_> {
         self.cfg.queue
     }
 
-    /// Direction of the lock-free discipline's tiered steal sweep.
-    pub fn steal_order(&self) -> StealOrder {
-        self.cfg.steal_order
-    }
-
     /// How the adaptive controller resolved this plan's split (`None`
     /// for non-adaptive solvers).
     pub fn adaptation(&self) -> Option<&AdaptationReport> {
@@ -223,7 +220,7 @@ impl Plan<'_> {
     /// TSLU leaves per panel (defaults to the row count of this
     /// plan's — this item's — grid).
     pub fn leaf_stride(&self) -> usize {
-        self.cfg.leaf_stride.unwrap_or_else(|| self.grid.pr())
+        self.leaves
     }
 
     /// Build the task DAG for this plan's algorithm and shape.
@@ -428,19 +425,19 @@ impl Solver {
     }
 
     /// Close the scheduling feedback loop: let an
-    /// [`AdaptiveController`] pick the static/dynamic split, the steal
-    /// direction and the batch co-scheduling cutoff from what the
-    /// system already measures, instead of the fixed knobs above.
+    /// [`AdaptiveController`] pick the static/dynamic split and the
+    /// batch co-scheduling cutoff from what the system already
+    /// measures, instead of the fixed knobs above.
     ///
     /// The controller seeds its split from the backend's topology
     /// (detected host sockets for the threaded backend, the machine
     /// model for the simulator), then moves it after every completed
     /// [`Solver::run`] / [`Solver::batch`] item using the report's own
     /// schedule metrics — idle fraction, steal-sweep failure rate,
-    /// remote-steal fraction, lost workers, rescued tasks. The
-    /// observations accumulate in the controller's memory for the life
-    /// of this solver (and of any service it spawns); see
-    /// [`calu_sched::adaptive`] for the update rules.
+    /// lost workers, rescued tasks. The observations accumulate in the
+    /// controller's memory for the life of this solver (and of any
+    /// service it spawns); see [`calu_sched::adaptive`] for the update
+    /// rules.
     ///
     /// Adaptation replaces the *configured* scheduler: every adaptive
     /// plan runs `Hybrid { dratio }` at the controller's current choice
@@ -515,22 +512,22 @@ impl Solver {
     /// [`Solver::plan`] against an arbitrary source: the same knobs and
     /// the same validation, applied to one item of a batched sweep.
     fn plan_for<'a>(&'a self, source: &'a MatrixSource) -> Result<Plan<'a>, Error> {
-        let (m, n) = source.dims();
-        if self.algorithm == Algorithm::Cholesky {
-            if m != n {
-                return Err(Error::Config(format!(
-                    "Cholesky factors a square symmetric matrix, got {m}×{n}; \
-                     use a square source or an LU algorithm"
-                )));
-            }
-            if matches!(source, MatrixSource::Uniform { .. }) {
-                return Err(Error::Config(
-                    "Cholesky requires a symmetric positive-definite input, but \
-                     MatrixSource::Uniform generates a general matrix; use \
-                     MatrixSource::SpdUniform (or pass SPD data as Dense)"
-                        .into(),
-                ));
-            }
+        let dims = source.dims();
+        kernels_for(self.algorithm)
+            .check_shape(dims)
+            .map_err(|e| match e {
+                CaluError::InvalidConfig(msg) => {
+                    Error::Config(format!("{msg}; use a square source or an LU algorithm"))
+                }
+                e => e.into(),
+            })?;
+        if self.algorithm == Algorithm::Cholesky && matches!(source, MatrixSource::Uniform { .. }) {
+            return Err(Error::Config(
+                "Cholesky requires a symmetric positive-definite input, but \
+                 MatrixSource::Uniform generates a general matrix; use \
+                 MatrixSource::SpdUniform (or pass SPD data as Dense)"
+                    .into(),
+            ));
         }
         let threads = self
             .threads
@@ -589,7 +586,6 @@ impl Solver {
             .with_queue(queue)
             .with_pinning(self.pin_workers);
         if let Some(a) = &adaptation {
-            cfg.steal_order = a.chosen.steal_order;
             cfg.batch_small_cutoff = a.chosen.batch_small_cutoff;
         }
         if let Some(cutoff) = self.batch_small_cutoff {
@@ -619,15 +615,14 @@ impl Solver {
         // follows each item's grid, and the plans of one batch must
         // share one config whatever their shapes
         cfg.group = cfg.effective_group();
-        // the same derivation the engine applies to the job it builds
-        // from this plan, so the plan's grid, leaves and graph (and the
+        // the rule the engine applies to the job it builds from this
+        // plan, so the plan's grid, leaves and graph (and the
         // simulator, which runs on them) agree with the threads
-        let b = self.b;
-        let grid = ProcessGrid::for_shape(threads, m.div_ceil(b), n.div_ceil(b))
-            .map_err(|e| Error::Config(e.to_string()))?;
+        let (grid, leaves) = cfg.grid_and_leaves(dims, threads)?;
         Ok(Plan {
             source,
             grid,
+            leaves,
             scheduler,
             algorithm: self.algorithm,
             record_trace: self.trace,
@@ -768,6 +763,29 @@ mod tests {
         let p = pinned.plan().unwrap();
         assert_eq!((dims(&p), p.leaf_stride()), ((4, 1), 2));
         assert_eq!(p.calu_config().leaf_stride, Some(2));
+    }
+
+    #[test]
+    fn the_plan_and_the_engine_derive_one_grid_and_leaf_count() {
+        // `Solver::plan` and the engine's job build both derive the
+        // grid and the default leaves by `CaluConfig::grid_and_leaves`:
+        // the engine runs the plan's graph, and pinning the plan's leaf
+        // count moves no bit
+        let knobs = |src| Solver::new(src).tile(32).threads(4).verify(false);
+        for (m, n, seed) in [(512, 64, 31), (192, 192, 32), (64, 512, 33)] {
+            let source = MatrixSource::uniform_rect(m, n, seed);
+            let solver = knobs(source.clone());
+            let plan = solver.plan().unwrap();
+            let report = solver.run().unwrap();
+            assert_eq!(report.tasks, plan.build_graph().len(), "{m}x{n}");
+            let pinned = knobs(source).tslu_leaves(plan.leaf_stride()).run().unwrap();
+            let (f, fp) = (
+                report.factorization.as_ref().unwrap(),
+                pinned.factorization.as_ref().unwrap(),
+            );
+            assert_eq!(f.lu.as_slice(), fp.lu.as_slice(), "{m}x{n}");
+            assert_eq!(f.perm.pivots(), fp.perm.pivots(), "{m}x{n}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use calu::sched::CpuTopology;
 use calu::sim::{MachineConfig, NoiseConfig};
 use calu::{
     AdaptiveController, AdaptivePolicy, FaultPlan, JobClass, JobSpec, MatrixSource, Observation,
-    SimulatedBackend, Solver, SplitChoice, StealOrder,
+    SimulatedBackend, Solver, SplitChoice,
 };
 
 const THREADS: usize = 8;
@@ -145,7 +145,6 @@ fn every_chosen_split_stays_inside_the_validated_bounds() {
             calu::core::CaluConfig::new(64)
                 .with_threads(4)
                 .with_dratio(choice.dratio)
-                .with_steal_order(choice.steal_order)
                 .validate()
                 .unwrap_or_else(|e| panic!("{name} step {i}: chosen split fails validate: {e}"));
         }
@@ -186,81 +185,62 @@ fn the_size_histogram_drives_the_batch_cutoffs() {
     );
 }
 
-#[test]
-fn heavy_remote_stealing_flips_the_sweep_direction_and_back() {
-    let mut ctl = controller(2);
-    assert_eq!(ctl.choice().steal_order, StealOrder::NearestFirst);
-    ctl.observe(&Observation::new(THREADS, 1.0, 0.8).with_remote_fraction(0.8));
-    assert_eq!(
-        ctl.choice().steal_order,
-        StealOrder::FarthestFirst,
-        "mostly-remote steals mean nearby victims are drained"
-    );
-    ctl.observe(&Observation::new(THREADS, 1.0, 0.8).with_remote_fraction(0.1));
-    assert_eq!(
-        ctl.choice().steal_order,
-        StealOrder::NearestFirst,
-        "locality restored, sweep near first again"
-    );
-}
-
-/// Every canned trace's replayed `(dratio bits, cutoff, steal order)`
-/// sequence at seed 7, captured before the per-item group width, the
+/// Every canned trace's replayed `(dratio bits, cutoff)` sequence at
+/// seed 7, captured before the per-item group width, the
 /// per-run mode and the cache file were deleted: removing them must not
 /// move a single dither draw.
 #[test]
 fn every_canned_trace_replays_its_golden_split_sequence() {
-    use StealOrder::NearestFirst as Near;
-    type Step = (u64, usize, StealOrder);
+    type Step = (u64, usize);
     let golden: [(&str, [Step; 5]); 5] = [
         (
             "healthy",
             [
-                (0x3fc268c396d5d1db, 512, Near),
-                (0x3fc19fdbbe9c5f49, 512, Near),
-                (0x3fc0de1a2931a7d3, 512, Near),
-                (0x3fc0188a45044feb, 512, Near),
-                (0x3fbeb404cf40392d, 512, Near),
+                (0x3fc268c396d5d1db, 512),
+                (0x3fc19fdbbe9c5f49, 512),
+                (0x3fc0de1a2931a7d3, 512),
+                (0x3fc0188a45044feb, 512),
+                (0x3fbeb404cf40392d, 512),
             ],
         ),
         (
             "half-speed core",
             [
-                (0x3fcadb73b79a6d81, 512, Near),
-                (0x3fd1429e0012cb4b, 512, Near),
-                (0x3fd51b1545bfbd63, 512, Near),
-                (0x3fd8f1a5640b5f42, 512, Near),
-                (0x3fdccbb985bb936b, 512, Near),
+                (0x3fcadb73b79a6d81, 512),
+                (0x3fd1429e0012cb4b, 512),
+                (0x3fd51b1545bfbd63, 512),
+                (0x3fd8f1a5640b5f42, 512),
+                (0x3fdccbb985bb936b, 512),
             ],
         ),
         (
             "lost core",
             [
-                (0x3fd04f0189e1b1a1, 512, Near),
-                (0x3fd7052d5c3bc10d, 512, Near),
-                (0x3fddbeec4ffd2e07, 512, Near),
-                (0x3fe23b620e2ea564, 512, Near),
-                (0x3fe5990ff610fce9, 512, Near),
+                (0x3fd04f0189e1b1a1, 512),
+                (0x3fd7052d5c3bc10d, 512),
+                (0x3fddbeec4ffd2e07, 512),
+                (0x3fe23b620e2ea564, 512),
+                (0x3fe5990ff610fce9, 512),
             ],
         ),
         (
             "all-small batch",
             [
-                (0x3fc2379cad5cfcdd, 64, Near),
-                (0x3fc13d8debaab54d, 64, Near),
-                (0x3fc04aa56cc728d9, 64, Near),
-                (0x3fbea7dd3e41f7e6, 64, Near),
-                (0x3fbcc87fb087e741, 64, Near),
+                (0x3fc2379cad5cfcdd, 64),
+                (0x3fc13d8debaab54d, 64),
+                (0x3fc04aa56cc728d9, 64),
+                (0x3fbea7dd3e41f7e6, 64),
+                (0x3fbcc87fb087e741, 64),
             ],
         ),
         (
             "all-large batch",
             [
-                (0x3fc2379cad5cfcdd, 768, Near),
-                (0x3fc13d8debaab54d, 768, Near),
-                (0x3fc04aa56cc728d9, 768, Near),
-                (0x3fbea7dd3e41f7e6, 768, Near),
-                (0x3fbcc87fb087e741, 768, Near),
+                (0x3fc2379cad5cfcdd, 768),
+                (0x3fc13d8debaab54d, 768),
+                (0x3fc04aa56cc728d9, 768),
+                (0x3fbea7dd3e41f7e6, 768),
+                (0x3fbcc87fb087e741, 768),
             ],
         ),
     ];
@@ -268,7 +248,7 @@ fn every_canned_trace_replays_its_golden_split_sequence() {
         assert_eq!(name, golden_name);
         let replayed: Vec<_> = replay(7, &trace)
             .into_iter()
-            .map(|c| (c.dratio.to_bits(), c.batch_small_cutoff, c.steal_order))
+            .map(|c| (c.dratio.to_bits(), c.batch_small_cutoff))
             .collect();
         assert_eq!(replayed, expected, "{name}");
     }

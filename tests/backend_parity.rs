@@ -714,8 +714,8 @@ fn the_adaptive_controller_is_backend_agnostic_over_identical_traces() {
     // trace): seeded from the simulator's machine model or from the
     // same shape written by hand for the threaded side, an identical
     // canned trace must drive bitwise-identical split trajectories —
-    // the sweep covers idle pressure, steal contention, locality flips
-    // and a size histogram that crosses the cutoff window
+    // the sweep covers idle pressure, steal contention and a size
+    // histogram that crosses the cutoff window
     let mach = MachineConfig::intel_xeon_16(NoiseConfig::off());
     let policy = AdaptivePolicy::new(5);
     let mut sim_ctl =
@@ -730,7 +730,6 @@ fn the_adaptive_controller_is_backend_agnostic_over_identical_traces() {
         let n = 128 * (1 + (i % 5));
         let obs = Observation::new(16, 2.0, 0.4 * 16.0 * ((i % 3) as f64) / 3.0)
             .with_contention(0.05 * (i % 2) as f64)
-            .with_remote_fraction(if i >= 6 { 0.7 } else { 0.2 })
             .with_dims(n, n);
         sim_ctl.observe(&obs);
         hand_ctl.observe(&obs);

@@ -128,6 +128,39 @@ fn tcp_submit_status_stats_drain_roundtrip() {
 }
 
 #[test]
+fn the_stats_reply_names_its_keys_in_one_order() {
+    let listener = solver().listen("127.0.0.1:0").unwrap();
+    let (mut reader, mut writer) = connect(listener.local_addr());
+    let stats = roundtrip(&mut reader, &mut writer, "stats");
+    let mut words = stats.split(' ');
+    assert_eq!(words.next(), Some("stats"), "stats line: {stats:?}");
+    let keys: Vec<&str> = words
+        .map(|kv| match kv.split_once('=') {
+            Some((key, value)) if !value.is_empty() => key,
+            _ => panic!("{kv:?} is not key=value in {stats:?}"),
+        })
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "pending",
+            "queued",
+            "threads",
+            "generation",
+            "lost_workers",
+            "accepted",
+            "shed",
+            "malformed",
+            "requests",
+            "dratio",
+            "small_cutoff",
+        ],
+        "stats line: {stats:?}"
+    );
+    listener.shutdown();
+}
+
+#[test]
 fn malformed_storm_leaves_the_listener_serving() {
     let listener = solver().listen("127.0.0.1:0").unwrap();
     let (mut reader, mut writer) = connect(listener.local_addr());
