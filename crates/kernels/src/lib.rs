@@ -7,8 +7,9 @@
 //! * [`gemm::dgemm_packed`] — `C ← α·A·B + β·C`, a GotoBLAS/BLIS-style packed,
 //!   register-tiled kernel (packing plus an `MR×NR` micro-kernel; see the
 //!   [`gemm`] module docs for the MR/NR/MC/KC/NC blocking table),
-//! * [`trsm`] — the two triangular solves LU needs, blocked so their
-//!   trailing work runs through the packed GEMM,
+//! * [`trsm`] — the triangular solves of tasks L and U, blocked so their
+//!   trailing work runs through the packed GEMM and their diagonal blocks
+//!   through register-blocked cores,
 //! * [`getrf::dgetf2`] — unblocked Gaussian elimination with partial
 //!   pivoting,
 //! * [`getrf::dgetrf_recursive_packed`] — Toledo's recursive LU, the paper's
@@ -40,6 +41,7 @@ mod lu_nopiv;
 mod microkernel;
 mod pack;
 pub mod potrf;
+#[macro_use]
 mod small;
 pub mod syrk;
 pub mod trsm;
@@ -90,12 +92,79 @@ pub mod flops {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::flops;
+    use calu_matrix::DenseMatrix;
 
     /// The interpreter runs the unit tests at small shapes only (CI's
     /// Miri job); natively every shape runs. `m·n·k` is the work of the
     /// largest product a test case forms.
     pub(crate) fn too_big_for_miri(m: usize, n: usize, k: usize) -> bool {
         cfg!(miri) && m * n * k > 60_000
+    }
+
+    /// Sizes of the register-blocked cores' bitwise sweeps: every size
+    /// `1..=70` natively — each strip height with its 4- and 1-row
+    /// tails, odd and even column counts, both sides of 32 and 64 — and
+    /// the sizes around the 4-, 8- and 16-row edges under Miri.
+    pub(crate) fn sweep_sizes() -> Vec<usize> {
+        if cfg!(miri) {
+            vec![1, 2, 3, 5, 8, 9, 17]
+        } else {
+            (1..=70).collect()
+        }
+    }
+
+    /// What the sweeps plant in their inputs, and about how sparsely:
+    /// signed zeros on one entry in four (the kernels' `== 0.0` skips),
+    /// then a sparse mix of signed zeros, `±Inf` and NaN.
+    pub(crate) const PLANTS: [(&[f64], usize); 2] = [
+        (&[0.0, -0.0], 4),
+        (&[f64::INFINITY, -0.0, f64::NAN, 0.0, f64::NEG_INFINITY], 61),
+    ];
+
+    /// Overwrite about one entry in `every` of `a` with `values` in turn,
+    /// at positions picked by a hash of `(i, j, seed)`.
+    pub(crate) fn plant(a: &mut DenseMatrix, values: &[f64], every: usize, seed: u64) {
+        let mut next = 0;
+        for j in 0..a.cols() {
+            for i in 0..a.rows() {
+                let h = (i as u64 ^ (j as u64) << 20 ^ seed << 40)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    >> 32;
+                if h.is_multiple_of(every as u64) {
+                    a.set(i, j, values[next % values.len()]);
+                    next += 1;
+                }
+            }
+        }
+    }
+
+    /// `a` copied into a column-major buffer with leading dimension
+    /// `rows + 3`; the three padding rows hold a sentinel the kernels
+    /// must leave alone.
+    pub(crate) fn padded(a: &DenseMatrix) -> (Vec<f64>, usize) {
+        let ld = a.rows() + 3;
+        let mut v = vec![-7.25; ld * a.cols()];
+        for j in 0..a.cols() {
+            for i in 0..a.rows() {
+                v[j * ld + i] = a.get(i, j);
+            }
+        }
+        (v, ld)
+    }
+
+    /// Every element of `got` that the oracle's `want` has as a number
+    /// equals it bit for bit (`-0.0` included), and the NaNs sit at the
+    /// same positions. A NaN's sign may differ: where two NaNs meet, the
+    /// result's depends on the operand order, which LLVM may commute.
+    pub(crate) fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (x, (g, w)) in got.iter().zip(want).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}: [{x}] is {g}, the oracle's NaN");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: [{x}] is {g}, not {w}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,62 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// [`daxpy`]'s arithmetic, a multiply then an add, on a register strip.
+#[inline(always)]
+pub(crate) fn axpy<const R: usize>(alpha: f64, x: &[f64; R], y: &mut [f64; R]) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
+}
+
+/// Copy the `R` elements at `p` into a register strip.
+///
+/// # Safety
+/// `p` must be valid for reading `R` elements.
+#[inline(always)]
+pub(crate) unsafe fn load<const R: usize>(p: *const f64) -> [f64; R] {
+    p.cast::<[f64; R]>().read()
+}
+
+/// Write a register strip to the `R` elements at `p`.
+///
+/// # Safety
+/// `p` must be valid for writing `R` elements, held exclusively.
+#[inline(always)]
+pub(crate) unsafe fn store<const R: usize>(p: *mut f64, v: [f64; R]) {
+    p.cast::<[f64; R]>().write(v)
+}
+
+/// Define `$name`, which runs the `#[inline(always)]` kernel `$body`
+/// compiled twice, as the GEMM is: at the build's baseline ISA (`$body`
+/// called directly) and, on x86-64, under `#[target_feature(enable =
+/// "avx2")]` (`$avx2`). `$name` tests the CPU on every call and enters
+/// one of them. AVX2 only, never `fma`: each step keeps its separate
+/// multiply and add, so both bodies round alike and give the same bits.
+macro_rules! baseline_and_avx2 {
+    ($(#[$doc:meta])* unsafe fn $name:ident, $avx2:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?);) => {
+        $(#[$doc])*
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the required CPU feature was just detected.
+                return $avx2($($arg),*);
+            }
+            $body($($arg),*)
+        }
+
+        /// # Safety
+        /// The CPU must support `avx2`; otherwise as the body.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $avx2($($arg: $ty),*) {
+            $body($($arg),*)
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,14 +5,16 @@
 //! [`dsyrk_ln_packed`] computes `C ← α·A·Aᵀ + β·C` writing the lower triangle
 //! of `C` (diagonal included) and never touching the strictly-upper
 //! part. The rectangle below each diagonal block runs through the
-//! packed NT GEMM ([`crate::gemm::dgemm_nt_packed`]); only the small
-//! `SYRK_NB`-wide diagonal triangles use a scalar dot-product loop.
+//! packed NT GEMM ([`crate::gemm::dgemm_nt_packed`]); the `SYRK_NB`-wide
+//! diagonal triangles run through a register-blocked core that keeps the
+//! scalar dot product's `0.0` start and `l = 0..k` order, hence its bits.
 
 use crate::gemm::dgemm_nt_raw_packed;
 use crate::pack::GemmScratch;
+use crate::small::load;
 
 /// Column-block width of the blocked SYRK: each diagonal triangle this
-/// wide is computed by scalar dot products, everything below it by GEMM.
+/// wide is computed by the dot-product core, everything below it by GEMM.
 const SYRK_NB: usize = 32;
 
 /// `C ← α·A·Aᵀ + β·C` on the **lower** triangle of `C` (diagonal
@@ -84,7 +86,7 @@ pub unsafe fn dsyrk_ln_raw_packed(
     syrk_ln_core(n, k, alpha, a, lda, beta, c, ldc, scratch);
 }
 
-/// The blocked driver: scalar dot products on each [`SYRK_NB`]-wide
+/// The blocked driver: [`triangle_core`] on each [`SYRK_NB`]-wide
 /// diagonal triangle, packed NT GEMM for the rectangle below it. The dot
 /// products accumulate in a fixed `l = 0..k` order, so the result is a
 /// pure function of the inputs — the determinism the parallel executor's
@@ -108,19 +110,8 @@ pub(crate) unsafe fn syrk_ln_core(
     let mut j0 = 0;
     while j0 < n {
         let jb = SYRK_NB.min(n - j0);
-        // diagonal triangle: C[j0+j .. j0+jb, j0+j] for each local column
-        for j in 0..jb {
-            let jj = j0 + j;
-            for i in jj..j0 + jb {
-                let mut s = 0.0;
-                for l in 0..k {
-                    s += *a.add(l * lda + i) * *a.add(l * lda + jj);
-                }
-                let cp = c.add(jj * ldc + i);
-                let old = if beta == 0.0 { 0.0 } else { beta * *cp };
-                *cp = old + alpha * s;
-            }
-        }
+        let (a0, c00) = (a.add(j0), c.add(j0 * ldc + j0));
+        triangle_core(jb, k, alpha, a0, lda, beta, c00, ldc);
         // rectangle below: C[j0+jb.., j0..j0+jb] += α·A[j0+jb..,:]·A[j0..j0+jb,:]ᵀ
         if j0 + jb < n {
             dgemm_nt_raw_packed(
@@ -142,11 +133,184 @@ pub(crate) unsafe fn syrk_ln_core(
     }
 }
 
+/// The lower triangle of `C ← α·A·Aᵀ + β·C` for an `n×n` block, `A`
+/// `n×k`: output columns two at a time, in 8-row strips that start at
+/// the 8-aligned row at or above the pair's diagonal, then single rows.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn triangle_body(
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    for j in (0..n).step_by(2) {
+        let mut i = j - j % 8;
+        while i + 8 <= n {
+            i += triangle_strip::<8>(n, i, j, k, alpha, a, lda, beta, c, ldc);
+        }
+        while i < n {
+            i += triangle_strip::<1>(n, i, j, k, alpha, a, lda, beta, c, ldc);
+        }
+    }
+}
+
+baseline_and_avx2! {
+    /// Register-blocked diagonal triangle of [`syrk_ln_core`], compiled
+    /// at baseline and under AVX2 (never FMA). It goes through raw
+    /// pointers to strips of single columns, never slices, and reads or
+    /// writes nothing above the diagonal of `c`.
+    ///
+    /// # Safety
+    ///
+    /// As [`dsyrk_ln_raw_packed`].
+    unsafe fn triangle_core, triangle_avx2 = triangle_body(
+        n: usize, k: usize, alpha: f64, a: *const f64, lda: usize, beta: f64, c: *mut f64,
+        ldc: usize,
+    );
+}
+
+/// Rows `i..i+R` of output columns `j` and `j+1` (just `j` when it is the
+/// last): `s = 0.0 + Σ_l a_il·a_jl` in `l` order, then `c ← old + α·s`
+/// with `old = β·c` (`0.0` when `β = 0`), stored only on or below the
+/// diagonal. Returns `R`, the rows done.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn triangle_strip<const R: usize>(
+    n: usize,
+    i: usize,
+    j: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) -> usize {
+    let cols = [j, (j + 1).min(n - 1)];
+    let mut s = [[0.0; R]; 2];
+    for l in 0..k {
+        let al = a.add(l * lda);
+        let x = load::<R>(al.add(i));
+        for (sq, &jq) in s.iter_mut().zip(&cols) {
+            let ajl = *al.add(jq);
+            for (sr, &xr) in sq.iter_mut().zip(&x) {
+                *sr += xr * ajl;
+            }
+        }
+    }
+    for (q, sq) in s.iter().enumerate().take(n - j) {
+        let cj = c.add((j + q) * ldc);
+        for (r, &sr) in sq.iter().enumerate() {
+            if i + r >= j + q {
+                let cp = cj.add(i + r);
+                let old = if beta == 0.0 { 0.0 } else { beta * *cp };
+                *cp = old + alpha * sr;
+            }
+        }
+    }
+    R
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::too_big_for_miri;
+    use crate::tests::{assert_same_bits, padded, plant, sweep_sizes, too_big_for_miri, PLANTS};
     use calu_matrix::{gen, DenseMatrix};
+
+    /// The scalar loop the diagonal triangle ran before [`triangle_core`],
+    /// kept as its oracle: one dot product per element of the lower
+    /// triangle, `l = 0..k` in order from `0.0`.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn triangle_oracle(
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        beta: f64,
+        c: *mut f64,
+        ldc: usize,
+    ) {
+        for jj in 0..n {
+            for i in jj..n {
+                let mut s = 0.0;
+                for l in 0..k {
+                    s += *a.add(l * lda + i) * *a.add(l * lda + jj);
+                }
+                let cp = c.add(jj * ldc + i);
+                let old = if beta == 0.0 { 0.0 } else { beta * *cp };
+                *cp = old + alpha * s;
+            }
+        }
+    }
+
+    type TriangleBody = unsafe fn(usize, usize, f64, *const f64, usize, f64, *mut f64, usize);
+
+    /// The triangle core's two bodies by name, not through its dispatch:
+    /// the baseline one, and the AVX2 one where this host has AVX2.
+    fn triangle_bodies() -> Vec<(&'static str, TriangleBody)> {
+        let mut v: Vec<(&'static str, TriangleBody)> = vec![("baseline", triangle_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            v.push(("avx2", triangle_avx2));
+        }
+        v
+    }
+
+    #[test]
+    fn triangle_core_matches_oracle_bitwise() {
+        // k = 0 (β scaling alone), short and long dot products; β = 0
+        // must not read C, which the plants fill with NaN and ±Inf
+        let depths = [0, 1, 2, 7, 33, 70];
+        for n in sweep_sizes() {
+            for (d, &k) in depths.iter().enumerate() {
+                if too_big_for_miri(n, n, k) {
+                    continue;
+                }
+                for (p, &(values, every)) in PLANTS.iter().enumerate() {
+                    let seed = (n * 7 + d) as u64;
+                    let mut a = gen::uniform(n, k, seed);
+                    plant(&mut a, values, every, seed);
+                    let mut c = gen::uniform(n, n, seed + 1);
+                    plant(&mut c, values, every, seed + 1);
+                    let ((a, lda), (c0, ldc)) = (padded(&a), padded(&c));
+                    for (alpha, beta) in [(-1.0, 1.0), (2.0, 0.0), (0.5, -0.25)] {
+                        let mut want = c0.clone();
+                        // SAFETY: both buffers hold their padded spans and
+                        // are distinct.
+                        unsafe {
+                            triangle_oracle(
+                                n,
+                                k,
+                                alpha,
+                                a.as_ptr(),
+                                lda,
+                                beta,
+                                want.as_mut_ptr(),
+                                ldc,
+                            )
+                        };
+                        for (name, body) in triangle_bodies() {
+                            let mut got = c0.clone();
+                            // SAFETY: as above; the AVX2 body is listed only
+                            // where detected.
+                            unsafe {
+                                body(n, k, alpha, a.as_ptr(), lda, beta, got.as_mut_ptr(), ldc)
+                            };
+                            let what = format!("{name} ({n},{k}) α {alpha} β {beta} plant {p}");
+                            assert_same_bits(&got, &want, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// dense reference: lower triangle of α·A·Aᵀ + β·C
     fn syrk_ref(alpha: f64, a: &DenseMatrix, beta: f64, c: &DenseMatrix) -> DenseMatrix {
