@@ -66,7 +66,10 @@
 //! [`factor_batch`] (which `calu_factor` / `cholesky_factor` are one job
 //! of) queues its jobs, marks the engine draining and runs the loop on
 //! `std::thread::scope` threads, so borrowed inputs are never copied
-//! and the threads are gone when it returns. [`Engine::spawn`] runs the
+//! and the threads are gone when it returns. Its calling thread only
+//! allocates the large jobs' tile buffers first (`Engine::drain_scoped`);
+//! every job, there as on a persistent engine, is delivered by the
+//! worker whose completion finished it. [`Engine::spawn`] runs the
 //! same loop on persistent `'static` threads, which the engine keeps
 //! until [`Engine::drain`] joins them — the substrate `calu-serve`
 //! builds its admission, lifecycle and streaming layers on.
@@ -117,7 +120,7 @@ use crate::threaded::{host_topology, ItemState, KernelSet, Task};
 /// its clients keep in flight.
 const RUNS_PER_WORKER: usize = 2;
 
-/// How long a parked worker sleeps between wakeup checks: long enough
+/// How long an idle worker sleeps between wakeup checks: long enough
 /// to cost nothing, short enough that a lost notification is harmless.
 const IDLE_TICK: Duration = Duration::from_millis(1);
 
@@ -318,10 +321,6 @@ fn panic_error(payload: Box<dyn std::any::Any + Send>) -> CaluError {
     CaluError::TaskPanic(msg)
 }
 
-fn injected_panic(me: usize) -> ! {
-    panic!("injected kernel panic on worker {me} (fault plan)")
-}
-
 /// What one worker recorded about one job: its running fold (`stats`,
 /// first start and last end on the engine clock), and a traced job's spans.
 struct WorkerLog {
@@ -366,17 +365,56 @@ impl WorkerLog {
 /// lock words off each other's cache lines.
 type Slot = Padded<Mutex<WorkerLog>>;
 
-/// What a worker keeps across tasks so that the task loop allocates
-/// nothing: its packing arena — sized once for the tallest GEMM a group
-/// can stack — the members of the pop in hand, the successors the last
-/// completion enabled, and the one tile column's block a DENSIFY task
-/// gathers through when its tiles are not column-major already (grown
-/// at the first such task).
-struct Buffers {
+/// One engine worker's own state, kept across tasks and jobs: its id,
+/// its fault clock and latched panic, its victim stream, and the
+/// buffers that keep the task loop from allocating — its packing arena,
+/// sized once for the tallest GEMM a group can stack, the members of the
+/// pop in hand, the tasks the last completion released, and the one tile
+/// column's block a DENSIFY task gathers through when its tiles are not
+/// column-major already (grown at the first such task).
+struct Worker {
+    /// The engine worker id, which the fault plan is keyed by; a run
+    /// files this worker's work under [`Run::slot`].
+    me: usize,
+    clock: FaultClock,
+    /// An injected panic, latched until the next piece of work, where it
+    /// unwinds inside that job's containment perimeter.
+    panic_pending: bool,
+    /// Victim selection: SplitMix64 seeding decorrelates the workers'
+    /// nearby seeds, so they sweep victims in unrelated orders.
+    rng: Rng,
     scratch: GemmScratch,
     group: Vec<u32>,
     ready: Vec<TaskId>,
     block: Vec<f64>,
+}
+
+impl Worker {
+    fn new(cfg: &CaluConfig, me: usize, armed: bool) -> Self {
+        let (b, max_group) = (cfg.b, cfg.effective_group());
+        Worker {
+            me,
+            clock: if armed {
+                FaultClock::new(&cfg.fault, me)
+            } else {
+                FaultClock::disarmed()
+            },
+            panic_pending: false,
+            rng: Rng::seed_from_u64(cfg.queue.seed().unwrap_or(0).wrapping_add(me as u64)),
+            scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
+            group: Vec::new(),
+            ready: Vec::new(),
+            block: Vec::new(),
+        }
+    }
+
+    /// Fire a latched injected panic: called first inside each piece of
+    /// work's containment perimeter.
+    fn fire_latched_panic(&mut self) {
+        if std::mem::take(&mut self.panic_pending) {
+            panic!("injected kernel panic on worker {} (fault plan)", self.me);
+        }
+    }
 }
 
 /// One job in flight. A co-operative (large) run is shared by `Arc`
@@ -394,8 +432,10 @@ struct Buffers {
 /// owner is busy and another worker takes it), the DAG factors, then
 /// its DENSIFY tasks turn the buffer in place into the dense factors
 /// tile column by tile column, applying each column's deferred left
-/// swaps while it is hot. One counter, `ItemState::done`, releases each
-/// stage: see [`Engine::run_tasks`].
+/// swaps while it is hot. One counter releases each stage: see
+/// `ItemState::complete_into`. Whichever worker's completion retires
+/// the last task delivers the result, on a scoped engine as on a
+/// persistent one.
 struct Run<'a> {
     /// The job id — the key `fail_active`/`progress_of` find this run
     /// by (the watchdog's handle on a running job).
@@ -404,7 +444,6 @@ struct Run<'a> {
     queues: ReadyQueues,
     slots: Vec<Slot>,
     sink: Mutex<Option<Box<dyn JobSink>>>,
-    verify: bool,
     /// First finisher (or failer) wins; everyone else moves on.
     finishing: AtomicBool,
     /// `active` is kept sorted by `(class_rank, seq)` so workers serve
@@ -412,11 +451,22 @@ struct Run<'a> {
     class_rank: usize,
     seq: u64,
     /// A one-worker run, driven and delivered by its claiming worker:
-    /// never on the active list, never parked.
+    /// never on the active list.
     co_scheduled: bool,
 }
 
 impl<'a> Run<'a> {
+    /// Where engine worker `me` files its work in this run — its log
+    /// slot, its queue side and its span lane: `0` on a co-scheduled
+    /// run, which has one worker, `me` otherwise.
+    fn slot(&self, me: usize) -> usize {
+        if self.co_scheduled {
+            0
+        } else {
+            me
+        }
+    }
+
     /// Queue freshly enabled tasks: static ones on their block-cyclic
     /// owner's heap, the rest in the dynamic section on worker `home`'s
     /// side (the worker doing the pushing — the lock-free deques are
@@ -442,27 +492,20 @@ impl<'a> Run<'a> {
         }
     }
 
-    fn log(&self, me: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
-        self.slots[me].lock()
+    fn log(&self, slot: usize) -> std::sync::MutexGuard<'_, WorkerLog> {
+        self.slots[slot].lock()
     }
 
-    /// Worker `me`'s next tasks of this run without stealing:
+    /// Slot `slot`'s next tasks of this run without stealing:
     /// Algorithm 1's own-queue pop into `group` — up to `max_group` S
     /// tasks when it is a static one and the tiles at the top of the
     /// heap stack. A dynamic pop stays one task: its neighbours are any
     /// worker's to take.
-    fn own_work(&self, me: usize, max_group: usize, group: &mut Vec<u32>) -> Option<QueueSource> {
+    fn own_work(&self, slot: usize, max_group: usize, group: &mut Vec<u32>) -> Option<QueueSource> {
         self.queues
-            .pop_own(me, max_group, group, |source, last, next| {
+            .pop_own(slot, max_group, group, |source, last, next| {
                 source == QueueSource::Local && self.item.stacks_under(last, next)
             })
-    }
-
-    /// Whether the DAG is under way: every FILL retired, not yet every
-    /// DAG task.
-    fn factoring(&self) -> bool {
-        let fills = self.item.fills();
-        (fills..fills + self.item.g.len()).contains(&self.item.done.load(Ordering::Acquire))
     }
 }
 
@@ -485,9 +528,6 @@ struct State<'a> {
     /// sink callback): the engine is dead; `wait_idle` fails fast
     /// instead of waiting for jobs that will never finish.
     poisoned: bool,
-    /// `Some` on a scoped engine: drained runs wait here for the
-    /// calling thread to extract their results (see `drain_scoped`).
-    parked: Option<Vec<Arc<Run<'a>>>>,
     workers_started: usize,
     /// Latest moment (engine clock) a worker entered its loop.
     spawn_secs: f64,
@@ -561,7 +601,6 @@ impl<'a> Engine<'a> {
                 cooperative: 0,
                 draining: false,
                 poisoned: false,
-                parked: None,
                 workers_started: 0,
                 spawn_secs: 0.0,
                 next_seq: 0,
@@ -636,23 +675,21 @@ impl<'a> Engine<'a> {
     /// The calling thread outlives those workers and consumes the
     /// results, so the big buffers are its to *allocate*: it sets up
     /// every large job's run — zeroed tile storage, untouched — before
-    /// lending threads, and after the last worker left it takes each
-    /// run's tile buffer out as the finished factors. (A short-lived
-    /// thread's allocator arena hands freed pages back to the OS, so
-    /// buffers allocated and dropped there are page-faulted in afresh
-    /// on every call — a fifth of the wall time of a 1024²
-    /// factorization at b = 16.) Filling the tiles and turning them
-    /// into the dense factors in place is the workers' work: the FILL
-    /// and DENSIFY tasks of each [`Run`]. Small jobs stay worker-local
-    /// end to end.
+    /// lending threads. (A short-lived thread's allocator arena hands
+    /// freed pages back to the OS, so buffers allocated and dropped
+    /// there are page-faulted in afresh on every call — a fifth of the
+    /// wall time of a 1024² factorization at b = 16.) Everything else is
+    /// the workers' work: the FILL and DENSIFY tasks of each [`Run`] copy
+    /// the input in and turn the tiles into the dense factors in place,
+    /// and the worker that retires a run's last task moves the buffer out
+    /// as the factors and delivers them, as on a persistent engine.
     ///
     /// Returns the seconds until the last worker entered its loop — the
     /// one-off spawn cost.
     pub(crate) fn drain_scoped(&self) -> f64 {
         self.close();
-        self.state.lock().parked = Some(Vec::new());
         while let Some((class, seq, job)) = self.claim(true) {
-            if let Some(run) = self.start_run(class, seq, job, false, 0, false) {
+            if let Some(run) = self.start_run(class, seq, job, None) {
                 self.publish(&run);
             }
         }
@@ -662,14 +699,7 @@ impl<'a> Engine<'a> {
                 scope.spawn(move || self.worker_loop(me));
             }
         });
-        let (parked, started) = {
-            let mut st = self.state.lock();
-            (st.parked.take(), st.spawn_secs)
-        };
-        for run in parked.expect("parking was switched on above") {
-            self.deliver(&run);
-        }
-        started - spawn_from
+        self.spawn_secs() - spawn_from
     }
 
     /// Block until `done(state)`, re-checking on every `idle` signal
@@ -749,8 +779,7 @@ impl<'a> Engine<'a> {
     /// copies its input in or its factors out. `None` when no active
     /// run carries `id` (queued, co-scheduled, or terminal).
     pub fn progress_of(&self, id: u64) -> Option<u64> {
-        self.active_run(id)
-            .map(|run| run.item.done.load(Ordering::Acquire) as u64)
+        self.active_run(id).map(|run| run.item.retired() as u64)
     }
 
     /// Workers lost to an injected fault (0 on an unfaulted engine).
@@ -769,32 +798,42 @@ impl<'a> Engine<'a> {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Serve a fault-plan stall; when it hit in the middle of `run`'s
-    /// DAG, it is booked in that run as noise (a schedule runs from the
-    /// first DAG task to the last, so a stall among the conversion
-    /// tasks has no place in it).
-    fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
-        let noise = self.sleep(d, me);
-        if let Some(run) = run.filter(|r| r.factoring()) {
-            run.log(me).book(noise);
+    /// The fault tick (a no-op without an armed plan): serve a stall,
+    /// latch an injected panic for worker `w`'s next piece of work, or
+    /// report an injected loss as `false` — the caller retires.
+    fn fault_tick(&self, w: &mut Worker, run: Option<&Run<'a>>) -> bool {
+        if self.armed {
+            match w.clock.before_task() {
+                FaultAction::None => {}
+                FaultAction::Stall(d) => self.stall(d, w.me, run),
+                FaultAction::Lose => return false,
+                FaultAction::Panic => w.panic_pending = true,
+            }
         }
+        true
     }
 
-    /// Sleep through a fault-plan stall on worker `me`: the interval it
-    /// took, as a noise span.
-    fn sleep(&self, d: Duration, me: usize) -> TaskSpan {
+    /// Sleep through a fault-plan stall on worker `me`; when it hit in
+    /// the middle of `run`'s DAG, it is booked in that run as noise (a
+    /// schedule runs from the first DAG task to the last, so a stall
+    /// among the conversion tasks has no place in it).
+    fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
         let start = self.now();
         std::thread::sleep(d);
-        TaskSpan {
-            core: me,
-            start,
-            end: self.now(),
-            kind: SpanKind::Noise,
+        let end = self.now();
+        if let Some(run) = run.filter(|r| r.item.factoring()) {
+            let slot = run.slot(me);
+            run.log(slot).book(TaskSpan {
+                core: slot,
+                start,
+                end,
+                kind: SpanKind::Noise,
+            });
         }
     }
 
     /// One claimed job reached a terminal state: release its in-flight
-    /// slot and wake whoever waits for the engine to go idle — parked
+    /// slot and wake whoever waits for the engine to go idle — idle
     /// workers included, once a draining engine has nothing left for
     /// them to wait for.
     fn job_ended(&self) {
@@ -850,33 +889,16 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// `run`'s last DENSIFY task is done: retire it and deliver its
-    /// results — or, for a co-operative run on a scoped engine, park it
-    /// for the calling thread to deliver. Called by exactly one worker
-    /// (the `finishing` flag).
+    /// `run`'s last task is done: retire it, shape its results into its
+    /// [`Outcome`] and hand that to the sink — the workers' folds as one
+    /// schedule (the makespan and idle settled here, once), a traced
+    /// job's spans joined in worker order, the dense factors (left swaps
+    /// already applied), and — the one place an engine job is verified —
+    /// the residual and growth factor against the input, when the job
+    /// asked for them. Called by exactly one worker (the `finishing`
+    /// flag), the one whose completion finished the run.
     fn finish_run(&self, run: &Arc<Run<'a>>) {
         self.retire(run);
-        let parked = !run.co_scheduled
-            && match &mut self.state.lock().parked {
-                Some(parked) => {
-                    parked.push(Arc::clone(run));
-                    true
-                }
-                None => false,
-            };
-        if !parked {
-            self.deliver(run);
-        }
-        self.job_ended();
-    }
-
-    /// Shape a finished run's results into its [`Outcome`] and hand it
-    /// to the sink: the workers' folds as one schedule (the makespan
-    /// and idle settled here, once), a traced job's spans joined in
-    /// worker order, the dense factors (left swaps already applied),
-    /// and — the one place an engine job is verified — the residual and
-    /// growth factor against the input, when the job asked for them.
-    fn deliver(&self, run: &Run<'a>) {
         let (perm, singular_at) = run.item.factored().clone();
         let logs: Vec<WorkerLog> = (0..run.slots.len())
             .map(|w| {
@@ -906,10 +928,9 @@ impl<'a> Engine<'a> {
         let makespan = if t1 >= t0 { t1 - t0 } else { 0.0 };
         let schedule = ScheduleMetrics::new(makespan, threads);
         // SAFETY: the run was finished by the completion that brought
-        // the AcqRel `done` counter to every task, the last DENSIFY's
-        // (and a parked run is delivered after its workers were
-        // joined), so every DENSIFY's column block is dead and its
-        // writes are visible here; no task is left to touch a tile.
+        // the AcqRel `done` counter to every task, the last DENSIFY's,
+        // so every DENSIFY's column block is dead and its writes are
+        // visible here; no task is left to touch a tile.
         let lu = unsafe { run.item.take_factors() };
         let factorization = Factorization {
             lu,
@@ -941,54 +962,42 @@ impl<'a> Engine<'a> {
             growth_factor,
         };
         let sink = run.sink.lock().take().expect("run finishes once");
-        sink.finished(Ok(out));
+        self.end_job(sink, Ok(out));
     }
 
-    /// Execute what one pop claimed — `bufs.group`: one task, or a
-    /// group of S tasks as one GEMM — and queue the successors. Every
-    /// DAG member is retired, booked, counted and fault-ticked as the
-    /// task it is; a group's members share its interval in equal parts.
-    /// A conversion task (always popped alone) is only retired: no span,
-    /// no pop counter, no fault tick (a [`FaultPlan`](crate::FaultPlan)
-    /// counts DAG tasks), though a latched injected panic fires in it.
-    ///
-    /// The count of retired tasks releases a run's stages — `F` FILLs,
-    /// the DAG's `N` tasks, the DENSIFYs: the completion that makes it
-    /// `F` queues the DAG's first tasks, the one that makes it `F + N`
-    /// the DENSIFYs, and the one that makes it every task finishes.
+    /// Execute what one pop claimed — `w.group`: one task, or a group
+    /// of S tasks as one GEMM — and queue what its completion released
+    /// (`ItemState::complete_into`); the completion that retires the
+    /// run's last task finishes it. Every DAG member is retired, booked,
+    /// counted and fault-ticked as the task it is; a group's members
+    /// share its interval in equal parts. A conversion task (always
+    /// popped alone) is only retired: no span, no pop counter, no fault
+    /// tick (a [`FaultPlan`](crate::FaultPlan) counts DAG tasks), though
+    /// a latched injected panic fires in it.
     ///
     /// The body runs under `catch_unwind`: a panicking kernel fails its
     /// own job instead of killing the worker (which would strand the
     /// in-flight count and hang drain and the job's waiter).
-    fn run_tasks(
-        &self,
-        run: &Arc<Run<'a>>,
-        source: QueueSource,
-        me: usize,
-        bufs: &mut Buffers,
-        clock: &mut FaultClock,
-        inject_panic: bool,
-    ) {
+    fn run_tasks(&self, run: &Arc<Run<'a>>, source: QueueSource, w: &mut Worker) {
         let start = self.now();
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                injected_panic(me);
-            }
+            w.fire_latched_panic();
             run.item
-                .execute_group(&bufs.group, &mut bufs.scratch, &mut bufs.block)
+                .execute_group(&w.group, &mut w.scratch, &mut w.block)
         })) {
             self.fail_run(run, panic_error(p));
             return;
         }
         let end = self.now();
-        let members = bufs.group.len();
+        let slot = run.slot(w.me);
+        let members = w.group.len();
         let share = (end - start) / members as f64;
-        let in_dag = matches!(run.item.task(TaskId(bufs.group[0])), Task::Dag(_));
+        let in_dag = matches!(run.item.task(TaskId(w.group[0])), Task::Dag(_));
         if in_dag {
-            let mut log = run.log(me);
-            for (x, &t) in bufs.group.iter().enumerate() {
+            let mut log = run.log(slot);
+            for (x, &t) in w.group.iter().enumerate() {
                 log.book(TaskSpan {
-                    core: me,
+                    core: slot,
                     start: start + x as f64 * share,
                     end: if x + 1 == members {
                         end
@@ -1000,32 +1009,20 @@ impl<'a> Engine<'a> {
                 log.stats.count(source);
             }
         }
-        let done = run.item.complete_into(&bufs.group, &mut bufs.ready);
-        run.push_ready(&mut bufs.ready, me);
-        let (fills, dag) = (run.item.fills(), run.item.g.len());
-        // `done` is an AcqRel counter every completion bumps: the
-        // completion that reaches a threshold sees every earlier task's
-        // writes, and its pushes hand them on to whoever pops next
-        if done == fills {
-            // a moved-in or generated input has served its purpose
-            if !run.verify {
-                run.item.drop_input();
-            }
-            // this worker is the one pushing, so the initially ready
-            // dynamic tasks land on its own side
-            run.push_ready(&mut run.item.g.initial_ready(), me);
-        } else if done == fills + dag {
-            run.push_ready(&mut run.item.densify_tasks(), me);
-        } else if done == run.item.tasks() && !run.finishing.swap(true, Ordering::AcqRel) {
+        let finished = run.item.complete_into(&w.group, &mut w.ready);
+        // this worker is the one pushing, so what it released lands on
+        // its own side — a new stage's dynamic tasks included
+        run.push_ready(&mut w.ready, slot);
+        if finished && !run.finishing.swap(true, Ordering::AcqRel) {
             self.finish_run(run);
         }
         if self.armed && in_dag {
             // duty-cycle slowdown: stall in proportion to the tasks just
             // run, like the sim's noise model stretches compute
             let each = Duration::from_secs_f64(share);
-            let owed: Duration = (0..members).filter_map(|_| clock.after_task(each)).sum();
+            let owed: Duration = (0..members).filter_map(|_| w.clock.after_task(each)).sum();
             if !owed.is_zero() {
-                self.stall(owed, me, Some(run));
+                self.stall(owed, w.me, Some(run));
             }
         }
     }
@@ -1060,24 +1057,24 @@ impl<'a> Engine<'a> {
     /// width, and zeroed tile storage laid out and owned on the run's
     /// own grid — allocated here, filled by the run's FILL tasks. Runs
     /// under `catch_unwind`, like task bodies: a panicking build fails
-    /// its own job instead of killing the worker.
+    /// its own job instead of killing the worker `w` that claimed it
+    /// (`None`: the calling thread of a scoped engine).
     fn build(
         &self,
         item: BatchItem<'a>,
         workers: usize,
-        me: usize,
-        inject_panic: bool,
+        w: Option<&mut Worker>,
     ) -> Result<ItemState<'a>, CaluError> {
         catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
-                injected_panic(me);
+            if let Some(w) = w {
+                w.fire_latched_panic();
             }
             let (m, n) = item.source.dims();
             let a = item.source.materialize();
             let (grid, leaves) = self.cfg.grid_and_leaves((m, n), workers)?;
             let g = Arc::new(item.kernels.build_graph(m, n, self.cfg.b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
-            Ok(ItemState::new(self.cfg.layout, g, grid, nstatic, a))
+            Ok(ItemState::new(self.cfg.layout, g, grid, nstatic, a).verified(item.verify))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }
@@ -1090,29 +1087,19 @@ impl<'a> Engine<'a> {
     /// through a co-scheduled item: the whole item has been requeued
     /// (its claim was atomic, so redoing it from the source is exact)
     /// and the calling worker must retire.
-    #[allow(clippy::too_many_arguments)]
-    fn start_job(
-        &self,
-        class: JobClass,
-        seq: u64,
-        job: Job<'a>,
-        me: usize,
-        bufs: &mut Buffers,
-        clock: &mut FaultClock,
-        inject_panic: bool,
-    ) -> bool {
-        let co_scheduled = self.cfg.co_schedules(job.item.source.dims());
+    fn start_job(&self, class: JobClass, seq: u64, job: Job<'a>, w: &mut Worker) -> bool {
         // a mid-item worker loss has no partial-state recovery path:
         // keep the job so the whole item can be requeued
-        let backup = (co_scheduled && self.armed).then(|| (job.id, job.item.clone()));
-        let Some(run) = self.start_run(class, seq, job, co_scheduled, me, inject_panic) else {
+        let backup = (self.armed && self.cfg.co_schedules(job.item.source.dims()))
+            .then(|| (job.id, job.item.clone()));
+        let Some(run) = self.start_run(class, seq, job, Some(w)) else {
             return true;
         };
-        if !co_scheduled {
+        if !run.co_scheduled {
             self.publish(&run);
             return true;
         }
-        if self.drive(&run, bufs, clock) {
+        if self.drive(&run, w) {
             return true;
         }
         // worker lost mid-item: discard the partial state and put the
@@ -1132,21 +1119,21 @@ impl<'a> Engine<'a> {
 
     /// Set up a claimed job's [`Run`] — allocating, not touching, its
     /// tile storage — with one worker per pool thread, or one worker
-    /// for a co-scheduled job. `None` when the build failed, and the
-    /// job with it.
+    /// for a co-scheduled job. `w` is the claiming worker (`None`: the
+    /// calling thread of a scoped engine, which claims large jobs
+    /// only). `None` when the build failed, and the job with it.
     fn start_run(
         &self,
         class: JobClass,
         seq: u64,
         job: Job<'a>,
-        co_scheduled: bool,
-        me: usize,
-        inject_panic: bool,
+        w: Option<&mut Worker>,
     ) -> Option<Arc<Run<'a>>> {
         job.sink.started();
+        let co_scheduled = self.cfg.co_schedules(job.item.source.dims());
         let workers = if co_scheduled { 1 } else { self.threads() };
-        let (verify, trace) = (job.item.verify, job.item.trace);
-        let item = match self.build(job.item, workers, me, inject_panic) {
+        let trace = job.item.trace;
+        let item = match self.build(job.item, workers, w) {
             Ok(built) => built,
             Err(e) => {
                 if !co_scheduled {
@@ -1173,7 +1160,6 @@ impl<'a> Engine<'a> {
                 .map(|_| Padded(Mutex::new(WorkerLog::new(trace))))
                 .collect(),
             sink: Mutex::new(Some(job.sink)),
-            verify,
             finishing: AtomicBool::new(false),
             class_rank: class.lane(),
             seq,
@@ -1208,27 +1194,20 @@ impl<'a> Engine<'a> {
     /// Drive a co-scheduled run to its end as its one worker, making
     /// the worker loop's own calls — fault tick, then the run's own
     /// tasks — with nothing to claim and no one to steal from: the run,
-    /// FILLs first, is fully served from worker 0's queues. The finish
-    /// delivers here. Returns `false` when an injected loss fired: the
-    /// run is abandoned unfinished, for the caller to requeue.
-    fn drive(&self, run: &Arc<Run<'a>>, bufs: &mut Buffers, clock: &mut FaultClock) -> bool {
+    /// FILLs first, is fully served from its one slot's queues. The
+    /// finish delivers here. Returns `false` when an injected loss
+    /// fired: the run is abandoned unfinished, for the caller to requeue.
+    fn drive(&self, run: &Arc<Run<'a>>, w: &mut Worker) -> bool {
         let max_group = self.cfg.effective_group();
-        let mut panic_pending = false;
         run.queue_fills();
         while !run.finishing.load(Ordering::Acquire) {
-            if self.armed {
-                match clock.before_task() {
-                    FaultAction::None => {}
-                    FaultAction::Stall(d) => self.stall(d, 0, Some(run)),
-                    FaultAction::Lose => return false,
-                    FaultAction::Panic => panic_pending = true,
-                }
+            if !self.fault_tick(w, Some(run)) {
+                return false;
             }
             let source = run
-                .own_work(0, max_group, &mut bufs.group)
+                .own_work(run.slot(w.me), max_group, &mut w.group)
                 .expect("a one-worker run always holds its next task");
-            let inject = std::mem::take(&mut panic_pending);
-            self.run_tasks(run, source, 0, bufs, clock, inject);
+            self.run_tasks(run, source, w);
         }
         true
     }
@@ -1265,30 +1244,8 @@ impl<'a> Engine<'a> {
             pin_current_thread(host_topology().cpu_for_worker(me));
         }
         let _guard = PanicGuard(self);
-        // per-worker packing arena, sized once from the tile dimension
-        // and the group width and reused by every kernel this worker
-        // runs — the task loop performs no GEMM-path allocation
-        let b = self.cfg.b;
         let max_group = self.cfg.effective_group();
-        let mut bufs = Buffers {
-            scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
-            group: Vec::new(),
-            ready: Vec::new(),
-            block: Vec::new(),
-        };
-        // per-worker victim-selection stream: SplitMix64 seeding
-        // decorrelates the nearby seeds, so workers sweep victims in
-        // unrelated orders
-        let seed = self.cfg.queue.seed().unwrap_or(0);
-        let mut rng = Rng::seed_from_u64(seed.wrapping_add(me as u64));
-        let mut clock = if self.armed {
-            FaultClock::new(&self.cfg.fault, me)
-        } else {
-            FaultClock::disarmed()
-        };
-        // an injected panic latches until the next piece of work, where
-        // it unwinds inside that job's containment perimeter
-        let mut panic_pending = false;
+        let mut w = Worker::new(&self.cfg, me, self.armed);
         let mut runs: Vec<Arc<Run<'a>>> = Vec::new();
         let mut seen_epoch = 0u64;
         let mut idle_spins = 0u32;
@@ -1299,16 +1256,9 @@ impl<'a> Engine<'a> {
         }
         self.idle.notify_all();
         loop {
-            if self.armed {
-                match clock.before_task() {
-                    FaultAction::None => {}
-                    FaultAction::Stall(d) => self.stall(d, me, runs.first().map(Arc::as_ref)),
-                    FaultAction::Lose => {
-                        self.retire_worker(me);
-                        return;
-                    }
-                    FaultAction::Panic => panic_pending = true,
-                }
+            if !self.fault_tick(&mut w, runs.first().map(Arc::as_ref)) {
+                self.retire_worker(me);
+                return;
             }
             if self.run_epoch.load(Ordering::Acquire) != seen_epoch {
                 let st = self.state.lock();
@@ -1316,21 +1266,18 @@ impl<'a> Engine<'a> {
                 seen_epoch = self.run_epoch.load(Ordering::Acquire);
             }
             let mut work = runs.iter().find_map(|run| {
-                run.own_work(me, max_group, &mut bufs.group)
+                run.own_work(me, max_group, &mut w.group)
                     .map(|source| (run, source))
             });
             // no claim while a run waits for its FILLs (module docs,
             // step 3): the steal below may find one
             if work.is_none()
                 && self.queued_jobs.load(Ordering::Acquire) > 0
-                && runs
-                    .iter()
-                    .all(|r| r.item.done.load(Ordering::Acquire) >= r.item.fills())
+                && runs.iter().all(|r| r.item.filled())
             {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
-                    let inject = std::mem::take(&mut panic_pending);
-                    if !self.start_job(class, seq, job, me, &mut bufs, &mut clock, inject) {
+                    if !self.start_job(class, seq, job, &mut w) {
                         // a loss fired mid-way through a co-scheduled
                         // item; the item is already back in its lane
                         self.retire_worker(me);
@@ -1342,21 +1289,20 @@ impl<'a> Engine<'a> {
             if work.is_none() {
                 work = runs.iter().find_map(|run| {
                     let mut failed = 0u64;
-                    let hit = run.queues.steal(me, &mut rng, &mut failed);
+                    let hit = run.queues.steal(me, &mut w.rng, &mut failed);
                     if failed > 0 {
                         run.log(me).stats.failed_steals += failed;
                     }
                     hit.map(|(t, source)| {
-                        bufs.group.clear();
-                        bufs.group.push(t);
+                        w.group.clear();
+                        w.group.push(t);
                         (run, source)
                     })
                 });
             }
             if let Some((run, source)) = work {
                 idle_spins = 0;
-                let inject = std::mem::take(&mut panic_pending);
-                self.run_tasks(run, source, me, &mut bufs, &mut clock, inject);
+                self.run_tasks(run, source, &mut w);
                 continue;
             }
             if !runs.is_empty() {
@@ -2705,6 +2651,22 @@ mod tests {
             let solo = calu_factor(&a, &cfg).unwrap();
             assert_eq!(out.items[0].factorization.lu.as_slice(), solo.lu.as_slice());
             assert_eq!(out.items[0].factorization.perm.pivots(), solo.perm.pivots());
+        }
+
+        #[test]
+        fn an_injected_panic_in_a_co_scheduled_item_names_its_engine_worker() {
+            // worker 0 is lost before its first claim, so worker 1 drives
+            // both small items, each on its one run slot 0; the panic its
+            // fault plan latches after three tasks names worker 1
+            let item = |seed| BatchItem::lu(Source::Uniform { m: 48, n: 48, seed });
+            let cfg = CaluConfig::new(16)
+                .with_threads(2)
+                .with_fault(FaultPlan::off().lose_worker(0, 0).panic_worker(1, 3));
+            assert!(cfg.co_schedules((48, 48)));
+            match factor_batch(&[item(1), item(2)], &cfg) {
+                Err(CaluError::TaskPanic(msg)) => assert!(msg.contains("worker 1"), "{msg}"),
+                other => panic!("expected the injected panic, got {other:?}"),
+            }
         }
     }
 }

@@ -152,15 +152,18 @@ pub(crate) struct ItemState<'a> {
     /// Leading tile columns scheduled statically (the `dratio` split
     /// resolved against this item's panel count).
     nstatic: usize,
-    /// Tasks retired so far, conversion tasks included. Every
-    /// completion writes it and every task reads the fields around it,
-    /// so it keeps to its own cache lines.
-    pub(crate) done: Padded<AtomicUsize>,
+    /// Tasks retired so far, conversion tasks included: the one count
+    /// that releases each stage (see [`complete_into`](Self::complete_into)).
+    /// Every completion writes it and every task reads the fields around
+    /// it, so it keeps to its own cache lines.
+    done: Padded<AtomicUsize>,
     singular: AtomicUsize,
     panels: Vec<PanelState>,
     /// The input: read by the FILL tasks, then dropped unless the job
     /// asked for verification (a borrowed one stays borrowed).
     input: RwLock<Option<Cow<'a, DenseMatrix>>>,
+    /// Keep the input past the FILLs, for the residual.
+    verify: bool,
     /// The combined permutation and singular flag, taken once every DAG
     /// task retired — what the DENSIFY tasks swap by.
     factored: OnceLock<(RowPerm, Option<usize>)>,
@@ -209,6 +212,7 @@ impl<'a> ItemState<'a> {
                     .collect(),
             },
             input: RwLock::new(Some(input)),
+            verify: false,
             factored: OnceLock::new(),
             kernels,
             b: g.block(),
@@ -216,8 +220,14 @@ impl<'a> ItemState<'a> {
         }
     }
 
+    /// Keep the input past the FILLs, for the residual, or not.
+    pub(crate) fn verified(mut self, verify: bool) -> Self {
+        self.verify = verify;
+        self
+    }
+
     /// The FILL tasks' count: one per tile column and grid row.
-    pub(crate) fn fills(&self) -> usize {
+    fn fills(&self) -> usize {
         self.g.tile_cols() * self.owners.grid().pr()
     }
 
@@ -283,11 +293,23 @@ impl<'a> ItemState<'a> {
         }
     }
 
-    /// Mark every task of `tasks` done and collect their newly enabled
-    /// DAG successors into `ready_buf` (cleared first); returns how many
-    /// of the run's tasks are done now. Queueing the successors is the
-    /// caller's business, and so is what the count releases.
-    pub(crate) fn complete_into(&self, tasks: &[u32], ready_buf: &mut Vec<TaskId>) -> usize {
+    /// Retire the tasks of one pop and collect into `ready_buf` (cleared
+    /// first) what that released: their newly enabled DAG successors,
+    /// and the next stage when this completion ended one. The count of
+    /// retired tasks is the one stage rule over `F` FILLs, the DAG's `N`
+    /// tasks and the DENSIFYs: the completion that makes it `F` releases
+    /// the DAG's initial tasks and drops an unverified input, the one
+    /// that makes it `F + N` releases the DENSIFYs. Returns whether this
+    /// completion retired the run's final task; queueing what it
+    /// released is the caller's business.
+    ///
+    /// `done` is an AcqRel counter every completion bumps, after its own
+    /// releases: the completion that reaches a threshold sees every
+    /// earlier task's writes, and the queue it pushes to hands them on to
+    /// whoever pops next. A stage's last completion enables no DAG
+    /// successor (the FILLs have none; after the last DAG task none is
+    /// left), so the next stage is the whole batch.
+    pub(crate) fn complete_into(&self, tasks: &[u32], ready_buf: &mut Vec<TaskId>) -> bool {
         ready_buf.clear();
         // conversion tasks, past the DAG's ids, release nothing through it
         for &t in tasks.iter().filter(|&&t| (t as usize) < self.g.len()) {
@@ -297,7 +319,35 @@ impl<'a> ItemState<'a> {
                 }
             }
         }
-        self.done.fetch_add(tasks.len(), Ordering::AcqRel) + tasks.len()
+        let done = self.done.fetch_add(tasks.len(), Ordering::AcqRel) + tasks.len();
+        let fills = self.fills();
+        if done == fills {
+            // a moved-in or generated input is freed, a borrowed one let go
+            if !self.verify {
+                *self.input.write().unwrap_or_else(|e| e.into_inner()) = None;
+            }
+            ready_buf.extend(self.g.initial_ready());
+        } else if done == fills + self.g.len() {
+            ready_buf.extend(self.densify_tasks());
+        }
+        done == self.tasks()
+    }
+
+    /// Tasks retired so far, conversion tasks included.
+    pub(crate) fn retired(&self) -> usize {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Whether every FILL retired: the tiles hold the input.
+    pub(crate) fn filled(&self) -> bool {
+        self.retired() >= self.fills()
+    }
+
+    /// Whether the DAG is under way: every FILL retired, not yet every
+    /// DAG task.
+    pub(crate) fn factoring(&self) -> bool {
+        let fills = self.fills();
+        (fills..fills + self.g.len()).contains(&self.retired())
     }
 
     /// `(k, i, j)` when `t` is an S task.
@@ -331,12 +381,6 @@ impl<'a> ItemState<'a> {
     /// panic, so a poisoned lock still guards a valid value.)
     pub(crate) fn input(&self) -> RwLockReadGuard<'_, Option<Cow<'a, DenseMatrix>>> {
         self.input.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Drop a moved-in or generated input once it has served its
-    /// purpose (a borrowed one is only let go).
-    pub(crate) fn drop_input(&self) {
-        *self.input.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// What the tasks decided, once every DAG task ran: the combined
@@ -1066,6 +1110,63 @@ mod tests {
                     assert!(densified.iter().all(|&d| d == 1), "{ctx}: {densified:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_retired_count_releases_each_stage_once() {
+        // retire every task of a run one at a time in dependency order,
+        // no body run: the count alone releases the stages
+        let b = 8;
+        for (kernels, (m, n), verify) in [
+            (KernelSet::CaluLu, (40usize, 24usize), false),
+            (KernelSet::Cholesky, (40, 40), true),
+        ] {
+            let grid = grid_for(m, n, b, 4);
+            let g = Arc::new(kernels.build_graph(m, n, b, grid.pr()).unwrap());
+            let input = Cow::Owned(DenseMatrix::zeros(m, n));
+            let item =
+                ItemState::new(Layout::BlockCyclic, g.clone(), grid, 2, input).verified(verify);
+            let mut queue: std::collections::VecDeque<TaskId> =
+                item.fill_tasks().map(|(t, _)| t).collect();
+            let (fills, dag) = (queue.len(), g.len());
+            let mut released = vec![0usize; item.tasks()];
+            for t in &queue {
+                released[t.idx()] += 1;
+            }
+            let (mut retired, mut finals, mut ready) = (0, 0, Vec::new());
+            while let Some(t) = queue.pop_front() {
+                let ctx = format!("{kernels:?} after {t:?}");
+                finals += usize::from(item.complete_into(&[t.0], &mut ready));
+                retired += 1;
+                if retired == fills {
+                    assert_eq!(ready, g.initial_ready(), "{ctx}: the last FILL");
+                } else if retired == fills + dag {
+                    assert_eq!(ready, item.densify_tasks(), "{ctx}: the last DAG task");
+                } else if retired < fills || retired > fills + dag {
+                    assert!(ready.is_empty(), "{ctx}: {ready:?}");
+                } else {
+                    assert!(ready.iter().all(|&s| s.idx() < dag), "{ctx}: {ready:?}");
+                }
+                assert_eq!(item.retired(), retired, "{ctx}");
+                assert_eq!(item.filled(), retired >= fills, "{ctx}");
+                assert_eq!(
+                    item.factoring(),
+                    (fills..fills + dag).contains(&retired),
+                    "{ctx}"
+                );
+                assert_eq!(item.input().is_some(), verify || retired < fills, "{ctx}");
+                assert_eq!(finals, usize::from(retired == item.tasks()), "{ctx}");
+                for &s in &ready {
+                    released[s.idx()] += 1;
+                }
+                queue.extend(ready.iter().copied());
+            }
+            assert_eq!(retired, item.tasks(), "{kernels:?}");
+            assert!(
+                released.iter().all(|&r| r == 1),
+                "{kernels:?}: {released:?}"
+            );
         }
     }
 

@@ -1192,10 +1192,10 @@ impl<R: Send + 'static> FactorService<R> {
     }
 
     /// The scheduling split the *current* pool generation runs under
-    /// (dratio, batch cutoff, steal direction). Reconfigure-safe by
-    /// construction: a generation's split is frozen at spawn, so this
-    /// always describes the pool that is admitting jobs right now — an
-    /// adaptive reconfigure shows up here as soon as the swap lands.
+    /// (dratio, batch cutoff). Reconfigure-safe by construction: a
+    /// generation's split is frozen at spawn, so this always describes
+    /// the pool that is admitting jobs right now — an adaptive
+    /// reconfigure shows up here as soon as the swap lands.
     pub fn current_split(&self) -> calu_sched::SplitChoice {
         self.shared.current_pool().config().split()
     }

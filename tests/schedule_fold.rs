@@ -88,21 +88,30 @@ fn a_slow_worker_books_noise_and_counts_only_tasks() {
 #[test]
 fn co_scheduled_items_book_their_stalls_as_noise() {
     // every item of this 2-thread batch is under the co-scheduling
-    // cutoff, so one worker drains it whole; worker 0 runs slowed, and
-    // the stalls in the items it drained are noise, not idle
+    // cutoff, so one worker drains it whole; both workers run slowed,
+    // so whichever drives an item stalls in it, and those stalls are
+    // noise, not idle
     let sweep: Vec<MatrixSource> = (0..8).map(|i| MatrixSource::uniform(96, 30 + i)).collect();
     let r = Solver::new(MatrixSource::shape(1, 1))
         .tile(16)
         .threads(2)
         .verify(false)
-        .fault_plan(FaultPlan::off().with_seed(9).slow_worker(0, 2.0))
+        .fault_plan(
+            FaultPlan::off()
+                .with_seed(9)
+                .slow_worker(0, 2.0)
+                .slow_worker(1, 2.0),
+        )
         .batch(&sweep)
         .unwrap();
     assert_eq!(r.co_scheduled, sweep.len());
-    let noise: f64 = r.items.iter().map(|item| item.schedule.total_noise()).sum();
-    assert!(noise > 0.0, "the slowed worker's stalls are noise");
     for (i, item) in r.items.iter().enumerate() {
-        assert_accounts_for_the_makespan(item, &format!("item {i}"));
+        let ctx = format!("item {i}");
+        assert!(
+            item.schedule.total_noise() > 0.0,
+            "its stalls are noise, {ctx}"
+        );
+        assert_accounts_for_the_makespan(item, &ctx);
     }
 }
 
