@@ -390,15 +390,11 @@ struct Worker {
 }
 
 impl Worker {
-    fn new(cfg: &CaluConfig, me: usize, armed: bool) -> Self {
+    fn new(cfg: &CaluConfig, me: usize) -> Self {
         let (b, max_group) = (cfg.b, cfg.effective_group());
         Worker {
             me,
-            clock: if armed {
-                FaultClock::new(&cfg.fault, me)
-            } else {
-                FaultClock::disarmed()
-            },
+            clock: FaultClock::new(&cfg.fault, me),
             panic_pending: false,
             rng: Rng::seed_from_u64(cfg.queue.seed().unwrap_or(0).wrapping_add(me as u64)),
             scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
@@ -1245,7 +1241,7 @@ impl<'a> Engine<'a> {
         }
         let _guard = PanicGuard(self);
         let max_group = self.cfg.effective_group();
-        let mut w = Worker::new(&self.cfg, me, self.armed);
+        let mut w = Worker::new(&self.cfg, me);
         let mut runs: Vec<Arc<Run<'a>>> = Vec::new();
         let mut seen_epoch = 0u64;
         let mut idle_spins = 0u32;

@@ -241,16 +241,6 @@ impl FaultClock {
         }
     }
 
-    /// A permanently disarmed clock (for workers of a fault-free run).
-    pub(crate) fn disarmed() -> Self {
-        Self {
-            kind: None,
-            tasks: 0,
-            fired: false,
-            rng: Rng::seed_from_u64(0),
-        }
-    }
-
     /// True when this worker carries a persistent slowdown (executors
     /// read the plan's kinds directly; the clock's own tests use this).
     #[cfg(test)]

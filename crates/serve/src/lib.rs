@@ -209,7 +209,8 @@ impl std::error::Error for ServeError {}
 /// Admission, verification and trace knobs for one [`FactorService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Total jobs admitted but not yet terminal, across all classes.
+    /// Total jobs admitted but not yet terminal, across all classes
+    /// (at least 1: a service built with 0 is refused).
     pub max_pending: usize,
     /// Per-class pending quotas, indexed by [`JobClass::lane`]
     /// (`[interactive, batch, background]`).
@@ -873,7 +874,8 @@ impl FactorService<Outcome> {
     /// Spawn a service whose jobs resolve to raw [`Outcome`]s.
     /// `cfg` carries the solver knobs every job shares (tile size,
     /// threads, layout, dratio, small cutoff); it is validated here,
-    /// once — jobs only vary in dims and data.
+    /// once — jobs only vary in dims and data — together with `svc`'s
+    /// `max_pending`, which must admit at least one job.
     pub fn new(cfg: &CaluConfig, svc: ServiceConfig) -> Result<Self, CaluError> {
         FactorService::with_report(cfg, svc, |_, out| out)
     }
@@ -889,6 +891,14 @@ impl<R: Send + 'static> FactorService<R> {
         make: impl Fn(&JobInfo, Outcome) -> R + Send + Sync + 'static,
     ) -> Result<Self, CaluError> {
         cfg.validate()?;
+        // before the journal opens: opening compacts its file
+        if svc.max_pending == 0 {
+            return Err(CaluError::InvalidConfig(
+                "ServiceConfig::max_pending is 0, so every submit would be \
+                 refused as busy; admit at least one pending job"
+                    .into(),
+            ));
+        }
         // open the journal (compacting it to its incomplete tail) before
         // anything can be admitted; replay happens below, after the
         // watchdog is live, so replayed deadlines are enforced too
@@ -1737,6 +1747,28 @@ mod tests {
             },
         );
         assert!(matches!(res, Err(CaluError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn zero_max_pending_is_refused_before_the_journal_opens() {
+        let path = std::env::temp_dir().join(format!(
+            "calu-serve-zero-pending-{}.journal",
+            std::process::id()
+        ));
+        let res = FactorService::new(
+            &cfg(),
+            ServiceConfig {
+                max_pending: 0,
+                journal: Some(JournalConfig::new(&path)),
+                ..svc()
+            },
+        );
+        assert!(
+            matches!(res, Err(CaluError::InvalidConfig(ref m)) if m.contains("max_pending")),
+            "{:?}",
+            res.err()
+        );
+        assert!(!path.exists(), "the journal was opened");
     }
 
     #[test]

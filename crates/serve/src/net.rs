@@ -151,18 +151,34 @@ impl<R: Send + 'static> ServeListener<R> {
     /// Bind `addr` and start serving `service` (shared: the owner may
     /// keep submitting in-process, reconfigure it, or watch its
     /// events). Spawns `cfg.max_connections` handler threads plus one
-    /// acceptor.
+    /// acceptor. A config with `max_connections`, `accept_backlog` or
+    /// `max_line_bytes` at 0 could serve no request, and is refused
+    /// with [`io::ErrorKind::InvalidInput`] before anything is bound.
     pub fn bind(
         service: Arc<FactorService<R>>,
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
     ) -> io::Result<Self> {
+        // each of these at 0 leaves a front door that can serve nothing
+        let zero = [
+            ("max_connections", cfg.max_connections),
+            ("accept_backlog", cfg.accept_backlog),
+            ("max_line_bytes", cfg.max_line_bytes),
+        ]
+        .into_iter()
+        .find(|&(_, v)| v == 0);
+        if let Some((knob, _)) = zero {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("NetConfig::{knob} is 0; it must be at least 1"),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         // nonblocking accept so shutdown is prompt without self-connect
         // tricks; the acceptor sleeps between empty polls
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let handlers = cfg.max_connections.max(1);
+        let handlers = cfg.max_connections;
         let shared = Arc::new(NetShared {
             service,
             cfg,
@@ -464,6 +480,36 @@ mod tests {
         fn drop(&mut self) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// Bind with one knob of the default config zeroed: refused as
+    /// invalid input, naming the knob.
+    fn refused_at_bind(knob: &str, zero: fn(&mut NetConfig)) {
+        let cfg = CaluConfig::new(16).with_threads(1);
+        let service = Arc::new(FactorService::new(&cfg, ServiceConfig::default()).unwrap());
+        let mut net = NetConfig::default();
+        zero(&mut net);
+        let err = ServeListener::bind(Arc::clone(&service), "127.0.0.1:0", net)
+            .err()
+            .unwrap_or_else(|| panic!("{knob} = 0 was accepted"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(knob), "{err}");
+        service.drain();
+    }
+
+    #[test]
+    fn zero_max_connections_is_refused_at_bind() {
+        refused_at_bind("max_connections", |n| n.max_connections = 0);
+    }
+
+    #[test]
+    fn zero_accept_backlog_is_refused_at_bind() {
+        refused_at_bind("accept_backlog", |n| n.accept_backlog = 0);
+    }
+
+    #[test]
+    fn zero_max_line_bytes_is_refused_at_bind() {
+        refused_at_bind("max_line_bytes", |n| n.max_line_bytes = 0);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub(crate) fn run_batch_loop<B: Backend + ?Sized>(
         .collect::<Result<Vec<_>, _>>()?;
     Ok(BatchReport {
         backend: backend.name().into(),
-        threads: plans[0].threads(),
+        threads: plans[0].config().threads,
         items,
         wall_secs: t0.elapsed().as_secs_f64(),
         pool_spawn_secs: 0.0,
@@ -111,11 +111,11 @@ fn non_empty(plans: &[Plan<'_>]) -> Result<(), Error> {
 /// simulator's group model both run the *whole* batch under one
 /// config, and silently using `plans[0]`'s knobs would misattribute
 /// every other item's report.
-fn batch_shared_config(plans: &[Plan<'_>]) -> Result<CaluConfig, Error> {
-    let cfg = plans[0].calu_config();
+fn batch_shared_config<'p>(plans: &'p [Plan<'_>]) -> Result<&'p CaluConfig, Error> {
+    let cfg = plans[0].config();
     // (each plan's grid, and with it its default leaf count, follows
     // its own source's shape and is not part of the config)
-    if plans.iter().any(|p| p.calu_config() != cfg) {
+    if plans.iter().any(|p| p.config() != cfg) {
         return Err(Error::Config(
             "batched plans must share one configuration (same tile size, \
              threads, layout, scheduler, queue discipline, batch knobs); \
@@ -158,12 +158,11 @@ pub(crate) fn blank_report(
 }
 
 fn plan_report(backend: &str, plan: &Plan<'_>) -> Report {
-    let cfg = plan.calu_config();
     blank_report(
         backend,
         plan.algorithm,
         plan.scheduler,
-        &cfg,
+        plan.config(),
         plan.source.dims(),
     )
 }
@@ -184,34 +183,27 @@ pub(crate) fn report_from(mut report: Report, out: Outcome) -> Report {
     report
 }
 
-/// The kernel set a facade algorithm runs on the engine.
-pub(crate) fn kernels_for(algorithm: Algorithm) -> KernelSet {
-    if algorithm == Algorithm::Cholesky {
-        KernelSet::Cholesky
-    } else {
-        KernelSet::CaluLu
-    }
-}
-
-/// The engine job of a CALU/Cholesky plan: its source (dense data
+/// The engine job of a plan with `kernels`: its source (dense data
 /// borrowed as-is, seeded generators left for the claiming thread to
 /// materialize), its kernel set, its own `.verify()` and `.trace()`.
-fn engine_job<'a>(plan: &Plan<'a>) -> Result<BatchItem<'a>, Error> {
+fn engine_job<'a>(plan: &Plan<'a>, kernels: KernelSet) -> Result<BatchItem<'a>, Error> {
     let source = plan
         .source
         .job_source()
         .ok_or_else(|| shape_only_source("the threaded backend"))?;
     Ok(BatchItem {
         source,
-        kernels: kernels_for(plan.algorithm),
+        kernels,
         verify: plan.verify,
         trace: plan.record_trace,
     })
 }
 
-/// What no real executor runs, refused rather than silently ignored:
-/// the Cilk-deque baseline.
-pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<(), Error> {
+/// The one rule that routes a plan on a real executor (`backend` names
+/// it in the error): the kernel set the engine runs it with, `None`
+/// for the sequential reference drivers, and a refusal for the
+/// Cilk-deque baseline, which no real executor runs.
+pub(crate) fn engine_route(backend: &str, plan: &Plan<'_>) -> Result<Option<KernelSet>, Error> {
     if matches!(
         plan.scheduler,
         calu_sched::SchedulerKind::WorkStealing { .. }
@@ -226,7 +218,7 @@ pub(crate) fn reject_sim_only_knobs(backend: &str, plan: &Plan<'_>) -> Result<()
                 .into(),
         });
     }
-    Ok(())
+    Ok(plan.algorithm.kernels())
 }
 
 /// Real executors factor real data: the error for a shape-only source.
@@ -250,28 +242,29 @@ impl Backend for ThreadedBackend {
         Some(calu_sched::QueueDiscipline::lock_free())
     }
 
-    /// One-pool batching for CALU and Cholesky plans (every item names
-    /// its own kernel set, so a batch may mix the two); anything the
-    /// engine does not cover (reference drivers, the rejected Cilk
-    /// baseline) falls back to the loop-over-`run` default, which
-    /// reports the same per-item errors a solo run would.
+    /// One-pool batching when every plan routes to the engine (every
+    /// item names its own kernel set, so a batch may mix CALU and
+    /// Cholesky); a batch with a reference-driver plan falls back to
+    /// the loop-over-`run` default.
     fn run_batch(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
         non_empty(plans)?;
-        let pooled = plans.iter().all(|p| {
-            matches!(p.algorithm, Algorithm::Calu | Algorithm::Cholesky)
-                && !matches!(p.scheduler, calu_sched::SchedulerKind::WorkStealing { .. })
-        });
-        if pooled {
-            self.run_batch_pooled(plans)
-        } else {
-            run_batch_loop(self, plans)
+        let kernels = plans
+            .iter()
+            .map(|p| engine_route(self.name(), p))
+            .collect::<Result<Option<Vec<_>>, _>>()?;
+        match kernels {
+            Some(kernels) => self.run_batch_pooled(plans, &kernels),
+            None => run_batch_loop(self, plans),
         }
     }
 
     fn execute(&self, plan: &Plan<'_>) -> Result<Report, Error> {
-        reject_sim_only_knobs(self.name(), plan)?;
-        let on_engine = matches!(plan.algorithm, Algorithm::Calu | Algorithm::Cholesky);
-        if !plan.calu_config().fault.is_off() && !on_engine {
+        let mut report = plan_report(self.name(), plan);
+        if let Some(kernels) = engine_route(self.name(), plan)? {
+            let out = factor_one(engine_job(plan, kernels)?, plan.config())?;
+            return Ok(report_from(report, out));
+        }
+        if !plan.config().fault.is_off() {
             return Err(Error::Unsupported {
                 backend: self.name().into(),
                 what: format!(
@@ -282,18 +275,13 @@ impl Backend for ThreadedBackend {
                 ),
             });
         }
-        let mut report = plan_report(self.name(), plan);
-        if on_engine {
-            let out = factor_one(engine_job(plan)?, &plan.calu_config())?;
-            return Ok(report_from(report, out));
-        }
         let a = plan
             .source
             .materialize()
             .ok_or_else(|| shape_only_source("the threaded backend"))?;
         let t0 = Instant::now();
         if plan.algorithm == Algorithm::Gepp {
-            let f = gepp_factor(a.as_ref(), plan.b());
+            let f = gepp_factor(a.as_ref(), plan.config().b);
             report.makespan = t0.elapsed().as_secs_f64();
             if plan.verify {
                 report.residual = Some(f.residual(&a));
@@ -301,7 +289,7 @@ impl Backend for ThreadedBackend {
             }
             report.factorization = Some(f);
         } else {
-            let f = incpiv_factor(a.as_ref(), plan.b());
+            let f = incpiv_factor(a.as_ref(), plan.config().b);
             report.makespan = t0.elapsed().as_secs_f64();
             // incremental pivoting keeps per-tile factors; expose the
             // numerical checks, not a packed Factorization
@@ -327,12 +315,13 @@ impl ThreadedBackend {
     /// (`calu_core::factor_batch`): spawned once, per-worker scratch
     /// arenas alive across items, small items co-scheduled
     /// whole-per-worker, large ones on the full hybrid schedule. Each
-    /// item carries its own kernel set, so a batch may mix CALU and
-    /// Cholesky plans.
-    fn run_batch_pooled(&self, plans: &[Plan<'_>]) -> Result<BatchReport, Error> {
-        for plan in plans {
-            reject_sim_only_knobs(self.name(), plan)?;
-        }
+    /// item carries its own kernel set (`kernels`, one per plan), so a
+    /// batch may mix CALU and Cholesky plans.
+    fn run_batch_pooled(
+        &self,
+        plans: &[Plan<'_>],
+        kernels: &[KernelSet],
+    ) -> Result<BatchReport, Error> {
         let cfg = batch_shared_config(plans)?;
         let t0 = Instant::now();
         // submission is O(1) per item: generator items are materialized
@@ -340,9 +329,10 @@ impl ThreadedBackend {
         // them, not up front or afterwards on the calling thread
         let jobs = plans
             .iter()
-            .map(engine_job)
+            .zip(kernels)
+            .map(|(plan, &k)| engine_job(plan, k))
             .collect::<Result<Vec<_>, _>>()?;
-        let outcome = factor_batch(&jobs, &cfg)?;
+        let outcome = factor_batch(&jobs, cfg)?;
         let co_scheduled = outcome.items.iter().filter(|i| i.co_scheduled).count();
         let items = plans
             .iter()
@@ -351,7 +341,7 @@ impl ThreadedBackend {
             .collect();
         Ok(BatchReport {
             backend: self.name().into(),
-            threads: plans[0].threads(),
+            threads: cfg.threads,
             items,
             wall_secs: t0.elapsed().as_secs_f64(),
             pool_spawn_secs: outcome.pool_spawn_secs,
@@ -399,25 +389,22 @@ impl SimulatedBackend {
         machine: MachineConfig,
         grid: ProcessGrid,
     ) -> Result<SimResult, Error> {
-        let cores = self.machine.cores();
-        if plan.threads() != cores {
+        let (cores, threads) = (self.machine.cores(), plan.config().threads);
+        if threads != cores {
             return Err(Error::Config(format!(
-                "thread count {} does not match the simulated machine's {} \
-                 cores ({}); drop .threads() to use the machine size, or pick \
-                 a machine model with {} cores",
-                plan.threads(),
-                cores,
+                "thread count {threads} does not match the simulated machine's \
+                 {cores} cores ({}); drop .threads() to use the machine size, \
+                 or pick a machine model with {threads} cores",
                 self.machine.name,
-                plan.threads()
             )));
         }
         let cfg = SimConfig {
             machine,
             layout: plan.layout(),
             sched: plan.scheduler,
-            queue: plan.queue(),
+            queue: plan.config().queue,
             grid,
-            group_max: plan.group(),
+            group_max: plan.config().group,
             column_granular: self.column_granular,
             record_trace: plan.record_trace,
         };

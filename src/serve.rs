@@ -44,7 +44,7 @@ pub use calu_serve::{
     ServiceEvent,
 };
 
-use crate::backend::{blank_report, reject_sim_only_knobs, report_from};
+use crate::backend::{blank_report, engine_route, report_from};
 use crate::error::Error;
 use crate::report::Report;
 use crate::solver::{Algorithm, Solver};
@@ -71,16 +71,16 @@ impl Solver {
     /// builder's own matrix source supplies only its shape for
     /// validation; jobs bring their own data as [`JobSpec`]s.
     ///
-    /// Restrictions mirror the threaded backend's: CALU and Cholesky
-    /// only (every job carries its own [`KernelSet`],
-    /// so one service can mix the two), no work-stealing baseline.
+    /// Restrictions are the threaded backend's engine route: CALU and
+    /// Cholesky only (every job carries its own [`KernelSet`], so one
+    /// service can mix the two), no work-stealing baseline.
     /// Large jobs run their dynamic section
     /// under the builder's queue discipline, exactly like a solo run;
     /// each report names the discipline of the pool generation that ran
     /// its job.
     pub fn serve_with(&self, mut svc: ServiceConfig) -> Result<ReportService, Error> {
         let plan = self.plan()?;
-        if !matches!(plan.algorithm, Algorithm::Calu | Algorithm::Cholesky) {
+        if engine_route("serve", &plan)?.is_none() {
             return Err(Error::Unsupported {
                 backend: "serve".into(),
                 what: format!(
@@ -91,10 +91,8 @@ impl Solver {
                 ),
             });
         }
-        reject_sim_only_knobs("serve", &plan)?;
         (svc.verify, svc.trace) = (plan.verify, plan.record_trace);
-        let cfg = plan.calu_config();
-        let (scheduler, dratio) = (plan.scheduler, cfg.dratio);
+        let (scheduler, dratio) = (plan.scheduler, plan.config().dratio);
         // adaptive solvers keep learning while they serve: every
         // completed job's schedule metrics are distilled into an
         // Observation and fed to the shared controller, so a later
@@ -128,7 +126,7 @@ impl Solver {
             }
             report
         };
-        FactorService::with_report(&cfg, svc, make).map_err(Error::from)
+        FactorService::with_report(plan.config(), svc, make).map_err(Error::from)
     }
 
     /// [`Solver::serve`] plus a TCP front door: spawn the service and
@@ -164,8 +162,6 @@ impl Solver {
     /// Returns the new pool generation.
     pub fn reconfigure(&self, service: &ReportService) -> Result<u64, Error> {
         let plan = self.plan()?;
-        service
-            .reconfigure(&plan.calu_config())
-            .map_err(Error::from)
+        service.reconfigure(plan.config()).map_err(Error::from)
     }
 }

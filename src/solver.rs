@@ -12,13 +12,13 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use calu_core::{CaluConfig, CaluError, FaultPlan, Source};
+use calu_core::{CaluConfig, CaluError, FaultPlan, KernelSet, Source};
 use calu_dag::TaskGraph;
 use calu_matrix::{DenseMatrix, Layout, ProcessGrid};
 use calu_sched::adaptive::{AdaptiveController, AdaptivePolicy, SplitChoice};
 use calu_sched::{QueueDiscipline, SchedulerKind};
 
-use crate::backend::{kernels_for, Backend, ThreadedBackend};
+use crate::backend::{Backend, ThreadedBackend};
 use crate::error::Error;
 use crate::report::{AdaptationReport, BatchReport, Report};
 
@@ -39,6 +39,19 @@ pub enum Algorithm {
     /// [`MatrixSource::SpdUniform`] for seeded inputs; a non-SPD dense
     /// input is flagged at run time via the report's `singular_at`).
     Cholesky,
+}
+
+impl Algorithm {
+    /// The one mapping from an algorithm to where it runs: the engine's
+    /// kernel set for CALU and Cholesky, `None` for the sequential
+    /// reference drivers (GEPP, incremental pivoting).
+    pub(crate) fn kernels(self) -> Option<KernelSet> {
+        match self {
+            Algorithm::Calu => Some(KernelSet::CaluLu),
+            Algorithm::Cholesky => Some(KernelSet::Cholesky),
+            Algorithm::Gepp | Algorithm::IncPiv => None,
+        }
+    }
 }
 
 impl std::fmt::Display for Algorithm {
@@ -168,8 +181,7 @@ pub struct Plan<'a> {
     /// Compute residual/growth-factor checks on real backends.
     pub verify: bool,
     /// The validated driver config — the single source of truth for the
-    /// knobs it owns (`b`, threads, dratio, layout, group),
-    /// exposed read-only through the accessors below so the public plan
+    /// knobs it owns, read through [`Plan::config`] so the public plan
     /// can never disagree with what the executor runs.
     cfg: CaluConfig,
     /// TSLU leaves per panel, derived with `grid` by the same rule.
@@ -180,35 +192,17 @@ pub struct Plan<'a> {
 }
 
 impl Plan<'_> {
-    /// Tile size `b`.
-    pub fn b(&self) -> usize {
-        self.cfg.b
-    }
-
-    /// Resolved worker-thread / core count.
-    pub fn threads(&self) -> usize {
-        self.cfg.threads
+    /// The validated config the executor runs: tile size, resolved
+    /// thread count, dratio (`Static` → 0, `Dynamic`/`WorkStealing` →
+    /// 1), layout, effective grouping width (1 when the layout cannot
+    /// group), queue discipline and the batch and fault knobs.
+    pub fn config(&self) -> &CaluConfig {
+        &self.cfg
     }
 
     /// Data layout.
     pub fn layout(&self) -> Layout {
         self.cfg.layout
-    }
-
-    /// Fraction of panels scheduled dynamically, resolved from the
-    /// scheduler (`Static` → 0, `Dynamic`/`WorkStealing` → 1).
-    pub fn dratio(&self) -> f64 {
-        self.cfg.dratio
-    }
-
-    /// Effective BLAS-3 grouping width (1 when the layout cannot group).
-    pub fn group(&self) -> usize {
-        self.cfg.group
-    }
-
-    /// Dynamic-section queue discipline.
-    pub fn queue(&self) -> QueueDiscipline {
-        self.cfg.queue
     }
 
     /// How the adaptive controller resolved this plan's split (`None`
@@ -226,15 +220,16 @@ impl Plan<'_> {
     /// Build the task DAG for this plan's algorithm and shape.
     pub fn build_graph(&self) -> TaskGraph {
         let (m, n) = self.source.dims();
+        let b = self.cfg.b;
         match self.algorithm {
-            Algorithm::Calu => TaskGraph::build_calu(m, n, self.b(), self.leaf_stride()),
-            Algorithm::Gepp => TaskGraph::build_gepp(m, n, self.b()),
-            Algorithm::IncPiv => TaskGraph::build_incpiv(m, n, self.b()),
-            Algorithm::Cholesky => TaskGraph::build_cholesky(n, self.b()),
+            Algorithm::Calu => TaskGraph::build_calu(m, n, b, self.leaves),
+            Algorithm::Gepp => TaskGraph::build_gepp(m, n, b),
+            Algorithm::IncPiv => TaskGraph::build_incpiv(m, n, b),
+            Algorithm::Cholesky => TaskGraph::build_cholesky(n, b),
         }
     }
 
-    /// The `CaluConfig` equivalent of this plan (for the real executor).
+    /// An owned copy of [`Plan::config`].
     pub fn calu_config(&self) -> CaluConfig {
         self.cfg.clone()
     }
@@ -243,19 +238,19 @@ impl Plan<'_> {
 /// The unified solver builder. See the crate docs for a quickstart.
 pub struct Solver {
     source: MatrixSource,
-    b: usize,
+    /// The knobs as the setters left them; [`Solver::plan`] resolves
+    /// threads, dratio, queue, group and cutoff into its own copy.
+    cfg: CaluConfig,
+    // unset, the backend may default them
     threads: Option<usize>,
-    layout: Layout,
-    scheduler: SchedulerKind,
     queue: Option<QueueDiscipline>,
+    // set, they win over the layout rule and the adaptive controller
     group: Option<usize>,
-    leaf_stride: Option<usize>,
+    batch_small_cutoff: Option<usize>,
+    scheduler: SchedulerKind,
     algorithm: Algorithm,
     trace: bool,
     verify: bool,
-    pin_workers: bool,
-    batch_small_cutoff: Option<usize>,
-    fault: Option<FaultPlan>,
     adaptive: Option<AdaptiveState>,
     backend: Box<dyn Backend>,
 }
@@ -295,19 +290,15 @@ impl Solver {
     pub fn new(source: impl Into<MatrixSource>) -> Self {
         Self {
             source: source.into(),
-            b: 100,
+            cfg: CaluConfig::new(100),
             threads: None,
-            layout: Layout::BlockCyclic,
-            scheduler: SchedulerKind::Hybrid { dratio: 0.1 },
             queue: None,
             group: None,
-            leaf_stride: None,
+            batch_small_cutoff: None,
+            scheduler: SchedulerKind::Hybrid { dratio: 0.1 },
             algorithm: Algorithm::Calu,
             trace: false,
             verify: true,
-            pin_workers: false,
-            batch_small_cutoff: None,
-            fault: None,
             adaptive: None,
             backend: Box::new(ThreadedBackend),
         }
@@ -315,7 +306,7 @@ impl Solver {
 
     /// Set the tile size `b`.
     pub fn tile(mut self, b: usize) -> Self {
-        self.b = b;
+        self.cfg.b = b;
         self
     }
 
@@ -328,7 +319,7 @@ impl Solver {
 
     /// Set the data layout.
     pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
+        self.cfg.layout = layout;
         self
     }
 
@@ -365,7 +356,7 @@ impl Solver {
     /// silicon, at the price of fairness on oversubscribed machines —
     /// turn it on for dedicated-machine benchmark runs.
     pub fn pin_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
+        self.cfg.pin_workers = pin;
         self
     }
 
@@ -389,7 +380,7 @@ impl Solver {
     /// gets one leaf per thread and the items of a mixed-shape batch
     /// each get their own. An explicit value applies to every item.
     pub fn tslu_leaves(mut self, stride: usize) -> Self {
-        self.leaf_stride = Some(stride);
+        self.cfg.leaf_stride = Some(stride);
         self
     }
 
@@ -420,7 +411,7 @@ impl Solver {
     /// simulated backend prices faults through its own machine knobs,
     /// and batch sweeps reject armed plans.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
+        self.cfg.fault = plan;
         self
     }
 
@@ -502,9 +493,17 @@ impl Solver {
     /// Validate every knob once and produce the execution [`Plan`].
     ///
     /// All configuration errors of the workspace funnel through here:
-    /// the checks are [`CaluConfig::validate`]'s, plus facade-level
-    /// conflicts (explicit grouping on a non-grouping layout;
-    /// shape/backend mismatches are left to the backend).
+    /// the algorithm against the source's shape (non-empty; Cholesky
+    /// needs a square source and not the general `Uniform` generator),
+    /// the adaptive policy, [`CaluConfig::validate`] on the resolved
+    /// config (tile size, threads, dratio, grouping, TSLU leaves, the
+    /// fault plan against the threads, a stealing queue with no dynamic
+    /// section) and an explicit grouping on a layout that cannot group.
+    /// What depends on the substrate stays with the backend: a
+    /// shape-only source on a real backend, the simulated machine's
+    /// core count, and the threaded backend's engine route (the
+    /// work-stealing baseline and fault plans on the sequential
+    /// reference drivers are refused there).
     pub fn plan(&self) -> Result<Plan<'_>, Error> {
         self.plan_for(&self.source)
     }
@@ -513,7 +512,11 @@ impl Solver {
     /// the same validation, applied to one item of a batched sweep.
     fn plan_for<'a>(&'a self, source: &'a MatrixSource) -> Result<Plan<'a>, Error> {
         let dims = source.dims();
-        kernels_for(self.algorithm)
+        // the reference LU drivers take any non-empty shape, as the
+        // engine's LU kernels do
+        self.algorithm
+            .kernels()
+            .unwrap_or(KernelSet::CaluLu)
             .check_shape(dims)
             .map_err(|e| match e {
                 CaluError::InvalidConfig(msg) => {
@@ -559,58 +562,41 @@ impl Solver {
             },
             None => self.scheduler,
         };
-        let dratio = match scheduler {
+        let mut cfg = self.cfg.clone();
+        cfg.threads = threads;
+        cfg.dratio = match scheduler {
             SchedulerKind::Static => 0.0,
             SchedulerKind::Dynamic | SchedulerKind::WorkStealing { .. } => 1.0,
             SchedulerKind::Hybrid { dratio } => dratio,
         };
-        // resolve the queue discipline: an explicit choice always wins
-        // (and is validated as given); otherwise the backend's
-        // preference applies wherever a dynamic section exists, with
-        // the paper's global queue as the universal fallback
-        let queue = self.queue.unwrap_or_else(|| {
-            if dratio > 0.0 {
-                self.backend
-                    .preferred_queue()
-                    .unwrap_or(QueueDiscipline::Global)
-            } else {
-                QueueDiscipline::Global
-            }
-        });
-        // the one shared validation path (b, threads, dratio, group,
-        // leaves)
-        let mut cfg = CaluConfig::new(self.b)
-            .with_threads(threads)
-            .with_dratio(dratio)
-            .with_layout(self.layout)
-            .with_queue(queue)
-            .with_pinning(self.pin_workers);
-        if let Some(a) = &adaptation {
-            cfg.batch_small_cutoff = a.chosen.batch_small_cutoff;
-        }
-        if let Some(cutoff) = self.batch_small_cutoff {
+        // an explicit queue discipline always wins (and is validated as
+        // given); otherwise the backend's preference applies wherever a
+        // dynamic section exists, with the paper's global queue as the
+        // universal fallback
+        cfg.queue = match self.queue {
+            Some(queue) => queue,
+            None if cfg.dratio > 0.0 => self
+                .backend
+                .preferred_queue()
+                .unwrap_or(QueueDiscipline::Global),
+            None => QueueDiscipline::Global,
+        };
+        let chosen_cutoff = adaptation.as_ref().map(|a| a.chosen.batch_small_cutoff);
+        if let Some(cutoff) = self.batch_small_cutoff.or(chosen_cutoff) {
             cfg.batch_small_cutoff = cutoff;
         }
-        if let Some(fault) = &self.fault {
-            cfg = cfg.with_fault(fault.clone());
-        }
-        cfg.leaf_stride = self.leaf_stride;
-        if let Some(g) = self.group {
-            cfg.group = g;
-        }
+        cfg.group = self.group.unwrap_or(cfg.group);
         cfg.validate()?;
-        if let Some(g) = self.group {
-            if g > 1 && !self.layout.supports_grouping() {
-                return Err(Error::Config(format!(
-                    "grouping k = {g} requires a layout with thread-contiguous \
-                     columns, but {} stores tiles separately; use \
-                     Layout::BlockCyclic or drop .grouping()",
-                    self.layout
-                )));
-            }
+        if self.group.is_some() && cfg.group > 1 && !cfg.layout.supports_grouping() {
+            return Err(Error::Config(format!(
+                "grouping k = {} requires a layout with thread-contiguous \
+                 columns, but {} stores tiles separately; use \
+                 Layout::BlockCyclic or drop .grouping()",
+                cfg.group, cfg.layout
+            )));
         }
         // resolve the derived knob in place: the stored config is the
-        // single source of truth the accessors and executor read.
+        // single source of truth the plan and the executor read.
         // `leaf_stride` stays as the caller left it — the default
         // follows each item's grid, and the plans of one batch must
         // share one config whatever their shapes
@@ -673,15 +659,8 @@ impl Solver {
     /// bitwise-identical to a solo [`Solver::run`] on that source.
     /// [`crate::SimulatedBackend`] models the same routing, one core
     /// per small item; other backends fall back to looping over
-    /// [`Solver::run`].
+    /// [`Solver::run`]. An empty `sources` is a configuration error.
     pub fn batch(&self, sources: &[MatrixSource]) -> Result<BatchReport, Error> {
-        if sources.is_empty() {
-            return Err(Error::Config(
-                "a batch needs at least one matrix source; pass a non-empty \
-                 slice to Solver::batch"
-                    .into(),
-            ));
-        }
         let plans = sources
             .iter()
             .map(|s| self.plan_for(s))
@@ -705,9 +684,9 @@ impl std::fmt::Debug for Solver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Solver")
             .field("source_dims", &self.source.dims())
-            .field("b", &self.b)
+            .field("b", &self.cfg.b)
             .field("threads", &self.threads)
-            .field("layout", &self.layout)
+            .field("layout", &self.cfg.layout)
             .field("scheduler", &self.scheduler)
             .field("queue", &self.queue)
             .field("algorithm", &self.algorithm)
@@ -724,13 +703,14 @@ mod tests {
     fn plan_resolves_paper_defaults() {
         let s = Solver::new(MatrixSource::uniform(400, 1)).threads(4);
         let p = s.plan().unwrap();
-        assert_eq!(p.b(), 100);
-        assert_eq!(p.threads(), 4);
+        let cfg = p.config();
+        assert_eq!(cfg.b, 100);
+        assert_eq!(cfg.threads, 4);
         assert_eq!(p.grid.size(), 4);
         assert_eq!(p.layout(), Layout::BlockCyclic);
-        assert_eq!(p.group(), 3, "BCL groups by default");
+        assert_eq!(cfg.group, 3, "BCL groups by default");
         assert_eq!(p.leaf_stride(), p.grid.pr());
-        assert!((p.dratio() - 0.1).abs() < 1e-12);
+        assert!((cfg.dratio - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -838,7 +818,7 @@ mod tests {
             Solver::new(MatrixSource::shape(200, 200))
                 .scheduler(k)
                 .plan()
-                .map(|p| p.dratio())
+                .map(|p| p.config().dratio)
         };
         assert_eq!(s(SchedulerKind::Static).unwrap(), 0.0);
         assert_eq!(s(SchedulerKind::Dynamic).unwrap(), 1.0);
@@ -892,7 +872,7 @@ mod tests {
     fn non_grouping_layout_gets_group_one() {
         let s = Solver::new(MatrixSource::shape(200, 200)).layout(Layout::TwoLevelBlock);
         let p = s.plan().unwrap();
-        assert_eq!(p.group(), 1);
+        assert_eq!(p.config().group, 1);
     }
 
     #[test]
@@ -900,46 +880,89 @@ mod tests {
         // threaded backend (the default): lock-free deques whenever a
         // dynamic section exists …
         let s = Solver::new(MatrixSource::shape(200, 200));
-        assert!(s.plan().unwrap().queue().is_lock_free());
+        assert!(s.plan().unwrap().config().queue.is_lock_free());
         // … and the paper's global queue when there is nothing to steal
         let all_static =
             Solver::new(MatrixSource::shape(200, 200)).scheduler(SchedulerKind::Static);
-        assert_eq!(all_static.plan().unwrap().queue(), QueueDiscipline::Global);
+        assert_eq!(
+            all_static.plan().unwrap().config().queue,
+            QueueDiscipline::Global
+        );
         // explicit choices always win over the preference
         let sharded =
             Solver::new(MatrixSource::shape(200, 200)).queue_discipline(QueueDiscipline::sharded());
-        let p = sharded.plan().unwrap();
-        assert!(p.queue().is_sharded());
-        assert!(p.calu_config().queue.is_sharded(), "executor sees the knob");
+        assert!(sharded.plan().unwrap().config().queue.is_sharded());
         let global =
             Solver::new(MatrixSource::shape(200, 200)).queue_discipline(QueueDiscipline::Global);
-        assert_eq!(global.plan().unwrap().queue(), QueueDiscipline::Global);
+        assert_eq!(
+            global.plan().unwrap().config().queue,
+            QueueDiscipline::Global
+        );
     }
 
     #[test]
-    fn pin_workers_plumbs_through_to_the_executor_config() {
-        let s = Solver::new(MatrixSource::shape(200, 200)).pin_workers(true);
-        assert!(s.plan().unwrap().calu_config().pin_workers);
-        let off = Solver::new(MatrixSource::shape(200, 200));
-        assert!(!off.plan().unwrap().calu_config().pin_workers);
+    fn every_builder_knob_reaches_the_executor_config() {
+        // one row per knob: the builder call, and the config the plan
+        // hands the executor must differ from the default's exactly so
+        type Knob = (&'static str, fn(Solver) -> Solver, fn(&mut CaluConfig));
+        let table: [Knob; 11] = [
+            ("tile", |s| s.tile(64), |c| c.b = 64),
+            ("threads", |s| s.threads(4), |c| c.threads = 4),
+            (
+                "layout",
+                |s| s.layout(Layout::TwoLevelBlock),
+                |c| (c.layout, c.group) = (Layout::TwoLevelBlock, 1),
+            ),
+            ("dratio", |s| s.dratio(0.3), |c| c.dratio = 0.3),
+            (
+                "scheduler",
+                |s| s.scheduler(SchedulerKind::Static),
+                |c| (c.dratio, c.queue) = (0.0, QueueDiscipline::Global),
+            ),
+            (
+                "queue_discipline",
+                |s| s.queue_discipline(QueueDiscipline::Global),
+                |c| c.queue = QueueDiscipline::Global,
+            ),
+            ("grouping", |s| s.grouping(5), |c| c.group = 5),
+            (
+                "tslu_leaves",
+                |s| s.tslu_leaves(3),
+                |c| c.leaf_stride = Some(3),
+            ),
+            (
+                "pin_workers",
+                |s| s.pin_workers(true),
+                |c| c.pin_workers = true,
+            ),
+            (
+                "batch_small_cutoff",
+                |s| s.batch_small_cutoff(7),
+                |c| c.batch_small_cutoff = 7,
+            ),
+            (
+                "fault_plan",
+                |s| s.fault_plan(FaultPlan::off().slow_worker(1, 2.0)),
+                |c| c.fault = FaultPlan::off().slow_worker(1, 2.0),
+            ),
+        ];
+        let base = || Solver::new(MatrixSource::shape(200, 200)).threads(2);
+        let default = base().plan().unwrap().calu_config();
+        assert!(default.fault.is_off() && !default.pin_workers);
+        for (knob, set, expect) in table {
+            let mut want = default.clone();
+            expect(&mut want);
+            assert_eq!(set(base()).plan().unwrap().config(), &want, "{knob}");
+        }
     }
 
     #[test]
-    fn fault_plan_plumbs_through_and_validates_against_threads() {
-        let armed = FaultPlan::off().slow_worker(1, 2.0);
-        let s = Solver::new(MatrixSource::shape(200, 200))
-            .threads(2)
-            .fault_plan(armed.clone());
-        let p = s.plan().unwrap();
-        assert!(!p.calu_config().fault.is_off(), "executor sees the plan");
-        // default: off, no fault machinery armed
-        let plain = Solver::new(MatrixSource::shape(200, 200));
-        assert!(plain.plan().unwrap().calu_config().fault.is_off());
+    fn fault_plan_validates_against_threads() {
         // a fault on a worker the thread count doesn't have is a config
         // error, caught in plan() like every other knob
         let err = Solver::new(MatrixSource::shape(200, 200))
             .threads(1)
-            .fault_plan(armed)
+            .fault_plan(FaultPlan::off().slow_worker(1, 2.0))
             .plan()
             .unwrap_err();
         assert!(

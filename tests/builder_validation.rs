@@ -5,7 +5,7 @@
 use calu::matrix::{gen, Layout};
 use calu::sched::SchedulerKind;
 use calu::sim::{MachineConfig, NoiseConfig};
-use calu::{Error, MatrixSource, SimulatedBackend, Solver, ThreadedBackend};
+use calu::{Algorithm, Error, MatrixSource, SimulatedBackend, Solver, ThreadedBackend};
 
 fn config_message(err: Error) -> String {
     match err {
@@ -130,6 +130,36 @@ fn unsupported_combinations_point_at_alternatives() {
             assert!(what.contains("SimulatedBackend"), "got: {what}");
         }
         other => panic!("expected Error::Unsupported, got {other:?}"),
+    }
+    // one engine-route rule behind `run`, `batch` and `serve`: the
+    // Cilk-deque baseline is refused on all three …
+    let stealing = || {
+        Solver::new(gen::uniform(32, 32, 1))
+            .tile(8)
+            .scheduler(SchedulerKind::WorkStealing { seed: 1 })
+    };
+    fn unsupported<T>(res: Result<T, Error>, who: &str, hint: &str) {
+        match res {
+            Err(Error::Unsupported { backend, what }) => {
+                assert_eq!(backend, who);
+                assert!(what.contains(hint), "{who}: got {what}");
+            }
+            Err(other) => panic!("{who}: expected Error::Unsupported, got {other:?}"),
+            Ok(_) => panic!("{who}: expected Error::Unsupported, got a success"),
+        }
+    }
+    let items = [MatrixSource::uniform(32, 2), MatrixSource::uniform(24, 3)];
+    unsupported(stealing().run(), "threaded", "SimulatedBackend");
+    unsupported(stealing().batch(&items), "threaded", "SimulatedBackend");
+    unsupported(stealing().serve(), "serve", "SimulatedBackend");
+    // … and the sequential reference drivers have no pool to serve on
+    for algorithm in [Algorithm::Gepp, Algorithm::IncPiv] {
+        let solver = Solver::new(gen::uniform(32, 32, 1))
+            .tile(8)
+            .algorithm(algorithm);
+        unsupported(solver.serve(), "serve", "Solver::run");
+        assert!(solver.run().is_ok(), "{algorithm} runs solo");
+        assert_eq!(solver.batch(&items).unwrap().len(), 2, "{algorithm}");
     }
 }
 
