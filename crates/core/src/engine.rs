@@ -801,7 +801,7 @@ impl<'a> Engine<'a> {
         if self.armed {
             match w.clock.before_task() {
                 FaultAction::None => {}
-                FaultAction::Stall(d) => self.stall(d, w.me, run),
+                FaultAction::Stall(d) => self.stall(d, w, run),
                 FaultAction::Lose => return false,
                 FaultAction::Panic => w.panic_pending = true,
             }
@@ -809,16 +809,24 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Sleep through a fault-plan stall on worker `me`; when it hit in
-    /// the middle of `run`'s DAG, it is booked in that run as noise (a
-    /// schedule runs from the first DAG task to the last, so a stall
-    /// among the conversion tasks has no place in it).
-    fn stall(&self, d: Duration, me: usize, run: Option<&Run<'a>>) {
+    /// Sleep through a fault-plan stall on worker `w`, less what its
+    /// earlier sleeps in `run` overshot (`FaultClock::serve_stall`);
+    /// when it hit in the middle of `run`'s DAG, it is booked in that
+    /// run as noise (a schedule runs from the first DAG task to the
+    /// last, so a stall among the conversion tasks has no place in it).
+    fn stall(&self, d: Duration, w: &mut Worker, run: Option<&Run<'a>>) {
         let start = self.now();
-        std::thread::sleep(d);
+        let slept = w.clock.serve_stall(run.map(|r| r.seq), d, |due| {
+            let t = Instant::now();
+            std::thread::sleep(due);
+            t.elapsed()
+        });
+        if slept.is_zero() {
+            return;
+        }
         let end = self.now();
         if let Some(run) = run.filter(|r| r.item.factoring()) {
-            let slot = run.slot(me);
+            let slot = run.slot(w.me);
             run.log(slot).book(TaskSpan {
                 core: slot,
                 start,
@@ -1018,7 +1026,7 @@ impl<'a> Engine<'a> {
             let each = Duration::from_secs_f64(share);
             let owed: Duration = (0..members).filter_map(|_| w.clock.after_task(each)).sum();
             if !owed.is_zero() {
-                self.stall(owed, w.me, Some(run));
+                self.stall(owed, w, Some(run));
             }
         }
     }
@@ -1669,27 +1677,41 @@ mod tests {
     #[test]
     fn miri_two_thread_batch() {
         // the engine's shared tiles under two real threads, small enough
-        // for the interpreter: a co-operative 48² item (cutoff 32) and a
-        // co-scheduled 32² item in one sweep, each equal to its solo
-        // run's bits
+        // for the interpreter: a co-operative 48² item (cutoff 32), a
+        // co-scheduled 32² item and a co-operative 80² Cholesky item at
+        // group 3 (its off-diagonal updates stack in BCL, so one A·Bᵀ
+        // GEMM runs over stacked tile pointers) in one sweep, each equal
+        // to its solo run's bits
         let cfg = CaluConfig::new(16)
             .with_threads(2)
             .with_dratio(0.5)
             .with_batch_small_cutoff(32);
-        let mats = [gen::uniform(48, 48, 5), gen::uniform(32, 32, 6)];
-        let items: Vec<_> = mats
-            .iter()
-            .map(|a| BatchItem::lu(Source::Dense(a)))
-            .collect();
-        let out = factor_batch(&items, &cfg).unwrap();
+        assert_eq!(cfg.effective_group(), 3);
+        let mats = [
+            gen::uniform(48, 48, 5),
+            gen::uniform(32, 32, 6),
+            gen::spd_uniform(80, 7),
+        ];
+        fn job(a: &DenseMatrix) -> BatchItem<'_> {
+            match a.rows() {
+                80 => BatchItem::cholesky(Source::Dense(a)).traced(true),
+                _ => BatchItem::lu(Source::Dense(a)),
+            }
+        }
+        let out = factor_batch(&mats.iter().map(job).collect::<Vec<_>>(), &cfg).unwrap();
         for (a, item) in mats.iter().zip(&out.items) {
-            let solo = factor_one(BatchItem::lu(Source::Dense(a)), &cfg).unwrap();
+            let solo = factor_one(job(a), &cfg).unwrap();
             let ctx = format!("{}²", a.rows());
             assert_eq!(item.co_scheduled, a.rows() <= 32, "{ctx}");
             let (f, s) = (&item.factorization, &solo.factorization);
             assert_eq!(f.lu.as_slice(), s.lu.as_slice(), "{ctx}");
             assert_eq!(f.perm.pivots(), s.perm.pivots(), "{ctx}");
         }
+        // one worker pops in one fixed order, so there the group is sure
+        let one = factor_one(job(&mats[2]), &cfg.clone().with_threads(1)).unwrap();
+        assert!(group_members(&one.timeline) > 0, "no Cholesky group ran");
+        let (f, s) = (&out.items[2].factorization, &one.factorization);
+        assert_eq!(f.lu.as_slice(), s.lu.as_slice(), "one worker");
     }
 
     /// Spans that start exactly where the same core's previous span

@@ -12,7 +12,9 @@
 //!
 //! * [`FaultKind::Slow`] — a persistent duty-cycle slowdown: after every
 //!   task the worker stalls for `(factor − 1) ×` the task's duration
-//!   (±25 % seeded jitter), mirroring the sim's noise model. The
+//!   (±25 % seeded jitter), mirroring the sim's noise model; what a
+//!   sleep overshoots is taken off the next stall, so a run's stalls
+//!   sum to what was owed. The
 //!   executor treats a slow-flagged worker as *degraded* and routes its
 //!   block-cyclic static tasks to the dynamic section instead, where the
 //!   healthy workers load-balance them.
@@ -227,6 +229,10 @@ pub(crate) struct FaultClock {
     fired: bool,
     /// Jitter stream for `Slow` stalls (seeded from the plan).
     rng: Rng,
+    /// How much earlier sleeps overshot their stalls (timer slack),
+    /// not yet taken off a later one, and the run it was earned in.
+    credit: Duration,
+    credit_run: Option<u64>,
 }
 
 impl FaultClock {
@@ -238,6 +244,8 @@ impl FaultClock {
             tasks: 0,
             fired: false,
             rng: Rng::seed_from_u64(plan.seed.wrapping_add(worker as u64)),
+            credit: Duration::ZERO,
+            credit_run: None,
         }
     }
 
@@ -285,6 +293,32 @@ impl FaultClock {
             }
             _ => None,
         }
+    }
+
+    /// Serve a stall of `owed` in run `run` through `sleep`, which
+    /// sleeps at least what it is asked and returns how long it took.
+    /// A sleep's overshoot (Linux timer slack adds ~50 µs to each) is
+    /// credit taken off this worker's next stall in the same run, so a
+    /// run's stalls add up to what was owed, not to what the timer
+    /// gave; a stall in another run starts without credit, so it always
+    /// sleeps. Returns the time slept: zero when credit covered it all.
+    pub(crate) fn serve_stall(
+        &mut self,
+        run: Option<u64>,
+        owed: Duration,
+        sleep: impl FnOnce(Duration) -> Duration,
+    ) -> Duration {
+        if self.credit_run != run {
+            (self.credit, self.credit_run) = (Duration::ZERO, run);
+        }
+        let due = owed.saturating_sub(self.credit);
+        self.credit = self.credit.saturating_sub(owed);
+        if due.is_zero() {
+            return Duration::ZERO;
+        }
+        let slept = sleep(due);
+        self.credit += slept.saturating_sub(due);
+        slept
     }
 }
 
@@ -396,6 +430,40 @@ mod tests {
         let mut c2 = FaultClock::new(&other, 0);
         c2.after_task(Duration::from_millis(10));
         assert!(FaultClock::new(&other, 0).is_slow());
+    }
+
+    #[test]
+    fn stall_overshoot_is_credited_within_a_run() {
+        // a sleeper that always overshoots by a fixed 56 µs, serving
+        // 30 µs stalls: alone they would take 86 µs each
+        let (owed, over) = (Duration::from_micros(30), Duration::from_micros(56));
+        let sleeper = |due: Duration| due + over;
+        let mut c = FaultClock::new(&FaultPlan::off().slow_worker(0, 2.0), 0);
+        assert_eq!(c.serve_stall(Some(1), owed, sleeper), owed + over);
+        // the next stall is paid from the credit, the one after mostly
+        assert_eq!(c.serve_stall(Some(1), owed, sleeper), Duration::ZERO);
+        let third = c.serve_stall(Some(1), owed, sleeper);
+        assert_eq!(third, Duration::from_micros(4) + over);
+        // over a run the slept total is the owed total, plus at most
+        // the last sleep's overshoot
+        let slept: Duration = (3..100)
+            .map(|_| c.serve_stall(Some(1), owed, sleeper))
+            .sum::<Duration>()
+            + owed
+            + over
+            + third;
+        assert!(
+            slept >= owed * 100 && slept <= owed * 100 + over,
+            "{slept:?}"
+        );
+        // a new run starts without credit: its first stall sleeps
+        assert_eq!(c.serve_stall(Some(2), owed, sleeper), owed + over);
+        assert_eq!(c.serve_stall(None, owed, sleeper), owed + over);
+        // a sleeper that is exact never earns credit
+        let mut e = FaultClock::new(&FaultPlan::off(), 0);
+        for _ in 0..10 {
+            assert_eq!(e.serve_stall(Some(1), owed, |d| d), owed);
+        }
     }
 
     #[test]

@@ -6,40 +6,54 @@
 //! are permuted into the diagonal positions").
 
 use calu_matrix::RowPerm;
-use std::collections::HashMap;
 
 /// Build the swap sequence that brings `selected[t]` (global row ids, all
 /// `>= base`) to row `base + t`, for `t = 0..selected.len()`, emulating
 /// the swaps being applied in order.
 ///
+/// Only the `w = selected.len()` rows and positions of the window
+/// `base..base + w` ever hold a displaced row (a swap's source takes the
+/// occupant of a target, and every target is in the window), so two
+/// window-sized tables track who sits where; a row below the window sits
+/// at its own index until it is selected.
+///
 /// Panics if a selected row is out of range or repeated.
 pub fn swaps_for_selection(base: usize, selected: &[usize]) -> RowPerm {
-    // current position of any row that has been displaced
-    let mut pos_of: HashMap<usize, usize> = HashMap::new();
-    // which row currently sits at a position (only tracked once touched)
-    let mut row_at: HashMap<usize, usize> = HashMap::new();
+    let w = selected.len();
+    // the occupant of window position base + p, and the position of
+    // window row base + r
+    let mut row_at: Vec<usize> = (base..base + w).collect();
+    let mut pos_of = row_at.clone();
+    let in_window = |x: usize| (x < base + w).then(|| x - base);
 
-    let mut piv = Vec::with_capacity(selected.len());
+    let mut piv = Vec::with_capacity(w);
     for (t, &row) in selected.iter().enumerate() {
         assert!(
             row >= base,
             "selected row {row} above the panel base {base}"
         );
         let target = base + t;
-        let src = *pos_of.get(&row).unwrap_or(&row);
+        let src = match in_window(row) {
+            Some(r) => pos_of[r],
+            // a row below the window moves only when it is selected
+            None => {
+                assert!(!selected[..t].contains(&row), "row {row} selected twice");
+                row
+            }
+        };
         assert!(src >= target, "row {row} selected twice");
         piv.push(src);
-        if src != target {
-            let displaced = *row_at.get(&target).unwrap_or(&target);
-            // swap occupants of `target` and `src`
-            row_at.insert(target, row);
-            row_at.insert(src, displaced);
-            pos_of.insert(row, target);
-            pos_of.insert(displaced, src);
-        } else {
-            row_at.insert(target, row);
-            pos_of.insert(row, target);
+        // swap the occupants of `target` and `src`; the one displaced
+        // from a not yet filled target is always a window row
+        let displaced = row_at[t];
+        row_at[t] = row;
+        if let Some(s) = in_window(src) {
+            row_at[s] = displaced;
         }
+        if let Some(r) = in_window(row) {
+            pos_of[r] = target;
+        }
+        pos_of[displaced - base] = src;
     }
     RowPerm::from_pivots(base, piv)
 }
@@ -102,6 +116,61 @@ mod tests {
     #[should_panic(expected = "selected twice")]
     fn rejects_duplicates() {
         swaps_for_selection(0, &[2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "selected twice")]
+    fn rejects_duplicates_below_the_window() {
+        swaps_for_selection(4, &[9, 4, 9]);
+    }
+
+    /// The map-based construction the tables replaced: the oracle.
+    fn swaps_by_maps(base: usize, selected: &[usize]) -> Vec<usize> {
+        use std::collections::HashMap;
+        let mut pos_of: HashMap<usize, usize> = HashMap::new();
+        let mut row_at: HashMap<usize, usize> = HashMap::new();
+        let mut piv = Vec::with_capacity(selected.len());
+        for (t, &row) in selected.iter().enumerate() {
+            let target = base + t;
+            let src = *pos_of.get(&row).unwrap_or(&row);
+            piv.push(src);
+            let displaced = *row_at.get(&target).unwrap_or(&target);
+            row_at.insert(target, row);
+            row_at.insert(src, displaced);
+            pos_of.insert(row, target);
+            pos_of.insert(displaced, src);
+        }
+        piv
+    }
+
+    #[test]
+    fn tables_match_the_map_oracle_over_seeded_selections() {
+        let mut rng = calu_rand::Rng::seed_from_u64(2024);
+        for w in [16usize, 32, 100] {
+            for base in [0usize, 1, 37, 640] {
+                // draw from the window's neighbourhood (dense: chains of
+                // displaced rows) and from a tall panel (sparse)
+                for span in [w, w + 3, 2 * w, 40 * w] {
+                    for _ in 0..8 {
+                        let mut rows: Vec<usize> = (base..base + span).collect();
+                        for t in 0..w {
+                            let x = rng.gen_range(t..span);
+                            rows.swap(t, x);
+                        }
+                        let sel = &rows[..w];
+                        let ctx = format!("w={w} base={base} span={span} {sel:?}");
+                        let got = swaps_for_selection(base, sel);
+                        assert_eq!(got.pivots(), swaps_by_maps(base, sel), "{ctx}");
+                        check(base, sel, base + span);
+                    }
+                }
+                // the window reversed: every swap displaces a row that a
+                // later one selects again from its new place
+                let rev: Vec<usize> = (base..base + w).rev().collect();
+                let got = swaps_for_selection(base, &rev);
+                assert_eq!(got.pivots(), swaps_by_maps(base, &rev), "w={w} base={base}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Thin mutex wrapper with an infallible `lock()`, plus the thread
-//! affinity shim for topology-aware worker pinning.
+//! affinity shim for topology-aware worker pinning and the huge-page
+//! hint for large tile buffers.
 //!
 //! The executor held its queues in `parking_lot::Mutex`; in hermetic
 //! builds the workspace is dependency-free, so this wraps
@@ -9,7 +10,7 @@
 //! hermeticity rules out the `libc`/`core_affinity` crates, so
 //! `pin_current_thread` declares the one C symbol it needs
 //! (`sched_setaffinity`, provided by the libc Rust's std already links
-//! on Linux) directly.
+//! on Linux) directly, and `advise_huge_pages` likewise (`madvise`).
 
 use std::sync::MutexGuard;
 
@@ -39,6 +40,42 @@ pub(crate) fn pin_current_thread(cpu: usize) -> bool {
 /// pinning silently degrades to "not pinned".
 #[cfg(not(target_os = "linux"))]
 pub(crate) fn pin_current_thread(_cpu: usize) -> bool {
+    false
+}
+
+/// Ask the kernel to back `buf` with transparent huge pages
+/// (`madvise(MADV_HUGEPAGE)` on the whole 4 KiB pages inside it), so
+/// the first touch of a large buffer maps 2 MiB at a fault instead of
+/// 4 KiB. Best effort: returns `true` iff the call succeeded; an empty
+/// or sub-page slice, a kernel without THP, another page size, a
+/// non-Linux target or Miri all leave the buffer as it was and return
+/// `false`. The hint never changes the buffer's contents.
+#[cfg(all(target_os = "linux", not(miri)))]
+pub(crate) fn advise_huge_pages(buf: &mut [f64]) -> bool {
+    // glibc/musl signature: madvise(void*, size_t, int); Linux's
+    // MADV_HUGEPAGE is 14 on every architecture.
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    const PAGE: usize = 4096;
+    let start = buf.as_mut_ptr() as usize;
+    let (lo, hi) = (
+        start.next_multiple_of(PAGE),
+        (start + size_of_val(buf)) / PAGE * PAGE,
+    );
+    if lo >= hi {
+        return false;
+    }
+    // SAFETY: [lo, hi) lies inside `buf`, which the caller holds
+    // exclusively; MADV_HUGEPAGE only changes how the kernel backs
+    // those pages, never what they hold.
+    unsafe { madvise(lo as *mut std::ffi::c_void, hi - lo, MADV_HUGEPAGE) == 0 }
+}
+
+/// Stub where the hint is not available: the buffer keeps its pages.
+#[cfg(not(all(target_os = "linux", not(miri))))]
+pub(crate) fn advise_huge_pages(_buf: &mut [f64]) -> bool {
     false
 }
 
@@ -87,5 +124,20 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(pinned.1, 42);
+    }
+
+    #[test]
+    fn the_huge_page_hint_keeps_contents_and_never_panics() {
+        // empty, sub-page and unaligned slices are refused quietly
+        assert!(!advise_huge_pages(&mut []));
+        let mut small = [1.5; 8];
+        assert!(!advise_huge_pages(&mut small));
+        assert_eq!(small, [1.5; 8]);
+        // a buffer over 4 MiB, whole and from an odd element on: the
+        // kernel may take or refuse the hint, the values stay
+        let mut big: Vec<f64> = (0..(5 << 17) + 3).map(|x| x as f64).collect();
+        let _ = advise_huge_pages(&mut big);
+        let _ = advise_huge_pages(&mut big[1..]);
+        assert!(big.iter().enumerate().all(|(x, &v)| v == x as f64));
     }
 }

@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
-use calu_matrix::{DenseMatrix, Layout, ProcessGrid, RowPerm, TiledMatrix};
+use calu_matrix::{DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, TiledMatrix};
 use calu_sched::{priority, CpuTopology, OwnerMap, Padded};
 
 use crate::config::CaluConfig;
@@ -47,7 +47,7 @@ use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::pivot::swaps_for_selection;
 use crate::shared::{SharedTiles, TilePtr};
-use crate::sync::Mutex;
+use crate::sync::{advise_huge_pages, Mutex};
 use crate::tslu::{Candidate, TreePlan};
 
 struct PanelState {
@@ -123,6 +123,11 @@ impl KernelSet {
 
 const NOT_SINGULAR: usize = usize::MAX;
 
+/// Tile buffers at least this large are backed by transparent huge
+/// pages, asked for before their FILL tasks first touch them: a run
+/// then takes one fault per 2 MiB instead of per 4 KiB.
+const HUGE_PAGE_MIN_BYTES: usize = 4 << 20;
+
 /// What one of a run's task ids names. The DAG's tasks come first; the
 /// *conversion tasks* are numbered after them: one FILL per fill chunk,
 /// then one DENSIFY per tile column.
@@ -174,7 +179,8 @@ pub(crate) struct ItemState<'a> {
 impl<'a> ItemState<'a> {
     /// Build the execution state for factoring `input` in zeroed tiles
     /// of the graph's shape, laid out in `layout` on `grid` (allocated
-    /// here, first touched by whoever fills them): `nstatic` is the
+    /// here, huge-page backed when large, first touched by whoever
+    /// fills them): `nstatic` is the
     /// number of leading tile columns scheduled statically (the `dratio`
     /// split already resolved against this item's panel count).
     pub(crate) fn new(
@@ -186,7 +192,10 @@ impl<'a> ItemState<'a> {
     ) -> Self {
         let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
-        let tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid);
+        let mut tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid);
+        if size_of_val(tiles.buffer()) >= HUGE_PAGE_MIN_BYTES {
+            advise_huge_pages(tiles.buffer_mut());
+        }
         Self {
             tiles: SharedTiles::new(tiles),
             deps: g.ids().map(|t| AtomicU32::new(g.dep_count(t))).collect(),
@@ -363,8 +372,10 @@ impl<'a> ItemState<'a> {
     /// panel and column, and both `next`'s C tile and its L tile start
     /// exactly where `last`'s end, on the same leading dimension. The
     /// BCL layout stores a thread's tiles of one column that way; 2l-BL
-    /// (every tile its own block) never does. Never for a conversion
-    /// task.
+    /// (every tile its own block) never does. A Cholesky diagonal
+    /// update is a SYRK on its own lower triangle, so it neither starts
+    /// nor joins a group; the off-diagonal `A·Bᵀ` updates below it do.
+    /// Never for a conversion task.
     pub(crate) fn stacks_under(&self, last: u32, next: u32) -> bool {
         let (Some((k, i, j)), Some((k2, i2, j2))) = (self.update_of(last), self.update_of(next))
         else {
@@ -374,7 +385,8 @@ impl<'a> ItemState<'a> {
             let (a, b) = (self.tiles.loc(i, tj), self.tiles.loc(i2, tj));
             b.offset == a.offset + a.rows && b.ld == a.ld
         };
-        self.kernels == KernelSet::CaluLu && (k, j) == (k2, j2) && below(j) && below(k)
+        let not_syrk = self.kernels == KernelSet::CaluLu || (i != j && i2 != j2);
+        not_syrk && (k, j) == (k2, j2) && below(j) && below(k)
     }
 
     /// The input, for as long as the run keeps it. (No writer can
@@ -644,13 +656,23 @@ impl ItemState<'_> {
         }
     }
 
-    /// Cholesky trailing update: `A_ij ← A_ij − L_ik·L_jkᵀ` (`j ≤ i`,
-    /// lower triangle only). Diagonal tiles (`i == j`) use the
-    /// lower-triangle SYRK so their strictly-upper part is never touched;
-    /// off-diagonal tiles are a full `A·Bᵀ` GEMM.
-    fn run_cholesky_update(&self, k: usize, i: usize, j: usize, scratch: &mut GemmScratch) {
-        // SAFETY: reads L(i,k), L(j,k) (ordered by deps), writes (i,j)
-        // exclusively.
+    /// Cholesky trailing updates `A_ij ← A_ij − L_ik·L_jkᵀ` for
+    /// `i..=i_last` (`j ≤ i`, lower triangle only; `i_last == i`: one
+    /// task). A diagonal tile (`i == j`, always alone) uses the
+    /// lower-triangle SYRK so its strictly-upper part is never touched;
+    /// off-diagonal tiles are one full `A·Bᵀ` GEMM over the group's
+    /// stacked rows, packing the shared `L_jk` once.
+    fn run_cholesky_update(
+        &self,
+        k: usize,
+        i: usize,
+        i_last: usize,
+        j: usize,
+        scratch: &mut GemmScratch,
+    ) {
+        // SAFETY: reads L(·,k), L(j,k) (ordered by deps), writes (·,j)
+        // exclusively, for every member; `stacks_under` chained the
+        // members' C and L tiles end to start, as in `run_update`.
         unsafe {
             let li = self.tiles.tile_ptr(i, k);
             let c = self.tiles.tile_ptr(i, j);
@@ -660,8 +682,10 @@ impl ItemState<'_> {
                 );
             } else {
                 let lj = self.tiles.tile_ptr(j, k);
+                let last = self.tiles.tile_ptr(i_last, j);
+                let rows = last.ptr.offset_from(c.ptr) as usize + last.rows;
                 gemm::dgemm_nt_raw_packed(
-                    c.rows, c.cols, li.cols, -1.0, li.ptr, li.ld, lj.ptr, lj.ld, 1.0, c.ptr, c.ld,
+                    rows, c.cols, li.cols, -1.0, li.ptr, li.ld, lj.ptr, lj.ld, 1.0, c.ptr, c.ld,
                     scratch,
                 );
             }
@@ -713,7 +737,7 @@ impl ItemState<'_> {
                 self.run_cholesky_l(k as usize, i as usize, scratch)
             }
             (KernelSet::Cholesky, TaskKind::Update { k, i, j }) => {
-                self.run_cholesky_update(k as usize, i as usize, j as usize, scratch)
+                self.run_cholesky_update(k as usize, i as usize, i as usize, j as usize, scratch)
             }
             (KernelSet::Cholesky, kind) => {
                 unreachable!("tiled Cholesky graphs never emit {kind:?}")
@@ -722,7 +746,8 @@ impl ItemState<'_> {
     }
 
     /// Run what one pop claimed: a single task, or a group of S tasks
-    /// chained by [`stacks_under`](Self::stacks_under) as one GEMM.
+    /// chained by [`stacks_under`](Self::stacks_under) as one GEMM (an
+    /// `A·Bᵀ` one under Cholesky).
     pub(crate) fn execute_group(
         &self,
         group: &[u32],
@@ -738,7 +763,10 @@ impl ItemState<'_> {
                 else {
                     unreachable!("only S tasks stack");
                 };
-                self.run_update(k, i, i_last, j, scratch)
+                match self.kernels {
+                    KernelSet::CaluLu => self.run_update(k, i, i_last, j, scratch),
+                    KernelSet::Cholesky => self.run_cholesky_update(k, i, i_last, j, scratch),
+                }
             }
         }
     }
@@ -1043,16 +1071,37 @@ mod tests {
                 "2l-BL row {i}"
             );
         }
-        // Cholesky updates are SYRK / A·Bᵀ: not this kernel's to stack
-        let gc = Arc::new(TaskGraph::build_cholesky(64, b));
-        let sc = |k, i, j| {
-            gc.ids()
-                .find(|&t| gc.kind(t) == TaskKind::Update { k, i, j })
+        // Cholesky: the off-diagonal A·Bᵀ updates stack by the same
+        // rule; the diagonal SYRK never starts or joins a group
+        let gc = Arc::new(TaskGraph::build_cholesky(n, b));
+        let c = |k, i, j| {
+            let kind = TaskKind::Update { k, i, j };
+            gc.ids().find(|&t| gc.kind(t) == kind).unwrap().0
         };
-        let spd = Cow::Owned(DenseMatrix::zeros(64, 64));
-        let chol = ItemState::new(Layout::BlockCyclic, gc.clone(), grid, 8, spd);
-        let (t1, t2) = (sc(0, 3, 1).unwrap().0, sc(0, 5, 1).unwrap().0);
-        assert!(!chol.stacks_under(t1, t2));
+        let spd = || Cow::Owned(DenseMatrix::zeros(n, n));
+        let chol = ItemState::new(Layout::BlockCyclic, gc.clone(), grid, 8, spd());
+        assert!(chol.stacks_under(c(0, 3, 1), c(0, 5, 1)), "next owned row");
+        assert!(chol.stacks_under(c(0, 5, 2), c(0, 7, 2)), "ragged last");
+        for (d, o) in [(c(0, 1, 1), c(0, 3, 1)), (c(0, 2, 2), c(0, 4, 2))] {
+            assert!(!chol.stacks_under(d, o), "the diagonal as last");
+            assert!(!chol.stacks_under(o, d), "the diagonal as next");
+        }
+        assert!(
+            !chol.stacks_under(c(0, 3, 1), c(0, 4, 1)),
+            "another owner's"
+        );
+        assert!(!chol.stacks_under(c(0, 3, 1), c(0, 5, 3)), "another column");
+        assert!(!chol.stacks_under(c(0, 4, 2), c(1, 6, 2)), "another panel");
+        let l = gc
+            .ids()
+            .find(|&t| gc.kind(t) == TaskKind::ComputeL { k: 0, i: 5 });
+        assert!(!chol.stacks_under(c(0, 3, 1), l.unwrap().0));
+        // CM stacks every row of a column, the diagonal still alone
+        let cm = ItemState::new(Layout::ColumnMajor, gc.clone(), grid, 8, spd());
+        assert!(cm.stacks_under(c(0, 2, 1), c(0, 3, 1)), "CM next row");
+        assert!(!cm.stacks_under(c(0, 1, 1), c(0, 2, 1)), "CM diagonal");
+        let tlb = ItemState::new(Layout::TwoLevelBlock, gc.clone(), grid, 8, spd());
+        assert!(!tlb.stacks_under(c(0, 3, 1), c(0, 5, 1)), "2l-BL");
     }
 
     #[test]

@@ -899,6 +899,12 @@ impl<R: Send + 'static> FactorService<R> {
                     .into(),
             ));
         }
+        if let Some(lane) = svc.class_quota.iter().position(|&q| q == 0) {
+            return Err(CaluError::InvalidConfig(format!(
+                "ServiceConfig::class_quota[{lane}] is 0, so every submit of that \
+                 class would be refused as busy; admit at least one pending job"
+            )));
+        }
         // open the journal (compacting it to its incomplete tail) before
         // anything can be admitted; replay happens below, after the
         // watchdog is live, so replayed deadlines are enforced too
@@ -1769,6 +1775,33 @@ mod tests {
             res.err()
         );
         assert!(!path.exists(), "the journal was opened");
+    }
+
+    #[test]
+    fn a_zero_class_quota_is_refused_before_the_journal_opens() {
+        let path = std::env::temp_dir().join(format!(
+            "calu-serve-zero-quota-{}.journal",
+            std::process::id()
+        ));
+        for lane in 0..3 {
+            let mut class_quota = svc().class_quota;
+            class_quota[lane] = 0;
+            let res = FactorService::new(
+                &cfg(),
+                ServiceConfig {
+                    class_quota,
+                    journal: Some(JournalConfig::new(&path)),
+                    ..svc()
+                },
+            );
+            let want = format!("class_quota[{lane}]");
+            assert!(
+                matches!(res, Err(CaluError::InvalidConfig(ref m)) if m.contains(&want)),
+                "{:?}",
+                res.err()
+            );
+            assert!(!path.exists(), "the journal was opened");
+        }
     }
 
     #[test]

@@ -98,6 +98,33 @@ pub struct NetConfig {
     pub max_tracked_jobs: usize,
 }
 
+impl NetConfig {
+    /// Refuse a config the front door cannot honour, with
+    /// [`io::ErrorKind::InvalidInput`] naming the knob:
+    /// `max_connections`, `accept_backlog` or `max_line_bytes` at 0
+    /// could serve no request, and a socket refuses a zero
+    /// `read_timeout` or `write_timeout`, which would leave it with no
+    /// timeout at all.
+    pub fn validate(&self) -> io::Result<()> {
+        let zero = [
+            ("max_connections", self.max_connections == 0),
+            ("accept_backlog", self.accept_backlog == 0),
+            ("max_line_bytes", self.max_line_bytes == 0),
+            ("read_timeout", self.read_timeout.is_zero()),
+            ("write_timeout", self.write_timeout.is_zero()),
+        ]
+        .into_iter()
+        .find(|&(_, zero)| zero);
+        match zero {
+            Some((knob, _)) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("NetConfig::{knob} is 0; it must be positive"),
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
@@ -151,28 +178,14 @@ impl<R: Send + 'static> ServeListener<R> {
     /// Bind `addr` and start serving `service` (shared: the owner may
     /// keep submitting in-process, reconfigure it, or watch its
     /// events). Spawns `cfg.max_connections` handler threads plus one
-    /// acceptor. A config with `max_connections`, `accept_backlog` or
-    /// `max_line_bytes` at 0 could serve no request, and is refused
-    /// with [`io::ErrorKind::InvalidInput`] before anything is bound.
+    /// acceptor. A config [`NetConfig::validate`] refuses is refused
+    /// here before anything is bound.
     pub fn bind(
         service: Arc<FactorService<R>>,
         addr: impl ToSocketAddrs,
         cfg: NetConfig,
     ) -> io::Result<Self> {
-        // each of these at 0 leaves a front door that can serve nothing
-        let zero = [
-            ("max_connections", cfg.max_connections),
-            ("accept_backlog", cfg.accept_backlog),
-            ("max_line_bytes", cfg.max_line_bytes),
-        ]
-        .into_iter()
-        .find(|&(_, v)| v == 0);
-        if let Some((knob, _)) = zero {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("NetConfig::{knob} is 0; it must be at least 1"),
-            ));
-        }
+        cfg.validate()?;
         let listener = TcpListener::bind(addr)?;
         // nonblocking accept so shutdown is prompt without self-connect
         // tricks; the acceptor sleeps between empty polls
@@ -510,6 +523,12 @@ mod tests {
     #[test]
     fn zero_max_line_bytes_is_refused_at_bind() {
         refused_at_bind("max_line_bytes", |n| n.max_line_bytes = 0);
+    }
+
+    #[test]
+    fn zero_timeouts_are_refused_at_bind() {
+        refused_at_bind("read_timeout", |n| n.read_timeout = Duration::ZERO);
+        refused_at_bind("write_timeout", |n| n.write_timeout = Duration::ZERO);
     }
 
     #[test]

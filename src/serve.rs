@@ -142,16 +142,20 @@ impl Solver {
     }
 
     /// [`listen`](Self::listen) with explicit admission
-    /// ([`ServiceConfig`]) and connection ([`NetConfig`]) knobs.
+    /// ([`ServiceConfig`]) and connection ([`NetConfig`]) knobs. A
+    /// `NetConfig` that [`NetConfig::validate`] refuses is refused
+    /// before the service starts.
     pub fn listen_with(
         &self,
         addr: impl std::net::ToSocketAddrs,
         svc: ServiceConfig,
         net: NetConfig,
     ) -> Result<ServeListener<Report>, Error> {
+        let refused = |e| Error::Config(format!("cannot bind the service front door: {e}"));
+        // before the service starts a pool and opens its journal
+        net.validate().map_err(refused)?;
         let service = std::sync::Arc::new(self.serve_with(svc)?);
-        ServeListener::bind(service, addr, net)
-            .map_err(|e| Error::Config(format!("cannot bind the service front door: {e}")))
+        ServeListener::bind(service, addr, net).map_err(refused)
     }
 
     /// Live-reconfigure a running service to *this* builder's knobs:

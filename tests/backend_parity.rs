@@ -524,7 +524,10 @@ fn threaded_cholesky_is_bitwise_stable_and_matches_the_dpotrf_reference() {
     // carry an identity permutation and no growth factor, pass the
     // relative residual gate, and agree with the sequential dpotrf
     // reference to roundoff (different tilings sum in different orders,
-    // so the reference comparison is elementwise, not bitwise).
+    // so the reference comparison is elementwise, not bitwise). Every
+    // layout and group width keeps the `group = 1` bits too, solo or as
+    // a co-scheduled batch item: a group is one A·Bᵀ GEMM over stacked
+    // tiles, and each element still sums its products in one order.
     for (n, b, seed) in [(64usize, 16usize, 41u64), (96, 16, 42), (100, 24, 43)] {
         let mut reference = gen::spd_uniform(n, seed);
         let ld = reference.ld();
@@ -532,18 +535,25 @@ fn threaded_cholesky_is_bitwise_stable_and_matches_the_dpotrf_reference() {
             calu::kernels::dpotrf_unblocked(n, reference.as_mut_slice(), ld).is_none(),
             "spd_uniform must be numerically SPD, n={n}"
         );
-        let run = |queue: QueueDiscipline, threads: usize| {
-            Solver::new(MatrixSource::spd_uniform(n, seed))
+        // `group` 3 is the default, which only BCL honours: the other
+        // layouts refuse an explicit 3 and run 1 under the default
+        let solver = |queue: QueueDiscipline, threads: usize, layout: Layout, group: usize| {
+            let s = Solver::new(MatrixSource::spd_uniform(n, seed))
                 .algorithm(Algorithm::Cholesky)
                 .tile(b)
                 .threads(threads)
                 .dratio(0.5)
                 .queue_discipline(queue)
-                .backend(ThreadedBackend)
-                .run()
-                .unwrap()
+                .layout(layout)
+                .backend(ThreadedBackend);
+            match group {
+                1 => s.grouping(1),
+                _ => s,
+            }
         };
-        let base = run(QueueDiscipline::Global, 4);
+        let run =
+            |queue, threads, layout, group| solver(queue, threads, layout, group).run().unwrap();
+        let base = run(QueueDiscipline::Global, 4, Layout::BlockCyclic, 1);
         let fb = base.factorization.as_ref().unwrap();
         let ctx = format!("n={n} b={b} seed={seed}");
         assert_eq!(base.algorithm, Algorithm::Cholesky, "{ctx}");
@@ -568,7 +578,7 @@ fn threaded_cholesky_is_bitwise_stable_and_matches_the_dpotrf_reference() {
         }
         for queue in [QueueDiscipline::sharded(), QueueDiscipline::lock_free()] {
             for threads in [1usize, 2, 4] {
-                let r = run(queue, threads);
+                let r = run(queue, threads, Layout::BlockCyclic, 1);
                 let f = r.factorization.as_ref().unwrap();
                 assert_eq!(
                     fb.lu.as_slice(),
@@ -582,6 +592,28 @@ fn threaded_cholesky_is_bitwise_stable_and_matches_the_dpotrf_reference() {
                 );
             }
         }
+        let layouts = [
+            Layout::ColumnMajor,
+            Layout::BlockCyclic,
+            Layout::TwoLevelBlock,
+        ];
+        for layout in layouts {
+            for group in [1usize, 3] {
+                for threads in [2usize, 4] {
+                    let r = run(QueueDiscipline::lock_free(), threads, layout, group);
+                    let f = r.factorization.as_ref().unwrap();
+                    let knobs = format!("{layout:?} group={group} × {threads} threads");
+                    assert_eq!(fb.lu.as_slice(), f.lu.as_slice(), "{knobs}, {ctx}");
+                }
+            }
+        }
+        let batch = solver(QueueDiscipline::lock_free(), 4, Layout::BlockCyclic, 3)
+            .batch_small_cutoff(n)
+            .batch(&[MatrixSource::spd_uniform(n, seed)])
+            .unwrap();
+        assert_eq!(batch.co_scheduled, 1, "{ctx}");
+        let f = batch.items[0].factorization.as_ref().unwrap();
+        assert_eq!(fb.lu.as_slice(), f.lu.as_slice(), "co-scheduled, {ctx}");
     }
 }
 

@@ -219,6 +219,25 @@ fn malformed_storm_leaves_the_listener_serving() {
 }
 
 #[test]
+fn a_refused_front_door_config_starts_no_service() {
+    // the NetConfig is checked before the service opens its journal or
+    // spawns a pool, so a refused one leaves neither behind
+    let path = journal_path("refused");
+    let svc = ServiceConfig {
+        journal: Some(JournalConfig::new(&path)),
+        ..ServiceConfig::default()
+    };
+    let net = NetConfig {
+        read_timeout: Duration::ZERO,
+        ..NetConfig::default()
+    };
+    let err = solver().listen_with("127.0.0.1:0", svc, net).err();
+    let msg = err.expect("a zero read timeout was accepted").to_string();
+    assert!(msg.contains("read_timeout"), "{msg}");
+    assert!(!path.exists(), "the journal was opened");
+}
+
+#[test]
 fn overloaded_listener_sheds_with_a_busy_reply() {
     // one handler, a one-deep accept backlog: with the handler pinned
     // on an idle connection and a second parked, a third arrival must
