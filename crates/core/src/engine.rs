@@ -109,6 +109,7 @@ use crate::config::CaluConfig;
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::fault::{FaultAction, FaultClock, FaultKind};
+use crate::shared::DensifyScratch;
 use crate::sync::{pin_current_thread, Mutex};
 use crate::threaded::{host_topology, ItemState, KernelSet, Task};
 
@@ -369,9 +370,8 @@ type Slot = Padded<Mutex<WorkerLog>>;
 /// its fault clock and latched panic, its victim stream, and the
 /// buffers that keep the task loop from allocating — its packing arena,
 /// sized once for the tallest GEMM a group can stack, the members of the
-/// pop in hand, the tasks the last completion released, and the one tile
-/// column's block a DENSIFY task gathers through when its tiles are not
-/// column-major already (grown at the first such task).
+/// pop in hand, the tasks the last completion released, and the buffers
+/// a DENSIFY task works in (grown at the first such task).
 struct Worker {
     /// The engine worker id, which the fault plan is keyed by; a run
     /// files this worker's work under [`Run::slot`].
@@ -386,7 +386,11 @@ struct Worker {
     scratch: GemmScratch,
     group: Vec<u32>,
     ready: Vec<TaskId>,
-    block: Vec<f64>,
+    densify: DensifyScratch,
+    /// The run (`seq`) and end of the last DAG task body, until a spin,
+    /// yield, park, stall or claim: that run's next body books the gap
+    /// since as overhead.
+    last_body: Option<(u64, f64)>,
 }
 
 impl Worker {
@@ -400,7 +404,8 @@ impl Worker {
             scratch: GemmScratch::sized_for(max_group.saturating_mul(b), b, b),
             group: Vec::new(),
             ready: Vec::new(),
-            block: Vec::new(),
+            densify: DensifyScratch::default(),
+            last_body: None,
         }
     }
 
@@ -815,6 +820,7 @@ impl<'a> Engine<'a> {
     /// run as noise (a schedule runs from the first DAG task to the
     /// last, so a stall among the conversion tasks has no place in it).
     fn stall(&self, d: Duration, w: &mut Worker, run: Option<&Run<'a>>) {
+        w.last_body = None;
         let start = self.now();
         let slept = w.clock.serve_stall(run.map(|r| r.seq), d, |due| {
             let t = Instant::now();
@@ -974,20 +980,23 @@ impl<'a> Engine<'a> {
     /// (`ItemState::complete_into`); the completion that retires the
     /// run's last task finishes it. Every DAG member is retired, booked,
     /// counted and fault-ticked as the task it is; a group's members
-    /// share its interval in equal parts. A conversion task (always
-    /// popped alone) is only retired: no span, no pop counter, no fault
-    /// tick (a [`FaultPlan`](crate::FaultPlan) counts DAG tasks), though
-    /// a latched injected panic fires in it.
+    /// share its interval in equal parts, and the gap since this
+    /// worker's last body of the run (`Worker::last_body`) is overhead,
+    /// read off the clock reads the bodies take anyway. A conversion
+    /// task (always popped alone) is only retired: no span, no pop
+    /// counter, no fault tick (a [`FaultPlan`](crate::FaultPlan) counts
+    /// DAG tasks), though a latched injected panic fires in it.
     ///
     /// The body runs under `catch_unwind`: a panicking kernel fails its
     /// own job instead of killing the worker (which would strand the
     /// in-flight count and hang drain and the job's waiter).
     fn run_tasks(&self, run: &Arc<Run<'a>>, source: QueueSource, w: &mut Worker) {
         let start = self.now();
+        let gap = w.last_body.take().filter(|&(seq, _)| seq == run.seq);
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
             w.fire_latched_panic();
             run.item
-                .execute_group(&w.group, &mut w.scratch, &mut w.block)
+                .execute_group(&w.group, &mut w.scratch, &mut w.densify)
         })) {
             self.fail_run(run, panic_error(p));
             return;
@@ -999,6 +1008,7 @@ impl<'a> Engine<'a> {
         let in_dag = matches!(run.item.task(TaskId(w.group[0])), Task::Dag(_));
         if in_dag {
             let mut log = run.log(slot);
+            log.stats.overhead += gap.map_or(0.0, |(_, last)| start - last);
             for (x, &t) in w.group.iter().enumerate() {
                 log.book(TaskSpan {
                     core: slot,
@@ -1012,6 +1022,7 @@ impl<'a> Engine<'a> {
                 });
                 log.stats.count(source);
             }
+            w.last_body = Some((run.seq, end));
         }
         let finished = run.item.complete_into(&w.group, &mut w.ready);
         // this worker is the one pushing, so what it released lands on
@@ -1078,7 +1089,8 @@ impl<'a> Engine<'a> {
             let (grid, leaves) = self.cfg.grid_and_leaves((m, n), workers)?;
             let g = Arc::new(item.kernels.build_graph(m, n, self.cfg.b, leaves)?);
             let nstatic = nstatic_for(self.cfg.dratio, g.num_panels());
-            Ok(ItemState::new(self.cfg.layout, g, grid, nstatic, a).verified(item.verify))
+            let (layout, group) = (self.cfg.layout, self.cfg.effective_group());
+            Ok(ItemState::new(layout, group, g, grid, nstatic, a).verified(item.verify))
         }))
         .unwrap_or_else(|p| Err(panic_error(p)))
     }
@@ -1281,6 +1293,7 @@ impl<'a> Engine<'a> {
             {
                 if let Some((class, seq, job)) = self.claim(false) {
                     idle_spins = 0;
+                    w.last_body = None;
                     if !self.start_job(class, seq, job, &mut w) {
                         // a loss fired mid-way through a co-scheduled
                         // item; the item is already back in its lane
@@ -1309,6 +1322,7 @@ impl<'a> Engine<'a> {
                 self.run_tasks(run, source, &mut w);
                 continue;
             }
+            w.last_body = None;
             if !runs.is_empty() {
                 // a run is live: its next ready task is a kernel away
                 idle_spins += 1;

@@ -140,33 +140,31 @@ impl SharedTiles {
     /// dimension `m`). They are the buffer's elements `[col_start · m,
     /// col_end · m)`, which hold exactly that column's tiles. A block
     /// already in column-major order (CM, or BCL with one grid row) is
-    /// returned as it is; any other is copied to `scratch`, the caller's
-    /// one-block buffer, and gathered back.
+    /// returned as it is; when every tile row is `b` tall its `b`-element
+    /// column segments are permuted in place (`permute_segments`); a
+    /// ragged one is copied aside and gathered back (`gather`). Both
+    /// work in the caller's `scratch`.
     ///
     /// # Safety
     /// No tile pointer into the column and no other slice of its block
     /// may be live, and its tiles must not be used as tiles afterwards.
-    pub unsafe fn densify_col<'a>(&self, tj: usize, scratch: &mut Vec<f64>) -> &'a mut [f64] {
+    pub unsafe fn densify_col<'a>(&self, tj: usize, scratch: &mut DensifyScratch) -> &'a mut [f64] {
         let t = self.storage().tiling();
         assert!(tj < t.tile_cols(), "tile column out of range");
         let (m, start) = (t.m, t.col_start(tj) * t.m);
         let block = std::slice::from_raw_parts_mut(self.base.add(start), t.tile_col_count(tj) * m);
-        let column_major = (0..t.tile_rows()).all(|ti| {
+        let tiles = (0..t.tile_rows()).map(|ti| {
             let loc = self.loc(ti, tj);
-            loc.offset == start + t.row_start(ti) && loc.ld == m
+            let offset = loc.offset - start;
+            (t.row_start(ti), TileLoc { offset, ..loc })
         });
-        if !column_major {
-            scratch.clear();
-            scratch.extend_from_slice(block);
-            for ti in 0..t.tile_rows() {
-                let loc = self.loc(ti, tj);
-                let tile = &scratch[loc.offset - start..];
-                let row = t.row_start(ti);
-                for j in 0..loc.cols {
-                    block[j * m + row..][..loc.rows]
-                        .copy_from_slice(&tile[j * loc.ld..][..loc.rows]);
-                }
-            }
+        if tiles.clone().all(|(row, l)| l.offset == row && l.ld == m) {
+            return block;
+        }
+        if m % t.b == 0 {
+            permute_segments(block, m, t.b, tiles, &mut scratch.held, &mut scratch.src);
+        } else {
+            gather(block, m, tiles, &mut scratch.block);
         }
         block
     }
@@ -183,10 +181,84 @@ impl SharedTiles {
     }
 }
 
+/// A worker's buffers for [`SharedTiles::densify_col`], kept across
+/// tile columns so a DENSIFY allocates only while they grow: the copy
+/// of a ragged block, and an in-place permutation's segment held aside
+/// and table of segment sources.
+#[derive(Debug, Default)]
+pub struct DensifyScratch {
+    block: Vec<f64>,
+    held: Vec<f64>,
+    src: Vec<u32>,
+}
+
+/// Rearrange `block`, whose tiles sit at `tiles` (each tile's first
+/// row in the dense columns, and its location from the block's start),
+/// into the column-major columns of `m` rows it holds, through a copy
+/// of it in `copy`.
+fn gather(
+    block: &mut [f64],
+    m: usize,
+    tiles: impl IntoIterator<Item = (usize, TileLoc)>,
+    copy: &mut Vec<f64>,
+) {
+    copy.clear();
+    copy.extend_from_slice(block);
+    for (row, loc) in tiles {
+        let tile = &copy[loc.offset..];
+        for j in 0..loc.cols {
+            block[j * m + row..][..loc.rows].copy_from_slice(&tile[j * loc.ld..][..loc.rows]);
+        }
+    }
+}
+
+/// [`gather`]'s result, in place, when every tile is `b` rows tall: a
+/// tile's column is then one `b`-element segment, both where it sits and
+/// where it goes, so the block is a permutation of its segments. The
+/// permutation is applied cycle by cycle through one segment `held`
+/// aside, the table `src` of each segment's source marking the segments
+/// done.
+fn permute_segments(
+    block: &mut [f64],
+    m: usize,
+    b: usize,
+    tiles: impl IntoIterator<Item = (usize, TileLoc)>,
+    held: &mut Vec<f64>,
+    src: &mut Vec<u32>,
+) {
+    const DONE: u32 = u32::MAX;
+    src.clear();
+    src.resize(block.len() / b, DONE);
+    assert!(src.len() < DONE as usize, "segments are numbered in u32");
+    for (row, loc) in tiles {
+        debug_assert!(loc.rows == b && loc.offset % b == 0 && loc.ld % b == 0);
+        for j in 0..loc.cols {
+            src[(j * m + row) / b] = ((loc.offset + j * loc.ld) / b) as u32;
+        }
+    }
+    held.resize(b, 0.0);
+    for first in 0..src.len() {
+        if src[first] == DONE || src[first] as usize == first {
+            continue;
+        }
+        held.copy_from_slice(&block[first * b..][..b]);
+        let mut to = first;
+        loop {
+            let from = std::mem::replace(&mut src[to], DONE) as usize;
+            if from == first {
+                block[to * b..][..b].copy_from_slice(held);
+                break;
+            }
+            block.copy_within(from * b..(from + 1) * b, to * b);
+            to = from;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calu_matrix::{gen, BclMatrix, CmTiles, ProcessGrid, TlbMatrix};
+    use calu_matrix::{gen, BclMatrix, CmTiles, Layout, ProcessGrid, TlbMatrix};
 
     #[test]
     fn tile_ptr_reads_match_storage() {
@@ -224,7 +296,7 @@ mod tests {
     fn densify_and_take(s: TiledMatrix) -> (Vec<f64>, usize) {
         let cols = s.tiling().tile_cols();
         let shared = SharedTiles::new(s);
-        let mut scratch = Vec::new();
+        let mut scratch = DensifyScratch::default();
         // SAFETY: no tile pointer is live; each column's block is
         // densified once and is dead before the next one and the take.
         let data = unsafe {
@@ -233,13 +305,15 @@ mod tests {
             }
             shared.take_buffer()
         };
-        (data, scratch.len())
+        (data, scratch.block.len())
     }
 
     #[test]
     fn tile_columns_densify_in_place_into_the_dense_matrix() {
-        // small on purpose: CI runs this module's tests under Miri
-        for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4)] {
+        // small on purpose: CI runs this module's tests under Miri; 18×7
+        // at b = 2 gives a 2×1 grid's owners 5 and 4 tiles a column, in
+        // blocks of 2 and 3, and of 1 and 3 (counted from the run's end)
+        for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4), (18, 7, 2)] {
             let a = gen::uniform(m, n, 3);
             let (cm, scratch) = densify_and_take(CmTiles::from_dense(&a, b));
             assert_eq!((cm.as_slice(), scratch), (a.as_slice(), 0), "CM {m}x{n}");
@@ -248,11 +322,65 @@ mod tests {
                 let ctx = format!("{m}x{n} b={b} grid {pr}x{pc}");
                 let (bcl, scratch) = densify_and_take(BclMatrix::from_dense(&a, b, g));
                 assert_eq!(bcl, a.as_slice(), "BCL {ctx}");
-                // one grid row: already column-major, so nothing copied
-                assert_eq!(scratch == 0, pr == 1, "BCL {ctx}");
+                // one grid row: already column-major, so nothing moves;
+                // b-tall tile rows: permuted in place; ragged: gathered
+                let ragged = m % b != 0;
+                assert_eq!(scratch > 0, pr > 1 && ragged, "BCL {ctx}");
                 let (tlb, scratch) = densify_and_take(TlbMatrix::from_dense(&a, b, g));
                 assert_eq!(tlb, a.as_slice(), "2l-BL {ctx}");
+                assert_eq!(scratch > 0, ragged, "2l-BL {ctx}");
                 assert!(scratch <= b * m, "one block of scratch, {ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_densify_matches_the_gather_bit_for_bit() {
+        // every non-ragged shape here, over tall grids and group heights
+        // (small on purpose: CI runs this module's tests under Miri)
+        for (m, n, b) in [(12, 12, 3), (18, 7, 2), (16, 9, 4)] {
+            let a = gen::uniform(m, n, 5);
+            for (pr, pc) in [(2, 1), (3, 1), (2, 2), (4, 1)] {
+                let g = ProcessGrid::new(pr, pc).unwrap();
+                for (layout, group) in [
+                    (Layout::BlockCyclic, 1),
+                    (Layout::BlockCyclic, 2),
+                    (Layout::BlockCyclic, 3),
+                    (Layout::TwoLevelBlock, 1),
+                ] {
+                    let ctx = format!("{layout:?} {m}x{n} b={b} grid {pr}x{pc} group {group}");
+                    let s = TiledMatrix::from_dense(layout, &a, b, g, group);
+                    let t = s.tiling();
+                    for tj in 0..t.tile_cols() {
+                        let start = t.col_start(tj) * m;
+                        let cols = start..start + t.tile_col_count(tj) * m;
+                        let tiles: Vec<(usize, TileLoc)> = (0..t.tile_rows())
+                            .map(|ti| {
+                                let loc = s.tile_loc(ti, tj);
+                                let offset = loc.offset - start;
+                                (t.row_start(ti), TileLoc { offset, ..loc })
+                            })
+                            .collect();
+                        let mut gathered = s.buffer()[cols.clone()].to_vec();
+                        gather(&mut gathered, m, tiles.clone(), &mut Vec::new());
+                        let mut permuted = s.buffer()[cols.clone()].to_vec();
+                        let (mut held, mut src) = (Vec::new(), Vec::new());
+                        permute_segments(&mut permuted, m, b, tiles, &mut held, &mut src);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&permuted), bits(&gathered), "{ctx} column {tj}");
+                        assert_eq!(bits(&permuted), bits(&a.as_slice()[cols]), "{ctx}");
+                    }
+                    let mut scratch = DensifyScratch::default();
+                    let shared = SharedTiles::new(s);
+                    // SAFETY: no tile pointer is live; each column's block
+                    // is densified once and dead before the next one.
+                    unsafe {
+                        for tj in 0..t.tile_cols() {
+                            shared.densify_col(tj, &mut scratch);
+                        }
+                    }
+                    assert_eq!(scratch.block.capacity(), 0, "no block copied, {ctx}");
+                }
             }
         }
     }

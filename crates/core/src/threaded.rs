@@ -46,7 +46,7 @@ use crate::engine::{BatchItem, Outcome, Source};
 use crate::error::CaluError;
 use crate::factorization::Factorization;
 use crate::pivot::swaps_for_selection;
-use crate::shared::{SharedTiles, TilePtr};
+use crate::shared::{DensifyScratch, SharedTiles, TilePtr};
 use crate::sync::{advise_huge_pages, Mutex};
 use crate::tslu::{Candidate, TreePlan};
 
@@ -178,13 +178,15 @@ pub(crate) struct ItemState<'a> {
 
 impl<'a> ItemState<'a> {
     /// Build the execution state for factoring `input` in zeroed tiles
-    /// of the graph's shape, laid out in `layout` on `grid` (allocated
-    /// here, huge-page backed when large, first touched by whoever
-    /// fills them): `nstatic` is the
-    /// number of leading tile columns scheduled statically (the `dratio`
-    /// split already resolved against this item's panel count).
+    /// of the graph's shape, laid out in `layout` on `grid` with blocks
+    /// of `group` tiles, the most a pop stacks (allocated here,
+    /// huge-page backed when large, first touched by whoever fills
+    /// them): `nstatic` is the number of leading tile columns scheduled
+    /// statically (the `dratio` split already resolved against this
+    /// item's panel count).
     pub(crate) fn new(
         layout: Layout,
+        group: usize,
         g: Arc<TaskGraph>,
         grid: ProcessGrid,
         nstatic: usize,
@@ -192,7 +194,7 @@ impl<'a> ItemState<'a> {
     ) -> Self {
         let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
-        let mut tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid);
+        let mut tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid, group);
         if size_of_val(tiles.buffer()) >= HUGE_PAGE_MIN_BYTES {
             advise_huge_pages(tiles.buffer_mut());
         }
@@ -371,7 +373,8 @@ impl<'a> ItemState<'a> {
     /// the paper's §4 grouping, decided by where the tiles sit: same
     /// panel and column, and both `next`'s C tile and its L tile start
     /// exactly where `last`'s end, on the same leading dimension. The
-    /// BCL layout stores a thread's tiles of one column that way; 2l-BL
+    /// BCL layout stores a thread's tiles of one column that way, up to
+    /// `group` tiles a block, so a stack stops at a block's end; 2l-BL
     /// (every tile its own block) never does. A Cholesky diagonal
     /// update is a SYRK on its own lower triangle, so it neither starts
     /// nor joins a group; the off-diagonal `A·Bᵀ` updates below it do.
@@ -441,16 +444,15 @@ impl<'a> ItemState<'a> {
 
     /// Turn tile column `tj` in place into its columns of the dense
     /// factors (the tile buffer is the result) and apply the deferred
-    /// left swaps to each column while it is hot. `block` is the
-    /// calling worker's one-block buffer, used only when the column's
-    /// tiles are not stored column-major already.
+    /// left swaps to each column while it is hot, in the calling
+    /// worker's `densify` buffers.
     ///
     /// # Safety
     /// Every DAG task must have completed, so no worker holds a tile
     /// pointer, and no two calls may name the same column.
-    unsafe fn densify_chunk(&self, tj: usize, block: &mut Vec<f64>) {
+    unsafe fn densify_chunk(&self, tj: usize, densify: &mut DensifyScratch) {
         let (perm, _) = self.factored();
-        let cols = self.tiles.densify_col(tj, block);
+        let cols = self.tiles.densify_col(tj, densify);
         for (j, col) in cols.chunks_exact_mut(self.g.rows()).enumerate() {
             left_swaps_in_col(col, tj * self.b + j, &self.g, perm.pivots(), self.b);
         }
@@ -696,11 +698,16 @@ impl ItemState<'_> {
     /// [`KernelSet`], or a conversion task's copy. `scratch` is the
     /// calling worker's packing arena — pre-sized for tile-dimension
     /// GEMMs, so the BLAS-3 tasks (L, U, S) never touch the allocator,
-    /// and grown once by the first TSLU leaf's taller GEPP — and `block`
-    /// its one-block buffer for a DENSIFY. The task *kinds* are shared
+    /// and grown once by the first TSLU leaf's taller GEPP — and
+    /// `densify` its buffers for a DENSIFY. The task *kinds* are shared
     /// across kernel sets (they encode the dependency shape); the bodies
     /// are not.
-    pub(crate) fn execute(&self, t: TaskId, scratch: &mut GemmScratch, block: &mut Vec<f64>) {
+    pub(crate) fn execute(
+        &self,
+        t: TaskId,
+        scratch: &mut GemmScratch,
+        densify: &mut DensifyScratch,
+    ) {
         let kind = match self.task(t) {
             Task::Dag(kind) => kind,
             // SAFETY: the FILLs are the only tasks queued until the
@@ -713,7 +720,7 @@ impl ItemState<'_> {
             // orders every task body before it, and the queue hands that
             // on to whoever pops), each id once, so the column blocks
             // rearranged are disjoint.
-            Task::Densify(tj) => return unsafe { self.densify_chunk(tj, block) },
+            Task::Densify(tj) => return unsafe { self.densify_chunk(tj, densify) },
         };
         match (self.kernels, kind) {
             (KernelSet::CaluLu, TaskKind::PanelLeaf { k, i }) => {
@@ -752,11 +759,11 @@ impl ItemState<'_> {
         &self,
         group: &[u32],
         scratch: &mut GemmScratch,
-        block: &mut Vec<f64>,
+        densify: &mut DensifyScratch,
     ) {
         match *group {
             [] => {}
-            [t] => self.execute(TaskId(t), scratch, block),
+            [t] => self.execute(TaskId(t), scratch, densify),
             [first, .., last] => {
                 let (Some((k, i, j)), Some((_, i_last, _))) =
                     (self.update_of(first), self.update_of(last))
@@ -1043,28 +1050,34 @@ mod tests {
     fn s_tasks_stack_exactly_where_their_tiles_do() {
         // 8×8 tiles (the last row and column ragged) on a 2×2 grid: a
         // worker owns every other tile row, and BCL stores its tiles of
-        // one column end to start
+        // one column end to start in blocks of `group` counted from the
+        // run's end (3 here: owned rows 1 | 3, 5, 7 and 0 | 2, 4, 6)
         let (n, b) = (61, 8);
         let grid = ProcessGrid::new(2, 2).unwrap();
         let g = Arc::new(TaskGraph::build_calu(n, n, b, 2));
         let id = |kind: TaskKind| g.ids().find(|&t| g.kind(t) == kind).unwrap().0;
         let s = |k, i, j| id(TaskKind::Update { k, i, j });
         let input = || Cow::Owned(DenseMatrix::zeros(n, n));
-        let bcl = ItemState::new(Layout::BlockCyclic, g.clone(), grid, 8, input());
-        assert!(bcl.stacks_under(s(0, 1, 1), s(0, 3, 1)), "next owned row");
+        let bcl = ItemState::new(Layout::BlockCyclic, 3, g.clone(), grid, 8, input());
+        assert!(bcl.stacks_under(s(0, 3, 1), s(0, 5, 1)), "next owned row");
         assert!(
             bcl.stacks_under(s(0, 5, 2), s(0, 7, 2)),
             "ragged last member"
         );
+        assert!(!bcl.stacks_under(s(0, 1, 2), s(0, 3, 2)), "the next block");
+        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 3, 1)), "the next block");
+        // blocks of 8 hold each owner's whole run of 4 tiles
+        let whole = ItemState::new(Layout::BlockCyclic, 8, g.clone(), grid, 8, input());
+        assert!(whole.stacks_under(s(0, 1, 2), s(0, 3, 2)), "one block");
         assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 2, 1)), "another owner's");
-        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 5, 1)), "a gap");
-        assert!(!bcl.stacks_under(s(0, 3, 1), s(0, 1, 1)), "upwards");
-        assert!(!bcl.stacks_under(s(0, 1, 1), s(0, 3, 3)), "another column");
+        assert!(!bcl.stacks_under(s(0, 3, 1), s(0, 7, 1)), "a gap");
+        assert!(!bcl.stacks_under(s(0, 5, 1), s(0, 3, 1)), "upwards");
+        assert!(!bcl.stacks_under(s(0, 3, 1), s(0, 5, 3)), "another column");
         assert!(!bcl.stacks_under(s(0, 2, 2), s(1, 4, 2)), "another panel");
         let l = id(TaskKind::ComputeL { k: 0, i: 3 });
         assert!(!bcl.stacks_under(s(0, 1, 1), l) && !bcl.stacks_under(l, s(0, 3, 1)));
         // 2l-BL keeps every tile in a block of its own: nothing stacks
-        let tlb = ItemState::new(Layout::TwoLevelBlock, g.clone(), grid, 8, input());
+        let tlb = ItemState::new(Layout::TwoLevelBlock, 3, g.clone(), grid, 8, input());
         for i in 1..6 {
             assert!(
                 !tlb.stacks_under(s(0, i, 1), s(0, i + 2, 1)),
@@ -1079,10 +1092,16 @@ mod tests {
             gc.ids().find(|&t| gc.kind(t) == kind).unwrap().0
         };
         let spd = || Cow::Owned(DenseMatrix::zeros(n, n));
-        let chol = ItemState::new(Layout::BlockCyclic, gc.clone(), grid, 8, spd());
+        let chol = ItemState::new(Layout::BlockCyclic, 3, gc.clone(), grid, 8, spd());
         assert!(chol.stacks_under(c(0, 3, 1), c(0, 5, 1)), "next owned row");
         assert!(chol.stacks_under(c(0, 5, 2), c(0, 7, 2)), "ragged last");
-        for (d, o) in [(c(0, 1, 1), c(0, 3, 1)), (c(0, 2, 2), c(0, 4, 2))] {
+        // blocks of 2: owned rows 1, 3 | 5, 7
+        let pairs = ItemState::new(Layout::BlockCyclic, 2, gc.clone(), grid, 8, spd());
+        assert!(
+            !pairs.stacks_under(c(0, 3, 1), c(0, 5, 1)),
+            "the next block"
+        );
+        for (d, o) in [(c(0, 3, 3), c(0, 5, 3)), (c(0, 2, 2), c(0, 4, 2))] {
             assert!(!chol.stacks_under(d, o), "the diagonal as last");
             assert!(!chol.stacks_under(o, d), "the diagonal as next");
         }
@@ -1097,11 +1116,41 @@ mod tests {
             .find(|&t| gc.kind(t) == TaskKind::ComputeL { k: 0, i: 5 });
         assert!(!chol.stacks_under(c(0, 3, 1), l.unwrap().0));
         // CM stacks every row of a column, the diagonal still alone
-        let cm = ItemState::new(Layout::ColumnMajor, gc.clone(), grid, 8, spd());
+        let cm = ItemState::new(Layout::ColumnMajor, 3, gc.clone(), grid, 8, spd());
         assert!(cm.stacks_under(c(0, 2, 1), c(0, 3, 1)), "CM next row");
         assert!(!cm.stacks_under(c(0, 1, 1), c(0, 2, 1)), "CM diagonal");
-        let tlb = ItemState::new(Layout::TwoLevelBlock, gc.clone(), grid, 8, spd());
+        let tlb = ItemState::new(Layout::TwoLevelBlock, 3, gc.clone(), grid, 8, spd());
         assert!(!tlb.stacks_under(c(0, 3, 1), c(0, 5, 1)), "2l-BL");
+    }
+
+    #[test]
+    fn a_group_of_8_stacks_8_tiles_within_a_block_and_never_crosses_one() {
+        // 36 tile rows on a 2×1 grid: each owner holds 18 tiles of a
+        // column, in blocks of 2, 8 and 8 (counted from the run's end)
+        let (m, n, b) = (288, 16, 8);
+        let grid = ProcessGrid::new(2, 1).unwrap();
+        let g = Arc::new(TaskGraph::build_calu(m, n, b, 2));
+        let s = |i| {
+            let kind = TaskKind::Update { k: 0, i, j: 1 };
+            g.ids().find(|&t| g.kind(t) == kind).unwrap().0
+        };
+        let input = Cow::Owned(DenseMatrix::zeros(m, n));
+        let item = ItemState::new(Layout::BlockCyclic, 8, g.clone(), grid, 1, input);
+        for r in 0..2 {
+            // the S tasks' rows of owner `r` (tile row 0 has none)
+            let mine: Vec<u32> = (1..36).filter(|i| i % 2 == r).collect();
+            let (mut stack, mut tallest) = (1, 1);
+            for pair in mine.windows(2) {
+                let (i, next) = (pair[0], pair[1]);
+                // tile row `next` is its owner's `(next - r) / 2`-th, and
+                // a block starts at the owner's tiles 2 and 10
+                let crosses = ((next - r) / 2 + 6) % 8 == 0;
+                assert_eq!(item.stacks_under(s(i), s(next)), !crosses, "{i} → {next}");
+                stack = if crosses { 1 } else { stack + 1 };
+                tallest = tallest.max(stack);
+            }
+            assert_eq!(tallest, 8, "owner {r}: a full block stacks whole");
+        }
     }
 
     #[test]
@@ -1120,7 +1169,7 @@ mod tests {
                     let ctx = format!("{kernels:?} {m}x{n} on {}x{}", grid.pr(), grid.pc());
                     let g = Arc::new(kernels.build_graph(m, n, b, grid.pr()).unwrap());
                     let input = Cow::Owned(DenseMatrix::zeros(m, n));
-                    let item = ItemState::new(Layout::BlockCyclic, g.clone(), grid, 2, input);
+                    let item = ItemState::new(Layout::BlockCyclic, 3, g.clone(), grid, 2, input);
                     // the conversion ids run contiguously from the DAG's end
                     let last = TaskId(g.len() as u32 - 1);
                     assert_eq!(item.task(last), Task::Dag(g.kind(last)), "{ctx}");
@@ -1175,7 +1224,7 @@ mod tests {
             let g = Arc::new(kernels.build_graph(m, n, b, grid.pr()).unwrap());
             let input = Cow::Owned(DenseMatrix::zeros(m, n));
             let item =
-                ItemState::new(Layout::BlockCyclic, g.clone(), grid, 2, input).verified(verify);
+                ItemState::new(Layout::BlockCyclic, 3, g.clone(), grid, 2, input).verified(verify);
             let mut queue: std::collections::VecDeque<TaskId> =
                 item.fill_tasks().map(|(t, _)| t).collect();
             let (fills, dag) = (queue.len(), g.len());

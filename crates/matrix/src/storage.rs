@@ -15,14 +15,20 @@
 //! contiguous run. That keeps what §4.1 wants from a thread-local
 //! layout: a thread's vertically adjacent tiles of a column stack on one
 //! leading dimension (one BLAS-3 call can update several), and the thread
-//! that fills its run touches its own pages first. It also lets the buffer
-//! become the dense result in place, one tile column at a time: with one
-//! grid row, BCL *is* column-major, byte for byte.
+//! that fills its run touches its own pages first.
 //!
-//! The layouts then differ in one place, the `(offset, ld)` match in
-//! [`TiledMatrix`]'s `tile_loc`: BCL stacks a run's tiles on the owner's
-//! local row count, 2l-BL stores each tile with ld = its rows, and CM is
-//! BCL on a 1×1 grid.
+//! A run is cut into column-major **blocks**, each on its own row count
+//! as leading dimension, of a height fixed when the matrix is built: BCL
+//! on a grid of more than one row cuts it every `group` tiles (the most
+//! one BLAS-3 call stacks), so no column stride exceeds `group · b` rows
+//! however tall the matrix, and 2l-BL every tile. The blocks are counted
+//! from the run's end, a short one (if any) first: the tiles a step still
+//! updates are the tail of each run, so they take as few blocks — and
+//! stacks — as `group` allows. With one grid row (CM, or BCL on a
+//! `1 × pc` grid) the run is one block, the whole column: BCL *is*
+//! column-major there, byte for byte, and the buffer is the dense result
+//! in place. So the layouts differ in one number, the block height
+//! [`TiledMatrix`]'s `tile_loc` formula reads.
 
 use crate::dense::DenseMatrix;
 use crate::grid::ProcessGrid;
@@ -230,16 +236,16 @@ fn tile_span(loc: TileLoc) -> usize {
 
 /// A matrix in one of the paper's layouts (Table 1). Tiles are placed
 /// block-cyclically over a `pr × pc` thread grid, each owner's tiles of
-/// a tile column one run (see the module docs); a layout is how a run
-/// holds its tiles:
+/// a tile column one run of column-major blocks (see the module docs); a
+/// layout is how tall a block is:
 ///
-/// * **BCL** (§4.1): one column-major submatrix on the owner's local
-///   row count, so a thread's vertically adjacent tiles of a column
-///   share its columns and one BLAS-3 call can update several (the
-///   grouping of §3);
-/// * **2l-BL** (§4.2): each tile contiguous (ld = its rows), so a tile
-///   fits in cache, at the price (noted in the paper) that tiles can no
-///   longer be grouped;
+/// * **BCL** (§4.1): `group` tiles, so a thread's vertically adjacent
+///   tiles of a column share their block's columns and one BLAS-3 call
+///   can update up to `group` of them (the grouping of §3); with one
+///   grid row, the whole run;
+/// * **2l-BL** (§4.2): one tile (ld = its rows), so a tile fits in
+///   cache, at the price (noted in the paper) that tiles can no longer
+///   be grouped;
 /// * **CM**: BCL on a 1×1 grid, whatever grid it is given (ld = `m`).
 #[derive(Debug, Clone)]
 pub struct TiledMatrix {
@@ -251,38 +257,63 @@ pub struct TiledMatrix {
     /// ascending, each a full `b` rows but the ragged last) take rows
     /// `owner_rows[r]..owner_rows[r + 1]`. `pr + 1` entries.
     owner_rows: Vec<usize>,
+    /// The tiles of every block of a run but its first.
+    block_tiles: usize,
+    /// The tiles each grid row's first block lacks: a run's blocks are
+    /// counted from its end. `pr` entries.
+    owner_skip: Vec<usize>,
     data: Vec<f64>,
 }
 
 impl TiledMatrix {
     /// Zero-initialized `m × n` storage in `layout`, its tiles placed
-    /// over `grid` (CM reports a 1×1 grid instead).
-    pub fn zeros(layout: Layout, m: usize, n: usize, b: usize, grid: ProcessGrid) -> Self {
+    /// over `grid` (CM reports a 1×1 grid instead), BCL's blocks `group`
+    /// tiles tall when the grid has more than one row.
+    pub fn zeros(
+        layout: Layout,
+        m: usize,
+        n: usize,
+        b: usize,
+        grid: ProcessGrid,
+        group: usize,
+    ) -> Self {
         let tiling = Tiling::new(m, n, b);
         let grid = match layout {
             Layout::ColumnMajor => one_thread(),
             Layout::BlockCyclic | Layout::TwoLevelBlock => grid,
         };
-        let mut owner_rows = vec![0; grid.pr() + 1];
+        let block_tiles = match layout {
+            Layout::TwoLevelBlock => 1,
+            _ if grid.pr() == 1 => tiling.tile_rows().max(1),
+            _ => group.max(1),
+        };
+        let (mut owner_rows, mut owner_skip) = (vec![0; grid.pr() + 1], vec![0; grid.pr()]);
         for r in 0..grid.pr() {
-            let rows: usize = grid
-                .owned_tile_rows(tiling.tile_rows(), r)
-                .map(|ti| tiling.tile_row_count(ti))
-                .sum();
+            let mine = || grid.owned_tile_rows(tiling.tile_rows(), r);
+            let rows: usize = mine().map(|ti| tiling.tile_row_count(ti)).sum();
             owner_rows[r + 1] = owner_rows[r] + rows;
+            owner_skip[r] = (block_tiles - mine().count() % block_tiles) % block_tiles;
         }
         Self {
             layout,
             tiling,
             grid,
             owner_rows,
+            block_tiles,
+            owner_skip,
             data: vec![0.0; m * n],
         }
     }
 
     /// Build from a dense matrix.
-    pub fn from_dense(layout: Layout, a: &DenseMatrix, b: usize, grid: ProcessGrid) -> Self {
-        let mut s = Self::zeros(layout, a.rows(), a.cols(), b, grid);
+    pub fn from_dense(
+        layout: Layout,
+        a: &DenseMatrix,
+        b: usize,
+        grid: ProcessGrid,
+        group: usize,
+    ) -> Self {
+        let mut s = Self::zeros(layout, a.rows(), a.cols(), b, grid, group);
         s.load_dense(a);
         s
     }
@@ -292,6 +323,9 @@ impl TiledMatrix {
 fn one_thread() -> ProcessGrid {
     ProcessGrid::new(1, 1).expect("1x1 grid")
 }
+
+/// The shims' grouping: the paper's 3 (§4).
+const PAPER_GROUP: usize = 3;
 
 impl TileStorage for TiledMatrix {
     fn tiling(&self) -> Tiling {
@@ -312,20 +346,24 @@ impl TileStorage for TiledMatrix {
         let d = t.tile_dims(ti, tj);
         let r = ti % self.grid.pr();
         let first = self.owner_rows[r];
-        // owned tile rows before the ragged last one are always full `b`
-        let row = self.grid.local_tile_row(ti) * t.b;
-        let (offset, ld) = match self.layout {
-            // the owner's earlier tiles of the column are full `b × cols`
-            // blocks, one after another
-            Layout::TwoLevelBlock => ((first + row) * d.cols, d.rows),
-            // the owner's run is one column-major submatrix
-            Layout::ColumnMajor | Layout::BlockCyclic => {
-                (first * d.cols + row, self.owner_rows[r + 1] - first)
+        let run = self.owner_rows[r + 1] - first;
+        // owned tile rows before the ragged last one are always full `b`;
+        // the first block lacks `skip` of its `bt` tiles; a tile in it
+        // (every tile of a one-block run, so of every one-row grid)
+        // takes no division
+        let (bt, skip) = (self.block_tiles, self.owner_skip[r]);
+        let local = self.grid.local_tile_row(ti);
+        let (top, end) = match local + skip {
+            v if v < bt => (0, (bt - skip) * t.b),
+            v => {
+                let top = (v - v % bt - skip) * t.b;
+                (top, top + bt * t.b)
             }
         };
+        let (row, end) = (local * t.b, end.min(run));
         TileLoc {
-            offset: t.col_start(tj) * t.m + offset,
-            ld,
+            offset: t.col_start(tj) * t.m + (first + top) * d.cols + row - top,
+            ld: end - top,
             rows: d.rows,
             cols: d.cols,
         }
@@ -351,12 +389,12 @@ pub enum CmTiles {}
 impl CmTiles {
     /// Zero-initialized CM storage.
     pub fn zeros(m: usize, n: usize, b: usize) -> TiledMatrix {
-        TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one_thread())
+        TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one_thread(), PAPER_GROUP)
     }
 
     /// Build from a dense matrix.
     pub fn from_dense(a: &DenseMatrix, b: usize) -> TiledMatrix {
-        TiledMatrix::from_dense(Layout::ColumnMajor, a, b, one_thread())
+        TiledMatrix::from_dense(Layout::ColumnMajor, a, b, one_thread(), PAPER_GROUP)
     }
 }
 
@@ -367,12 +405,12 @@ pub enum BclMatrix {}
 impl BclMatrix {
     /// Zero-initialized BCL storage over `grid`.
     pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> TiledMatrix {
-        TiledMatrix::zeros(Layout::BlockCyclic, m, n, b, grid)
+        TiledMatrix::zeros(Layout::BlockCyclic, m, n, b, grid, PAPER_GROUP)
     }
 
     /// Build from a dense matrix.
     pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> TiledMatrix {
-        TiledMatrix::from_dense(Layout::BlockCyclic, a, b, grid)
+        TiledMatrix::from_dense(Layout::BlockCyclic, a, b, grid, PAPER_GROUP)
     }
 }
 
@@ -383,12 +421,12 @@ pub enum TlbMatrix {}
 impl TlbMatrix {
     /// Zero-initialized 2l-BL storage over `grid`.
     pub fn zeros(m: usize, n: usize, b: usize, grid: ProcessGrid) -> TiledMatrix {
-        TiledMatrix::zeros(Layout::TwoLevelBlock, m, n, b, grid)
+        TiledMatrix::zeros(Layout::TwoLevelBlock, m, n, b, grid, PAPER_GROUP)
     }
 
     /// Build from a dense matrix.
     pub fn from_dense(a: &DenseMatrix, b: usize, grid: ProcessGrid) -> TiledMatrix {
-        TiledMatrix::from_dense(Layout::TwoLevelBlock, a, b, grid)
+        TiledMatrix::from_dense(Layout::TwoLevelBlock, a, b, grid, PAPER_GROUP)
     }
 }
 
@@ -523,58 +561,104 @@ mod tests {
         assert_eq!(c.offset, a.offset + 4, "local rows must be stacked");
     }
 
+    /// Every element of each tile column's block is one tile's, once;
+    /// each owner's tiles of the column form one run of `local rows · w`
+    /// elements, cut into consecutive column-major blocks of `group`
+    /// tiles counted from the run's end (`None`: one block), each tile on
+    /// its block's row count as ld, stacked end to start inside its block.
+    fn assert_runs(s: &TiledMatrix, group: Option<usize>, ctx: &str) {
+        let (t, grid) = (s.tiling(), s.grid());
+        assert_eq!(s.buffer().len(), t.m * t.n, "{ctx}");
+        for tj in 0..t.tile_cols() {
+            let w = t.tile_col_count(tj);
+            let block = t.col_start(tj) * t.m..(t.col_start(tj) + w) * t.m;
+            let mut hits = vec![0u8; t.m * w];
+            for ti in 0..t.tile_rows() {
+                let loc = s.tile_loc(ti, tj);
+                for j in 0..loc.cols {
+                    for i in 0..loc.rows {
+                        let at = loc.offset + i + j * loc.ld;
+                        assert!(block.contains(&at), "{ctx} tile ({ti},{tj})");
+                        hits[at - block.start] += 1;
+                    }
+                }
+            }
+            assert!(hits.iter().all(|&h| h == 1), "{ctx} column {tj}");
+            for r in 0..grid.pr() {
+                let mine: Vec<TileLoc> = grid
+                    .owned_tile_rows(t.tile_rows(), r)
+                    .map(|ti| s.tile_loc(ti, tj))
+                    .collect();
+                let local: usize = mine.iter().map(|l| l.rows).sum();
+                let start = mine.iter().map(|l| l.offset).min().unwrap();
+                let end = mine.iter().map(|l| l.offset + tile_span(*l));
+                let end = end.max().unwrap();
+                let ctx = format!("{ctx} column {tj}, owner {r}");
+                assert_eq!(end - start, local * w, "{ctx}: one run");
+                let mut at = start;
+                let mut blocks: Vec<&[TileLoc]> =
+                    mine.rchunks(group.unwrap_or(mine.len())).collect();
+                blocks.reverse();
+                for blk in blocks {
+                    let rows: usize = blk.iter().map(|l| l.rows).sum();
+                    assert_eq!(blk[0].offset, at, "{ctx}: blocks follow each other");
+                    for (x, l) in blk.iter().enumerate() {
+                        assert_eq!(l.ld, rows, "{ctx}: ld is the block's rows");
+                        assert_eq!(l.offset, at + x * blk[0].rows, "{ctx}: stacked");
+                    }
+                    at += rows * w;
+                }
+            }
+        }
+    }
+
     #[test]
     fn tile_columns_cover_their_blocks_and_each_owner_is_one_run() {
-        // square and ragged, tall and skinny, over 1×2, 2×1, 2×2 and 3×1
+        // square and ragged, tall and skinny, over 1×2, 2×1, 2×2 and 3×1:
+        // BCL's blocks are the shims' 3 tiles tall on a grid of more than
+        // one row and the whole run on one; 2l-BL's are one tile
         for (m, n, b) in [(250, 250, 16), (1152, 64, 16), (17, 13, 5)] {
             for (pr, pc) in [(1, 2), (2, 1), (2, 2), (3, 1)] {
                 let g = ProcessGrid::new(pr, pc).unwrap();
                 let cm = CmTiles::zeros(m, n, b);
-                let storages: [Box<dyn TileStorage>; 3] = [
-                    Box::new(cm.clone()),
-                    Box::new(BclMatrix::zeros(m, n, b, g)),
-                    Box::new(TlbMatrix::zeros(m, n, b, g)),
-                ];
-                for s in &storages {
-                    let ctx = format!("{:?} {m}x{n} b={b} grid {pr}x{pc}", s.layout());
-                    assert_eq!(s.buffer().len(), m * n, "{ctx}");
-                    let (t, grid) = (s.tiling(), s.grid());
-                    for tj in 0..t.tile_cols() {
-                        let w = t.tile_col_count(tj);
-                        let block = t.col_start(tj) * m..(t.col_start(tj) + w) * m;
-                        // every element of the block is one tile's, once
-                        let mut hits = vec![0u8; m * w];
-                        for ti in 0..t.tile_rows() {
-                            let loc = s.tile_loc(ti, tj);
-                            for j in 0..loc.cols {
-                                for i in 0..loc.rows {
-                                    let at = loc.offset + i + j * loc.ld;
-                                    assert!(block.contains(&at), "{ctx} tile ({ti},{tj})");
-                                    hits[at - block.start] += 1;
-                                }
-                            }
-                        }
-                        assert!(hits.iter().all(|&h| h == 1), "{ctx} column {tj}");
-                        // each owner's tiles: one run of `local rows · w`
-                        for r in 0..grid.pr() {
-                            let mine: Vec<TileLoc> = grid
-                                .owned_tile_rows(t.tile_rows(), r)
-                                .map(|ti| s.tile_loc(ti, tj))
-                                .collect();
-                            let local: usize = mine.iter().map(|l| l.rows).sum();
-                            let start = mine.iter().map(|l| l.offset).min().unwrap();
-                            let end = mine.iter().map(|l| l.offset + tile_span(*l));
-                            let end = end.max().unwrap();
-                            assert_eq!(end - start, local * w, "{ctx} column {tj}, owner {r}");
-                            if s.layout() == Layout::BlockCyclic {
-                                assert!(mine.iter().all(|l| l.ld == local), "{ctx} ld");
-                            }
-                        }
+                let bcl = BclMatrix::zeros(m, n, b, g);
+                let ctx = format!("{m}x{n} b={b} grid {pr}x{pc}");
+                assert_runs(&cm, None, &format!("CM {ctx}"));
+                let group = (pr > 1).then_some(PAPER_GROUP);
+                assert_runs(&bcl, group, &format!("BCL {ctx}"));
+                assert_runs(
+                    &TlbMatrix::zeros(m, n, b, g),
+                    Some(1),
+                    &format!("2l-BL {ctx}"),
+                );
+                // one grid row: BCL is column-major, tile for tile
+                if pr == 1 {
+                    for (ti, tj) in bcl.tiling().tiles() {
+                        assert_eq!(bcl.tile_loc(ti, tj), cm.tile_loc(ti, tj), "{ctx}");
                     }
-                    // one grid row: BCL is column-major, tile for tile
-                    if s.layout() == Layout::BlockCyclic && pr == 1 {
-                        for (ti, tj) in t.tiles() {
-                            assert_eq!(s.tile_loc(ti, tj), cm.tile_loc(ti, tj), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bcl_blocks_are_group_tall_on_every_grid_and_group() {
+        // pr ∈ {2, 3, 4} × group ∈ {1, 2, 3, 8} × square, tall, ragged
+        let shapes = [(96, 96, 8), (640, 24, 8), (61, 37, 8), (17, 13, 5)];
+        for (m, n, b) in shapes {
+            let a = sample(m, n);
+            for pr in [2, 3, 4] {
+                let g = ProcessGrid::new(pr, 2).unwrap();
+                let tlb = TlbMatrix::from_dense(&a, b, g);
+                for group in [1, 2, 3, 8] {
+                    let s = TiledMatrix::from_dense(Layout::BlockCyclic, &a, b, g, group);
+                    let ctx = format!("{m}x{n} b={b} grid {pr}x2 group {group}");
+                    assert_runs(&s, Some(group), &ctx);
+                    assert_eq!(s.to_dense(), a, "{ctx}");
+                    if group == 1 {
+                        // one tile per block: 2l-BL's addresses
+                        for (ti, tj) in s.tiling().tiles() {
+                            assert_eq!(s.tile_loc(ti, tj), tlb.tile_loc(ti, tj), "{ctx}");
                         }
                     }
                 }
@@ -595,10 +679,10 @@ mod tests {
         // the sweep's grids: CM is placed on 1×1 whichever it gets
         let one = ProcessGrid::new(1, 1).unwrap();
         for (m, n, b) in [(12, 12, 3), (17, 13, 5), (23, 4, 4)] {
-            let want = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one);
+            let want = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, one, 3);
             for (pr, pc) in [(1, 1), (1, 3), (3, 1), (2, 2)] {
                 let g = ProcessGrid::new(pr, pc).unwrap();
-                let s = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, g);
+                let s = TiledMatrix::zeros(Layout::ColumnMajor, m, n, b, g, 3);
                 assert_eq!(s.grid(), one, "{m}x{n} b={b} grid {pr}x{pc}");
                 for (ti, tj) in s.tiling().tiles() {
                     let ctx = format!("{m}x{n} b={b} grid {pr}x{pc} tile ({ti},{tj})");

@@ -17,7 +17,8 @@
 //! |---|---|---|---|
 //! | kernel work seconds | `work` | `utilization()` | both backends |
 //! | idle seconds (the makespan less every busy second) | `idle` | `total_idle()`, `per_thread_idle()` | both |
-//! | scheduler overhead / memory seconds | `overhead`, `memory` | `utilization()` | simulated only |
+//! | scheduler overhead seconds (on threads: the gaps between a worker's task bodies of one run that no spin, yield or park broke) | `overhead` | `utilization()` | both |
+//! | memory-stall seconds | `memory` | `utilization()` | simulated only |
 //! | noise seconds (modelled OS noise; on threads, fault-plan stalls) | `noise` | `utilization()`, `total_noise()` | both |
 //! | tasks executed | `tasks` | `total_tasks()` | both |
 //! | static-queue pops | `local_pops` | `queue_sources().local` | both |
@@ -47,9 +48,10 @@ pub struct ThreadMetrics {
     /// Seconds idle (no ready task): what the makespan leaves after
     /// every busy second, set once by [`ScheduleMetrics::new`].
     pub idle: f64,
-    /// Seconds of scheduler overhead (dequeues, steals) — simulated
-    /// backends only; the real executor times task bodies alone, so its
-    /// dequeue and steal time falls between them and reads as `idle`.
+    /// Seconds of scheduler overhead (dequeues, steals). The threaded
+    /// engine books the gap between two of a worker's task bodies of one
+    /// run when no spin, yield or park fell between them; a gap that
+    /// waited for work reads as `idle`.
     pub overhead: f64,
     /// Seconds of memory stalls — simulated backends only.
     pub memory: f64,
@@ -455,6 +457,31 @@ mod tests {
         assert_eq!(obs.lost_workers, 1);
         assert_eq!(obs.rescued, 4);
         assert_eq!(obs.dims, (10, 20));
+    }
+
+    #[test]
+    fn per_task_overhead_is_not_idle_pressure_on_the_split() {
+        use crate::adaptive::{AdaptiveController, AdaptivePolicy};
+        use crate::topology::CpuTopology;
+        // two balanced threads whose 30 % off the task bodies is either
+        // the pop path (overhead) or waiting for work (idle)
+        let next_dratio = |overhead| {
+            let t = ThreadMetrics {
+                work: 0.7,
+                overhead,
+                ..Default::default()
+            };
+            let m = ScheduleMetrics::new(1.0, vec![t.clone(), t]);
+            let mut ctl = AdaptiveController::new(AdaptivePolicy::new(1), &CpuTopology::flat(2), 2);
+            let seed = ctl.choice().dratio;
+            ctl.observe(&m.observation((64, 64)));
+            ctl.choice().dratio - seed
+        };
+        assert!(
+            next_dratio(0.3) < 0.0,
+            "overhead pulls toward the static section"
+        );
+        assert!(next_dratio(0.0) > 0.0, "idle grows the dynamic section");
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn main() {
 
     println!("Matrix entries are 'row*10+col' so you can read positions.\n");
 
-    let bcl = TiledMatrix::from_dense(Layout::BlockCyclic, &a, b, grid);
+    let bcl = TiledMatrix::from_dense(Layout::BlockCyclic, &a, b, grid, 3);
     println!("== Block cyclic layout (BCL): each tile column, owner by owner ==");
     let t = bcl.tiling();
     for tj in 0..t.tile_cols() {
@@ -34,13 +34,15 @@ fn main() {
             println!();
         }
     }
-    println!("-> in each tile column a thread's tiles are one column-major run:");
-    println!("   several tiles can be updated with ONE BLAS-3 call (the paper's");
-    println!("   k=3 grouping), and the thread that fills the run touches it first.");
+    println!("-> in each tile column a thread's tiles are one column-major run");
+    println!("   (on a taller matrix, cut into blocks of k = 3 tiles counted from");
+    println!("   its end): up to k tiles can be updated with ONE BLAS-3 call (the");
+    println!("   paper's k=3 grouping), and the thread that fills the run touches");
+    println!("   it first.");
     println!("   Each tile column sits where its columns sit in the dense matrix,");
     println!("   so the buffer becomes the dense result in place.\n");
 
-    let tlb = TiledMatrix::from_dense(Layout::TwoLevelBlock, &a, b, grid);
+    let tlb = TiledMatrix::from_dense(Layout::TwoLevelBlock, &a, b, grid, 1);
     println!("== Two-level block layout (2l-BL): every bxb tile contiguous ==");
     for (ti, tj) in [(0usize, 0usize), (0, 1), (1, 0)] {
         let loc = tlb.tile_loc(ti, tj);

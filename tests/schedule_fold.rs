@@ -169,6 +169,22 @@ fn the_fold_agrees_with_the_timeline_on_every_route() {
     }
 }
 
+#[test]
+fn a_threaded_fine_run_books_its_pops_as_overhead() {
+    // lu_fine's tile (b = 16) on a smaller square: thousands of small
+    // tasks, each worker's bodies mostly back to back, so the pops
+    // between them are overhead and no longer idle
+    let r = Solver::new(MatrixSource::uniform(512, 21))
+        .tile(16)
+        .threads(2)
+        .verify(false)
+        .run()
+        .unwrap();
+    assert_eq!(r.schedule.threads.len(), 2, "a co-operative run");
+    assert!(r.schedule.threads.iter().all(|t| t.overhead > 0.0));
+    assert_accounts_for_the_makespan(&r, "fine");
+}
+
 /// A simulated solver on the 16-core Intel model with modelled OS
 /// noise, so every busy term of the idle rule is nonzero somewhere.
 fn simulated(source: MatrixSource) -> Solver {

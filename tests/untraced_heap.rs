@@ -146,15 +146,15 @@ fn a_factorization_holds_one_m_by_n_buffer() {
             .verify(false)
     };
     // 2 threads: a 1×2 grid, whose tile columns are column-major as
-    // they are; 4 threads: 2×2, where each worker gathers a tile column
-    // through a one-block scratch of b · m elements
-    for (threads, pr, scratch) in [(2, 1, 0), (4, 2, 4 * b * n * f64s)] {
+    // they are; 4 threads: 2×2, where each tile column's `b`-row
+    // segments are permuted in place, with no block-sized scratch
+    for (threads, pr) in [(2, 1), (4, 2)] {
         let solver = solver(threads);
         assert_eq!(solver.plan().unwrap().grid.pr(), pr);
         drop(solver.run().unwrap());
         let (peak, r) = peak_above_baseline(|| solver.run().unwrap());
         assert!(r.factorization.is_some());
-        let bound = n * n * f64s + scratch + 2 * MIB;
+        let bound = n * n * f64s + 2 * MIB;
         assert!(
             peak <= bound,
             "{threads} threads: the run peaked {peak} B above its baseline, past {bound} B"
