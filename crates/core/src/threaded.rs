@@ -48,10 +48,11 @@ use crate::factorization::Factorization;
 use crate::pivot::swaps_for_selection;
 use crate::shared::{DensifyScratch, SharedTiles, TilePtr};
 use crate::sync::{advise_huge_pages, Mutex};
-use crate::tslu::{Candidate, TreePlan};
+use crate::tslu::Candidate;
 
+/// A panel's tournament: one candidate per slot of the graph's
+/// [`calu_dag::TreePlan`], and the pivots its finish picks.
 struct PanelState {
-    plan: TreePlan,
     slots: Vec<Mutex<Option<Candidate>>>,
     perm: OnceLock<RowPerm>,
 }
@@ -192,7 +193,6 @@ impl<'a> ItemState<'a> {
         nstatic: usize,
         input: Cow<'a, DenseMatrix>,
     ) -> Self {
-        let mt = g.tile_rows();
         let kernels = KernelSet::for_graph(&g);
         let mut tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid, group);
         if size_of_val(tiles.buffer()) >= HUGE_PAGE_MIN_BYTES {
@@ -211,14 +211,9 @@ impl<'a> ItemState<'a> {
             panels: match kernels {
                 KernelSet::Cholesky => Vec::new(),
                 KernelSet::CaluLu => (0..g.num_panels())
-                    .map(|k| {
-                        let nleaves = g.leaf_stride().min(mt - k);
-                        let plan = TreePlan::new(nleaves);
-                        PanelState {
-                            slots: (0..plan.slots).map(|_| Mutex::new(None)).collect(),
-                            plan,
-                            perm: OnceLock::new(),
-                        }
+                    .map(|k| PanelState {
+                        slots: (0..g.tree(k).slots).map(|_| Mutex::new(None)).collect(),
+                        perm: OnceLock::new(),
                     })
                     .collect(),
             },
@@ -494,7 +489,7 @@ impl ItemState<'_> {
         // the next writer (this panel's finish) after us.
         let tiles: Vec<TilePtr> = self
             .g
-            .leaf_rows(k, i0)
+            .leaf_rows(i0)
             .map(|ti| unsafe { self.tiles.tile_ptr(ti, k) })
             .collect();
         let total: usize = tiles.iter().map(|t| t.rows).sum();
@@ -509,7 +504,7 @@ impl ItemState<'_> {
         let b = self.b;
         let ids: Vec<usize> = self
             .g
-            .leaf_rows(k, i0)
+            .leaf_rows(i0)
             .zip(&tiles)
             .flat_map(|(ti, t)| (0..t.rows).map(move |i| ti * b + i))
             .collect();
@@ -523,7 +518,7 @@ impl ItemState<'_> {
     }
 
     fn run_combine(&self, k: usize, level: u32, idx: u32, scratch: &mut GemmScratch) {
-        let st = self.panels[k].plan.step_for(level, idx);
+        let st = self.g.tree(k).step_for(level, idx);
         let a = self.panels[k].slots[st.left]
             .lock()
             .take()
@@ -558,7 +553,7 @@ impl ItemState<'_> {
 
     fn run_finish(&self, k: usize) {
         let w = self.panel_width(k);
-        let winner = self.panels[k].slots[self.panels[k].plan.root]
+        let winner = self.panels[k].slots[self.g.tree(k).root]
             .lock()
             .take()
             .expect("tournament winner ready");
@@ -921,7 +916,7 @@ mod tests {
             let g = TaskGraph::build_calu(m, n, b, grid.pr());
             for t in g.ids() {
                 if let TaskKind::PanelLeaf { k, i } = g.kind(t) {
-                    let rows = g.leaf_rows(k as usize, i as usize).count();
+                    let rows = g.leaf_rows(i as usize).count();
                     assert!(rows > 0, "{m}x{n} b={b}: leaf ({k},{i}) is empty");
                 }
             }
@@ -1238,7 +1233,10 @@ mod tests {
                 finals += usize::from(item.complete_into(&[t.0], &mut ready));
                 retired += 1;
                 if retired == fills {
-                    assert_eq!(ready, g.initial_ready(), "{ctx}: the last FILL");
+                    assert!(
+                        ready.iter().copied().eq(g.initial_ready()),
+                        "{ctx}: the last FILL"
+                    );
                 } else if retired == fills + dag {
                     assert_eq!(ready, item.densify_tasks(), "{ctx}: the last DAG task");
                 } else if retired < fills || retired > fills + dag {

@@ -8,6 +8,7 @@
 //! for the whole panel, selected with one reduction instead of one
 //! synchronization per column.
 
+use calu_dag::TreePlan;
 use calu_kernels::{dgetrf_recursive_packed, GemmScratch};
 use calu_matrix::DenseMatrix;
 
@@ -67,82 +68,6 @@ impl Candidate {
     }
 }
 
-/// One knockout match of the reduction tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CombineStep {
-    /// Tree level (1 = just above the leaves) — matches the DAG's
-    /// `PanelCombine { level, .. }`.
-    pub level: u32,
-    /// Position within the level — matches the DAG's `idx` (promoted odd
-    /// nodes consume an index without producing a step, exactly like the
-    /// DAG builder).
-    pub idx: u32,
-    /// Input slot (left child).
-    pub left: usize,
-    /// Input slot (right child).
-    pub right: usize,
-    /// Output slot.
-    pub out: usize,
-}
-
-/// The shape of the reduction tree for `nleaves` leaves — built exactly
-/// like the DAG builder pairs nodes (chunks of two, odd node promoted),
-/// so the threaded executor and the task graph agree on structure.
-#[derive(Debug, Clone)]
-pub(crate) struct TreePlan {
-    /// Combine steps in execution order; slots `0..nleaves` are leaves,
-    /// combines allocate new slots upward.
-    pub steps: Vec<CombineStep>,
-    /// Slot holding the final winner.
-    pub root: usize,
-    /// Total slots (leaves + combines).
-    pub slots: usize,
-}
-
-impl TreePlan {
-    /// Plan the reduction over `nleaves` leaves (must be > 0).
-    pub fn new(nleaves: usize) -> TreePlan {
-        assert!(nleaves > 0, "tree needs at least one leaf");
-        let mut steps = Vec::new();
-        let mut level_nodes: Vec<usize> = (0..nleaves).collect();
-        let mut next_slot = nleaves;
-        let mut level = 1u32;
-        while level_nodes.len() > 1 {
-            let mut next = Vec::with_capacity(level_nodes.len().div_ceil(2));
-            for (idx, pair) in level_nodes.chunks(2).enumerate() {
-                if pair.len() == 2 {
-                    steps.push(CombineStep {
-                        level,
-                        idx: idx as u32,
-                        left: pair[0],
-                        right: pair[1],
-                        out: next_slot,
-                    });
-                    next.push(next_slot);
-                    next_slot += 1;
-                } else {
-                    next.push(pair[0]);
-                }
-            }
-            level_nodes = next;
-            level += 1;
-        }
-        TreePlan {
-            steps,
-            root: level_nodes[0],
-            slots: next_slot,
-        }
-    }
-
-    /// Find the step for the DAG task `PanelCombine { level, idx }`.
-    pub fn step_for(&self, level: u32, idx: u32) -> &CombineStep {
-        self.steps
-            .iter()
-            .find(|s| s.level == level && s.idx == idx)
-            .expect("combine step must exist for every DAG combine task")
-    }
-}
-
 /// Run the whole tournament sequentially on a dense panel (`rows × w`):
 /// split rows into `nchunks` contiguous chunks, elect per chunk, reduce.
 /// Returns the selected pivot rows as indices into the panel (`0-based`,
@@ -179,42 +104,6 @@ pub fn tournament_pivots(panel: &DenseMatrix, nchunks: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use calu_matrix::gen;
-
-    #[test]
-    fn tree_plan_shapes() {
-        let p1 = TreePlan::new(1);
-        assert!(p1.steps.is_empty());
-        assert_eq!(p1.root, 0);
-        let p2 = TreePlan::new(2);
-        assert_eq!(p2.steps.len(), 1);
-        assert_eq!(
-            (p2.steps[0].left, p2.steps[0].right, p2.steps[0].out),
-            (0, 1, 2)
-        );
-        assert_eq!(p2.root, 2);
-        // 5 leaves: (0,1)->5, (2,3)->6, 4 promoted; (5,6)->7, 4 promoted;
-        // (7,4)->8
-        let p5 = TreePlan::new(5);
-        let triples: Vec<_> = p5.steps.iter().map(|s| (s.left, s.right, s.out)).collect();
-        assert_eq!(triples, vec![(0, 1, 5), (2, 3, 6), (5, 6, 7), (7, 4, 8)]);
-        assert_eq!(p5.root, 8);
-        assert_eq!(p5.slots, 9);
-        // level/idx addressing matches the DAG's enumeration (promoted
-        // node at level 1 consumed idx 2; level 2 pairs idx 0 = (5,6),
-        // the promoted leaf 4 is idx 1; level 3 pairs idx 0 = (7,4))
-        assert_eq!(p5.step_for(1, 0).out, 5);
-        assert_eq!(p5.step_for(1, 1).out, 6);
-        assert_eq!(p5.step_for(2, 0).out, 7);
-        assert_eq!(p5.step_for(3, 0).out, 8);
-    }
-
-    #[test]
-    fn tree_plan_matches_dag_combine_count() {
-        for leaves in 1..20 {
-            let plan = TreePlan::new(leaves);
-            assert_eq!(plan.steps.len(), leaves - 1, "{leaves} leaves");
-        }
-    }
 
     #[test]
     fn single_chunk_matches_gepp() {

@@ -1,10 +1,13 @@
 //! Construction and storage of the CALU task graph.
 
+use crate::access::{Access, Datum};
 use crate::task::{PaperKind, TaskId, TaskKind};
+use crate::tree::{CombineStep, TreePlan};
 
 /// Which factorization algorithm a [`TaskGraph`] describes. The task
-/// kinds are shared; the variant changes the dependency shape and how the
-/// cost model prices each task.
+/// kinds are shared; the variant selects the access table that says
+/// what each kind reads and writes (see [`TaskGraph::access`]), hence
+/// the dependency shape, and how the cost model prices each task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DagVariant {
     /// CALU with tournament pivoting: parallel TSLU reduction tree per
@@ -41,89 +44,241 @@ pub struct TaskGraph {
     variant: DagVariant,
     /// TSLU leaves cover every `leaf_stride`-th tile row (CALU variant).
     leaf_stride: usize,
+    /// Each panel's TSLU reduction tree (CALU variant).
+    trees: Vec<TreePlan>,
     kinds: Vec<TaskKind>,
     dep_count: Vec<u32>,
     succ_off: Vec<u32>,
     succ: Vec<TaskId>,
     finish_ids: Vec<TaskId>,
+    roots: Vec<TaskId>,
 }
 
-/// Internal builder accumulating tasks and edges.
-struct Builder {
-    kinds: Vec<TaskKind>,
-    dep_count: Vec<u32>,
-    edges: Vec<(u32, u32)>,
-    finish_ids: Vec<TaskId>,
+const NONE: u32 = u32::MAX;
+
+/// What edge inference keeps per task.
+#[derive(Clone, Copy)]
+struct Node {
+    /// End of the task's predecessors in `preds`.
+    end: u32,
+    /// The largest predecessor id (0 for a root).
+    top: u32,
+    /// 1 + the longest path from a root, in edges: an ancestor's is
+    /// smaller.
+    level: u32,
+    /// `2t + 2` while a candidate of task `t`, `2t + 3` once reached.
+    mark: u32,
 }
 
-impl Builder {
-    fn new() -> Self {
-        Self {
-            kinds: Vec::new(),
-            dep_count: Vec::new(),
-            edges: Vec::new(),
-            finish_ids: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, kind: TaskKind, deps: &[u32]) -> u32 {
-        let id = self.kinds.len() as u32;
-        self.kinds.push(kind);
-        self.dep_count.push(deps.len() as u32);
-        for &d in deps {
-            debug_assert!(d < id, "dependency must precede dependent");
-            self.edges.push((d, id));
-        }
-        id
-    }
-
-    fn finish(mut self, m: usize, n: usize, b: usize, variant: DagVariant) -> TaskGraph {
-        // no doubling slack: a shrinking realloc splits in place
-        self.kinds.shrink_to_fit();
-        self.dep_count.shrink_to_fit();
-        let ntasks = self.kinds.len();
-        let mut succ_off = vec![0u32; ntasks + 1];
-        for &(from, _) in &self.edges {
-            succ_off[from as usize + 1] += 1;
-        }
-        for i in 0..ntasks {
-            succ_off[i + 1] += succ_off[i];
-        }
-        let mut cursor = succ_off.clone();
-        let mut succ = vec![TaskId(0); self.edges.len()];
-        for &(from, to) in &self.edges {
-            let c = &mut cursor[from as usize];
-            succ[*c as usize] = TaskId(to);
-            *c += 1;
-        }
+impl TaskGraph {
+    /// An empty arena for the given shape; CALU's reduction trees are
+    /// planned here, once per panel.
+    pub(crate) fn with_shape(
+        m: usize,
+        n: usize,
+        b: usize,
+        variant: DagVariant,
+        leaf_stride: usize,
+    ) -> Self {
+        assert!(b > 0, "block size must be positive");
+        assert!(m > 0 && n > 0, "matrix must be non-empty");
+        assert!(leaf_stride > 0, "leaf stride must be positive");
+        let (mt, nt) = (m.div_ceil(b), n.div_ceil(b));
+        let trees = match variant {
+            DagVariant::Calu => (0..mt.min(nt))
+                .map(|k| TreePlan::new(leaf_stride.min(mt - k)))
+                .collect(),
+            _ => Vec::new(),
+        };
         TaskGraph {
             m,
             n,
             b,
-            mt: m.div_ceil(b),
-            nt: n.div_ceil(b),
+            mt,
+            nt,
             variant,
-            leaf_stride: 1,
-            kinds: self.kinds,
-            dep_count: self.dep_count,
-            succ_off,
-            succ,
-            finish_ids: self.finish_ids,
+            leaf_stride,
+            trees,
+            kinds: Vec::new(),
+            dep_count: Vec::new(),
+            succ_off: Vec::new(),
+            succ: Vec::new(),
+            finish_ids: Vec::new(),
+            roots: Vec::new(),
         }
     }
-}
 
-impl TaskGraph {
-    /// Build the DAG for an `m × n` matrix with tile size `b`.
-    ///
-    /// Dependencies implemented (tile indices; `k` = panel):
-    /// * `PanelLeaf(k,i)`   ← `Update(k−1,i,k)` (k>0)
-    /// * `PanelCombine`     ← its two children in the binary reduction tree
-    /// * `PanelFinish(k)`   ← the tree root
-    /// * `ComputeL(k,i)`    ← `PanelFinish(k)`
-    /// * `ComputeU(k,j)`    ← `PanelFinish(k)` and every `Update(k−1,i,j)`,
-    ///   `i ∈ k..M` — the panel's row swaps span the whole trailing column
-    /// * `Update(k,i,j)`    ← `ComputeL(k,i)`, `ComputeU(k,j)`
+    pub(crate) fn push(&mut self, kind: TaskKind) {
+        if let TaskKind::PanelFinish { .. } = kind {
+            self.finish_ids.push(TaskId(self.kinds.len() as u32));
+        }
+        self.kinds.push(kind);
+    }
+
+    /// The task list of the three LU variants, one panel at a time: the
+    /// panel (CALU's TSLU leaves and reduction tree, then the finish),
+    /// the L column (not in GEPP, whose panel task covers it), then each
+    /// trailing column's U and S tasks.
+    fn push_lu(mut self) -> Self {
+        let (mt, nt) = (self.mt as u32, self.nt as u32);
+        for k in 0..mt.min(nt) {
+            if self.variant == DagVariant::Calu {
+                for i in k..(k + self.leaf_stride as u32).min(mt) {
+                    self.push(TaskKind::PanelLeaf { k, i });
+                }
+                for s in 0..self.trees[k as usize].steps.len() {
+                    let CombineStep { level, idx, .. } = self.trees[k as usize].steps[s];
+                    self.push(TaskKind::PanelCombine { k, level, idx });
+                }
+            }
+            self.push(TaskKind::PanelFinish { k });
+            if self.variant != DagVariant::GeppPanelSeq {
+                for i in (k + 1)..mt {
+                    self.push(TaskKind::ComputeL { k, i });
+                }
+            }
+            for j in (k + 1)..nt {
+                self.push(TaskKind::ComputeU { k, j });
+                for i in (k + 1)..mt {
+                    self.push(TaskKind::Update { k, i, j });
+                }
+            }
+        }
+        self
+    }
+
+    /// Derive the edges of the pushed task list from the access table
+    /// and store them as CSR. The tasks are walked in program order, as
+    /// QUARK does: a read waits on the datum's last writer; a write waits
+    /// on the readers since that writer, or on the writer itself when
+    /// there were none. A candidate that another candidate reaches is
+    /// then dropped, so no edge is one a path already implies.
+    pub(crate) fn with_inferred_edges(mut self) -> Self {
+        // no doubling slack: a shrinking realloc splits in place
+        self.kinds.shrink_to_fit();
+        let n = self.kinds.len();
+        // the data, numbered densely: tiles, then per panel its `U_kk`,
+        // its pivots and its tree's candidate slots
+        let (tiles, np) = (self.mt * self.nt, self.mt.min(self.nt));
+        let slots = self.trees.iter().map(|t| t.slots).max().unwrap_or(0);
+        let index = |d: Datum| match d {
+            Datum::Tile(i, j) => i as usize * self.nt + j as usize,
+            Datum::Upper(k) => tiles + k as usize,
+            Datum::Pivots(k) => tiles + np + k as usize,
+            Datum::Candidate(k, s) => tiles + 2 * np + k as usize * slots + s as usize,
+        };
+        // per datum: its last writer and the head of its list of readers
+        // since, in `readers` as `(task, next)`; an S task reads two tiles
+        // and has two predecessors
+        let mut data = vec![(NONE, NONE); tiles + (2 + slots) * np];
+        let mut readers: Vec<(u32, u32)> = Vec::with_capacity(2 * n);
+        let mut preds: Vec<u32> = Vec::with_capacity(3 * n);
+        let mut tasks: Vec<Node> = Vec::with_capacity(n);
+        let (mut acc, mut stack) = (Access::default(), Vec::new());
+        for id in 0..n as u32 {
+            self.footprint(self.kinds[id as usize], &mut acc);
+            let (cand, start) = (2 * id + 2, preds.len());
+            // smallest and largest candidate id, lowest and highest level
+            let (mut min, mut top, mut low, mut high) = (NONE, 0, NONE, 0);
+            let mut add = |p: u32| {
+                if p != NONE && tasks[p as usize].mark != cand {
+                    let node = &mut tasks[p as usize];
+                    node.mark = cand;
+                    preds.push(p);
+                    (min, top) = (min.min(p), top.max(p));
+                    (low, high) = (low.min(node.level), high.max(node.level));
+                }
+            };
+            // a task names a datum once, so its state is updated at once
+            for &d in &acc.reads {
+                let (writer, head) = &mut data[index(d)];
+                add(*writer);
+                readers.push((id, *head));
+                *head = readers.len() as u32 - 1;
+            }
+            for &d in &acc.writes {
+                let (writer, mut r) = std::mem::replace(&mut data[index(d)], (id, NONE));
+                if r == NONE {
+                    add(writer);
+                }
+                while r != NONE {
+                    add(readers[r as usize].0);
+                    r = readers[r as usize].1;
+                }
+            }
+            // Drop every candidate another one reaches. Only a task whose
+            // largest predecessor is at least the smallest candidate and
+            // whose level is above the lowest one's can have a candidate
+            // as an ancestor, so the walk back enters no other.
+            let enter = |x: Node| x.top >= min && x.level > low;
+            stack.extend(preds[start..].iter().filter(|&&c| enter(tasks[c as usize])));
+            let seen = cand + 1;
+            while let Some(x) = stack.pop() {
+                let lo = if x == 0 { 0 } else { tasks[x as usize - 1].end };
+                for at in lo..tasks[x as usize].end {
+                    let p = preds[at as usize] as usize;
+                    if p as u32 >= min && tasks[p].mark != seen {
+                        // a candidate reached here is implied: it loses `cand`
+                        tasks[p].mark = seen;
+                        if enter(tasks[p]) {
+                            stack.push(p as u32);
+                        }
+                    }
+                }
+            }
+            if preds.len() - start > 1 {
+                let mut keep = start;
+                for at in start..preds.len() {
+                    if tasks[preds[at] as usize].mark == cand {
+                        preds[keep] = preds[at];
+                        keep += 1;
+                    }
+                }
+                preds.truncate(keep);
+            }
+            if preds.len() == start {
+                self.roots.push(TaskId(id));
+            }
+            // a dropped candidate reaches a kept one, whose id and level
+            // are larger: the extremes are the kept predecessors'
+            let end = preds.len() as u32;
+            tasks.push(Node {
+                end,
+                top,
+                level: high + 1,
+                mark: 0,
+            });
+        }
+        let mut lo = 0;
+        self.dep_count = (tasks.iter())
+            .map(|node| node.end - std::mem::replace(&mut lo, node.end))
+            .collect();
+        drop(tasks);
+        // CSR by counting: `succ_off[p]` counts, then ends; filling from
+        // the back leaves the starts and each successor list rising
+        let mut succ_off = vec![0u32; n + 1];
+        for &p in &preds {
+            succ_off[p as usize] += 1;
+        }
+        for i in 1..=n {
+            succ_off[i] += succ_off[i - 1];
+        }
+        self.succ = vec![TaskId(0); preds.len()];
+        let mut end = preds.len();
+        for t in (0..n).rev() {
+            let lo = end - self.dep_count[t] as usize;
+            for &p in &preds[lo..end] {
+                succ_off[p as usize] -= 1;
+                self.succ[succ_off[p as usize] as usize] = TaskId(t as u32);
+            }
+            end = lo;
+        }
+        self.succ_off = succ_off;
+        self
+    }
+
+    /// Build the DAG for an `m × n` matrix with tile size `b`, one TSLU
+    /// leaf per tile row ([`TaskGraph::build_calu`] with a stride of `M`).
     pub fn build(m: usize, n: usize, b: usize) -> TaskGraph {
         let mt = m.div_ceil(b);
         Self::build_calu(m, n, b, mt.max(1))
@@ -139,121 +294,9 @@ impl TaskGraph {
     /// reduction tree of depth `log2(pr)`. Passing `leaf_stride >= M`
     /// degenerates to one leaf per tile row ([`TaskGraph::build`]).
     pub fn build_calu(m: usize, n: usize, b: usize, leaf_stride: usize) -> TaskGraph {
-        assert!(b > 0, "block size must be positive");
-        assert!(m > 0 && n > 0, "matrix must be non-empty");
-        assert!(leaf_stride > 0, "leaf stride must be positive");
-        let mt = m.div_ceil(b);
-        let nt = n.div_ceil(b);
-        let np = mt.min(nt);
-
-        let mut bld = Builder::new();
-
-        // Update(k-1, i, j) task ids, indexed by i*nt + j.
-        let mut prev_update: Vec<u32> = vec![u32::MAX; mt * nt];
-        let mut cur_update: Vec<u32> = vec![u32::MAX; mt * nt];
-
-        for k in 0..np {
-            // --- TSLU leaves: one per residue class of tile rows ---
-            let nleaves = leaf_stride.min(mt - k);
-            let mut level_nodes: Vec<u32> = Vec::with_capacity(nleaves);
-            let mut deps: Vec<u32> = Vec::new();
-            for r in 0..nleaves {
-                deps.clear();
-                if k > 0 {
-                    let mut i = k + r;
-                    while i < mt {
-                        deps.push(prev_update[i * nt + k]);
-                        i += leaf_stride;
-                    }
-                }
-                let id = bld.push(
-                    TaskKind::PanelLeaf {
-                        k: k as u32,
-                        i: (k + r) as u32,
-                    },
-                    &deps,
-                );
-                level_nodes.push(id);
-            }
-
-            // --- binary reduction tree ---
-            let mut level = 1u32;
-            while level_nodes.len() > 1 {
-                let mut next: Vec<u32> = Vec::with_capacity(level_nodes.len().div_ceil(2));
-                for (idx, pair) in level_nodes.chunks(2).enumerate() {
-                    if pair.len() == 2 {
-                        let id = bld.push(
-                            TaskKind::PanelCombine {
-                                k: k as u32,
-                                level,
-                                idx: idx as u32,
-                            },
-                            pair,
-                        );
-                        next.push(id);
-                    } else {
-                        // odd node is promoted unchanged
-                        next.push(pair[0]);
-                    }
-                }
-                level_nodes = next;
-                level += 1;
-            }
-
-            // --- finish: swap pivots in, factor diagonal tile ---
-            let root = level_nodes[0];
-            let fin = bld.push(TaskKind::PanelFinish { k: k as u32 }, &[root]);
-            bld.finish_ids.push(TaskId(fin));
-
-            // --- L tiles ---
-            let mut l_ids: Vec<u32> = Vec::with_capacity(mt - k - 1);
-            for i in (k + 1)..mt {
-                let id = bld.push(
-                    TaskKind::ComputeL {
-                        k: k as u32,
-                        i: i as u32,
-                    },
-                    &[fin],
-                );
-                l_ids.push(id);
-            }
-
-            // --- U tiles and trailing updates ---
-            let mut deps_buf: Vec<u32> = Vec::with_capacity(mt - k + 1);
-            for j in (k + 1)..nt {
-                deps_buf.clear();
-                deps_buf.push(fin);
-                if k > 0 {
-                    for i in k..mt {
-                        deps_buf.push(prev_update[i * nt + j]);
-                    }
-                }
-                let u_id = bld.push(
-                    TaskKind::ComputeU {
-                        k: k as u32,
-                        j: j as u32,
-                    },
-                    &deps_buf,
-                );
-                for (li, i) in ((k + 1)..mt).enumerate() {
-                    let s_id = bld.push(
-                        TaskKind::Update {
-                            k: k as u32,
-                            i: i as u32,
-                            j: j as u32,
-                        },
-                        &[l_ids[li], u_id],
-                    );
-                    cur_update[i * nt + j] = s_id;
-                }
-            }
-
-            std::mem::swap(&mut prev_update, &mut cur_update);
-        }
-
-        let mut g = bld.finish(m, n, b, DagVariant::Calu);
-        g.leaf_stride = leaf_stride;
-        g
+        Self::with_shape(m, n, b, DagVariant::Calu, leaf_stride)
+            .push_lu()
+            .with_inferred_edges()
     }
 
     /// Build the DAG of **blocked GEPP with a sequential panel
@@ -263,58 +306,9 @@ impl TaskGraph {
     /// panel GEPP; there are no `PanelLeaf`/`PanelCombine`/`ComputeL`
     /// tasks.
     pub fn build_gepp(m: usize, n: usize, b: usize) -> TaskGraph {
-        assert!(b > 0, "block size must be positive");
-        assert!(m > 0 && n > 0, "matrix must be non-empty");
-        let mt = m.div_ceil(b);
-        let nt = n.div_ceil(b);
-        let np = mt.min(nt);
-
-        let mut bld = Builder::new();
-        let mut prev_update: Vec<u32> = vec![u32::MAX; mt * nt];
-        let mut cur_update: Vec<u32> = vec![u32::MAX; mt * nt];
-
-        for k in 0..np {
-            // whole-panel sequential factorization
-            let mut deps: Vec<u32> = Vec::new();
-            if k > 0 {
-                for i in k..mt {
-                    deps.push(prev_update[i * nt + k]);
-                }
-            }
-            let fin = bld.push(TaskKind::PanelFinish { k: k as u32 }, &deps);
-            bld.finish_ids.push(TaskId(fin));
-
-            let mut deps_buf: Vec<u32> = Vec::new();
-            for j in (k + 1)..nt {
-                deps_buf.clear();
-                deps_buf.push(fin);
-                if k > 0 {
-                    for i in k..mt {
-                        deps_buf.push(prev_update[i * nt + j]);
-                    }
-                }
-                let u_id = bld.push(
-                    TaskKind::ComputeU {
-                        k: k as u32,
-                        j: j as u32,
-                    },
-                    &deps_buf,
-                );
-                for i in (k + 1)..mt {
-                    let s_id = bld.push(
-                        TaskKind::Update {
-                            k: k as u32,
-                            i: i as u32,
-                            j: j as u32,
-                        },
-                        &[u_id],
-                    );
-                    cur_update[i * nt + j] = s_id;
-                }
-            }
-            std::mem::swap(&mut prev_update, &mut cur_update);
-        }
-        bld.finish(m, n, b, DagVariant::GeppPanelSeq)
+        Self::with_shape(m, n, b, DagVariant::GeppPanelSeq, 1)
+            .push_lu()
+            .with_inferred_edges()
     }
 
     /// Build the DAG of **tiled LU with incremental pivoting** — the
@@ -325,78 +319,9 @@ impl TaskGraph {
     /// `Update(k,i,j)` = SSSSM (serial chain down each column since each
     /// step rewrites the top tile row `(k,j)`).
     pub fn build_incpiv(m: usize, n: usize, b: usize) -> TaskGraph {
-        assert!(b > 0, "block size must be positive");
-        assert!(m > 0 && n > 0, "matrix must be non-empty");
-        let mt = m.div_ceil(b);
-        let nt = n.div_ceil(b);
-        let np = mt.min(nt);
-
-        let mut bld = Builder::new();
-        let mut prev_update: Vec<u32> = vec![u32::MAX; mt * nt];
-        let mut cur_update: Vec<u32> = vec![u32::MAX; mt * nt];
-
-        for k in 0..np {
-            // GETRF(k,k)
-            let mut deps: Vec<u32> = Vec::new();
-            if k > 0 {
-                deps.push(prev_update[k * nt + k]);
-            }
-            let fin = bld.push(TaskKind::PanelFinish { k: k as u32 }, &deps);
-            bld.finish_ids.push(TaskId(fin));
-
-            // TSTRF chain down the panel
-            let mut l_ids: Vec<u32> = Vec::with_capacity(mt - k - 1);
-            let mut prev_in_chain = fin;
-            for i in (k + 1)..mt {
-                let mut deps = vec![prev_in_chain];
-                if k > 0 {
-                    deps.push(prev_update[i * nt + k]);
-                }
-                let id = bld.push(
-                    TaskKind::ComputeL {
-                        k: k as u32,
-                        i: i as u32,
-                    },
-                    &deps,
-                );
-                l_ids.push(id);
-                prev_in_chain = id;
-            }
-
-            // GESSM row + SSSSM chains
-            for j in (k + 1)..nt {
-                let mut deps = vec![fin];
-                if k > 0 {
-                    deps.push(prev_update[k * nt + j]);
-                }
-                let u_id = bld.push(
-                    TaskKind::ComputeU {
-                        k: k as u32,
-                        j: j as u32,
-                    },
-                    &deps,
-                );
-                let mut prev_s = u_id;
-                for (li, i) in ((k + 1)..mt).enumerate() {
-                    let mut deps = vec![l_ids[li], prev_s];
-                    if k > 0 {
-                        deps.push(prev_update[i * nt + j]);
-                    }
-                    let s_id = bld.push(
-                        TaskKind::Update {
-                            k: k as u32,
-                            i: i as u32,
-                            j: j as u32,
-                        },
-                        &deps,
-                    );
-                    cur_update[i * nt + j] = s_id;
-                    prev_s = s_id;
-                }
-            }
-            std::mem::swap(&mut prev_update, &mut cur_update);
-        }
-        bld.finish(m, n, b, DagVariant::TileIncPiv)
+        Self::with_shape(m, n, b, DagVariant::TileIncPiv, 1)
+            .push_lu()
+            .with_inferred_edges()
     }
 
     /// Build the DAG of a **tiled Cholesky factorization** of an `n × n`
@@ -407,64 +332,20 @@ impl TaskGraph {
     /// every update depends only on its two TRSMs and the tile's
     /// previous update.
     pub fn build_cholesky(n: usize, b: usize) -> TaskGraph {
-        assert!(b > 0, "block size must be positive");
-        assert!(n > 0, "matrix must be non-empty");
-        let nt = n.div_ceil(b);
-
-        let mut bld = Builder::new();
-        let mut prev_update: Vec<u32> = vec![u32::MAX; nt * nt];
-        let mut cur_update: Vec<u32> = vec![u32::MAX; nt * nt];
-
+        let mut g = Self::with_shape(n, n, b, DagVariant::TileCholesky, 1);
+        let nt = g.nt as u32;
         for k in 0..nt {
-            // POTRF(k,k)
-            let mut deps: Vec<u32> = Vec::new();
-            if k > 0 {
-                deps.push(prev_update[k * nt + k]);
-            }
-            let fin = bld.push(TaskKind::PanelFinish { k: k as u32 }, &deps);
-            bld.finish_ids.push(TaskId(fin));
-
-            // TRSM column
-            let mut l_ids: Vec<u32> = Vec::with_capacity(nt - k - 1);
+            g.push(TaskKind::PanelFinish { k });
             for i in (k + 1)..nt {
-                let mut deps = vec![fin];
-                if k > 0 {
-                    deps.push(prev_update[i * nt + k]);
-                }
-                let id = bld.push(
-                    TaskKind::ComputeL {
-                        k: k as u32,
-                        i: i as u32,
-                    },
-                    &deps,
-                );
-                l_ids.push(id);
+                g.push(TaskKind::ComputeL { k, i });
             }
-
-            // SYRK/GEMM over the trailing lower triangle
             for i in (k + 1)..nt {
                 for j in (k + 1)..=i {
-                    let mut deps = vec![l_ids[i - k - 1]];
-                    if j != i {
-                        deps.push(l_ids[j - k - 1]);
-                    }
-                    if k > 0 {
-                        deps.push(prev_update[i * nt + j]);
-                    }
-                    let s_id = bld.push(
-                        TaskKind::Update {
-                            k: k as u32,
-                            i: i as u32,
-                            j: j as u32,
-                        },
-                        &deps,
-                    );
-                    cur_update[i * nt + j] = s_id;
+                    g.push(TaskKind::Update { k, i, j });
                 }
             }
-            std::mem::swap(&mut prev_update, &mut cur_update);
         }
-        bld.finish(n, n, b, DagVariant::TileCholesky)
+        g.with_inferred_edges()
     }
 
     /// The algorithm variant this graph encodes.
@@ -477,12 +358,15 @@ impl TaskGraph {
         self.leaf_stride
     }
 
-    /// Tile rows covered by the TSLU leaf of panel `k` whose
-    /// representative tile row is `i0` (every `leaf_stride`-th row from
-    /// `i0`).
-    pub fn leaf_rows(&self, k: usize, i0: usize) -> impl Iterator<Item = usize> + '_ {
-        let _ = k;
+    /// Tile rows covered by the TSLU leaf whose representative tile row
+    /// is `i0` (every `leaf_stride`-th row from `i0`).
+    pub fn leaf_rows(&self, i0: usize) -> impl Iterator<Item = usize> + '_ {
         (i0..self.mt).step_by(self.leaf_stride)
+    }
+
+    /// Panel `k`'s TSLU reduction tree (CALU variant).
+    pub fn tree(&self, k: usize) -> &TreePlan {
+        &self.trees[k]
     }
 
     /// Matrix rows.
@@ -548,12 +432,10 @@ impl TaskGraph {
         self.finish_ids[k]
     }
 
-    /// Ids of all tasks with no dependencies (ready at time zero).
-    pub fn initial_ready(&self) -> Vec<TaskId> {
-        (0..self.len() as u32)
-            .map(TaskId)
-            .filter(|t| self.dep_count(*t) == 0)
-            .collect()
+    /// Ids of all tasks with no dependencies (ready at time zero), in
+    /// arena order, as the builder recorded them.
+    pub fn initial_ready(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        self.roots.iter().copied()
     }
 
     /// Iterate over all task ids in topological (arena) order.
@@ -786,7 +668,7 @@ mod tests {
             .filter(|&t| matches!(g.kind(t), TaskKind::PanelLeaf { k: 0, .. }))
             .collect();
         assert_eq!(leaves0.len(), 2);
-        let rows: Vec<usize> = g.leaf_rows(0, 0).collect();
+        let rows: Vec<usize> = g.leaf_rows(0).collect();
         assert_eq!(rows, vec![0, 2, 4, 6]);
         let combines0 = g
             .ids()

@@ -17,11 +17,20 @@
 //! tasks are stored in a flat arena with CSR successor lists, and the
 //! construction order is a topological order (every dependency precedes
 //! its dependents), which the schedulers and the simulator exploit.
+//!
+//! A builder only lists tasks; what each reads and writes is one access
+//! table ([`TaskGraph::access`], over [`Datum`]s), selected by the
+//! [`DagVariant`], and the edges are inferred from it. The TSLU tree's
+//! shape is a [`TreePlan`], shared by the builder and the executor.
 
+mod access;
 pub mod critical_path;
 pub mod dot;
 mod graph;
 mod task;
+mod tree;
 
+pub use access::{Access, Datum};
 pub use graph::{DagVariant, TaskGraph};
 pub use task::{PaperKind, TaskId, TaskKind};
+pub use tree::{CombineStep, TreePlan};

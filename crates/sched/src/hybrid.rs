@@ -493,7 +493,7 @@ mod tests {
             };
             // nobody enabled the initially ready tasks: the policy deals
             // them round-robin, one batch each
-            for (x, &t) in g.initial_ready().iter().enumerate() {
+            for (x, t) in g.initial_ready().enumerate() {
                 policy.on_ready(t, None);
                 publish(&mut [t], x % 4);
             }
@@ -540,7 +540,7 @@ mod tests {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let mut p = sharded(&g, grid, 1.0); // everything dynamic
-        let t = g.initial_ready()[0];
+        let t = g.initial_ready().next().unwrap();
         p.on_ready(t, Some(2));
         // core 2 gets it from its own shard, tagged as a dynamic pop
         let popped = p.pop(2).unwrap();
@@ -553,7 +553,7 @@ mod tests {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let mut p = sharded(&g, grid, 1.0);
-        let t = g.initial_ready()[0];
+        let t = g.initial_ready().next().unwrap();
         p.on_ready(t, Some(0));
         let stolen = p.pop(3).unwrap();
         assert_eq!(stolen.task, t);

@@ -99,7 +99,7 @@ mod tests {
     fn own_pops_are_lifo() {
         let g = graph();
         let mut p = WorkStealingPolicy::new(&g, 2, 1);
-        let ready = g.initial_ready();
+        let ready: Vec<TaskId> = g.initial_ready().collect();
         p.on_ready(ready[0], Some(0));
         p.on_ready(ready[1], Some(0));
         let first = p.pop(0).unwrap();
@@ -111,7 +111,7 @@ mod tests {
     fn steals_are_fifo_and_tagged() {
         let g = graph();
         let mut p = WorkStealingPolicy::new(&g, 2, 2);
-        let ready = g.initial_ready();
+        let ready: Vec<TaskId> = g.initial_ready().collect();
         p.on_ready(ready[0], Some(0));
         p.on_ready(ready[1], Some(0));
         let stolen = p.pop(1).unwrap();
@@ -164,7 +164,7 @@ mod tests {
     fn single_core_never_steals() {
         let g = graph();
         let mut p = WorkStealingPolicy::new(&g, 1, 0);
-        p.on_ready(g.initial_ready()[0], None);
+        p.on_ready(g.initial_ready().next().unwrap(), None);
         assert_eq!(p.pop(0).unwrap().source, QueueSource::Local);
         assert!(p.pop(0).is_none());
     }

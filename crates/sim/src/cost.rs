@@ -31,10 +31,7 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
     match (g.variant(), kind) {
         // --- CALU ---
         (DagVariant::Calu, TaskKind::PanelLeaf { k, i }) => {
-            let rows: usize = g
-                .leaf_rows(k as usize, i as usize)
-                .map(|ti| g.tile_row_count(ti))
-                .sum();
+            let rows: usize = g.leaf_rows(i as usize).map(|ti| g.tile_row_count(ti)).sum();
             getrf_flops(rows, g.tile_col_count(k as usize))
         }
         (DagVariant::Calu, TaskKind::PanelCombine { k, .. }) => {
@@ -111,7 +108,6 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
 /// match that kernel family; only the absolute peak fraction each row
 /// represents shifted with the faster kernels.
 pub(crate) fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
-    let incpiv = g.variant() == DagVariant::TileIncPiv;
     match kind {
         TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. } => 0.34,
         TaskKind::PanelFinish { .. } => match g.variant() {
@@ -120,15 +116,11 @@ pub(crate) fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: 
             DagVariant::GeppPanelSeq => 0.15,
             _ => 0.34,
         },
-        TaskKind::ComputeL { .. } | TaskKind::ComputeU { .. } => {
-            let base = match layout {
-                Layout::ColumnMajor => 0.50,
-                Layout::BlockCyclic => 0.55,
-                Layout::TwoLevelBlock => 0.58,
-            };
-            let _ = incpiv;
-            base
-        }
+        TaskKind::ComputeL { .. } | TaskKind::ComputeU { .. } => match layout {
+            Layout::ColumnMajor => 0.50,
+            Layout::BlockCyclic => 0.55,
+            Layout::TwoLevelBlock => 0.58,
+        },
         TaskKind::Update { .. } => {
             let single = match layout {
                 Layout::ColumnMajor => 0.66,
@@ -198,7 +190,7 @@ pub fn task_tiles(g: &TaskGraph, t: TaskId, out: &mut Vec<(usize, usize)>) {
             }
         }
         (DagVariant::Calu, TaskKind::PanelLeaf { k, i }) => {
-            for ti in g.leaf_rows(k as usize, i as usize) {
+            for ti in g.leaf_rows(i as usize) {
                 out.push((ti, k as usize));
             }
         }
