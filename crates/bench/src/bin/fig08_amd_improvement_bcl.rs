@@ -3,44 +3,14 @@
 //! cores.
 
 use calu::matrix::Layout;
-use calu::sched::SchedulerKind;
-use calu::sim::MachineConfig;
-use calu_bench::{default_noise, pct_over, print_table, run_calu};
+use calu_bench::improvement_figure;
 
 fn main() {
-    for cores in [24usize, 48] {
-        let mach = MachineConfig::amd_opteron_with_cores(cores, default_noise());
-        let headers = vec![
-            "n".to_string(),
-            "h10 vs static".into(),
-            "h20 vs static".into(),
-            "h10 vs dynamic".into(),
-            "h20 vs dynamic".into(),
-        ];
-        let mut rows = Vec::new();
-        for n in [4000usize, 6000, 8000, 10000] {
-            let gfl = |sched| run_calu(n, &mach, Layout::BlockCyclic, sched, false).gflops();
-            let stat = gfl(SchedulerKind::Static);
-            let dynamic = gfl(SchedulerKind::Dynamic);
-            let h10 = gfl(SchedulerKind::Hybrid { dratio: 0.1 });
-            let h20 = gfl(SchedulerKind::Hybrid { dratio: 0.2 });
-            rows.push(vec![
-                n.to_string(),
-                pct_over(h10, stat),
-                pct_over(h20, stat),
-                pct_over(h10, dynamic),
-                pct_over(h20, dynamic),
-            ]);
-        }
-        print_table(
-            &format!(
-                "Fig 8{} — improvement of hybrid over static/dynamic, AMD {cores} cores, BCL",
-                if cores == 24 { "a" } else { "b" }
-            ),
-            &headers,
-            &rows,
-        );
-    }
+    improvement_figure(
+        8,
+        "improvement of hybrid over static/dynamic",
+        Layout::BlockCyclic,
+    );
     println!("\nPaper reference points: on 48 cores, n=4000: +30.3% vs static, +10.2% vs dynamic;");
     println!("n=10000: +6.9% vs static, +8.4% vs dynamic.");
 }

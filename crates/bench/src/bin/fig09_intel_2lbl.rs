@@ -3,37 +3,14 @@
 //! barely matters, hybrid(10%) best by ~10.6% over static.
 
 use calu::matrix::Layout;
-use calu::sched::SchedulerKind;
-use calu_bench::{gf, machines, pct_over, print_table, run_calu, sched_sweep};
+use calu_bench::{machines, sweep_figure};
 
 fn main() {
-    let (_, intel) = machines()[0].clone();
-    let headers: Vec<String> = std::iter::once("n".into())
-        .chain(sched_sweep().into_iter().map(|(s, _)| s))
-        .collect();
-    let mut rows = Vec::new();
-    let mut at4000 = Vec::new();
-    for n in [4000usize, 5000, 8000] {
-        let mut row = vec![n.to_string()];
-        for (_, sched) in sched_sweep() {
-            let r = run_calu(n, &intel, Layout::TwoLevelBlock, sched, false);
-            if n == 4000 {
-                at4000.push((sched, r.gflops()));
-            }
-            row.push(gf(r.gflops()));
-        }
-        rows.push(row);
-    }
-    print_table(
+    sweep_figure(
         "Fig 9 — Intel 16-core, 2l-BL, Gflop/s vs dynamic %",
-        &headers,
-        &rows,
-    );
-    let get = |k: SchedulerKind| at4000.iter().find(|(s, _)| *s == k).unwrap().1;
-    let h10 = get(SchedulerKind::Hybrid { dratio: 0.1 });
-    println!(
-        "\nn=4000: hybrid(10%) vs static {}, vs dynamic {}   (paper: +10.6%, +1.7%)",
-        pct_over(h10, get(SchedulerKind::Static)),
-        pct_over(h10, get(SchedulerKind::Dynamic)),
+        &machines()[0].1,
+        Layout::TwoLevelBlock,
+        &[4000, 5000, 8000],
+        Some((4000, "+10.6%, +1.7%")),
     );
 }

@@ -3,26 +3,15 @@
 //! overhead + no reuse); increasing the dynamic share only hurts.
 
 use calu::matrix::Layout;
-use calu_bench::{gf, machines, print_table, run_calu, sched_sweep};
+use calu_bench::{machines, sweep_figure};
 
 fn main() {
-    let (_, amd) = machines()[1].clone();
-    let headers: Vec<String> = std::iter::once("n".into())
-        .chain(sched_sweep().into_iter().map(|(s, _)| s))
-        .collect();
-    let mut rows = Vec::new();
-    for n in [4000usize, 6000, 8000, 10000] {
-        let mut row = vec![n.to_string()];
-        for (_, sched) in sched_sweep() {
-            let r = run_calu(n, &amd, Layout::TwoLevelBlock, sched, false);
-            row.push(gf(r.gflops()));
-        }
-        rows.push(row);
-    }
-    print_table(
+    sweep_figure(
         "Fig 10 — AMD 48-core, 2l-BL, Gflop/s vs dynamic %",
-        &headers,
-        &rows,
+        &machines()[1].1,
+        Layout::TwoLevelBlock,
+        &[4000, 6000, 8000, 10000],
+        None,
     );
     println!("\nExpected shape: performance decreases monotonically with the dynamic %.");
 }

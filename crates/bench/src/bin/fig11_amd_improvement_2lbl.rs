@@ -3,43 +3,9 @@
 //! vs dynamic on 48 cores.
 
 use calu::matrix::Layout;
-use calu::sched::SchedulerKind;
-use calu::sim::MachineConfig;
-use calu_bench::{default_noise, pct_over, print_table, run_calu};
+use calu_bench::improvement_figure;
 
 fn main() {
-    for cores in [24usize, 48] {
-        let mach = MachineConfig::amd_opteron_with_cores(cores, default_noise());
-        let headers = vec![
-            "n".to_string(),
-            "h10 vs static".into(),
-            "h20 vs static".into(),
-            "h10 vs dynamic".into(),
-            "h20 vs dynamic".into(),
-        ];
-        let mut rows = Vec::new();
-        for n in [4000usize, 6000, 8000, 10000] {
-            let gfl = |sched| run_calu(n, &mach, Layout::TwoLevelBlock, sched, false).gflops();
-            let stat = gfl(SchedulerKind::Static);
-            let dynamic = gfl(SchedulerKind::Dynamic);
-            let h10 = gfl(SchedulerKind::Hybrid { dratio: 0.1 });
-            let h20 = gfl(SchedulerKind::Hybrid { dratio: 0.2 });
-            rows.push(vec![
-                n.to_string(),
-                pct_over(h10, stat),
-                pct_over(h20, stat),
-                pct_over(h10, dynamic),
-                pct_over(h20, dynamic),
-            ]);
-        }
-        print_table(
-            &format!(
-                "Fig 11{} — improvement of hybrid, AMD {cores} cores, 2l-BL",
-                if cores == 24 { "a" } else { "b" }
-            ),
-            &headers,
-            &rows,
-        );
-    }
+    improvement_figure(11, "improvement of hybrid", Layout::TwoLevelBlock);
     println!("\nPaper reference points (48 cores): up to +5.9% vs static, +64.9% vs dynamic.");
 }

@@ -115,6 +115,66 @@ pub fn sched_sweep() -> Vec<(String, SchedulerKind)> {
         .collect()
 }
 
+/// Figures 6, 7, 9 and 10: print CALU's Gflop/s on `machine` with
+/// `layout` under every scheduler of [`sched_sweep`], one row per `n`;
+/// with `gain = Some((n, paper))`, then hybrid(10%)'s gain over static
+/// and dynamic at that `n`, next to the paper's figures.
+pub fn sweep_figure(
+    title: &str,
+    machine: &MachineConfig,
+    layout: Layout,
+    ns: &[usize],
+    gain: Option<(usize, &str)>,
+) {
+    let gflops = |n, sched| run_calu(n, machine, layout, sched, false).gflops();
+    let (names, scheds): (Vec<String>, Vec<SchedulerKind>) = sched_sweep().into_iter().unzip();
+    let headers: Vec<String> = std::iter::once("n".into()).chain(names).collect();
+    let rows: Vec<Vec<String>> = (ns.iter())
+        .map(|&n| {
+            let cells = scheds.iter().map(|&s| gf(gflops(n, s)));
+            std::iter::once(n.to_string()).chain(cells).collect()
+        })
+        .collect();
+    print_table(title, &headers, &rows);
+    if let Some((n, paper)) = gain {
+        let h10 = gflops(n, SchedulerKind::Hybrid { dratio: 0.1 });
+        println!(
+            "\nn={n}: hybrid(10%) vs static {}, vs dynamic {}   (paper: {paper})",
+            pct_over(h10, gflops(n, SchedulerKind::Static)),
+            pct_over(h10, gflops(n, SchedulerKind::Dynamic)),
+        );
+    }
+}
+
+/// Figures 8 and 11: print the improvement of hybrid(10%) and
+/// hybrid(20%) CALU over static and dynamic on the AMD model with
+/// `layout`, one table `{fig}a` at 24 cores and `{fig}b` at 48, one row
+/// per `n`.
+pub fn improvement_figure(fig: u32, what: &str, layout: Layout) {
+    let headers = [
+        "n",
+        "h10 vs static",
+        "h20 vs static",
+        "h10 vs dynamic",
+        "h20 vs dynamic",
+    ];
+    for (cores, part) in [(24usize, "a"), (48, "b")] {
+        let mach = MachineConfig::amd_opteron_with_cores(cores, default_noise());
+        let mut rows = Vec::new();
+        for n in [4000usize, 6000, 8000, 10000] {
+            let gfl = |sched| run_calu(n, &mach, layout, sched, false).gflops();
+            let (stat, dynamic) = (gfl(SchedulerKind::Static), gfl(SchedulerKind::Dynamic));
+            let h10 = gfl(SchedulerKind::Hybrid { dratio: 0.1 });
+            let h20 = gfl(SchedulerKind::Hybrid { dratio: 0.2 });
+            let gains = [(h10, stat), (h20, stat), (h10, dynamic), (h20, dynamic)];
+            let cells = gains.map(|(h, base)| pct_over(h, base));
+            rows.push(std::iter::once(n.to_string()).chain(cells).collect());
+        }
+        let title = format!("Fig {fig}{part} — {what}, AMD {cores} cores, {layout}");
+        print_table(&title, &headers.map(String::from), &rows);
+    }
+}
+
 /// Print an aligned table: header row + data rows.
 pub fn print_table(title: &str, headers: &[String], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

@@ -947,8 +947,7 @@ impl<'a> Engine<'a> {
             perm,
             singular_at,
         };
-        let g = &run.item.g;
-        let kernels = KernelSet::for_graph(g);
+        let (g, kernels) = (&run.item.g, run.item.kernels);
         // each kernel set's own residual, plus element growth for
         // pivoted LU only (Cholesky does not pivot, so the figure is
         // meaningless there)

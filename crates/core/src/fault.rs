@@ -42,13 +42,18 @@ use calu_rand::Rng;
 
 use crate::error::CaluError;
 
+/// The largest slow-worker factor a plan may carry: a stall of
+/// `(factor − 1) × 1.25 ×` a task's duration must fit a `Duration`.
+const MAX_SLOW_FACTOR: f64 = 100.0;
+
 /// What a faulty worker does, and when (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Persistent slowdown: after each task, stall for
     /// `(factor − 1) ×` the task's own duration, with ±25 % seeded
     /// jitter — a duty-cycle model of a core running at `1/factor`
-    /// speed. Requires `factor ≥ 1`.
+    /// speed. Requires `1 ≤ factor ≤ 100` (at most a core at 1 %
+    /// speed), which keeps every stall a representable `Duration`.
     Slow {
         /// Effective slowdown multiplier (2.0 = half speed).
         factor: f64,
@@ -111,7 +116,8 @@ impl FaultPlan {
         self
     }
 
-    /// Run `worker` at `1/factor` effective speed (duty-cycle stalls).
+    /// Run `worker` at `1/factor` effective speed (duty-cycle stalls);
+    /// [`validate`](Self::validate) takes factors in `[1, 100]`.
     pub fn slow_worker(mut self, worker: usize, factor: f64) -> Self {
         self.faults.push(WorkerFault {
             worker,
@@ -164,10 +170,10 @@ impl FaultPlan {
     }
 
     /// Validate against a worker count: every fault targets an existing
-    /// worker, no worker carries two faults, slow factors are ≥ 1, and
-    /// at least one worker survives every `Lose` (otherwise no run could
-    /// ever finish and `drain` could hang — exactly what the adversity
-    /// layer promises never happens).
+    /// worker, no worker carries two faults, slow factors are in
+    /// `[1, 100]`, and at least one worker survives every `Lose`
+    /// (otherwise no run could ever finish and `drain` could hang —
+    /// exactly what the adversity layer promises never happens).
     pub fn validate(&self, threads: usize) -> Result<(), CaluError> {
         let mut seen = vec![false; threads];
         let mut losses = 0usize;
@@ -186,9 +192,9 @@ impl FaultPlan {
             }
             seen[f.worker] = true;
             match f.kind {
-                FaultKind::Slow { factor } if !(factor.is_finite() && factor >= 1.0) => {
+                FaultKind::Slow { factor } if !(1.0..=MAX_SLOW_FACTOR).contains(&factor) => {
                     return Err(CaluError::InvalidConfig(format!(
-                        "slow-worker factor must be a finite value ≥ 1, got {factor}"
+                        "slow-worker factor must be ≥ 1 and ≤ {MAX_SLOW_FACTOR}, got {factor}"
                     )));
                 }
                 FaultKind::Lose { .. } => losses += 1,
@@ -369,6 +375,15 @@ mod tests {
             .validate(2)
             .unwrap_err();
         assert!(e.to_string().contains("≥ 1"), "{e}");
+        // a factor whose stall would overflow a Duration, or no number
+        for factor in [100.5, 1e30, f64::INFINITY, f64::NAN] {
+            let e = FaultPlan::off()
+                .slow_worker(0, factor)
+                .validate(2)
+                .unwrap_err();
+            assert!(e.to_string().contains("≤ 100"), "{factor}: {e}");
+        }
+        FaultPlan::off().slow_worker(0, 100.0).validate(1).unwrap();
         // losing every worker can never finish
         let e = FaultPlan::off()
             .lose_worker(0, 1)

@@ -21,7 +21,7 @@
 //! Everything the engine does — the static/dynamic split, the queues,
 //! the steal tiers, the dependence counters — is **algorithm-blind**:
 //! it schedules opaque task IDs. What a task *does* is decided by the
-//! [`KernelSet`] the item derives from its graph's [`DagVariant`]: the
+//! [`KernelSet`] the item derives from its graph's [`Algorithm`]: the
 //! CALU set runs tournament-pivoted panels, `A·U⁻¹` / `L⁻¹·A` solves
 //! and GEMM updates, while the tiled-Cholesky set
 //! ([`TaskGraph::build_cholesky`]) runs `dpotrf` panels, `A·L⁻ᵀ` solves
@@ -35,7 +35,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
-use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
+use calu_dag::{Algorithm, TaskGraph, TaskId, TaskKind};
 use calu_kernels::{gemm, lu_nopiv_unblocked, potrf, syrk, trsm, GemmScratch};
 use calu_matrix::{DenseMatrix, Layout, ProcessGrid, RowPerm, TileStorage, TiledMatrix};
 use calu_sched::{priority, CpuTopology, OwnerMap, Padded};
@@ -60,12 +60,13 @@ struct PanelState {
 /// The algorithm-indexed kernel set: which tile-task bodies an item's
 /// tasks run. Everything the scheduler does — queues, priorities, steal
 /// tiers, dependence counters — is shared across kernel sets; only the
-/// per-task math differs. Internally it is derived from the graph's
-/// [`DagVariant`], so the dependency shape and the kernels can never
-/// disagree; every job names its kernel set and the engine builds the
-/// matching graph via the crate-internal `KernelSet::build_graph`, the
-/// single validated constructor. [`KernelSet::check_shape`] is the one
-/// job-shape rule every entry point applies.
+/// per-task math differs. [`KernelSet::algorithm`] is the one mapping
+/// between the two names: every job names its kernel set, the engine
+/// builds that algorithm's graph via the crate-internal
+/// `KernelSet::build_graph`, the single validated constructor, and an
+/// item derives its kernels back from the graph, so the dependency shape
+/// and the kernels can never disagree. [`KernelSet::check_shape`] is the
+/// one job-shape rule every entry point applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelSet {
     /// CALU: tournament-pivoted panel (leaf/combine/finish), `A·U⁻¹`
@@ -96,17 +97,29 @@ impl KernelSet {
         Ok(())
     }
 
-    pub(crate) fn for_graph(g: &TaskGraph) -> Self {
-        match g.variant() {
-            DagVariant::TileCholesky => KernelSet::Cholesky,
-            _ => KernelSet::CaluLu,
+    /// The algorithm this kernel set runs: with
+    /// [`for_algorithm`](Self::for_algorithm), its inverse, the one
+    /// mapping between the two.
+    pub fn algorithm(self) -> Algorithm {
+        match self {
+            KernelSet::CaluLu => Algorithm::Calu,
+            KernelSet::Cholesky => Algorithm::Cholesky,
         }
     }
 
-    /// Build the task graph whose [`DagVariant`] selects this kernel
-    /// set, for an `m×n` matrix tiled at `b` that passes
-    /// [`check_shape`](Self::check_shape). Cholesky graphs ignore
-    /// `leaf_stride` — there is no tournament reduction tree to shape.
+    /// The kernel set that runs `algorithm` on the engine, or `None` for
+    /// one only a sequential reference driver runs (GEPP, incremental
+    /// pivoting).
+    pub fn for_algorithm(algorithm: Algorithm) -> Option<Self> {
+        [KernelSet::CaluLu, KernelSet::Cholesky]
+            .into_iter()
+            .find(|k| k.algorithm() == algorithm)
+    }
+
+    /// Build this kernel set's algorithm's task graph for an `m×n`
+    /// matrix tiled at `b` that passes [`check_shape`](Self::check_shape).
+    /// Cholesky graphs ignore `leaf_stride` — there is no tournament
+    /// reduction tree to shape.
     pub(crate) fn build_graph(
         self,
         m: usize,
@@ -115,10 +128,7 @@ impl KernelSet {
         leaf_stride: usize,
     ) -> Result<TaskGraph, CaluError> {
         self.check_shape((m, n))?;
-        Ok(match self {
-            KernelSet::CaluLu => TaskGraph::build_calu(m, n, b, leaf_stride),
-            KernelSet::Cholesky => TaskGraph::build_cholesky(n, b),
-        })
+        Ok(self.algorithm().build_graph(m, n, b, leaf_stride))
     }
 }
 
@@ -173,7 +183,7 @@ pub(crate) struct ItemState<'a> {
     /// The combined permutation and singular flag, taken once every DAG
     /// task retired — what the DENSIFY tasks swap by.
     factored: OnceLock<(RowPerm, Option<usize>)>,
-    kernels: KernelSet,
+    pub(crate) kernels: KernelSet,
     b: usize,
 }
 
@@ -193,7 +203,8 @@ impl<'a> ItemState<'a> {
         nstatic: usize,
         input: Cow<'a, DenseMatrix>,
     ) -> Self {
-        let kernels = KernelSet::for_graph(&g);
+        let kernels = KernelSet::for_algorithm(g.algorithm())
+            .unwrap_or_else(|| panic!("the engine has no {} kernels", g.algorithm()));
         let mut tiles = TiledMatrix::zeros(layout, g.rows(), g.cols(), g.block(), grid, group);
         if size_of_val(tiles.buffer()) >= HUGE_PAGE_MIN_BYTES {
             advise_huge_pages(tiles.buffer_mut());
@@ -284,7 +295,7 @@ impl<'a> ItemState<'a> {
     /// may take one: a busy or lost owner holds no FILL up.
     pub(crate) fn static_slot(&self, t: TaskId) -> Option<(usize, u64)> {
         match self.task(t) {
-            Task::Dag(kind) => (kind.writes_col() < self.nstatic)
+            Task::Dag(kind) => (kind.writes_tile().1 < self.nstatic)
                 .then(|| (self.owners.owner(t), priority::static_key(&kind))),
             Task::Fill(_) | Task::Densify(_) => None,
         }

@@ -4,7 +4,7 @@
 //! read/write sets the same way, and QUARK, the PLASMA runtime, infers
 //! its edges from such declarations in program order.
 
-use crate::graph::{DagVariant, TaskGraph};
+use crate::graph::{Algorithm, TaskGraph};
 use crate::task::{TaskId, TaskKind};
 
 /// A unit of data a task reads or writes. Two tasks that touch one
@@ -34,7 +34,7 @@ pub struct Access {
 }
 
 impl TaskGraph {
-    /// What task `t` reads and writes, per the graph's [`DagVariant`].
+    /// What task `t` reads and writes, per the graph's [`Algorithm`].
     pub fn access(&self, t: TaskId) -> Access {
         let mut acc = Access::default();
         self.footprint(self.kind(t), &mut acc);
@@ -44,14 +44,14 @@ impl TaskGraph {
     /// The table: fill `acc` with the footprint of a `kind` task.
     #[inline(always)]
     pub(crate) fn footprint(&self, kind: TaskKind, acc: &mut Access) {
-        use DagVariant::*;
+        use Algorithm::*;
         use Datum::*;
         use TaskKind::*;
         let Access { reads, writes } = acc;
         reads.clear();
         writes.clear();
         let mt = self.tile_rows() as u32;
-        match (self.variant(), kind) {
+        match (self.algorithm(), kind) {
             // --- CALU; GEPP shares its finish, U and S ---
             (_, PanelLeaf { k, i }) => {
                 reads.extend(self.leaf_rows(i as usize).map(|r| Tile(r as u32, k)));
@@ -62,43 +62,43 @@ impl TaskGraph {
                 reads.extend([Candidate(k, s.left as u32), Candidate(k, s.right as u32)]);
                 writes.push(Candidate(k, s.out as u32));
             }
-            (Calu | GeppPanelSeq, PanelFinish { k }) => {
+            (Calu | Gepp, PanelFinish { k }) => {
                 // the winners are swapped up through the whole panel
                 // column (GEPP's sequential panel does the same)
-                if self.variant() == Calu {
+                if self.algorithm() == Calu {
                     reads.push(Candidate(k, self.tree(k as usize).root as u32));
                 }
                 writes.extend((k..mt).map(|r| Tile(r, k)).chain([Pivots(k)]));
             }
-            (Calu | GeppPanelSeq, ComputeU { k, j }) => {
+            (Calu | Gepp, ComputeU { k, j }) => {
                 // the panel's swaps span the whole trailing column
                 reads.extend([Tile(k, k), Pivots(k)]);
                 writes.extend((k..mt).map(|r| Tile(r, j)));
             }
-            (Calu | GeppPanelSeq, Update { k, i, j }) => {
+            (Calu | Gepp, Update { k, i, j }) => {
                 reads.extend([Tile(i, k), Tile(k, j)]);
                 writes.push(Tile(i, j));
             }
-            (Calu | TileCholesky, ComputeL { k, i }) => {
+            (Calu | Cholesky, ComputeL { k, i }) => {
                 reads.push(Tile(k, k));
                 writes.push(Tile(i, k));
             }
 
             // --- incremental pivoting ---
-            (TileIncPiv, PanelFinish { k }) => writes.extend([Tile(k, k), Upper(k)]),
-            (TileIncPiv, ComputeL { k, i }) => writes.extend([Upper(k), Tile(i, k)]),
-            (TileIncPiv, ComputeU { k, j }) => {
+            (IncPiv, PanelFinish { k }) => writes.extend([Tile(k, k), Upper(k)]),
+            (IncPiv, ComputeL { k, i }) => writes.extend([Upper(k), Tile(i, k)]),
+            (IncPiv, ComputeU { k, j }) => {
                 reads.push(Tile(k, k));
                 writes.push(Tile(k, j));
             }
-            (TileIncPiv, Update { k, i, j }) => {
+            (IncPiv, Update { k, i, j }) => {
                 reads.push(Tile(i, k));
                 writes.extend([Tile(k, j), Tile(i, j)]);
             }
 
             // --- Cholesky (lower) ---
-            (TileCholesky, PanelFinish { k }) => writes.push(Tile(k, k)),
-            (TileCholesky, Update { k, i, j }) => {
+            (Cholesky, PanelFinish { k }) => writes.push(Tile(k, k)),
+            (Cholesky, Update { k, i, j }) => {
                 reads.push(Tile(i, k));
                 if j != i {
                     reads.push(Tile(j, k));
@@ -106,8 +106,8 @@ impl TaskGraph {
                 writes.push(Tile(i, j));
             }
             // GEPP's panel task covers L; Cholesky has no U
-            (GeppPanelSeq, ComputeL { .. }) | (TileCholesky, ComputeU { .. }) => {
-                unreachable!("{kind} is never pushed in a {:?} graph", self.variant())
+            (Gepp, ComputeL { .. }) | (Cholesky, ComputeU { .. }) => {
+                unreachable!("{kind} is never pushed in a {:?} graph", self.algorithm())
             }
         }
     }
@@ -194,7 +194,7 @@ mod tests {
         out
     }
 
-    /// All four variants on square, tall `p×1`, wide `1×p` and ragged grids,
+    /// All four algorithms on square, tall `p×1`, wide `1×p` and ragged grids,
     /// CALU at several leaf strides; every graph stays under ~600 tasks.
     fn graphs() -> Vec<(String, TaskGraph)> {
         let shapes = [(1, 1), (4, 4), (5, 3), (3, 6), (9, 1), (1, 9), (7, 7)];
@@ -224,7 +224,7 @@ mod tests {
         // ordered by another path (a finish reads the root its leaves feed),
         // so this program, which no builder pushes, is the one to need it:
         // an L task overwrites a tile the leaf has read, with no other link.
-        let mut g = TaskGraph::with_shape(20, 20, 10, DagVariant::Calu, 1);
+        let mut g = TaskGraph::with_shape(20, 20, 10, Algorithm::Calu, 1);
         g.push(TaskKind::PanelLeaf { k: 0, i: 0 });
         g.push(TaskKind::ComputeL { k: 0, i: 1 });
         out.push(("write after read".into(), g.with_inferred_edges()));
@@ -271,6 +271,31 @@ mod tests {
                     !g.access(t).writes.is_empty(),
                     "{name}: {} writes nothing",
                     g.kind(t)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_task_writes_the_tile_it_is_placed_by() {
+        // `OwnerMap` places a task by `writes_tile`, so this pins "a task
+        // runs on the owner of a tile it writes"; TSLU leaves and matches
+        // write candidates, and are placed by their panel instead
+        for (name, g) in graphs() {
+            for t in g.ids() {
+                let kind = g.kind(t);
+                if matches!(
+                    kind,
+                    TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. }
+                ) {
+                    continue;
+                }
+                let (i, j) = kind.writes_tile();
+                assert!(
+                    g.access(t)
+                        .writes
+                        .contains(&Datum::Tile(i as u32, j as u32)),
+                    "{name}: {kind} does not write its tile ({i}, {j})"
                 );
             }
         }

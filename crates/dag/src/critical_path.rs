@@ -154,16 +154,16 @@ mod tests {
         // Fig 3: static path over panels < Nstatic, dynamic path over the rest
         let g = TaskGraph::build(400, 400, 100);
         let nstatic = 3;
-        let stat = critical_path(&g, |t| g.kind(t).writes_col() < nstatic, |_| 1.0);
-        let dyn_ = critical_path(&g, |t| g.kind(t).writes_col() >= nstatic, |_| 1.0);
+        let stat = critical_path(&g, |t| g.kind(t).writes_tile().1 < nstatic, |_| 1.0);
+        let dyn_ = critical_path(&g, |t| g.kind(t).writes_tile().1 >= nstatic, |_| 1.0);
         assert!(stat.length > 0.0);
         assert!(dyn_.length > 0.0);
         // the two subsets are disjoint
         for t in &stat.tasks {
-            assert!(g.kind(*t).writes_col() < nstatic);
+            assert!(g.kind(*t).writes_tile().1 < nstatic);
         }
         for t in &dyn_.tasks {
-            assert!(g.kind(*t).writes_col() >= nstatic);
+            assert!(g.kind(*t).writes_tile().1 >= nstatic);
         }
         // whole-graph path at least as long as either restriction
         let full = unit_critical_path(&g);

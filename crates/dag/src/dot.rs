@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// section (tasks writing columns `< nstatic` are static); pass
 /// `g.num_panels()` for a fully static rendering.
 pub fn to_dot(g: &TaskGraph, nstatic: usize) -> String {
-    let is_static = |t: TaskId| g.kind(t).writes_col() < nstatic;
+    let is_static = |t: TaskId| g.kind(t).writes_tile().1 < nstatic;
 
     let static_cp = critical_path(g, is_static, |_| 1.0);
     let dynamic_cp = critical_path(g, |t| !is_static(t), |_| 1.0);

@@ -4,29 +4,71 @@ use crate::access::{Access, Datum};
 use crate::task::{PaperKind, TaskId, TaskKind};
 use crate::tree::{CombineStep, TreePlan};
 
-/// Which factorization algorithm a [`TaskGraph`] describes. The task
-/// kinds are shared; the variant selects the access table that says
-/// what each kind reads and writes (see [`TaskGraph::access`]), hence
-/// the dependency shape, and how the cost model prices each task.
+/// Which factorization a [`TaskGraph`] describes, named once from the
+/// graph builder to the report. The task kinds are shared; the
+/// algorithm selects the access table that says what each kind reads and
+/// writes (see [`TaskGraph::access`]), hence the dependency shape, and
+/// how the cost model prices each task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DagVariant {
+pub enum Algorithm {
     /// CALU with tournament pivoting: parallel TSLU reduction tree per
     /// panel (the paper's algorithm).
     Calu,
     /// Gaussian elimination with partial pivoting, LAPACK/MKL style: the
     /// whole panel factorization is **one sequential task** on the
     /// critical path (`PanelFinish` covers the full `(M−k)·b × b` GEPP).
-    GeppPanelSeq,
+    Gepp,
     /// Tiled LU with incremental (block pairwise) pivoting, PLASMA's
     /// `dgetrf_incpiv`: the panel is off the critical path but column
     /// chains serialize (`ComputeL` = TSTRF chain, `Update` = SSSSM
     /// chain) and extra flops are spent on the stacked factorizations.
-    TileIncPiv,
+    IncPiv,
     /// Tiled Cholesky factorization (`A = L·Lᵀ`, lower) — the paper's §9
     /// future-work extension: no pivoting, so the DAG is the classic
     /// POTRF (`PanelFinish`) / TRSM (`ComputeL`) / SYRK+GEMM (`Update`)
     /// shape over the lower triangle.
-    TileCholesky,
+    Cholesky,
+}
+
+impl Algorithm {
+    /// This algorithm's graph of an `m × n` matrix tiled at `b`; only
+    /// CALU reads `leaf_stride` ([`TaskGraph::build_calu`]), only
+    /// Cholesky ignores `m`.
+    pub fn build_graph(self, m: usize, n: usize, b: usize, leaf_stride: usize) -> TaskGraph {
+        match self {
+            Algorithm::Calu => TaskGraph::build_calu(m, n, b, leaf_stride),
+            Algorithm::Gepp => TaskGraph::build_gepp(m, n, b),
+            Algorithm::IncPiv => TaskGraph::build_incpiv(m, n, b),
+            Algorithm::Cholesky => TaskGraph::build_cholesky(n, b),
+        }
+    }
+
+    /// The nominal flop count of an `m × n` factorization, the numerator
+    /// of every Gflop/s figure (the paper's plotting convention). LU:
+    /// `2(mnr − (m+n)r²/2 + r³/3)` with `r = min(m, n)`, which is
+    /// `mn² − n³/3` for `m ≥ n` and stays positive for wide matrices;
+    /// Cholesky: `n³/3`.
+    pub fn nominal_flops(self, m: usize, n: usize) -> f64 {
+        let r = m.min(n) as f64;
+        let (m, n) = (m as f64, n as f64);
+        match self {
+            Algorithm::Calu | Algorithm::Gepp | Algorithm::IncPiv => {
+                2.0 * m * n * r - (m + n) * r * r + 2.0 * r * r * r / 3.0
+            }
+            Algorithm::Cholesky => n * n * n / 3.0,
+        }
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Algorithm::Calu => "CALU",
+            Algorithm::Gepp => "GEPP",
+            Algorithm::IncPiv => "incpiv",
+            Algorithm::Cholesky => "Cholesky",
+        })
+    }
 }
 
 /// The complete task dependency graph of a tiled factorization.
@@ -41,10 +83,10 @@ pub struct TaskGraph {
     b: usize,
     mt: usize,
     nt: usize,
-    variant: DagVariant,
-    /// TSLU leaves cover every `leaf_stride`-th tile row (CALU variant).
+    algorithm: Algorithm,
+    /// TSLU leaves cover every `leaf_stride`-th tile row (CALU).
     leaf_stride: usize,
-    /// Each panel's TSLU reduction tree (CALU variant).
+    /// Each panel's TSLU reduction tree (CALU).
     trees: Vec<TreePlan>,
     kinds: Vec<TaskKind>,
     dep_count: Vec<u32>,
@@ -77,15 +119,15 @@ impl TaskGraph {
         m: usize,
         n: usize,
         b: usize,
-        variant: DagVariant,
+        algorithm: Algorithm,
         leaf_stride: usize,
     ) -> Self {
         assert!(b > 0, "block size must be positive");
         assert!(m > 0 && n > 0, "matrix must be non-empty");
         assert!(leaf_stride > 0, "leaf stride must be positive");
         let (mt, nt) = (m.div_ceil(b), n.div_ceil(b));
-        let trees = match variant {
-            DagVariant::Calu => (0..mt.min(nt))
+        let trees = match algorithm {
+            Algorithm::Calu => (0..mt.min(nt))
                 .map(|k| TreePlan::new(leaf_stride.min(mt - k)))
                 .collect(),
             _ => Vec::new(),
@@ -96,7 +138,7 @@ impl TaskGraph {
             b,
             mt,
             nt,
-            variant,
+            algorithm,
             leaf_stride,
             trees,
             kinds: Vec::new(),
@@ -115,14 +157,14 @@ impl TaskGraph {
         self.kinds.push(kind);
     }
 
-    /// The task list of the three LU variants, one panel at a time: the
+    /// The task list of the three LU algorithms, one panel at a time: the
     /// panel (CALU's TSLU leaves and reduction tree, then the finish),
     /// the L column (not in GEPP, whose panel task covers it), then each
     /// trailing column's U and S tasks.
     fn push_lu(mut self) -> Self {
         let (mt, nt) = (self.mt as u32, self.nt as u32);
         for k in 0..mt.min(nt) {
-            if self.variant == DagVariant::Calu {
+            if self.algorithm == Algorithm::Calu {
                 for i in k..(k + self.leaf_stride as u32).min(mt) {
                     self.push(TaskKind::PanelLeaf { k, i });
                 }
@@ -132,7 +174,7 @@ impl TaskGraph {
                 }
             }
             self.push(TaskKind::PanelFinish { k });
-            if self.variant != DagVariant::GeppPanelSeq {
+            if self.algorithm != Algorithm::Gepp {
                 for i in (k + 1)..mt {
                     self.push(TaskKind::ComputeL { k, i });
                 }
@@ -294,7 +336,7 @@ impl TaskGraph {
     /// reduction tree of depth `log2(pr)`. Passing `leaf_stride >= M`
     /// degenerates to one leaf per tile row ([`TaskGraph::build`]).
     pub fn build_calu(m: usize, n: usize, b: usize, leaf_stride: usize) -> TaskGraph {
-        Self::with_shape(m, n, b, DagVariant::Calu, leaf_stride)
+        Self::with_shape(m, n, b, Algorithm::Calu, leaf_stride)
             .push_lu()
             .with_inferred_edges()
     }
@@ -306,7 +348,7 @@ impl TaskGraph {
     /// panel GEPP; there are no `PanelLeaf`/`PanelCombine`/`ComputeL`
     /// tasks.
     pub fn build_gepp(m: usize, n: usize, b: usize) -> TaskGraph {
-        Self::with_shape(m, n, b, DagVariant::GeppPanelSeq, 1)
+        Self::with_shape(m, n, b, Algorithm::Gepp, 1)
             .push_lu()
             .with_inferred_edges()
     }
@@ -319,7 +361,7 @@ impl TaskGraph {
     /// `Update(k,i,j)` = SSSSM (serial chain down each column since each
     /// step rewrites the top tile row `(k,j)`).
     pub fn build_incpiv(m: usize, n: usize, b: usize) -> TaskGraph {
-        Self::with_shape(m, n, b, DagVariant::TileIncPiv, 1)
+        Self::with_shape(m, n, b, Algorithm::IncPiv, 1)
             .push_lu()
             .with_inferred_edges()
     }
@@ -332,7 +374,7 @@ impl TaskGraph {
     /// every update depends only on its two TRSMs and the tile's
     /// previous update.
     pub fn build_cholesky(n: usize, b: usize) -> TaskGraph {
-        let mut g = Self::with_shape(n, n, b, DagVariant::TileCholesky, 1);
+        let mut g = Self::with_shape(n, n, b, Algorithm::Cholesky, 1);
         let nt = g.nt as u32;
         for k in 0..nt {
             g.push(TaskKind::PanelFinish { k });
@@ -348,9 +390,9 @@ impl TaskGraph {
         g.with_inferred_edges()
     }
 
-    /// The algorithm variant this graph encodes.
-    pub fn variant(&self) -> DagVariant {
-        self.variant
+    /// The algorithm this graph encodes.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
     }
 
     /// TSLU leaf stride (see [`TaskGraph::build_calu`]).
@@ -364,7 +406,7 @@ impl TaskGraph {
         (i0..self.mt).step_by(self.leaf_stride)
     }
 
-    /// Panel `k`'s TSLU reduction tree (CALU variant).
+    /// Panel `k`'s TSLU reduction tree (CALU).
     pub fn tree(&self, k: usize) -> &TreePlan {
         &self.trees[k]
     }
@@ -511,8 +553,8 @@ mod tests {
             TaskGraph::build_cholesky(250, 16),
         ];
         for g in &graphs {
-            assert_eq!(g.kinds.capacity(), g.len(), "{:?}", g.variant);
-            assert_eq!(g.dep_count.capacity(), g.len(), "{:?}", g.variant);
+            assert_eq!(g.kinds.capacity(), g.len(), "{:?}", g.algorithm);
+            assert_eq!(g.dep_count.capacity(), g.len(), "{:?}", g.algorithm);
         }
     }
 
@@ -724,17 +766,60 @@ mod tests {
         }
     }
 
+    const ALGORITHMS: [Algorithm; 4] = [
+        Algorithm::Calu,
+        Algorithm::Gepp,
+        Algorithm::IncPiv,
+        Algorithm::Cholesky,
+    ];
+
     #[test]
-    fn variants_are_tagged() {
-        assert_eq!(TaskGraph::build(300, 300, 100).variant(), DagVariant::Calu);
-        assert_eq!(
-            TaskGraph::build_gepp(300, 300, 100).variant(),
-            DagVariant::GeppPanelSeq
+    fn algorithms_are_tagged_and_named() {
+        assert_eq!(TaskGraph::build(300, 300, 100).algorithm(), Algorithm::Calu);
+        for a in ALGORITHMS {
+            assert_eq!(a.build_graph(300, 300, 100, 2).algorithm(), a);
+        }
+        let names = ALGORITHMS.map(|a| a.to_string());
+        assert_eq!(names, ["CALU", "GEPP", "incpiv", "Cholesky"]);
+    }
+
+    #[test]
+    fn the_dispatcher_builds_what_the_builders_do() {
+        let same = |a: &TaskGraph, b: &TaskGraph| {
+            assert_eq!((a.len(), a.leaf_stride()), (b.len(), b.leaf_stride()));
+            assert!(a.ids().all(|t| a.kind(t) == b.kind(t)));
+        };
+        let calu = Algorithm::Calu.build_graph(500, 300, 100, 2);
+        same(&calu, &TaskGraph::build_calu(500, 300, 100, 2));
+        same(
+            &Algorithm::Gepp.build_graph(500, 300, 100, 2),
+            &TaskGraph::build_gepp(500, 300, 100),
         );
-        assert_eq!(
-            TaskGraph::build_incpiv(300, 300, 100).variant(),
-            DagVariant::TileIncPiv
+        same(
+            &Algorithm::IncPiv.build_graph(500, 300, 100, 2),
+            &TaskGraph::build_incpiv(500, 300, 100),
         );
+        same(
+            &Algorithm::Cholesky.build_graph(300, 300, 100, 2),
+            &TaskGraph::build_cholesky(300, 100),
+        );
+    }
+
+    #[test]
+    fn nominal_flop_conventions() {
+        let lu = |m, n| Algorithm::Calu.nominal_flops(m, n);
+        let f = lu(3000, 3000);
+        assert!((f - 2.0 / 3.0 * 27e9).abs() / f < 1e-12);
+        // tall: m n^2 - n^3/3; wide mirrors it (r = m)
+        let tall = lu(4000, 1000);
+        assert!((tall - (4e9 - 1e9 / 3.0)).abs() / tall < 1e-12);
+        let wide = lu(1000, 4000);
+        assert!((wide - (4e9 - 1e9 / 3.0)).abs() / wide < 1e-12);
+        // every LU shares the count; Cholesky's is half of square LU's
+        for a in [Algorithm::Gepp, Algorithm::IncPiv] {
+            assert_eq!(a.nominal_flops(1000, 4000), wide);
+        }
+        assert_eq!(Algorithm::Cholesky.nominal_flops(3000, 3000), f / 2.0);
     }
 
     #[test]
@@ -829,7 +914,7 @@ mod tests {
     #[test]
     fn cholesky_dag_shape() {
         let g = TaskGraph::build_cholesky(400, 100); // 4x4 tiles, lower
-        assert_eq!(g.variant(), DagVariant::TileCholesky);
+        assert_eq!(g.algorithm(), Algorithm::Cholesky);
         let (p, l, u, s) = g.counts_by_kind();
         assert_eq!(p, 4, "one POTRF per panel");
         assert_eq!(l, 6, "TRSMs: 3+2+1");
@@ -849,7 +934,7 @@ mod tests {
     }
 
     #[test]
-    fn all_variants_preserve_dep_count_invariant() {
+    fn all_algorithms_preserve_dep_count_invariant() {
         for g in [
             TaskGraph::build_gepp(600, 500, 100),
             TaskGraph::build_incpiv(600, 500, 100),

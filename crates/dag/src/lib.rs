@@ -20,7 +20,7 @@
 //!
 //! A builder only lists tasks; what each reads and writes is one access
 //! table ([`TaskGraph::access`], over [`Datum`]s), selected by the
-//! [`DagVariant`], and the edges are inferred from it. The TSLU tree's
+//! [`Algorithm`], and the edges are inferred from it. The TSLU tree's
 //! shape is a [`TreePlan`], shared by the builder and the executor.
 
 mod access;
@@ -31,6 +31,6 @@ mod task;
 mod tree;
 
 pub use access::{Access, Datum};
-pub use graph::{DagVariant, TaskGraph};
+pub use graph::{Algorithm, TaskGraph};
 pub use task::{PaperKind, TaskId, TaskKind};
 pub use tree::{CombineStep, TreePlan};

@@ -94,22 +94,12 @@ impl TaskKind {
         }
     }
 
-    /// Tile column whose data this task writes — the coordinate the
-    /// hybrid scheduler uses to split the DAG ("tasks that operate on
-    /// blocks belonging to the first Nstatic panels are scheduled
-    /// statically", §3).
-    pub fn writes_col(&self) -> usize {
-        match *self {
-            TaskKind::PanelLeaf { k, .. }
-            | TaskKind::PanelCombine { k, .. }
-            | TaskKind::PanelFinish { k }
-            | TaskKind::ComputeL { k, .. } => k as usize,
-            TaskKind::ComputeU { j, .. } | TaskKind::Update { j, .. } => j as usize,
-        }
-    }
-
     /// Representative tile `(row, col)` this task writes, used for
-    /// ownership mapping and NUMA home lookup.
+    /// ownership mapping and NUMA home lookup. Its column is the
+    /// coordinate the hybrid scheduler splits the DAG by ("tasks that
+    /// operate on blocks belonging to the first Nstatic panels are
+    /// scheduled statically", §3): panel tasks write their own panel
+    /// column, trailing tasks the column they update.
     pub fn writes_tile(&self) -> (usize, usize) {
         match *self {
             TaskKind::PanelLeaf { k, i } => (i as usize, k as usize),
@@ -166,20 +156,21 @@ mod tests {
     }
 
     #[test]
-    fn writes_col_splits_by_panel_membership() {
-        // panel-side tasks write their own panel column
-        assert_eq!(TaskKind::ComputeL { k: 3, i: 7 }.writes_col(), 3);
-        assert_eq!(TaskKind::PanelFinish { k: 3 }.writes_col(), 3);
-        // trailing tasks write the column they update
-        assert_eq!(TaskKind::ComputeU { k: 3, j: 9 }.writes_col(), 9);
-        assert_eq!(TaskKind::Update { k: 3, i: 5, j: 9 }.writes_col(), 9);
-    }
-
-    #[test]
     fn writes_tile_targets() {
         assert_eq!(TaskKind::Update { k: 0, i: 4, j: 6 }.writes_tile(), (4, 6));
         assert_eq!(TaskKind::PanelLeaf { k: 2, i: 5 }.writes_tile(), (5, 2));
         assert_eq!(TaskKind::PanelFinish { k: 2 }.writes_tile(), (2, 2));
+        // the split by panel membership: panel-side tasks write their
+        // own panel column, trailing tasks the column they update
+        assert_eq!(TaskKind::ComputeL { k: 3, i: 7 }.writes_tile(), (7, 3));
+        let combine = TaskKind::PanelCombine {
+            k: 3,
+            level: 1,
+            idx: 0,
+        };
+        assert_eq!(combine.writes_tile(), (3, 3));
+        assert_eq!(TaskKind::ComputeU { k: 3, j: 9 }.writes_tile(), (3, 9));
+        assert_eq!(TaskKind::Update { k: 3, i: 5, j: 9 }.writes_tile().1, 9);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! proptest; deterministic seeded sweeps in the hermetic workspace).
 
 use calu_dag::critical_path::critical_path;
-use calu_dag::{DagVariant, TaskGraph, TaskKind};
+use calu_dag::{Algorithm, TaskGraph, TaskKind};
 use calu_rand::Rng;
 
 /// Structural invariants hold for every variant and shape.
@@ -88,7 +88,7 @@ fn critical_path_monotone() {
         for nstatic in 0..10 {
             let g = TaskGraph::build(mt * 64, mt * 64, 64);
             let full = critical_path(&g, |_| true, |_| 1.0);
-            let sub = critical_path(&g, |t| g.kind(t).writes_col() < nstatic, |_| 1.0);
+            let sub = critical_path(&g, |t| g.kind(t).writes_tile().1 < nstatic, |_| 1.0);
             assert!(sub.length <= full.length);
         }
     }
@@ -103,6 +103,6 @@ fn variant_task_counts() {
         let calu = TaskGraph::build(n, n, 80);
         let gepp = TaskGraph::build_gepp(n, n, 80);
         assert!(gepp.len() < calu.len());
-        assert_eq!(gepp.variant(), DagVariant::GeppPanelSeq);
+        assert_eq!(gepp.algorithm(), Algorithm::Gepp);
     }
 }

@@ -73,7 +73,7 @@ impl HybridPolicy {
             owners: OwnerMap::new(g, grid),
             static_keys: kinds.iter().map(static_key).collect(),
             dynamic_keys: kinds.iter().map(dynamic_key).collect(),
-            is_static: kinds.iter().map(|k| k.writes_col() < nstatic).collect(),
+            is_static: kinds.iter().map(|k| k.writes_tile().1 < nstatic).collect(),
             // any core's static share can be rescued at any time, so any
             // task can reach the dynamic section
             queues: ReadyQueues::new(grid.size(), g.len(), queue, topo),
@@ -224,12 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn split_follows_writes_col() {
+    fn split_follows_the_written_column() {
         let g = graph();
         let grid = ProcessGrid::new(2, 2).unwrap();
         let p = hybrid(&g, grid, 0.25); // nstatic = 6
         for t in g.ids() {
-            assert_eq!(p.is_static[t.idx()], g.kind(t).writes_col() < 6);
+            assert_eq!(p.is_static[t.idx()], g.kind(t).writes_tile().1 < 6);
         }
     }
 
@@ -242,9 +242,9 @@ mod tests {
         // a static task owned by core 0 and any dynamic task
         let stat = g
             .ids()
-            .find(|&t| g.kind(t).writes_col() < 4 && owners.owner(t) == 0)
+            .find(|&t| g.kind(t).writes_tile().1 < 4 && owners.owner(t) == 0)
             .unwrap();
-        let dynam = g.ids().find(|&t| g.kind(t).writes_col() >= 4).unwrap();
+        let dynam = g.ids().find(|&t| g.kind(t).writes_tile().1 >= 4).unwrap();
         p.on_ready(dynam, None);
         p.on_ready(stat, None);
         let first = p.pop(0).unwrap();
@@ -264,9 +264,9 @@ mod tests {
         let owners = OwnerMap::new(&g, grid);
         let stat = g
             .ids()
-            .find(|&t| g.kind(t).writes_col() < 4 && owners.owner(t) == 0)
+            .find(|&t| g.kind(t).writes_tile().1 < 4 && owners.owner(t) == 0)
             .unwrap();
-        let dynam = g.ids().find(|&t| g.kind(t).writes_col() >= 4).unwrap();
+        let dynam = g.ids().find(|&t| g.kind(t).writes_tile().1 >= 4).unwrap();
         p.on_ready(stat, None);
         p.on_ready(dynam, None);
         let popped = p.pop(3).unwrap();
@@ -371,7 +371,7 @@ mod tests {
         let owners = OwnerMap::new(&g, grid);
         let mine: Vec<TaskId> = g
             .ids()
-            .filter(|&t| g.kind(t).writes_col() < 4 && owners.owner(t) == 0)
+            .filter(|&t| g.kind(t).writes_tile().1 < 4 && owners.owner(t) == 0)
             .take(3)
             .collect();
         assert_eq!(mine.len(), 3);
@@ -389,7 +389,7 @@ mod tests {
         // future static publishes for the lost owner reroute too
         let later = g
             .ids()
-            .find(|&t| g.kind(t).writes_col() < 4 && owners.owner(t) == 0 && !mine.contains(&t))
+            .find(|&t| g.kind(t).writes_tile().1 < 4 && owners.owner(t) == 0 && !mine.contains(&t))
             .unwrap();
         p.on_ready(later, None);
         let popped = p.pop(1).unwrap();
@@ -486,7 +486,7 @@ mod tests {
                     home,
                     |t| dynamic_key(&g.kind(t)),
                     |t| {
-                        (g.kind(t).writes_col() < nstatic)
+                        (g.kind(t).writes_tile().1 < nstatic)
                             .then(|| (owners.owner(t), static_key(&g.kind(t))))
                     },
                 )

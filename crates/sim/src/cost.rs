@@ -1,7 +1,7 @@
 //! The task cost model: flops, kernel efficiencies, dequeue/steal
 //! pricing, and touched tiles.
 
-use calu_dag::{DagVariant, TaskGraph, TaskId, TaskKind};
+use calu_dag::{Algorithm, TaskGraph, TaskId, TaskKind};
 use calu_matrix::Layout;
 use calu_sched::QueueSource;
 
@@ -21,47 +21,47 @@ fn getrf_flops(m: usize, n: usize) -> f64 {
     (m * n * n - n * n * n / 3.0).max(0.0)
 }
 
-/// Useful flops of task `t` in graph `g`, honoring the DAG variant and
+/// Useful flops of task `t` in graph `g`, honoring the algorithm and
 /// ragged edge tiles.
 pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
     let b = g.block();
     let kind = g.kind(t);
     let rc = |i: usize| g.tile_row_count(i) as f64;
     let cc = |j: usize| g.tile_col_count(j) as f64;
-    match (g.variant(), kind) {
+    match (g.algorithm(), kind) {
         // --- CALU ---
-        (DagVariant::Calu, TaskKind::PanelLeaf { k, i }) => {
+        (Algorithm::Calu, TaskKind::PanelLeaf { k, i }) => {
             let rows: usize = g.leaf_rows(i as usize).map(|ti| g.tile_row_count(ti)).sum();
             getrf_flops(rows, g.tile_col_count(k as usize))
         }
-        (DagVariant::Calu, TaskKind::PanelCombine { k, .. }) => {
+        (Algorithm::Calu, TaskKind::PanelCombine { k, .. }) => {
             let w = g.tile_col_count(k as usize);
             getrf_flops(2 * w, w)
         }
-        (DagVariant::Calu, TaskKind::PanelFinish { k }) => {
+        (Algorithm::Calu, TaskKind::PanelFinish { k }) => {
             let w = g.tile_col_count(k as usize);
             getrf_flops(w, w)
         }
-        (DagVariant::Calu, TaskKind::ComputeL { k, i }) => {
+        (Algorithm::Calu, TaskKind::ComputeL { k, i }) => {
             cc(k as usize) * cc(k as usize) * rc(i as usize)
         }
 
         // --- GEPP with sequential panel: finish covers the whole panel ---
-        (DagVariant::GeppPanelSeq, TaskKind::PanelFinish { k }) => {
+        (Algorithm::Gepp, TaskKind::PanelFinish { k }) => {
             let rows = g.rows() - (k as usize) * b;
             getrf_flops(rows, g.tile_col_count(k as usize))
         }
 
         // --- Cholesky (future-work extension, §9) ---
-        (DagVariant::TileCholesky, TaskKind::PanelFinish { k }) => {
+        (Algorithm::Cholesky, TaskKind::PanelFinish { k }) => {
             // POTRF: n^3/3
             let w = cc(k as usize);
             w * w * w / 3.0
         }
-        (DagVariant::TileCholesky, TaskKind::ComputeL { k, i }) => {
+        (Algorithm::Cholesky, TaskKind::ComputeL { k, i }) => {
             cc(k as usize) * cc(k as usize) * rc(i as usize)
         }
-        (DagVariant::TileCholesky, TaskKind::Update { k, i, j }) => {
+        (Algorithm::Cholesky, TaskKind::Update { k, i, j }) => {
             let f = 2.0 * rc(i as usize) * cc(j as usize) * cc(k as usize);
             if i == j {
                 f / 2.0 // SYRK does half the gemm flops
@@ -71,14 +71,14 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
         }
 
         // --- incremental pivoting ---
-        (DagVariant::TileIncPiv, TaskKind::PanelFinish { k }) => {
+        (Algorithm::IncPiv, TaskKind::PanelFinish { k }) => {
             let w = g.tile_col_count(k as usize);
             getrf_flops(w, w)
         }
-        (DagVariant::TileIncPiv, TaskKind::ComputeL { k, i }) => {
+        (Algorithm::IncPiv, TaskKind::ComputeL { k, i }) => {
             INCPIV_TSTRF_OVERHEAD * rc(i as usize) * cc(k as usize) * cc(k as usize)
         }
-        (DagVariant::TileIncPiv, TaskKind::Update { k, i, j }) => {
+        (Algorithm::IncPiv, TaskKind::Update { k, i, j }) => {
             INCPIV_SSSSM_OVERHEAD * 2.0 * rc(i as usize) * cc(j as usize) * cc(k as usize)
         }
 
@@ -107,15 +107,13 @@ pub fn task_flops(g: &TaskGraph, t: TaskId) -> f64 {
 /// here (panel < trsm < gemm, and the layout/grouping ordering) still
 /// match that kernel family; only the absolute peak fraction each row
 /// represents shifted with the faster kernels.
-pub(crate) fn kernel_eff(g: &TaskGraph, kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
+pub(crate) fn kernel_eff(kind: &TaskKind, layout: Layout, batch: usize) -> f64 {
     match kind {
-        TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. } => 0.34,
-        TaskKind::PanelFinish { .. } => match g.variant() {
-            // MKL-style sequential full-panel GEPP: unblocked BLAS-2,
-            // memory-bandwidth bound over the whole panel
-            DagVariant::GeppPanelSeq => 0.15,
-            _ => 0.34,
-        },
+        // GEPP's sequential whole-panel task runs at the machine's own
+        // calibrated `gepp_panel_eff` instead (the engine applies it)
+        TaskKind::PanelLeaf { .. }
+        | TaskKind::PanelCombine { .. }
+        | TaskKind::PanelFinish { .. } => 0.34,
         TaskKind::ComputeL { .. } | TaskKind::ComputeU { .. } => match layout {
             Layout::ColumnMajor => 0.50,
             Layout::BlockCyclic => 0.55,
@@ -182,14 +180,14 @@ pub(crate) fn dequeue_cost(m: &MachineConfig, source: QueueSource, lock_free: bo
 pub fn task_tiles(g: &TaskGraph, t: TaskId, out: &mut Vec<(usize, usize)>) {
     out.clear();
     let kind = g.kind(t);
-    match (g.variant(), kind) {
-        (DagVariant::GeppPanelSeq, TaskKind::PanelFinish { k }) => {
+    match (g.algorithm(), kind) {
+        (Algorithm::Gepp, TaskKind::PanelFinish { k }) => {
             // the sequential panel task sweeps the whole panel column
             for i in (k as usize)..g.tile_rows() {
                 out.push((i, k as usize));
             }
         }
-        (DagVariant::Calu, TaskKind::PanelLeaf { k, i }) => {
+        (Algorithm::Calu, TaskKind::PanelLeaf { k, i }) => {
             for ti in g.leaf_rows(i as usize) {
                 out.push((ti, k as usize));
             }
@@ -214,14 +212,12 @@ pub fn task_tiles(g: &TaskGraph, t: TaskId, out: &mut Vec<(usize, usize)>) {
 }
 
 /// The tile a task *writes* (dirty-line coherence traffic follows this
-/// tile when consecutive writers differ).
+/// tile when consecutive writers differ): its `writes_tile`, or `None`
+/// for a TSLU leaf or match, which writes only a candidate buffer.
 pub(crate) fn task_written_tile(g: &TaskGraph, t: TaskId) -> Option<(usize, usize)> {
     match g.kind(t) {
         TaskKind::PanelLeaf { .. } | TaskKind::PanelCombine { .. } => None,
-        TaskKind::PanelFinish { k } => Some((k as usize, k as usize)),
-        TaskKind::ComputeL { k, i } => Some((i as usize, k as usize)),
-        TaskKind::ComputeU { k, j } => Some((k as usize, j as usize)),
-        TaskKind::Update { k: _, i, j } => Some((i as usize, j as usize)),
+        kind => Some(kind.writes_tile()),
     }
 }
 
@@ -235,23 +231,6 @@ pub fn total_flops(g: &TaskGraph) -> f64 {
     g.ids().map(|t| task_flops(g, t)).sum()
 }
 
-/// The standard LU figure-of-merit flop count used for Gflop/s
-/// reporting, matching the paper's plots: `2(mnr − (m+n)r²/2 + r³/3)`
-/// with `r = min(m, n)`, which reduces to the familiar `mn² − n³/3`
-/// for `m ≥ n` (`(2/3)n³` when square) and stays positive for wide
-/// matrices.
-pub fn lu_nominal_flops(m: usize, n: usize) -> f64 {
-    let r = m.min(n) as f64;
-    let (m, n) = (m as f64, n as f64);
-    2.0 * m * n * r - (m + n) * r * r + 2.0 * r * r * r / 3.0
-}
-
-/// Cholesky figure-of-merit flop count, `n³/3`.
-pub fn cholesky_nominal_flops(n: usize) -> f64 {
-    let n = n as f64;
-    n * n * n / 3.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +239,7 @@ mod tests {
     fn calu_total_flops_close_to_nominal() {
         let g = TaskGraph::build(2000, 2000, 100);
         let total = total_flops(&g);
-        let nominal = lu_nominal_flops(2000, 2000);
+        let nominal = Algorithm::Calu.nominal_flops(2000, 2000);
         // tournament pivoting adds panel work; total within [1x, 1.2x]
         assert!(total > nominal, "CALU does at least the nominal flops");
         assert!(total < 1.2 * nominal, "panel overhead is lower-order");
@@ -307,23 +286,21 @@ mod tests {
 
     #[test]
     fn batching_raises_gemm_efficiency_only_for_bcl() {
-        let g = TaskGraph::build(400, 400, 100);
         let s = TaskKind::Update { k: 0, i: 1, j: 1 };
-        let single = kernel_eff(&g, &s, Layout::BlockCyclic, 1);
-        let batched = kernel_eff(&g, &s, Layout::BlockCyclic, 3);
+        let single = kernel_eff(&s, Layout::BlockCyclic, 1);
+        let batched = kernel_eff(&s, Layout::BlockCyclic, 3);
         assert!(batched > single);
-        let tlb1 = kernel_eff(&g, &s, Layout::TwoLevelBlock, 1);
-        let tlb3 = kernel_eff(&g, &s, Layout::TwoLevelBlock, 3);
+        let tlb1 = kernel_eff(&s, Layout::TwoLevelBlock, 1);
+        let tlb3 = kernel_eff(&s, Layout::TwoLevelBlock, 3);
         assert_eq!(tlb1, tlb3, "2l-BL cannot group (§4.2)");
     }
 
     #[test]
     fn cm_layout_is_least_efficient_for_gemm() {
-        let g = TaskGraph::build(400, 400, 100);
         let s = TaskKind::Update { k: 0, i: 1, j: 1 };
-        let cm = kernel_eff(&g, &s, Layout::ColumnMajor, 1);
-        let bcl = kernel_eff(&g, &s, Layout::BlockCyclic, 1);
-        let tlb = kernel_eff(&g, &s, Layout::TwoLevelBlock, 1);
+        let cm = kernel_eff(&s, Layout::ColumnMajor, 1);
+        let bcl = kernel_eff(&s, Layout::BlockCyclic, 1);
+        let tlb = kernel_eff(&s, Layout::TwoLevelBlock, 1);
         assert!(cm < bcl && bcl < tlb);
     }
 
@@ -367,23 +344,5 @@ mod tests {
             (remote - m.dequeue_global) > (near - m.dequeue_global) * m.remote_steal_factor * 0.99,
             "remote scaling applies to the sweep term"
         );
-    }
-
-    #[test]
-    fn nominal_flops_square() {
-        let f = lu_nominal_flops(3000, 3000);
-        assert!((f - 2.0 / 3.0 * 3000f64.powi(3)).abs() / f < 1e-12);
-    }
-
-    #[test]
-    fn nominal_flops_rectangular() {
-        // tall case keeps the mn² − n³/3 convention
-        let (m, n) = (4000f64, 1000f64);
-        let tall = lu_nominal_flops(4000, 1000);
-        assert!((tall - (m * n * n - n * n * n / 3.0)).abs() / tall < 1e-12);
-        // wide case is positive and symmetric with the tall case
-        let wide = lu_nominal_flops(1000, 4000);
-        assert!(wide > 0.0);
-        assert!((wide - tall).abs() / tall < 1e-12);
     }
 }

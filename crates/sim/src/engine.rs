@@ -14,8 +14,7 @@ use calu_trace::{SpanKind, TaskSpan, Timeline};
 
 use crate::cache::{tile_key, TileCache};
 use crate::cost::{
-    dequeue_cost, kernel_eff, lu_nominal_flops, task_flops, task_tiles, task_written_tile,
-    tile_bytes, total_flops,
+    dequeue_cost, kernel_eff, task_flops, task_tiles, task_written_tile, tile_bytes, total_flops,
 };
 use crate::machine::MachineConfig;
 use crate::noise::NoiseProcess;
@@ -249,13 +248,13 @@ impl<'a> Engine<'a> {
         // compute
         let flops: f64 = batch.iter().map(|pp| task_flops(self.g, pp.task)).sum();
         let first_kind = self.g.kind(batch[0].task);
-        let eff = if self.g.variant() == calu_dag::DagVariant::GeppPanelSeq
+        let eff = if self.g.algorithm() == calu_dag::Algorithm::Gepp
             && matches!(first_kind, calu_dag::TaskKind::PanelFinish { .. })
         {
             // the vendor library's panel runs at its own calibrated rate
             m.gepp_panel_eff * m.eff_scale
         } else {
-            kernel_eff(self.g, &first_kind, self.cfg.layout, batch.len()) * m.eff_scale
+            kernel_eff(&first_kind, self.cfg.layout, batch.len()) * m.eff_scale
         };
         let compute = flops / (m.core_flops * m.core_speed(core) * eff);
 
@@ -377,16 +376,9 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let nominal_flops = match self.g.variant() {
-            calu_dag::DagVariant::TileCholesky => {
-                crate::cost::cholesky_nominal_flops(self.g.rows())
-            }
-            _ => lu_nominal_flops(self.g.rows(), self.g.cols()),
-        };
         SimResult {
             schedule: ScheduleMetrics::new(makespan, self.stats),
             executed_flops: total_flops(self.g),
-            nominal_flops,
             timeline: self.timeline,
         }
     }
@@ -401,7 +393,6 @@ pub fn run(g: &TaskGraph, cfg: &SimConfig) -> SimResult {
 mod tests {
     use super::*;
     use crate::machine::NoiseConfig;
-    use crate::result::tests::gflops;
     use calu_dag::TaskGraph;
 
     /// Canonical configuration: near-square grid over all cores,
@@ -446,7 +437,6 @@ mod tests {
             let total = r.schedule.total_tasks();
             assert_eq!(total as usize, g.len(), "{sched:?}");
             assert!(r.schedule.makespan > 0.0);
-            assert!(gflops(&r) > 0.0);
         }
     }
 

@@ -18,8 +18,8 @@ fn main() {
 
     // stats on stderr so the DOT stays pipeable
     let full = unit_critical_path(&g);
-    let stat = critical_path(&g, |t| g.kind(t).writes_col() < nstatic, |_| 1.0);
-    let dynamic = critical_path(&g, |t| g.kind(t).writes_col() >= nstatic, |_| 1.0);
+    let stat = critical_path(&g, |t| g.kind(t).writes_tile().1 < nstatic, |_| 1.0);
+    let dynamic = critical_path(&g, |t| g.kind(t).writes_tile().1 >= nstatic, |_| 1.0);
     eprintln!("tasks: {}   edges: {}", g.len(), g.num_edges());
     eprintln!(
         "critical path (tasks): whole {}  static section {}  dynamic section {}",

@@ -19,12 +19,13 @@ use std::time::Instant;
 use calu_core::{
     factor_batch, factor_one, gepp_factor, incpiv_factor, BatchItem, CaluConfig, KernelSet, Outcome,
 };
+use calu_dag::Algorithm;
 use calu_matrix::ProcessGrid;
 use calu_sim::{MachineConfig, SimConfig, SimResult};
 
 use crate::error::Error;
 use crate::report::{nominal_flops, BatchReport, Report, ScheduleMetrics, ThreadMetrics};
-use crate::solver::{Algorithm, Plan};
+use crate::solver::Plan;
 
 /// An execution substrate for a validated [`Plan`].
 pub trait Backend {
@@ -218,7 +219,7 @@ pub(crate) fn engine_route(backend: &str, plan: &Plan<'_>) -> Result<Option<Kern
                 .into(),
         });
     }
-    Ok(plan.algorithm.kernels())
+    Ok(KernelSet::for_algorithm(plan.algorithm))
 }
 
 /// Real executors factor real data: the error for a shape-only source.
@@ -483,7 +484,6 @@ impl Backend for SimulatedBackend {
 fn sim_report(backend: &str, plan: &Plan<'_>, r: SimResult) -> Report {
     let mut report = plan_report(backend, plan);
     report.set_schedule(r.schedule);
-    report.nominal_flops = r.nominal_flops;
     report.timeline = r.timeline;
     report
 }

@@ -148,6 +148,7 @@ pub mod solver;
 
 pub use backend::{Backend, SimulatedBackend, ThreadedBackend};
 pub use calu_core::{FaultKind, FaultPlan, KernelSet};
+pub use calu_dag::Algorithm;
 pub use calu_sched::{
     AdaptationStep, AdaptiveController, AdaptivePolicy, Observation, QueueDiscipline, SplitChoice,
 };
@@ -161,7 +162,7 @@ pub use serve::{
     JournalConfig, NetConfig, NetStats, ReportService, ServeError, ServeListener, ServiceConfig,
     ServiceEvent,
 };
-pub use solver::{Algorithm, MatrixSource, Plan, Solver};
+pub use solver::{MatrixSource, Plan, Solver};
 
 pub use calu_core as core;
 pub use calu_dag as dag;

@@ -15,6 +15,7 @@
 //! re-exported here and at the crate root.
 
 use calu_core::Factorization;
+use calu_dag::Algorithm;
 use calu_matrix::Layout;
 use calu_sched::{QueueDiscipline, SchedulerKind};
 use calu_trace::Timeline;
@@ -22,8 +23,6 @@ use calu_trace::Timeline;
 pub use calu_sched::schedule::{
     ContentionStats, QueueBreakdown, ScheduleMetrics, StealLocality, ThreadMetrics,
 };
-
-use crate::solver::Algorithm;
 
 /// How [`crate::Solver::adaptive`] resolved this run's split: the
 /// topology-seeded starting point, the split the run actually used, and
@@ -207,15 +206,10 @@ impl BatchReport {
 }
 
 /// Nominal flop count of one factorization — the paper's plotting
-/// convention, delegated to `calu_sim::cost` so both backends share the
+/// convention, [`Algorithm::nominal_flops`], so every backend shares the
 /// exact same Gflop/s denominator.
 pub fn nominal_flops(algorithm: Algorithm, m: usize, n: usize) -> f64 {
-    match algorithm {
-        Algorithm::Calu | Algorithm::Gepp | Algorithm::IncPiv => {
-            calu_sim::cost::lu_nominal_flops(m, n)
-        }
-        Algorithm::Cholesky => calu_sim::cost::cholesky_nominal_flops(n),
-    }
+    algorithm.nominal_flops(m, n)
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! independent of execution order, which is what lets a served job
 //! reproduce a solo run bit for bit.
 
-use calu_core::{KernelSet, Outcome};
+use calu_core::Outcome;
 use calu_sched::SchedulerKind;
 
 pub use calu_serve::{
@@ -47,7 +47,7 @@ pub use calu_serve::{
 use crate::backend::{blank_report, engine_route, report_from};
 use crate::error::Error;
 use crate::report::Report;
-use crate::solver::{Algorithm, Solver};
+use crate::solver::Solver;
 
 /// A [`FactorService`] whose jobs resolve to the facade's [`Report`] —
 /// what [`Solver::serve`] returns.
@@ -72,7 +72,7 @@ impl Solver {
     /// validation; jobs bring their own data as [`JobSpec`]s.
     ///
     /// Restrictions are the threaded backend's engine route: CALU and
-    /// Cholesky only (every job carries its own [`KernelSet`], so one
+    /// Cholesky only (every job carries its own [`calu_core::KernelSet`], so one
     /// service can mix the two), no work-stealing baseline.
     /// Large jobs run their dynamic section
     /// under the builder's queue discipline, exactly like a solo run;
@@ -106,10 +106,7 @@ impl Solver {
             // queue discipline), and the job's own kernel set decides
             // the algorithm: one service serves LU and Cholesky jobs side
             // by side
-            let algorithm = match out.kernels {
-                KernelSet::CaluLu => Algorithm::Calu,
-                KernelSet::Cholesky => Algorithm::Cholesky,
-            };
+            let algorithm = out.kernels.algorithm();
             let scheduler = match out.config.dratio {
                 d if d == dratio => scheduler,
                 d => SchedulerKind::Hybrid { dratio: d },

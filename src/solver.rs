@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use calu_core::{CaluConfig, CaluError, FaultPlan, KernelSet, Source};
-use calu_dag::TaskGraph;
+use calu_dag::{Algorithm, TaskGraph};
 use calu_matrix::{DenseMatrix, Layout, ProcessGrid};
 use calu_sched::adaptive::{AdaptiveController, AdaptivePolicy, SplitChoice};
 use calu_sched::{QueueDiscipline, SchedulerKind};
@@ -21,49 +21,6 @@ use calu_sched::{QueueDiscipline, SchedulerKind};
 use crate::backend::{Backend, ThreadedBackend};
 use crate::error::Error;
 use crate::report::{AdaptationReport, BatchReport, Report};
-
-/// Which factorization to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Communication-avoiding LU with tournament pivoting (the paper).
-    Calu,
-    /// Blocked GEPP with a sequential panel (the MKL stand-in).
-    Gepp,
-    /// Tiled LU with incremental pivoting (the PLASMA stand-in).
-    IncPiv,
-    /// Tiled Cholesky of a symmetric positive-definite matrix (§9
-    /// extension). Runs for real on [`ThreadedBackend`] — `dpotrf` /
-    /// `A·L⁻ᵀ`-TRSM / SYRK tile kernels on the same hybrid
-    /// static/dynamic executor as CALU — and as a cost model on the
-    /// simulated backend. Requires a square source that is SPD (use
-    /// [`MatrixSource::SpdUniform`] for seeded inputs; a non-SPD dense
-    /// input is flagged at run time via the report's `singular_at`).
-    Cholesky,
-}
-
-impl Algorithm {
-    /// The one mapping from an algorithm to where it runs: the engine's
-    /// kernel set for CALU and Cholesky, `None` for the sequential
-    /// reference drivers (GEPP, incremental pivoting).
-    pub(crate) fn kernels(self) -> Option<KernelSet> {
-        match self {
-            Algorithm::Calu => Some(KernelSet::CaluLu),
-            Algorithm::Cholesky => Some(KernelSet::Cholesky),
-            Algorithm::Gepp | Algorithm::IncPiv => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Algorithm::Calu => write!(f, "CALU"),
-            Algorithm::Gepp => write!(f, "GEPP"),
-            Algorithm::IncPiv => write!(f, "incpiv"),
-            Algorithm::Cholesky => write!(f, "Cholesky"),
-        }
-    }
-}
 
 /// Where the input matrix comes from.
 ///
@@ -220,13 +177,7 @@ impl Plan<'_> {
     /// Build the task DAG for this plan's algorithm and shape.
     pub fn build_graph(&self) -> TaskGraph {
         let (m, n) = self.source.dims();
-        let b = self.cfg.b;
-        match self.algorithm {
-            Algorithm::Calu => TaskGraph::build_calu(m, n, b, self.leaves),
-            Algorithm::Gepp => TaskGraph::build_gepp(m, n, b),
-            Algorithm::IncPiv => TaskGraph::build_incpiv(m, n, b),
-            Algorithm::Cholesky => TaskGraph::build_cholesky(n, b),
-        }
+        self.algorithm.build_graph(m, n, self.cfg.b, self.leaves)
     }
 
     /// An owned copy of [`Plan::config`].
@@ -462,7 +413,13 @@ impl Solver {
         guard.as_ref().map(|c| c.choice())
     }
 
-    /// Select the algorithm (default [`Algorithm::Calu`]).
+    /// Select the algorithm (default [`Algorithm::Calu`]). CALU and
+    /// Cholesky run for real on [`ThreadedBackend`], on the same hybrid
+    /// static/dynamic engine; GEPP and incremental pivoting on
+    /// sequential reference drivers; all four as a cost model on the
+    /// simulated backend. Cholesky requires a square SPD source (use
+    /// [`MatrixSource::SpdUniform`] for seeded inputs; a non-SPD dense
+    /// input is flagged at run time via the report's `singular_at`).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
@@ -516,8 +473,7 @@ impl Solver {
         let dims = source.dims();
         // the reference LU drivers take any non-empty shape, as the
         // engine's LU kernels do
-        self.algorithm
-            .kernels()
+        KernelSet::for_algorithm(self.algorithm)
             .unwrap_or(KernelSet::CaluLu)
             .check_shape(dims)
             .map_err(|e| match e {

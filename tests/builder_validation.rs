@@ -5,7 +5,7 @@
 use calu::matrix::{gen, Layout};
 use calu::sched::SchedulerKind;
 use calu::sim::{MachineConfig, NoiseConfig};
-use calu::{Algorithm, Error, MatrixSource, SimulatedBackend, Solver, ThreadedBackend};
+use calu::{Algorithm, Error, FaultPlan, MatrixSource, SimulatedBackend, Solver, ThreadedBackend};
 
 fn config_message(err: Error) -> String {
     match err {
@@ -161,6 +161,20 @@ fn unsupported_combinations_point_at_alternatives() {
         assert!(solver.run().is_ok(), "{algorithm} runs solo");
         assert_eq!(solver.batch(&items).unwrap().len(), 2, "{algorithm}");
     }
+}
+
+#[test]
+fn a_slow_factor_whose_stall_overflows_is_config_error() {
+    // a stall of (factor − 1) × a task's time must fit a Duration: the
+    // plan is refused up front instead of panicking a worker mid-run
+    let err = Solver::new(MatrixSource::uniform(256, 7))
+        .tile(32)
+        .threads(2)
+        .fault_plan(FaultPlan::off().with_seed(1).slow_worker(0, 1e30))
+        .run()
+        .unwrap_err();
+    let msg = config_message(err);
+    assert!(msg.contains("slow-worker factor"), "got: {msg}");
 }
 
 #[test]
